@@ -195,6 +195,11 @@ impl Cluster {
     /// plus the run report. Deterministic: same inputs → same virtual
     /// timings, bit for bit — including across shard counts.
     ///
+    /// Ranks `1..n` get a thread each; rank 0 runs on the calling thread,
+    /// which is blocked for the duration anyway (so rank 0 sees the
+    /// caller's thread-locals, and the caller must not already hold a
+    /// tracing scope when a recorder is attached).
+    ///
     /// Panics (with the original payload) if any rank panics. A rank
     /// killed by a scripted fail-stop crash is *not* a panic: its result
     /// slot is filled with `R::default()` (which is why `R: Default`) and
@@ -259,55 +264,56 @@ impl Cluster {
                 .collect()
         };
 
-        let f = &f;
+        // One rank's whole life on the current thread: wait for the first
+        // turn, run the program, retire. Every unwind — the program's, a
+        // scripted crash, a poisoned wait — comes back as a value.
+        let run_rank = |pid: usize| -> std::thread::Result<R> {
+            let shared = &shareds[owner[pid]];
+            // Guard dropped (and buffers flushed) after the rank finishes
+            // or unwinds.
+            let _obs = self.recorder.clone().map(|r| r.install(pid));
+            let ctx = SimCtx::new(Arc::clone(shared), pid, n);
+            let out = catch_unwind(AssertUnwindSafe(|| {
+                drop(shared.wait_turn(pid));
+                f(&ctx)
+            }));
+            match out {
+                Ok(v) => {
+                    ctx.finish();
+                    Ok(v)
+                }
+                // A scripted fail-stop death: the engine already retired
+                // the rank (no `finish()`); the run continues with the
+                // survivors.
+                Err(e) if e.downcast_ref::<CrashedRank>().is_some() => Ok(R::default()),
+                Err(e) => {
+                    // Poison every shard (and through the first one's
+                    // wsync, the coordinator) so the whole run unwinds
+                    // promptly.
+                    let msg = format!("rank {pid} panicked inside the simulation");
+                    for sh in &shareds {
+                        sh.poison(pid, msg.clone());
+                    }
+                    if let Some(ws) = &shared.state.lock().wsync {
+                        ws.poison();
+                    }
+                    Err(e)
+                }
+            }
+        };
         let joined: Vec<std::thread::Result<R>> = std::thread::scope(|s| {
             if nshards > 1 {
-                let shareds = &shareds;
-                let owner = Arc::clone(&owner);
-                let latency = self.net.latency;
-                s.spawn(move || coordinate(shareds, &owner, latency));
+                s.spawn(|| coordinate(&shareds, &owner, self.net.latency));
             }
-            let handles: Vec<_> = (0..n)
-                .map(|pid| {
-                    let shared = Arc::clone(&shareds[owner[pid]]);
-                    let all = &shareds;
-                    let recorder = self.recorder.clone();
-                    s.spawn(move || {
-                        // Guard dropped (and buffers flushed) after the rank
-                        // finishes or unwinds.
-                        let _obs = recorder.map(|r| r.install(pid));
-                        let ctx = SimCtx::new(Arc::clone(&shared), pid, n);
-                        shared.wait_turn(pid);
-                        let out = catch_unwind(AssertUnwindSafe(|| f(&ctx)));
-                        match out {
-                            Ok(v) => {
-                                ctx.finish();
-                                Ok(v)
-                            }
-                            // A scripted fail-stop death: the engine
-                            // already retired the rank (no `finish()`);
-                            // the run continues with the survivors.
-                            Err(e) if e.downcast_ref::<CrashedRank>().is_some() => Ok(R::default()),
-                            Err(e) => {
-                                // Poison every shard (and through the first
-                                // one's wsync, the coordinator) so the
-                                // whole run unwinds promptly.
-                                let msg = format!("rank {pid} panicked inside the simulation");
-                                for sh in all.iter() {
-                                    sh.poison(pid, msg.clone());
-                                }
-                                if let Some(ws) = &shared.state.lock().wsync {
-                                    ws.poison();
-                                }
-                                Err(e)
-                            }
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|e| Err(e)))
+            let run_rank = &run_rank;
+            let handles: Vec<_> = (1..n).map(|pid| s.spawn(move || run_rank(pid))).collect();
+            // Rank 0 runs here, on the thread that called `run_spmd`: it
+            // would otherwise only sit in `join`, and the root rank's heap
+            // then stays in this thread's allocator arena from run to run
+            // instead of landing in a fresh thread's arena every time.
+            let root = run_rank(0);
+            std::iter::once(root)
+                .chain(handles.into_iter().map(|h| h.join().unwrap_or_else(Err)))
                 .collect()
         });
 
@@ -457,8 +463,7 @@ fn coordinate(shareds: &[Arc<Shared>], owner: &[usize], latency: SimDur) {
             st.window_end = wend;
             st.quiesced = false;
             if st.dispatch_next() {
-                drop(st);
-                sh.cv.notify_all();
+                sh.hand_off(st);
             } else {
                 st.quiesced = true;
                 ws.mark_quiescent();

@@ -26,6 +26,11 @@ use crate::shard::OutMsg;
 use crate::sync::MutexGuard;
 use crate::time::{SimDur, SimTime};
 
+/// The engine lock as the turn holder carries it: taken and returned by
+/// value by everything that may hand the turn over, because waiting for the
+/// turn releases the lock and re-acquires a fresh guard.
+type Guard<'a> = MutexGuard<'a, EngineState>;
+
 /// Error returned by [`SimCtx::recv_timeout`]: no matching message became
 /// deliverable within the timeout window. Carries the receive's match
 /// criteria so callers can report *which* peer went silent.
@@ -73,7 +78,7 @@ impl SimCtx {
     /// turn onward, and unwinds with the [`CrashedRank`] marker the cluster
     /// runner catches. The `sim/crashed` trace instant is what lets the
     /// health monitor treat the node's ensuing silence as permanent.
-    fn die_crashed(&self, mut st: MutexGuard<'_, EngineState>) -> ! {
+    fn die_crashed(&self, mut st: Guard<'_>) -> ! {
         let clock = st.clock;
         if obs::enabled() {
             let node = st.procs[self.pid].node;
@@ -88,8 +93,7 @@ impl SimCtx {
         st.procs[self.pid].finish_time = clock;
         st.live -= 1;
         st.dispatch_or_quiesce();
-        self.shared.cv.notify_all();
-        drop(st);
+        self.shared.hand_off(st);
         std::panic::resume_unwind(Box::new(CrashedRank));
     }
 
@@ -227,9 +231,20 @@ impl SimCtx {
         if work <= 0.0 {
             return;
         }
-        let mut st = self.shared.state.lock();
+        let st = self.shared.state.lock();
         if self.crash_due(&st) {
             self.die_crashed(st);
+        }
+        drop(self.advance_locked(st, work));
+    }
+
+    /// [`Self::advance`] inside a critical section the caller already
+    /// holds (and whose operation-boundary crash check it already made):
+    /// `send` and the receive success path charge their CPU cost in the
+    /// same section that moves the message.
+    fn advance_locked<'a>(&'a self, mut st: Guard<'a>, work: f64) -> Guard<'a> {
+        if work <= 0.0 {
+            return st;
         }
         let node = st.procs[self.pid].node;
         let need = st.nodes[node].sched.work_to_ns(work);
@@ -261,9 +276,9 @@ impl SimCtx {
                         obs::count("sim.sched.quanta", step.slices);
                     }
                 }
-                self.advance_to(&mut st, step.end);
+                st = self.advance_to(st, step.end);
             }
-            return;
+            return st;
         }
         // Stepped reference path: one scheduler slice per engine event.
         let mut need = need;
@@ -291,10 +306,10 @@ impl SimCtx {
                         obs::count("sim.sched.quanta", step.slices);
                     }
                 }
-                self.advance_to(&mut st, step.end);
+                st = self.advance_to(st, step.end);
             }
             if step.completed {
-                return;
+                return st;
             }
         }
     }
@@ -304,12 +319,12 @@ impl SimCtx {
         if dur == SimDur::ZERO {
             return;
         }
-        let mut st = self.shared.state.lock();
+        let st = self.shared.state.lock();
         if self.crash_due(&st) {
             self.die_crashed(st);
         }
         let t = st.clock + dur;
-        self.advance_to(&mut st, t);
+        drop(self.advance_to(st, t));
     }
 
     /// Sends `payload` to rank `dst` with `tag`. Charges the sender the CPU
@@ -319,16 +334,13 @@ impl SimCtx {
     pub fn send(&self, dst: usize, tag: u64, payload: Vec<u8>) {
         assert!(dst < self.nprocs, "send to invalid rank {dst}");
         let len = payload.len();
-        let cpu = {
-            let st = self.shared.state.lock();
-            if self.crash_due(&st) {
-                self.die_crashed(st);
-            }
-            let p = st.net.params();
-            p.send_cpu_base + p.send_cpu_per_byte * len as f64
-        };
-        self.advance(cpu);
-        let mut st = self.shared.state.lock();
+        let st = self.shared.state.lock();
+        if self.crash_due(&st) {
+            self.die_crashed(st);
+        }
+        let p = st.net.params();
+        let cpu = p.send_cpu_base + p.send_cpu_per_byte * len as f64;
+        let mut st = self.advance_locked(st, cpu);
         let now = st.clock;
         let src_node = st.procs[self.pid].node;
         let dst_node = st.procs[dst].node;
@@ -530,8 +542,7 @@ impl SimCtx {
                 }
                 let p = st.net.params();
                 let cpu = p.recv_cpu_base + p.recv_cpu_per_byte * len as f64;
-                drop(st);
-                self.advance(cpu);
+                drop(self.advance_locked(st, cpu));
                 return Ok((env.src, env.payload));
             }
             if let Some(d) = deadline {
@@ -589,7 +600,7 @@ impl SimCtx {
             if let Some(c) = st.failstop_at(node) {
                 st.push_event(c, self.pid);
             }
-            self.yield_turn(&mut st);
+            st = self.yield_turn(st);
             let wake = st.clock;
             obs::span_end(wake.0);
             let node = st.procs[self.pid].node;
@@ -657,13 +668,13 @@ impl SimCtx {
     /// Turn-handoff bypass: if `t` is inside the current window and no
     /// *other* rank has a live event at or before `t`, this rank keeps the
     /// turn — the clock moves forward in place with no heap push, no
-    /// `notify`, and no condvar wait, so a pure-compute stretch costs zero
+    /// `unpark`, and no `park`, so a pure-compute stretch costs zero
     /// engine events. Otherwise it falls back to the classic queued event +
     /// full yield, preserving the global `(time, pid, seq)` dispatch order
     /// exactly. (The window bound is strict: a running rank's clock stays
     /// below `window_end`, which is what makes remote monitor samples at
     /// `now − latency` settled at the barrier.)
-    fn advance_to(&self, st: &mut MutexGuard<'_, EngineState>, t: SimTime) {
+    fn advance_to<'a>(&'a self, mut st: Guard<'a>, t: SimTime) -> Guard<'a> {
         debug_assert_eq!(st.current, Some(self.pid));
         debug_assert!(t >= st.clock, "advance_to into the past");
         // Stepped mode keeps the seed's exact execution strategy — every
@@ -677,36 +688,29 @@ impl SimCtx {
             if st.queue.peek().is_none_or(|ev| ev.time > t) {
                 st.clock = t;
                 st.bypasses += 1;
-                return;
+                return st;
             }
         }
         st.procs[self.pid].status = Status::Scheduled;
         st.push_event(t, self.pid);
-        self.yield_turn(st);
+        self.yield_turn(st)
     }
 
     /// Hands the turn to the next event's owner and waits until this rank
     /// is scheduled again. The caller must have arranged its own wake-up
     /// (queued event or blocked-recv registration) before calling.
-    fn yield_turn(&self, st: &mut MutexGuard<'_, EngineState>) {
+    fn yield_turn<'a>(&'a self, mut st: Guard<'a>) -> Guard<'a> {
         st.dispatch_or_quiesce();
         if st.current == Some(self.pid) {
             // The turn came straight back (our own event was earliest):
-            // keep running without waking the other threads.
+            // keep running without waking anyone.
             debug_assert_eq!(st.procs[self.pid].status, Status::Running);
-            return;
+            return st;
         }
-        self.shared.cv.notify_all();
-        loop {
-            if let Some(msg) = st.panic_msg.clone() {
-                panic!("{msg}");
-            }
-            if st.current == Some(self.pid) {
-                debug_assert_eq!(st.procs[self.pid].status, Status::Running);
-                return;
-            }
-            self.shared.cv.wait(st);
-        }
+        self.shared.hand_off(st);
+        let st = self.shared.wait_turn(self.pid);
+        debug_assert_eq!(st.procs[self.pid].status, Status::Running);
+        st
     }
 
     /// Marks this rank finished and hands the turn onward. Called by the
@@ -718,6 +722,6 @@ impl SimCtx {
         st.procs[self.pid].finish_time = clock;
         st.live -= 1;
         st.dispatch_or_quiesce();
-        self.shared.cv.notify_all();
+        self.shared.hand_off(st);
     }
 }

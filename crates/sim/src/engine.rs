@@ -16,9 +16,10 @@
 //! single-shard run applies them in, which is what keeps `SimReport`s
 //! bit-identical across `--shards` values.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
 
-use crate::sync::{Condvar, Mutex};
+use crate::sync::{Mutex, MutexGuard};
 
 use crate::cpu::CpuSched;
 use crate::equeue::EventQueue;
@@ -463,33 +464,73 @@ impl EngineState {
     }
 }
 
-/// Shared engine handle: the state plus the turn-handoff condition variable.
+/// Shared engine handle: the state plus one parker per rank thread.
+///
+/// The turn token is *targeted*: whoever gives the turn away wakes exactly
+/// the rank `EngineState::current` names, and only after releasing the
+/// engine mutex (see [`Shared::hand_off`]). Waiting ranks sit in
+/// `std::thread::park` without holding the lock.
 pub(crate) struct Shared {
     pub state: Mutex<EngineState>,
-    pub cv: Condvar,
+    /// The thread running each pid, registered by its first
+    /// [`Shared::wait_turn`]. Outside the mutex so a hand-off can unpark
+    /// after unlocking. (A sharded engine only ever fills its own pids.)
+    parkers: Vec<OnceLock<Thread>>,
 }
 
 impl Shared {
     pub fn new(state: EngineState) -> Self {
+        let parkers = state.procs.iter().map(|_| OnceLock::new()).collect();
         Shared {
             state: Mutex::new(state),
-            cv: Condvar::new(),
+            parkers,
         }
     }
 
-    /// Blocks the calling process thread until it holds the turn.
-    pub fn wait_turn(&self, pid: usize) {
-        let mut st = self.state.lock();
+    /// Blocks the calling rank thread until it holds the turn, and returns
+    /// the engine guard it observed that under.
+    ///
+    /// The parker is registered *before* `current` is read under the lock,
+    /// so a hand-off either finds the parker (its `unpark` token makes the
+    /// next `park` return at once) or ran entirely before this thread's
+    /// first lock, which then already sees `current == Some(pid)`. Every
+    /// wake re-checks under the lock: `park` may return spuriously.
+    pub fn wait_turn(&self, pid: usize) -> MutexGuard<'_, EngineState> {
+        self.parkers[pid].get_or_init(std::thread::current);
         loop {
+            let st = self.state.lock();
             if let Some(msg) = &st.panic_msg {
                 let msg = msg.clone();
                 drop(st);
                 panic!("{msg}");
             }
             if st.current == Some(pid) {
-                return;
+                return st;
             }
-            self.cv.wait(&mut st);
+            drop(st);
+            std::thread::park();
+        }
+    }
+
+    /// Gives the turn away — the one function every site that changed
+    /// `current` (or failed the run) goes through. Reads the next owner,
+    /// **releases the engine mutex first**, then unparks exactly that
+    /// rank; a failed run (`panic_msg` set: poison, deadlock) unparks
+    /// every rank so all of them unwind. Unparking while still holding the
+    /// mutex would send the woken thread straight into a block on it.
+    pub fn hand_off(&self, st: MutexGuard<'_, EngineState>) {
+        let next = st.current;
+        let failed = st.panic_msg.is_some();
+        drop(st);
+        let wake = |p: &OnceLock<Thread>| {
+            if let Some(t) = p.get() {
+                t.unpark();
+            }
+        };
+        if failed {
+            self.parkers.iter().for_each(wake);
+        } else if let Some(pid) = next {
+            wake(&self.parkers[pid]);
         }
     }
 
@@ -502,7 +543,7 @@ impl Shared {
             st.panic_origin = Some(origin);
         }
         st.current = None;
-        self.cv.notify_all();
+        self.hand_off(st);
     }
 }
 

@@ -24,12 +24,15 @@
 //!   guarantees every mutation at or before that instant has already been
 //!   published, so readings are deterministic despite wall-clock races.
 
+use std::sync::{Condvar, PoisonError};
+
 use crate::monitor::BlockHistory;
-use crate::sync::{Condvar, Mutex};
+use crate::sync::Mutex;
 use crate::time::SimTime;
 use crate::timeline::NcpTimeline;
 
-/// Barrier state between the coordinator and the shard turn tokens.
+/// Barrier state between the coordinator and the shard turn tokens. The
+/// coordinator is the only thread that ever waits on `cv`.
 pub(crate) struct WindowSync {
     inner: Mutex<WsState>,
     cv: Condvar,
@@ -60,23 +63,23 @@ impl WindowSync {
     pub fn mark_quiescent(&self) {
         let mut g = self.inner.lock();
         g.quiescent += 1;
-        self.cv.notify_all();
+        self.cv.notify_one();
     }
 
     /// Marks the run failed; wakes the coordinator so it exits.
     pub fn poison(&self) {
         let mut g = self.inner.lock();
         g.poisoned = true;
-        self.cv.notify_all();
+        self.cv.notify_one();
     }
 
     /// Blocks until all `n` shards are quiescent. Returns `false` if the
     /// run was poisoned instead.
     pub fn wait_all(&self, n: usize) -> bool {
-        let mut g = self.inner.lock();
-        while g.quiescent < n && !g.poisoned {
-            self.cv.wait(&mut g);
-        }
+        let g = self
+            .cv
+            .wait_while(self.inner.lock(), |g| g.quiescent < n && !g.poisoned)
+            .unwrap_or_else(PoisonError::into_inner);
         !g.poisoned
     }
 

@@ -1,9 +1,9 @@
-//! Minimal `parking_lot`-shaped wrappers over `std::sync`.
+//! Minimal `parking_lot`-shaped wrapper over `std::sync::Mutex`.
 //!
-//! The engine only needs `lock()` without a poison `Result` and a condvar
-//! that waits on the guard in place. Poisoned locks are unrecoverable here —
-//! a panicking sim thread already poisons the engine through
-//! `Shared::poison` — so lock poisoning is deliberately ignored.
+//! The engine only needs `lock()` without a poison `Result`. Poisoned locks
+//! are unrecoverable here — a panicking sim thread already poisons the
+//! engine through `Shared::poison` — so lock poisoning is deliberately
+//! ignored.
 
 pub(crate) use std::sync::MutexGuard;
 
@@ -20,41 +20,5 @@ impl<T> Mutex<T> {
         self.0
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-/// Condvar whose `wait` re-acquires into the same guard binding.
-#[derive(Debug, Default)]
-pub(crate) struct Condvar(std::sync::Condvar);
-
-impl Condvar {
-    pub fn new() -> Self {
-        Condvar(std::sync::Condvar::new())
-    }
-
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        // Move the guard out for the std API, then put the re-acquired one
-        // back. `replace` needs a placeholder; use the returned guard.
-        take_mut(guard, |g| {
-            self.0
-                .wait(g)
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-        });
-    }
-
-    pub fn notify_all(&self) {
-        self.0.notify_all();
-    }
-}
-
-/// Replace `*slot` with `f(*slot)`. Aborts the process if `f` panics while
-/// the slot is temporarily vacated (cannot happen for `Condvar::wait`, which
-/// only forwards to std).
-fn take_mut<T>(slot: &mut T, f: impl FnOnce(T) -> T) {
-    unsafe {
-        let old = std::ptr::read(slot);
-        let new = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(old)))
-            .unwrap_or_else(|_| std::process::abort());
-        std::ptr::write(slot, new);
     }
 }

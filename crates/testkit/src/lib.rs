@@ -1,6 +1,6 @@
 //! Dependency-free test support for the Dyn-MPI workspace.
 //!
-//! Provides three things the external crates `proptest`, `rand`, and
+//! Provides what the external crates `proptest`, `rand`, and
 //! `criterion` used to supply, scoped down to exactly what this repo needs:
 //!
 //! * [`Rng`] — a seeded SplitMix64 generator with ranged helpers, so tests
@@ -13,10 +13,12 @@
 //! * [`sweep`] — a scoped worker pool that runs independent, deterministic
 //!   simulation configurations concurrently and returns results in input
 //!   order, so figure harnesses parallelize without reordering output.
+//! * [`with_watchdog`] — runs a closure under a wall-clock limit, so a test
+//!   of a wake-up path fails instead of hanging `cargo test`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // Seeded RNG
@@ -318,9 +320,46 @@ where
         .collect()
 }
 
+// ---------------------------------------------------------------------------
+// Watchdog
+// ---------------------------------------------------------------------------
+
+/// Runs `f` on a thread of its own and returns its result, or fails the
+/// calling test with a message if `f` is still running after `secs`
+/// seconds — a lost wake-up then shows as a failed test, not as a hung
+/// `cargo test`. A panic in `f` is re-raised on the caller with its
+/// original payload, so `#[should_panic(expected = ..)]` and
+/// `catch_unwind` see through the watchdog. After a time-out the stuck
+/// thread is left behind; the test process ends it on exit.
+pub fn with_watchdog<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)));
+    });
+    match rx.recv_timeout(Duration::from_secs(secs)) {
+        Ok(Ok(v)) => v,
+        Ok(Err(payload)) => std::panic::resume_unwind(payload),
+        Err(_) => panic!("watchdog: still running after {secs} s (hung, or a lost wake-up)"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn watchdog_returns_the_value_and_reraises_the_payload() {
+        assert_eq!(with_watchdog(5, || 6 * 7), 42);
+        let err = std::panic::catch_unwind(|| with_watchdog(5, || std::panic::panic_any(7u32)))
+            .expect_err("the inner panic must cross the watchdog");
+        assert_eq!(err.downcast_ref::<u32>(), Some(&7));
+    }
+
+    #[test]
+    #[should_panic(expected = "watchdog: still running after 1 s")]
+    fn watchdog_fails_a_hung_closure() {
+        with_watchdog(1, || std::thread::park_timeout(Duration::from_secs(30)));
+    }
 
     #[test]
     fn rng_is_deterministic_per_seed() {
