@@ -1,5 +1,5 @@
 //! Simulator fast-path micro-bench: before/after numbers for the
-//! closed-form CPU fast-forward, the turn-handoff bypass, and the
+//! closed-form CPU fast-forward, the rank-local clocks, and the
 //! indexed mailbox.
 //!
 //! Three comparisons, each against the seed's behavior:
@@ -7,7 +7,7 @@
 //! * **engine events** — heap pushes to simulate a 100-virtual-second
 //!   compute under ncp = 3: `DYNMPI_SIM_STEPPED`-style stepped mode
 //!   (the seed's one-event-per-quantum strategy, selected here with
-//!   `with_stepped(true)`) vs the default fast-forward + bypass path.
+//!   `with_stepped(true)`) vs the default fast-forward + local-clock path.
 //!   Both must produce bit-identical virtual outputs.
 //! * **recv matching** — envelopes examined (and wall time) to drain a
 //!   deep out-of-order mailbox: the seed's linear min-(arrival, seq)
@@ -458,7 +458,7 @@ fn main() {
     );
     assert!(
         fast.turn_bypasses > 0,
-        "turn-handoff bypass never fired on a single-rank compute"
+        "a single-rank compute never kept the turn (no rank-local clock advance)"
     );
     assert!(
         lin.examined >= 10 * idx.probed,

@@ -367,6 +367,7 @@ impl Cluster {
             net_bytes: guards.iter().map(|st| st.net.byte_count()).sum(),
             engine_events: guards.iter().map(|st| st.events_pushed).sum(),
             turn_bypasses: guards.iter().map(|st| st.bypasses).sum(),
+            hand_offs: guards.iter().map(|st| st.hand_offs).sum(),
         };
         SimOutcome { results, report }
     }
@@ -408,12 +409,8 @@ fn coordinate(shareds: &[Arc<Shared>], owner: &[usize], latency: SimDur) {
         // single-shard run lands these sends in, so destination NIC state
         // and mailbox contents evolve bit-identically.
         msgs.sort_by_key(|m| (m.env.sent, m.env.src, m.env.seq));
-        for mut m in msgs {
-            let mut st = shareds[owner[m.dst]].state.lock();
-            let (arrival, rx_queued) = st.net.rx_land(m.dst_node, m.bytes, m.rx_ready, m.tx_end);
-            m.env.arrival = arrival;
-            m.env.rx_queued = rx_queued;
-            st.deliver(m.dst, m.env);
+        for m in msgs {
+            shareds[owner[m.dst]].state.lock().land(m);
         }
         // Global lower bound on the next event.
         let mut tmin = SimTime::MAX;
@@ -432,7 +429,7 @@ fn coordinate(shareds: &[Arc<Shared>], owner: &[usize], latency: SimDur) {
             let mut clock = SimTime::ZERO;
             for sh in shareds {
                 let st = sh.state.lock();
-                clock = clock.max(st.clock);
+                clock = clock.max(st.stuck_time());
                 details.extend(
                     st.stuck_recv_details()
                         .into_iter()

@@ -2,16 +2,34 @@
 //!
 //! A [`SimCtx`] is what a simulated rank's code uses to interact with the
 //! virtual cluster: consume CPU, exchange messages, read clocks and load
-//! monitors. Every method that takes virtual time may hand the turn to
-//! another rank; application code just sees blocking calls.
+//! monitors. Application code just sees blocking calls.
+//!
+//! In fast mode the rank runs on its **rank-local clock** and gives up the
+//! turn only when it has to (the soundness argument is in DESIGN.md §2):
+//!
+//! 1. operations on the rank's own node — `advance`, `sleep`, the CPU
+//!    charge of a send or receive, `now`, CPU readings, own-node monitors,
+//!    a `phase_cycle_completed` that fires nothing — move or read the local
+//!    clock only;
+//! 2. a cross-node `send` runs its TX half at the local time and queues its
+//!    RX half as a landing the engine executes in `(sent, src, seq)` order;
+//! 3. a blocking receive entered ahead of the engine clock blocks "not
+//!    before" its entry time, so the catch-up and the wait are one yield;
+//! 4. everything else — `probe`, another node's monitors, a write to the
+//!    load timeline, `finish`, a crash — first brings the engine clock up
+//!    to the local one ([`SimCtx::catch_up`]).
+//!
+//! Stepped mode (and a zero-latency network) never runs ahead: there every
+//! clock advance is a queued event, the local clock equals the engine
+//! clock, and each rule degenerates to the eager behavior.
 //!
 //! Sharded runs share almost every code path with single-shard runs; the
 //! differences are confined to three points, each chosen so virtual-time
 //! behavior is bit-identical across shard counts:
 //!
-//! * cross-node sends queue in the shard outbox instead of landing
-//!   eagerly (the coordinator applies them in the canonical
-//!   `(sent, src, seq)` order — exactly the single-shard delivery order);
+//! * cross-node sends catch up and queue in the shard outbox instead of
+//!   a landing (the coordinator applies a window's outbox in the canonical
+//!   `(sent, src, seq)` order — exactly the single-shard landing order);
 //! * remote monitor reads go through the shared [`crate::shard::MonBoard`];
 //! * the turn token reports quiescence to the window coordinator when the
 //!   local queue drains up to `window_end`.
@@ -64,21 +82,51 @@ impl SimCtx {
         }
     }
 
-    /// Is this rank's node fail-stop-dead at the current clock? Checked at
+    /// This rank's virtual time: its local clock (see `ProcState::local`).
+    fn local(&self, st: &EngineState) -> SimTime {
+        st.procs[self.pid].local
+    }
+
+    /// Brings the engine clock up to this rank's local clock — in place if
+    /// nothing else is due first, through the queue otherwise — before an
+    /// operation that reads or writes state another rank can observe.
+    fn catch_up<'a>(&'a self, st: Guard<'a>) -> Guard<'a> {
+        let t = self.local(&st);
+        if t > st.clock {
+            self.advance_to(st, t)
+        } else {
+            st
+        }
+    }
+
+    /// Locks the engine for a read of `node`'s state at this rank's time:
+    /// as is for the rank's own node, caught up first for any other (the
+    /// local and the engine clock then agree).
+    fn reader_of(&self, node: usize) -> Guard<'_> {
+        let st = self.shared.state.lock();
+        if st.procs[self.pid].node == node {
+            st
+        } else {
+            self.catch_up(st)
+        }
+    }
+
+    /// Is this rank's node fail-stop-dead at the rank's time? Checked at
     /// *operation boundaries* only — entry of compute/sleep/send/cycle ops
     /// and each turn of a receive loop — never inside an `advance`, so the
     /// fast and stepped engines charge bit-identical CPU before the death.
     fn crash_due(&self, st: &EngineState) -> bool {
         let node = st.procs[self.pid].node;
-        st.failstop_at(node).is_some_and(|c| st.clock >= c)
+        st.failstop_at(node).is_some_and(|c| self.local(st) >= c)
     }
 
-    /// Kills this rank at the current clock: marks it [`Status::Crashed`]
+    /// Kills this rank at its current time: marks it [`Status::Crashed`]
     /// (dead for dispatch, reported separately from `Finished`), hands the
     /// turn onward, and unwinds with the [`CrashedRank`] marker the cluster
     /// runner catches. The `sim/crashed` trace instant is what lets the
     /// health monitor treat the node's ensuing silence as permanent.
-    fn die_crashed(&self, mut st: Guard<'_>) -> ! {
+    fn die_crashed(&self, st: Guard<'_>) -> ! {
+        let mut st = self.catch_up(st);
         let clock = st.clock;
         if obs::enabled() {
             let node = st.procs[self.pid].node;
@@ -115,7 +163,7 @@ impl SimCtx {
 
     /// Current virtual time — the `gethrtime` wallclock of §4.2.
     pub fn now(&self) -> SimTime {
-        self.shared.state.lock().clock
+        self.local(&self.shared.state.lock())
     }
 
     /// Exact accumulated CPU time of this rank (ground truth; real systems
@@ -142,14 +190,15 @@ impl SimCtx {
     /// at least one lookahead window old, race-free.) A rank reading its
     /// own node sees the current second's report.
     pub fn dmpi_ps(&self, node: usize) -> u32 {
-        let st = self.shared.state.lock();
-        if st.clock < st.nodes[node].online_at {
+        let st = self.reader_of(node);
+        let now = self.local(&st);
+        if now < st.nodes[node].online_at {
             return 0;
         }
         if st.procs[self.pid].node == node {
-            return monitor::dmpi_ps_reading(&st.nodes[node].timeline, st.clock);
+            return monitor::dmpi_ps_reading(&st.nodes[node].timeline, now);
         }
-        let sample = monitor::monitor_sample_time(st.clock, st.net.params().latency);
+        let sample = monitor::monitor_sample_time(now, st.net.params().latency);
         if st.nic_dead_at(node, sample) {
             // The daemon's report cannot cross a dead NIC: a crashed or
             // partitioned node reads as silent remotely (its own rank, if
@@ -172,7 +221,7 @@ impl SimCtx {
     /// come online at `at + cold_start`.
     pub fn node_online(&self, node: usize) -> bool {
         let st = self.shared.state.lock();
-        st.clock >= st.nodes[node].online_at
+        self.local(&st) >= st.nodes[node].online_at
     }
 
     /// Virtual time `node` comes online (`SimTime::ZERO` for seed nodes).
@@ -184,15 +233,12 @@ impl SimCtx {
     /// application blocked at a receive — see §4.2). Remote readings lag
     /// one network latency, like [`Self::dmpi_ps`].
     pub fn vmstat(&self, node: usize) -> u32 {
-        let st = self.shared.state.lock();
+        let st = self.reader_of(node);
+        let now = self.local(&st);
         if st.procs[self.pid].node == node {
-            return monitor::vmstat_reading(
-                &st.nodes[node].timeline,
-                &st.nodes[node].blocks,
-                st.clock,
-            );
+            return monitor::vmstat_reading(&st.nodes[node].timeline, &st.nodes[node].blocks, now);
         }
-        let sample = monitor::monitor_sample_time(st.clock, st.net.params().latency);
+        let sample = monitor::monitor_sample_time(now, st.net.params().latency);
         if st.nic_dead_at(node, sample) {
             return 0;
         }
@@ -212,8 +258,8 @@ impl SimCtx {
     /// sharded run a remote node's reading reflects pre-scripted changes
     /// only — use the monitors for anything a real system would sense.
     pub fn true_ncp(&self, node: usize) -> u32 {
-        let st = self.shared.state.lock();
-        st.nodes[node].timeline.at(st.clock)
+        let st = self.reader_of(node);
+        st.nodes[node].timeline.at(self.local(&st))
     }
 
     /// Consumes `work` units of CPU (≈flops). Wall time depends on the
@@ -225,8 +271,8 @@ impl SimCtx {
     /// steps: one scheduler slice at a time when the engine runs stepped
     /// (`DYNMPI_SIM_STEPPED=1`), or the whole load-script stretch in one
     /// closed-form call otherwise. Both paths produce bit-identical
-    /// timestamps and CPU accounting; the fast path touches the event
-    /// queue once per `advance` instead of O(stretch/quantum) times.
+    /// timestamps and CPU accounting; the fast path moves the rank-local
+    /// clock and does not touch the event queue at all.
     pub fn advance(&self, work: f64) {
         if work <= 0.0 {
             return;
@@ -249,7 +295,7 @@ impl SimCtx {
         let node = st.procs[self.pid].node;
         let need = st.nodes[node].sched.work_to_ns(work);
         if !st.stepped {
-            let now = st.clock;
+            let now = self.local(&st);
             let n = &st.nodes[node];
             let step = n.sched.fast_forward_script(now, &n.timeline, need);
             if step.cpu > SimDur::ZERO {
@@ -276,7 +322,7 @@ impl SimCtx {
                         obs::count("sim.sched.quanta", step.slices);
                     }
                 }
-                st = self.advance_to(st, step.end);
+                st = self.move_clock(st, step.end);
             }
             return st;
         }
@@ -323,8 +369,8 @@ impl SimCtx {
         if self.crash_due(&st) {
             self.die_crashed(st);
         }
-        let t = st.clock + dur;
-        drop(self.advance_to(st, t));
+        let t = self.local(&st) + dur;
+        drop(self.move_clock(st, t));
     }
 
     /// Sends `payload` to rank `dst` with `tag`. Charges the sender the CPU
@@ -341,9 +387,15 @@ impl SimCtx {
         let p = st.net.params();
         let cpu = p.send_cpu_base + p.send_cpu_per_byte * len as f64;
         let mut st = self.advance_locked(st, cpu);
-        let now = st.clock;
         let src_node = st.procs[self.pid].node;
         let dst_node = st.procs[dst].node;
+        if st.sharded() && src_node != dst_node {
+            // The coordinator applies a whole window's outbox at the
+            // barrier, so a send dated beyond `window_end` must not be in
+            // it yet.
+            st = self.catch_up(st);
+        }
+        let now = self.local(&st);
         st.procs[self.pid].send_seq += 1;
         let seq = st.procs[self.pid].send_seq;
         st.procs[self.pid].msgs_sent += 1;
@@ -376,8 +428,8 @@ impl SimCtx {
             }
         };
         if src_node == dst_node {
-            // Same-node delivery: the copy engine is owner-local state, so
-            // it stays eager in every mode.
+            // Same-node delivery: the copy engine and the mailbox are the
+            // rank's own, so it stays eager in every mode.
             let (arrival, queued) = st.net.deliver_self(src_node, len, now);
             emit(queued);
             st.deliver(
@@ -396,38 +448,36 @@ impl SimCtx {
         }
         let tx = st.net.tx_depart(src_node, len, now);
         emit(tx.queued);
-        let env = Envelope {
-            src: self.pid,
-            tag,
-            sent: now,
-            arrival: SimTime::ZERO, // set by the RX half
-            seq,
-            rx_queued: SimDur::ZERO,
-            payload,
+        let msg = OutMsg {
+            env: Envelope {
+                src: self.pid,
+                tag,
+                sent: now,
+                arrival: SimTime::ZERO, // set by the RX half
+                seq,
+                rx_queued: SimDur::ZERO,
+                payload,
+            },
+            dst,
+            dst_node,
+            bytes: len,
+            rx_ready: tx.rx_ready,
+            tx_end: tx.tx_end,
         };
         if st.sharded() {
             // The RX half runs on the destination shard when the
             // coordinator applies the window's messages in canonical
             // order. (Same-shard messages too: landing them eagerly here
             // would update the destination NIC out of that order.)
-            st.outbox.push(OutMsg {
-                env,
-                dst,
-                dst_node,
-                bytes: len,
-                rx_ready: tx.rx_ready,
-                tx_end: tx.tx_end,
-            });
+            st.outbox.push(msg);
+        } else if now > st.clock {
+            // Posted ahead of the engine clock: the destination NIC and
+            // mailbox are shared state, so the RX half waits in the queue
+            // for its place in the dispatch order and the sender keeps the
+            // turn.
+            st.push_landing(msg);
         } else {
-            let (arrival, rx_queued) = st.net.rx_land(dst_node, len, tx.rx_ready, tx.tx_end);
-            st.deliver(
-                dst,
-                Envelope {
-                    arrival,
-                    rx_queued,
-                    ..env
-                },
-            );
+            st.land(msg);
         }
     }
 
@@ -466,7 +516,7 @@ impl SimCtx {
     /// window that closed at or before that arrival, so a sharded engine
     /// has already applied it.
     pub fn probe(&self, src: Option<usize>, tag: u64) -> bool {
-        let st = self.shared.state.lock();
+        let st = self.catch_up(self.shared.state.lock());
         st.procs[self.pid]
             .mailbox
             .has_ready(RecvWait { src, tag }, st.clock)
@@ -487,7 +537,11 @@ impl SimCtx {
     ) -> Result<(usize, Vec<u8>), RecvTimeout> {
         let wait = RecvWait { src, tag };
         let mut st = self.shared.state.lock();
-        let deadline = timeout.map(|d| st.clock + d);
+        // `+` saturates, and a saturated deadline is no deadline: a wake-up
+        // queued at `SimTime::MAX` would sit behind `window_end` forever.
+        let deadline = timeout
+            .map(|d| self.local(&st) + d)
+            .filter(|&d| d < SimTime::MAX);
         // Virtual time this call first blocked, if it did: lets the pop
         // split the wait into late-sender vs. network shares locally.
         let mut wait_start: Option<u64> = None;
@@ -497,7 +551,23 @@ impl SimCtx {
             if self.crash_due(&st) {
                 self.die_crashed(st);
             }
-            let now = st.clock;
+            let now = self.local(&st);
+            // Entered ahead of the engine clock: senders dated before `now`
+            // may not have run yet, so the mailbox cannot be judged. Block
+            // "not before `now`" instead — the wake-up is the catch-up.
+            if now > st.clock {
+                st = self.block_until_woken(st, wait, deadline);
+                let wake = st.clock;
+                if wake > now {
+                    // Nothing was deliverable at `now`: a real wait, the
+                    // one an eager receive entered at `now` would have had.
+                    wait_start = Some(now.0);
+                    obs::span_begin("sched", "blocked", now.0);
+                    obs::span_end(wake.0);
+                    self.note_reentry(&mut st);
+                }
+                continue;
+            }
             if let Some(env) = st.procs[self.pid].mailbox.pop_ready(wait, now) {
                 let len = env.payload.len();
                 st.procs[self.pid].msgs_recvd += 1;
@@ -574,43 +644,65 @@ impl SimCtx {
             // Not deliverable yet: block (this is what `vmstat` misses).
             wait_start.get_or_insert(now.0);
             obs::span_begin("sched", "blocked", now.0);
-            let node = st.procs[self.pid].node;
-            st.nodes[node].blocks.block(now);
-            if let Some(board) = &st.board {
-                board.nodes[node].lock().blocks.block(now);
-            }
-            // Register as blocked and queue a wake-up hint at the earliest
-            // known matching arrival (if the network already determined
-            // one). Every later matching delivery queues its own wake-up,
-            // so the earliest candidate dispatches — in a sharded run a
-            // cross-shard message can undercut the local hint, and this is
-            // also the single-shard behavior, keeping wake times identical
-            // across shard counts.
-            st.procs[self.pid].status = Status::BlockedRecv(wait);
-            if let Some(arrival) = st.procs[self.pid].mailbox.pending_arrival(wait) {
-                st.push_event(arrival, self.pid);
-            }
-            if let Some(d) = deadline {
-                st.push_event(d, self.pid);
-            }
-            // A rank blocked on a receive that will never match still has
-            // to die at its node's crash time: queue that wake-up too (the
-            // loop head turns it into the death). Duplicate pushes across
-            // blocks are harmless — stale epochs are pruned.
-            if let Some(c) = st.failstop_at(node) {
-                st.push_event(c, self.pid);
-            }
-            st = self.yield_turn(st);
-            let wake = st.clock;
-            obs::span_end(wake.0);
-            let node = st.procs[self.pid].node;
-            st.nodes[node].blocks.unblock(wake);
-            if let Some(board) = &st.board {
-                board.nodes[node].lock().blocks.unblock(wake);
-            }
-            let ncp = st.nodes[node].timeline.at(wake);
-            st.nodes[node].sched.note_reentry(wake, ncp);
+            st = self.block_until_woken(st, wait, deadline);
+            obs::span_end(st.clock.0);
+            self.note_reentry(&mut st);
         }
+    }
+
+    /// Blocks this rank in `wait` from its local time until a wake-up
+    /// candidate dispatches, and returns holding the turn at the wake time
+    /// (engine and local clock equal). The block interval is what `vmstat`
+    /// readers see; a zero-length one (a receive entered ahead of the
+    /// engine clock whose message was already there) leaves no trace.
+    fn block_until_woken<'a>(
+        &'a self,
+        mut st: Guard<'a>,
+        wait: RecvWait,
+        deadline: Option<SimTime>,
+    ) -> Guard<'a> {
+        let now = self.local(&st);
+        let node = st.procs[self.pid].node;
+        st.nodes[node].blocks.block(now);
+        if let Some(board) = &st.board {
+            board.nodes[node].lock().blocks.block(now);
+        }
+        // Register as blocked and queue a wake-up hint at the earliest
+        // known matching arrival (if the network already determined one),
+        // but not before `now`. Every later matching delivery queues its
+        // own wake-up (`EngineState::deliver`, same clamp), so the earliest
+        // candidate dispatches — in a sharded run a cross-shard message can
+        // undercut the local hint, and this is also the single-shard
+        // behavior, keeping wake times identical across shard counts.
+        st.procs[self.pid].status = Status::BlockedRecv(wait);
+        if let Some(arrival) = st.procs[self.pid].mailbox.pending_arrival(wait) {
+            st.push_event(arrival.max(now), self.pid);
+        }
+        if let Some(d) = deadline {
+            st.push_event(d, self.pid);
+        }
+        // A rank blocked on a receive that will never match still has to
+        // die at its node's crash time: queue that wake-up too (the loop
+        // head turns it into the death). Duplicate pushes across blocks
+        // are harmless — stale epochs are pruned.
+        if let Some(c) = st.failstop_at(node) {
+            st.push_event(c, self.pid);
+        }
+        let mut st = self.yield_turn(st);
+        let wake = st.clock;
+        st.nodes[node].blocks.unblock(wake);
+        if let Some(board) = &st.board {
+            board.nodes[node].lock().blocks.unblock(wake);
+        }
+        st
+    }
+
+    /// Tells the node's scheduler that this rank re-entered the run queue
+    /// at the engine clock, after a wait.
+    fn note_reentry(&self, st: &mut EngineState) {
+        let (node, wake) = (st.procs[self.pid].node, st.clock);
+        let ncp = st.nodes[node].timeline.at(wake);
+        st.nodes[node].sched.note_reentry(wake, ncp);
     }
 
     /// Reports that this rank completed one application phase cycle; fires
@@ -620,26 +712,25 @@ impl SimCtx {
         if self.crash_due(&st) {
             self.die_crashed(st);
         }
-        let clock = st.clock;
         let node = st.procs[self.pid].node;
-        let mut fired = false;
         let n = &mut st.nodes[node];
         n.cycle_count += 1;
         let c = n.cycle_count;
-        while let Some(&(ev_c, ncp)) = n.cycle_events.first() {
-            if ev_c <= c {
-                n.timeline.set(clock, ncp);
-                n.cycle_events.remove(0);
-                fired = true;
-            } else {
-                break;
-            }
+        let due = n.cycle_events.partition_point(|&(ev_c, _)| ev_c <= c);
+        if due == 0 {
+            return;
         }
-        if fired {
-            let ncp = st.nodes[node].timeline.at(clock);
-            if let Some(board) = &st.board {
-                board.nodes[node].lock().timeline.set(clock, ncp);
-            }
+        // A write to the load timeline: remote monitors and the other
+        // shards read it, so it happens at a caught-up time.
+        let mut st = self.catch_up(st);
+        let clock = st.clock;
+        let n = &mut st.nodes[node];
+        for (_, ncp) in n.cycle_events.drain(..due) {
+            n.timeline.set(clock, ncp);
+        }
+        let ncp = n.timeline.at(clock);
+        if let Some(board) = &st.board {
+            board.nodes[node].lock().timeline.set(clock, ncp);
         }
     }
 
@@ -654,7 +745,7 @@ impl SimCtx {
     /// (for harnesses that drive load programmatically rather than through
     /// a pre-registered script).
     pub fn set_own_ncp(&self, ncp: u32) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.catch_up(self.shared.state.lock());
         let clock = st.clock;
         let node = st.procs[self.pid].node;
         st.nodes[node].timeline.set(clock, ncp);
@@ -663,17 +754,31 @@ impl SimCtx {
         }
     }
 
-    /// Advances the virtual clock to `t` on behalf of this (running) rank.
+    /// Moves this rank's clock forward to `t`: the rank-local clock alone
+    /// when the rank may run ahead of the engine (nothing is queued, the
+    /// turn is kept), the engine clock too otherwise.
+    fn move_clock<'a>(&'a self, mut st: Guard<'a>, t: SimTime) -> Guard<'a> {
+        if !st.runs_ahead() {
+            return self.advance_to(st, t);
+        }
+        debug_assert!(t >= self.local(&st), "clock moved into the past");
+        st.procs[self.pid].local = t;
+        st.bypasses += 1;
+        st
+    }
+
+    /// Advances the engine clock to `t` on behalf of this (running) rank,
+    /// and the rank's local clock with it.
     ///
-    /// Turn-handoff bypass: if `t` is inside the current window and no
-    /// *other* rank has a live event at or before `t`, this rank keeps the
-    /// turn — the clock moves forward in place with no heap push, no
-    /// `unpark`, and no `park`, so a pure-compute stretch costs zero
-    /// engine events. Otherwise it falls back to the classic queued event +
-    /// full yield, preserving the global `(time, pid, seq)` dispatch order
-    /// exactly. (The window bound is strict: a running rank's clock stays
-    /// below `window_end`, which is what makes remote monitor samples at
-    /// `now − latency` settled at the barrier.)
+    /// In-place bypass: if `t` is inside the current window and no other
+    /// queue entry (another rank's wake-up, anyone's landing) is due at or
+    /// before `t`, this rank keeps the turn — the clock moves forward in
+    /// place with no heap push, no `unpark`, and no `park`. Otherwise it
+    /// falls back to the classic queued event + full yield, preserving the
+    /// global `(time, pid, seq)` dispatch order exactly. (The window bound
+    /// is strict: the *engine* clock, and so every write to state another
+    /// rank can observe, stays below `window_end`, which is what makes
+    /// remote monitor samples at `now − latency` settled at the barrier.)
     fn advance_to<'a>(&'a self, mut st: Guard<'a>, t: SimTime) -> Guard<'a> {
         debug_assert_eq!(st.current, Some(self.pid));
         debug_assert!(t >= st.clock, "advance_to into the past");
@@ -687,6 +792,7 @@ impl SimCtx {
             // dispatch first.
             if st.queue.peek().is_none_or(|ev| ev.time > t) {
                 st.clock = t;
+                st.procs[self.pid].local = t;
                 st.bypasses += 1;
                 return st;
             }
@@ -716,7 +822,9 @@ impl SimCtx {
     /// Marks this rank finished and hands the turn onward. Called by the
     /// cluster runner after the rank's program returns.
     pub(crate) fn finish(&self) {
-        let mut st = self.shared.state.lock();
+        // Caught up first: `finish_time`, the live count and the turn it
+        // passes on are all visible beyond this rank.
+        let mut st = self.catch_up(self.shared.state.lock());
         let clock = st.clock;
         st.procs[self.pid].status = Status::Finished;
         st.procs[self.pid].finish_time = clock;

@@ -8,6 +8,19 @@
 //! `(virtual time, pid, sequence number)`, so a run is a deterministic
 //! function of its inputs.
 //!
+//! In fast mode a rank runs on a **rank-local clock** (`ProcState::local`)
+//! that may be ahead of the engine clock: whatever reads and writes only the
+//! rank's own node — compute, sleeps, the CPU charge of a send or receive,
+//! its own clocks and monitors, its TX NIC — moves the local clock and
+//! queues nothing. The engine clock, and every operation on state another
+//! rank can observe (mailboxes, RX NICs, load timelines, liveness), still
+//! advances through the one `(time, pid, seq)` queue: a cross-node send
+//! leaves its RX half behind as a *landing* entry that `dispatch_next`
+//! executes in place, and a blocking receive folds the rank's catch-up into
+//! its block (see `ctx.rs`). One rank per node (`Cluster::run_spmd` maps
+//! pid → node as the identity) is what gives every piece of node state a
+//! single writer.
+//!
 //! A sharded run (see [`crate::shard`]) builds one `EngineState` per
 //! shard; each owns a contiguous pid range and advances only up to its
 //! `window_end` (the conservative lookahead bound). Cross-NIC messages
@@ -30,19 +43,29 @@ use crate::shard::{MonBoard, OutMsg, WindowSync};
 use crate::time::{SimDur, SimTime};
 use crate::timeline::NcpTimeline;
 
-/// A scheduled wake-up for a process.
-///
-/// `epoch` stamps the owning process's wake generation at push time: an
-/// event is live only while the process has not been dispatched since. A
-/// blocked receiver may accumulate several candidate wake-ups (a known
-/// pending arrival plus one per matching delivery); the earliest
-/// dispatches, and the dispatch bumps the epoch so the rest die in place.
+/// One entry of the engine's queue, dispatched in `(time, pid, seq)` order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Event {
     pub time: SimTime,
     pub pid: usize,
     pub seq: u64,
-    pub epoch: u64,
+    pub kind: EventKind,
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum EventKind {
+    /// A scheduled wake-up for process `pid`. `epoch` stamps the process's
+    /// wake generation at push time: the event is live only while the
+    /// process has not been dispatched since. A blocked receiver may
+    /// accumulate several candidate wake-ups (a known pending arrival plus
+    /// one per matching delivery); the earliest dispatches, and the
+    /// dispatch bumps the epoch so the rest die in place.
+    Wake { epoch: u64 },
+    /// The RX half of a cross-node send that `pid` posted at `time` on its
+    /// local clock: the engine lands `EngineState::landings[slot]` when the
+    /// entry reaches the queue head — the position at which an eager send
+    /// would have run it. Always live, whatever became of the sender.
+    Landing { slot: usize },
 }
 
 impl Ord for Event {
@@ -51,8 +74,8 @@ impl Ord for Event {
         // earliest event pops first. `pid` before `seq`: at equal times
         // the lowest rank runs first regardless of push order, which is
         // what makes the cross-shard message order reproducible.
-        (other.time, other.pid, other.seq, other.epoch)
-            .cmp(&(self.time, self.pid, self.seq, self.epoch))
+        (other.time, other.pid, other.seq, other.kind)
+            .cmp(&(self.time, self.pid, self.seq, self.kind))
     }
 }
 
@@ -123,6 +146,12 @@ pub(crate) struct ProcState {
     /// Wake generation: bumped every time this process is dispatched;
     /// queued events from earlier generations are dead.
     pub epoch: u64,
+    /// The rank-local clock: this rank's own virtual time. Equal to the
+    /// engine clock when the rank is dispatched and after every catch-up,
+    /// ahead of it while the rank runs rank-local operations in fast mode;
+    /// while the rank is blocked at a receive, the time it entered it
+    /// (no wake-up may precede that).
+    pub local: SimTime,
     /// Messages sent by this rank so far (the per-sender `Envelope::seq`).
     pub send_seq: u64,
     pub msgs_sent: u64,
@@ -140,6 +169,7 @@ impl ProcState {
             cpu_time: SimDur::ZERO,
             mailbox: Mailbox::new(),
             epoch: 0,
+            local: SimTime::ZERO,
             send_seq: 0,
             msgs_sent: 0,
             msgs_recvd: 0,
@@ -197,6 +227,10 @@ pub(crate) struct EngineState {
     pub window_end: SimTime,
     /// Cross-NIC messages sent this window, drained by the coordinator.
     pub outbox: Vec<OutMsg>,
+    /// Payloads of the queued [`EventKind::Landing`] entries (single-shard
+    /// engine), and the slots free for reuse.
+    landings: Vec<Option<OutMsg>>,
+    free_slots: Vec<usize>,
     /// Whether this shard already reported quiescence for the current
     /// window (so it reports exactly once per window).
     pub quiesced: bool,
@@ -206,12 +240,14 @@ pub(crate) struct EngineState {
     /// Force the per-slice stepped CPU path (`DYNMPI_SIM_STEPPED=1`): the
     /// reference mode the closed-form fast-forward is validated against.
     pub stepped: bool,
-    /// Queue events pushed over the run — the cost metric the fast path and
-    /// turn-handoff bypass exist to shrink.
+    /// Queue entries pushed over the run, wake-ups and landings — the cost
+    /// metric the fast path exists to shrink.
     pub events_pushed: u64,
-    /// Turn handoffs elided because the next event belonged to the rank
-    /// already holding the turn.
+    /// Clock advances that did not give up the turn: rank-local advances
+    /// plus engine catch-ups made in place.
     pub bypasses: u64,
+    /// Turns given to a different thread.
+    pub hand_offs: u64,
     pub panic_msg: Option<String>,
     /// Rank whose panic poisoned the run, so the runner can re-raise the
     /// original payload rather than a secondary unwind.
@@ -236,12 +272,15 @@ impl EngineState {
             owner: None,
             window_end: SimTime::MAX,
             outbox: Vec::new(),
+            landings: Vec::new(),
+            free_slots: Vec::new(),
             quiesced: false,
             wsync: None,
             board: None,
             stepped: false,
             events_pushed: 0,
             bypasses: 0,
+            hand_offs: 0,
             panic_msg: None,
             panic_origin: None,
         };
@@ -295,24 +334,58 @@ impl EngineState {
         self.seq
     }
 
-    pub fn push_event(&mut self, time: SimTime, pid: usize) {
+    /// May a running rank's local clock run ahead of the engine clock?
+    /// Not in stepped mode (the fully eager oracle), and not on a
+    /// zero-latency network: with no lookahead a same-instant send or
+    /// monitor read could tell a folded catch-up from an eager one.
+    pub fn runs_ahead(&self) -> bool {
+        !self.stepped && self.net.params().latency > SimDur::ZERO
+    }
+
+    fn push(&mut self, time: SimTime, pid: usize, kind: EventKind) {
         let seq = self.next_seq();
         self.events_pushed += 1;
-        let epoch = self.procs[pid].epoch;
         self.queue.push(Event {
             time,
             pid,
             seq,
-            epoch,
+            kind,
         });
     }
 
+    pub fn push_event(&mut self, time: SimTime, pid: usize) {
+        let epoch = self.procs[pid].epoch;
+        self.push(time, pid, EventKind::Wake { epoch });
+    }
+
+    /// Queues the RX half of a cross-node send posted ahead of the engine
+    /// clock, keyed `(sent, src, seq)` — the canonical message order.
+    pub fn push_landing(&mut self, m: OutMsg) {
+        let (sent, src) = (m.env.sent, m.env.src);
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.landings[slot] = Some(m);
+                slot
+            }
+            None => {
+                self.landings.push(Some(m));
+                self.landings.len() - 1
+            }
+        };
+        self.push(sent, src, EventKind::Landing { slot });
+    }
+
     fn event_live(&self, ev: &Event) -> bool {
-        ev.epoch == self.procs[ev.pid].epoch
-            && !matches!(
-                self.procs[ev.pid].status,
-                Status::Finished | Status::Crashed
-            )
+        match ev.kind {
+            EventKind::Landing { .. } => true,
+            EventKind::Wake { epoch } => {
+                epoch == self.procs[ev.pid].epoch
+                    && !matches!(
+                        self.procs[ev.pid].status,
+                        Status::Finished | Status::Crashed
+                    )
+            }
+        }
     }
 
     /// Is `node`'s NIC dead (crashed or partitioned) at virtual time `t`?
@@ -348,10 +421,21 @@ impl EngineState {
         self.queue.peek().map(|e| e.time)
     }
 
+    /// The RX half of a cross-node send: lands the frame on the destination
+    /// NIC and files it. One code path for the eager send, a dispatched
+    /// landing and the coordinator's window barrier — each calls it in the
+    /// canonical `(sent, src, seq)` order.
+    pub fn land(&mut self, mut m: OutMsg) {
+        let (arrival, rx_queued) = self.net.rx_land(m.dst_node, m.bytes, m.rx_ready, m.tx_end);
+        m.env.arrival = arrival;
+        m.env.rx_queued = rx_queued;
+        self.deliver(m.dst, m.env);
+    }
+
     /// Files a delivered message with the destination process and, if it
-    /// is blocked on a matching receive, queues a wake-up at the arrival.
-    /// Used by both the eager single-shard send path and the coordinator's
-    /// window barrier — one code path, one behavior.
+    /// is blocked on a matching receive, queues a wake-up at the arrival —
+    /// or at the time the receiver entered that receive, when it did so
+    /// ahead of the engine clock and the frame beat it there.
     ///
     /// Cross-NIC frames touching a dead NIC — the sender's or the
     /// receiver's node crashed/partitioned at or before the arrival — are
@@ -371,8 +455,20 @@ impl EngineState {
         let arrival = env.arrival;
         self.procs[dst].mailbox.push(env);
         if wake {
-            self.push_event(arrival, dst);
+            self.push_event(arrival.max(self.procs[dst].local), dst);
         }
+    }
+
+    /// The virtual time a deadlocked run is stuck at: the entry time of the
+    /// latest blocked receive, or the engine clock if that is later (a
+    /// receive entered ahead of the engine clock with no wake-up candidate
+    /// leaves the engine clock behind).
+    pub fn stuck_time(&self) -> SimTime {
+        self.procs
+            .iter()
+            .filter(|p| matches!(p.status, Status::BlockedRecv(_)))
+            .map(|p| p.local)
+            .fold(self.clock, SimTime::max)
     }
 
     /// One `rank N waiting tag=.. src=.., mailbox depth D` clause per
@@ -403,8 +499,9 @@ impl EngineState {
             .collect()
     }
 
-    /// Pops the next live event **before `window_end`**, advances the
-    /// clock, and hands the turn to its process. Returns `false` when
+    /// Pops live events **before `window_end`** in order, advancing the
+    /// clock: landings are executed in place, the first wake-up gets the
+    /// turn. Returns `false` when
     /// nothing is dispatchable — the run drained (single shard), the
     /// window closed (sharded), or a deadlock was detected (single shard;
     /// the sharded equivalent is diagnosed by the coordinator, which sees
@@ -419,7 +516,7 @@ impl EngineState {
                     self.panic_msg = Some(format!(
                         "simulation deadlock at {}: no pending events, ranks {stuck:?} \
                          blocked at recv ({})",
-                        self.clock,
+                        self.stuck_time(),
                         clauses.join("; ")
                     ));
                 }
@@ -430,9 +527,12 @@ impl EngineState {
                 self.queue.pop();
                 continue;
             }
-            // Strict bound: a running rank's clock always stays below the
+            // Strict bound: the engine clock — and with it every write to
+            // state another rank can observe — always stays below the
             // window end, so every cross-shard observation at `now - L`
-            // lands strictly before other shards' mutation frontier.
+            // lands strictly before other shards' mutation frontier. (A
+            // rank's *local* clock may pass it; nothing at that time is
+            // visible outside the rank's own node.)
             if ev.time >= self.window_end {
                 self.current = None;
                 return false;
@@ -440,11 +540,24 @@ impl EngineState {
             self.queue.pop();
             debug_assert!(ev.time >= self.clock, "event in the past");
             self.clock = self.clock.max(ev.time);
-            let p = &mut self.procs[ev.pid];
-            p.epoch += 1; // kill this proc's other queued wake-ups
-            p.status = Status::Running;
-            self.current = Some(ev.pid);
-            return true;
+            match ev.kind {
+                EventKind::Landing { slot } => {
+                    let m = self.landings[slot]
+                        .take()
+                        .expect("a queued landing keeps its slot filled");
+                    self.free_slots.push(slot);
+                    self.land(m);
+                }
+                EventKind::Wake { .. } => {
+                    let p = &mut self.procs[ev.pid];
+                    debug_assert!(self.clock >= p.local, "woken before its own time");
+                    p.epoch += 1; // kill this proc's other queued wake-ups
+                    p.status = Status::Running;
+                    p.local = self.clock;
+                    self.current = Some(ev.pid);
+                    return true;
+                }
+            }
         }
     }
 
@@ -518,9 +631,13 @@ impl Shared {
     /// rank; a failed run (`panic_msg` set: poison, deadlock) unparks
     /// every rank so all of them unwind. Unparking while still holding the
     /// mutex would send the woken thread straight into a block on it.
-    pub fn hand_off(&self, st: MutexGuard<'_, EngineState>) {
+    /// Each turn handed to a rank is counted in `EngineState::hand_offs`.
+    pub fn hand_off(&self, mut st: MutexGuard<'_, EngineState>) {
         let next = st.current;
         let failed = st.panic_msg.is_some();
+        if next.is_some() && !failed {
+            st.hand_offs += 1;
+        }
         drop(st);
         let wake = |p: &OnceLock<Thread>| {
             if let Some(t) = p.get() {
@@ -579,19 +696,19 @@ mod tests {
             time: SimTime::from_secs(1),
             pid: 0,
             seq: 6,
-            epoch: 0,
+            kind: EventKind::Wake { epoch: 0 },
         };
         let b = Event {
             time: SimTime::from_secs(1),
             pid: 1,
             seq: 5,
-            epoch: 0,
+            kind: EventKind::Wake { epoch: 0 },
         };
         let c = Event {
             time: SimTime::from_secs(2),
             pid: 0,
             seq: 1,
-            epoch: 0,
+            kind: EventKind::Wake { epoch: 0 },
         };
         let mut heap = std::collections::BinaryHeap::new();
         heap.push(c);

@@ -87,6 +87,7 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EventKind;
     use crate::time::SimTime;
     use std::collections::BinaryHeap;
 
@@ -95,7 +96,7 @@ mod tests {
             time: SimTime(time_ns),
             pid,
             seq,
-            epoch: 0,
+            kind: EventKind::Wake { epoch: 0 },
         }
     }
 

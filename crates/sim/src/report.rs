@@ -30,13 +30,19 @@ pub struct SimReport {
     pub procs: Vec<ProcReport>,
     pub net_messages: u64,
     pub net_bytes: u64,
-    /// Events pushed onto the engine's heap over the run. An execution-cost
-    /// metric, not a virtual-time output: it differs between the stepped
-    /// and fast-forward CPU modes even though every timestamp agrees.
+    /// Entries pushed onto the engine's queue over the run: wake-ups and
+    /// the landings of cross-node sends. An execution-cost metric, not a
+    /// virtual-time output: it differs between the stepped and fast engine
+    /// modes even though every timestamp agrees.
     pub engine_events: u64,
-    /// Turn handoffs elided by the same-rank continuation bypass (also an
-    /// execution-cost metric).
+    /// Clock advances that did not give up the turn: a rank moving its
+    /// rank-local clock, or catching the engine clock up in place (also an
+    /// execution-cost metric; 0 in stepped mode).
     pub turn_bypasses: u64,
+    /// Turns given to a *different* thread — one park/unpark pair each,
+    /// the host cost the engine pays per simulated message (also an
+    /// execution-cost metric).
+    pub hand_offs: u64,
 }
 
 impl SimReport {
@@ -47,6 +53,7 @@ impl SimReport {
         SimReport {
             engine_events: 0,
             turn_bypasses: 0,
+            hand_offs: 0,
             ..self.clone()
         }
     }
@@ -114,6 +121,7 @@ mod tests {
             net_bytes: 8,
             engine_events: 0,
             turn_bypasses: 0,
+            hand_offs: 0,
         };
         assert_eq!(r.total_cpu(), SimDur::from_secs(3));
         assert!((r.mean_utilization() - 0.75).abs() < 1e-12);
@@ -128,6 +136,7 @@ mod tests {
             net_bytes: 0,
             engine_events: 0,
             turn_bypasses: 0,
+            hand_offs: 0,
         };
         assert_eq!(r.mean_utilization(), 0.0);
     }

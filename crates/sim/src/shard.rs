@@ -20,9 +20,13 @@
 //!   single-shard run applies sends in.
 //! * [`MonBoard`] — a mirror of every node's monitor-visible state
 //!   (competing-process timeline, block history). Remote monitor reads
-//!   sample it at `floor_to_second(now - L)`: the strict window bound
-//!   guarantees every mutation at or before that instant has already been
-//!   published, so readings are deterministic despite wall-clock races.
+//!   sample it at `floor_to_second(now - L)`: the strict window bound —
+//!   the *engine* clock, and with it every remote read and every timeline
+//!   write, stays below `window_end`; a rank's local clock may pass it, but
+//!   all it can publish from there is a block opening later than any
+//!   sample of this window — guarantees every mutation at or before that
+//!   instant has already been published, so readings are deterministic
+//!   despite wall-clock races.
 
 use std::sync::{Condvar, PoisonError};
 

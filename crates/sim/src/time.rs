@@ -18,7 +18,8 @@ pub struct SimDur(pub u64);
 impl SimTime {
     /// The simulation epoch, `t = 0`.
     pub const ZERO: SimTime = SimTime(0);
-    /// A time later than any reachable simulation instant.
+    /// A time later than any reachable simulation instant. `SimTime + SimDur`
+    /// saturates here, so a sum equal to `MAX` means "never".
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Builds an instant from whole seconds.
@@ -130,14 +131,17 @@ impl SimDur {
 
 impl Add<SimDur> for SimTime {
     type Output = SimTime;
+    /// Saturates at [`SimTime::MAX`]: an "infinite" span (`SimDur(u64::MAX)`,
+    /// what `from_secs_f64(f64::INFINITY)` yields) must not wrap an instant
+    /// into the past.
     fn add(self, rhs: SimDur) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign<SimDur> for SimTime {
     fn add_assign(&mut self, rhs: SimDur) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -221,6 +225,15 @@ mod tests {
         let mut d = SimDur::from_millis(1);
         d += SimDur::from_millis(2);
         assert_eq!(d, SimDur::from_millis(3));
+    }
+
+    #[test]
+    fn instant_plus_span_saturates_at_max() {
+        let t = SimTime::from_secs(1) + SimDur::from_secs_f64(f64::INFINITY);
+        assert_eq!(t, SimTime::MAX);
+        let mut u = SimTime::from_secs(1);
+        u += SimDur(u64::MAX);
+        assert_eq!(u, SimTime::MAX);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Each node carries a timeline of how many synthetic competing processes
 //! (CPs) are runnable on it over virtual time. Pre-scripted changes are
 //! seeded before the run; dynamic changes (e.g. "introduce a CP when this
-//! node finishes its 10th phase cycle") append entries at the current time.
+//! node finishes its 10th phase cycle") insert entries at the current time,
+//! which may precede pre-scripted changes still in the future.
 
 use crate::time::SimTime;
 
@@ -22,23 +23,20 @@ impl NcpTimeline {
         NcpTimeline::default()
     }
 
-    /// Appends a change at `t`. `t` must not precede the last recorded
-    /// change (timelines only grow forward).
+    /// Records a change at `t`, keeping the entries in time order: the
+    /// value holds from `t` until the next later entry (a cycle-triggered
+    /// change fired before a pre-scripted one does not erase it). A change
+    /// to the value already in effect at `t` is dropped; a second change
+    /// at the same instant overrides the first.
     pub fn set(&mut self, t: SimTime, ncp: u32) {
-        if let Some(&(last, v)) = self.changes.last() {
-            assert!(t >= last, "timeline change out of order: {t:?} < {last:?}");
-            if v == ncp {
-                return; // no-op change; keep the timeline minimal
-            }
-            if last == t {
-                // Same-instant override.
-                self.changes.last_mut().unwrap().1 = ncp;
-                return;
-            }
-        } else if ncp == 0 {
-            return; // implicit initial value
+        let i = self.changes.partition_point(|&(ct, _)| ct <= t);
+        let in_effect = i.checked_sub(1).map(|j| self.changes[j]);
+        match in_effect {
+            Some((_, v)) if v == ncp => {} // no-op change; keep the timeline minimal
+            None if ncp == 0 => {}         // implicit initial value
+            Some((ct, _)) if ct == t => self.changes[i - 1].1 = ncp,
+            _ => self.changes.insert(i, (t, ncp)),
         }
-        self.changes.push((t, ncp));
     }
 
     /// The competing-process count in effect at instant `t`.
@@ -117,11 +115,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of order")]
-    fn out_of_order_rejected() {
+    fn out_of_order_set_inserts_in_time_order() {
+        // A time trigger seeded at 10 s, then a cycle trigger firing at 5 s:
+        // the earlier value holds until the later entry takes over.
         let mut tl = NcpTimeline::new();
         tl.set(s(10), 1);
         tl.set(s(5), 2);
+        assert_eq!(tl.changes(), &[(s(5), 2), (s(10), 1)]);
+        assert_eq!(tl.at(s(4)), 0);
+        assert_eq!(tl.at(s(5)), 2);
+        assert_eq!(tl.at(s(9)), 2);
+        assert_eq!(tl.at(s(10)), 1);
+        assert_eq!(tl.next_change_after(s(5)), Some(s(10)));
+        // Same-instant override and no-op elision work mid-timeline too.
+        tl.set(s(5), 3);
+        assert_eq!(tl.changes(), &[(s(5), 3), (s(10), 1)]);
+        tl.set(s(7), 3);
+        assert_eq!(tl.changes().len(), 2);
+        tl.set(s(2), 0);
+        assert_eq!(tl.changes().len(), 2);
     }
 
     #[test]

@@ -125,6 +125,46 @@ fn cycle_triggered_load_and_sleep_are_bit_identical() {
 }
 
 #[test]
+fn time_and_cycle_triggers_on_one_node_are_bit_identical() {
+    // Every time trigger is seeded into the timeline before the run, so a
+    // cycle trigger that fires earlier than a seeded time lands *in front
+    // of* it: the cycle's value holds until the seeded change takes over.
+    // (Node 0's pair used to die with "timeline change out of order".)
+    let mk = || {
+        let script = LoadScript::dedicated()
+            .at_time(0, SimTime::from_secs(5), 1)
+            .at_cycle(0, 1, 2)
+            .at_time(1, SimTime::from_millis(60), 3)
+            .at_cycle(1, 2, 1)
+            .at_time(1, SimTime::from_millis(400), 0)
+            .at_cycle(1, 4, 2);
+        Cluster::homogeneous(2, NodeSpec::with_speed(1e6)).with_script(script)
+    };
+    let out = assert_equivalent(mk, |ctx| {
+        let r = ctx.rank();
+        let mut seen = Vec::new();
+        for i in 0..6u8 {
+            ctx.advance(3e4);
+            ctx.send(1 - r, 2, vec![i; 64]);
+            let _ = ctx.recv(1 - r, 2);
+            ctx.phase_cycle_completed();
+            seen.push((ctx.true_ncp(r), ctx.dmpi_ps(1 - r), ctx.now()));
+        }
+        ctx.sleep(SimDur::from_secs(5));
+        seen.push((ctx.true_ncp(r), ctx.dmpi_ps(1 - r), ctx.now()));
+        seen
+    });
+    let ncps = |r: usize| out.results[r].iter().map(|s| s.0).collect::<Vec<_>>();
+    // Node 0: the cycle-1 value holds until t = 5 s.
+    assert_eq!(ncps(0), [2, 2, 2, 2, 2, 2, 1]);
+    // Node 1: cycle 2 undercuts the 60 ms trigger, which then takes over;
+    // cycle 4 holds from its instant until the 400 ms trigger.
+    assert_eq!(ncps(1)[0], 0);
+    assert_eq!(ncps(1)[1], 1);
+    assert_eq!(ncps(1)[6], 0);
+}
+
+#[test]
 fn node_arrival_is_bit_identical() {
     // A scripted arrival (extra rank, cold start, slower NIC) plus a load
     // spike on a seed node: the arrival rank polls `node_online`, sleeps

@@ -62,6 +62,47 @@ fn deadlock_found_by_the_last_finisher_wakes_the_blocked_rank() {
     }
 }
 
+/// A rank that computes and then blocks forever leaves the fast engine's
+/// clock behind (its catch-up is folded into the block, and with no wake-up
+/// candidate nothing is ever queued for it): the diagnosis must still name
+/// the time the run is stuck at — the same message, to the byte, as the
+/// stepped engine prints, whose clock did advance. Once the latest event is
+/// a blocked receive's entry, once the return of the last finisher.
+#[test]
+fn deadlock_diagnosis_is_identical_in_fast_and_stepped_mode() {
+    for shards in SHARDS {
+        for (root_work, stuck_at) in [(2e3, "0.041"), (5e4, "0.050000s")] {
+            let diagnose = |stepped: bool| {
+                panic_message_of(move || {
+                    Cluster::homogeneous(3, NodeSpec::with_speed(1e6))
+                        .with_shards(shards)
+                        .with_stepped(stepped)
+                        .run_spmd(|ctx| match ctx.rank() {
+                            0 => ctx.advance(root_work), // returns at 2 or 50 ms
+                            1 => {
+                                ctx.advance(7e3);
+                                ctx.send(2, 4, vec![1]);
+                                let _ = ctx.recv(0, 98); // never sent: stuck at ~9 ms
+                            }
+                            _ => {
+                                // 7 ms + send CPU (2 ms) + flight + receive
+                                // CPU (2 ms) + 30 ms: stuck at ~41 ms.
+                                let _ = ctx.recv(1, 4);
+                                ctx.sleep(SimDur::from_millis(30));
+                                let _ = ctx.recv(0, 99); // never sent
+                            }
+                        });
+                })
+            };
+            let (fast, stepped) = (diagnose(false), diagnose(true));
+            assert_eq!(fast, stepped, "shards {shards}");
+            assert!(fast.contains("ranks [1, 2] blocked at recv"), "{fast}");
+            let at = format!("simulation deadlock at {stuck_at}");
+            assert!(fast.contains(&at), "shards {shards}: {fast}");
+        }
+    }
+}
+
 /// One rank panics while the 63 others are parked in receives: every one
 /// of them must be unparked to unwind, all threads must be joined (the run
 /// returns), and the payload re-raised is the original one.
@@ -165,5 +206,48 @@ fn recv_timeout_deadline_is_the_only_live_event() {
             SimTime::from_millis(8),
             "shards {shards}"
         );
+    }
+}
+
+/// An "infinite" timeout (`f64::INFINITY` seconds arrives here as
+/// `SimDur(u64::MAX)`) is no deadline at all: it must not wrap into the past
+/// and fire at once, and no wake-up may be queued at `SimTime::MAX`, where
+/// it would sit behind the window bound forever — a receive nobody answers
+/// is then diagnosed as the deadlock it is instead of hanging the run.
+#[test]
+fn infinite_recv_timeout_is_no_deadline() {
+    let forever = SimDur::from_secs_f64(f64::INFINITY);
+    assert_eq!(forever, SimDur(u64::MAX));
+    for shards in SHARDS {
+        for stepped in [false, true] {
+            let at = format!("shards {shards}, stepped {stepped}");
+            let cluster = move || {
+                Cluster::homogeneous(2, NodeSpec::default())
+                    .with_shards(shards)
+                    .with_stepped(stepped)
+            };
+            let out = with_watchdog(WATCHDOG_SECS, move || {
+                cluster().run_spmd(|ctx| {
+                    if ctx.rank() == 0 {
+                        ctx.sleep(SimDur::from_millis(5));
+                        ctx.send(1, 7, vec![42]);
+                        return None;
+                    }
+                    ctx.sleep(SimDur::from_millis(1)); // a wrapped deadline is now in the past
+                    Some(ctx.recv_timeout(Some(0), 7, forever))
+                })
+            });
+            assert_eq!(out.results[1], Some(Ok((0, vec![42]))), "{at}");
+            assert!(out.report.finish_time > SimTime::from_millis(5), "{at}");
+
+            let msg = panic_message_of(move || {
+                cluster().run_spmd(|ctx| {
+                    if ctx.rank() == 1 {
+                        let _ = ctx.recv_timeout(Some(0), 7, forever);
+                    }
+                });
+            });
+            assert!(msg.contains("simulation deadlock"), "{at}: {msg}");
+        }
     }
 }
