@@ -3,10 +3,10 @@
 //!
 //! Solves `A x = b` for a random symmetric diagonally dominant `A`
 //! (NAS-style, adjustable density). `A` is row-distributed as a Dyn-MPI
-//! **sparse** array (vector of lists); the solution vectors are rowlen-1
-//! dense arrays. Each iteration allgathers `p`, computes the local
-//! mat-vec, and reduces the dot products globally — the reductions use
-//! the removed-aware collective, so dropped nodes stay current (§4.4).
+//! **sparse** array (a vector of column-sorted rows); the solution vectors
+//! are rowlen-1 dense arrays. Each iteration allgathers `p`, computes the
+//! local mat-vec, and reduces the dot products globally — the reductions
+//! use the removed-aware collective, so dropped nodes stay current (§4.4).
 
 use dynmpi::{
     AccessMode, CommPattern, DenseMatrix, Drsd, DynMpi, DynMpiConfig, RedistArray, SparseMatrix,
@@ -91,23 +91,26 @@ pub fn run<T: HostMeters>(t: &T, p: &CgParams, cfg: DynMpiConfig) -> AppResult {
     r.fill_rows(&mine, |_, _| 1.0);
     pv.fill_rows(&mine, |_, _| 1.0);
 
-    let nnz_mine: usize = mine.iter().map(|i| a.row(i).nnz()).sum();
     let mut final_rr = f64::NAN;
+    let mut full_p: Vec<f64> = Vec::with_capacity(n);
+    let mut q: Vec<(usize, f64)> = Vec::new();
     for _iter in 0..p.iters {
         rt.begin_cycle();
+        // Ownership changes only inside `end_cycle`.
+        let mine = rt.my_rows(ph);
         let (mut rr_local, mut pq_local) = (0.0, 0.0);
-        let mut q: Vec<(usize, f64)> = Vec::new();
+        q.clear();
         if rt.participating() {
             // Assemble the full p vector from all active blocks.
-            let my_p: Vec<f64> = rt.my_rows(ph).iter().map(|i| pv.row(i)[0]).collect();
+            let my_p: Vec<f64> = mine.iter().map(|i| pv.row(i)[0]).collect();
             let blocks = t.allgatherv(rt.group(), &my_p);
-            let mut full_p = Vec::with_capacity(n);
+            full_p.clear();
             for b in &blocks {
                 full_p.extend_from_slice(b);
             }
             debug_assert_eq!(full_p.len(), n);
             // q = A·p on my rows; accumulate r·r and p·q.
-            for i in rt.my_rows(ph).iter() {
+            for i in mine.iter() {
                 let mut qi = 0.0;
                 for (c, v) in a.row(i).iter() {
                     qi += v * full_p[c as usize];
@@ -116,13 +119,10 @@ pub fn run<T: HostMeters>(t: &T, p: &CgParams, cfg: DynMpiConfig) -> AppResult {
                 rr_local += r.row(i)[0] * r.row(i)[0];
                 pq_local += pv.row(i)[0] * qi;
             }
-            let my_nnz = rt.my_rows(ph).iter().map(|i| a.row(i).nnz()).sum::<usize>();
-            let _ = nnz_mine;
             rt.charge_rows(ph, {
                 let a = &a;
                 move |i| a.row(i).nnz() as f64 * work::CG_NNZ + 3.0 * work::CG_VEC
             });
-            debug_assert!(my_nnz > 0 || rt.my_rows(ph).is_empty());
         }
         // Global reductions — every world rank calls these.
         let sums = rt.allreduce_sum(&[rr_local, pq_local]);
@@ -140,7 +140,7 @@ pub fn run<T: HostMeters>(t: &T, p: &CgParams, cfg: DynMpiConfig) -> AppResult {
         let rr_new = rt.allreduce_sum(&[rr_new_local])[0];
         let beta = if rr.abs() > 0.0 { rr_new / rr } else { 0.0 };
         if rt.participating() {
-            for i in rt.my_rows(ph).iter() {
+            for i in mine.iter() {
                 let v = r.row(i)[0] + beta * pv.row(i)[0];
                 pv.row_mut(i)[0] = v;
             }
@@ -163,7 +163,10 @@ pub fn run<T: HostMeters>(t: &T, p: &CgParams, cfg: DynMpiConfig) -> AppResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{run_sim, AppSpec, Experiment};
+    use dynmpi::DropPolicy;
     use dynmpi_comm::run_threads;
+    use dynmpi_sim::{LoadScript, NodeSpec};
 
     /// Dense sequential CG for validation.
     fn reference(n: usize, offdiag: usize, seed: u64, iters: usize) -> f64 {
@@ -229,6 +232,42 @@ mod tests {
         // the initial ‖b‖ = √60.
         let c = outs[0].checksum.unwrap();
         assert!(c < 1e-6, "residual {c}");
+    }
+
+    /// The residual's bits, recorded before the sparse row became two
+    /// vectors: storage that reorders one floating-point sum (the mat-vec,
+    /// or a row rebuilt differently by a redistribution) moves them.
+    #[test]
+    fn residual_bits_are_pinned() {
+        for (ranks, bits) in [
+            (1usize, 0x3f25_62c2_ac21_767f_u64),
+            (3, 0x3f25_62c2_ac21_7688),
+        ] {
+            let outs = run_threads(ranks, |t| {
+                run(t, &CgParams::small(80, 12), DynMpiConfig::no_adapt())
+            });
+            for res in &outs {
+                assert_eq!(res.checksum.unwrap().to_bits(), bits, "{ranks} ranks");
+            }
+        }
+
+        // Two competing processes on node 1 from cycle 2: rows of `A` move
+        // at cycle 8 of 16.
+        let sim = run_sim(
+            &Experiment::new(AppSpec::Cg(CgParams::small(200, 16)), 4)
+                .with_node_spec(NodeSpec::with_speed(4e4))
+                .with_cfg(DynMpiConfig {
+                    drop_policy: DropPolicy::Never,
+                    ..Default::default()
+                })
+                .with_script(LoadScript::dedicated().at_cycle(1, 2, 2)),
+        );
+        assert!(
+            sim.events().iter().any(|e| e.kind() == "redistributed"),
+            "the simulated run must redistribute mid-solve: {:?}",
+            sim.events()
+        );
+        assert_eq!(sim.checksum().unwrap().to_bits(), 0x3ee1_18bc_00f1_fa4d);
     }
 
     #[test]

@@ -55,9 +55,6 @@ pub trait RedistArray: Any {
     /// Which rows currently have storage (owned + ghosts).
     fn present_rows(&self) -> RowSet;
 
-    /// Rough wire size of one row, for communication planning.
-    fn row_bytes_estimate(&self) -> usize;
-
     /// Memory-operation counters accumulated so far.
     fn alloc_stats(&self) -> AllocStats;
 
@@ -75,7 +72,7 @@ pub struct ArrayMeta {
     pub nrows: usize,
 }
 
-/// Dense (vector-of-extended-rows) or sparse (vector-of-lists) layout.
+/// Dense (vector-of-extended-rows) or sparse (vector-of-sparse-rows) layout.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ArrayKind {
     Dense,

@@ -173,10 +173,6 @@ impl<P: Pod> RedistArray for DenseMatrix<P> {
             .collect()
     }
 
-    fn row_bytes_estimate(&self) -> usize {
-        self.row_len * std::mem::size_of::<P>()
-    }
-
     fn alloc_stats(&self) -> AllocStats {
         self.stats
     }

@@ -9,8 +9,9 @@
 //!
 //! * **Registration** (§2.2): the application registers its
 //!   redistributable arrays — [`DenseMatrix`] in the 2-D projection
-//!   layout, [`SparseMatrix`] as a vector of lists — its phases, and the
-//!   DRSD ([`Drsd`]) of every array reference in a parallel loop.
+//!   layout, [`SparseMatrix`] as a vector of column-sorted rows — its
+//!   phases, and the DRSD ([`Drsd`]) of every array reference in a
+//!   parallel loop.
 //! * **Monitoring** (§4.2): per-cycle load readings from the `dmpi_ps`
 //!   daemon; on a change, a 5-cycle *grace period* measures true unloaded
 //!   per-iteration times via `/proc` or min-of-`gethrtime`.

@@ -1,147 +1,95 @@
-//! Sparse matrices in vector-of-lists format (§4.1.2).
+//! Sparse matrices as a vector of independently allocated rows (§4.1.2).
 //!
-//! Each stored row is a singly linked list of `(column id, value)` pairs —
-//! the format Dyn-MPI mandates so it can redistribute data *and* metadata
-//! uniformly with dense matrices. On a send, a row is packed into a flat
-//! vector; on receipt it is unpacked back into a list (§4.4). The cost of
-//! this uniformity (list traversal vs. vector scan) is quantified by the
-//! `sparse_layout` bench.
+//! Each stored row is two parallel vectors, column ids and values, sorted
+//! by column — its own wire form, so a send copies the two slices and a
+//! receive lets the decoded vectors become the row (§4.4). The paper keeps
+//! a linked list per row; what it needs of one is kept: every row is its
+//! own allocation, moves as one unit of data + metadata through the same
+//! [`RedistArray`] path as dense rows, and stays untouched when it stays.
 
 use std::any::Any;
 
-use dynmpi_comm::{from_bytes, to_bytes, Pod};
+use dynmpi_comm::{from_bytes, to_bytes_into, Pod};
 
 use crate::array::{AllocStats, RedistArray};
 use crate::rowset::RowSet;
 
-struct Node<P> {
-    col: u32,
-    val: P,
-    next: Option<Box<Node<P>>>,
+/// One sparse row: `(col, value)` pairs sorted by column, columns unique.
+pub struct SparseRow<P> {
+    cols: Vec<u32>,
+    vals: Vec<P>,
 }
 
-/// One sparse row: a list of `(col, value)` pairs sorted by column.
-pub struct SparseRow<P> {
-    head: Option<Box<Node<P>>>,
-    nnz: usize,
+fn strictly_increasing(cols: &[u32]) -> bool {
+    cols.windows(2).all(|w| w[0] < w[1])
 }
 
 impl<P: Pod> SparseRow<P> {
     /// An empty row.
     pub fn new() -> Self {
-        SparseRow { head: None, nnz: 0 }
+        SparseRow {
+            cols: Vec::new(),
+            vals: Vec::new(),
+        }
     }
 
     /// Number of stored elements.
     pub fn nnz(&self) -> usize {
-        self.nnz
+        self.cols.len()
     }
 
     /// Inserts or overwrites the element at `col`.
     pub fn set(&mut self, col: u32, val: P) {
-        let mut cur = &mut self.head;
-        loop {
-            // Immutable peek decides; the cursor then either advances (by
-            // move, so no borrow outlives the step) or rewrites the slot.
-            match cur.as_deref() {
-                Some(n) if n.col < col => {}
-                Some(n) if n.col == col => break,
-                _ => {
-                    let next = cur.take();
-                    *cur = Some(Box::new(Node { col, val, next }));
-                    self.nnz += 1;
-                    return;
-                }
+        match self.cols.binary_search(&col) {
+            Ok(k) => self.vals[k] = val,
+            Err(k) => {
+                self.cols.insert(k, col);
+                self.vals.insert(k, val);
             }
-            let slot = cur;
-            cur = &mut slot.as_mut().expect("peeked Some").next;
         }
-        cur.as_mut().expect("peeked Some").val = val;
     }
 
     /// Value at `col`, if stored.
     pub fn get(&self, col: u32) -> Option<&P> {
-        let mut cur = self.head.as_deref();
-        while let Some(node) = cur {
-            if node.col == col {
-                return Some(&node.val);
-            }
-            if node.col > col {
-                return None;
-            }
-            cur = node.next.as_deref();
-        }
-        None
+        let k = self.cols.binary_search(&col).ok()?;
+        Some(&self.vals[k])
     }
 
     /// Removes the element at `col`; returns whether it existed.
     pub fn remove(&mut self, col: u32) -> bool {
-        let mut cur = &mut self.head;
-        loop {
-            // Immutable peek first, so no pattern borrow is held when the
-            // slot is rewritten.
-            match cur.as_deref() {
-                None => return false,
-                Some(n) if n.col > col => return false,
-                Some(n) if n.col == col => break,
-                Some(_) => {}
-            }
-            let slot = cur;
-            cur = &mut slot.as_mut().expect("peeked Some").next;
-        }
-        let node = cur.take().expect("peeked Some");
-        *cur = node.next;
-        self.nnz -= 1;
+        let Ok(k) = self.cols.binary_search(&col) else {
+            return false;
+        };
+        self.cols.remove(k);
+        self.vals.remove(k);
         true
     }
 
     /// Iterates `(col, &value)` in column order.
-    pub fn iter(&self) -> SparseRowIter<'_, P> {
-        SparseRowIter {
-            cur: self.head.as_deref(),
-        }
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &P)> + '_ {
+        self.cols.iter().copied().zip(&self.vals)
     }
 
     /// Applies `f` to every element in place.
     pub fn for_each_mut(&mut self, mut f: impl FnMut(u32, &mut P)) {
-        let mut cur = self.head.as_deref_mut();
-        while let Some(node) = cur {
-            f(node.col, &mut node.val);
-            cur = node.next.as_deref_mut();
+        for (&c, v) in self.cols.iter().zip(&mut self.vals) {
+            f(c, v);
         }
     }
 
-    /// Flattens into `(cols, vals)` vectors — the packed wire form.
+    /// Copies out `(cols, vals)` — the packed wire form.
     pub fn to_vectors(&self) -> (Vec<u32>, Vec<P>) {
-        let mut cols = Vec::with_capacity(self.nnz);
-        let mut vals = Vec::with_capacity(self.nnz);
-        for (c, v) in self.iter() {
-            cols.push(c);
-            vals.push(*v);
-        }
-        (cols, vals)
+        (self.cols.clone(), self.vals.clone())
     }
 
-    /// Rebuilds a row from packed vectors (columns must be sorted and
+    /// Builds a row from packed vectors (columns must be sorted and
     /// unique — the format `to_vectors` emits).
     pub fn from_vectors(cols: &[u32], vals: &[P]) -> Self {
         assert_eq!(cols.len(), vals.len(), "cols/vals length mismatch");
-        debug_assert!(
-            cols.windows(2).all(|w| w[0] < w[1]),
-            "columns must be sorted unique"
-        );
-        // Build back-to-front so each push is O(1).
-        let mut head = None;
-        for (&c, &v) in cols.iter().zip(vals).rev() {
-            head = Some(Box::new(Node {
-                col: c,
-                val: v,
-                next: head,
-            }));
-        }
+        assert!(strictly_increasing(cols), "columns must be sorted unique");
         SparseRow {
-            head,
-            nnz: cols.len(),
+            cols: cols.to_vec(),
+            vals: vals.to_vec(),
         }
     }
 }
@@ -152,33 +100,8 @@ impl<P: Pod> Default for SparseRow<P> {
     }
 }
 
-// An explicit iterative Drop: the default recursive drop of a long list
-// can overflow the stack.
-impl<P> Drop for SparseRow<P> {
-    fn drop(&mut self) {
-        let mut cur = self.head.take();
-        while let Some(mut node) = cur {
-            cur = node.next.take();
-        }
-    }
-}
-
-/// Iterator over one row's `(col, &value)` pairs.
-pub struct SparseRowIter<'a, P> {
-    cur: Option<&'a Node<P>>,
-}
-
-impl<'a, P> Iterator for SparseRowIter<'a, P> {
-    type Item = (u32, &'a P);
-    fn next(&mut self) -> Option<Self::Item> {
-        let node = self.cur?;
-        self.cur = node.next.as_deref();
-        Some((node.col, &node.val))
-    }
-}
-
 /// A sparse matrix: a vector of optional rows, mirroring the dense
-/// projection layout with lists for extended rows.
+/// projection layout with a [`SparseRow`] per extended row.
 pub struct SparseMatrix<P: Pod> {
     nrows: usize,
     ncols: usize,
@@ -246,10 +169,7 @@ impl<P: Pod> SparseMatrix<P> {
 
     /// Total stored elements across present rows.
     pub fn nnz(&self) -> usize {
-        self.rows
-            .iter()
-            .filter_map(|r| r.as_ref().map(|x| x.nnz()))
-            .sum()
+        self.rows.iter().flatten().map(SparseRow::nnz).sum()
     }
 }
 
@@ -268,15 +188,18 @@ impl<P: Pod> RedistArray for SparseMatrix<P> {
 
     fn pack_rows(&mut self, rows: &RowSet, take: bool) -> Vec<u8> {
         let mut out = Vec::new();
+        let mut image = Vec::new();
         for i in rows.iter() {
             let row = self.rows[i]
                 .as_ref()
                 .unwrap_or_else(|| panic!("packing absent sparse row {i}"));
-            let (cols, vals) = row.to_vectors();
-            self.stats.bytes_copied += (cols.len() * 4 + std::mem::size_of_val(&vals[..])) as u64;
-            out.extend_from_slice(&(cols.len() as u64).to_le_bytes());
-            out.extend_from_slice(&to_bytes(&cols));
-            out.extend_from_slice(&to_bytes(&vals));
+            self.stats.bytes_copied +=
+                (row.cols.len() * 4 + std::mem::size_of_val(&row.vals[..])) as u64;
+            out.extend_from_slice(&(row.nnz() as u64).to_le_bytes());
+            to_bytes_into(&row.cols, &mut image);
+            out.extend_from_slice(&image);
+            to_bytes_into(&row.vals, &mut image);
+            out.extend_from_slice(&image);
             if take {
                 self.rows[i] = None;
             }
@@ -284,31 +207,37 @@ impl<P: Pod> RedistArray for SparseMatrix<P> {
         out
     }
 
+    // `bytes` came off the wire: lengths in checked arithmetic, and the row
+    // invariant verified before the decoded vectors become a row.
     fn unpack_rows(&mut self, rows: &RowSet, bytes: &[u8]) {
-        let esz = std::mem::size_of::<P>();
-        let mut off = 0usize;
+        let mut rest = bytes;
         for i in rows.iter() {
+            let mut take = |len: Option<usize>| {
+                let len = len
+                    .filter(|&len| len <= rest.len())
+                    .unwrap_or_else(|| panic!("truncated sparse payload at row {i}"));
+                let (head, tail) = rest.split_at(len);
+                rest = tail;
+                head
+            };
+            let nnz = u64::from_le_bytes(take(Some(8)).try_into().expect("took 8 bytes"));
+            let nnz = usize::try_from(nnz).ok();
+            let cols: Vec<u32> = from_bytes(take(nnz.and_then(|n| n.checked_mul(4))));
+            let vals: Vec<P> = from_bytes(take(
+                nnz.and_then(|n| n.checked_mul(std::mem::size_of::<P>())),
+            ));
             assert!(
-                off + 8 <= bytes.len(),
-                "truncated sparse payload at row {i}"
+                strictly_increasing(&cols)
+                    && cols.last().is_none_or(|&c| (c as usize) < self.ncols),
+                "sparse payload for row {i}: columns must be strictly increasing and below {}",
+                self.ncols
             );
-            let nnz = u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap()) as usize;
-            off += 8;
-            let cols_len = nnz * 4;
-            let vals_len = nnz * esz;
-            assert!(
-                off + cols_len + vals_len <= bytes.len(),
-                "truncated sparse payload"
-            );
-            let cols: Vec<u32> = from_bytes(&bytes[off..off + cols_len]);
-            off += cols_len;
-            let vals: Vec<P> = from_bytes(&bytes[off..off + vals_len]);
-            off += vals_len;
             self.stats.allocations += 1;
-            self.stats.bytes_allocated += (cols_len + vals_len) as u64;
-            self.rows[i] = Some(SparseRow::from_vectors(&cols, &vals));
+            self.stats.bytes_allocated +=
+                (cols.len() * 4 + std::mem::size_of_val(&vals[..])) as u64;
+            self.rows[i] = Some(SparseRow { cols, vals });
         }
-        assert_eq!(off, bytes.len(), "sparse payload has trailing bytes");
+        assert!(rest.is_empty(), "sparse payload has trailing bytes");
     }
 
     fn drop_rows(&mut self, rows: &RowSet) {
@@ -323,16 +252,6 @@ impl<P: Pod> RedistArray for SparseMatrix<P> {
             .enumerate()
             .filter_map(|(i, r)| r.as_ref().map(|_| i))
             .collect()
-    }
-
-    fn row_bytes_estimate(&self) -> usize {
-        let present: usize = self
-            .rows
-            .iter()
-            .filter_map(|r| r.as_ref().map(|x| x.nnz()))
-            .sum();
-        let nrows = self.present_rows().len().max(1);
-        8 + (present / nrows) * (4 + std::mem::size_of::<P>())
     }
 
     fn alloc_stats(&self) -> AllocStats {
@@ -351,6 +270,7 @@ impl<P: Pod> RedistArray for SparseMatrix<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynmpi_comm::to_bytes;
 
     #[test]
     fn row_set_get_sorted() {
@@ -414,17 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn long_row_drop_does_not_overflow() {
-        let mut r = SparseRow::<f64>::new();
-        // Build in descending order so each set is O(1) at the head.
-        for c in (0..200_000u32).rev() {
-            r.set(c, 0.0);
-        }
-        assert_eq!(r.nnz(), 200_000);
-        drop(r); // must not blow the stack
-    }
-
-    #[test]
     fn matrix_pack_unpack_round_trip() {
         let mut a = SparseMatrix::<f64>::new(6, 100);
         a.set(1, 3, 1.3);
@@ -468,6 +377,48 @@ mod tests {
             a.unpack_rows(&RowSet::from_range(0..1), &[1, 2, 3]);
         }));
         assert!(r.is_err());
+    }
+
+    /// Row 0 of a 2 × 4 matrix unpacked from a hand-built payload.
+    fn unpack_row0(nnz: u64, cols: &[u32], vals: &[f64]) -> SparseMatrix<f64> {
+        let mut bytes = nnz.to_le_bytes().to_vec();
+        bytes.extend(to_bytes(cols));
+        bytes.extend(to_bytes(vals));
+        let mut a = SparseMatrix::<f64>::new(2, 4);
+        a.unpack_rows(&RowSet::from_range(0..1), &bytes);
+        a
+    }
+
+    #[test]
+    fn unpack_accepts_the_last_column() {
+        let a = unpack_row0(2, &[0, 3], &[1.0, 2.0]);
+        assert_eq!(a.row(0).get(3), Some(&2.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "row 0: columns must be strictly increasing and below 4")]
+    fn unpack_rejects_column_out_of_range() {
+        unpack_row0(1, &[1_000_000_000], &[1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 0: columns must be strictly increasing")]
+    fn unpack_rejects_unsorted_columns() {
+        unpack_row0(2, &[3, 1], &[1.0, 2.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 0: columns must be strictly increasing")]
+    fn unpack_rejects_duplicate_columns() {
+        unpack_row0(2, &[1, 1], &[1.0, 2.0]);
+    }
+
+    /// `nnz * 4` and `nnz * 8` both wrap to 0 at 2⁶²: unchecked, an empty
+    /// body passes the length check and yields a silently empty row.
+    #[test]
+    #[should_panic(expected = "truncated sparse payload at row 0")]
+    fn unpack_rejects_overflowing_nnz() {
+        unpack_row0(1 << 62, &[], &[]);
     }
 
     #[test]

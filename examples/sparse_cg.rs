@@ -1,9 +1,10 @@
 //! Sparse conjugate gradient under load (§5.1's case study, scaled).
 //!
-//! Solves a random SPD system with the Dyn-MPI **sparse** array (vector
-//! of lists): the matrix and the solution vectors all redistribute when a
-//! competing process appears. Global reductions use the removed-aware
-//! collective, so the solve would stay correct even across node removal.
+//! Solves a random SPD system with the Dyn-MPI **sparse** array (a vector
+//! of column-sorted rows): the matrix and the solution vectors all
+//! redistribute when a competing process appears. Global reductions use
+//! the removed-aware collective, so the solve would stay correct even
+//! across node removal.
 //!
 //! ```sh
 //! cargo run --release --example sparse_cg

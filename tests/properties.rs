@@ -6,7 +6,7 @@ use dynmpi::{
     partition_rows, relative_power, successive_balance, successive_balance_with_floor, CommModel,
     Distribution, Drsd, NodeLoad, RowSet,
 };
-use dynmpi_testkit::{check, Rng};
+use dynmpi_testkit::{check, check_n, Rng};
 
 fn gen_rowset(rng: &mut Rng) -> RowSet {
     let pairs = rng.vec_in(0, 12, |r| (r.range_usize(0, 200), r.range_usize(1, 20)));
@@ -250,6 +250,101 @@ fn sparse_pack_unpack_round_trip() {
         assert_eq!(a.nnz(), b.nnz());
         for (i, c, v) in a.iter() {
             assert_eq!(b.row(i).get(c), Some(v));
+        }
+    });
+}
+
+/// The literal bytes on the wire for rows {1, 2, 4} of a fixed matrix, row
+/// 2 present but empty: `[nnz: u64][cols: u32 × nnz][vals: f64 × nnz]` per
+/// row, little-endian. Recorded before the row storage changed; a receiver
+/// built from any other commit must still decode them.
+#[test]
+fn sparse_wire_bytes_are_pinned() {
+    use dynmpi::{AllocStats, RedistArray, SparseMatrix};
+    let mut a = SparseMatrix::<f64>::new(6, 100);
+    a.set(1, 50, -2.0);
+    a.set(1, 3, 1.5);
+    a.row_mut(2);
+    a.set(4, 0, 0.25);
+    let rows = RowSet::from_ranges([1..3, 4..5]);
+    let bytes = a.pack_rows(&rows, false);
+    #[rustfmt::skip]
+    let expect: [u8; 60] = [
+        2, 0, 0, 0, 0, 0, 0, 0,                             // row 1: nnz
+        3, 0, 0, 0,  50, 0, 0, 0,                           //   cols 3, 50
+        0, 0, 0, 0, 0, 0, 0xf8, 0x3f,  0, 0, 0, 0, 0, 0, 0, 0xc0, // 1.5, -2.0
+        0, 0, 0, 0, 0, 0, 0, 0,                             // row 2: empty
+        1, 0, 0, 0, 0, 0, 0, 0,                             // row 4: nnz
+        0, 0, 0, 0,                                         //   col 0
+        0, 0, 0, 0, 0, 0, 0xd0, 0x3f,                       //   0.25
+    ];
+    assert_eq!(bytes, expect);
+    assert_eq!(
+        a.alloc_stats(),
+        AllocStats {
+            bytes_allocated: 0,
+            bytes_copied: 36,
+            allocations: 3
+        }
+    );
+
+    let mut b = SparseMatrix::<f64>::new(6, 100);
+    b.unpack_rows(&rows, &expect);
+    assert_eq!(b.pack_rows(&rows, true), expect);
+    assert!(b.present_rows().is_empty());
+    assert_eq!(
+        b.alloc_stats(),
+        AllocStats {
+            bytes_allocated: 36,
+            bytes_copied: 36,
+            allocations: 3
+        }
+    );
+}
+
+// ---------------- sparse rows ---------------------------------------
+
+/// `SparseRow` against a `BTreeMap` oracle under random `set` / overwrite /
+/// `get` / `remove` / `for_each_mut`, compared in full after every step.
+#[test]
+fn sparse_row_matches_btreemap_oracle() {
+    use dynmpi::SparseRow;
+    use std::collections::BTreeMap;
+
+    check_n("sparse_row_matches_btreemap_oracle", 256, |rng| {
+        let mut row = SparseRow::<f64>::new();
+        let mut oracle = BTreeMap::<u32, f64>::new();
+        // Few distinct columns, so overwrites and removals of stored
+        // elements are as common as misses.
+        let ncols = rng.range_u32(1, 48);
+        for _ in 0..rng.range_usize(0, 120) {
+            let col = rng.range_u32(0, ncols);
+            match rng.range_usize(0, 8) {
+                0..=4 => {
+                    let v = rng.range_f64(-10.0, 10.0);
+                    row.set(col, v);
+                    oracle.insert(col, v);
+                }
+                5 | 6 => assert_eq!(row.remove(col), oracle.remove(&col).is_some()),
+                _ => {
+                    let k = rng.range_f64(-2.0, 2.0);
+                    row.for_each_mut(|c, v| *v = *v * k + f64::from(c));
+                    for (c, v) in &mut oracle {
+                        *v = *v * k + f64::from(*c);
+                    }
+                }
+            }
+
+            assert_eq!(row.nnz(), oracle.len());
+            for c in 0..=ncols {
+                assert_eq!(row.get(c), oracle.get(&c), "get({c})");
+            }
+            assert!(row.iter().eq(oracle.iter().map(|(&c, v)| (c, v))));
+            let (cols, vals) = row.to_vectors();
+            assert!(cols.iter().copied().eq(oracle.keys().copied()));
+            assert!(vals.iter().eq(oracle.values()));
+            let back = SparseRow::from_vectors(&cols, &vals);
+            assert!(back.iter().eq(row.iter()));
         }
     });
 }
