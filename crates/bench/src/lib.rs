@@ -518,10 +518,12 @@ pub fn write_rows(out_dir: &str, name: &str, rows: &[Json]) {
         return;
     }
     let path = dir.join(format!("{name}.jsonl"));
-    let mut f = std::fs::File::create(&path).expect("create results file");
+    // Buffered: a row's `Display` writes token by token.
+    let mut f = std::io::BufWriter::new(std::fs::File::create(&path).expect("create results file"));
     for r in rows {
-        writeln!(f, "{r}").unwrap();
+        writeln!(f, "{r}").expect("write results file");
     }
+    f.flush().expect("write results file");
     log_info!("wrote {}", path.display());
 }
 

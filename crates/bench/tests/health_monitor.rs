@@ -81,9 +81,9 @@ fn streaming_equals_posthoc_replay() {
     run_sim_with(&exp, Some(rec.clone()));
 
     let replay = HealthMonitor::new(20_000_000);
-    for ev in rec.events() {
+    for ev in rec.events().iter() {
         use dynmpi_obs::trace::EventSink;
-        replay.on_event(&ev);
+        replay.on_event(ev);
     }
     assert_eq!(streaming.report(), replay.report());
     assert_eq!(streaming.report().to_jsonl(), replay.report().to_jsonl());

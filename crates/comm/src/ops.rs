@@ -129,9 +129,11 @@ fn block_bounds(elems: usize, n: usize, i: usize) -> (usize, usize) {
 /// an `allreduce` span contains its `reduce` and `bcast` children. The
 /// span closes with `ranks` (participating group size) and `bytes` (this
 /// rank's local payload contribution) attributes for trace analysis.
+/// `counter` is the collective's call counter, `comm.coll.<name>`; the
+/// span is named `<name>`.
 fn traced<R>(
     t: &(impl Transport + ?Sized),
-    name: &'static str,
+    counter: &'static str,
     ranks: usize,
     bytes: usize,
     body: impl FnOnce() -> R,
@@ -139,14 +141,17 @@ fn traced<R>(
     if !obs::enabled() {
         return body();
     }
+    let name = counter
+        .strip_prefix("comm.coll.")
+        .expect("collective counters are named comm.coll.<name>");
     obs::span_begin("comm", name, t.now_ns());
-    obs::count(&format!("comm.coll.{name}"), 1);
+    obs::count(counter, 1);
     let out = body();
     obs::span_end_args(
         t.now_ns(),
         vec![
-            ("ranks".to_string(), obs::Json::UInt(ranks as u64)),
-            ("bytes".to_string(), obs::Json::UInt(bytes as u64)),
+            ("ranks", obs::Json::UInt(ranks as u64)),
+            ("bytes", obs::Json::UInt(bytes as u64)),
         ],
     );
     out
@@ -370,15 +375,21 @@ pub trait CommOps: Transport {
         src: usize,
         recv_tag: u64,
     ) -> Vec<P> {
-        traced(self, "sendrecv", 2, std::mem::size_of_val(data), || {
-            self.send_slice(dst, send_tag, data);
-            self.recv_vec(src, recv_tag)
-        })
+        traced(
+            self,
+            "comm.coll.sendrecv",
+            2,
+            std::mem::size_of_val(data),
+            || {
+                self.send_slice(dst, send_tag, data);
+                self.recv_vec(src, recv_tag)
+            },
+        )
     }
 
     /// Dissemination barrier over `g`. O(log n) rounds.
     fn barrier(&self, g: &Group) {
-        traced(self, "barrier", g.size(), 0, || {
+        traced(self, "comm.coll.barrier", g.size(), 0, || {
             let n = g.size();
             let rel = g.rel_unchecked();
             let mut k = 1usize;
@@ -403,7 +414,7 @@ pub trait CommOps: Transport {
     fn bcast<P: Pod>(&self, g: &Group, root: usize, data: Option<&[P]>) -> Vec<P> {
         traced(
             self,
-            "bcast",
+            "comm.coll.bcast",
             g.size(),
             data.map(std::mem::size_of_val).unwrap_or(0),
             || {
@@ -443,7 +454,7 @@ pub trait CommOps: Transport {
     fn bcast_binomial<P: Pod>(&self, g: &Group, root: usize, data: Option<&[P]>) -> Vec<P> {
         traced(
             self,
-            "bcast",
+            "comm.coll.bcast",
             g.size(),
             data.map(std::mem::size_of_val).unwrap_or(0),
             || {
@@ -480,7 +491,7 @@ pub trait CommOps: Transport {
     ) -> Vec<P> {
         traced(
             self,
-            "bcast",
+            "comm.coll.bcast",
             g.size(),
             data.map(std::mem::size_of_val).unwrap_or(0),
             || {
@@ -520,7 +531,7 @@ pub trait CommOps: Transport {
     ) -> Option<Vec<P>> {
         traced(
             self,
-            "reduce",
+            "comm.coll.reduce",
             g.size(),
             std::mem::size_of_val(data),
             || {
@@ -562,7 +573,7 @@ pub trait CommOps: Transport {
     fn allreduce<P: Pod>(&self, g: &Group, data: &[P], f: impl Fn(&mut [P], &[P])) -> Vec<P> {
         traced(
             self,
-            "allreduce",
+            "comm.coll.allreduce",
             g.size(),
             std::mem::size_of_val(data),
             || {
@@ -586,7 +597,7 @@ pub trait CommOps: Transport {
     fn allreduce_ring<P: Pod>(&self, g: &Group, data: &[P], f: impl Fn(&mut [P], &[P])) -> Vec<P> {
         traced(
             self,
-            "allreduce_ring",
+            "comm.coll.allreduce_ring",
             g.size(),
             std::mem::size_of_val(data),
             || {
@@ -666,7 +677,7 @@ pub trait CommOps: Transport {
     fn gatherv<P: Pod>(&self, g: &Group, root: usize, data: &[P]) -> Option<Vec<Vec<P>>> {
         traced(
             self,
-            "gatherv",
+            "comm.coll.gatherv",
             g.size(),
             std::mem::size_of_val(data),
             || {
@@ -696,7 +707,7 @@ pub trait CommOps: Transport {
     fn scatterv<P: Pod>(&self, g: &Group, root: usize, parts: Option<&[Vec<P>]>) -> Vec<P> {
         traced(
             self,
-            "scatterv",
+            "comm.coll.scatterv",
             g.size(),
             parts
                 .map(|ps| ps.iter().map(|p| std::mem::size_of_val(p.as_slice())).sum())
@@ -728,7 +739,7 @@ pub trait CommOps: Transport {
     fn allgatherv<P: Pod>(&self, g: &Group, data: &[P]) -> Vec<Vec<P>> {
         traced(
             self,
-            "allgatherv",
+            "comm.coll.allgatherv",
             g.size(),
             std::mem::size_of_val(data),
             || {
@@ -761,7 +772,7 @@ pub trait CommOps: Transport {
     fn alltoallv<P: Pod>(&self, g: &Group, parts: &[Vec<P>]) -> Vec<Vec<P>> {
         traced(
             self,
-            "alltoallv",
+            "comm.coll.alltoallv",
             g.size(),
             parts
                 .iter()

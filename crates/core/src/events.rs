@@ -138,9 +138,9 @@ impl RuntimeEvent {
     /// parts-per-million (`*_ppm`), so downstream sinks (the explain
     /// engine, DESIGN.md §15) can reproduce the decision byte-identically
     /// without re-parsing floats.
-    pub fn trace_args(&self) -> Vec<(String, Json)> {
-        let mut args = vec![("cycle".to_string(), Json::UInt(self.cycle()))];
-        let mut push = |k: &str, v: Json| args.push((k.to_string(), v));
+    pub fn trace_args(&self) -> Vec<(&'static str, Json)> {
+        let mut args = vec![("cycle", Json::UInt(self.cycle()))];
+        let mut push = |k, v| args.push((k, v));
         match self {
             RuntimeEvent::LoadChangeDetected { loads, .. } => {
                 push(
@@ -312,16 +312,16 @@ mod tests {
             counts: vec![50, 50],
         };
         let args = e.trace_args();
-        assert_eq!(args[0], ("cycle".to_string(), Json::UInt(12)));
+        assert_eq!(args[0], ("cycle", Json::UInt(12)));
         assert!(args
             .iter()
-            .any(|(k, v)| k == "seconds" && v.as_f64() == Some(0.5)));
+            .any(|(k, v)| *k == "seconds" && v.as_f64() == Some(0.5)));
         assert!(args
             .iter()
-            .any(|(k, v)| k == "seconds_ns" && *v == Json::UInt(500_000_000)));
+            .any(|(k, v)| *k == "seconds_ns" && *v == Json::UInt(500_000_000)));
         assert!(args
             .iter()
-            .any(|(k, v)| k == "rows_moved" && v.as_u64() == Some(100)));
+            .any(|(k, v)| *k == "rows_moved" && v.as_u64() == Some(100)));
         let d = RuntimeEvent::DropEvaluated {
             cycle: 30,
             predicted_unloaded: 1.0,
@@ -333,19 +333,19 @@ mod tests {
         let args = d.trace_args();
         assert!(args
             .iter()
-            .any(|(k, v)| k == "dropped" && *v == Json::Bool(true)));
+            .any(|(k, v)| *k == "dropped" && *v == Json::Bool(true)));
         assert!(args
             .iter()
-            .any(|(k, v)| k == "predicted_unloaded_ns" && *v == Json::UInt(1_000_000_000)));
+            .any(|(k, v)| *k == "predicted_unloaded_ns" && *v == Json::UInt(1_000_000_000)));
         assert!(args
             .iter()
-            .any(|(k, v)| k == "measured_max_ns" && *v == Json::UInt(2_000_000_000)));
+            .any(|(k, v)| *k == "measured_max_ns" && *v == Json::UInt(2_000_000_000)));
         assert!(args
             .iter()
-            .any(|(k, v)| k == "margin_ppm" && *v == Json::UInt(1_050_000)));
+            .any(|(k, v)| *k == "margin_ppm" && *v == Json::UInt(1_050_000)));
         assert!(args
             .iter()
-            .any(|(k, v)| k == "loaded" && *v == Json::Arr(vec![Json::UInt(1), Json::UInt(3)])));
+            .any(|(k, v)| *k == "loaded" && *v == Json::Arr(vec![Json::UInt(1), Json::UInt(3)])));
     }
 
     #[test]
@@ -356,7 +356,7 @@ mod tests {
         assert!(a
             .trace_args()
             .iter()
-            .any(|(k, v)| k == "node" && v.as_u64() == Some(4)));
+            .any(|(k, v)| *k == "node" && v.as_u64() == Some(4)));
         let e = RuntimeEvent::ExpandEvaluated {
             cycle: 12,
             node: 4,
@@ -371,22 +371,22 @@ mod tests {
         let args = e.trace_args();
         assert!(args
             .iter()
-            .any(|(k, v)| k == "predicted_with" && v.as_f64() == Some(0.8)));
+            .any(|(k, v)| *k == "predicted_with" && v.as_f64() == Some(0.8)));
         assert!(args
             .iter()
-            .any(|(k, v)| k == "predicted_with_ns" && *v == Json::UInt(800_000_000)));
+            .any(|(k, v)| *k == "predicted_with_ns" && *v == Json::UInt(800_000_000)));
         assert!(args
             .iter()
-            .any(|(k, v)| k == "redist_cost" && v.as_f64() == Some(0.1)));
+            .any(|(k, v)| *k == "redist_cost" && v.as_f64() == Some(0.1)));
         assert!(args
             .iter()
-            .any(|(k, v)| k == "redist_cost_ns" && *v == Json::UInt(100_000_000)));
+            .any(|(k, v)| *k == "redist_cost_ns" && *v == Json::UInt(100_000_000)));
         assert!(args
             .iter()
-            .any(|(k, v)| k == "horizon_cycles" && v.as_u64() == Some(50)));
+            .any(|(k, v)| *k == "horizon_cycles" && v.as_u64() == Some(50)));
         assert!(args
             .iter()
-            .any(|(k, v)| k == "admitted" && *v == Json::Bool(true)));
+            .any(|(k, v)| *k == "admitted" && *v == Json::Bool(true)));
         let n = RuntimeEvent::NodeAdmitted {
             cycle: 12,
             node: 4,
@@ -397,7 +397,7 @@ mod tests {
         assert!(n
             .trace_args()
             .iter()
-            .any(|(k, v)| k == "rows" && v.as_u64() == Some(120)));
+            .any(|(k, v)| *k == "rows" && v.as_u64() == Some(120)));
     }
 
     #[test]
@@ -412,7 +412,7 @@ mod tests {
         assert!(s
             .trace_args()
             .iter()
-            .any(|(k, v)| k == "silent_cycles" && v.as_u64() == Some(2)));
+            .any(|(k, v)| *k == "silent_cycles" && v.as_u64() == Some(2)));
         let c = RuntimeEvent::NodeConfirmedDead {
             cycle: 11,
             node: 2,
@@ -422,10 +422,10 @@ mod tests {
         let args = c.trace_args();
         assert!(args
             .iter()
-            .any(|(k, v)| k == "node" && v.as_u64() == Some(2)));
+            .any(|(k, v)| *k == "node" && v.as_u64() == Some(2)));
         assert!(args
             .iter()
-            .any(|(k, v)| k == "silent_cycles" && v.as_u64() == Some(3)));
+            .any(|(k, v)| *k == "silent_cycles" && v.as_u64() == Some(3)));
         let r = RuntimeEvent::NodeRecovered {
             cycle: 11,
             node: 2,
@@ -437,12 +437,12 @@ mod tests {
         let args = r.trace_args();
         assert!(args
             .iter()
-            .any(|(k, v)| k == "rollback_to" && v.as_u64() == Some(8)));
+            .any(|(k, v)| *k == "rollback_to" && v.as_u64() == Some(8)));
         assert!(args
             .iter()
-            .any(|(k, v)| k == "restored_rows" && v.as_u64() == Some(40)));
+            .any(|(k, v)| *k == "restored_rows" && v.as_u64() == Some(40)));
         assert!(args
             .iter()
-            .any(|(k, v)| k == "holder" && v.as_u64() == Some(3)));
+            .any(|(k, v)| *k == "holder" && v.as_u64() == Some(3)));
     }
 }

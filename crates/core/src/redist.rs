@@ -510,8 +510,8 @@ pub fn execute_with<T: Transport>(
         obs::span_end_args(
             t.now_ns(),
             vec![
-                ("rows_moved".to_string(), Json::UInt(rows_moved as u64)),
-                ("bytes_sent".to_string(), Json::UInt(bytes_sent)),
+                ("rows_moved", Json::UInt(rows_moved as u64)),
+                ("bytes_sent", Json::UInt(bytes_sent)),
             ],
         );
     }
@@ -661,10 +661,10 @@ pub fn execute_recovery<T: Transport>(
         obs::span_end_args(
             t.now_ns(),
             vec![
-                ("dead".to_string(), Json::UInt(dead as u64)),
-                ("holder".to_string(), Json::UInt(holder as u64)),
-                ("rows_moved".to_string(), Json::UInt(rows_moved as u64)),
-                ("bytes_sent".to_string(), Json::UInt(bytes_sent)),
+                ("dead", Json::UInt(dead as u64)),
+                ("holder", Json::UInt(holder as u64)),
+                ("rows_moved", Json::UInt(rows_moved as u64)),
+                ("bytes_sent", Json::UInt(bytes_sent)),
             ],
         );
     }

@@ -501,7 +501,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
                 "runtime",
                 "begin_cycle",
                 self.t.now_ns(),
-                vec![("cycle".to_string(), Json::UInt(self.cycle + 1))],
+                vec![("cycle", Json::UInt(self.cycle + 1))],
             );
         }
     }
@@ -548,15 +548,12 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             obs::span_end_args(
                 self.t.now_ns(),
                 vec![
-                    ("rows".to_string(), Json::UInt(rows.len() as u64)),
+                    ("rows", Json::UInt(rows.len() as u64)),
                     (
-                        "cpu_ns".to_string(),
+                        "cpu_ns",
                         Json::UInt(self.t.proc_cpu_ns().saturating_sub(cpu0)),
                     ),
-                    (
-                        "work_uflop".to_string(),
-                        Json::UInt((total * 1e6).round() as u64),
-                    ),
+                    ("work_uflop", Json::UInt((total * 1e6).round() as u64)),
                 ],
             );
         }
@@ -571,10 +568,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         }
         obs::span_begin("runtime", "end_cycle", self.t.now_ns());
         let report = self.end_cycle_inner(arrays);
-        obs::span_end_args(
-            self.t.now_ns(),
-            vec![("cycle".to_string(), Json::UInt(report.cycle))],
-        );
+        obs::span_end_args(self.t.now_ns(), vec![("cycle", Json::UInt(report.cycle))]);
         report
     }
 
@@ -1035,10 +1029,10 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             obs::span_end_args(
                 self.t.now_ns(),
                 vec![
-                    ("cycle".to_string(), Json::UInt(self.cycle)),
-                    ("moved_fraction".to_string(), Json::Num(moved)),
+                    ("cycle", Json::UInt(self.cycle)),
+                    ("moved_fraction", Json::Num(moved)),
                     (
-                        "predicted_imbalance".to_string(),
+                        "predicted_imbalance",
                         Json::Num(self.predicted_imbalance(&new_dist, loads)),
                     ),
                 ],
@@ -1596,10 +1590,10 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             obs::span_end_args(
                 self.t.now_ns(),
                 vec![
-                    ("cycle".to_string(), Json::UInt(self.cycle)),
-                    ("dead".to_string(), Json::UInt(dead_node as u64)),
-                    ("holder".to_string(), Json::UInt(holder as u64)),
-                    ("rollback_to".to_string(), Json::UInt(self.app_progress)),
+                    ("cycle", Json::UInt(self.cycle)),
+                    ("dead", Json::UInt(dead_node as u64)),
+                    ("holder", Json::UInt(holder as u64)),
+                    ("rollback_to", Json::UInt(self.app_progress)),
                 ],
             );
         }
@@ -1617,7 +1611,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
                 "runtime",
                 "self-evict",
                 self.t.now_ns(),
-                vec![("cycle".to_string(), Json::UInt(self.cycle))],
+                vec![("cycle", Json::UInt(self.cycle))],
             );
         }
         self.evicted = true;
@@ -1989,7 +1983,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
                                 "runtime",
                                 "ghost-timeout",
                                 self.t.now_ns(),
-                                vec![("src".to_string(), Json::UInt(*src as u64))],
+                                vec![("src", Json::UInt(*src as u64))],
                             );
                         }
                     }

@@ -67,15 +67,15 @@ const AUDIT_WINDOW: u64 = 3;
 /// starts (the control-plane pipeline lag pollutes them).
 const AUDIT_SETTLE: u64 = 2;
 
-fn arg_u64(args: &[(String, Json)], key: &str) -> Option<u64> {
+fn arg_u64(args: &[(&'static str, Json)], key: &str) -> Option<u64> {
     args.iter()
-        .find(|(k, _)| k == key)
+        .find(|(k, _)| *k == key)
         .and_then(|(_, v)| v.as_u64())
 }
 
-fn arg_f64(args: &[(String, Json)], key: &str) -> Option<f64> {
+fn arg_f64(args: &[(&'static str, Json)], key: &str) -> Option<f64> {
     args.iter()
-        .find(|(k, _)| k == key)
+        .find(|(k, _)| *k == key)
         .and_then(|(_, v)| v.as_f64())
 }
 
@@ -575,7 +575,7 @@ pub fn analyze(events: &[TraceEvent]) -> ProfileReport {
                 lane.makespan = lane.makespan.max(end);
                 match *cat {
                     "sched" => {
-                        if name == "blocked" {
+                        if *name == "blocked" {
                             lane.blocked.push(BlockedWait {
                                 start,
                                 end,
@@ -585,7 +585,7 @@ pub fn analyze(events: &[TraceEvent]) -> ProfileReport {
                         } else {
                             // Fall back on the span name when the exact
                             // `cpu` attribute is absent (legacy traces).
-                            let cpu = arg_u64(args, "cpu").unwrap_or(if name == "run" {
+                            let cpu = arg_u64(args, "cpu").unwrap_or(if *name == "run" {
                                 end - start
                             } else {
                                 0
@@ -597,17 +597,17 @@ pub fn analyze(events: &[TraceEvent]) -> ProfileReport {
                             });
                         }
                     }
-                    "redist" if name == "redistribute" => {
+                    "redist" if *name == "redistribute" => {
                         lane.redist_ctx.push(Interval { start, end });
                     }
-                    "runtime" if RUNTIME_OVERHEAD_SPANS.contains(&name.as_str()) => {
+                    "runtime" if RUNTIME_OVERHEAD_SPANS.contains(name) => {
                         lane.runtime_ctx.push(Interval { start, end });
-                        if name == "end_cycle" {
+                        if *name == "end_cycle" {
                             if let Some(c) = arg_u64(args, "cycle") {
                                 lane.end_cycle.entry(c).or_insert(end);
                             }
                         }
-                        if name == "balance" {
+                        if *name == "balance" {
                             if let Some(c) = arg_u64(args, "cycle") {
                                 balances.entry(c).or_insert((
                                     arg_f64(args, "predicted_imbalance"),
@@ -627,7 +627,7 @@ pub fn analyze(events: &[TraceEvent]) -> ProfileReport {
                 ..
             } => {
                 lane.makespan = lane.makespan.max(*ts_ns);
-                match (*cat, name.as_str()) {
+                match (*cat, *name) {
                     ("comm", "send") => {
                         if let Some(seq) = arg_u64(args, "seq") {
                             sends.insert(
@@ -989,10 +989,10 @@ fn cycle_audits(
 mod tests {
     use super::*;
 
-    fn span(cat: &'static str, name: &str, rank: usize, ts: u64, dur: u64) -> TraceEvent {
+    fn span(cat: &'static str, name: &'static str, rank: usize, ts: u64, dur: u64) -> TraceEvent {
         TraceEvent::Complete {
             cat,
-            name: name.to_string(),
+            name,
             rank,
             ts_ns: ts,
             dur_ns: dur,
@@ -1002,15 +1002,15 @@ mod tests {
 
     fn span_args(
         cat: &'static str,
-        name: &str,
+        name: &'static str,
         rank: usize,
         ts: u64,
         dur: u64,
-        args: Vec<(String, Json)>,
+        args: Vec<(&'static str, Json)>,
     ) -> TraceEvent {
         TraceEvent::Complete {
             cat,
-            name: name.to_string(),
+            name,
             rank,
             ts_ns: ts,
             dur_ns: dur,
@@ -1018,18 +1018,23 @@ mod tests {
         }
     }
 
-    fn inst(name: &str, rank: usize, ts: u64, args: Vec<(String, Json)>) -> TraceEvent {
+    fn inst(
+        name: &'static str,
+        rank: usize,
+        ts: u64,
+        args: Vec<(&'static str, Json)>,
+    ) -> TraceEvent {
         TraceEvent::Instant {
             cat: "comm",
-            name: name.to_string(),
+            name,
             rank,
             ts_ns: ts,
             args,
         }
     }
 
-    fn u(k: &str, v: u64) -> (String, Json) {
-        (k.to_string(), Json::UInt(v))
+    fn u(k: &'static str, v: u64) -> (&'static str, Json) {
+        (k, Json::UInt(v))
     }
 
     /// Rank 1 computes 100ns, sends to rank 0 who blocked at t=10; the

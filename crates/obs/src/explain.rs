@@ -68,21 +68,21 @@ const CARD_KINDS: &[&str] = &[
     "node-rejoined",
 ];
 
-fn arg_u64(args: &[(String, Json)], key: &str) -> Option<u64> {
+fn arg_u64(args: &[(&'static str, Json)], key: &str) -> Option<u64> {
     args.iter()
-        .find(|(k, _)| k == key)
+        .find(|(k, _)| *k == key)
         .and_then(|(_, v)| v.as_u64())
 }
 
-fn arg_bool(args: &[(String, Json)], key: &str) -> Option<bool> {
+fn arg_bool(args: &[(&'static str, Json)], key: &str) -> Option<bool> {
     args.iter()
-        .find(|(k, _)| k == key)
+        .find(|(k, _)| *k == key)
         .and_then(|(_, v)| v.as_bool())
 }
 
-fn arg_usize_arr(args: &[(String, Json)], key: &str) -> Vec<usize> {
+fn arg_usize_arr(args: &[(&'static str, Json)], key: &str) -> Vec<usize> {
     args.iter()
-        .find(|(k, _)| k == key)
+        .find(|(k, _)| *k == key)
         .and_then(|(_, v)| v.as_arr())
         .map(|a| {
             a.iter()
@@ -100,13 +100,13 @@ fn arg_usize_arr(args: &[(String, Json)], key: &str) -> Vec<usize> {
 struct DecisionInstant {
     ts_ns: u64,
     rank: usize,
-    args: Vec<(String, Json)>,
+    args: Vec<(&'static str, Json)>,
 }
 
 #[derive(Default)]
 struct ExplainInner {
     /// (cycle, kind) → earliest rank's instant (min (ts, rank) fold).
-    decisions: BTreeMap<(u64, String), DecisionInstant>,
+    decisions: BTreeMap<(u64, &'static str), DecisionInstant>,
     /// (cycle, node) → earliest Suspect instant for that node.
     suspects: BTreeMap<(u64, usize), u64>,
     /// (cycle, rank) → `begin_cycle` instant timestamp (min fold — a
@@ -220,13 +220,13 @@ impl ExplainEngine {
             m.decisions
                 .iter()
                 .filter(|((_, k), d)| {
-                    k == kind
+                    *k == kind
                         && d.ts_ns <= ts
                         && node.is_none_or(|n| arg_u64(&d.args, "node") == Some(n as u64))
                 })
                 .max_by_key(|((cycle, _), d)| (d.ts_ns, *cycle))
                 .map(|((cycle, kind), d)| ChainLink::Decision {
-                    kind: kind.clone(),
+                    kind: kind.to_string(),
                     cycle: *cycle,
                     ts_ns: d.ts_ns,
                 })
@@ -259,9 +259,10 @@ impl ExplainEngine {
 
         let mut cards: Vec<DecisionCard> = Vec::new();
         for ((cycle, kind), d) in &m.decisions {
-            if !CARD_KINDS.contains(&kind.as_str()) {
+            if !CARD_KINDS.contains(kind) {
                 continue;
             }
+            let kind = kind.to_string();
             let (cycle, ts) = (*cycle, d.ts_ns);
             // Implicated nodes, prediction, and counterfactual per kind.
             let mut taken = kind.clone();
@@ -311,7 +312,7 @@ impl ExplainEngine {
                     if let Some(((_, _), lc)) = m
                         .decisions
                         .iter()
-                        .filter(|((_, k), lc)| k == "load-change" && lc.ts_ns <= ts)
+                        .filter(|((_, k), lc)| *k == "load-change" && lc.ts_ns <= ts)
                         .max_by_key(|((c, _), lc)| (lc.ts_ns, *c))
                     {
                         nodes = arg_usize_arr(&lc.args, "loads")
@@ -382,7 +383,7 @@ impl ExplainEngine {
                 _ => None,
             };
             if let Some(ek) = enact_kind {
-                if let Some(e) = m.decisions.get(&(cycle, ek.to_string())) {
+                if let Some(e) = m.decisions.get(&(cycle, ek)) {
                     chain.push(ChainLink::Decision {
                         kind: ek.to_string(),
                         cycle,
@@ -397,7 +398,11 @@ impl ExplainEngine {
                 ts_ns: ts,
                 taken,
                 nodes,
-                inputs: d.args.clone(),
+                inputs: d
+                    .args
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), v.clone()))
+                    .collect(),
                 predicted_ns: predicted,
                 counterfactual_ns: counterfactual,
                 outcome: outcome_for(cycle, predicted),
@@ -409,7 +414,7 @@ impl ExplainEngine {
         // Flight records: one per confirmed death.
         let mut flights: Vec<FlightRecord> = Vec::new();
         for ((cycle, kind), d) in &m.decisions {
-            if kind != "node-confirmed-dead" {
+            if *kind != "node-confirmed-dead" {
                 continue;
             }
             let (cycle, ts) = (*cycle, d.ts_ns);
@@ -426,7 +431,7 @@ impl ExplainEngine {
                 .map(|(_, &sts)| sts)
                 .min()
                 .unwrap_or(ts);
-            let recovered = m.decisions.get(&(cycle, "node-recovered".to_string()));
+            let recovered = m.decisions.get(&(cycle, "node-recovered"));
             let mut chain = triggers_for(ts, &[node]);
             if let Some(&sts) = m.suspects.get(&(streak_lo, node)) {
                 chain.push(ChainLink::Decision {
@@ -493,7 +498,7 @@ impl EventSink for ExplainEngine {
             } if *cat == "runtime" => {
                 let end = ts_ns + dur_ns;
                 let mut m = self.locked();
-                match name.as_str() {
+                match *name {
                     "end_cycle" => {
                         if let Some(c) = arg_u64(args, "cycle") {
                             m.end_cycle
@@ -506,7 +511,7 @@ impl EventSink for ExplainEngine {
                         if let (Some(c), Some(pred)) = (
                             arg_u64(args, "cycle"),
                             args.iter()
-                                .find(|(k, _)| k == "predicted_imbalance")
+                                .find(|(k, _)| *k == "predicted_imbalance")
                                 .and_then(|(_, v)| v.as_f64()),
                         ) {
                             m.predictions
@@ -528,7 +533,7 @@ impl EventSink for ExplainEngine {
             } if *cat == "runtime" => {
                 let ts = *ts_ns;
                 let mut m = self.locked();
-                if name == "begin_cycle" {
+                if *name == "begin_cycle" {
                     if let Some(c) = arg_u64(args, "cycle") {
                         m.begin_cycle
                             .entry((c, *rank))
@@ -538,7 +543,7 @@ impl EventSink for ExplainEngine {
                     return;
                 }
                 if let Some(cycle) = arg_u64(args, "cycle") {
-                    if name == "node-suspected" {
+                    if *name == "node-suspected" {
                         if let Some(node) = arg_u64(args, "node") {
                             m.suspects
                                 .entry((cycle, node as usize))
@@ -546,7 +551,7 @@ impl EventSink for ExplainEngine {
                                 .or_insert(ts);
                         }
                     }
-                    let key = (cycle, name.clone());
+                    let key = (cycle, *name);
                     match m.decisions.get_mut(&key) {
                         Some(d) if (d.ts_ns, d.rank) <= (ts, *rank) => {}
                         Some(d) => {
@@ -959,11 +964,16 @@ impl ExplainReport {
 mod tests {
     use super::*;
 
-    fn decision(kind: &str, rank: usize, ts: u64, mut args: Vec<(String, Json)>) -> TraceEvent {
-        args.insert(0, ("cycle".to_string(), Json::UInt(10)));
+    fn decision(
+        kind: &'static str,
+        rank: usize,
+        ts: u64,
+        mut args: Vec<(&'static str, Json)>,
+    ) -> TraceEvent {
+        args.insert(0, ("cycle", Json::UInt(10)));
         TraceEvent::Instant {
             cat: "runtime",
-            name: kind.to_string(),
+            name: kind,
             rank,
             ts_ns: ts,
             args,
@@ -973,23 +983,23 @@ mod tests {
     fn cycle_bounds(engine: &ExplainEngine, cycle: u64, rank: usize, b: u64, e: u64) {
         engine.on_event(&TraceEvent::Instant {
             cat: "runtime",
-            name: "begin_cycle".to_string(),
+            name: "begin_cycle",
             rank,
             ts_ns: b,
-            args: vec![("cycle".to_string(), Json::UInt(cycle))],
+            args: vec![("cycle", Json::UInt(cycle))],
         });
         engine.on_event(&TraceEvent::Complete {
             cat: "runtime",
-            name: "end_cycle".to_string(),
+            name: "end_cycle",
             rank,
             ts_ns: e,
             dur_ns: 0,
-            args: vec![("cycle".to_string(), Json::UInt(cycle))],
+            args: vec![("cycle", Json::UInt(cycle))],
         });
     }
 
-    fn u(k: &str, v: u64) -> (String, Json) {
-        (k.to_string(), Json::UInt(v))
+    fn u(k: &'static str, v: u64) -> (&'static str, Json) {
+        (k, Json::UInt(v))
     }
 
     #[test]
@@ -1010,8 +1020,8 @@ mod tests {
                 u("predicted_unloaded_ns", 110),
                 u("measured_max_ns", 200),
                 u("margin_ppm", 1_000_000),
-                ("loaded".to_string(), Json::Arr(vec![Json::UInt(1)])),
-                ("dropped".to_string(), Json::Bool(true)),
+                ("loaded", Json::Arr(vec![Json::UInt(1)])),
+                ("dropped", Json::Bool(true)),
             ],
         ));
         let report = engine.report();
@@ -1039,10 +1049,7 @@ mod tests {
                     "load-change",
                     0,
                     8_000,
-                    vec![(
-                        "loads".to_string(),
-                        Json::Arr(vec![Json::UInt(0), Json::UInt(2)]),
-                    )],
+                    vec![("loads", Json::Arr(vec![Json::UInt(0), Json::UInt(2)]))],
                 ),
                 decision("redistributed", 1, 9_010, vec![u("seconds_ns", 500)]),
                 decision("redistributed", 0, 9_000, vec![u("seconds_ns", 500)]),
@@ -1068,10 +1075,7 @@ mod tests {
             "load-change",
             0,
             8_000,
-            vec![(
-                "loads".to_string(),
-                Json::Arr(vec![Json::UInt(0), Json::UInt(2)]),
-            )],
+            vec![("loads", Json::Arr(vec![Json::UInt(0), Json::UInt(2)]))],
         ));
         engine.on_event(&decision("redistributed", 1, 9_010, vec![]));
         engine.on_event(&decision("redistributed", 0, 9_000, vec![]));
@@ -1093,7 +1097,7 @@ mod tests {
         for (c, ts) in [(8u64, 800u64), (9, 900), (10, 1_000)] {
             engine.on_event(&TraceEvent::Instant {
                 cat: "runtime",
-                name: "node-suspected".to_string(),
+                name: "node-suspected",
                 rank: 0,
                 ts_ns: ts,
                 args: vec![u("cycle", c), u("node", 2), u("silent_cycles", c - 7)],

@@ -6,12 +6,10 @@
 //! microseconds to preserve sub-µs precision. `pid` is always 0 (one
 //! simulated job); `tid` is the rank, so each rank gets its own track.
 
-use crate::json::{Json, JsonError};
-use crate::trace::{intern_cat, TraceEvent};
+use std::fmt::{self, Write};
 
-fn args_json(args: &[(String, Json)]) -> Json {
-    Json::Obj(args.to_vec())
-}
+use crate::json::{write_escaped, Json, JsonError};
+use crate::trace::{intern, intern_cat, TraceEvent, MAX_RANKS};
 
 fn us(ns: u64) -> Json {
     if ns.is_multiple_of(1_000) {
@@ -21,96 +19,97 @@ fn us(ns: u64) -> Json {
     }
 }
 
-fn event_json(ev: &TraceEvent) -> Json {
-    match ev {
-        TraceEvent::Complete {
-            cat,
-            name,
-            rank,
-            ts_ns,
-            dur_ns,
-            args,
-        } => Json::obj([
-            ("ph", Json::str("X")),
-            ("cat", Json::str(*cat)),
-            ("name", Json::str(name.clone())),
-            ("pid", Json::UInt(0)),
-            ("tid", Json::UInt(*rank as u64)),
-            ("ts", us(*ts_ns)),
-            ("dur", us(*dur_ns)),
-            ("args", args_json(args)),
-        ]),
-        TraceEvent::Instant {
-            cat,
-            name,
-            rank,
-            ts_ns,
-            args,
-        } => Json::obj([
-            ("ph", Json::str("i")),
-            ("cat", Json::str(*cat)),
-            ("name", Json::str(name.clone())),
-            ("pid", Json::UInt(0)),
-            ("tid", Json::UInt(*rank as u64)),
-            ("ts", us(*ts_ns)),
-            ("s", Json::str("t")),
-            ("args", args_json(args)),
-        ]),
-    }
+/// `"cat":…,"name":…` — the two string fields both formats share.
+fn write_cat_name<W: Write>(out: &mut W, ev: &TraceEvent) -> fmt::Result {
+    out.write_str("\"cat\":")?;
+    write_escaped(out, ev.cat())?;
+    out.write_str(",\"name\":")?;
+    write_escaped(out, ev.name())
 }
 
-/// Render events as a Chrome `trace_event` document:
+/// `,"args":{…}}` — the attributes, closing the event object.
+fn write_args<W: Write>(out: &mut W, args: &[(&'static str, Json)]) -> fmt::Result {
+    out.write_str(",\"args\":{")?;
+    for (i, (k, v)) in args.iter().enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
+        }
+        write_escaped(out, k)?;
+        out.write_char(':')?;
+        v.write_to(out)?;
+    }
+    out.write_str("}}")
+}
+
+/// Bytes to reserve per event: what an event of the instrumented layers
+/// serialises to on average, in either format.
+const BYTES_PER_EVENT: usize = 192;
+
+/// Write events as a Chrome `trace_event` document:
 /// `{"displayTimeUnit":"ns","traceEvents":[...]}`.
-pub fn chrome_trace(events: &[TraceEvent]) -> String {
-    let items: Vec<Json> = events.iter().map(event_json).collect();
-    Json::obj([
-        ("displayTimeUnit", Json::str("ns")),
-        ("traceEvents", Json::Arr(items)),
-    ])
-    .to_string()
+pub fn write_chrome_trace<W: Write>(out: &mut W, events: &[TraceEvent]) -> fmt::Result {
+    out.write_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[")?;
+    for (i, ev) in events.iter().enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
+        }
+        let (ph, dur_ns, args) = match ev {
+            TraceEvent::Complete { dur_ns, args, .. } => ('X', Some(*dur_ns), args),
+            TraceEvent::Instant { args, .. } => ('i', None, args),
+        };
+        write!(out, "{{\"ph\":\"{ph}\",")?;
+        write_cat_name(out, ev)?;
+        write!(out, ",\"pid\":0,\"tid\":{},\"ts\":", ev.rank())?;
+        us(ev.ts_ns()).write_to(out)?;
+        match dur_ns {
+            Some(d) => {
+                out.write_str(",\"dur\":")?;
+                us(d).write_to(out)?;
+            }
+            None => out.write_str(",\"s\":\"t\"")?,
+        }
+        write_args(out, args)?;
+    }
+    out.write_str("]}")
 }
 
-/// Render events as JSONL: one event object per line, same fields as the
+/// Write events as JSONL: one event object per line, same fields as the
 /// Chrome export but with exact nanosecond `ts_ns`/`dur_ns` timestamps.
-pub fn jsonl(events: &[TraceEvent]) -> String {
-    let mut out = String::new();
+pub fn write_jsonl<W: Write>(out: &mut W, events: &[TraceEvent]) -> fmt::Result {
     for ev in events {
-        let j = match ev {
-            TraceEvent::Complete {
-                cat,
-                name,
-                rank,
-                ts_ns,
-                dur_ns,
-                args,
-            } => Json::obj([
-                ("kind", Json::str("span")),
-                ("cat", Json::str(*cat)),
-                ("name", Json::str(name.clone())),
-                ("rank", Json::UInt(*rank as u64)),
-                ("ts_ns", Json::UInt(*ts_ns)),
-                ("dur_ns", Json::UInt(*dur_ns)),
-                ("args", args_json(args)),
-            ]),
-            TraceEvent::Instant {
-                cat,
-                name,
-                rank,
-                ts_ns,
-                args,
-            } => Json::obj([
-                ("kind", Json::str("instant")),
-                ("cat", Json::str(*cat)),
-                ("name", Json::str(name.clone())),
-                ("rank", Json::UInt(*rank as u64)),
-                ("ts_ns", Json::UInt(*ts_ns)),
-                ("args", args_json(args)),
-            ]),
+        let (kind, dur_ns, args) = match ev {
+            TraceEvent::Complete { dur_ns, args, .. } => ("span", Some(*dur_ns), args),
+            TraceEvent::Instant { args, .. } => ("instant", None, args),
         };
-        out.push_str(&j.to_string());
-        out.push('\n');
+        write!(out, "{{\"kind\":\"{kind}\",")?;
+        write_cat_name(out, ev)?;
+        write!(out, ",\"rank\":{},\"ts_ns\":{}", ev.rank(), ev.ts_ns())?;
+        if let Some(d) = dur_ns {
+            write!(out, ",\"dur_ns\":{d}")?;
+        }
+        write_args(out, args)?;
+        out.write_char('\n')?;
     }
+    Ok(())
+}
+
+fn to_string(
+    events: &[TraceEvent],
+    write: fn(&mut String, &[TraceEvent]) -> fmt::Result,
+) -> String {
+    let mut out = String::with_capacity(events.len() * BYTES_PER_EVENT);
+    write(&mut out, events).expect("writing to a String cannot fail");
     out
+}
+
+/// [`write_chrome_trace`] into a `String`.
+pub fn chrome_trace(events: &[TraceEvent]) -> String {
+    to_string(events, write_chrome_trace)
+}
+
+/// [`write_jsonl`] into a `String`.
+pub fn jsonl(events: &[TraceEvent]) -> String {
+    to_string(events, write_jsonl)
 }
 
 /// A span decoded from an exported Chrome trace (round-trip direction).
@@ -208,7 +207,6 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, JsonError> {
         let field_str = |k: &str| {
             j.get(k)
                 .and_then(Json::as_str)
-                .map(str::to_string)
                 .ok_or_else(|| bad(format!("line {}: missing string `{k}`", lineno + 1)))
         };
         let field_u64 = |k: &str| {
@@ -216,15 +214,23 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, JsonError> {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| bad(format!("line {}: missing integer `{k}`", lineno + 1)))
         };
+        let cat = intern_cat(field_str("cat")?);
+        let name = intern(field_str("name")?);
+        let rank = match field_u64("rank")? {
+            r if r < MAX_RANKS as u64 => r as usize,
+            r => {
+                return Err(bad(format!(
+                    "line {}: rank {r} is not below MAX_RANKS = {MAX_RANKS}",
+                    lineno + 1
+                )))
+            }
+        };
+        let ts_ns = field_u64("ts_ns")?;
         let args = match j.get("args") {
-            Some(Json::Obj(pairs)) => pairs.clone(),
+            Some(Json::Obj(pairs)) => pairs.iter().map(|(k, v)| (intern(k), v.clone())).collect(),
             _ => Vec::new(),
         };
-        let cat = intern_cat(&field_str("cat")?);
-        let name = field_str("name")?;
-        let rank = field_u64("rank")? as usize;
-        let ts_ns = field_u64("ts_ns")?;
-        match field_str("kind")?.as_str() {
+        match field_str("kind")? {
             "span" => out.push(TraceEvent::Complete {
                 cat,
                 name,
@@ -254,15 +260,15 @@ mod tests {
         vec![
             TraceEvent::Complete {
                 cat: "sched",
-                name: "run".to_string(),
+                name: "run",
                 rank: 0,
                 ts_ns: 1_500,
                 dur_ns: 10_000,
-                args: vec![("work".to_string(), Json::Num(5.5))],
+                args: vec![("work", Json::Num(5.5))],
             },
             TraceEvent::Instant {
                 cat: "runtime",
-                name: "load-change".to_string(),
+                name: "load-change",
                 rank: 2,
                 ts_ns: 2_000_000,
                 args: vec![],
@@ -313,13 +319,13 @@ mod tests {
     fn chrome_parse_preserves_args_in_order() {
         let ev = TraceEvent::Instant {
             cat: "comm",
-            name: "send".to_string(),
+            name: "send",
             rank: 1,
             ts_ns: 42,
             args: vec![
-                ("peer".to_string(), Json::UInt(3)),
-                ("seq".to_string(), Json::UInt(7)),
-                ("bytes".to_string(), Json::UInt(1024)),
+                ("peer", Json::UInt(3)),
+                ("seq", Json::UInt(7)),
+                ("bytes", Json::UInt(1024)),
             ],
         };
         let parsed = parse_chrome_trace(&chrome_trace(std::slice::from_ref(&ev))).unwrap();

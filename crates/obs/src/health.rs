@@ -37,7 +37,7 @@ use std::fmt::Write as _;
 use std::sync::Mutex;
 
 use crate::json::Json;
-use crate::trace::{EventSink, TraceEvent};
+use crate::trace::{EventSink, TraceEvent, MAX_RANKS};
 
 /// Default sliding-window width: 20 virtual milliseconds. Small enough
 /// that a sustained-2-windows rule trips inside one grace period of the
@@ -220,7 +220,7 @@ struct MonitorInner {
     /// `(cycle, kind)` → earliest rank's instant timestamp. Every rank
     /// mirrors each replicated decision; min-ts dedup keeps one per
     /// decision, order-independently.
-    decisions: BTreeMap<(u64, String), u64>,
+    decisions: BTreeMap<(u64, &'static str), u64>,
     /// Cycle → (earliest ts, broadcast per-node load vector).
     loads: BTreeMap<u64, (u64, Vec<u32>)>,
     /// Cycle → (earliest balance-span end, balancer's predicted
@@ -234,7 +234,7 @@ struct MonitorInner {
     /// (cycle, kind) → node returning to the group (`node-rejoined` /
     /// `node-admitted`) — clears the node's removal so its health is
     /// tracked (and alertable) again.
-    returns: BTreeMap<(u64, String), usize>,
+    returns: BTreeMap<(u64, &'static str), usize>,
     /// Per-rank high watermark: max event end seen (live progress only —
     /// report *content* never depends on it).
     watermark: Vec<u64>,
@@ -243,13 +243,19 @@ struct MonitorInner {
 }
 
 impl MonitorInner {
-    fn note_rank(&mut self, rank: usize) {
+    /// Grows the per-node tables to hold `rank`; `false` (and no growth)
+    /// for an index at or above [`MAX_RANKS`], which the caller ignores.
+    fn note_rank(&mut self, rank: usize) -> bool {
+        if rank >= MAX_RANKS {
+            return false;
+        }
         if rank >= self.nodes {
             self.nodes = rank + 1;
         }
         if rank >= self.watermark.len() {
             self.watermark.resize(rank + 1, 0);
         }
+        true
     }
 
     fn window_mut(&mut self, widx: u64, rank: usize) -> &mut NodeWindow {
@@ -262,15 +268,15 @@ impl MonitorInner {
     }
 }
 
-fn arg_u64(args: &[(String, Json)], key: &str) -> Option<u64> {
+fn arg_u64(args: &[(&'static str, Json)], key: &str) -> Option<u64> {
     args.iter()
-        .find(|(k, _)| k == key)
+        .find(|(k, _)| *k == key)
         .and_then(|(_, v)| v.as_u64())
 }
 
-fn arg_f64(args: &[(String, Json)], key: &str) -> Option<f64> {
+fn arg_f64(args: &[(&'static str, Json)], key: &str) -> Option<f64> {
     args.iter()
-        .find(|(k, _)| k == key)
+        .find(|(k, _)| *k == key)
         .and_then(|(_, v)| v.as_f64())
 }
 
@@ -454,20 +460,17 @@ impl HealthMonitor {
         }
         let mut removal_events: Vec<(u64, Removal)> = Vec::new();
         for (cycle, nodes) in &m.drops {
-            if let Some(ts) = m.decisions.get(&(*cycle, "nodes-dropped".to_string())) {
+            if let Some(ts) = m.decisions.get(&(*cycle, "nodes-dropped")) {
                 removal_events.push((*ts, Removal::Out(nodes)));
             }
         }
         for (cycle, node) in &m.deaths {
-            if let Some(ts) = m
-                .decisions
-                .get(&(*cycle, "node-confirmed-dead".to_string()))
-            {
+            if let Some(ts) = m.decisions.get(&(*cycle, "node-confirmed-dead")) {
                 removal_events.push((*ts, Removal::Dead(*node)));
             }
         }
         for ((cycle, kind), node) in &m.returns {
-            if let Some(ts) = m.decisions.get(&(*cycle, kind.clone())) {
+            if let Some(ts) = m.decisions.get(&(*cycle, *kind)) {
                 removal_events.push((*ts, Removal::Back(*node)));
             }
         }
@@ -600,7 +603,7 @@ impl HealthMonitor {
                 .iter()
                 .filter(|(_, &ts)| ts >= t_start && ts < t_end)
                 .map(|((cycle, kind), &ts)| Decision {
-                    kind: kind.clone(),
+                    kind: kind.to_string(),
                     cycle: *cycle,
                     ts_ns: ts,
                 })
@@ -636,7 +639,9 @@ impl EventSink for HealthMonitor {
     fn on_event(&self, ev: &TraceEvent) {
         let mut m = self.locked();
         let rank = ev.rank();
-        m.note_rank(rank);
+        if !m.note_rank(rank) {
+            return;
+        }
         match ev {
             TraceEvent::Complete {
                 cat,
@@ -649,7 +654,7 @@ impl EventSink for HealthMonitor {
                 let (ts, dur) = (*ts_ns, *dur_ns);
                 m.watermark[rank] = m.watermark[rank].max(ts + dur);
                 self.mark_active(&mut m, rank, ts, dur);
-                match (*cat, name.as_str()) {
+                match (*cat, *name) {
                     ("runtime", "charge_rows") | ("runtime", "grace_measure") => {
                         self.add_overlap(&mut m, rank, ts, dur, |nw, c| nw.busy_ns += c);
                         if let Some(cpu) = arg_u64(args, "cpu_ns") {
@@ -688,11 +693,10 @@ impl EventSink for HealthMonitor {
                 let ts = *ts_ns;
                 m.watermark[rank] = m.watermark[rank].max(ts);
                 self.mark_active(&mut m, rank, ts, 0);
-                match (*cat, name.as_str()) {
+                match (*cat, *name) {
                     ("comm", "send") => {
-                        if let Some(peer) = arg_u64(args, "peer") {
-                            let peer = peer as usize;
-                            m.note_rank(peer);
+                        let peer = arg_u64(args, "peer").and_then(|p| usize::try_from(p).ok());
+                        if let Some(peer) = peer.filter(|p| m.note_rank(*p)) {
                             m.window_mut(ts / self.window_ns, peer).sends_to += 1;
                         }
                     }
@@ -710,12 +714,12 @@ impl EventSink for HealthMonitor {
                     ("runtime", kind) if DECISION_KINDS.contains(&kind) => {
                         let cycle = arg_u64(args, "cycle").unwrap_or(0);
                         m.decisions
-                            .entry((cycle, kind.to_string()))
+                            .entry((cycle, kind))
                             .and_modify(|e| *e = (*e).min(ts))
                             .or_insert(ts);
                         if kind == "load-change" {
                             if let Some(Json::Arr(loads)) =
-                                args.iter().find(|(k, _)| k == "loads").map(|(_, v)| v)
+                                args.iter().find(|(k, _)| *k == "loads").map(|(_, v)| v)
                             {
                                 let vec: Vec<u32> = loads
                                     .iter()
@@ -730,7 +734,7 @@ impl EventSink for HealthMonitor {
                         }
                         if kind == "nodes-dropped" {
                             if let Some(Json::Arr(nodes)) =
-                                args.iter().find(|(k, _)| k == "nodes").map(|(_, v)| v)
+                                args.iter().find(|(k, _)| *k == "nodes").map(|(_, v)| v)
                             {
                                 let vec: Vec<usize> = nodes
                                     .iter()
@@ -747,9 +751,7 @@ impl EventSink for HealthMonitor {
                         }
                         if kind == "node-rejoined" || kind == "node-admitted" {
                             if let Some(node) = arg_u64(args, "node") {
-                                m.returns
-                                    .entry((cycle, kind.to_string()))
-                                    .or_insert(node as usize);
+                                m.returns.entry((cycle, kind)).or_insert(node as usize);
                             }
                         }
                     }
@@ -761,14 +763,16 @@ impl EventSink for HealthMonitor {
 
     fn on_span_open(&self, rank: usize, _cat: &'static str, _name: &str, ts_ns: u64) {
         let mut m = self.locked();
-        m.note_rank(rank);
-        m.watermark[rank] = m.watermark[rank].max(ts_ns);
+        if m.note_rank(rank) {
+            m.watermark[rank] = m.watermark[rank].max(ts_ns);
+        }
     }
 
     fn on_rank_flush(&self, rank: usize) {
         let mut m = self.locked();
-        m.note_rank(rank);
-        m.flushed.insert(rank);
+        if m.note_rank(rank) {
+            m.flushed.insert(rank);
+        }
     }
 }
 
@@ -1015,15 +1019,15 @@ mod tests {
 
     fn span(
         cat: &'static str,
-        name: &str,
+        name: &'static str,
         rank: usize,
         ts: u64,
         dur: u64,
-        args: Vec<(String, Json)>,
+        args: Vec<(&'static str, Json)>,
     ) -> TraceEvent {
         TraceEvent::Complete {
             cat,
-            name: name.to_string(),
+            name,
             rank,
             ts_ns: ts,
             dur_ns: dur,
@@ -1039,9 +1043,9 @@ mod tests {
             ts,
             dur,
             vec![
-                ("rows".to_string(), Json::UInt(10)),
-                ("cpu_ns".to_string(), Json::UInt(cpu)),
-                ("work_uflop".to_string(), Json::UInt(work)),
+                ("rows", Json::UInt(10)),
+                ("cpu_ns", Json::UInt(cpu)),
+                ("work_uflop", Json::UInt(work)),
             ],
         )
     }
@@ -1070,13 +1074,10 @@ mod tests {
             span("sched", "blocked", 0, 90, 90, vec![]),
             TraceEvent::Instant {
                 cat: "comm",
-                name: "recv".to_string(),
+                name: "recv",
                 rank: 0,
                 ts_ns: 180,
-                args: vec![
-                    ("late_ns".to_string(), Json::UInt(60)),
-                    ("net_ns".to_string(), Json::UInt(30)),
-                ],
+                args: vec![("late_ns", Json::UInt(60)), ("net_ns", Json::UInt(30))],
             },
         ];
         let fwd = HealthMonitor::new(100);
@@ -1152,10 +1153,10 @@ mod tests {
         for rank in 0..3 {
             mon.on_event(&TraceEvent::Instant {
                 cat: "runtime",
-                name: "redistributed".to_string(),
+                name: "redistributed",
                 rank,
                 ts_ns: 250 + rank as u64, // each rank stamps its own time
-                args: vec![("cycle".to_string(), Json::UInt(15))],
+                args: vec![("cycle", Json::UInt(15))],
             });
         }
         let report = mon.report();
@@ -1171,15 +1172,15 @@ mod tests {
         for i in 0..5u64 {
             mon.on_event(&TraceEvent::Instant {
                 cat: "comm",
-                name: "send".to_string(),
+                name: "send",
                 rank: 0,
                 ts_ns: i * 40,
-                args: vec![("peer".to_string(), Json::UInt(1))],
+                args: vec![("peer", Json::UInt(1))],
             });
         }
         mon.on_event(&TraceEvent::Instant {
             cat: "comm",
-            name: "recv".to_string(),
+            name: "recv",
             rank: 1,
             ts_ns: 150,
             args: vec![],

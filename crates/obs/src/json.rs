@@ -7,7 +7,7 @@
 //! by exact integer comparison), while `Json::Num` covers everything else.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt;
 
 /// A JSON document.
 #[derive(Clone, Debug, PartialEq)]
@@ -91,46 +91,42 @@ impl Json {
 
     // -- writer -------------------------------------------------------------
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact serialization to `out`. The one value writer of
+    /// the workspace: `Display`, the figure rows and the trace exporters
+    /// all end here.
+    pub(crate) fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::UInt(u) => {
-                let _ = write!(out, "{u}");
-            }
-            Json::Num(f) => {
-                if f.is_finite() {
-                    // Shortest representation that round-trips through f64.
-                    let _ = write!(out, "{f}");
-                    // `{}` on an integral f64 prints without a decimal point;
-                    // that is still valid JSON, leave as-is.
-                } else {
-                    // JSON has no Inf/NaN; export as null like serde_json.
-                    out.push_str("null");
-                }
-            }
+            Json::Null => out.write_str("null"),
+            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+            Json::UInt(u) => write!(out, "{u}"),
+            // Shortest representation that round-trips through f64; an
+            // integral value prints without a decimal point, which is
+            // still valid JSON.
+            Json::Num(f) if f.is_finite() => write!(out, "{f}"),
+            // JSON has no Inf/NaN; export as null like serde_json.
+            Json::Num(_) => out.write_str("null"),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    item.write(out);
+                    item.write_to(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Json::Obj(fields) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    write_escaped(out, k);
-                    out.push(':');
-                    v.write(out);
+                    write_escaped(out, k)?;
+                    out.write_char(':')?;
+                    v.write_to(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
@@ -153,31 +149,36 @@ impl Json {
     }
 }
 
-impl std::fmt::Display for Json {
-    /// Compact JSON serialization (`to_string()` comes with it).
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out);
-        f.write_str(&out)
+impl fmt::Display for Json {
+    /// Compact JSON serialization (`to_string()` comes with it), written
+    /// straight through the formatter.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Writes `s` as a JSON string literal. Stretches that need no escape go
+/// out as one slice.
+pub(crate) fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.write_str(&s[clean..i])?;
+        clean = i + 1;
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            _ => write!(out, "\\u{b:04x}")?,
         }
     }
-    out.push('"');
+    out.write_str(&s[clean..])?;
+    out.write_char('"')
 }
 
 /// Parse failure with byte offset.
@@ -187,8 +188,8 @@ pub struct JsonError {
     pub msg: String,
 }
 
-impl std::fmt::Display for JsonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "JSON parse error at byte {}: {}", self.pos, self.msg)
     }
 }

@@ -29,7 +29,8 @@ pub mod json;
 pub mod metrics;
 pub mod trace;
 
-use std::io;
+use std::fmt;
+use std::io::{self, Write as _};
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -55,11 +56,12 @@ pub use trace::{
 
 #[derive(Default)]
 struct RecorderInner {
-    /// Flushed rank buffers tagged with a global absorb-order sequence
-    /// number; sorted on read (see [`Recorder::events`]).
-    events: Vec<(u64, TraceEvent)>,
-    /// Next absorb-order sequence number.
-    next_seq: u64,
+    /// Flushed rank buffers, appended in flush order; the first read after
+    /// an append sorts them in place (see [`Recorder::events`]) and every
+    /// later read shares the result.
+    events: Arc<Vec<TraceEvent>>,
+    /// Is `events` in the canonical order?
+    sorted: bool,
     /// One metrics snapshot per rank (last flush wins per rank).
     snapshots: Vec<(usize, Snapshot)>,
     /// Streaming subscribers; cloned into each rank scope at install.
@@ -130,12 +132,12 @@ impl Recorder {
         self.locked().sinks.clone().into()
     }
 
-    pub(crate) fn absorb(&self, rank: usize, events: Vec<TraceEvent>, snapshot: Snapshot) {
+    pub(crate) fn absorb(&self, rank: usize, mut events: Vec<TraceEvent>, snapshot: Snapshot) {
         let mut inner = self.locked();
-        for ev in events {
-            let seq = inner.next_seq;
-            inner.next_seq += 1;
-            inner.events.push((seq, ev));
+        if !events.is_empty() {
+            // Copies the vector only if a reader still holds an earlier read.
+            Arc::make_mut(&mut inner.events).append(&mut events);
+            inner.sorted = false;
         }
         inner.snapshots.retain(|(r, _)| *r != rank);
         inner.snapshots.push((rank, snapshot));
@@ -148,16 +150,25 @@ impl Recorder {
     /// cross-rank tie-break, and each rank's own emission order as the final
     /// stable tie-break (a span is "emitted" when it *closes*, so at equal
     /// timestamps an instant fired before a zero-length span's close
-    /// precedes it). The order is total and deterministic: rank buffers
-    /// preserve emission order and the sort never reorders equal keys, so
+    /// precedes it). It is a *stable* sort by `(ts_ns, rank)` over append
+    /// order: events with equal keys belong to one rank, and a rank's
+    /// events are appended in the order it emitted them (a re-installed
+    /// rank's later buffer lands behind its earlier one), so stability is
+    /// the emission-seq tie-break. The order is total and deterministic:
     /// two runs of the same program produce the same sequence regardless of
     /// thread flush interleaving. Exporters ([`chrome_trace`](export::chrome_trace),
     /// [`jsonl`](export::jsonl)) and the [`analysis`] module consume this
     /// order as-is and never re-sort.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        let mut events = self.locked().events.clone();
-        events.sort_by_key(|(seq, e)| (e.ts_ns(), e.rank(), *seq));
-        events.into_iter().map(|(_, e)| e).collect()
+    ///
+    /// The vector is sorted once, by the first read after a flush, and
+    /// shared by every later read.
+    pub fn events(&self) -> Arc<Vec<TraceEvent>> {
+        let mut inner = self.locked();
+        if !inner.sorted {
+            Arc::make_mut(&mut inner.events).sort_by_key(|e| (e.ts_ns(), e.rank()));
+            inner.sorted = true;
+        }
+        Arc::clone(&inner.events)
     }
 
     /// Per-rank metric snapshots, sorted by rank.
@@ -191,14 +202,18 @@ impl Recorder {
         analysis::analyze(&self.events())
     }
 
-    /// Write the Chrome trace to `path`.
+    /// Stream the Chrome trace to `path`.
     pub fn write_chrome_trace(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        std::fs::write(path, self.chrome_trace())
+        write_file(path.as_ref(), |out| {
+            export::write_chrome_trace(out, &self.events())
+        })
     }
 
-    /// Write the JSONL stream to `path`.
+    /// Stream the JSONL events to `path`.
     pub fn write_jsonl(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        std::fs::write(path, self.jsonl())
+        write_file(path.as_ref(), |out| {
+            export::write_jsonl(out, &self.events())
+        })
     }
 
     /// Write the merged metrics report (JSON) to `path`, including the
@@ -215,6 +230,36 @@ impl Recorder {
             ("ranks", ranks),
         ]);
         std::fs::write(path, doc.to_string())
+    }
+}
+
+/// `fmt::Write` over a buffered file, keeping the I/O error that
+/// `fmt::Error` cannot carry.
+struct FileFmt {
+    file: io::BufWriter<std::fs::File>,
+    error: Option<io::Error>,
+}
+
+impl fmt::Write for FileFmt {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.file.write_all(s.as_bytes()).map_err(|e| {
+            self.error = Some(e);
+            fmt::Error
+        })
+    }
+}
+
+/// Creates `path` and lets `write` stream into it through a buffer.
+fn write_file(path: &Path, write: impl FnOnce(&mut FileFmt) -> fmt::Result) -> io::Result<()> {
+    let mut out = FileFmt {
+        file: io::BufWriter::new(std::fs::File::create(path)?),
+        error: None,
+    };
+    match write(&mut out) {
+        Ok(()) => out.file.flush(),
+        Err(fmt::Error) => Err(out
+            .error
+            .unwrap_or_else(|| io::Error::other("formatter error"))),
     }
 }
 
@@ -260,7 +305,7 @@ mod tests {
             let _g = rec.install(0);
             instant("comm", "third", 100, vec![]);
         }
-        let names: Vec<String> = rec.events().iter().map(|e| e.name().to_string()).collect();
+        let names: Vec<&str> = rec.events().iter().map(|e| e.name()).collect();
         // Rank 0 sorts before rank 1 at equal ts, even though it flushed
         // later; within rank 1 the emission order is preserved.
         assert_eq!(names, vec!["third", "first", "second"]);

@@ -44,26 +44,29 @@ pub trait EventSink: Send + Sync {
     fn on_rank_flush(&self, _rank: usize) {}
 }
 
-/// One trace event, timestamps in virtual nanoseconds.
+/// One trace event, timestamps in virtual nanoseconds. Category, name and
+/// attribute keys are `&'static str` — literals at every emission site,
+/// [`intern`]ed when a dump is parsed back — so emitting an event
+/// allocates its `args` vector and nothing else.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TraceEvent {
     /// A closed span (`ph: "X"` in Chrome trace_event terms).
     Complete {
         cat: &'static str,
-        name: String,
+        name: &'static str,
         /// Rank that emitted the span (exported as `tid`).
         rank: usize,
         ts_ns: u64,
         dur_ns: u64,
-        args: Vec<(String, Json)>,
+        args: Vec<(&'static str, Json)>,
     },
     /// A point event (`ph: "i"`).
     Instant {
         cat: &'static str,
-        name: String,
+        name: &'static str,
         rank: usize,
         ts_ns: u64,
-        args: Vec<(String, Json)>,
+        args: Vec<(&'static str, Json)>,
     },
 }
 
@@ -86,43 +89,55 @@ impl TraceEvent {
         }
     }
 
-    pub fn name(&self) -> &str {
+    pub fn name(&self) -> &'static str {
         match self {
             TraceEvent::Complete { name, .. } | TraceEvent::Instant { name, .. } => name,
         }
     }
 }
 
-/// The span categories the instrumentation layers emit. Parsers use this
-/// list to map category strings back to the `&'static str` the in-memory
-/// [`TraceEvent`] carries.
-pub const KNOWN_CATS: &[&str] = &["sched", "comm", "runtime", "redist", "net", "app"];
+/// Ranks (and the `peer` / `node` attributes naming one) are below this
+/// bound in every event a consumer accepts: [`parse_jsonl`](crate::parse_jsonl)
+/// rejects a larger `rank`, and the streaming sinks, which size per-node
+/// tables by the largest index seen, ignore a larger attribute.
+pub const MAX_RANKS: usize = 1 << 20;
 
-/// Map a category string to a `&'static str`, reusing the [`KNOWN_CATS`]
-/// entries and leaking (deduplicated) storage for anything else. Needed when
-/// parsing serialized traces back into [`TraceEvent`]s; the leak is bounded
-/// by the number of *distinct* unknown categories ever seen.
-pub fn intern_cat(cat: &str) -> &'static str {
-    use std::sync::{Mutex, OnceLock};
-    if let Some(k) = KNOWN_CATS.iter().find(|k| **k == cat) {
-        return k;
-    }
-    static EXTRA: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
-    let mut extra = EXTRA
-        .get_or_init(|| Mutex::new(Vec::new()))
+/// The span categories the instrumentation layers emit; [`intern_cat`]
+/// resolves these without taking the [`intern`] lock.
+pub const KNOWN_CATS: &[&str] = &[
+    "sched", "comm", "runtime", "redist", "ckpt", "sim", "net", "app",
+];
+
+/// Map a string to a `&'static str` with the same content, leaking
+/// (deduplicated) storage the first time it is seen. Needed when parsing
+/// serialized traces back into [`TraceEvent`]s; the leak is bounded by the
+/// number of *distinct* categories, names and attribute keys ever parsed.
+pub fn intern(s: &str) -> &'static str {
+    use std::collections::BTreeSet;
+    use std::sync::Mutex;
+    static POOL: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    let mut pool = POOL
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(k) = extra.iter().find(|k| **k == cat) {
+    if let Some(k) = pool.get(s) {
         return k;
     }
-    let leaked: &'static str = Box::leak(cat.to_string().into_boxed_str());
-    extra.push(leaked);
+    let leaked: &'static str = Box::leak(s.into());
+    pool.insert(leaked);
     leaked
+}
+
+/// [`intern`] for category strings, reusing the [`KNOWN_CATS`] entries.
+pub fn intern_cat(cat: &str) -> &'static str {
+    match KNOWN_CATS.iter().find(|k| **k == cat) {
+        Some(k) => k,
+        None => intern(cat),
+    }
 }
 
 struct OpenSpan {
     cat: &'static str,
-    name: String,
+    name: &'static str,
     ts_ns: u64,
 }
 
@@ -173,7 +188,7 @@ impl Drop for ScopeGuard {
                         rank: scope.rank,
                         ts_ns: open.ts_ns,
                         dur_ns: 0,
-                        args: vec![("truncated".to_string(), Json::Bool(true))],
+                        args: vec![("truncated", Json::Bool(true))],
                     };
                     scope.emit(ev);
                 }
@@ -215,16 +230,12 @@ fn with_scope<T>(f: impl FnOnce(&mut RankScope) -> T) -> Option<T> {
 
 /// Open a span at virtual time `ts_ns`. Pair with [`span_end`]; spans on one
 /// rank must close in LIFO order (they nest).
-pub fn span_begin(cat: &'static str, name: &str, ts_ns: u64) {
+pub fn span_begin(cat: &'static str, name: &'static str, ts_ns: u64) {
     with_scope(|scope| {
         for sink in scope.sinks.iter() {
             sink.on_span_open(scope.rank, cat, name, ts_ns);
         }
-        scope.stack.push(OpenSpan {
-            cat,
-            name: name.to_string(),
-            ts_ns,
-        });
+        scope.stack.push(OpenSpan { cat, name, ts_ns });
     });
 }
 
@@ -234,7 +245,7 @@ pub fn span_end(ts_ns: u64) {
 }
 
 /// Close the innermost open span, attaching `args` to the emitted event.
-pub fn span_end_args(ts_ns: u64, args: Vec<(String, Json)>) {
+pub fn span_end_args(ts_ns: u64, args: Vec<(&'static str, Json)>) {
     with_scope(|scope| {
         let Some(open) = scope.stack.pop() else {
             debug_assert!(false, "span_end with no open span");
@@ -253,12 +264,12 @@ pub fn span_end_args(ts_ns: u64, args: Vec<(String, Json)>) {
 }
 
 /// Emit a point event at virtual time `ts_ns`.
-pub fn instant(cat: &'static str, name: &str, ts_ns: u64, args: Vec<(String, Json)>) {
+pub fn instant(cat: &'static str, name: &'static str, ts_ns: u64, args: Vec<(&'static str, Json)>) {
     with_scope(|scope| {
         let rank = scope.rank;
         scope.emit(TraceEvent::Instant {
             cat,
-            name: name.to_string(),
+            name,
             rank,
             ts_ns,
             args,
@@ -319,7 +330,7 @@ mod tests {
             span_begin("runtime", "inner", 150);
             count("events", 2);
             span_end(180);
-            instant("runtime", "mark", 190, vec![("k".into(), Json::UInt(1))]);
+            instant("runtime", "mark", 190, vec![("k", Json::UInt(1))]);
             span_end(200);
         }
         assert!(!enabled());
@@ -336,10 +347,7 @@ mod tests {
         else {
             panic!("expected span");
         };
-        assert_eq!(
-            (name.as_str(), *ts_ns, *dur_ns, *rank),
-            ("outer", 100, 100, 3)
-        );
+        assert_eq!((*name, *ts_ns, *dur_ns, *rank), ("outer", 100, 100, 3));
         let TraceEvent::Complete {
             name,
             ts_ns,
@@ -349,7 +357,7 @@ mod tests {
         else {
             panic!("expected span");
         };
-        assert_eq!((name.as_str(), *ts_ns, *dur_ns), ("inner", 150, 30));
+        assert_eq!((*name, *ts_ns, *dur_ns), ("inner", 150, 30));
         assert_eq!(rec.merged_metrics().counter("events"), 2);
     }
 
@@ -378,7 +386,7 @@ mod tests {
         else {
             panic!("expected span");
         };
-        assert_eq!(name, "doomed");
+        assert_eq!(*name, "doomed");
         assert_eq!(*dur_ns, 0);
         assert_eq!(args[0].0, "truncated");
     }

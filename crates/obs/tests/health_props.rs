@@ -17,20 +17,20 @@ fn random_event(rng: &mut Rng, nodes: usize) -> TraceEvent {
             let work = rng.range_u64(0, 1_000_000);
             TraceEvent::Complete {
                 cat: "runtime",
-                name: "charge_rows".to_string(),
+                name: "charge_rows",
                 rank,
                 ts_ns: ts,
                 dur_ns: dur,
                 args: vec![
-                    ("rows".to_string(), Json::UInt(1)),
-                    ("cpu_ns".to_string(), Json::UInt(cpu)),
-                    ("work_uflop".to_string(), Json::UInt(work)),
+                    ("rows", Json::UInt(1)),
+                    ("cpu_ns", Json::UInt(cpu)),
+                    ("work_uflop", Json::UInt(work)),
                 ],
             }
         }
         1 => TraceEvent::Complete {
             cat: "sched",
-            name: "blocked".to_string(),
+            name: "blocked",
             rank,
             ts_ns: ts,
             dur_ns: rng.range_u64(0, 900),
@@ -38,28 +38,25 @@ fn random_event(rng: &mut Rng, nodes: usize) -> TraceEvent {
         },
         2 => TraceEvent::Instant {
             cat: "comm",
-            name: "send".to_string(),
+            name: "send",
             rank,
             ts_ns: ts,
             args: vec![
-                (
-                    "peer".to_string(),
-                    Json::UInt(rng.range_u64(0, nodes as u64)),
-                ),
-                ("seq".to_string(), Json::UInt(rng.next_u64() % 1000)),
+                ("peer", Json::UInt(rng.range_u64(0, nodes as u64))),
+                ("seq", Json::UInt(rng.next_u64() % 1000)),
             ],
         },
         _ => {
             let late = rng.range_u64(0, 500);
             TraceEvent::Instant {
                 cat: "comm",
-                name: "recv".to_string(),
+                name: "recv",
                 rank,
                 ts_ns: ts,
                 args: vec![
-                    ("peer".to_string(), Json::UInt(0)),
-                    ("late_ns".to_string(), Json::UInt(late)),
-                    ("net_ns".to_string(), Json::UInt(rng.range_u64(0, 300))),
+                    ("peer", Json::UInt(0)),
+                    ("late_ns", Json::UInt(late)),
+                    ("net_ns", Json::UInt(rng.range_u64(0, 300))),
                 ],
             }
         }
@@ -83,9 +80,9 @@ fn window_sums_are_exact_partitions() {
         let mut exp_work = 0u64;
         let mut exp_wait = 0u64;
         let mut exp_late = 0u64;
-        let arg = |args: &[(String, Json)], k: &str| {
+        let arg = |args: &[(&'static str, Json)], k: &str| {
             args.iter()
-                .find(|(n, _)| n == k)
+                .find(|(n, _)| *n == k)
                 .and_then(|(_, v)| v.as_u64())
                 .unwrap_or(0)
         };
@@ -98,18 +95,18 @@ fn window_sums_are_exact_partitions() {
                     args,
                     ..
                 } => {
-                    if *cat == "runtime" && name == "charge_rows" {
+                    if *cat == "runtime" && *name == "charge_rows" {
                         exp_busy += dur_ns;
                         exp_cpu += arg(args, "cpu_ns");
                         exp_work += arg(args, "work_uflop");
-                    } else if *cat == "sched" && name == "blocked" {
+                    } else if *cat == "sched" && *name == "blocked" {
                         exp_wait += dur_ns;
                     }
                 }
                 TraceEvent::Instant {
                     cat, name, args, ..
                 } => {
-                    if *cat == "comm" && name == "recv" {
+                    if *cat == "comm" && *name == "recv" {
                         exp_late += arg(args, "late_ns");
                     }
                 }
@@ -136,7 +133,7 @@ fn window_sums_are_exact_partitions() {
             .iter()
             .filter(|e| {
                 matches!(e, TraceEvent::Instant { cat, name, args, .. }
-                    if *cat == "comm" && name == "send"
+                    if *cat == "comm" && *name == "send"
                         && arg(args, "peer") < report.nodes as u64)
             })
             .count() as i64;
@@ -144,7 +141,7 @@ fn window_sums_are_exact_partitions() {
             .iter()
             .filter(|e| {
                 matches!(e, TraceEvent::Instant { cat, name, .. }
-                    if *cat == "comm" && name == "recv")
+                    if *cat == "comm" && *name == "recv")
             })
             .count() as i64;
         if let Some(last) = report.windows.last() {
@@ -215,14 +212,11 @@ fn report_is_order_independent() {
 fn sustain_streaks_reset_on_recovery() {
     let charge = |rank: usize, w: u64, cpu: u64| TraceEvent::Complete {
         cat: "runtime",
-        name: "charge_rows".to_string(),
+        name: "charge_rows",
         rank,
         ts_ns: w * 100,
         dur_ns: 80,
-        args: vec![
-            ("cpu_ns".to_string(), Json::UInt(cpu)),
-            ("work_uflop".to_string(), Json::UInt(100)),
-        ],
+        args: vec![("cpu_ns", Json::UInt(cpu)), ("work_uflop", Json::UInt(100))],
     };
     let mon = HealthMonitor::new(100);
     // Interference (cpu 40/busy 80 = 0.5 > 0.2, sustain 2) in windows
@@ -251,29 +245,26 @@ fn sustain_streaks_reset_on_recovery() {
 fn activity(rank: usize, ts: u64, dur: u64) -> TraceEvent {
     TraceEvent::Complete {
         cat: "runtime",
-        name: "charge_rows".to_string(),
+        name: "charge_rows",
         rank,
         ts_ns: ts,
         dur_ns: dur,
         args: vec![
-            ("rows".to_string(), Json::UInt(1)),
-            ("cpu_ns".to_string(), Json::UInt(dur)),
-            ("work_uflop".to_string(), Json::UInt(100)),
+            ("rows", Json::UInt(1)),
+            ("cpu_ns", Json::UInt(dur)),
+            ("work_uflop", Json::UInt(100)),
         ],
     }
 }
 
 /// A replicated runtime decision instant, as a survivor rank mirrors it.
-fn decision(rank: usize, kind: &str, ts: u64, cycle: u64, node: u64) -> TraceEvent {
+fn decision(rank: usize, kind: &'static str, ts: u64, cycle: u64, node: u64) -> TraceEvent {
     TraceEvent::Instant {
         cat: "runtime",
-        name: kind.to_string(),
+        name: kind,
         rank,
         ts_ns: ts,
-        args: vec![
-            ("cycle".to_string(), Json::UInt(cycle)),
-            ("node".to_string(), Json::UInt(node)),
-        ],
+        args: vec![("cycle", Json::UInt(cycle)), ("node", Json::UInt(node))],
     }
 }
 
@@ -340,12 +331,12 @@ fn rejoined_node_is_tracked_again() {
     }
     monitor.on_event(&TraceEvent::Instant {
         cat: "runtime",
-        name: "nodes-dropped".to_string(),
+        name: "nodes-dropped",
         rank: 0,
         ts_ns: 2 * w + 20,
         args: vec![
-            ("cycle".to_string(), Json::UInt(4)),
-            ("nodes".to_string(), Json::Arr(vec![Json::UInt(2)])),
+            ("cycle", Json::UInt(4)),
+            ("nodes", Json::Arr(vec![Json::UInt(2)])),
         ],
     });
     monitor.on_event(&decision(0, "node-rejoined", 6 * w + 20, 11, 2));

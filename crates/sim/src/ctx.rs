@@ -34,7 +34,7 @@
 //! * the turn token reports quiescence to the window coordinator when the
 //!   local queue drains up to `window_end`.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use dynmpi_obs as obs;
 
@@ -66,11 +66,42 @@ pub struct RecvTimeout {
 /// (poison the whole run).
 pub(crate) struct CrashedRank;
 
+/// A counter of this rank's metrics registry, looked up by name on first
+/// use; every later bump is one atomic add (nothing, when the rank's thread
+/// had no tracing scope at that first use).
+struct RankCounter {
+    name: &'static str,
+    handle: OnceLock<Option<obs::Counter>>,
+}
+
+impl RankCounter {
+    fn new(name: &'static str) -> Self {
+        RankCounter {
+            name,
+            handle: OnceLock::new(),
+        }
+    }
+
+    fn add(&self, n: u64) {
+        let handle = self.handle.get_or_init(|| obs::counter_handle(self.name));
+        if let Some(c) = handle {
+            c.add(n);
+        }
+    }
+}
+
 /// Handle held by one simulated rank.
 pub struct SimCtx {
     shared: Arc<Shared>,
     pid: usize,
     nprocs: usize,
+    // Mirrors of the `ProcState` counters, so merged per-rank metrics
+    // reconcile with `SimReport` totals integer-for-integer.
+    msgs_sent: RankCounter,
+    bytes_sent: RankCounter,
+    msgs_recvd: RankCounter,
+    bytes_recvd: RankCounter,
+    sched_quanta: RankCounter,
 }
 
 impl SimCtx {
@@ -79,6 +110,11 @@ impl SimCtx {
             shared,
             pid,
             nprocs,
+            msgs_sent: RankCounter::new("sim.msgs_sent"),
+            bytes_sent: RankCounter::new("sim.bytes_sent"),
+            msgs_recvd: RankCounter::new("sim.msgs_recvd"),
+            bytes_recvd: RankCounter::new("sim.bytes_recvd"),
+            sched_quanta: RankCounter::new("sim.sched.quanta"),
         }
     }
 
@@ -134,7 +170,7 @@ impl SimCtx {
                 "sim",
                 "crashed",
                 clock.0,
-                vec![("node".to_string(), obs::Json::UInt(node as u64))],
+                vec![("node", obs::Json::UInt(node as u64))],
             );
         }
         st.procs[self.pid].status = Status::Crashed;
@@ -314,12 +350,12 @@ impl SimCtx {
                     obs::span_end_args(
                         step.end.0,
                         vec![
-                            ("cpu".to_string(), obs::Json::UInt(step.cpu.0)),
-                            ("slices".to_string(), obs::Json::UInt(step.slices)),
+                            ("cpu", obs::Json::UInt(step.cpu.0)),
+                            ("slices", obs::Json::UInt(step.slices)),
                         ],
                     );
                     if step.slices > 0 {
-                        obs::count("sim.sched.quanta", step.slices);
+                        self.sched_quanta.add(step.slices);
                     }
                 }
                 st = self.move_clock(st, step.end);
@@ -344,12 +380,12 @@ impl SimCtx {
                     obs::span_end_args(
                         step.end.0,
                         vec![
-                            ("cpu".to_string(), obs::Json::UInt(step.cpu.0)),
-                            ("slices".to_string(), obs::Json::UInt(step.slices)),
+                            ("cpu", obs::Json::UInt(step.cpu.0)),
+                            ("slices", obs::Json::UInt(step.slices)),
                         ],
                     );
                     if step.slices > 0 {
-                        obs::count("sim.sched.quanta", step.slices);
+                        self.sched_quanta.add(step.slices);
                     }
                 }
                 st = self.advance_to(st, step.end);
@@ -400,10 +436,8 @@ impl SimCtx {
         let seq = st.procs[self.pid].send_seq;
         st.procs[self.pid].msgs_sent += 1;
         st.procs[self.pid].bytes_sent += len as u64;
-        // Mirrors the ProcState counters exactly, so merged per-rank
-        // metrics reconcile with `SimReport` totals integer-for-integer.
-        obs::count("sim.msgs_sent", 1);
-        obs::count("sim.bytes_sent", len as u64);
+        self.msgs_sent.add(1);
+        self.bytes_sent.add(len as u64);
         let emit = |queued: SimDur| {
             if obs::enabled() {
                 // Message-matching attributes: `seq` is the sender-local
@@ -418,11 +452,11 @@ impl SimCtx {
                     "send",
                     now.0,
                     vec![
-                        ("peer".to_string(), obs::Json::UInt(dst as u64)),
-                        ("tag".to_string(), obs::Json::UInt(tag)),
-                        ("seq".to_string(), obs::Json::UInt(seq)),
-                        ("bytes".to_string(), obs::Json::UInt(len as u64)),
-                        ("queued_ns".to_string(), obs::Json::UInt(queued.0)),
+                        ("peer", obs::Json::UInt(dst as u64)),
+                        ("tag", obs::Json::UInt(tag)),
+                        ("seq", obs::Json::UInt(seq)),
+                        ("bytes", obs::Json::UInt(len as u64)),
+                        ("queued_ns", obs::Json::UInt(queued.0)),
                     ],
                 );
             }
@@ -572,8 +606,8 @@ impl SimCtx {
                 let len = env.payload.len();
                 st.procs[self.pid].msgs_recvd += 1;
                 st.procs[self.pid].bytes_recvd += len as u64;
-                obs::count("sim.msgs_recvd", 1);
-                obs::count("sim.bytes_recvd", len as u64);
+                self.msgs_recvd.add(1);
+                self.bytes_recvd.add(len as u64);
                 if obs::enabled() {
                     // Mirror of the sender's `comm/send` instant; a pop at
                     // the exact end of a `sched/blocked` span identifies
@@ -600,13 +634,13 @@ impl SimCtx {
                         "recv",
                         now.0,
                         vec![
-                            ("peer".to_string(), obs::Json::UInt(env.src as u64)),
-                            ("tag".to_string(), obs::Json::UInt(env.tag)),
-                            ("seq".to_string(), obs::Json::UInt(env.seq)),
-                            ("bytes".to_string(), obs::Json::UInt(len as u64)),
-                            ("rx_queued_ns".to_string(), obs::Json::UInt(env.rx_queued.0)),
-                            ("late_ns".to_string(), obs::Json::UInt(late_ns)),
-                            ("net_ns".to_string(), obs::Json::UInt(net_ns)),
+                            ("peer", obs::Json::UInt(env.src as u64)),
+                            ("tag", obs::Json::UInt(env.tag)),
+                            ("seq", obs::Json::UInt(env.seq)),
+                            ("bytes", obs::Json::UInt(len as u64)),
+                            ("rx_queued_ns", obs::Json::UInt(env.rx_queued.0)),
+                            ("late_ns", obs::Json::UInt(late_ns)),
+                            ("net_ns", obs::Json::UInt(net_ns)),
                         ],
                     );
                 }
@@ -624,15 +658,15 @@ impl SimCtx {
                             now.0,
                             vec![
                                 (
-                                    "src".to_string(),
+                                    "src",
                                     match src {
                                         Some(s) => obs::Json::UInt(s as u64),
                                         None => obs::Json::Str("any".to_string()),
                                     },
                                 ),
-                                ("tag".to_string(), obs::Json::UInt(tag)),
+                                ("tag", obs::Json::UInt(tag)),
                                 (
-                                    "waited_ns".to_string(),
+                                    "waited_ns",
                                     obs::Json::UInt(now.0 - wait_start.unwrap_or(now.0)),
                                 ),
                             ],

@@ -472,7 +472,11 @@ fn run(case: &Case, stepped: bool, shards: usize, recorder: Option<Recorder>) ->
     }
 }
 
-fn recorded(case: &Case, stepped: bool, shards: usize) -> (Run, Vec<TraceEvent>, HealthReport) {
+fn recorded(
+    case: &Case,
+    stepped: bool,
+    shards: usize,
+) -> (Run, Arc<Vec<TraceEvent>>, HealthReport) {
     let rec = Recorder::new();
     let monitor = Arc::new(HealthMonitor::new(DEFAULT_WINDOW_NS));
     rec.subscribe(monitor.clone());

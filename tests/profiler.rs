@@ -10,6 +10,8 @@
 //! Plus an integration test driving the full adaptive pipeline and
 //! checking the profile a user would get from `--profile-out`.
 
+use std::sync::Arc;
+
 use dynmpi::DynMpiConfig;
 use dynmpi_apps::harness::{run_sim_with, AppSpec, Experiment};
 use dynmpi_apps::jacobi::JacobiParams;
@@ -63,7 +65,7 @@ fn assert_profile_invariants(report: &ProfileReport) {
 /// Records a deterministic ring program on a random loaded cluster. All
 /// instrumentation args on such a trace are unsigned integers, so both
 /// exporters must round-trip them exactly.
-fn random_ring_trace(rng: &mut Rng) -> Vec<TraceEvent> {
+fn random_ring_trace(rng: &mut Rng) -> Arc<Vec<TraceEvent>> {
     let n = rng.range_usize(2, 5);
     let speeds: Vec<f64> = (0..n).map(|_| rng.range_f64(3e5, 3e6)).collect();
     let mut script = LoadScript::dedicated();
@@ -119,18 +121,22 @@ fn span_attributes_round_trip_through_jsonl_and_chrome() {
         // (c) JSONL: full event-level fidelity, so the analyzer sees the
         // identical stream whether it runs in-process or on a trace file.
         let parsed = parse_jsonl(&jsonl(&events)).expect("exported JSONL must parse");
-        assert_eq!(parsed, events, "JSONL round-trip changed the events");
+        assert_eq!(parsed, *events, "JSONL round-trip changed the events");
         assert_eq!(analyze(&parsed), analyze(&events));
 
         // (c) Chrome: args survive with order and values intact.
         let parsed = parse_chrome_trace(&chrome_trace(&events)).expect("chrome must parse");
         assert_eq!(parsed.len(), events.len());
-        for (p, e) in parsed.iter().zip(&events) {
+        for (p, e) in parsed.iter().zip(events.iter()) {
             assert_eq!(p.ts_ns, e.ts_ns());
             assert_eq!(p.tid, e.rank() as u64);
             assert_eq!(p.name, e.name());
             let (TraceEvent::Complete { args, .. } | TraceEvent::Instant { args, .. }) = e;
-            assert_eq!(&p.args, args, "chrome round-trip changed span args");
+            let args: Vec<_> = args
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.clone()))
+                .collect();
+            assert_eq!(p.args, args, "chrome round-trip changed span args");
         }
     });
 }
