@@ -192,25 +192,3 @@ fn jacobi_partition_recovers_like_a_crash() {
         baseline.checksum()
     );
 }
-
-/// Env-driven single-scenario probe (dev aid): PROBE_FRAC, PROBE_DEAD,
-/// PROBE_ITERS.
-#[test]
-#[ignore]
-fn probe_one_crash_scenario() {
-    let frac: f64 = std::env::var("PROBE_FRAC").unwrap().parse().unwrap();
-    let dead: usize = std::env::var("PROBE_DEAD").unwrap().parse().unwrap();
-    let iters: usize = std::env::var("PROBE_ITERS")
-        .unwrap_or("50".into())
-        .parse()
-        .unwrap();
-    let p = JacobiParams::small(48, iters);
-    let baseline = run_sim(&jacobi_exp(&p, 4, LoadScript::dedicated()));
-    let t_crash = SimTime::from_secs_f64(baseline.makespan * frac);
-    let out = run_sim(&jacobi_exp(
-        &p,
-        4,
-        LoadScript::dedicated().node_crash(t_crash, dead),
-    ));
-    assert_recovered(&out, &baseline, dead, &format!("probe {dead}@{frac}"));
-}

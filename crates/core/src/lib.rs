@@ -69,6 +69,14 @@ pub mod runtime;
 pub mod sparse;
 pub mod timing;
 
+// The shared simulator-backed test driver is written against the public
+// API under the crate's external name, like `tests/failure_modes.rs`.
+#[cfg(test)]
+extern crate self as dynmpi;
+#[cfg(test)]
+#[path = "../tests/drive/mod.rs"]
+mod drive;
+
 pub use array::{AllocStats, ArrayKind, ArrayMeta, RedistArray};
 pub use checkpoint::{BuddyCheckpoint, CKPT_BYTES_SENT, CKPT_REFRESHES, CKPT_REFRESH_TIMEOUTS};
 

@@ -121,19 +121,23 @@ pub struct CycleReport {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Mode {
     Stable,
+    /// Rows are timed individually. With `arrival` it is the
+    /// re-measurement window for an arriving node (malleability): cycle
+    /// times are accumulated too, before the expansion decision for it.
     Grace {
         left: u32,
+        arrival: Option<usize>,
     },
     PostRedist {
         left: u32,
     },
-    /// Re-measurement window for an arriving node (malleability): rows
-    /// are timed and cycle times accumulated before the expansion
-    /// decision for `node`.
-    ArrivalGrace {
-        node: usize,
-        left: u32,
-    },
+}
+
+/// Crash recovery's part in a membership transition: the rows move out of
+/// a restored checkpoint generation, `holder` standing in for `dead_node`.
+struct Restore {
+    dead_node: usize,
+    holder: usize,
 }
 
 /// The per-rank Dyn-MPI runtime.
@@ -148,12 +152,11 @@ pub struct DynMpi<'a, T: HostMeters> {
     /// expansion decision (= `wsize` when the whole world is seeded).
     seed: usize,
 
+    /// The active group and the distribution over it. A removed rank
+    /// tracks both from the root's per-cycle status.
     active: Group,
     dist: Distribution,
     is_removed: bool,
-    /// Removed rank's view of the active membership and distribution.
-    known_members: Vec<usize>,
-    known_counts: Vec<usize>,
 
     arrays: Vec<ArrayMeta>,
     phases: Vec<PhaseSpec>,
@@ -242,8 +245,6 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             active: Group::new((0..seed).collect(), wrank),
             dist: Distribution::block_even(nrows, seed),
             is_removed: wrank >= seed,
-            known_members: (0..seed).collect(),
-            known_counts: Distribution::block_even(nrows, seed).counts(),
             arrays: Vec::new(),
             phases: Vec::new(),
             accesses: Vec::new(),
@@ -373,11 +374,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
 
     /// `DMPI_get_num_active`.
     pub fn num_active(&self) -> usize {
-        if self.is_removed {
-            self.known_members.len()
-        } else {
-            self.active.size()
-        }
+        self.active.size()
     }
 
     /// World rank of a relative rank (for neighbor messaging).
@@ -402,10 +399,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
     /// distributions too).
     pub fn my_rows(&self, phase: PhaseId) -> RowSet {
         let spec = self.phases[phase];
-        if self.is_removed {
-            return RowSet::new();
-        }
-        let Some(rel) = self.active.rel() else {
+        let Some(rel) = self.rel_rank() else {
             return RowSet::new();
         };
         self.dist
@@ -416,7 +410,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
     /// Rows of `array` present on this rank: owned plus DRSD ghosts. Use
     /// after `setup` (or a redistribution) to know what to initialize.
     pub fn local_rows(&self, array: ArrayId) -> RowSet {
-        if self.is_removed || self.active.rel().is_none() {
+        if self.rel_rank().is_none() {
             return RowSet::new();
         }
         self.steady_schedule().keep[array].clone()
@@ -452,11 +446,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
 
     /// Active members (world ranks).
     pub fn active_members(&self) -> &[usize] {
-        if self.is_removed {
-            &self.known_members
-        } else {
-            self.active.members()
-        }
+        self.active.members()
     }
 
     /// The adaptation event log.
@@ -492,18 +482,13 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
     /// Marks the start of a phase cycle.
     pub fn begin_cycle(&mut self) {
         self.cycle_wall_start = self.t.wtime();
-        if obs::enabled() {
-            // Paired with the `end_cycle` span's `cycle` attribute (the
-            // counter increments inside `end_cycle_inner`, so the cycle
-            // now starting is `self.cycle + 1`): together they bound each
-            // adaptation cycle's wall time per rank for the profiler.
-            obs::instant(
-                "runtime",
-                "begin_cycle",
-                self.t.now_ns(),
-                vec![("cycle", Json::UInt(self.cycle + 1))],
-            );
-        }
+        // Paired with the `end_cycle` span's `cycle` attribute (the
+        // counter increments inside `end_cycle_inner`, so the cycle now
+        // starting is `self.cycle + 1`): together they bound each
+        // adaptation cycle's wall time per rank for the profiler.
+        self.trace_point("begin_cycle", || {
+            vec![("cycle", Json::UInt(self.cycle + 1))]
+        });
     }
 
     /// Performs this rank's compute for `phase`, charging `work(row)`
@@ -512,8 +497,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
     /// (§4.2).
     pub fn charge_rows(&mut self, phase: PhaseId, work: impl Fn(usize) -> f64) {
         let rows = self.my_rows(phase);
-        let grace = matches!(self.mode, Mode::Grace { .. } | Mode::ArrivalGrace { .. })
-            && self.timer.is_some();
+        let grace = matches!(self.mode, Mode::Grace { .. }) && self.timer.is_some();
         let traced = obs::enabled();
         let cpu0 = if traced { self.t.proc_cpu_ns() } else { 0 };
         if traced {
@@ -575,10 +559,15 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
     /// Records an adaptation event: appended to the queryable log and, when
     /// tracing is active, mirrored as an instant trace event.
     fn note(&mut self, ev: RuntimeEvent) {
-        if obs::enabled() {
-            obs::instant("runtime", ev.kind(), self.t.now_ns(), ev.trace_args());
-        }
+        self.trace_point(ev.kind(), || ev.trace_args());
         self.events.push(ev);
+    }
+
+    /// A `runtime` instant trace event; `args` is built only when tracing.
+    fn trace_point(&self, name: &'static str, args: impl FnOnce() -> Vec<(&'static str, Json)>) {
+        if obs::enabled() {
+            obs::instant("runtime", name, self.t.now_ns(), args());
+        }
     }
 
     fn end_cycle_inner(&mut self, arrays: &mut [&mut dyn RedistArray]) -> CycleReport {
@@ -651,29 +640,23 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             for r in 0..self.active.size() {
                 if r == 0 {
                     b.push(self.self_samples.pop_front().expect("own sample queued"));
-                } else if self.cfg.failure_detection {
+                    continue;
+                }
+                let peer = self.active.world_rank(r);
+                let sample = if self.cfg.failure_detection {
+                    self.t
+                        .recv_bytes_timeout(peer, up, self.cfg.peer_timeout_seconds)
+                } else {
+                    Ok(self.t.recv_bytes(peer, up))
+                };
+                b.push(match sample {
+                    Ok(bytes) => from_bytes::<f64>(&bytes)[0],
                     // Timeout-guarded gather: a missing sample becomes a
                     // sentinel the replicated detector classifies from
                     // the monitor reading (dead vs. merely overloaded).
-                    let peer = self.active.world_rank(r);
-                    let sample =
-                        match self
-                            .t
-                            .recv_bytes_timeout(peer, up, self.cfg.peer_timeout_seconds)
-                        {
-                            Ok(bytes) => {
-                                let v: Vec<f64> = from_bytes(&bytes);
-                                v[0]
-                            }
-                            Err(_) if self.t.dmpi_ps(peer) == 0 => CTRL_SILENT,
-                            Err(_) => CTRL_STALLED,
-                        };
-                    b.push(sample);
-                } else {
-                    let bytes = self.t.recv_bytes(self.active.world_rank(r), up);
-                    let v: Vec<f64> = from_bytes(&bytes);
-                    b.push(v[0]);
-                }
+                    Err(_) if self.t.dmpi_ps(peer) == 0 => CTRL_SILENT,
+                    Err(_) => CTRL_STALLED,
+                });
             }
             for node in 0..self.wsize {
                 b.push(f64::from(self.t.dmpi_ps(node).saturating_sub(1)));
@@ -701,39 +684,18 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
                     .send_bytes(self.active.world_rank(r), down, bytes.clone());
             }
             b
-        } else if self.cfg.failure_detection {
-            // The state blob is the replicated machine's input: a rank
-            // must never advance without it. A timeout alone is NOT
-            // evidence of being cut off — the root's gather legitimately
-            // drifts one peer-timeout per silent cycle while a death is
-            // being confirmed, so a fixed retry budget would falsely
-            // evict a healthy survivor (and deadlock the others'
-            // recovery). Like the ghost exchange, the wait re-arms until
-            // the same evidence the detector uses says *this rank* is cut
-            // off: the root's monitor reading dead (partitioned reader,
-            // or the root itself died — the latter is out of scope,
-            // DESIGN.md §14). Then it withdraws rather than blocking
-            // forever — the survivors are confirming it dead through the
-            // same silence.
-            let got = loop {
-                match self
-                    .t
-                    .recv_bytes_timeout(root, down, self.cfg.peer_timeout_seconds)
-                {
-                    Ok(b) => break Some(b),
-                    Err(_) if self.t.dmpi_ps(root) == 0 => break None,
-                    Err(_) => continue,
-                }
-            };
-            match got {
-                Some(b) => from_bytes(&b),
-                None => {
-                    self.self_evict();
-                    return report;
-                }
-            }
         } else {
-            from_bytes(&self.t.recv_bytes(root, down))
+            // The state blob is the replicated machine's input: a rank
+            // must never advance without it. When the root's monitor
+            // reads dead from here (partitioned reader, or the root
+            // itself died — the latter is out of scope, DESIGN.md §14)
+            // this rank withdraws rather than blocking forever — the
+            // survivors are confirming it dead through the same silence.
+            let Some(bytes) = self.recv_unless_dead(root, down) else {
+                self.self_evict();
+                return report;
+            };
+            from_bytes(&bytes)
         };
         let na = self.active.size();
         let times: Vec<f64> = blob[..na].to_vec();
@@ -824,16 +786,18 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             let due = interval > 0
                 && self.cycles_since_ckpt >= interval
                 && matches!(self.mode, Mode::Stable)
-                && !self
-                    .active
-                    .members()
-                    .iter()
-                    .any(|&m| self.silent_streak[m] > 0);
+                && !self.suspect_open();
             if transition || report.redistributed || due {
                 self.refresh_ckpt(arrays);
             }
         }
         report
+    }
+
+    /// Is any active member's suspect streak open?
+    fn suspect_open(&self) -> bool {
+        let mut members = self.active.members().iter();
+        members.any(|&m| self.silent_streak[m] > 0)
     }
 
     /// Nodes currently outside the active group.
@@ -860,14 +824,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         // "times" must never enter the measurement accumulators. The
         // condition is a pure function of broadcast data, so all ranks
         // freeze and thaw together.
-        if self.cfg.failure_detection
-            && (times.iter().any(|&x| x < 0.0)
-                || self
-                    .active
-                    .members()
-                    .iter()
-                    .any(|&m| self.silent_streak[m] > 0))
-        {
+        if self.cfg.failure_detection && (times.iter().any(|&x| x < 0.0) || self.suspect_open()) {
             return;
         }
         match self.mode {
@@ -892,14 +849,10 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
                         cycle: self.cycle,
                         loads: loads.to_vec(),
                     });
-                    // Time my currently owned rows through the grace
-                    // period.
-                    let rel = self.active.rel_unchecked();
-                    let mine = self.dist.rows_of(rel);
-                    let (lo, count) = (mine.first().unwrap_or(0), mine.len());
-                    self.timer = Some(RowTimer::new(lo, count, self.t.proc_tick_seconds()));
+                    self.start_row_timer();
                     self.mode = Mode::Grace {
                         left: self.cfg.grace_period,
+                        arrival: None,
                     };
                 } else {
                     if self.cfg.allow_rejoin {
@@ -910,21 +863,28 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
                     }
                 }
             }
-            Mode::Grace { left } => {
+            Mode::Grace { left, arrival } => {
                 if let Some(t) = self.timer.as_mut() {
                     t.end_cycle();
                 }
+                if let Some(node) = arrival {
+                    if !online[node - self.seed] || !alive[node] {
+                        // The newcomer vanished mid-window: abandon the
+                        // evaluation (a fresh window starts if it returns).
+                        self.reset_window();
+                        return;
+                    }
+                    self.accumulate_window(times);
+                }
                 if left > 1 {
-                    self.mode = Mode::Grace { left: left - 1 };
+                    let left = left - 1;
+                    self.mode = Mode::Grace { left, arrival };
+                } else if let Some(node) = arrival {
+                    self.spanned("arrival_eval", |rt| {
+                        rt.finish_arrival_eval(node, loads, arrays, report)
+                    });
                 } else {
-                    let traced = obs::enabled();
-                    if traced {
-                        obs::span_begin("runtime", "finish_grace", self.t.now_ns());
-                    }
-                    self.finish_grace(loads, arrays, report);
-                    if traced {
-                        obs::span_end(self.t.now_ns());
-                    }
+                    self.spanned("finish_grace", |rt| rt.finish_grace(loads, arrays, report));
                 }
             }
             Mode::PostRedist { left } => {
@@ -934,58 +894,13 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
                     self.post_skip -= 1;
                     return;
                 }
-                for (i, &t) in times.iter().enumerate() {
-                    self.post_accum[i] += t;
-                }
-                self.post_count += 1;
+                self.accumulate_window(times);
                 if left > 1 {
                     self.mode = Mode::PostRedist { left: left - 1 };
                 } else {
-                    let traced = obs::enabled();
-                    if traced {
-                        obs::span_begin("runtime", "drop_eval", self.t.now_ns());
-                    }
-                    self.finish_post_redist(loads, arrays, report);
-                    if traced {
-                        obs::span_end(self.t.now_ns());
-                    }
-                    self.post_accum.iter_mut().for_each(|x| *x = 0.0);
-                    self.post_count = 0;
-                }
-            }
-            Mode::ArrivalGrace { node, left } => {
-                if let Some(t) = self.timer.as_mut() {
-                    t.end_cycle();
-                }
-                if !online[node - self.seed] || !alive[node] {
-                    // The newcomer vanished mid-window: abandon the
-                    // evaluation (a fresh window starts if it returns).
-                    self.timer = None;
-                    self.post_accum.iter_mut().for_each(|x| *x = 0.0);
-                    self.post_count = 0;
-                    self.mode = Mode::Stable;
-                    return;
-                }
-                for (i, &t) in times.iter().enumerate() {
-                    self.post_accum[i] += t;
-                }
-                self.post_count += 1;
-                if left > 1 {
-                    self.mode = Mode::ArrivalGrace {
-                        node,
-                        left: left - 1,
-                    };
-                } else {
-                    let traced = obs::enabled();
-                    if traced {
-                        obs::span_begin("runtime", "arrival_eval", self.t.now_ns());
-                    }
-                    self.finish_arrival_eval(node, loads, arrays, report);
-                    if traced {
-                        obs::span_end(self.t.now_ns());
-                    }
-                    self.post_accum.iter_mut().for_each(|x| *x = 0.0);
-                    self.post_count = 0;
+                    self.spanned("drop_eval", |rt| {
+                        rt.finish_post_redist(loads, arrays, report)
+                    });
                 }
             }
         }
@@ -999,29 +914,18 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         arrays: &mut [&mut dyn RedistArray],
         report: &mut CycleReport,
     ) {
-        let timer = self.timer.take().expect("grace without timer");
-        let mode = timer.mode().expect("grace period saw no cycles");
-        self.note(RuntimeEvent::GraceComplete {
-            cycle: self.cycle,
-            mode,
-        });
-
-        // Assemble the global per-row weight vector: every active rank
-        // contributes its contiguous block, in relative-rank (= row)
-        // order.
-        let pieces = self.t.allgatherv(&self.active, &timer.weights());
-        let mut weights: Vec<f64> = Vec::with_capacity(self.nrows);
-        for p in &pieces {
-            weights.extend_from_slice(p);
-        }
-        assert_eq!(weights.len(), self.nrows, "weight gather incomplete");
-        self.row_weights = Some(weights);
+        self.finish_measurement();
 
         let traced = obs::enabled();
         if traced {
             obs::span_begin("runtime", "balance", self.t.now_ns());
         }
-        let new_dist = self.balance(loads);
+        let min_rows = if self.cfg.drop_policy == DropPolicy::Logical {
+            self.cfg.min_rows_logical
+        } else {
+            0
+        };
+        let new_dist = self.balance_over(self.active.members(), loads, min_rows);
         let moved = self.moved_fraction(&new_dist);
         if traced {
             // The prediction the audit report checks against reality: the
@@ -1069,28 +973,12 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         arrays: &mut [&mut dyn RedistArray],
         report: &mut CycleReport,
     ) {
-        self.mode = Mode::Stable;
-        let n = self.active.size();
-        let avg: Vec<f64> = self.post_accum[..n]
-            .iter()
-            .map(|&s| s / f64::from(self.post_count.max(1)))
-            .collect();
+        let avg = self.window_average();
+        self.reset_window();
         let measured_max = avg.iter().cloned().fold(0.0, f64::max);
 
-        let loaded: Vec<usize> = self
-            .active
-            .members()
-            .iter()
-            .copied()
-            .filter(|&m| loads[m] > 0)
-            .collect();
-        let unloaded: Vec<usize> = self
-            .active
-            .members()
-            .iter()
-            .copied()
-            .filter(|&m| loads[m] == 0)
-            .collect();
+        let members = self.active.members().iter().copied();
+        let (loaded, unloaded): (Vec<usize>, Vec<usize>) = members.partition(|&m| loads[m] > 0);
         if loaded.is_empty() || unloaded.is_empty() {
             return;
         }
@@ -1102,11 +990,8 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         let comm_baseline = self.comm_baseline(&avg, loads, weights);
         let pred = predict_cycle_time(
             total_work,
-            &unloaded
-                .iter()
-                .map(|&m| NodeLoad::unloaded(self.cfg.speed_of(m)))
-                .collect::<Vec<_>>(),
-            &self.comm_model(),
+            &self.node_loads(&unloaded, loads),
+            &self.comm_model_for(self.active.size()),
             comm_baseline,
         );
         let drop = match self.cfg.drop_policy {
@@ -1129,58 +1014,9 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         // Physically remove the loaded nodes (§4.4): new group, new
         // distribution, full redistribution, relative ranks reassigned by
         // construction of the new group.
-        let pre_removed = self.removed_nodes();
-        let was_root = self.active.rel() == Some(0);
-        let old_group = self.active.clone();
-        let old_dist = self.dist.clone();
-        let new_group = Group::new(unloaded.clone(), self.wrank);
-        let node_loads: Vec<NodeLoad> = unloaded
-            .iter()
-            .map(|&m| NodeLoad::unloaded(self.cfg.speed_of(m)))
-            .collect();
-        let w = self.effective_weights();
-        let new_dist = match self.cfg.balancer {
-            BalancerKind::RelativePower => relative_power(&w, &node_loads, 0),
-            BalancerKind::SuccessiveBalancing => successive_balance_with_floor(
-                &w,
-                &node_loads,
-                &self.comm_model_for(new_group.size()),
-                0,
-                self.cfg.balance_floor,
-            ),
-        };
-        let oc = redist::execute_cached(
-            self.t,
-            self.wrank,
-            self.sched_cache.get_mut(),
-            &old_group,
-            &old_dist,
-            &new_group,
-            &new_dist,
-            &self.accesses,
-            arrays,
-        );
-        self.redist_seconds_total += oc.seconds;
-        self.note(RuntimeEvent::NodesDropped {
-            cycle: self.cycle,
-            nodes: loaded.clone(),
-        });
+        let dist = self.balance_over(&unloaded, loads, 0);
+        self.enact(unloaded, dist, None, loads, arrays);
         report.dropped = loaded;
-        self.known_members = unloaded.clone();
-        self.known_counts = new_dist.counts();
-        self.dist = new_dist;
-        self.is_removed = !new_group.contains(self.wrank);
-        self.active = new_group;
-        self.last_loads = loads.to_vec();
-        self.post_accum = vec![0.0; self.wsize];
-        self.clear_streak = vec![0; self.wsize];
-        self.reset_ctrl_pipeline();
-
-        // The pre-drop root owes this cycle's statuses even if it just
-        // removed itself.
-        if was_root {
-            self.send_statuses(&pre_removed, loads);
-        }
     }
 
     /// Rejoin check (extension): a removed node with a clear load streak
@@ -1205,65 +1041,10 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         });
         let Some(node) = candidate else { return };
 
-        let pre_removed = self.removed_nodes();
-        let was_root = self.active.rel() == Some(0);
-        let mut members: Vec<usize> = self.active.members().to_vec();
-        members.push(node);
-        members.sort_unstable();
-        let old_group = self.active.clone();
-        let old_dist = self.dist.clone();
-        let new_group = Group::new(members.clone(), self.wrank);
-        let node_loads: Vec<NodeLoad> = members
-            .iter()
-            .map(|&m| self.node_load(m, loads[m]))
-            .collect();
-        let w = self.effective_weights();
-        let new_dist = match self.cfg.balancer {
-            BalancerKind::RelativePower => relative_power(&w, &node_loads, 0),
-            BalancerKind::SuccessiveBalancing => successive_balance_with_floor(
-                &w,
-                &node_loads,
-                &self.comm_model_for(new_group.size()),
-                0,
-                self.cfg.balance_floor,
-            ),
-        };
-
-        // Reset only the readmitted node's streak — the other removed
-        // nodes keep theirs, so several nodes clearing together rejoin on
-        // consecutive eligible cycles instead of each restarting a full
-        // streak. Done before the statuses go out: the tail ships the
-        // post-reset streak vector, keeping the rejoiner's replica exact.
-        self.clear_streak[node] = 0;
-
-        // Statuses first: the rejoining rank must learn its membership
-        // before the transfers reach it (the root sends them this cycle).
-        self.known_members = members;
-        self.known_counts = new_dist.counts();
-        if was_root {
-            self.send_statuses(&pre_removed, loads);
-        }
-        let oc = redist::execute_cached(
-            self.t,
-            self.wrank,
-            self.sched_cache.get_mut(),
-            &old_group,
-            &old_dist,
-            &new_group,
-            &new_dist,
-            &self.accesses,
-            arrays,
-        );
-        self.redist_seconds_total += oc.seconds;
-        self.note(RuntimeEvent::NodeRejoined {
-            cycle: self.cycle,
-            node,
-        });
+        let members = self.active.with_member(node, self.wrank).members().to_vec();
+        let dist = self.balance_over(&members, loads, 0);
+        self.enact(members, dist, None, loads, arrays);
         report.rejoined = Some(node);
-        self.dist = new_dist;
-        self.active = new_group;
-        self.last_loads = loads.to_vec();
-        self.reset_ctrl_pipeline();
     }
 
     /// Arrival check (malleability): when a non-seed rank's node is
@@ -1287,17 +1068,13 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             cycle: self.cycle,
             node,
         });
-        // Time my currently owned rows through the window, exactly like
-        // an ordinary grace period.
-        let rel = self.active.rel_unchecked();
-        let mine = self.dist.rows_of(rel);
-        let (lo, count) = (mine.first().unwrap_or(0), mine.len());
-        self.timer = Some(RowTimer::new(lo, count, self.t.proc_tick_seconds()));
-        self.post_accum.iter_mut().for_each(|x| *x = 0.0);
-        self.post_count = 0;
-        self.mode = Mode::ArrivalGrace {
-            node,
+        // Rows are timed through the window exactly like an ordinary
+        // grace period.
+        self.reset_window();
+        self.start_row_timer();
+        self.mode = Mode::Grace {
             left: self.cfg.grace_period,
+            arrival: Some(node),
         };
     }
 
@@ -1313,56 +1090,23 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         arrays: &mut [&mut dyn RedistArray],
         report: &mut CycleReport,
     ) {
-        self.mode = Mode::Stable;
-        let timer = self.timer.take().expect("arrival grace without timer");
-        let mode = timer.mode().expect("arrival grace saw no cycles");
-        self.note(RuntimeEvent::GraceComplete {
-            cycle: self.cycle,
-            mode,
-        });
-
         // Fresh global row weights, exactly as in `finish_grace`.
-        let pieces = self.t.allgatherv(&self.active, &timer.weights());
-        let mut weights: Vec<f64> = Vec::with_capacity(self.nrows);
-        for p in &pieces {
-            weights.extend_from_slice(p);
-        }
-        assert_eq!(weights.len(), self.nrows, "weight gather incomplete");
-        self.row_weights = Some(weights);
-
-        let n = self.active.size();
-        let avg: Vec<f64> = self.post_accum[..n]
-            .iter()
-            .map(|&s| s / f64::from(self.post_count.max(1)))
-            .collect();
+        self.finish_measurement();
+        let avg = self.window_average();
+        self.reset_window();
         let measured_max = avg.iter().cloned().fold(0.0, f64::max);
 
-        let mut members: Vec<usize> = self.active.members().to_vec();
-        members.push(node);
-        members.sort_unstable();
-        let node_loads: Vec<NodeLoad> = members
-            .iter()
-            .map(|&m| self.node_load(m, loads[m]))
-            .collect();
+        let members = self.active.with_member(node, self.wrank).members().to_vec();
         let w = self.effective_weights();
         let total_work: f64 = w.iter().sum();
         let comm_baseline = self.comm_baseline(&avg, loads, &w);
         let pred_with = predict_cycle_time(
             total_work,
-            &node_loads,
+            &self.node_loads(&members, loads),
             &self.comm_model_for(members.len()),
             comm_baseline,
         );
-        let new_dist = match self.cfg.balancer {
-            BalancerKind::RelativePower => relative_power(&w, &node_loads, 0),
-            BalancerKind::SuccessiveBalancing => successive_balance_with_floor(
-                &w,
-                &node_loads,
-                &self.comm_model_for(members.len()),
-                0,
-                self.cfg.balance_floor,
-            ),
-        };
+        let new_dist = self.balance_over(&members, loads, 0);
         let new_rel = members
             .iter()
             .position(|&m| m == node)
@@ -1388,43 +1132,130 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             return;
         }
 
-        // Expansion: symmetric to the rejoin path. Statuses first (the
-        // newcomer must learn its membership before the transfers reach
-        // it), then the same redistribution on every rank with the
-        // newcomer as a pure receiver.
-        let pre_removed = self.removed_nodes();
-        let was_root = self.active.rel() == Some(0);
-        let old_group = self.active.clone();
-        let old_dist = self.dist.clone();
-        let new_group = Group::new(members.clone(), self.wrank);
-        self.clear_streak[node] = 0;
-        self.known_members = members;
-        self.known_counts = new_dist.counts();
-        if was_root {
-            self.send_statuses(&pre_removed, loads);
-        }
-        let oc = redist::execute_cached(
-            self.t,
-            self.wrank,
-            self.sched_cache.get_mut(),
-            &old_group,
-            &old_dist,
-            &new_group,
-            &new_dist,
-            &self.accesses,
-            arrays,
-        );
-        self.redist_seconds_total += oc.seconds;
-        self.note(RuntimeEvent::NodeAdmitted {
-            cycle: self.cycle,
-            node,
-            rows: new_rows,
-        });
+        // Expansion: symmetric to the rejoin path, with the newcomer as
+        // a pure receiver of the redistribution.
+        self.enact(members, new_dist, None, loads, arrays);
         report.admitted = Some(node);
-        self.dist = new_dist;
-        self.active = new_group;
+    }
+
+    // ---------------- the one membership transition ----------------------
+
+    /// Enacts a membership change. Node drop, rejoin, admission, crash
+    /// recovery and — on the entering rank — the joiner's side all come
+    /// here with the new member list and distribution, both pure functions
+    /// of broadcast data, so every participant makes the identical change:
+    /// adopt the new group, move the rows, start a fresh measurement
+    /// window and control epoch, log what happened.
+    ///
+    /// Only the place of the status send-out differs. Letting a rank in
+    /// sends the statuses *first*: it must learn its membership before the
+    /// transfers reach it, and it reads the pre-transition epoch and bumps
+    /// it once like the actives do. A pure shrink sends them *last*, with
+    /// the new epoch. Either way they come from the pre-transition root,
+    /// even if it just removed itself.
+    fn enact(
+        &mut self,
+        members: Vec<usize>,
+        dist: Distribution,
+        restore: Option<Restore>,
+        loads: &[u32],
+        arrays: &mut [&mut dyn RedistArray],
+    ) {
+        let owed = if self.active.rel() == Some(0) {
+            self.removed_nodes()
+        } else {
+            Vec::new()
+        };
+        // Adopt the new layout at once (the statuses announce it); the
+        // old one is what the rows move *from*.
+        let old_group = std::mem::replace(&mut self.active, Group::new(members, self.wrank));
+        let old_dist = std::mem::replace(&mut self.dist, dist);
+        self.is_removed = self.active.rel().is_none();
+        let (old, new) = (old_group.members().iter(), self.active.members().iter());
+        let leaving: Vec<usize> = old.copied().filter(|&m| !self.active.contains(m)).collect();
+        let entering: Vec<usize> = new.copied().filter(|&m| !old_group.contains(m)).collect();
+        let cycle = self.cycle;
+        let event = match (entering.first(), &restore) {
+            (Some(&node), _) if node >= self.seed => {
+                let rel = self.active.rel_of(node).expect("entering node is a member");
+                let rows = self.dist.rows_of(rel).len();
+                RuntimeEvent::NodeAdmitted { cycle, node, rows }
+            }
+            (Some(&node), _) => RuntimeEvent::NodeRejoined { cycle, node },
+            (None, Some(r)) => {
+                let rel = old_group.rel_of(r.dead_node).expect("dead node was active");
+                RuntimeEvent::NodeRecovered {
+                    cycle,
+                    node: r.dead_node,
+                    rollback_to: self.app_progress,
+                    // Identical on every survivor (the holder's actual
+                    // count equals this by the refresh invariant).
+                    restored_rows: old_dist.rows_of(rel).len() * arrays.len(),
+                    holder: r.holder,
+                }
+            }
+            (None, None) => RuntimeEvent::NodesDropped {
+                cycle,
+                nodes: leaving,
+            },
+        };
+        if entering.is_empty() {
+            self.clear_streak = vec![0; self.wsize];
+        } else {
+            // Reset only the entering node's streak — the other removed
+            // nodes keep theirs, so several nodes clearing together rejoin
+            // on consecutive eligible cycles instead of each restarting a
+            // full streak. Done before the statuses go out: the tail ships
+            // the post-reset streak vector, keeping the joiner's replica
+            // exact.
+            for &m in &entering {
+                self.clear_streak[m] = 0;
+            }
+            self.send_statuses(&owed, loads);
+        }
+
+        let oc = match &restore {
+            None => redist::execute_cached(
+                self.t,
+                self.wrank,
+                self.sched_cache.get_mut(),
+                &old_group,
+                &old_dist,
+                &self.active,
+                &self.dist,
+                &self.accesses,
+                arrays,
+            ),
+            Some(r) => {
+                self.sched_cache.get_mut().invalidate();
+                redist::execute_recovery(
+                    self.t,
+                    self.wrank,
+                    &old_group,
+                    &old_dist,
+                    &self.active,
+                    &self.dist,
+                    &self.accesses,
+                    arrays,
+                    r.dead_node,
+                    r.holder,
+                )
+            }
+        };
+        self.redist_seconds_total += oc.seconds;
         self.last_loads = loads.to_vec();
+        self.reset_window();
         self.reset_ctrl_pipeline();
+        self.note(event);
+
+        if restore.is_some() {
+            // Fresh checkpoints over the surviving group — the old mirrors
+            // reference the pre-crash membership and distribution.
+            self.refresh_ckpt(arrays);
+        }
+        if entering.is_empty() {
+            self.send_statuses(&owed, loads);
+        }
     }
 
     // ---------------- crash recovery (fail-stop path) --------------------
@@ -1462,15 +1293,14 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         if traced {
             obs::span_begin("runtime", "crash_recovery", self.t.now_ns());
         }
-        let pre_removed = self.removed_nodes();
-        let was_root = self.active.rel() == Some(0);
-        let old_group = self.active.clone();
-        let dead_rel = old_group
+        let dead_rel = self
+            .active
             .rel_of(dead_node)
             .expect("confirmed node must be active");
         // The ring buddy: the dead node's successor holds its mirror.
-        let holder = old_group.world_rank((dead_rel + 1) % old_group.size());
-        let survivors: Vec<usize> = old_group
+        let holder = self.active.world_rank((dead_rel + 1) % self.active.size());
+        let survivors: Vec<usize> = self
+            .active
             .members()
             .iter()
             .copied()
@@ -1508,84 +1338,28 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         // dead node's rows from its buddy's mirror. The generation's
         // membership and distribution are what the recovery
         // redistribution moves *from*.
-        let (gen_members, old_dist) = self.ckpt.restore_generation(rb, arrays);
+        let (gen_members, gen_dist) = self.ckpt.restore_generation(rb, arrays);
         assert_eq!(
             gen_members,
-            old_group.members(),
+            self.active.members(),
             "membership changed across the stale-mirror window (unrecoverable)"
         );
+        self.dist = gen_dist;
         if self.wrank == holder {
             self.ckpt.materialize_mirror(arrays);
         }
-        // Identical on every survivor (the holder's actual count equals
-        // this by the refresh invariant).
-        let restored_rows = old_dist.rows_of(dead_rel).len() * arrays.len();
-        let new_group = Group::new(survivors.clone(), self.wrank);
-        let node_loads: Vec<NodeLoad> = survivors
-            .iter()
-            .map(|&m| self.node_load(m, loads[m]))
-            .collect();
-        let w = self.effective_weights();
-        let new_dist = match self.cfg.balancer {
-            BalancerKind::RelativePower => relative_power(&w, &node_loads, 0),
-            BalancerKind::SuccessiveBalancing => successive_balance_with_floor(
-                &w,
-                &node_loads,
-                &self.comm_model_for(new_group.size()),
-                0,
-                self.cfg.balance_floor,
-            ),
-        };
-        let oc = redist::execute_recovery(
-            self.t,
-            self.wrank,
-            &old_group,
-            &old_dist,
-            &new_group,
-            &new_dist,
-            &self.accesses,
-            arrays,
-            dead_node,
-            holder,
-        );
-        self.redist_seconds_total += oc.seconds;
-        self.sched_cache.get_mut().invalidate();
+        let new_dist = self.balance_over(&survivors, loads, 0);
 
         self.dead[dead_node] = true;
         self.silent_streak[dead_node] = 0;
-        self.known_members = survivors;
-        self.known_counts = new_dist.counts();
-        self.dist = new_dist;
-        self.is_removed = !new_group.contains(self.wrank);
-        self.active = new_group;
-        self.last_loads = loads.to_vec();
-        self.post_accum = vec![0.0; self.wsize];
-        self.post_count = 0;
-        self.clear_streak = vec![0; self.wsize];
-        self.timer = None;
-        self.mode = Mode::Stable;
-        self.reset_ctrl_pipeline();
-
         // Rewind the application: progress returns to the restored
         // generation's step; the survivors replay the lost steps from
         // restored data.
         self.app_progress = rb;
         self.rollback_to = Some(rb);
-        self.note(RuntimeEvent::NodeRecovered {
-            cycle: self.cycle,
-            node: dead_node,
-            rollback_to: self.app_progress,
-            restored_rows,
-            holder,
-        });
+        let restore = Some(Restore { dead_node, holder });
+        self.enact(survivors, new_dist, restore, loads, arrays);
         report.recovered = Some(dead_node);
-
-        // Fresh checkpoints over the surviving group — the old mirrors
-        // reference the pre-crash membership and distribution.
-        self.refresh_ckpt(arrays);
-        if was_root {
-            self.send_statuses(&pre_removed, loads);
-        }
         if traced {
             obs::span_end_args(
                 self.t.now_ns(),
@@ -1606,14 +1380,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
     /// participating rather than blocking forever; the survivors confirm
     /// it dead through the same silence and recover without it.
     fn self_evict(&mut self) {
-        if obs::enabled() {
-            obs::instant(
-                "runtime",
-                "self-evict",
-                self.t.now_ns(),
-                vec![("cycle", Json::UInt(self.cycle))],
-            );
-        }
+        self.trace_point("self-evict", || vec![("cycle", Json::UInt(self.cycle))]);
         self.evicted = true;
         self.is_removed = true;
     }
@@ -1656,13 +1423,16 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
 
     // ---------------- helpers -------------------------------------------
 
-    /// Load descriptor for world rank `m`: monitor reading plus the
-    /// configured per-node relative speed (heterogeneous clusters).
-    fn node_load(&self, m: usize, ncp: u32) -> NodeLoad {
-        NodeLoad {
-            ncp,
-            speed: self.cfg.speed_of(m),
-        }
+    /// Load descriptors for `members`: monitor readings plus the
+    /// configured per-node relative speeds (heterogeneous clusters).
+    fn node_loads(&self, members: &[usize], loads: &[u32]) -> Vec<NodeLoad> {
+        members
+            .iter()
+            .map(|&m| NodeLoad {
+                ncp: loads[m],
+                speed: self.cfg.speed_of(m),
+            })
+            .collect()
     }
 
     fn effective_weights(&self) -> Vec<f64> {
@@ -1670,10 +1440,6 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             Some(w) if w.iter().sum::<f64>() > 0.0 => w.clone(),
             _ => vec![1.0; self.nrows],
         }
-    }
-
-    fn comm_model(&self) -> CommModel {
-        self.comm_model_for(self.active.size())
     }
 
     fn comm_model_for(&self, n_active: usize) -> CommModel {
@@ -1689,25 +1455,17 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         }
     }
 
-    fn balance(&self, loads: &[u32]) -> Distribution {
-        let node_loads: Vec<NodeLoad> = self
-            .active
-            .members()
-            .iter()
-            .map(|&m| self.node_load(m, loads[m]))
-            .collect();
+    /// The balancer: the measured row weights over `members` under the
+    /// monitor's `loads`, every member keeping at least `min_rows`.
+    fn balance_over(&self, members: &[usize], loads: &[u32], min_rows: usize) -> Distribution {
+        let node_loads = self.node_loads(members, loads);
         let w = self.effective_weights();
-        let min_rows = if self.cfg.drop_policy == DropPolicy::Logical {
-            self.cfg.min_rows_logical
-        } else {
-            0
-        };
         match self.cfg.balancer {
             BalancerKind::RelativePower => relative_power(&w, &node_loads, min_rows),
             BalancerKind::SuccessiveBalancing => successive_balance_with_floor(
                 &w,
                 &node_loads,
-                &self.comm_model(),
+                &self.comm_model_for(members.len()),
                 min_rows,
                 self.cfg.balance_floor,
             ),
@@ -1719,17 +1477,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
     /// assigned effective weight scaled by `ncp + 1` (the same
     /// [`NodeLoad`] availability the balancer optimized, at unit speed).
     fn predicted_imbalance(&self, dist: &Distribution, loads: &[u32]) -> f64 {
-        let weights = self.effective_weights();
-        let per: Vec<f64> = self
-            .active
-            .members()
-            .iter()
-            .enumerate()
-            .map(|(rel, &m)| {
-                let mine: f64 = dist.rows_of(rel).iter().map(|r| weights[r]).sum();
-                mine * f64::from(loads[m] + 1) / self.cfg.speed_of(m)
-            })
-            .collect();
+        let per = self.modeled_compute(dist, loads, &self.effective_weights());
         let max = per.iter().cloned().fold(0.0, f64::max);
         let mean = per.iter().sum::<f64>() / per.len().max(1) as f64;
         if mean > 0.0 {
@@ -1756,15 +1504,26 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
     /// across active nodes (the node waiting least on stragglers).
     fn comm_baseline(&self, avg_times: &[f64], loads: &[u32], weights: &[f64]) -> f64 {
         let mut best = f64::INFINITY;
-        for (rel, &m) in self.active.members().iter().enumerate() {
-            let mine: f64 = self.dist.rows_of(rel).iter().map(|r| weights[r]).sum();
-            let compute = mine * f64::from(loads[m] + 1) / self.cfg.speed_of(m);
-            let extra = avg_times[rel] - compute;
+        let compute = self.modeled_compute(&self.dist, loads, weights);
+        for (avg, compute) in avg_times.iter().zip(compute) {
+            let extra = avg - compute;
             if extra < best {
                 best = extra;
             }
         }
         best.max(0.0)
+    }
+
+    /// Modeled compute time per active member under `dist`: its assigned
+    /// weight scaled by `ncp + 1` over its configured speed.
+    fn modeled_compute(&self, dist: &Distribution, loads: &[u32], weights: &[f64]) -> Vec<f64> {
+        let members = self.active.members().iter().enumerate();
+        members
+            .map(|(rel, &m)| {
+                let mine: f64 = dist.rows_of(rel).iter().map(|r| weights[r]).sum();
+                mine * f64::from(loads[m] + 1) / self.cfg.speed_of(m)
+            })
+            .collect()
     }
 
     fn redistribute_in_place(
@@ -1786,8 +1545,67 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         self.redist_seconds_total += oc.seconds;
         self.redist_count += 1;
         self.dist = new_dist.clone();
-        self.known_counts = new_dist.counts();
         oc
+    }
+
+    // ---------------- measurement windows --------------------------------
+
+    /// Starts timing this rank's currently owned rows.
+    fn start_row_timer(&mut self) {
+        let mine = self.dist.rows_of(self.active.rel_unchecked());
+        let (lo, count) = (mine.first().unwrap_or(0), mine.len());
+        self.timer = Some(RowTimer::new(lo, count, self.t.proc_tick_seconds()));
+    }
+
+    /// Closes a row-timing window: logs how the rows were timed and
+    /// assembles the global per-row weight vector — every active rank
+    /// contributes its contiguous block, in relative-rank (= row) order.
+    fn finish_measurement(&mut self) {
+        let timer = self.timer.take().expect("grace without timer");
+        let mode = timer.mode().expect("grace period saw no cycles");
+        self.note(RuntimeEvent::GraceComplete {
+            cycle: self.cycle,
+            mode,
+        });
+        let weights = self.t.allgatherv(&self.active, &timer.weights()).concat();
+        assert_eq!(weights.len(), self.nrows, "weight gather incomplete");
+        self.row_weights = Some(weights);
+    }
+
+    /// Adds one cycle's broadcast times to the cycle-time window.
+    fn accumulate_window(&mut self, times: &[f64]) {
+        for (i, &t) in times.iter().enumerate() {
+            self.post_accum[i] += t;
+        }
+        self.post_count += 1;
+    }
+
+    /// Mean cycle time per active member over the window.
+    fn window_average(&self) -> Vec<f64> {
+        self.post_accum[..self.active.size()]
+            .iter()
+            .map(|&s| s / f64::from(self.post_count.max(1)))
+            .collect()
+    }
+
+    /// Back to `Stable` with no measurement in progress.
+    fn reset_window(&mut self) {
+        self.timer = None;
+        self.post_accum.fill(0.0);
+        self.post_count = 0;
+        self.mode = Mode::Stable;
+    }
+
+    /// Runs `f` inside a `runtime` trace span when tracing is active.
+    fn spanned(&mut self, name: &'static str, f: impl FnOnce(&mut Self)) {
+        let traced = obs::enabled();
+        if traced {
+            obs::span_begin("runtime", name, self.t.now_ns());
+        }
+        f(self);
+        if traced {
+            obs::span_end(self.t.now_ns());
+        }
     }
 
     /// Starts a fresh control-pipeline epoch after a membership change:
@@ -1805,11 +1623,11 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
     /// plus (for a rank that is rejoining) the load vector and row
     /// weights it needs to resynchronize its replicated state.
     fn status_payload(&self, for_member: bool, loads: &[u32]) -> Vec<u8> {
-        let mut v: Vec<u64> = Vec::with_capacity(3 + self.known_members.len() * 2);
+        let mut v: Vec<u64> = Vec::with_capacity(3 + self.active.size() * 2);
         v.push(self.cycle);
-        v.push(self.known_members.len() as u64);
-        v.extend(self.known_members.iter().map(|&m| m as u64));
-        v.extend(self.known_counts.iter().map(|&c| c as u64));
+        v.push(self.active.size() as u64);
+        v.extend(self.active.members().iter().map(|&m| m as u64));
+        v.extend(self.dist.counts().iter().map(|&c| c as u64));
         v.push(self.ctrl_epoch);
         let mut bytes = to_bytes(&v);
         if for_member {
@@ -1828,45 +1646,21 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
 
     fn send_statuses(&self, removed: &[usize], loads: &[u32]) {
         for &n in removed {
-            let for_member = self.known_members.contains(&n);
+            let for_member = self.active.contains(n);
             self.t
                 .send_bytes(n, TAG_STATUS, self.status_payload(for_member, loads));
         }
     }
 
     fn removed_end_cycle(&mut self, arrays: &mut [&mut dyn RedistArray], report: &mut CycleReport) {
-        let root = self.known_members[0];
-        let bytes = if self.cfg.failure_detection {
-            // Same self-eviction rule as the active blob receive: retry
-            // on a bare timeout (the root legitimately drifts while
-            // confirming a death), withdraw for good only on death
-            // evidence — the root's monitor unreadable from here.
-            let got = loop {
-                match self
-                    .t
-                    .recv_bytes_timeout(root, TAG_STATUS, self.cfg.peer_timeout_seconds)
-                {
-                    Ok(b) => break Some(b),
-                    Err(_) if self.t.dmpi_ps(root) == 0 => break None,
-                    Err(_) => continue,
-                }
-            };
-            match got {
-                Some(b) => b,
-                None => {
-                    self.self_evict();
-                    return;
-                }
-            }
-        } else {
-            self.t.recv_bytes(root, TAG_STATUS)
+        // Same self-eviction rule as the active blob receive.
+        let Some(bytes) = self.recv_unless_dead(self.active.world_rank(0), TAG_STATUS) else {
+            self.self_evict();
+            return;
         };
-        let header_len = {
-            let nm = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-            8 * (3 + 2 * nm)
-        };
+        let nm = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
+        let header_len = 8 * (3 + 2 * nm);
         let v: Vec<u64> = from_bytes(&bytes[..header_len]);
-        let nm = v[1] as usize;
         let members: Vec<usize> = v[2..2 + nm].iter().map(|&m| m as usize).collect();
         let counts: Vec<usize> = v[2 + nm..2 + 2 * nm].iter().map(|&c| c as usize).collect();
         // Track the control epoch so a rejoin resumes with aligned tags
@@ -1883,54 +1677,26 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
                 2 * self.wsize + self.nrows,
                 "malformed rejoin status"
             );
-            self.last_loads = tail[..self.wsize].iter().map(|&x| x as u32).collect();
+            let loads: Vec<u32> = tail[..self.wsize].iter().map(|&x| x as u32).collect();
             self.clear_streak = tail[self.wsize..2 * self.wsize]
                 .iter()
                 .map(|&x| x as u32)
                 .collect();
             self.row_weights = Some(tail[2 * self.wsize..].to_vec());
-            self.mode = Mode::Stable;
 
             // Rejoin: participate in the redistribution the actives are
             // running right now, as a receiver.
-            let old_group = Group::new(self.known_members.clone(), self.wrank);
-            let old_dist = Distribution::block_from_counts(&self.known_counts);
-            let new_group = Group::new(members.clone(), self.wrank);
-            let new_dist = Distribution::block_from_counts(&counts);
-            let oc = redist::execute_cached(
-                self.t,
-                self.wrank,
-                self.sched_cache.get_mut(),
-                &old_group,
-                &old_dist,
-                &new_group,
-                &new_dist,
-                &self.accesses,
-                arrays,
-            );
-            self.redist_seconds_total += oc.seconds;
-            self.is_removed = false;
-            self.active = new_group;
-            self.dist = new_dist;
-            self.reset_ctrl_pipeline();
+            let dist = Distribution::block_from_counts(&counts);
+            self.enact(members, dist, None, &loads, arrays);
             if self.wrank >= self.seed {
-                let rel = self.active.rel().expect("joiner is in the new group");
-                self.note(RuntimeEvent::NodeAdmitted {
-                    cycle: self.cycle,
-                    node: self.wrank,
-                    rows: self.dist.rows_of(rel).len(),
-                });
                 report.admitted = Some(self.wrank);
             } else {
-                self.note(RuntimeEvent::NodeRejoined {
-                    cycle: self.cycle,
-                    node: self.wrank,
-                });
                 report.rejoined = Some(self.wrank);
             }
+        } else {
+            self.active = Group::new(members, self.wrank);
+            self.dist = Distribution::block_from_counts(&counts);
         }
-        self.known_members = members;
-        self.known_counts = counts;
     }
 
     /// Refreshes the DRSD ghost rows of `array` from their current
@@ -1954,43 +1720,41 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             self.t.send_bytes(*dst, tag, payload);
         }
         for (src, from_src) in &sched.ghost_recvs[array] {
-            if self.cfg.failure_detection {
-                // A dead neighbor must not hang the exchange — but a
-                // merely *slow* neighbor must not corrupt it either: its
-                // payload is coming, and abandoning it would leave this
-                // and (because the message stays queued) every later
-                // exchange one cycle stale. So a timeout alone only
-                // re-arms the wait; the exchange gives the ghost rows up
-                // as stale *only* on the same evidence the detector
-                // treats as death — the peer's monitor reading dead. The
-                // detector then confirms within cycles and recovery rolls
-                // everything back past the stale reads.
-                let payload = loop {
-                    match self
-                        .t
-                        .recv_bytes_timeout(*src, tag, self.cfg.peer_timeout_seconds)
-                    {
-                        Ok(p) => break Some(p),
-                        Err(_) if self.t.dmpi_ps(*src) == 0 => break None,
-                        Err(_) => continue,
-                    }
-                };
-                match payload {
-                    Some(p) => arr.unpack_rows(from_src, &p),
-                    None => {
-                        if obs::enabled() {
-                            obs::instant(
-                                "runtime",
-                                "ghost-timeout",
-                                self.t.now_ns(),
-                                vec![("src", Json::UInt(*src as u64))],
-                            );
-                        }
-                    }
+            // A dead neighbor must not hang the exchange: its ghost rows
+            // are given up as stale. The detector then confirms within
+            // cycles and recovery rolls everything back past the stale
+            // reads.
+            match self.recv_unless_dead(*src, tag) {
+                Some(p) => arr.unpack_rows(from_src, &p),
+                None => {
+                    self.trace_point("ghost-timeout", || vec![("src", Json::UInt(*src as u64))])
                 }
-            } else {
-                let payload = self.t.recv_bytes(*src, tag);
-                arr.unpack_rows(from_src, &payload);
+            }
+        }
+    }
+
+    /// A receive that a dead peer must not hang (a plain blocking receive
+    /// without failure detection). A timeout alone is NOT evidence of
+    /// death: a merely *slow* peer's message is coming — abandoning a
+    /// ghost payload would leave this and (the message stays queued) every
+    /// later exchange one cycle stale, and the root's gather legitimately
+    /// drifts one peer-timeout per silent cycle while a death is being
+    /// confirmed, so a fixed retry budget would falsely evict a healthy
+    /// survivor (and deadlock the others' recovery). So the wait re-arms
+    /// until the evidence the detector treats as death — the peer's
+    /// monitor reading dead — and only then gives up with `None`.
+    fn recv_unless_dead(&self, src: usize, tag: u64) -> Option<Vec<u8>> {
+        if !self.cfg.failure_detection {
+            return Some(self.t.recv_bytes(src, tag));
+        }
+        loop {
+            match self
+                .t
+                .recv_bytes_timeout(src, tag, self.cfg.peer_timeout_seconds)
+            {
+                Ok(bytes) => return Some(bytes),
+                Err(_) if self.t.dmpi_ps(src) == 0 => return None,
+                Err(_) => {}
             }
         }
     }
@@ -2002,34 +1766,29 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
     /// root forwards the result to every removed rank. All world ranks
     /// must call this the same number of times.
     pub fn allreduce_sum(&self, data: &[f64]) -> Vec<f64> {
+        self.removed_aware(data, |t, g, d| t.allreduce_sum_f64(g, d))
+    }
+
+    /// Max-allreduce with the same removed-aware semantics.
+    pub fn allreduce_max(&self, data: &[f64]) -> Vec<f64> {
+        self.removed_aware(data, |t, g, d| t.allreduce_max_f64(g, d))
+    }
+
+    fn removed_aware(
+        &self,
+        data: &[f64],
+        reduce: impl FnOnce(&T, &Group, &[f64]) -> Vec<f64>,
+    ) -> Vec<f64> {
         if self.evicted {
             // An isolated rank has no group to reduce over; its results
             // are no longer part of the surviving computation.
             return vec![0.0; data.len()];
         }
         if self.is_removed {
-            let root = self.known_members[0];
+            let root = self.active.world_rank(0);
             return from_bytes(&self.t.recv_bytes(root, TAG_GLOBAL));
         }
-        let r = self.t.allreduce_sum_f64(&self.active, data);
-        if self.active.rel() == Some(0) {
-            for n in self.removed_nodes() {
-                self.t.send_bytes(n, TAG_GLOBAL, to_bytes(&r));
-            }
-        }
-        r
-    }
-
-    /// Max-allreduce with the same removed-aware semantics.
-    pub fn allreduce_max(&self, data: &[f64]) -> Vec<f64> {
-        if self.evicted {
-            return vec![0.0; data.len()];
-        }
-        if self.is_removed {
-            let root = self.known_members[0];
-            return from_bytes(&self.t.recv_bytes(root, TAG_GLOBAL));
-        }
-        let r = self.t.allreduce_max_f64(&self.active, data);
+        let r = reduce(self.t, &self.active, data);
         if self.active.rel() == Some(0) {
             for n in self.removed_nodes() {
                 self.t.send_bytes(n, TAG_GLOBAL, to_bytes(&r));
@@ -2043,324 +1802,126 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
 mod tests {
     use super::*;
     use crate::dense::DenseMatrix;
-    use crate::drsd::Drsd;
-    use dynmpi_comm::{run_threads, ThreadTransport, Transport};
-    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-    use std::sync::Arc;
+    use crate::drive::{cluster, drive, RankOut, Scenario};
+    use dynmpi_comm::SimTransport;
+    use dynmpi_obs::{Recorder, TraceEvent};
+    use dynmpi_sim::{LoadScript, NodeSpec, SimDur};
 
-    /// Thread transport with test-controlled `dmpi_ps` readings, so the
-    /// adaptation paths can be exercised without the simulator.
-    struct FakeLoad<'x> {
-        inner: &'x ThreadTransport,
-        loads: Arc<Vec<AtomicU32>>,
+    /// The ranks that did not crash.
+    fn finished(outs: Vec<Option<RankOut>>) -> Vec<RankOut> {
+        outs.into_iter().flatten().collect()
     }
 
-    impl Transport for FakeLoad<'_> {
-        fn rank(&self) -> usize {
-            self.inner.rank()
-        }
-        fn size(&self) -> usize {
-            self.inner.size()
-        }
-        fn send_bytes(&self, dst: usize, tag: u64, payload: Vec<u8>) {
-            self.inner.send_bytes(dst, tag, payload);
-        }
-        fn recv_bytes(&self, src: usize, tag: u64) -> Vec<u8> {
-            self.inner.recv_bytes(src, tag)
-        }
-        fn recv_bytes_any(&self, tag: u64) -> (usize, Vec<u8>) {
-            self.inner.recv_bytes_any(tag)
-        }
-        fn wtime(&self) -> f64 {
-            self.inner.wtime()
-        }
-    }
-
-    impl HostMeters for FakeLoad<'_> {
-        fn dmpi_ps(&self, r: usize) -> u32 {
-            self.loads[r].load(Ordering::Relaxed) + 1
-        }
-        fn proc_cpu_seconds(&self) -> f64 {
-            self.inner.wtime()
-        }
-        fn proc_tick_seconds(&self) -> f64 {
-            0.0
-        }
-    }
-
-    /// Like [`FakeLoad`] but with test-controlled node-online flags, for
-    /// the arrival (malleability) paths.
-    struct FakeArrival<'x> {
-        inner: &'x ThreadTransport,
-        loads: Arc<Vec<AtomicU32>>,
-        online: Arc<Vec<AtomicBool>>,
-    }
-
-    impl Transport for FakeArrival<'_> {
-        fn rank(&self) -> usize {
-            self.inner.rank()
-        }
-        fn size(&self) -> usize {
-            self.inner.size()
-        }
-        fn send_bytes(&self, dst: usize, tag: u64, payload: Vec<u8>) {
-            self.inner.send_bytes(dst, tag, payload);
-        }
-        fn recv_bytes(&self, src: usize, tag: u64) -> Vec<u8> {
-            self.inner.recv_bytes(src, tag)
-        }
-        fn recv_bytes_any(&self, tag: u64) -> (usize, Vec<u8>) {
-            self.inner.recv_bytes_any(tag)
-        }
-        fn wtime(&self) -> f64 {
-            self.inner.wtime()
-        }
-    }
-
-    impl HostMeters for FakeArrival<'_> {
-        fn dmpi_ps(&self, r: usize) -> u32 {
-            self.loads[r].load(Ordering::Relaxed) + 1
-        }
-        fn node_online(&self, r: usize) -> bool {
-            self.online[r].load(Ordering::Relaxed)
-        }
-        fn proc_cpu_seconds(&self) -> f64 {
-            self.inner.wtime()
-        }
-        fn proc_tick_seconds(&self) -> f64 {
-            0.0
-        }
-    }
-
-    fn fill_pattern(i: usize, j: usize) -> f64 {
-        (i * 1000 + j) as f64
-    }
-
-    /// Drives `cycles` phase cycles of a trivial halo app and returns the
-    /// runtime for inspection.
-    fn drive<'x, T: HostMeters>(
-        t: &'x T,
-        nrows: usize,
-        cfg: DynMpiConfig,
-        cycles: usize,
-        mut on_cycle: impl FnMut(u64, &mut DynMpi<'x, T>),
-    ) -> (DynMpi<'x, T>, DenseMatrix<f64>) {
-        let mut rt = DynMpi::init(t, nrows, cfg);
-        let a = rt.register_dense("A", nrows);
-        let ph = rt.init_phase(0, nrows, CommPattern::NearestNeighbor);
-        rt.add_access(ph, a, AccessMode::ReadWrite, Drsd::with_halo(1));
-        let mut m = DenseMatrix::<f64>::new(nrows, 4);
-        {
-            let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
-            rt.setup(&mut arrays);
-        }
-        m.fill_rows(&rt.local_rows(a), fill_pattern);
-        for c in 0..cycles {
-            rt.begin_cycle();
-            rt.charge_rows(ph, |_| 10.0);
-            on_cycle(c as u64, &mut rt);
-            let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
-            rt.end_cycle(&mut arrays);
-        }
-        (rt, m)
-    }
-
-    fn check_owned(rt: &DynMpi<'_, impl HostMeters>, m: &DenseMatrix<f64>, a: ArrayId) {
-        for i in rt.local_rows(a).iter() {
-            for j in 0..4 {
-                assert_eq!(m.row(i)[j], fill_pattern(i, j), "row {i} col {j}");
-            }
+    /// Quick windows, so a scenario of a few dozen steps sees the whole
+    /// grace → redistribute → drop-evaluation arc.
+    fn quick(drop_policy: DropPolicy) -> DynMpiConfig {
+        DynMpiConfig {
+            drop_policy,
+            grace_period: 2,
+            post_redist_period: 2,
+            ..Default::default()
         }
     }
 
     #[test]
     fn stable_run_never_redistributes() {
-        let outs = run_threads(3, |tt| {
-            let loads = Arc::new((0..3).map(|_| AtomicU32::new(0)).collect::<Vec<_>>());
-            let t = FakeLoad { inner: tt, loads };
-            let (rt, m) = drive(&t, 30, DynMpiConfig::default(), 8, |_, _| {});
-            check_owned(&rt, &m, 0);
-            (rt.events().len(), rt.local_cycle_times().len())
-        });
-        for (ev, ct) in outs {
-            assert_eq!(ev, 0);
-            assert_eq!(ct, 8);
+        let outs = drive(&Scenario::new(3, 30, 8, DynMpiConfig::default()));
+        for o in finished(outs) {
+            assert!(o.events.is_empty());
+            assert_eq!(o.cycles, 8);
         }
     }
 
     #[test]
     fn load_change_triggers_grace_and_redistribution() {
-        let outs = run_threads(4, |tt| {
-            let loads = Arc::new((0..4).map(|_| AtomicU32::new(0)).collect::<Vec<_>>());
-            let t = FakeLoad {
-                inner: tt,
-                loads: Arc::clone(&loads),
-            };
-            let cfg = DynMpiConfig {
-                drop_policy: DropPolicy::Never,
-                ..Default::default()
-            };
-            let (rt, m) = drive(&t, 64, cfg, 20, |c, _| {
-                if c == 2 {
-                    loads[1].store(1, Ordering::Relaxed);
-                }
-            });
-            check_owned(&rt, &m, 0);
-            let kinds: Vec<&str> = rt.events().iter().map(|e| e.kind()).collect();
-            (kinds.join(","), rt.distribution().counts())
-        });
-        for (kinds, counts) in &outs {
+        let cfg = DynMpiConfig {
+            drop_policy: DropPolicy::Never,
+            ..Default::default()
+        };
+        let script = LoadScript::dedicated().at_cycle(1, 2, 1);
+        let outs = finished(drive(&Scenario::new(4, 64, 20, cfg).script(script)));
+        for o in &outs {
+            let kinds = o.kinds().join(",");
             assert!(
                 kinds.starts_with("load-change,grace-complete,redistributed"),
                 "{kinds}"
             );
             // The loaded node (rank 1) must end up with fewer rows.
-            assert!(counts[1] < counts[0], "counts: {counts:?}");
-            assert_eq!(counts.iter().sum::<usize>(), 64);
+            assert!(o.counts[1] < o.counts[0], "counts: {:?}", o.counts);
+            assert_eq!(o.counts.iter().sum::<usize>(), 64);
         }
-        // All ranks agree on the distribution.
-        assert!(outs.windows(2).all(|w| w[0].1 == w[1].1));
     }
 
     #[test]
     fn forced_drop_removes_loaded_node_and_preserves_data() {
-        let outs = run_threads(3, |tt| {
-            let loads = Arc::new((0..3).map(|_| AtomicU32::new(0)).collect::<Vec<_>>());
-            let t = FakeLoad {
-                inner: tt,
-                loads: Arc::clone(&loads),
-            };
-            let cfg = DynMpiConfig {
-                drop_policy: DropPolicy::Always,
-                grace_period: 2,
-                post_redist_period: 2,
-                ..Default::default()
-            };
-            let (rt, m) = drive(&t, 30, cfg, 16, |c, _| {
-                if c == 1 {
-                    loads[2].store(2, Ordering::Relaxed);
-                }
-            });
-            if rt.participating() {
-                check_owned(&rt, &m, 0);
-            }
-            (
-                rt.participating(),
-                rt.num_active(),
-                rt.my_rows(0).len(),
-                rt.active_members().to_vec(),
-            )
-        });
-        assert!(outs[0].0 && outs[1].0 && !outs[2].0, "{outs:?}");
-        for (_, na, _, members) in &outs {
-            assert_eq!(*na, 2);
-            assert_eq!(members, &vec![0, 1]);
+        let script = LoadScript::dedicated().at_cycle(2, 1, 2);
+        let sc = Scenario::new(3, 30, 16, quick(DropPolicy::Always)).script(script);
+        let outs = finished(drive(&sc));
+        assert!(
+            outs[0].participating && outs[1].participating && !outs[2].participating,
+            "{outs:?}"
+        );
+        for o in &outs {
+            assert_eq!(o.members, [0, 1]);
         }
-        assert_eq!(outs[0].2 + outs[1].2, 30, "survivors own everything");
-        assert_eq!(outs[2].2, 0);
+        assert_eq!(outs[0].rows + outs[1].rows, 30, "survivors own everything");
+        assert_eq!(outs[2].rows, 0);
     }
 
     #[test]
     fn logical_drop_keeps_node_with_min_share() {
-        let outs = run_threads(3, |tt| {
-            let loads = Arc::new((0..3).map(|_| AtomicU32::new(0)).collect::<Vec<_>>());
-            let t = FakeLoad {
-                inner: tt,
-                loads: Arc::clone(&loads),
-            };
-            let cfg = DynMpiConfig {
-                drop_policy: DropPolicy::Logical,
-                min_rows_logical: 2,
-                grace_period: 2,
-                post_redist_period: 2,
-                // A huge penalty model zeroes the loaded node's natural share.
-                wait_factor: 50.0,
-                ..Default::default()
-            };
-            let (rt, _m) = drive(&t, 30, cfg, 14, |c, _| {
-                if c == 1 {
-                    loads[0].store(3, Ordering::Relaxed);
-                }
-            });
-            (rt.participating(), rt.distribution().counts())
-        });
-        for (p, counts) in &outs {
-            assert!(*p, "logical drop keeps everyone participating");
-            assert_eq!(
-                counts[0], 2,
-                "loaded node keeps the floor share: {counts:?}"
-            );
+        let cfg = DynMpiConfig {
+            min_rows_logical: 2,
+            // A huge penalty model zeroes the loaded node's natural share.
+            wait_factor: 50.0,
+            ..quick(DropPolicy::Logical)
+        };
+        let script = LoadScript::dedicated().at_cycle(0, 1, 3);
+        for o in finished(drive(&Scenario::new(3, 30, 14, cfg).script(script))) {
+            assert!(o.participating, "logical drop keeps everyone participating");
+            assert_eq!(o.counts[0], 2, "loaded node keeps the floor share");
         }
     }
 
     #[test]
     fn auto_drop_respects_prediction() {
-        // Tiny work + heavy load ⇒ prediction favors dropping.
-        let outs = run_threads(2, |tt| {
-            let loads = Arc::new((0..2).map(|_| AtomicU32::new(0)).collect::<Vec<_>>());
-            let t = FakeLoad {
-                inner: tt,
-                loads: Arc::clone(&loads),
-            };
-            let cfg = DynMpiConfig {
-                drop_policy: DropPolicy::Auto,
-                grace_period: 2,
-                post_redist_period: 3,
-                ..Default::default()
-            };
-            let (rt, _m) = drive(&t, 20, cfg, 16, |c, _| {
-                if c == 1 {
-                    loads[1].store(3, Ordering::Relaxed);
-                }
-            });
-            let evaluated = rt
-                .events()
-                .iter()
-                .any(|e| matches!(e, RuntimeEvent::DropEvaluated { .. }));
-            (evaluated, rt.num_active())
-        });
-        for (evaluated, _) in &outs {
-            assert!(*evaluated, "drop decision must be evaluated");
+        let cfg = DynMpiConfig {
+            post_redist_period: 3,
+            ..quick(DropPolicy::Auto)
+        };
+        let script = LoadScript::dedicated().at_cycle(1, 1, 3);
+        let outs = finished(drive(&Scenario::new(2, 20, 16, cfg).script(script)));
+        // Both ranks log the evaluation, and agree on its outcome.
+        for o in &outs {
+            assert_eq!(o.count("drop-evaluated"), 1, "{:?}", o.kinds());
         }
-        // Both ranks agree on the outcome, whatever the measured times said.
-        assert_eq!(outs[0].1, outs[1].1);
+        assert_eq!(outs[0].members, outs[1].members);
     }
 
+    /// The rejoin extension: a dropped node whose load clears is
+    /// readmitted, and the balancer weighs it by its configured speed.
     #[test]
-    fn rejoin_extension_readmits_cleared_node() {
-        let outs = run_threads(3, |tt| {
-            let loads = Arc::new((0..3).map(|_| AtomicU32::new(0)).collect::<Vec<_>>());
-            let t = FakeLoad {
-                inner: tt,
-                loads: Arc::clone(&loads),
-            };
+    fn rejoin_readmits_cleared_node_and_balances_by_speed() {
+        for node_speeds in [vec![], vec![1.0, 1.0, 2.0]] {
             let cfg = DynMpiConfig {
-                drop_policy: DropPolicy::Always,
                 allow_rejoin: true,
                 rejoin_after_cycles: 2,
-                grace_period: 2,
-                post_redist_period: 2,
-                ..Default::default()
+                node_speeds: node_speeds.clone(),
+                ..quick(DropPolicy::Always)
             };
-            let (rt, m) = drive(&t, 30, cfg, 30, |c, _| {
-                if c == 1 {
-                    loads[1].store(2, Ordering::Relaxed);
+            let script = LoadScript::dedicated().at_cycle(2, 1, 2).at_cycle(2, 12, 0);
+            let outs = finished(drive(&Scenario::new(3, 60, 30, cfg).script(script)));
+            for o in &outs {
+                assert!(o.participating, "node must have rejoined: {outs:?}");
+                assert_eq!(o.members, [0, 1, 2]);
+                if !node_speeds.is_empty() {
+                    let c = &o.counts;
+                    assert!(c[2] > c[0], "double-speed node gets more: {c:?}");
                 }
-                if c == 12 {
-                    loads[1].store(0, Ordering::Relaxed);
-                }
-            });
-            if rt.participating() {
-                check_owned(&rt, &m, 0);
             }
-            (rt.participating(), rt.num_active(), rt.my_rows(0).len())
-        });
-        for (p, na, _) in &outs {
-            assert!(*p, "node must have rejoined: {outs:?}");
-            assert_eq!(*na, 3);
+            assert!(outs[0].kinds().contains(&"nodes-dropped"));
+            assert_eq!(outs.iter().map(|o| o.rows).sum::<usize>(), 60);
         }
-        let total: usize = outs.iter().map(|o| o.2).sum();
-        assert_eq!(total, 30);
     }
 
     /// Regression: two nodes clear their load simultaneously. The first
@@ -2371,332 +1932,145 @@ mod tests {
     /// the next eligible cycle (one pipeline warm-up later).
     #[test]
     fn multi_node_rejoin_not_starved() {
-        let outs = run_threads(4, |tt| {
-            let loads = Arc::new((0..4).map(|_| AtomicU32::new(0)).collect::<Vec<_>>());
-            let t = FakeLoad {
-                inner: tt,
-                loads: Arc::clone(&loads),
-            };
-            let cfg = DynMpiConfig {
-                drop_policy: DropPolicy::Always,
-                allow_rejoin: true,
-                rejoin_after_cycles: 4,
-                grace_period: 2,
-                post_redist_period: 2,
-                ..Default::default()
-            };
-            let (rt, m) = drive(&t, 40, cfg, 40, |c, _| {
-                if c == 1 {
-                    loads[2].store(2, Ordering::Relaxed);
-                    loads[3].store(2, Ordering::Relaxed);
-                }
-                if c == 14 {
-                    loads[2].store(0, Ordering::Relaxed);
-                    loads[3].store(0, Ordering::Relaxed);
-                }
-            });
-            if rt.participating() {
-                check_owned(&rt, &m, 0);
-            }
-            let rejoin_cycles: Vec<u64> = rt
-                .events()
-                .iter()
-                .filter_map(|e| match e {
-                    RuntimeEvent::NodeRejoined { cycle, .. } => Some(*cycle),
-                    _ => None,
-                })
-                .collect();
-            (rt.num_active(), rt.my_rows(0).len(), rejoin_cycles)
-        });
-        for (na, _, _) in &outs {
-            assert_eq!(*na, 4, "both nodes must be back: {outs:?}");
+        let cfg = DynMpiConfig {
+            allow_rejoin: true,
+            rejoin_after_cycles: 4,
+            ..quick(DropPolicy::Always)
+        };
+        let script = LoadScript::dedicated()
+            .at_cycle(2, 1, 2)
+            .at_cycle(3, 1, 2)
+            .at_cycle(2, 14, 0)
+            .at_cycle(3, 14, 0);
+        let outs = finished(drive(&Scenario::new(4, 40, 40, cfg).script(script)));
+        for o in &outs {
+            assert_eq!(o.members, [0, 1, 2, 3], "both nodes must be back");
         }
-        assert_eq!(outs.iter().map(|o| o.1).sum::<usize>(), 40);
+        assert_eq!(outs.iter().map(|o| o.rows).sum::<usize>(), 40);
         // Rank 0 was never removed, so its log has both rejoins. The
         // second must follow the first within the control-pipeline
         // warm-up (CTRL_LAG cycles frozen + 1 eligible cycle), NOT a
         // full rejoin_after_cycles streak later.
-        let cycles = &outs[0].2;
+        let rejoins = outs[0]
+            .events
+            .iter()
+            .filter(|e| e.kind() == "node-rejoined");
+        let cycles: Vec<u64> = rejoins.map(|e| e.cycle()).collect();
         assert_eq!(cycles.len(), 2, "two distinct rejoins: {cycles:?}");
         let gap = cycles[1] - cycles[0];
-        assert!(
-            gap <= CTRL_LAG + 1,
-            "second rejoin starved: gap {gap} cycles ({cycles:?})"
-        );
+        assert!(gap <= CTRL_LAG + 1, "second rejoin starved: {cycles:?}");
     }
 
-    /// A rejoin into a heterogeneous cluster balances by configured node
-    /// speed: the fast readmitted node ends up with more rows than an
-    /// equal-load slow node.
+    /// Malleability: a brand-new node beyond the seed world comes online
+    /// and is measured through an arrival grace window. The expansion
+    /// decision is a real gate: a margin any measurable cycle time beats
+    /// admits it (it receives rows); an impossible one evaluates it on
+    /// the deterministic retry schedule but never admits, and the seed
+    /// world keeps all rows.
     #[test]
-    fn mixed_speed_rejoin_balances_by_speed() {
-        let outs = run_threads(3, |tt| {
-            let loads = Arc::new((0..3).map(|_| AtomicU32::new(0)).collect::<Vec<_>>());
-            let t = FakeLoad {
-                inner: tt,
-                loads: Arc::clone(&loads),
-            };
-            let cfg = DynMpiConfig {
-                drop_policy: DropPolicy::Always,
-                allow_rejoin: true,
-                rejoin_after_cycles: 2,
-                grace_period: 2,
-                post_redist_period: 2,
-                node_speeds: vec![1.0, 1.0, 2.0],
-                ..Default::default()
-            };
-            let (rt, m) = drive(&t, 60, cfg, 30, |c, _| {
-                if c == 1 {
-                    loads[2].store(2, Ordering::Relaxed);
-                }
-                if c == 12 {
-                    loads[2].store(0, Ordering::Relaxed);
-                }
-            });
-            if rt.participating() {
-                check_owned(&rt, &m, 0);
-            }
-            (rt.num_active(), rt.distribution().counts())
-        });
-        for (na, counts) in &outs {
-            assert_eq!(*na, 3, "fast node must have rejoined: {outs:?}");
-            assert!(
-                counts[2] > counts[0],
-                "double-speed node gets the larger share: {counts:?}"
-            );
-            assert_eq!(counts.iter().sum::<usize>(), 60);
-        }
-    }
-
-    /// Malleability: a brand-new node beyond the seed world comes online,
-    /// is measured through an arrival grace window, passes the expansion
-    /// decision, and receives rows.
-    #[test]
-    fn arrival_admitted_when_beneficial() {
-        let outs = run_threads(3, |tt| {
-            let loads = Arc::new((0..3).map(|_| AtomicU32::new(0)).collect::<Vec<_>>());
-            let online = Arc::new((0..3).map(|r| AtomicBool::new(r < 2)).collect::<Vec<_>>());
-            let t = FakeArrival {
-                inner: tt,
-                loads,
-                online: Arc::clone(&online),
-            };
+    fn arrival_is_admitted_only_when_the_expansion_pays() {
+        for (expand_margin, arrival_retry_cycles, admit) in [(1e-6, 1, true), (1e9, 4, false)] {
             let cfg = DynMpiConfig {
                 seed_world: Some(2),
                 grace_period: 2,
-                arrival_retry_cycles: 1,
-                expand_margin: 1e-6, // any measurable cycle time admits
+                arrival_retry_cycles,
+                expand_margin,
                 ..Default::default()
             };
-            let (rt, m) = drive(&t, 30, cfg, 20, |c, _| {
-                if c == 3 {
-                    online[2].store(true, Ordering::Relaxed);
-                }
-            });
-            check_owned(&rt, &m, 0);
-            let kinds: Vec<&str> = rt.events().iter().map(|e| e.kind()).collect();
-            (
-                rt.num_active(),
-                rt.my_rows(0).len(),
-                rt.participating(),
-                kinds.join(","),
-            )
-        });
-        for (na, _, p, _) in &outs {
-            assert_eq!(*na, 3, "newcomer must be admitted: {outs:?}");
-            assert!(*p, "all three ranks participate after admission");
-        }
-        assert_eq!(outs.iter().map(|o| o.1).sum::<usize>(), 30);
-        assert!(outs[2].1 > 0, "the admitted node received rows: {outs:?}");
-        // The seed ranks log the whole decision sequence; the newcomer
-        // only learns of its own admission.
-        for (r, out) in outs.iter().enumerate().take(2) {
-            let kinds = &out.3;
-            for k in ["node-arrived", "expand-evaluated", "node-admitted"] {
-                assert!(kinds.contains(k), "rank {r} missing {k}: {kinds}");
+            let sc = Scenario::new(2, 30, 20, cfg);
+            let online = sc.at(0.15);
+            let newcomer = NodeSpec::with_speed(1e6);
+            let script = LoadScript::dedicated().node_arrival(online, newcomer, SimDur::ZERO);
+            let outs = finished(drive(&sc.script(script)));
+            assert_eq!(outs.len(), 3, "the arrival adds a rank");
+            for o in &outs {
+                assert_eq!(o.members.len(), if admit { 3 } else { 2 }, "{outs:?}");
             }
-        }
-        assert!(outs[2].3.contains("node-admitted"), "{outs:?}");
-    }
-
-    /// The expansion decision is a real gate: with an impossible margin
-    /// the arrival is evaluated (on the deterministic retry schedule) but
-    /// never admitted, and the seed world keeps all rows.
-    #[test]
-    fn arrival_rejected_by_margin() {
-        let outs = run_threads(3, |tt| {
-            let loads = Arc::new((0..3).map(|_| AtomicU32::new(0)).collect::<Vec<_>>());
-            let online = Arc::new((0..3).map(|r| AtomicBool::new(r < 2)).collect::<Vec<_>>());
-            let t = FakeArrival {
-                inner: tt,
-                loads,
-                online: Arc::clone(&online),
-            };
-            let cfg = DynMpiConfig {
-                seed_world: Some(2),
-                grace_period: 2,
-                arrival_retry_cycles: 4,
-                expand_margin: 1e9, // nothing is a 10⁹× speedup
-                ..Default::default()
-            };
-            let (rt, m) = drive(&t, 30, cfg, 20, |c, _| {
-                if c == 3 {
-                    online[2].store(true, Ordering::Relaxed);
-                }
-            });
-            if rt.participating() {
-                check_owned(&rt, &m, 0);
-            }
-            let evals: Vec<bool> = rt
-                .events()
-                .iter()
-                .filter_map(|e| match e {
+            assert_eq!(outs.iter().map(|o| o.rows).sum::<usize>(), 30);
+            assert_eq!(outs[2].rows > 0, admit, "{outs:?}");
+            // The seed ranks log the whole decision sequence; the
+            // newcomer only learns of its own admission.
+            for o in &outs[..2] {
+                let evals = o.events.iter().filter_map(|e| match e {
                     RuntimeEvent::ExpandEvaluated { admitted, .. } => Some(*admitted),
                     _ => None,
-                })
-                .collect();
-            (rt.num_active(), rt.my_rows(0).len(), evals)
-        });
-        for (na, _, _) in &outs {
-            assert_eq!(*na, 2, "newcomer must stay out: {outs:?}");
+                });
+                let evals: Vec<bool> = evals.collect();
+                assert!(!evals.is_empty() && evals.contains(&admit), "{evals:?}");
+                assert_eq!(evals.iter().all(|&a| !a), !admit, "{evals:?}");
+                assert!(o.kinds().contains(&"node-arrived"));
+            }
+            let admissions = if admit { vec!["node-admitted"] } else { vec![] };
+            assert_eq!(outs[2].kinds(), admissions);
         }
-        assert_eq!(outs[0].1 + outs[1].1, 30, "seed ranks keep all rows");
-        assert_eq!(outs[2].1, 0);
-        assert!(!outs[0].2.is_empty(), "decision must have been evaluated");
-        assert!(
-            outs[0].2.iter().all(|&a| !a),
-            "no evaluation may admit: {outs:?}"
-        );
     }
 
     #[test]
     fn removed_rank_allreduce_gets_result() {
-        let outs = run_threads(3, |tt| {
-            let loads = Arc::new((0..3).map(|_| AtomicU32::new(0)).collect::<Vec<_>>());
-            let t = FakeLoad {
-                inner: tt,
-                loads: Arc::clone(&loads),
-            };
-            let cfg = DynMpiConfig {
-                drop_policy: DropPolicy::Always,
-                grace_period: 1,
-                post_redist_period: 1,
-                ..Default::default()
-            };
-            let mut rt = DynMpi::init(&t, 12, cfg);
-            let a = rt.register_dense("A", 12);
-            let ph = rt.init_phase(0, 12, CommPattern::Global);
-            rt.add_access(ph, a, AccessMode::ReadWrite, Drsd::iter_space());
-            let mut m = DenseMatrix::<f64>::new(12, 1);
-            {
-                let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
-                rt.setup(&mut arrays);
-            }
-            m.fill_rows(&rt.local_rows(a), |i, _| i as f64);
-            let mut sums = vec![];
-            for c in 0..10 {
-                if c == 1 {
-                    loads[2].store(1, Ordering::Relaxed);
-                }
-                rt.begin_cycle();
-                // Per-cycle global reduction (CG-style): every world rank
-                // calls it, removed or not.
-                let part: f64 = rt.my_rows(ph).iter().map(|i| i as f64).sum();
-                sums.push(rt.allreduce_sum(&[part])[0]);
-                let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
-                rt.end_cycle(&mut arrays);
-            }
-            sums
-        });
-        let expect: f64 = (0..12).map(|i| i as f64).sum();
-        for sums in &outs {
-            for (c, s) in sums.iter().enumerate() {
-                assert!((s - expect).abs() < 1e-9, "cycle {c}: {s} vs {expect}");
-            }
-        }
+        let cfg = DynMpiConfig {
+            grace_period: 1,
+            post_redist_period: 1,
+            ..quick(DropPolicy::Always)
+        };
+        let mut sc =
+            Scenario::new(3, 12, 10, cfg).script(LoadScript::dedicated().at_cycle(2, 1, 1));
+        // Every step's sum is checked on every rank inside the driver.
+        sc.reduce = true;
+        let outs = finished(drive(&sc));
+        assert!(!outs[2].participating, "rank 2 reduces as a removed rank");
     }
 
     #[test]
     fn request_rebalance_without_load_change() {
-        let outs = run_threads(2, |tt| {
-            let loads = Arc::new((0..2).map(|_| AtomicU32::new(0)).collect::<Vec<_>>());
-            let t = FakeLoad { inner: tt, loads };
-            let (rt, _m) = drive(&t, 16, DynMpiConfig::default(), 12, |c, rt| {
-                if c == 2 {
-                    rt.request_rebalance();
-                }
-            });
-            rt.events()
-                .iter()
-                .map(|e| e.kind())
-                .collect::<Vec<_>>()
-                .join(",")
-        });
-        for kinds in &outs {
-            assert!(kinds.contains("load-change"), "{kinds}");
+        let mut sc = Scenario::new(2, 16, 12, DynMpiConfig::default());
+        sc.rebalance_at = Some(2);
+        for o in finished(drive(&sc)) {
+            let kinds = o.kinds();
+            assert!(kinds.contains(&"load-change"), "{kinds:?}");
             assert!(
-                kinds.contains("redist-skipped") || kinds.contains("redistributed"),
-                "{kinds}"
+                kinds.contains(&"redist-skipped") || kinds.contains(&"redistributed"),
+                "{kinds:?}"
             );
         }
     }
 
     #[test]
     fn no_adapt_ignores_load_changes() {
-        let outs = run_threads(2, |tt| {
-            let loads = Arc::new((0..2).map(|_| AtomicU32::new(0)).collect::<Vec<_>>());
-            let t = FakeLoad {
-                inner: tt,
-                loads: Arc::clone(&loads),
-            };
-            let (rt, _m) = drive(&t, 16, DynMpiConfig::no_adapt(), 10, |c, _| {
-                if c == 2 {
-                    loads[0].store(5, Ordering::Relaxed);
-                }
-            });
-            (rt.events().len(), rt.distribution().counts())
-        });
-        for (ev, counts) in &outs {
-            assert_eq!(*ev, 0);
-            assert_eq!(counts, &vec![8, 8]);
+        let script = LoadScript::dedicated().at_cycle(0, 2, 5);
+        let sc = Scenario::new(2, 16, 10, DynMpiConfig::no_adapt()).script(script);
+        for o in finished(drive(&sc)) {
+            assert!(o.events.is_empty());
+            assert_eq!(o.counts, [8, 8]);
         }
     }
 
     #[test]
     fn queries_reflect_registration() {
-        run_threads(2, |tt| {
-            let loads = Arc::new((0..2).map(|_| AtomicU32::new(0)).collect::<Vec<_>>());
-            let t = FakeLoad { inner: tt, loads };
+        cluster(2).run_spmd(|ctx| {
+            let t = SimTransport::new(ctx);
             let mut rt = DynMpi::init(&t, 10, DynMpiConfig::default());
             let a = rt.register_dense("A", 10);
             let ph = rt.init_phase(1, 9, CommPattern::NearestNeighbor);
             rt.add_access(ph, a, AccessMode::Read, Drsd::with_halo(1));
             assert!(rt.participating());
             assert_eq!(rt.num_active(), 2);
-            assert_eq!(rt.rel_rank(), Some(t.rank()));
-            let (lo, hi) = rt.my_range(ph).unwrap();
-            if t.rank() == 0 {
-                assert_eq!((lo, hi), (1, 4)); // rows 0..5 ∩ [1,9) = 1..=4
-            } else {
-                assert_eq!((lo, hi), (5, 8));
-            }
+            assert_eq!(rt.rel_rank(), Some(ctx.rank()));
+            // Rows 0..5 ∩ [1,9) = 1..=4 on rank 0, 5..=8 on rank 1.
+            let expect = if ctx.rank() == 0 { (1, 4) } else { (5, 8) };
+            assert_eq!(rt.my_range(ph), Some(expect));
         });
     }
 
     #[test]
     fn ghost_exchange_refreshes_halo() {
-        run_threads(3, |tt| {
-            let loads = Arc::new((0..3).map(|_| AtomicU32::new(0)).collect::<Vec<_>>());
-            let t = FakeLoad { inner: tt, loads };
+        cluster(3).run_spmd(|ctx| {
+            let t = SimTransport::new(ctx);
             let mut rt = DynMpi::init(&t, 9, DynMpiConfig::default());
             let a = rt.register_dense("A", 9);
             let ph = rt.init_phase(0, 9, CommPattern::NearestNeighbor);
             rt.add_access(ph, a, AccessMode::ReadWrite, Drsd::with_halo(1));
             let mut m = DenseMatrix::<f64>::new(9, 1);
-            {
-                let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
-                rt.setup(&mut arrays);
-            }
+            rt.setup(&mut [&mut m]);
             // Write a rank-specific value into owned rows, then exchange.
             for i in rt.my_rows(ph).iter() {
                 m.row_mut(i)[0] = (100 + i) as f64;
@@ -2712,102 +2086,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "registered twice")]
     fn duplicate_array_name_rejected() {
-        run_threads(1, |tt| {
-            let loads = Arc::new(vec![AtomicU32::new(0)]);
-            let t = FakeLoad { inner: tt, loads };
+        cluster(1).run_spmd(|ctx| {
+            let t = SimTransport::new(ctx);
             let mut rt = DynMpi::init(&t, 4, DynMpiConfig::default());
             rt.register_dense("A", 4);
             rt.register_dense("A", 4);
         });
-    }
-
-    /// Like [`FakeLoad`] but with fail-stop switches for the detector and
-    /// recovery paths. A `downed` node's monitor reads raw 0, its own
-    /// sends are dropped, and timeout-guarded receives touching it (from
-    /// it, or issued by it) fail immediately — the thread-world analogue
-    /// of a dead NIC. A `stalled` node's timeout-guarded receives *from*
-    /// it fail too, but its monitor stays alive: the overloaded-not-dead
-    /// case the detector must never confirm.
-    struct FakeCrash<'x> {
-        inner: &'x ThreadTransport,
-        loads: Arc<Vec<AtomicU32>>,
-        downed: Arc<Vec<AtomicBool>>,
-        stalled: Arc<Vec<AtomicBool>>,
-    }
-
-    impl FakeCrash<'_> {
-        fn down(&self, r: usize) -> bool {
-            self.downed[r].load(Ordering::SeqCst)
-        }
-    }
-
-    impl Transport for FakeCrash<'_> {
-        fn rank(&self) -> usize {
-            self.inner.rank()
-        }
-        fn size(&self) -> usize {
-            self.inner.size()
-        }
-        fn send_bytes(&self, dst: usize, tag: u64, payload: Vec<u8>) {
-            if !self.down(self.rank()) {
-                self.inner.send_bytes(dst, tag, payload);
-            }
-        }
-        fn recv_bytes(&self, src: usize, tag: u64) -> Vec<u8> {
-            self.inner.recv_bytes(src, tag)
-        }
-        fn recv_bytes_any(&self, tag: u64) -> (usize, Vec<u8>) {
-            self.inner.recv_bytes_any(tag)
-        }
-        fn recv_bytes_timeout(
-            &self,
-            src: usize,
-            tag: u64,
-            _timeout_seconds: f64,
-        ) -> Result<Vec<u8>, dynmpi_comm::PeerTimeout> {
-            // Poll until either a matching message is delivered or the
-            // peer's fault switch flips — the fault switch plays the role
-            // of the elapsed wall-clock timeout, so tests are free of
-            // real-time races: a receive from a faulty peer *always*
-            // times out, a receive from a healthy one *never* does.
-            loop {
-                if self.down(src)
-                    || self.down(self.rank())
-                    || self.stalled[src].load(Ordering::SeqCst)
-                {
-                    return Err(dynmpi_comm::PeerTimeout {
-                        src: Some(src),
-                        tag,
-                    });
-                }
-                if let Some(p) = self.inner.try_recv_bytes(src, tag) {
-                    return Ok(p);
-                }
-                std::thread::yield_now();
-            }
-        }
-        fn wtime(&self) -> f64 {
-            self.inner.wtime()
-        }
-    }
-
-    impl HostMeters for FakeCrash<'_> {
-        fn dmpi_ps(&self, r: usize) -> u32 {
-            // A remote reading cannot cross a dead NIC on *either* end:
-            // the target's (crashed node reads silent everywhere) or the
-            // reader's (a partitioned rank sees everyone else as silent).
-            if self.down(r) || (self.down(self.rank()) && r != self.rank()) {
-                0
-            } else {
-                self.loads[r].load(Ordering::Relaxed) + 1
-            }
-        }
-        fn proc_cpu_seconds(&self) -> f64 {
-            self.inner.wtime()
-        }
-        fn proc_tick_seconds(&self) -> f64 {
-            0.0
-        }
     }
 
     fn crash_cfg() -> DynMpiConfig {
@@ -2820,120 +2104,31 @@ mod tests {
         }
     }
 
-    /// One set of fault switches shared by every rank thread (a fault is
-    /// a property of the cluster, not of one rank's view of it).
-    #[allow(clippy::type_complexity)]
-    fn fault_switches(
-        n: usize,
-    ) -> (
-        Arc<Vec<AtomicU32>>,
-        Arc<Vec<AtomicBool>>,
-        Arc<Vec<AtomicBool>>,
-    ) {
-        (
-            Arc::new((0..n).map(|_| AtomicU32::new(0)).collect()),
-            Arc::new((0..n).map(|_| AtomicBool::new(false)).collect()),
-            Arc::new((0..n).map(|_| AtomicBool::new(false)).collect()),
-        )
-    }
-
-    /// The canonical rollback loop: computes `steps` increments on col 0
-    /// of every owned row, crashing rank `crash_rank` before its step
-    /// `crash_step` when given. Returns (runtime, matrix, rollbacks).
-    #[allow(clippy::type_complexity)]
-    fn drive_with_rollback<'x>(
-        t: &'x FakeCrash<'x>,
-        nrows: usize,
-        steps: u64,
-        crash: Option<(usize, u64)>,
-    ) -> Option<(DynMpi<'x, FakeCrash<'x>>, DenseMatrix<f64>, Vec<u64>)> {
-        let mut rt = DynMpi::init(t, nrows, crash_cfg());
-        let a = rt.register_dense("A", nrows);
-        let ph = rt.init_phase(0, nrows, CommPattern::NearestNeighbor);
-        rt.add_access(ph, a, AccessMode::ReadWrite, Drsd::with_halo(1));
-        let mut m = DenseMatrix::<f64>::new(nrows, 4);
-        {
-            let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
-            rt.setup(&mut arrays);
-        }
-        m.fill_rows(&rt.local_rows(a), fill_pattern);
-        let mut rollbacks = Vec::new();
-        let mut step = 0u64;
-        while step < steps {
-            if let Some((cr, cs)) = crash {
-                if t.rank() == cr && step == cs {
-                    // Fail-stop: flip the NIC switch and never speak again.
-                    t.downed[cr].store(true, Ordering::SeqCst);
-                    return None;
-                }
-            }
-            rt.begin_cycle();
-            for i in rt.my_rows(ph).iter() {
-                m.row_mut(i)[0] += 1.0;
-            }
-            rt.charge_rows(ph, |_| 10.0);
-            let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
-            rt.end_cycle(&mut arrays);
-            step = match rt.take_rollback() {
-                Some(back) => {
-                    rollbacks.push(back);
-                    back
-                }
-                None => step + 1,
-            };
-        }
-        Some((rt, m, rollbacks))
-    }
-
     /// Tentpole end-to-end at the unit level: a silent node is suspected,
     /// confirmed after the sustain window, its rows are restored from the
-    /// buddy mirror, the survivors roll back and replay — and every row
-    /// ends with exactly `steps` increments, as in a crash-free run.
+    /// buddy mirror, the survivors roll back and replay — and (checked in
+    /// the driver) every row ends with exactly `steps` increments, as in
+    /// a crash-free run.
     #[test]
     fn crash_is_confirmed_and_recovered_from_buddy() {
-        let steps = 16u64;
-        let (loads, downed, stalled) = fault_switches(4);
-        let outs = run_threads(4, move |tt| {
-            let t = FakeCrash {
-                inner: tt,
-                loads: Arc::clone(&loads),
-                downed: Arc::clone(&downed),
-                stalled: Arc::clone(&stalled),
-            };
-            let (rt, m, rollbacks) = drive_with_rollback(&t, 40, steps, Some((2, 6)))?;
-            // Every surviving row carries the full increment count plus
-            // the untouched fill pattern in the other columns.
-            for i in rt.my_rows(0).iter() {
-                assert_eq!(m.row(i)[0], fill_pattern(i, 0) + steps as f64, "row {i}");
-                for j in 1..4 {
-                    assert_eq!(m.row(i)[j], fill_pattern(i, j), "row {i} col {j}");
-                }
-            }
-            let kinds: Vec<&str> = rt.events().iter().map(|e| e.kind()).collect();
-            Some((
-                rt.active_members().to_vec(),
-                rt.dead_nodes(),
-                rollbacks,
-                rt.my_rows(0).len(),
-                kinds.contains(&"node-suspected") && kinds.contains(&"node-confirmed-dead"),
-                kinds.contains(&"node-recovered"),
-            ))
-        });
+        let sc = Scenario::new(4, 40, 16, crash_cfg());
+        let script = LoadScript::dedicated().node_crash(sc.at(0.4), 2);
+        let outs = drive(&sc.script(script));
         assert!(outs[2].is_none(), "rank 2 crashed");
-        let survivors: Vec<_> = outs.into_iter().flatten().collect();
+        let survivors = finished(outs);
         assert_eq!(survivors.len(), 3);
-        let mut owned = 0;
-        for (members, dead, rollbacks, mine, detected, recovered) in &survivors {
-            assert_eq!(members, &vec![0, 1, 3]);
-            assert_eq!(dead, &vec![2]);
-            assert_eq!(rollbacks.len(), 1, "exactly one rollback");
-            assert!(*detected && *recovered);
-            owned += mine;
+        for o in &survivors {
+            assert_eq!(o.members, [0, 1, 3]);
+            assert_eq!(o.dead, [2]);
+            assert_eq!(o.rollbacks.len(), 1, "exactly one rollback");
+            for k in ["node-suspected", "node-confirmed-dead", "node-recovered"] {
+                assert!(o.kinds().contains(&k), "missing {k}: {:?}", o.kinds());
+            }
+            // All survivors rolled back to the same checkpointed step.
+            assert_eq!(o.rollbacks, survivors[0].rollbacks);
         }
         // Survivors own the whole space, dead rows restored from the buddy.
-        assert_eq!(owned, 40);
-        // All survivors rolled back to the same checkpointed step.
-        assert!(survivors.windows(2).all(|w| w[0].2 == w[1].2));
+        assert_eq!(survivors.iter().map(|o| o.rows).sum::<usize>(), 40);
     }
 
     /// Property guard: a node whose control samples time out while its
@@ -2941,61 +2136,39 @@ mod tests {
     /// streak, let alone be confirmed dead.
     #[test]
     fn overloaded_stall_is_never_confirmed() {
-        let steps = 14u64;
-        let (loads, downed, stalled) = fault_switches(3);
-        let outs = run_threads(3, move |tt| {
-            let stalled = Arc::clone(&stalled);
-            let t = FakeCrash {
-                inner: tt,
-                loads: Arc::clone(&loads),
-                downed: Arc::clone(&downed),
-                stalled: Arc::clone(&stalled),
-            };
-            let mut rt = DynMpi::init(&t, 30, crash_cfg());
-            let a = rt.register_dense("A", 30);
-            let ph = rt.init_phase(0, 30, CommPattern::NearestNeighbor);
-            rt.add_access(ph, a, AccessMode::ReadWrite, Drsd::with_halo(1));
-            let mut m = DenseMatrix::<f64>::new(30, 4);
-            {
-                let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
-                rt.setup(&mut arrays);
+        let recorder = Recorder::new();
+        // Rank 1 is slowed 4× — seconds per step behind the root, against
+        // a 0.5 s peer timeout — for far longer than the sustain window,
+        // then clears.
+        let script = LoadScript::dedicated().at_cycle(1, 3, 3).at_cycle(1, 10, 0);
+        let mut sc = Scenario::new(3, 30, 14, crash_cfg()).script(script);
+        sc.recorder = Some(recorder.clone());
+        for o in finished(drive(&sc)) {
+            for k in ["node-suspected", "node-confirmed-dead", "node-recovered"] {
+                assert_eq!(o.count(k), 0, "stall must never escalate");
             }
-            m.fill_rows(&rt.local_rows(a), fill_pattern);
-            for step in 0..steps {
-                // Rank 1's samples stall for far longer than the sustain
-                // window, then clear.
-                if t.rank() == 1 && step == 3 {
-                    stalled[1].store(true, Ordering::SeqCst);
-                }
-                if t.rank() == 1 && step == 10 {
-                    stalled[1].store(false, Ordering::SeqCst);
-                }
-                rt.begin_cycle();
-                rt.charge_rows(ph, |_| 10.0);
-                let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
-                rt.end_cycle(&mut arrays);
-                assert!(rt.take_rollback().is_none(), "no recovery under overload");
-            }
-            check_owned(&rt, &m, a);
-            let failure_kinds = rt
-                .events()
-                .iter()
-                .filter(|e| {
-                    matches!(
-                        e,
-                        RuntimeEvent::NodeSuspected { .. }
-                            | RuntimeEvent::NodeConfirmedDead { .. }
-                            | RuntimeEvent::NodeRecovered { .. }
-                    )
-                })
-                .count();
-            (failure_kinds, rt.num_active(), rt.participating())
-        });
-        for (failures, na, p) in outs {
-            assert_eq!(failures, 0, "stall must never escalate");
-            assert_eq!(na, 3);
-            assert!(p);
+            assert!(o.rollbacks.is_empty(), "no recovery under overload");
+            assert!(o.participating);
+            assert_eq!(o.members, [0, 1, 2]);
         }
+        // The stall really happened: the root's control gather from the
+        // overloaded peer timed out at least once (→ `CTRL_STALLED`).
+        let events = recorder.events();
+        let stalls = events.iter().filter(|e| match e {
+            TraceEvent::Instant {
+                name: "recv-timeout",
+                rank: 0,
+                args,
+                ..
+            } => {
+                let arg = |k| args.iter().find(|a| a.0 == k).and_then(|a| a.1.as_u64());
+                arg("src") == Some(1)
+                    && arg("tag")
+                        .is_some_and(|t| t >= TAG_CTRL_UP && (t - TAG_CTRL_UP).is_multiple_of(4))
+            }
+            _ => false,
+        });
+        assert!(stalls.count() > 0, "the gather from rank 1 never timed out");
     }
 
     /// The other side of a partition: the cut-off rank's own control
@@ -3004,62 +2177,16 @@ mod tests {
     /// confirm it dead and recover its rows.
     #[test]
     fn partitioned_rank_self_evicts_and_survivors_recover() {
-        let steps = 16u64;
-        let (loads, downed, stalled) = fault_switches(4);
-        let outs = run_threads(4, move |tt| {
-            let downed = Arc::clone(&downed);
-            let t = FakeCrash {
-                inner: tt,
-                loads: Arc::clone(&loads),
-                downed: Arc::clone(&downed),
-                stalled: Arc::clone(&stalled),
-            };
-            let mut rt = DynMpi::init(&t, 40, crash_cfg());
-            let a = rt.register_dense("A", 40);
-            let ph = rt.init_phase(0, 40, CommPattern::NearestNeighbor);
-            rt.add_access(ph, a, AccessMode::ReadWrite, Drsd::with_halo(1));
-            let mut m = DenseMatrix::<f64>::new(40, 4);
-            {
-                let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
-                rt.setup(&mut arrays);
-            }
-            m.fill_rows(&rt.local_rows(a), fill_pattern);
-            let mut step = 0u64;
-            while step < steps {
-                // The partition: rank 1 keeps running, but its NIC dies.
-                if t.rank() == 1 && step == 6 {
-                    downed[1].store(true, Ordering::SeqCst);
-                }
-                rt.begin_cycle();
-                rt.charge_rows(ph, |_| 10.0);
-                let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
-                rt.end_cycle(&mut arrays);
-                step = match rt.take_rollback() {
-                    Some(back) => back,
-                    None => step + 1,
-                };
-            }
-            (
-                rt.is_evicted(),
-                rt.participating(),
-                rt.active_members().to_vec(),
-                rt.my_rows(0).len(),
-            )
-        });
-        let (evicted, participating, members, mine) = &outs[1];
-        assert!(*evicted, "partitioned rank withdraws");
-        assert!(!participating);
-        assert_eq!(*mine, 0);
-        let _ = members;
-        let mut owned = 0;
-        for (r, (evicted, participating, members, mine)) in outs.iter().enumerate() {
-            if r == 1 {
-                continue;
-            }
-            assert!(!evicted && *participating, "rank {r}");
-            assert_eq!(members, &vec![0, 2, 3]);
-            owned += mine;
+        let sc = Scenario::new(4, 40, 16, crash_cfg());
+        let script = LoadScript::dedicated().node_partition(sc.at(0.4), 1);
+        let outs = finished(drive(&sc.script(script)));
+        assert!(outs[1].evicted, "partitioned rank withdraws");
+        assert!(!outs[1].participating);
+        assert_eq!(outs[1].rows, 0);
+        for (r, o) in outs.iter().enumerate().filter(|(r, _)| *r != 1) {
+            assert!(!o.evicted && o.participating, "rank {r}");
+            assert_eq!(o.members, [0, 2, 3]);
         }
-        assert_eq!(owned, 40, "survivors own everything");
+        assert_eq!(outs.iter().map(|o| o.rows).sum::<usize>(), 40);
     }
 }

@@ -1,139 +1,57 @@
 //! Failure-injection and edge-case tests for the runtime: degenerate
 //! clusters, hostile load patterns, and misuse that must fail loudly.
 
-use dynmpi::{
-    AccessMode, CommPattern, DenseMatrix, DropPolicy, Drsd, DynMpi, DynMpiConfig, RedistArray,
-};
-use dynmpi_comm::{run_threads, HostMeters, Transport};
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+#[allow(dead_code)] // the time-triggered scenarios live in `runtime::tests`
+mod drive;
 
-struct FakeLoad<'x> {
-    inner: &'x dynmpi_comm::ThreadTransport,
-    loads: Arc<Vec<AtomicU32>>,
-}
+use drive::{cluster, drive, RankOut, Scenario};
+use dynmpi::{DropPolicy, DynMpi, DynMpiConfig};
+use dynmpi_comm::SimTransport;
+use dynmpi_sim::LoadScript;
 
-impl Transport for FakeLoad<'_> {
-    fn rank(&self) -> usize {
-        self.inner.rank()
-    }
-    fn size(&self) -> usize {
-        self.inner.size()
-    }
-    fn send_bytes(&self, dst: usize, tag: u64, payload: Vec<u8>) {
-        self.inner.send_bytes(dst, tag, payload);
-    }
-    fn recv_bytes(&self, src: usize, tag: u64) -> Vec<u8> {
-        self.inner.recv_bytes(src, tag)
-    }
-    fn recv_bytes_any(&self, tag: u64) -> (usize, Vec<u8>) {
-        self.inner.recv_bytes_any(tag)
-    }
-    fn wtime(&self) -> f64 {
-        self.inner.wtime()
-    }
-}
-
-impl HostMeters for FakeLoad<'_> {
-    fn dmpi_ps(&self, r: usize) -> u32 {
-        self.loads[r].load(Ordering::Relaxed) + 1
-    }
-    fn proc_cpu_seconds(&self) -> f64 {
-        self.inner.wtime()
-    }
-    fn proc_tick_seconds(&self) -> f64 {
-        0.0
-    }
-}
-
-fn drive(
-    n_ranks: usize,
+/// Runs the halo application (ghost exchange every step) under `script`;
+/// data integrity and replica agreement are checked inside the driver.
+fn run(
+    nodes: usize,
     nrows: usize,
+    steps: u64,
     cfg: DynMpiConfig,
-    cycles: usize,
-    loads_script: impl Fn(u64, &Arc<Vec<AtomicU32>>) + Send + Sync,
-) -> Vec<(bool, usize, Vec<&'static str>)> {
-    run_threads(n_ranks, |tt| {
-        let loads = Arc::new((0..n_ranks).map(|_| AtomicU32::new(0)).collect::<Vec<_>>());
-        let t = FakeLoad {
-            inner: tt,
-            loads: Arc::clone(&loads),
-        };
-        let mut rt = DynMpi::init(&t, nrows, cfg.clone());
-        let a = rt.register_dense("A", nrows);
-        let ph = rt.init_phase(0, nrows, CommPattern::NearestNeighbor);
-        rt.add_access(ph, a, AccessMode::ReadWrite, Drsd::with_halo(1));
-        let mut m = DenseMatrix::<f64>::new(nrows, 2);
-        {
-            let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
-            rt.setup(&mut arrays);
-        }
-        m.fill_rows(&rt.local_rows(a), |i, j| (i + j) as f64);
-        for c in 0..cycles {
-            loads_script(c as u64, &loads);
-            rt.begin_cycle();
-            if rt.participating() {
-                rt.ghost_exchange(a, &mut m);
-                rt.charge_rows(ph, |_| 1.0);
-            }
-            let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
-            rt.end_cycle(&mut arrays);
-        }
-        // Verify data integrity at the end.
-        for i in rt.my_rows(ph).iter() {
-            assert_eq!(m.row(i)[0], i as f64, "row {i} corrupted");
-        }
-        (
-            rt.participating(),
-            rt.my_rows(ph).len(),
-            rt.events().iter().map(|e| e.kind()).collect(),
-        )
-    })
+    script: LoadScript,
+) -> Vec<RankOut> {
+    let mut sc = Scenario::new(nodes, nrows, steps, cfg).script(script);
+    sc.ghosts = true;
+    drive(&sc).into_iter().flatten().collect()
 }
 
 #[test]
 fn single_node_cluster_is_a_noop() {
-    let out = drive(1, 8, DynMpiConfig::default(), 12, |c, l| {
-        if c == 2 {
-            l[0].store(3, Ordering::Relaxed);
-        }
-    });
     // A load change on the only node: grace runs, but there is nowhere to
     // move work and no one to drop.
-    assert!(out[0].0);
-    assert_eq!(out[0].1, 8);
+    let script = LoadScript::dedicated().at_cycle(0, 2, 3);
+    let out = run(1, 8, 12, DynMpiConfig::default(), script);
+    assert!(out[0].participating);
+    assert_eq!(out[0].rows, 8);
+    assert!(out[0].kinds().contains(&"grace-complete"));
 }
 
 #[test]
 fn all_nodes_loaded_never_drops() {
-    let out = drive(
-        3,
-        24,
-        DynMpiConfig {
-            drop_policy: DropPolicy::Auto,
-            grace_period: 2,
-            ..Default::default()
-        },
-        20,
-        |c, l| {
-            if c == 2 {
-                for x in l.iter() {
-                    x.store(2, Ordering::Relaxed);
-                }
-            }
-        },
-    );
-    for (participating, rows, kinds) in &out {
+    let cfg = DynMpiConfig {
+        drop_policy: DropPolicy::Auto,
+        grace_period: 2,
+        ..Default::default()
+    };
+    let script = (0..3).fold(LoadScript::dedicated(), |s, n| s.at_cycle(n, 2, 2));
+    let out = run(3, 24, 20, cfg, script);
+    for o in &out {
         assert!(
-            *participating,
+            o.participating,
             "uniformly loaded cluster must keep everyone"
         );
-        assert!(*rows > 0);
-        assert!(!kinds.contains(&"nodes-dropped"));
+        assert!(!o.kinds().contains(&"nodes-dropped"));
+        // Uniform load ⇒ balanced shares stay (roughly) even.
+        assert!(o.rows >= 7, "{:?}", o.counts);
     }
-    // Uniform load ⇒ balanced shares stay (roughly) even.
-    let rows: Vec<usize> = out.iter().map(|o| o.1).collect();
-    assert!(rows.iter().all(|&r| r >= 7), "{rows:?}");
 }
 
 #[test]
@@ -141,29 +59,16 @@ fn load_spike_during_post_redist_window_is_deferred() {
     // A second load change while the runtime is inside grace/post-redist
     // must not wedge the state machine; it is handled at the next stable
     // cycle.
-    let out = drive(
-        3,
-        24,
-        DynMpiConfig {
-            drop_policy: DropPolicy::Never,
-            grace_period: 3,
-            ..Default::default()
-        },
-        40,
-        |c, l| {
-            if c == 2 {
-                l[1].store(1, Ordering::Relaxed);
-            }
-            if c == 7 {
-                // mid-grace / post-redist
-                l[2].store(2, Ordering::Relaxed);
-            }
-        },
-    );
-    for (_, _, kinds) in &out {
-        let changes = kinds.iter().filter(|k| **k == "load-change").count();
+    let cfg = DynMpiConfig {
+        drop_policy: DropPolicy::Never,
+        grace_period: 3,
+        ..Default::default()
+    };
+    let script = LoadScript::dedicated().at_cycle(1, 2, 1).at_cycle(2, 7, 2);
+    for o in run(3, 24, 40, cfg, script) {
+        let kinds = o.kinds();
         assert!(
-            changes >= 2,
+            o.count("load-change") >= 2,
             "second change must eventually be processed: {kinds:?}"
         );
     }
@@ -171,66 +76,46 @@ fn load_spike_during_post_redist_window_is_deferred() {
 
 #[test]
 fn oscillating_load_does_not_thrash_forever() {
-    let out = drive(
-        2,
-        16,
-        DynMpiConfig {
-            drop_policy: DropPolicy::Never,
-            grace_period: 1,
-            ..Default::default()
-        },
-        40,
-        |c, l| {
-            // Load flips every 6 cycles.
-            l[1].store(u32::from((c / 6) % 2 == 1), Ordering::Relaxed);
-        },
-    );
-    for (participating, rows, _) in &out {
-        assert!(*participating);
-        assert!(*rows > 0);
+    let cfg = DynMpiConfig {
+        drop_policy: DropPolicy::Never,
+        grace_period: 1,
+        ..Default::default()
+    };
+    // Load flips every 6 cycles.
+    let script = (1..7).fold(LoadScript::dedicated(), |s, k| {
+        s.at_cycle(1, 6 * k, (k % 2) as u32)
+    });
+    let out = run(2, 16, 40, cfg, script);
+    for o in &out {
+        assert!(o.participating);
+        assert!(o.rows > 0);
     }
-    let total: usize = out.iter().map(|o| o.1).sum();
-    assert_eq!(total, 16);
+    assert_eq!(out.iter().map(|o| o.rows).sum::<usize>(), 16);
 }
 
 #[test]
 fn max_redistributions_caps_adaptation() {
-    let out = drive(
-        2,
-        16,
-        DynMpiConfig {
-            drop_policy: DropPolicy::Never,
-            grace_period: 1,
-            max_redistributions: Some(1),
-            ..Default::default()
-        },
-        40,
-        |c, l| {
-            if c == 2 {
-                l[1].store(2, Ordering::Relaxed);
-            }
-            if c == 15 {
-                l[1].store(0, Ordering::Relaxed);
-            }
-        },
-    );
-    for (_, _, kinds) in &out {
-        let redists = kinds.iter().filter(|k| **k == "redistributed").count();
-        assert!(redists <= 1, "{kinds:?}");
+    let cfg = DynMpiConfig {
+        drop_policy: DropPolicy::Never,
+        grace_period: 1,
+        max_redistributions: Some(1),
+        ..Default::default()
+    };
+    let script = LoadScript::dedicated().at_cycle(1, 2, 2).at_cycle(1, 15, 0);
+    for o in run(2, 16, 40, cfg, script) {
+        assert_eq!(o.count("redistributed"), 1, "{:?}", o.kinds());
     }
 }
 
 #[test]
 fn setup_misuse_fails_loudly() {
     let r = std::panic::catch_unwind(|| {
-        run_threads(1, |tt| {
-            let loads = Arc::new(vec![AtomicU32::new(0)]);
-            let t = FakeLoad { inner: tt, loads };
+        cluster(1).run_spmd(|ctx| {
+            let t = SimTransport::new(ctx);
             let mut rt = DynMpi::init(&t, 8, DynMpiConfig::default());
             rt.register_dense("A", 8);
             // Wrong number of arrays at setup.
-            let mut arrays: Vec<&mut dyn RedistArray> = vec![];
-            rt.setup(&mut arrays);
+            rt.setup(&mut []);
         });
     });
     assert!(r.is_err());
@@ -239,10 +124,8 @@ fn setup_misuse_fails_loudly() {
 #[test]
 fn fewer_rows_than_ranks_rejected() {
     let r = std::panic::catch_unwind(|| {
-        run_threads(4, |tt| {
-            let loads = Arc::new((0..4).map(|_| AtomicU32::new(0)).collect::<Vec<_>>());
-            let t = FakeLoad { inner: tt, loads };
-            let _ = DynMpi::init(&t, 2, DynMpiConfig::default());
+        cluster(4).run_spmd(|ctx| {
+            let _ = DynMpi::init(&SimTransport::new(ctx), 2, DynMpiConfig::default());
         });
     });
     assert!(r.is_err());

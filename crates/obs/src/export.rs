@@ -9,7 +9,7 @@
 use std::fmt::{self, Write};
 
 use crate::json::{write_escaped, Json, JsonError};
-use crate::trace::{intern, intern_cat, TraceEvent, MAX_RANKS};
+use crate::trace::{intern, intern_cat, TraceEvent, MAX_RANKS, MAX_TS_NS};
 
 fn us(ns: u64) -> Json {
     if ns.is_multiple_of(1_000) {
@@ -230,24 +230,31 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, JsonError> {
             Some(Json::Obj(pairs)) => pairs.iter().map(|(k, v)| (intern(k), v.clone())).collect(),
             _ => Vec::new(),
         };
-        match field_str("kind")? {
-            "span" => out.push(TraceEvent::Complete {
+        let ev = match field_str("kind")? {
+            "span" => TraceEvent::Complete {
                 cat,
                 name,
                 rank,
                 ts_ns,
                 dur_ns: field_u64("dur_ns")?,
                 args,
-            }),
-            "instant" => out.push(TraceEvent::Instant {
+            },
+            "instant" => TraceEvent::Instant {
                 cat,
                 name,
                 rank,
                 ts_ns,
                 args,
-            }),
+            },
             other => return Err(bad(format!("line {}: unknown kind `{other}`", lineno + 1))),
+        };
+        if !ev.in_time_range() {
+            return Err(bad(format!(
+                "line {}: the event at ts_ns {ts_ns} does not end by MAX_TS_NS = {MAX_TS_NS}",
+                lineno + 1
+            )));
         }
+        out.push(ev);
     }
     Ok(out)
 }

@@ -637,6 +637,11 @@ impl HealthMonitor {
 
 impl EventSink for HealthMonitor {
     fn on_event(&self, ev: &TraceEvent) {
+        // Windows are laid out from time 0 to the last timestamp seen:
+        // an out-of-range one (malformed dump) must not size the report.
+        if !ev.in_time_range() {
+            return;
+        }
         let mut m = self.locked();
         let rank = ev.rank();
         if !m.note_rank(rank) {

@@ -94,6 +94,16 @@ impl TraceEvent {
             TraceEvent::Complete { name, .. } | TraceEvent::Instant { name, .. } => name,
         }
     }
+
+    /// Do the timestamp and, for a span, its end lie within [`MAX_TS_NS`]?
+    pub fn in_time_range(&self) -> bool {
+        let dur_ns = match self {
+            TraceEvent::Complete { dur_ns, .. } => *dur_ns,
+            TraceEvent::Instant { .. } => 0,
+        };
+        let end = self.ts_ns().checked_add(dur_ns);
+        end.is_some_and(|end| end <= MAX_TS_NS)
+    }
 }
 
 /// Ranks (and the `peer` / `node` attributes naming one) are below this
@@ -101,6 +111,15 @@ impl TraceEvent {
 /// rejects a larger `rank`, and the streaming sinks, which size per-node
 /// tables by the largest index seen, ignore a larger attribute.
 pub const MAX_RANKS: usize = 1 << 20;
+
+/// Virtual timestamps, and span ends `ts_ns + dur_ns`, are at or below
+/// this bound in every event a consumer accepts: the health monitor lays
+/// its windows out from time 0 to the last one seen, so an unchecked
+/// timestamp sizes its report. [`parse_jsonl`](crate::parse_jsonl) rejects
+/// a later one and the monitor ignores it
+/// ([`TraceEvent::in_time_range`]). 2^53 ns ≈ 104 days of virtual time:
+/// the range in which the Chrome export's `f64` microseconds stay exact.
+pub const MAX_TS_NS: u64 = 1 << 53;
 
 /// The span categories the instrumentation layers emit; [`intern_cat`]
 /// resolves these without taking the [`intern`] lock.

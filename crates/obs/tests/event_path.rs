@@ -4,7 +4,7 @@
 use std::path::Path;
 
 use dynmpi_obs::export::{chrome_trace, jsonl};
-use dynmpi_obs::trace::{intern, intern_cat, EventSink, KNOWN_CATS, MAX_RANKS};
+use dynmpi_obs::trace::{intern, intern_cat, EventSink, KNOWN_CATS, MAX_RANKS, MAX_TS_NS};
 use dynmpi_obs::{
     instant, parse_jsonl, span_begin, span_end_args, ExplainEngine, HealthMonitor, Json, Recorder,
     TraceEvent, DEFAULT_WINDOW_NS,
@@ -47,9 +47,9 @@ fn random_value(rng: &mut Rng, depth: u32) -> Json {
 }
 
 /// Timestamps on both sides of the Chrome exporter's integer-vs-fraction
-/// rule, small and huge.
+/// rule, small and huge (a span of two still ends by `MAX_TS_NS`).
 fn random_ns(rng: &mut Rng) -> u64 {
-    let ns = rng.next_u64() >> rng.range_u64(0, 64);
+    let ns = rng.next_u64() >> rng.range_u64(12, 64);
     if rng.chance(0.5) {
         ns / 1_000 * 1_000
     } else {
@@ -331,6 +331,48 @@ fn parse_jsonl_rejects_a_rank_at_or_above_max_ranks() {
     }
     let ok = parse_jsonl(&line(&(MAX_RANKS - 1).to_string())).expect("largest rank parses");
     assert_eq!(ok[0].rank(), MAX_RANKS - 1);
+}
+
+#[test]
+fn parse_jsonl_rejects_an_event_past_max_ts_ns() {
+    let line = |ts: u64, dur: u64| {
+        format!(
+            "{{\"kind\":\"span\",\"cat\":\"sched\",\"name\":\"blocked\",\"rank\":0,\"ts_ns\":{ts},\"dur_ns\":{dur},\"args\":{{}}}}"
+        )
+    };
+    for (ts, dur) in [(u64::MAX, 0), (MAX_TS_NS, 1), (7, u64::MAX)] {
+        let err = parse_jsonl(&format!("{}\n{}\n", line(0, 5), line(ts, dur))).unwrap_err();
+        assert!(
+            err.msg.contains("line 2") && err.msg.contains("MAX_TS_NS"),
+            "{err}"
+        );
+    }
+    let ok = parse_jsonl(&line(MAX_TS_NS - 1, 1)).expect("the latest span parses");
+    assert_eq!(ok[0].ts_ns(), MAX_TS_NS - 1);
+}
+
+#[test]
+fn health_monitor_ignores_an_event_past_max_ts_ns() {
+    let health = HealthMonitor::new(DEFAULT_WINDOW_NS);
+    let instant = |ts_ns| TraceEvent::Instant {
+        cat: "comm",
+        name: "recv",
+        rank: 0,
+        ts_ns,
+        args: Vec::new(),
+    };
+    health.on_event(&instant(5));
+    health.on_event(&instant(u64::MAX));
+    health.on_event(&TraceEvent::Complete {
+        cat: "sched",
+        name: "blocked",
+        rank: 0,
+        ts_ns: 7,
+        dur_ns: u64::MAX - 7,
+        args: Vec::new(),
+    });
+    // Only the in-range event laid out a window.
+    assert_eq!(health.report().windows.len(), 1);
 }
 
 #[test]
