@@ -8,10 +8,11 @@
 //! partition, crash handling must be *bit*-invisible to the engine mode
 //! and the shard count, like every other output.
 
-use dynmpi::{DropPolicy, DynMpiConfig};
-use dynmpi_apps::harness::run_sim;
+use dynmpi::{DropPolicy, DynMpiConfig, CKPT_BYTES_SENT, CKPT_REFRESHES};
+use dynmpi_apps::harness::{run_sim, run_sim_with};
 use dynmpi_apps::jacobi::JacobiParams;
 use dynmpi_apps::{AppSpec, Experiment, SimRunResult};
+use dynmpi_obs::Recorder;
 use dynmpi_sim::{LoadScript, NodeSpec, SimTime};
 
 /// Failure-path configuration for the small test scenarios: quick
@@ -190,5 +191,51 @@ fn jacobi_partition_recovers_like_a_crash() {
         "{:?} vs {:?}",
         out.checksum(),
         baseline.checksum()
+    );
+}
+
+/// What arming the fault path costs a crash-free run, pinned exactly: the
+/// 4-node adaptive Jacobi of the health-monitor tests (n = 256, 120
+/// cycles, a competing process on node 3 from cycle 10, 5 Mflop/s nodes)
+/// with failure detection and a buddy-checkpoint refresh every 5 cycles.
+/// The refresh traffic is simulated communication, so the overhead is
+/// virtual and deterministic: 88 refreshes mirror 22 MiB and stretch the
+/// makespan 1.2010×, under the 1.25× bar for leaving the fault path on.
+#[test]
+fn checkpoint_refresh_overhead_is_pinned() {
+    let p = JacobiParams {
+        n: 256,
+        iters: 120,
+        exercise_kernel: false,
+        rebalance_at: None,
+    };
+    let exp = Experiment::new(AppSpec::Jacobi(p), 4)
+        .with_node_spec(NodeSpec::with_speed(5e6))
+        .with_cfg(DynMpiConfig::default())
+        .with_script(LoadScript::dedicated().at_cycle(3, 10, 1));
+    let bare = run_sim(&exp);
+    let rec = Recorder::new();
+    let guarded = run_sim_with(
+        &exp.clone().with_cfg(DynMpiConfig {
+            failure_detection: true,
+            peer_timeout_seconds: 0.05,
+            failure_confirm_cycles: 3,
+            checkpoint_interval_cycles: 5,
+            ..Default::default()
+        }),
+        Some(rec.clone()),
+    );
+    let metrics = rec.merged_metrics();
+    assert_eq!(metrics.counter(CKPT_REFRESHES), 88, "checkpoint refreshes");
+    assert_eq!(
+        metrics.counter(CKPT_BYTES_SENT),
+        23_068_672,
+        "checkpoint bytes"
+    );
+    let overhead = guarded.makespan / bare.makespan;
+    assert_eq!(format!("{overhead:.4}"), "1.2010", "virtual makespan ratio");
+    assert!(
+        overhead < 1.25,
+        "checkpoint overhead {overhead:.4}× over the 1.25× bar"
     );
 }

@@ -1,161 +1,5 @@
-//! Figure 3 / §4.1: memory-allocation schemes under redistribution.
-//!
-//! Compares the paper's 2-D projection layout (vector of extended rows;
-//! only moved rows are touched) against contiguous allocation (full
-//! reallocation and shift whenever the held range changes), for dense and
-//! sparse matrices, across redistribution magnitudes. Reports both real
-//! time and the memory-operation counters.
-//!
-//! This binary stays serial on purpose (`--threads` is accepted but
-//! unused): it measures real wall-clock time with `Instant`, and running
-//! configurations concurrently would contend for cores and corrupt the
-//! timings. The virtual-time figure binaries are the ones that sweep in
-//! parallel.
-
-use std::time::Instant;
-
-use dynmpi::{ContiguousMatrix, DenseMatrix, RedistArray, RowSet, SparseMatrix};
-use dynmpi_bench::{print_table, write_rows, BenchArgs};
-use dynmpi_obs::Json;
-
-struct Row {
-    figure: &'static str,
-    kind: &'static str,
-    rows_total: usize,
-    rows_moved: usize,
-    scheme: &'static str,
-    micros: f64,
-    bytes_allocated: u64,
-    bytes_copied: u64,
-}
-
-impl Row {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("figure", Json::str(self.figure)),
-            ("kind", Json::str(self.kind)),
-            ("rows_total", Json::UInt(self.rows_total as u64)),
-            ("rows_moved", Json::UInt(self.rows_moved as u64)),
-            ("scheme", Json::str(self.scheme)),
-            ("micros", Json::Num(self.micros)),
-            ("bytes_allocated", Json::UInt(self.bytes_allocated)),
-            ("bytes_copied", Json::UInt(self.bytes_copied)),
-        ])
-    }
-}
+//! Figure 3 / §4.1: projection vs contiguous allocation — [`dynmpi_bench::figures::fig3_alloc`].
 
 fn main() {
-    let args = BenchArgs::parse();
-    let (n, row_len) = if args.quick { (512, 512) } else { (2048, 2048) };
-    let mut rows_out = Vec::new();
-    let mut table = Vec::new();
-
-    for moved in [n / 64, n / 16, n / 4] {
-        // --- dense, projected -------------------------------------------
-        let mut m = DenseMatrix::<f64>::new(n, row_len);
-        m.fill_rows(&RowSet::from_range(0..n / 2), |i, j| (i + j) as f64);
-        let t0 = Instant::now();
-        // Shift the held range down by `moved` rows: drop the head, take
-        // on a new tail (the data for which arrives by message; here we
-        // materialize it locally).
-        m.drop_rows(&RowSet::from_range(0..moved));
-        m.alloc_rows(&RowSet::from_range(n / 2..n / 2 + moved));
-        let dt = t0.elapsed().as_secs_f64() * 1e6;
-        let s = m.alloc_stats();
-        rows_out.push(Row {
-            figure: "fig3",
-            kind: "dense",
-            rows_total: n,
-            rows_moved: moved,
-            scheme: "projected",
-            micros: dt,
-            bytes_allocated: (moved * row_len * 8) as u64,
-            bytes_copied: 0,
-        });
-        let _ = s;
-
-        // --- dense, contiguous ------------------------------------------
-        let mut c = ContiguousMatrix::<f64>::new(n, row_len, 0, n / 2);
-        for i in 0..n / 2 {
-            c.row_mut(i)[0] = i as f64;
-        }
-        let before = c.alloc_stats();
-        let t0 = Instant::now();
-        c.reshape(moved, n / 2 + moved);
-        let dt_c = t0.elapsed().as_secs_f64() * 1e6;
-        let after = c.alloc_stats();
-        rows_out.push(Row {
-            figure: "fig3",
-            kind: "dense",
-            rows_total: n,
-            rows_moved: moved,
-            scheme: "contiguous",
-            micros: dt_c,
-            bytes_allocated: after.bytes_allocated - before.bytes_allocated,
-            bytes_copied: after.bytes_copied - before.bytes_copied,
-        });
-
-        table.push(vec![
-            "dense".into(),
-            moved.to_string(),
-            format!("{dt:.0}"),
-            format!("{dt_c:.0}"),
-            format!("{:.1}", dt_c / dt.max(1e-9)),
-        ]);
-    }
-
-    // --- sparse: pack/unpack round trip vs full rebuild -----------------
-    for moved in [n / 64, n / 16] {
-        let mut sm = SparseMatrix::<f64>::new(n, n);
-        for i in 0..n / 2 {
-            for k in 0..8u32 {
-                sm.set(
-                    i,
-                    (i as u32).wrapping_mul(7).wrapping_add(k * 131) % n as u32,
-                    1.0,
-                );
-            }
-        }
-        let mv = RowSet::from_range(0..moved);
-        let t0 = Instant::now();
-        let bytes = sm.pack_rows(&mv, true);
-        let mut recv = SparseMatrix::<f64>::new(n, n);
-        recv.unpack_rows(&mv, &bytes);
-        let dt = t0.elapsed().as_secs_f64() * 1e6;
-        rows_out.push(Row {
-            figure: "fig3",
-            kind: "sparse",
-            rows_total: n,
-            rows_moved: moved,
-            scheme: "projected(pack+unpack)",
-            micros: dt,
-            bytes_allocated: bytes.len() as u64,
-            bytes_copied: bytes.len() as u64,
-        });
-        table.push(vec![
-            "sparse".into(),
-            moved.to_string(),
-            format!("{dt:.0}"),
-            "-".into(),
-            "-".into(),
-        ]);
-    }
-
-    print_table(
-        "Figure 3 — redistribution memory work: projected vs contiguous",
-        &[
-            "kind",
-            "rows moved",
-            "projected(us)",
-            "contiguous(us)",
-            "contig/proj",
-        ],
-        &table,
-    );
-    println!(
-        "\nThe projection scheme touches only the moved rows; contiguous allocation \
-         reallocates and copies the node's entire partition (§4.1, Figure 3)."
-    );
-    let json_rows: Vec<Json> = rows_out.iter().map(Row::to_json).collect();
-    write_rows(&args.out_dir, "fig3_alloc", &json_rows);
+    dynmpi_bench::figures::fig3_alloc::FIGURE.main();
 }

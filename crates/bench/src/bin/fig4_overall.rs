@@ -1,255 +1,5 @@
-//! Figure 4: overall results.
-//!
-//! Each of the four applications runs on 2, 4, and 8 nodes in three
-//! variants: all nodes **dedicated**; one competing process introduced on
-//! node 0 at the 10th phase cycle with **no adaptation**; and the same
-//! load with **Dyn-MPI** adapting. Times are normalized to the dedicated
-//! run, as in the paper's bars (smaller is better).
-
-use dynmpi::DynMpiConfig;
-use dynmpi_apps::cg::CgParams;
-use dynmpi_apps::harness::{run_sim, run_sim_with, AppSpec, Experiment};
-use dynmpi_apps::jacobi::JacobiParams;
-use dynmpi_apps::particle::ParticleParams;
-use dynmpi_apps::sor::SorParams;
-use dynmpi_bench::{fmt_s, fmt_x, log_error, log_info, print_table, write_rows, BenchArgs};
-use dynmpi_obs::Json;
-use dynmpi_sim::{LoadScript, NodeSpec};
-
-struct Row {
-    figure: &'static str,
-    app: &'static str,
-    nodes: usize,
-    dedicated_s: f64,
-    no_adapt_s: f64,
-    dynmpi_s: f64,
-    no_adapt_norm: f64,
-    dynmpi_norm: f64,
-    redist_s: f64,
-}
-
-impl Row {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("figure", Json::str(self.figure)),
-            ("app", Json::str(self.app)),
-            ("nodes", Json::UInt(self.nodes as u64)),
-            ("dedicated_s", Json::Num(self.dedicated_s)),
-            ("no_adapt_s", Json::Num(self.no_adapt_s)),
-            ("dynmpi_s", Json::Num(self.dynmpi_s)),
-            ("no_adapt_norm", Json::Num(self.no_adapt_norm)),
-            ("dynmpi_norm", Json::Num(self.dynmpi_norm)),
-            ("redist_s", Json::Num(self.redist_s)),
-        ])
-    }
-}
-
-type AppCtor = Box<dyn Fn(usize) -> AppSpec>;
-
-fn apps(quick: bool) -> Vec<(&'static str, AppCtor)> {
-    let scale = |full: usize, quick_v: usize| if quick { quick_v } else { full };
-    let n_jac = scale(2048, 512);
-    let it_jac = scale(250, 100);
-    let n_sor = scale(1024, 512);
-    let it_sor = scale(250, 100);
-    let n_cg = scale(14_000, 1_400);
-    let nnz_cg = scale(132, 24);
-    let it_cg = scale(250, 100);
-    let it_part = scale(200, 100);
-    vec![
-        (
-            "jacobi",
-            Box::new(move |_nodes| {
-                AppSpec::Jacobi(JacobiParams {
-                    n: n_jac,
-                    iters: it_jac,
-                    exercise_kernel: false,
-                    rebalance_at: None,
-                })
-            }),
-        ),
-        (
-            "sor",
-            Box::new(move |_nodes| {
-                AppSpec::Sor(SorParams {
-                    n: n_sor,
-                    iters: it_sor,
-                    omega: 1.5,
-                    exercise_kernel: false,
-                })
-            }),
-        ),
-        (
-            "cg",
-            Box::new(move |_nodes| {
-                AppSpec::Cg(CgParams {
-                    n: n_cg,
-                    offdiag_per_row: nnz_cg,
-                    iters: it_cg,
-                    seed: 1,
-                })
-            }),
-        ),
-        (
-            "particle",
-            Box::new(move |nodes| {
-                let mut p = ParticleParams::paper(nodes);
-                p.iters = it_part;
-                AppSpec::Particle(p)
-            }),
-        ),
-    ]
-}
+//! Figure 4: overall results — [`dynmpi_bench::figures::fig4_overall`].
 
 fn main() {
-    let args = BenchArgs::parse();
-
-    // Pre-build every (app, nodes) configuration, then run them through the
-    // parallel sweep: each item is three independent deterministic sims, so
-    // results (and thus the JSONL) are identical at any --threads value.
-    // `--only app/nodes` (substring match, e.g. `--only jacobi/8`) trims
-    // the sweep to the configurations of interest — mainly for profiling
-    // one run without paying for the other eleven.
-    let items: Vec<(&'static str, usize, AppSpec, NodeSpec)> = apps(args.quick)
-        .into_iter()
-        .flat_map(|(name, mk)| {
-            // Quick mode shrinks the problem but also slows the nodes, so
-            // virtual cycle times (and hence the 1 Hz monitor's behaviour)
-            // stay paper-like.
-            let node = if args.quick && name != "particle" {
-                NodeSpec::with_speed(5e6)
-            } else {
-                NodeSpec::xeon_550()
-            };
-            [2usize, 4, 8]
-                .into_iter()
-                .map(move |nodes| (name, nodes, mk(nodes), node))
-                .collect::<Vec<_>>()
-        })
-        .filter(|(name, nodes, _, _)| args.keeps(&format!("{name}/{nodes}")))
-        .collect();
-    if items.is_empty() {
-        log_error!("--only matched no fig4 configuration");
-        std::process::exit(2);
-    }
-
-    // With --trace-out/--profile-out/--health-out/--watch, the first
-    // Dyn-MPI run (the smallest selected adaptive configuration, pinned to
-    // sweep item 0) is instrumented; later runs would overlay the same
-    // virtual-time axis in one trace.
-    let inst = args.instrumentation();
-    // Rough per-arm cost estimates steer the weighted sweep's claim order
-    // so the big 8-node arms start first instead of tail-blocking the pool
-    // from the back of the input list. Only the ordering matters.
-    let weights: Vec<f64> = items
-        .iter()
-        .map(|(name, nodes, _, _)| {
-            let app_cost = match *name {
-                "cg" => 3.0, // all-reduce every iteration: traffic ∝ nodes
-                "particle" => 1.5,
-                _ => 1.0,
-            };
-            app_cost * (*nodes as f64)
-        })
-        .collect();
-    let rows: Vec<Row> =
-        dynmpi_testkit::sweep_weighted(&items, &weights, args.threads, |i, item| {
-            let (name, nodes, spec, node) = item;
-            let (name, nodes) = (*name, *nodes);
-            // The competing process appears at the 10th phase cycle on one
-            // node (§5.1) — the last one for the uniform apps, but for the
-            // particle simulation the paper puts it on the node that also
-            // holds twice the particles (node 0).
-            let cp_node = if name == "particle" { 0 } else { nodes - 1 };
-            let loaded_script = LoadScript::dedicated().at_cycle(cp_node, 10, 1);
-            let ded = run_sim(
-                &Experiment::new(spec.clone(), nodes)
-                    .with_node_spec(*node)
-                    .with_cfg(DynMpiConfig::no_adapt())
-                    .with_shards(args.shards),
-            );
-            let noad = run_sim(
-                &Experiment::new(spec.clone(), nodes)
-                    .with_node_spec(*node)
-                    .with_cfg(DynMpiConfig::no_adapt())
-                    .with_script(loaded_script.clone())
-                    .with_shards(args.shards),
-            );
-            let dyn_ = run_sim_with(
-                &Experiment::new(spec.clone(), nodes)
-                    .with_node_spec(*node)
-                    .with_cfg(DynMpiConfig::default())
-                    .with_script(loaded_script.clone())
-                    .with_shards(args.shards),
-                inst.recorder_for(i == 0),
-            );
-            log_info!(
-                "fig4 {name} n={nodes}: ded {:.2}s noadapt {:.2}s dynmpi {:.2}s",
-                ded.makespan,
-                noad.makespan,
-                dyn_.makespan
-            );
-            Row {
-                figure: "fig4",
-                app: name,
-                nodes,
-                dedicated_s: ded.makespan,
-                no_adapt_s: noad.makespan,
-                dynmpi_s: dyn_.makespan,
-                no_adapt_norm: noad.makespan / ded.makespan,
-                dynmpi_norm: dyn_.makespan / ded.makespan,
-                redist_s: dyn_.redist_seconds(),
-            }
-        });
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|row| {
-            vec![
-                row.app.to_string(),
-                row.nodes.to_string(),
-                fmt_s(row.dedicated_s),
-                fmt_s(row.no_adapt_s),
-                fmt_s(row.dynmpi_s),
-                fmt_x(row.no_adapt_norm),
-                fmt_x(row.dynmpi_norm),
-                fmt_s(row.redist_s),
-            ]
-        })
-        .collect();
-    print_table(
-        "Figure 4 — execution time relative to all-dedicated (1 CP on one node at cycle 10)",
-        &[
-            "app",
-            "nodes",
-            "dedicated(s)",
-            "no-adapt(s)",
-            "dynmpi(s)",
-            "no-adapt×",
-            "dynmpi×",
-            "redist(s)",
-        ],
-        &table,
-    );
-    let improvements: Vec<f64> = rows
-        .iter()
-        .map(|r| (r.no_adapt_s - r.dynmpi_s) / r.no_adapt_s * 100.0)
-        .collect();
-    let mean_impr = improvements.iter().sum::<f64>() / improvements.len() as f64;
-    let max_ratio = rows
-        .iter()
-        .map(|r| r.no_adapt_s / r.dynmpi_s)
-        .fold(0.0, f64::max);
-    let mean_slow = rows
-        .iter()
-        .map(|r| (r.dynmpi_norm - 1.0) * 100.0)
-        .sum::<f64>()
-        / rows.len() as f64;
-    println!(
-        "\nsummary: Dyn-MPI vs no-adapt improvement mean {mean_impr:.0}% (paper: 72% avg), \
-         best ratio {max_ratio:.2}× (paper: up to ~3×); slowdown vs dedicated mean \
-         {mean_slow:.0}% (paper: 29% avg)"
-    );
-    let json_rows: Vec<Json> = rows.iter().map(Row::to_json).collect();
-    write_rows(&args.out_dir, "fig4_overall", &json_rows);
-    inst.finish();
+    dynmpi_bench::figures::fig4_overall::FIGURE.main();
 }

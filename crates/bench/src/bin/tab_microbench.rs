@@ -1,112 +1,5 @@
-//! §4.3 micro-benchmark table: two-node computation/communication
-//! sweeps.
-//!
-//! For each (comp/comm ratio, CP count) point, sweep the loaded node's
-//! work fraction in the simulator, report the measured optimum against
-//! the naive relative-power fraction, and fit the penalty model's wait
-//! factor — the calibration step behind successive balancing.
-
-use dynmpi::microbench::{fit_wait_factor, probe, ProbePoint};
-use dynmpi_bench::{print_table, write_rows, BenchArgs};
-use dynmpi_obs::Json;
-
-struct Row {
-    table: &'static str,
-    total_work: f64,
-    msg_bytes: usize,
-    ncp: u32,
-    naive_fraction: f64,
-    best_fraction: f64,
-    naive_cycle_s: f64,
-    best_cycle_s: f64,
-    gain_pct: f64,
-}
-
-impl Row {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("table", Json::str(self.table)),
-            ("total_work", Json::Num(self.total_work)),
-            ("msg_bytes", Json::UInt(self.msg_bytes as u64)),
-            ("ncp", Json::UInt(u64::from(self.ncp))),
-            ("naive_fraction", Json::Num(self.naive_fraction)),
-            ("best_fraction", Json::Num(self.best_fraction)),
-            ("naive_cycle_s", Json::Num(self.naive_cycle_s)),
-            ("best_cycle_s", Json::Num(self.best_cycle_s)),
-            ("gain_pct", Json::Num(self.gain_pct)),
-        ])
-    }
-}
+//! §4.3 micro-benchmark table — [`dynmpi_bench::figures::tab_microbench`].
 
 fn main() {
-    let args = BenchArgs::parse();
-    let (grid, cycles) = if args.quick { (8, 10) } else { (16, 30) };
-    let speed = 100e6; // Xeon-class
-    let mut rows = Vec::new();
-    let mut table = Vec::new();
-    // Comp/comm ratios from compute-heavy to comm-heavy (message 16 KB ≈
-    // one 2048-double ghost row).
-    for total_work in [8.0e6, 2.0e6, 0.5e6] {
-        for ncp in [1u32, 2, 3] {
-            let p = ProbePoint {
-                total_work,
-                msg_bytes: 16_384,
-                ncp,
-            };
-            let r = probe(speed, p, grid, cycles);
-            let gain = (r.naive_cycle - r.best_cycle) / r.naive_cycle * 100.0;
-            table.push(vec![
-                format!("{:.1e}", total_work),
-                ncp.to_string(),
-                format!("{:.3}", r.naive_fraction),
-                format!("{:.3}", r.best_fraction),
-                format!("{:.2}ms", r.naive_cycle * 1e3),
-                format!("{:.2}ms", r.best_cycle * 1e3),
-                format!("{gain:+.1}%"),
-            ]);
-            rows.push(Row {
-                table: "microbench",
-                total_work,
-                msg_bytes: p.msg_bytes,
-                ncp,
-                naive_fraction: r.naive_fraction,
-                best_fraction: r.best_fraction,
-                naive_cycle_s: r.naive_cycle,
-                best_cycle_s: r.best_cycle,
-                gain_pct: gain,
-            });
-        }
-    }
-    print_table(
-        "§4.3 micro-benchmarks — loaded-node work fraction: naive vs measured best",
-        &[
-            "work",
-            "CPs",
-            "naive frac",
-            "best frac",
-            "naive cycle",
-            "best cycle",
-            "gain",
-        ],
-        &table,
-    );
-    let probes: Vec<_> = rows
-        .iter()
-        .map(|r| {
-            probe(
-                speed,
-                ProbePoint {
-                    total_work: r.total_work,
-                    msg_bytes: r.msg_bytes,
-                    ncp: r.ncp,
-                },
-                4,
-                6,
-            )
-        })
-        .collect();
-    let wf = fit_wait_factor(&probes, 0.010);
-    println!("\nfitted wait factor: {wf:.2} (config default 0.05)");
-    let json_rows: Vec<Json> = rows.iter().map(Row::to_json).collect();
-    write_rows(&args.out_dir, "tab_microbench", &json_rows);
+    dynmpi_bench::figures::tab_microbench::FIGURE.main();
 }

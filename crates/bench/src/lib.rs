@@ -1,7 +1,9 @@
 //! # dynmpi-bench — harnesses regenerating the paper's tables and figures
 //!
-//! One binary per figure of the evaluation (§5), plus ablation harnesses
-//! for the design decisions:
+//! The evaluation (§5) is a library: [`figures`] holds one module per
+//! figure, table or ablation, each with its typed rows, its sweep and its
+//! printout. Every binary below is a shim over its module's `FIGURE`, and
+//! the golden-row tests call the same functions in-process:
 //!
 //! | binary | reproduces |
 //! |---|---|
@@ -11,15 +13,14 @@
 //! | `fig6_node_removal` | Fig. 6 — SOR keep-vs-drop on 8/16/32 nodes |
 //! | `fig7_grace_period` | Fig. 7 — particle sim, grace period 1 vs 5 |
 //! | `fig8_node_arrival` | extension — growing the job: node arrival absorption on 2/4/8 seed nodes + recovery from removal by re-adding |
+//! | `fig9_node_crash` | extension — fail-stop crash: detection, buddy-checkpoint restore, replay |
 //! | `tab_microbench` | §4.3 — two-node comp/comm micro-benchmarks |
 //! | `ablation_balancer` | successive balancing vs relative power |
 //! | `ablation_drop_mode` | physical vs logical node dropping (§2.2) |
 //! | `ablation_monitor` | `dmpi_ps` vs `vmstat` load readings (§4.2) |
-//! | `bench_comm` | before/after comm hot-path micro-bench (`--check` in CI) |
-//! | `bench_sim` | before/after simulator fast-path micro-bench (`--check` in CI) |
 //!
-//! Binaries print the figure's table to stdout and append JSON rows to
-//! `results/*.jsonl` for EXPERIMENTS.md. Pass `--quick` for scaled-down
+//! Binaries print the figure's table to stdout and write JSON rows to
+//! `results/<name>.jsonl` for EXPERIMENTS.md. Pass `--quick` for scaled-down
 //! inputs (same shapes, minutes → seconds). Pass `--trace-out PATH` on
 //! the figure binaries to capture a Chrome/Perfetto trace of the run
 //! (virtual timestamps; `PATH.metrics.json` gets the metrics snapshots),
@@ -34,10 +35,14 @@
 //! real wall-clock time). Pass `--shards N` to split each simulated run
 //! itself across cores with conservative-lookahead engine shards —
 //! again byte-identical output at any value, only wall-clock changes.
+//! A flag a figure would ignore (`--only` outside fig4, `--shards` or an
+//! instrumentation flag where nothing honours it) exits 2 instead.
 //!
 //! Progress output goes through a leveled logger controlled by the
 //! `DYNMPI_LOG` environment variable (`error`, `warn`, `info` — the
 //! default — `debug`, `trace`, or `off`).
+
+pub mod figures;
 
 use std::io::Write;
 use std::path::Path;
@@ -166,8 +171,28 @@ pub struct BenchArgs {
     pub shards: usize,
 }
 
+/// The optional flag classes a figure honours. `--quick`, `--out` and
+/// `--threads` are always accepted (a serial figure runs as if
+/// `--threads 1`); any other flag the figure would ignore exits 2.
+#[derive(Clone, Copy, Debug)]
+pub struct Honours {
+    /// `--only KEY` filters the sweep.
+    pub only: bool,
+    /// `--shards N` splits each simulation.
+    pub shards: bool,
+    /// The trace, profile, health, explain and Prometheus outputs,
+    /// `--watch` and `--health-window` observe one instrumented run.
+    pub instrumentation: bool,
+}
+
 impl BenchArgs {
-    pub fn parse() -> Self {
+    /// Parses the command line `argv` of the figure binary `bin`. A
+    /// malformed value, or a flag outside `honours`, exits 2 naming it.
+    pub fn parse_from<S: Into<String>>(
+        bin: &str,
+        honours: Honours,
+        argv: impl IntoIterator<Item = S>,
+    ) -> Self {
         let mut quick = false;
         let mut out_dir = "results".to_string();
         let mut trace_out = None;
@@ -180,7 +205,7 @@ impl BenchArgs {
         let mut only = None;
         let mut threads = dynmpi_testkit::available_threads();
         let mut shards = 1;
-        let mut args = std::env::args().skip(1);
+        let mut args = argv.into_iter().map(Into::into);
         let value = |flag: &str, args: &mut dyn Iterator<Item = String>| {
             args.next().unwrap_or_else(|| {
                 eprintln!("{flag} needs a value");
@@ -188,6 +213,17 @@ impl BenchArgs {
             })
         };
         while let Some(a) = args.next() {
+            let honoured = match a.as_str() {
+                "--only" => honours.only,
+                "--shards" => honours.shards,
+                "--trace-out" | "--profile-out" | "--health-out" | "--explain-out" | "--watch"
+                | "--health-window" | "--prom-out" => honours.instrumentation,
+                _ => true,
+            };
+            if !honoured {
+                eprintln!("{bin}: {a} would have no effect on this figure");
+                std::process::exit(2);
+            }
             match a.as_str() {
                 "--quick" => quick = true,
                 "--out" => out_dir = value("--out", &mut args),
@@ -224,17 +260,21 @@ impl BenchArgs {
                     });
                 }
                 "--help" | "-h" => {
+                    let opt = |on: bool, flags: &'static str| if on { flags } else { "" };
                     eprintln!(
-                        "usage: [--quick] [--out DIR] [--trace-out PATH] \
-                         [--profile-out PATH] [--health-out PATH] \
-                         [--explain-out PATH] [--watch] \
-                         [--health-window MS] [--prom-out PATH] [--only KEY] \
-                         [--threads N] [--shards N]"
+                        "usage: {bin} [--quick] [--out DIR] [--threads N]{}{}{}",
+                        opt(honours.only, " [--only KEY]"),
+                        opt(honours.shards, " [--shards N]"),
+                        opt(
+                            honours.instrumentation,
+                            " [--trace-out PATH] [--profile-out PATH] [--health-out PATH] \
+                             [--explain-out PATH] [--watch] [--health-window MS] [--prom-out PATH]"
+                        ),
                     );
                     std::process::exit(0);
                 }
                 other => {
-                    eprintln!("unknown argument {other}");
+                    eprintln!("{bin}: unknown argument {other}");
                     std::process::exit(2);
                 }
             }
@@ -276,20 +316,6 @@ impl BenchArgs {
     /// `key` as a substring.
     pub fn keeps(&self, key: &str) -> bool {
         self.only.as_deref().is_none_or(|pat| key.contains(pat))
-    }
-
-    /// Writes whatever outputs `--trace-out`/`--profile-out` asked for
-    /// from the instrumented run's recorder. (The figure binaries use
-    /// [`Instrumentation::finish`], which also handles the health and
-    /// Prometheus outputs; this remains for callers that only record.)
-    pub fn write_outputs(&self, recorder: &Option<dynmpi_obs::Recorder>) {
-        let Some(rec) = recorder else { return };
-        if let Some(path) = &self.trace_out {
-            write_trace(rec, path);
-        }
-        if let Some(path) = &self.profile_out {
-            write_profile(rec, path);
-        }
     }
 }
 
@@ -420,11 +446,6 @@ impl Instrumentation {
         }
     }
 
-    /// The shared recorder, if any instrumentation flag was given.
-    pub fn recorder(&self) -> Option<Recorder> {
-        self.recorder.clone()
-    }
-
     /// The recorder for the sweep item elected to be instrumented
     /// (`selected` true on exactly one item), `None` for the rest.
     pub fn recorder_for(&self, selected: bool) -> Option<Recorder> {
@@ -510,32 +531,26 @@ impl Drop for Instrumentation {
     }
 }
 
-/// Appends JSON rows to `<out_dir>/<name>.jsonl`, one object per line.
-pub fn write_rows(out_dir: &str, name: &str, rows: &[Json]) {
+/// Writes JSON rows to `<out_dir>/<name>.jsonl`, one object per line.
+pub fn write_rows(out_dir: &str, name: &str, rows: &[Json]) -> std::io::Result<()> {
     let dir = Path::new(out_dir);
-    if std::fs::create_dir_all(dir).is_err() {
-        log_warn!("cannot create {out_dir}; skipping JSON output");
-        return;
-    }
+    std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.jsonl"));
     // Buffered: a row's `Display` writes token by token.
-    let mut f = std::io::BufWriter::new(std::fs::File::create(&path).expect("create results file"));
+    let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
     for r in rows {
-        writeln!(f, "{r}").expect("write results file");
+        writeln!(f, "{r}")?;
     }
-    f.flush().expect("write results file");
+    f.flush()?;
     log_info!("wrote {}", path.display());
+    Ok(())
 }
 
 /// Writes the Chrome trace and the per-rank + merged metrics snapshots
-/// collected by `recorder`. The trace goes to `trace_path`; the metrics
-/// report goes next to it as `<trace_path>.metrics.json`.
-pub fn write_trace(recorder: &dynmpi_obs::Recorder, trace_path: &str) {
-    if let Some(parent) = Path::new(trace_path).parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-    }
+/// collected by `recorder`. The trace goes to `trace_path` (whose
+/// directory `validate_out_path` made at startup); the metrics report goes
+/// next to it as `<trace_path>.metrics.json`.
+fn write_trace(recorder: &dynmpi_obs::Recorder, trace_path: &str) {
     recorder
         .write_chrome_trace(trace_path)
         .expect("write trace file");
@@ -546,20 +561,10 @@ pub fn write_trace(recorder: &dynmpi_obs::Recorder, trace_path: &str) {
     log_info!("wrote {trace_path} and {metrics_path}");
 }
 
-/// Runs the trace analyzer over `recorder`'s events, writes the JSON
-/// [`ProfileReport`](dynmpi_obs::ProfileReport) to `profile_path`, and
-/// prints the text rendering (attribution table, top critical-path
-/// segments, redistribution audits) to stdout.
-pub fn write_profile(recorder: &dynmpi_obs::Recorder, profile_path: &str) {
-    write_profile_report(&recorder.profile(), profile_path);
-}
-
+/// Writes the JSON [`ProfileReport`] to `profile_path` and prints its
+/// text rendering (attribution table, top critical-path segments,
+/// redistribution audits) to stdout.
 fn write_profile_report(report: &ProfileReport, profile_path: &str) {
-    if let Some(parent) = Path::new(profile_path).parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-    }
     std::fs::write(profile_path, report.to_json().to_string()).expect("write profile file");
     print!("{}", report.render_text());
     log_info!("wrote {profile_path}");
@@ -618,7 +623,7 @@ mod tests {
             Json::obj([("x", Json::UInt(1))]),
             Json::obj([("x", Json::UInt(2))]),
         ];
-        write_rows(dir.to_str().unwrap(), "t", &rows);
+        write_rows(dir.to_str().unwrap(), "t", &rows).unwrap();
         let content = std::fs::read_to_string(dir.join("t.jsonl")).unwrap();
         assert_eq!(content.lines().count(), 2);
         let first = Json::parse(content.lines().next().unwrap()).unwrap();

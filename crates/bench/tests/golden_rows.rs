@@ -1,39 +1,41 @@
-//! The figure rows as a pin: every deterministic figure/table binary runs
-//! `--quick` and its JSONL rows are byte-compared with the file committed
-//! under `results/quick/`. Virtual time is deterministic, so the rows are
-//! the same in debug and release builds and at any `--threads`; a change
-//! that moves one either meant to (re-bless with the `cp` the failure
-//! prints, and say why in the PR) or broke the model. Fresh rows land in
-//! `target/golden-rows/<bin>/` so CI can upload them when this fails.
+//! The figure rows as a pin: every deterministic figure runs in-process
+//! with `--quick`, and its JSONL rows are byte-compared with the file
+//! committed under `results/quick/`. Virtual time is deterministic, so the
+//! rows are the same in debug and release builds and at any `--threads`;
+//! a change that moves one either meant to (re-bless with the `cp` the
+//! failure prints, and say why in the PR) or broke the model. Fresh rows
+//! land in `target/golden-rows/<bin>/` so CI can upload them when this fails.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
 
+use dynmpi_bench::figures::{self, Figure, JsonRow};
 use dynmpi_obs::Json;
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// Runs `exe --quick --threads 1` and returns the rows it wrote.
-fn quick_rows(bin: &str, exe: &str) -> String {
+/// Runs `fig` as its binary would with `--quick --threads 2` and returns
+/// the rows it wrote. The files were blessed at `--threads 1`; two sweep
+/// workers let the long figures use the CPU the short ones leave idle at
+/// the end of the run (≈ 13 s instead of ≈ 21 s on 2 vCPUs).
+fn quick_rows<R: JsonRow>(fig: &Figure<R>) -> String {
+    let bin = fig.name;
     let out_dir = repo_root().join("target/golden-rows").join(bin);
-    let output = Command::new(exe)
-        .args(["--quick", "--threads", "1", "--out"])
-        .arg(&out_dir)
-        .output()
-        .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"));
-    assert!(
-        output.status.success(),
-        "{bin} --quick failed:\n{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
+    fig.run([
+        "--quick",
+        "--threads",
+        "2",
+        "--out",
+        out_dir.to_str().unwrap(),
+    ]);
     std::fs::read_to_string(out_dir.join(format!("{bin}.jsonl")))
         .unwrap_or_else(|e| panic!("{bin} wrote no rows: {e}"))
 }
 
-fn assert_golden(bin: &str, exe: &str) {
-    let fresh = quick_rows(bin, exe);
+fn assert_golden<R: JsonRow>(fig: &Figure<R>) {
+    let bin = fig.name;
+    let fresh = quick_rows(fig);
     let golden_path = repo_root().join(format!("results/quick/{bin}.jsonl"));
     let golden = std::fs::read_to_string(&golden_path)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", golden_path.display()));
@@ -57,15 +59,12 @@ fn assert_golden(bin: &str, exe: &str) {
     );
 }
 
-// One test per binary, so the harness runs them side by side.
+// One test per figure, so the harness runs them side by side.
 macro_rules! golden {
-    ($($bin:ident),* $(,)?) => {$(
+    ($($fig:ident),* $(,)?) => {$(
         #[test]
-        fn $bin() {
-            assert_golden(
-                stringify!($bin),
-                env!(concat!("CARGO_BIN_EXE_", stringify!($bin))),
-            );
+        fn $fig() {
+            assert_golden(&figures::$fig::FIGURE);
         }
     )*};
 }
@@ -88,7 +87,7 @@ golden!(
 /// each with the same fields in the same order.
 #[test]
 fn fig3_alloc() {
-    let rows = quick_rows("fig3_alloc", env!("CARGO_BIN_EXE_fig3_alloc"));
+    let rows = quick_rows(&figures::fig3_alloc::FIGURE);
     assert_eq!(rows.lines().count(), 8, "fig3_alloc row count:\n{rows}");
     for line in rows.lines() {
         let Ok(Json::Obj(fields)) = Json::parse(line) else {

@@ -4,7 +4,9 @@
 //! parseable, complete, and internally consistent; quick fig8 (node
 //! arrival) and fig9 (node crash) arms do the same for the malleability
 //! and fault paths. Artifacts land in `target/profile-smoke/` so CI can
-//! upload them when this fails.
+//! upload them when this fails. Two more tests hold the shims' command
+//! line: a flag a figure would ignore, or an `--out` it cannot write, exits
+//! 2 before anything is simulated.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -592,4 +594,74 @@ fn fig4_quick_health_flags_straggler_deterministically() {
         straggler_ts < redist_ts,
         "straggler alert ({straggler_ts} ns) did not precede redistribution ({redist_ts} ns)"
     );
+}
+
+/// Runs the binary at `exe` with `args`; returns its name, exit code and
+/// stderr.
+fn run_bin(exe: &str, args: &[&str]) -> (String, Option<i32>, String) {
+    let output = Command::new(exe)
+        .args(args)
+        .env("DYNMPI_LOG", "info")
+        .output()
+        .unwrap_or_else(|e| panic!("failed to launch {exe}: {e}"));
+    let name = std::path::Path::new(exe).file_name().unwrap();
+    (
+        name.to_string_lossy().into_owned(),
+        output.status.code(),
+        String::from_utf8_lossy(&output.stderr).into_owned(),
+    )
+}
+
+/// An `--out` directory that cannot be created fails up front: exit 2
+/// naming the flag, and no sweep progress line before it.
+#[test]
+fn unwritable_out_exits_2_before_the_sweep() {
+    let out_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/profile-smoke");
+    std::fs::create_dir_all(&out_dir).unwrap();
+    // A regular file where a directory is needed.
+    let file = out_dir.join("not-a-directory");
+    std::fs::write(&file, "").unwrap();
+    let out = file.join("sub");
+    for (exe, progress) in [
+        (env!("CARGO_BIN_EXE_fig7_grace_period"), "fig7 part="),
+        (env!("CARGO_BIN_EXE_tab_microbench"), "wrote"),
+    ] {
+        let (bin, code, stderr) = run_bin(exe, &["--quick", "--out", out.to_str().unwrap()]);
+        assert_eq!(
+            code,
+            Some(2),
+            "{bin} accepted an unwritable --out:\n{stderr}"
+        );
+        assert!(stderr.contains("--out"), "{bin}: {stderr}");
+        assert!(!stderr.contains(progress), "{bin} ran first:\n{stderr}");
+    }
+}
+
+/// A flag the figure would ignore exits 2 naming the flag and the binary:
+/// at least one per class (`--only`, `--shards`, instrumentation). The
+/// rejected trace file is never created.
+#[test]
+fn flags_a_figure_ignores_exit_2() {
+    let out_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/profile-smoke");
+    let trace = out_dir.join("rejected/trace.json");
+    let _ = std::fs::remove_file(&trace);
+    for (exe, flag, value) in [
+        (env!("CARGO_BIN_EXE_fig6_node_removal"), "--only", "8"),
+        (env!("CARGO_BIN_EXE_ablation_monitor"), "--only", "nothing"),
+        (env!("CARGO_BIN_EXE_tab_microbench"), "--shards", "4"),
+        (
+            env!("CARGO_BIN_EXE_fig3_alloc"),
+            "--trace-out",
+            trace.to_str().unwrap(),
+        ),
+    ] {
+        let out = out_dir.to_str().unwrap();
+        let (bin, code, stderr) = run_bin(exe, &["--quick", "--out", out, flag, value]);
+        assert_eq!(code, Some(2), "{bin} accepted {flag}:\n{stderr}");
+        assert!(
+            stderr.contains(&bin) && stderr.contains(flag),
+            "{bin} {flag}: {stderr}"
+        );
+    }
+    assert!(!trace.exists(), "fig3_alloc wrote a trace it cannot record");
 }

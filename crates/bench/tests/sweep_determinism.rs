@@ -1,83 +1,29 @@
 //! Pins the contract the figure harnesses rely on: running the same
 //! configuration sweep through `dynmpi_testkit::sweep` at any thread
-//! count yields byte-identical JSONL rows. Uses a scaled-down version of
-//! fig4's per-item body (three sims per item, rows serialized through
-//! the same `Json` path the binaries use).
+//! count yields byte-identical JSONL rows. Runs the real quick fig4 sweep
+//! (its Jacobi arms, three sims per item) at `--threads 1` and `8`.
 
-use dynmpi::DynMpiConfig;
-use dynmpi_apps::harness::{run_sim, AppSpec, Experiment};
-use dynmpi_apps::jacobi::JacobiParams;
-use dynmpi_apps::sor::SorParams;
-use dynmpi_obs::Json;
-use dynmpi_sim::{LoadScript, NodeSpec};
+use dynmpi_bench::figures::{fig4_overall, JsonRow};
+use dynmpi_bench::BenchArgs;
 
-fn row_json(app: &str, nodes: usize, spec: AppSpec) -> Json {
-    let node = NodeSpec::with_speed(5e6);
-    let script = LoadScript::dedicated().at_cycle(nodes - 1, 10, 1);
-    let ded = run_sim(
-        &Experiment::new(spec.clone(), nodes)
-            .with_node_spec(node)
-            .with_cfg(DynMpiConfig::no_adapt()),
+fn sweep_jsonl(threads: &str) -> String {
+    let fig = &fig4_overall::FIGURE;
+    let args = BenchArgs::parse_from(
+        fig.name,
+        fig.honours,
+        ["--quick", "--only", "jacobi", "--threads", threads],
     );
-    let noad = run_sim(
-        &Experiment::new(spec.clone(), nodes)
-            .with_node_spec(node)
-            .with_cfg(DynMpiConfig::no_adapt())
-            .with_script(script.clone()),
-    );
-    let dyn_ = run_sim(
-        &Experiment::new(spec, nodes)
-            .with_node_spec(node)
-            .with_cfg(DynMpiConfig::default())
-            .with_script(script),
-    );
-    Json::obj([
-        ("app", Json::str(app)),
-        ("nodes", Json::UInt(nodes as u64)),
-        ("dedicated_s", Json::Num(ded.makespan)),
-        ("no_adapt_s", Json::Num(noad.makespan)),
-        ("dynmpi_s", Json::Num(dyn_.makespan)),
-        ("no_adapt_norm", Json::Num(noad.makespan / ded.makespan)),
-        ("dynmpi_norm", Json::Num(dyn_.makespan / ded.makespan)),
-    ])
-}
-
-fn sweep_jsonl(threads: usize) -> String {
-    let items: Vec<(&'static str, usize)> = ["jacobi", "sor"]
-        .into_iter()
-        .flat_map(|app| [2usize, 4].map(|nodes| (app, nodes)))
-        .collect();
-    let rows = dynmpi_testkit::sweep(&items, threads, |_i, item| {
-        let (app, nodes) = *item;
-        let spec = match app {
-            "jacobi" => AppSpec::Jacobi(JacobiParams {
-                n: 192,
-                iters: 40,
-                exercise_kernel: false,
-                rebalance_at: None,
-            }),
-            _ => AppSpec::Sor(SorParams {
-                n: 192,
-                iters: 40,
-                omega: 1.5,
-                exercise_kernel: false,
-            }),
-        };
-        row_json(app, nodes, spec).to_string()
-    });
-    let mut out = String::new();
-    for r in rows {
-        out.push_str(&r);
-        out.push('\n');
-    }
-    out
+    (fig.rows)(&args, &args.instrumentation())
+        .iter()
+        .map(|row| format!("{}\n", row.to_json()))
+        .collect()
 }
 
 #[test]
 fn fig_sweep_rows_are_byte_identical_across_thread_counts() {
-    let serial = sweep_jsonl(1);
-    let par = sweep_jsonl(8);
+    let serial = sweep_jsonl("1");
+    let par = sweep_jsonl("8");
     assert_eq!(serial, par, "JSONL rows differ between --threads 1 and 8");
     // Sanity: the sweep actually produced one row per configuration.
-    assert_eq!(serial.lines().count(), 4);
+    assert_eq!(serial.lines().count(), 3);
 }

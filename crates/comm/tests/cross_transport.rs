@@ -1,7 +1,8 @@
 //! Cross-transport equivalence: every collective must produce identical
 //! results on the real thread transport and the virtual-time simulator.
 
-use dynmpi_comm::{run_threads, CommOps, Group, SimTransport, Transport};
+use dynmpi_comm::{run_threads, CommOps, Group, SimTransport, Transport, BYTES_COPIED};
+use dynmpi_obs::Recorder;
 use dynmpi_sim::{Cluster, NodeSpec};
 
 /// Runs `f` on both transports with `n` ranks and returns both results.
@@ -168,6 +169,45 @@ fn bcast_algorithms_byte_identical_across_transports() {
             }
         }
     }
+}
+
+/// The one-copy discipline, pinned exactly: a 1 MiB broadcast over 8
+/// ranks charges `comm.bytes_copied` 9 payloads under the adaptive
+/// dispatch (scatter + ring allgather at this size), and 12 payloads plus
+/// the 8-byte frame of each of the three cloned relays under the binomial
+/// tree — an eager tree that re-serializes per child would copy 15. One
+/// more clone of a relayed buffer per child breaks the pin. The simulated
+/// broadcast time on the 100 Mbit/s cluster is pinned alongside.
+#[test]
+fn bcast_1mib_copies_and_virtual_time_are_pinned() {
+    const MIB: u64 = 1 << 20;
+    let payload: Vec<u64> = (0..MIB / 8).collect();
+    let copied = |binomial: bool| {
+        let rec = Recorder::new();
+        run_threads(8, |t| {
+            let _guard = rec.install(t.rank());
+            let g = Group::world(t.rank(), t.size());
+            let data = (t.rank() == 0).then_some(&payload[..]);
+            let got = if binomial {
+                t.bcast_binomial(&g, 0, data)
+            } else {
+                t.bcast(&g, 0, data)
+            };
+            assert!(got == payload, "broadcast corrupted the payload");
+        });
+        rec.merged_metrics().counter(BYTES_COPIED)
+    };
+    assert_eq!(copied(false), 9 * MIB, "adaptive bcast bytes copied");
+    assert_eq!(copied(true), 12 * MIB + 24, "binomial bcast bytes copied");
+
+    let sim = Cluster::homogeneous(8, NodeSpec::default()).run_spmd(|ctx| {
+        let t = SimTransport::new(ctx);
+        let g = Group::world(t.rank(), t.size());
+        t.bcast(&g, 0, (t.rank() == 0).then_some(&payload[..]))
+            .len()
+    });
+    assert!(sim.results.iter().all(|&len| len as u64 == MIB / 8));
+    assert_eq!(sim.report.finish_time.as_secs_f64(), 0.1862228);
 }
 
 /// Ring allreduce vs reduce+bcast on exactly representable values: the
