@@ -46,9 +46,6 @@ pub struct Experiment {
     /// `Some(false)` = fast-forward, `None` = cluster default (the
     /// `DYNMPI_SIM_STEPPED` environment switch).
     pub stepped: Option<bool>,
-    /// Engine shards the run is partitioned into (`--shards`). Purely a
-    /// wall-clock knob: results are bit-identical for any value.
-    pub shards: usize,
 }
 
 impl Experiment {
@@ -63,7 +60,6 @@ impl Experiment {
             script: LoadScript::dedicated(),
             cfg: DynMpiConfig::default(),
             stepped: None,
-            shards: 1,
         }
     }
 
@@ -84,11 +80,6 @@ impl Experiment {
 
     pub fn with_stepped(mut self, stepped: bool) -> Self {
         self.stepped = Some(stepped);
-        self
-    }
-
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
         self
     }
 }
@@ -182,8 +173,7 @@ pub fn run_sim_with(exp: &Experiment, recorder: Option<Recorder>) -> SimRunResul
     let mut cluster = Cluster::homogeneous(exp.nodes, exp.node_spec)
         .with_os(exp.os)
         .with_net(exp.net)
-        .with_script(exp.script.clone())
-        .with_shards(exp.shards);
+        .with_script(exp.script.clone());
     if let Some(r) = recorder {
         cluster = cluster.with_recorder(r);
     }

@@ -10,9 +10,8 @@ use dynmpi_apps::jacobi::JacobiParams;
 use dynmpi_apps::{AppSpec, Experiment, SimRunResult};
 use dynmpi_sim::{LoadScript, NodeSpec, SimDur, SimTime};
 
-/// Runs the experiment under both engines — and sharded across 2 and 8
-/// engine shards — and asserts every output is bit-identical. Returns the
-/// fast-mode single-shard result.
+/// Runs the experiment under both engines and asserts every output is
+/// bit-identical. Returns the fast-mode result.
 fn assert_engine_equivalent(exp: &Experiment) -> SimRunResult {
     let stepped = run_sim(&exp.clone().with_stepped(true));
     let fast = run_sim(&exp.clone().with_stepped(false));
@@ -28,25 +27,6 @@ fn assert_engine_equivalent(exp: &Experiment) -> SimRunResult {
     );
     assert_eq!(stepped.net_messages, fast.net_messages);
     assert_eq!(stepped.net_bytes, fast.net_bytes);
-    // `--shards` must be invisible in every output, in both engine modes,
-    // including mid-run world changes (arrival / drop / rejoin).
-    for shards in [2usize, 8] {
-        for (mode, reference) in [(true, &stepped), (false, &fast)] {
-            let sharded = run_sim(&exp.clone().with_stepped(mode).with_shards(shards));
-            assert_eq!(
-                reference.per_rank, sharded.per_rank,
-                "per-rank results diverged at shards={shards} stepped={mode}"
-            );
-            assert!(
-                reference.makespan == sharded.makespan,
-                "makespan diverged at shards={shards} stepped={mode}: {} vs {}",
-                reference.makespan,
-                sharded.makespan
-            );
-            assert_eq!(reference.net_messages, sharded.net_messages);
-            assert_eq!(reference.net_bytes, sharded.net_bytes);
-        }
-    }
     fast
 }
 
@@ -87,11 +67,10 @@ fn jacobi_node_arrival_is_engine_invariant_and_absorbed() {
 }
 
 #[test]
-fn jacobi_node_removal_is_engine_and_shard_invariant() {
+fn jacobi_node_removal_is_engine_invariant() {
     // Pure shrink: one seed node gets permanent competing load and is
     // dropped for good (no rejoin). The removal collective — including the
-    // dropped rank's early exit — must be invisible to the engine mode and
-    // the shard count.
+    // dropped rank's early exit — must be invisible to the engine mode.
     let p = JacobiParams::small(48, 60);
     let script = LoadScript::dedicated().at_cycle(3, 8, 2);
     let cfg = DynMpiConfig {

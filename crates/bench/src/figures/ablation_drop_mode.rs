@@ -12,12 +12,12 @@ use dynmpi_apps::sor::SorParams;
 use dynmpi_obs::Recorder;
 use dynmpi_sim::{LoadScript, NodeSpec};
 
-use super::{settled_cycle, Figure, UNSHARDED};
+use super::{settled_cycle, Figure, SIM};
 use crate::{fmt_s, print_table, BenchArgs, Instrumentation};
 
 pub const FIGURE: Figure<Row> = Figure {
     name: "ablation_drop_mode",
-    honours: UNSHARDED,
+    honours: SIM,
     rows,
     print,
 };

@@ -8,12 +8,12 @@
 
 use dynmpi_sim::{Cluster, LoadScript, NodeSpec, SimTime};
 
-use super::{Figure, UNSHARDED};
+use super::{Figure, SIM};
 use crate::{print_table, BenchArgs, Instrumentation};
 
 pub const FIGURE: Figure<Row> = Figure {
     name: "ablation_monitor",
-    honours: UNSHARDED,
+    honours: SIM,
     rows,
     print,
 };

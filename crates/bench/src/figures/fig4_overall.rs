@@ -125,22 +125,19 @@ pub fn rows(args: &BenchArgs, inst: &Instrumentation) -> Vec<Row> {
         let ded = run_sim(
             &Experiment::new(spec.clone(), nodes)
                 .with_node_spec(*node)
-                .with_cfg(DynMpiConfig::no_adapt())
-                .with_shards(args.shards),
+                .with_cfg(DynMpiConfig::no_adapt()),
         );
         let noad = run_sim(
             &Experiment::new(spec.clone(), nodes)
                 .with_node_spec(*node)
                 .with_cfg(DynMpiConfig::no_adapt())
-                .with_script(loaded_script.clone())
-                .with_shards(args.shards),
+                .with_script(loaded_script.clone()),
         );
         let dyn_ = run_sim_with(
             &Experiment::new(spec.clone(), nodes)
                 .with_node_spec(*node)
                 .with_cfg(DynMpiConfig::default())
-                .with_script(loaded_script.clone())
-                .with_shards(args.shards),
+                .with_script(loaded_script.clone()),
             inst.recorder_for(i == 0),
         );
         log_info!(

@@ -105,8 +105,7 @@ pub fn rows(args: &BenchArgs, inst: &Instrumentation) -> Vec<Row> {
             &Experiment::new(AppSpec::Jacobi(p), 4)
                 .with_node_spec(node)
                 .with_cfg(cfg.clone())
-                .with_script(script)
-                .with_shards(args.shards),
+                .with_script(script),
             inst.recorder_for(i == 1),
         );
         let row = Row {

@@ -65,8 +65,7 @@ pub fn rows(args: &BenchArgs, inst: &Instrumentation) -> Vec<Row> {
                             drop_policy: policy,
                             ..Default::default()
                         })
-                        .with_script(script.clone())
-                        .with_shards(args.shards),
+                        .with_script(script.clone()),
                     rec,
                 )
             };

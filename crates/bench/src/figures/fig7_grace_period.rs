@@ -57,8 +57,7 @@ pub fn rows(args: &BenchArgs, inst: &Instrumentation) -> Vec<Row> {
             run_sim_with(
                 &Experiment::new(AppSpec::Particle(p), 8)
                     .with_cfg(cfg.clone())
-                    .with_script(script.clone())
-                    .with_shards(args.shards),
+                    .with_script(script.clone()),
                 rec,
             )
         };

@@ -84,8 +84,7 @@ pub fn rows(args: &BenchArgs, inst: &Instrumentation) -> Vec<Row> {
                         arrival_retry_cycles: 4,
                         ..Default::default()
                     })
-                    .with_script(script)
-                    .with_shards(args.shards),
+                    .with_script(script),
                 rec,
             )
         };

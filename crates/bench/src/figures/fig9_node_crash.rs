@@ -23,7 +23,7 @@
 //!   true price of the fault path.
 //!
 //! Every run is deterministic: rows are byte-identical at any
-//! `--threads`, any `--shards`, and under both simulator engines.
+//! `--threads` and under both simulator engines.
 
 use dynmpi::{DropPolicy, DynMpiConfig, RuntimeEvent};
 use dynmpi_apps::harness::run_sim_with;
@@ -113,8 +113,7 @@ pub fn rows(args: &BenchArgs, inst: &Instrumentation) -> Vec<Row> {
                 &Experiment::new(AppSpec::Jacobi(p), nodes)
                     .with_node_spec(node_spec)
                     .with_cfg(cfg.clone())
-                    .with_script(script)
-                    .with_shards(args.shards),
+                    .with_script(script),
                 rec,
             )
         };

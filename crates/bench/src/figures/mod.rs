@@ -77,21 +77,13 @@ cell! {
 /// A serial, uninstrumented table: no optional flag.
 const PLAIN: Honours = Honours {
     only: false,
-    shards: false,
     instrumentation: false,
 };
 
-/// A simulated sweep: `--shards` and the instrumentation flags.
+/// A simulated sweep: the instrumentation flags.
 const SIM: Honours = Honours {
-    shards: true,
     instrumentation: true,
     ..PLAIN
-};
-
-/// A simulated sweep whose runs are not sharded: the instrumentation flags.
-const UNSHARDED: Honours = Honours {
-    shards: false,
-    ..SIM
 };
 
 /// Steady-state cycle time after adaptation settled: the marginal rate

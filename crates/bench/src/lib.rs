@@ -32,11 +32,9 @@
 //! Pass `--threads N` to size the configuration-sweep worker pool
 //! (default: available parallelism; output is byte-identical at any
 //! value — `fig3_alloc` ignores it and stays serial because it measures
-//! real wall-clock time). Pass `--shards N` to split each simulated run
-//! itself across cores with conservative-lookahead engine shards —
-//! again byte-identical output at any value, only wall-clock changes.
-//! A flag a figure would ignore (`--only` outside fig4, `--shards` or an
-//! instrumentation flag where nothing honours it) exits 2 instead.
+//! real wall-clock time). A flag a figure would ignore (`--only` outside
+//! fig4, an instrumentation flag where nothing honours it) exits 2
+//! instead.
 //!
 //! Progress output goes through a leveled logger controlled by the
 //! `DYNMPI_LOG` environment variable (`error`, `warn`, `info` — the
@@ -165,10 +163,6 @@ pub struct BenchArgs {
     pub prom_out: Option<String>,
     pub only: Option<String>,
     pub threads: usize,
-    /// Engine shards per simulated run (`--shards N`): splits one
-    /// simulation across cores with conservative-lookahead windows.
-    /// Results are bit-identical at any value; only wall-clock changes.
-    pub shards: usize,
 }
 
 /// The optional flag classes a figure honours. `--quick`, `--out` and
@@ -178,8 +172,6 @@ pub struct BenchArgs {
 pub struct Honours {
     /// `--only KEY` filters the sweep.
     pub only: bool,
-    /// `--shards N` splits each simulation.
-    pub shards: bool,
     /// The trace, profile, health, explain and Prometheus outputs,
     /// `--watch` and `--health-window` observe one instrumented run.
     pub instrumentation: bool,
@@ -204,7 +196,6 @@ impl BenchArgs {
         let mut prom_out = None;
         let mut only = None;
         let mut threads = dynmpi_testkit::available_threads();
-        let mut shards = 1;
         let mut args = argv.into_iter().map(Into::into);
         let value = |flag: &str, args: &mut dyn Iterator<Item = String>| {
             args.next().unwrap_or_else(|| {
@@ -215,7 +206,6 @@ impl BenchArgs {
         while let Some(a) = args.next() {
             let honoured = match a.as_str() {
                 "--only" => honours.only,
-                "--shards" => honours.shards,
                 "--trace-out" | "--profile-out" | "--health-out" | "--explain-out" | "--watch"
                 | "--health-window" | "--prom-out" => honours.instrumentation,
                 _ => true,
@@ -252,19 +242,11 @@ impl BenchArgs {
                         std::process::exit(2);
                     }
                 }
-                "--shards" => {
-                    let v = value("--shards", &mut args);
-                    shards = v.parse().ok().filter(|&s| s > 0).unwrap_or_else(|| {
-                        eprintln!("--shards needs a positive integer, got {v}");
-                        std::process::exit(2);
-                    });
-                }
                 "--help" | "-h" => {
                     let opt = |on: bool, flags: &'static str| if on { flags } else { "" };
                     eprintln!(
-                        "usage: {bin} [--quick] [--out DIR] [--threads N]{}{}{}",
+                        "usage: {bin} [--quick] [--out DIR] [--threads N]{}{}",
                         opt(honours.only, " [--only KEY]"),
-                        opt(honours.shards, " [--shards N]"),
                         opt(
                             honours.instrumentation,
                             " [--trace-out PATH] [--profile-out PATH] [--health-out PATH] \
@@ -291,7 +273,6 @@ impl BenchArgs {
             prom_out,
             only,
             threads,
-            shards,
         }
     }
 

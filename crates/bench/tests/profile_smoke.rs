@@ -107,142 +107,6 @@ fn fig4_quick_profile_is_complete() {
     assert!(cycles.iter().all(|c| u64_field(c, "rows_moved") > 0));
 }
 
-/// Runs quick fig4 `jacobi/8` fully instrumented (`--trace-out`,
-/// `--profile-out`, `--health-out`, `--explain-out`) at the given shard
-/// count, returning `(trace, profile, health, rows_jsonl, explain)`.
-fn fig4_sharded_run(
-    out_dir: &std::path::Path,
-    shards: &str,
-) -> (String, String, String, String, String) {
-    let dir = out_dir.join(format!("shards-{shards}"));
-    std::fs::create_dir_all(&dir).unwrap();
-    let trace = dir.join("trace.json");
-    let profile = dir.join("profile.json");
-    let health = dir.join("health.jsonl");
-    let explain = dir.join("explain.jsonl");
-    let output = Command::new(env!("CARGO_BIN_EXE_fig4_overall"))
-        .arg("--quick")
-        .arg("--only")
-        .arg("jacobi/8")
-        .arg("--out")
-        .arg(&dir)
-        .arg("--shards")
-        .arg(shards)
-        .arg("--trace-out")
-        .arg(&trace)
-        .arg("--profile-out")
-        .arg(&profile)
-        .arg("--health-out")
-        .arg(&health)
-        .arg("--explain-out")
-        .arg(&explain)
-        .output()
-        .expect("failed to launch fig4_overall");
-    assert!(
-        output.status.success(),
-        "fig4_overall (--shards {shards}) failed:\n{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    (
-        std::fs::read_to_string(&trace).unwrap(),
-        std::fs::read_to_string(&profile).unwrap(),
-        std::fs::read_to_string(&health).unwrap(),
-        std::fs::read_to_string(dir.join("fig4_overall.jsonl")).unwrap(),
-        std::fs::read_to_string(&explain).unwrap(),
-    )
-}
-
-/// The sharded arm of the smoke job: partitioning the simulation across
-/// engine shards is a pure wall-clock knob, so every observable artifact
-/// — the raw trace, the profile report, the health snapshot stream, the
-/// explain report, and the result rows — must be byte-identical between
-/// `--shards 1` and `--shards 2`. The explain report must also tell the
-/// fig4 story end to end: straggler alert on the loaded node →
-/// load-change → redistribution, one causal chain on one card, with a
-/// counterfactual makespan and a realized-vs-predicted delta.
-#[test]
-fn fig4_quick_sharded_artifacts_byte_identical() {
-    let out_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/profile-smoke");
-    std::fs::create_dir_all(&out_dir).unwrap();
-
-    let (trace_1, profile_1, health_1, rows_1, explain_1) = fig4_sharded_run(&out_dir, "1");
-    let (trace_2, profile_2, health_2, rows_2, explain_2) = fig4_sharded_run(&out_dir, "2");
-    assert!(!trace_1.trim().is_empty(), "sharded-arm trace is empty");
-    assert_eq!(trace_1, trace_2, "trace differs between --shards 1 and 2");
-    assert_eq!(
-        profile_1, profile_2,
-        "profile report differs between --shards 1 and 2"
-    );
-    assert_eq!(
-        health_1, health_2,
-        "health snapshots differ between --shards 1 and 2"
-    );
-    assert_eq!(
-        rows_1, rows_2,
-        "result rows differ between --shards 1 and 2"
-    );
-    assert_eq!(
-        explain_1, explain_2,
-        "explain report differs between --shards 1 and 2"
-    );
-
-    // Header: schema tag plus a non-empty critical-path blame table.
-    let header = Json::parse(explain_1.lines().next().expect("explain is empty"))
-        .expect("explain header must be JSON");
-    assert_eq!(header.get("explain").and_then(Json::as_str), Some("v1"));
-    assert!(
-        !header
-            .get("blame")
-            .and_then(Json::as_arr)
-            .expect("header without blame table")
-            .is_empty(),
-        "blame table is empty"
-    );
-
-    // The redistribution decision card carries the full causal chain.
-    let card = explain_1
-        .lines()
-        .skip(1)
-        .map(|l| Json::parse(l).expect("explain line must be JSON"))
-        .find(|c| c.get("kind").and_then(Json::as_str) == Some("redistributed"))
-        .expect("no redistributed decision card");
-    let card_ts = u64_field(&card, "ts_ns");
-    let chain = card.get("chain").and_then(Json::as_arr).unwrap();
-    let link_ts = |pred: &dyn Fn(&Json) -> bool| -> u64 {
-        chain
-            .iter()
-            .find(|l| pred(l))
-            .map(|l| u64_field(l, "ts_ns"))
-            .unwrap_or_else(|| panic!("missing chain link in {card}"))
-    };
-    let alert_ts = link_ts(&|l: &Json| {
-        l.get("type").and_then(Json::as_str) == Some("alert")
-            && l.get("rule").and_then(Json::as_str) == Some("straggler")
-            && l.get("node").and_then(Json::as_u64) == Some(7)
-    });
-    let load_change_ts =
-        link_ts(&|l: &Json| l.get("kind").and_then(Json::as_str) == Some("load-change"));
-    assert!(
-        alert_ts < card_ts && load_change_ts < card_ts,
-        "chain links do not precede the decision: alert {alert_ts}, \
-         load-change {load_change_ts}, decision {card_ts}"
-    );
-    assert!(
-        card.get("counterfactual_ns")
-            .and_then(Json::as_u64)
-            .is_some(),
-        "redistributed card without counterfactual: {card}"
-    );
-    let outcome = card.get("outcome").expect("card without outcome");
-    assert!(
-        outcome
-            .get("delta_vs_predicted_ns")
-            .and_then(Json::as_f64)
-            .is_some(),
-        "redistributed card without realized-vs-predicted delta: {card}"
-    );
-}
-
 /// Runs quick fig8 (node arrival) with `--health-out`/`--explain-out`
 /// under the given thread count and engine mode, returning
 /// `(rows_jsonl, health_jsonl, explain_jsonl)`.
@@ -369,14 +233,13 @@ fn fig8_quick_arrival_absorbed_deterministically() {
 }
 
 /// Runs quick fig9 (node crash) fully observed (`--trace-out`,
-/// `--health-out`, `--explain-out`) under the given thread count, shard
-/// count, and engine mode, returning
+/// `--health-out`, `--explain-out`) under the given thread count and
+/// engine mode, returning
 /// `(rows_jsonl, health_jsonl, trace_json, explain_jsonl)`.
 fn fig9_run(
     out_dir: &std::path::Path,
     tag: &str,
     threads: &str,
-    shards: &str,
     stepped: bool,
 ) -> (String, String, String, String) {
     let dir = out_dir.join(format!("fig9-{tag}"));
@@ -390,8 +253,6 @@ fn fig9_run(
         .arg(&dir)
         .arg("--threads")
         .arg(threads)
-        .arg("--shards")
-        .arg(shards)
         .arg("--health-out")
         .arg(&health)
         .arg("--trace-out")
@@ -419,21 +280,18 @@ fn fig9_run(
 /// survivors must confirm the death, restore from the buddy checkpoint,
 /// and finish with the crash-free checksum — and the rows, health
 /// snapshots, raw trace, and explain report must be byte-identical
-/// across `--threads 1` vs `8`, `--shards 1` vs `2`, and fast vs.
-/// stepped engine modes. Each confirmed death must produce a flight
+/// across `--threads 1` vs `8` and fast vs. stepped engine modes. Each confirmed death must produce a flight
 /// record with detection latency, replay cost, and the intact checksum.
 #[test]
 fn fig9_quick_crash_recovers_deterministically() {
     let out_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/profile-smoke");
     std::fs::create_dir_all(&out_dir).unwrap();
 
-    let (rows_t1, health_t1, trace_t1, explain_t1) = fig9_run(&out_dir, "t1", "1", "1", false);
-    let (rows_t8, health_t8, trace_t8, explain_t8) = fig9_run(&out_dir, "t8", "8", "1", false);
-    let (rows_s2, health_s2, trace_s2, explain_s2) = fig9_run(&out_dir, "s2", "4", "2", false);
-    let (rows_st, health_st, trace_st, explain_st) = fig9_run(&out_dir, "stepped", "4", "1", true);
+    let (rows_t1, health_t1, trace_t1, explain_t1) = fig9_run(&out_dir, "t1", "1", false);
+    let (rows_t8, health_t8, trace_t8, explain_t8) = fig9_run(&out_dir, "t8", "8", false);
+    let (rows_st, health_st, trace_st, explain_st) = fig9_run(&out_dir, "stepped", "4", true);
     for (name, rows, health, trace, explain) in [
         ("--threads 8", &rows_t8, &health_t8, &trace_t8, &explain_t8),
-        ("--shards 2", &rows_s2, &health_s2, &trace_s2, &explain_s2),
         (
             "stepped engine",
             &rows_st,
@@ -548,7 +406,10 @@ fn health_run(
 /// `Straggler` before the runtime's redistribution on the same timeline,
 /// and both the snapshot stream and the explain report must be
 /// byte-identical across `--threads 1` vs `8` and across fast vs.
-/// stepped engine modes.
+/// stepped engine modes. The explain report must also tell the fig4
+/// story end to end: straggler alert on the loaded node → load-change →
+/// redistribution, one causal chain on one card, with a counterfactual
+/// makespan and a realized-vs-predicted delta.
 #[test]
 fn fig4_quick_health_flags_straggler_deterministically() {
     let out_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/profile-smoke");
@@ -566,6 +427,62 @@ fn fig4_quick_health_flags_straggler_deterministically() {
     assert_eq!(
         explain_t1, explain_st,
         "explain report differs between engine modes"
+    );
+
+    // Header: schema tag plus a non-empty critical-path blame table.
+    let header = Json::parse(explain_t1.lines().next().expect("explain is empty"))
+        .expect("explain header must be JSON");
+    assert_eq!(header.get("explain").and_then(Json::as_str), Some("v1"));
+    assert!(
+        !header
+            .get("blame")
+            .and_then(Json::as_arr)
+            .expect("header without blame table")
+            .is_empty(),
+        "blame table is empty"
+    );
+
+    // The redistribution decision card carries the full causal chain.
+    let card = explain_t1
+        .lines()
+        .skip(1)
+        .map(|l| Json::parse(l).expect("explain line must be JSON"))
+        .find(|c| c.get("kind").and_then(Json::as_str) == Some("redistributed"))
+        .expect("no redistributed decision card");
+    let card_ts = u64_field(&card, "ts_ns");
+    let chain = card.get("chain").and_then(Json::as_arr).unwrap();
+    let link_ts = |pred: &dyn Fn(&Json) -> bool| -> u64 {
+        chain
+            .iter()
+            .find(|l| pred(l))
+            .map(|l| u64_field(l, "ts_ns"))
+            .unwrap_or_else(|| panic!("missing chain link in {card}"))
+    };
+    let alert_ts = link_ts(&|l: &Json| {
+        l.get("type").and_then(Json::as_str) == Some("alert")
+            && l.get("rule").and_then(Json::as_str) == Some("straggler")
+            && l.get("node").and_then(Json::as_u64) == Some(7)
+    });
+    let load_change_ts =
+        link_ts(&|l: &Json| l.get("kind").and_then(Json::as_str) == Some("load-change"));
+    assert!(
+        alert_ts < card_ts && load_change_ts < card_ts,
+        "chain links do not precede the decision: alert {alert_ts}, \
+         load-change {load_change_ts}, decision {card_ts}"
+    );
+    assert!(
+        card.get("counterfactual_ns")
+            .and_then(Json::as_u64)
+            .is_some(),
+        "redistributed card without counterfactual: {card}"
+    );
+    let outcome = card.get("outcome").expect("card without outcome");
+    assert!(
+        outcome
+            .get("delta_vs_predicted_ns")
+            .and_then(Json::as_f64)
+            .is_some(),
+        "redistributed card without realized-vs-predicted delta: {card}"
     );
 
     let mut straggler_ts: Option<u64> = None;
@@ -638,8 +555,8 @@ fn unwritable_out_exits_2_before_the_sweep() {
 }
 
 /// A flag the figure would ignore exits 2 naming the flag and the binary:
-/// at least one per class (`--only`, `--shards`, instrumentation). The
-/// rejected trace file is never created.
+/// at least one per class (`--only`, instrumentation), plus a flag no
+/// figure has any more. The rejected trace file is never created.
 #[test]
 fn flags_a_figure_ignores_exit_2() {
     let out_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/profile-smoke");
@@ -648,7 +565,8 @@ fn flags_a_figure_ignores_exit_2() {
     for (exe, flag, value) in [
         (env!("CARGO_BIN_EXE_fig6_node_removal"), "--only", "8"),
         (env!("CARGO_BIN_EXE_ablation_monitor"), "--only", "nothing"),
-        (env!("CARGO_BIN_EXE_tab_microbench"), "--shards", "4"),
+        // A flag that no longer exists: an unknown argument.
+        (env!("CARGO_BIN_EXE_fig4_overall"), "--shards", "2"),
         (
             env!("CARGO_BIN_EXE_fig3_alloc"),
             "--trace-out",

@@ -35,8 +35,8 @@
 //! time ((cycle, kind) min-timestamp dedup of the replicated decision
 //! instants, single-valued per-(cycle, rank) boundaries, the embedded
 //! [`HealthMonitor`]'s windows), so the report — and its JSONL — is a pure
-//! function of the event *set*: byte-identical across `--threads`,
-//! `--shards`, and fast vs. stepped engine modes.
+//! function of the event *set*: byte-identical across `--threads` and
+//! fast vs. stepped engine modes.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -11,8 +11,7 @@ use crate::network::Network;
 use crate::params::{NetParams, NodeSpec, OsParams};
 use crate::report::{ProcReport, SimOutcome, SimReport};
 use crate::script::{CrashKind, LoadScript};
-use crate::shard::{MonBoard, OutMsg, WindowSync};
-use crate::time::{SimDur, SimTime};
+use crate::time::SimTime;
 use crate::timeline::NcpTimeline;
 
 /// A virtual cluster: node specs, OS and network parameters, and the load
@@ -27,9 +26,6 @@ pub struct Cluster {
     /// `Some(true)` forces the per-slice stepped CPU path, `Some(false)`
     /// forces fast-forward; `None` defers to `DYNMPI_SIM_STEPPED`.
     stepped: Option<bool>,
-    /// Engine shards the run is partitioned into (virtual-time results are
-    /// bit-identical for every value; only wall-clock changes).
-    shards: usize,
 }
 
 impl std::fmt::Debug for Cluster {
@@ -40,7 +36,6 @@ impl std::fmt::Debug for Cluster {
             .field("net", &self.net)
             .field("script", &self.script)
             .field("traced", &self.recorder.is_some())
-            .field("shards", &self.shards)
             .finish()
     }
 }
@@ -56,7 +51,6 @@ impl Cluster {
             script: LoadScript::dedicated(),
             recorder: None,
             stepped: None,
-            shards: 1,
         }
     }
 
@@ -70,7 +64,6 @@ impl Cluster {
             script: LoadScript::dedicated(),
             recorder: None,
             stepped: None,
-            shards: 1,
         }
     }
 
@@ -111,15 +104,14 @@ impl Cluster {
         self
     }
 
-    /// Partitions the run into `shards` engine shards that advance on
-    /// separate cores using conservative lookahead windows one network
-    /// latency wide. Virtual-time results — `SimReport`, traces, monitor
-    /// readings — are bit-identical for every shard count; only wall-clock
-    /// time changes. Clamped to `[1, ranks]` at run time; a zero-latency
-    /// network forces one shard (no lookahead to exploit).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "shards must be positive");
-        self.shards = shards;
+    /// Does nothing: the engine has one shard. Kept only so the host-cost
+    /// benchmark package keeps compiling unchanged — its `simulate`
+    /// (`benchmark/src/workloads.rs`) passes `SimSpec::shards` here, which
+    /// `ring_differentials` (`benchmark/src/probes.rs`) and the ring64
+    /// cross-check set to 2. The next `[benchmark]` PR removes both callers
+    /// and this shim.
+    #[doc(hidden)]
+    pub fn with_shards(self, _shards: usize) -> Self {
         self
     }
 
@@ -144,10 +136,7 @@ impl Cluster {
         &self.os
     }
 
-    /// Builds the initial per-node engine state (called once per shard:
-    /// every shard carries full-size vectors but only touches the entries
-    /// it owns, so cloned initial state is exactly what a single-shard
-    /// engine would hold for those entries).
+    /// Builds the initial per-node engine state.
     fn build_nodes(&self, n: usize, seed: usize) -> Vec<NodeState> {
         let arrivals = self.script.arrivals();
         (0..n)
@@ -193,7 +182,7 @@ impl Cluster {
     /// Runs `f` as an SPMD program: one invocation per rank, each on its
     /// own node, all in the same virtual time. Returns every rank's result
     /// plus the run report. Deterministic: same inputs → same virtual
-    /// timings, bit for bit — including across shard counts.
+    /// timings, bit for bit.
     ///
     /// Ranks `1..n` get a thread each; rank 0 runs on the calling thread,
     /// which is blocked for the duration anyway (so rank 0 sees the
@@ -216,63 +205,36 @@ impl Cluster {
         // `online_at`; the runtime keeps them out of the compute group
         // until it admits them.
         let n = seed + self.script.arrivals().len();
+        let events = self.script.events().iter().map(|e| e.node);
+        for node in events.chain(self.script.crashes().iter().map(|c| c.node)) {
+            assert!(
+                node < n,
+                "load script names node {node}, but the cluster has {n} ranks \
+                 ({seed} seed + {} arrivals)",
+                n - seed
+            );
+        }
         let stepped = self
             .stepped
             .unwrap_or_else(|| std::env::var("DYNMPI_SIM_STEPPED").is_ok_and(|v| v == "1"));
-        // A zero-latency network has zero lookahead: nothing to overlap.
-        let nshards = if self.net.latency == SimDur::ZERO {
-            1
-        } else {
-            self.shards.clamp(1, n)
-        };
-
-        // pid → shard, contiguous blocks (ranks mostly talk to neighbors,
-        // so contiguity keeps most traffic shard-local).
-        let owner: Arc<Vec<usize>> = Arc::new((0..n).map(|pid| pid * nshards / n).collect());
-
-        let shareds: Vec<Arc<Shared>> = if nshards == 1 {
-            let mut state = EngineState::new(self.build_nodes(n, seed), &Vec::from_iter(0..n), {
-                self.build_net(n, seed)
-            });
-            state.stepped = stepped;
-            let shared = Arc::new(Shared::new(state));
-            // Kick off: hand the turn to the earliest initial event.
-            shared.state.lock().dispatch_next();
-            vec![shared]
-        } else {
-            let ws = Arc::new(WindowSync::new(nshards));
-            let board = Arc::new(MonBoard::new(
-                self.build_nodes(n, seed)
-                    .into_iter()
-                    .map(|ns| ns.timeline)
-                    .collect(),
-            ));
-            (0..nshards)
-                .map(|shard| {
-                    let mut state = EngineState::new_sharded(
-                        self.build_nodes(n, seed),
-                        &Vec::from_iter(0..n),
-                        self.build_net(n, seed),
-                        shard,
-                        Arc::clone(&owner),
-                        Arc::clone(&ws),
-                        Arc::clone(&board),
-                    );
-                    state.stepped = stepped;
-                    Arc::new(Shared::new(state))
-                })
-                .collect()
-        };
+        let mut state = EngineState::new(
+            self.build_nodes(n, seed),
+            &Vec::from_iter(0..n),
+            self.build_net(n, seed),
+        );
+        state.stepped = stepped;
+        let shared = Arc::new(Shared::new(state));
+        // Kick off: hand the turn to the earliest initial event.
+        shared.state.lock().dispatch_next();
 
         // One rank's whole life on the current thread: wait for the first
         // turn, run the program, retire. Every unwind — the program's, a
         // scripted crash, a poisoned wait — comes back as a value.
         let run_rank = |pid: usize| -> std::thread::Result<R> {
-            let shared = &shareds[owner[pid]];
             // Guard dropped (and buffers flushed) after the rank finishes
             // or unwinds.
             let _obs = self.recorder.clone().map(|r| r.install(pid));
-            let ctx = SimCtx::new(Arc::clone(shared), pid, n);
+            let ctx = SimCtx::new(Arc::clone(&shared), pid, n);
             let out = catch_unwind(AssertUnwindSafe(|| {
                 drop(shared.wait_turn(pid));
                 f(&ctx)
@@ -287,24 +249,13 @@ impl Cluster {
                 // survivors.
                 Err(e) if e.downcast_ref::<CrashedRank>().is_some() => Ok(R::default()),
                 Err(e) => {
-                    // Poison every shard (and through the first one's
-                    // wsync, the coordinator) so the whole run unwinds
-                    // promptly.
-                    let msg = format!("rank {pid} panicked inside the simulation");
-                    for sh in &shareds {
-                        sh.poison(pid, msg.clone());
-                    }
-                    if let Some(ws) = &shared.state.lock().wsync {
-                        ws.poison();
-                    }
+                    // Poison the engine so the whole run unwinds promptly.
+                    shared.poison(pid, format!("rank {pid} panicked inside the simulation"));
                     Err(e)
                 }
             }
         };
         let joined: Vec<std::thread::Result<R>> = std::thread::scope(|s| {
-            if nshards > 1 {
-                s.spawn(|| coordinate(&shareds, &owner, self.net.latency));
-            }
             let run_rank = &run_rank;
             let handles: Vec<_> = (1..n).map(|pid| s.spawn(move || run_rank(pid))).collect();
             // Rank 0 runs here, on the thread that called `run_spmd`: it
@@ -320,7 +271,7 @@ impl Cluster {
         if joined.iter().any(|r| r.is_err()) {
             // Re-raise the payload of the rank that poisoned the run (the
             // root cause); secondary unwinds from other ranks are noise.
-            let origin = shareds.iter().find_map(|sh| sh.state.lock().panic_origin);
+            let origin = shared.state.lock().panic_origin;
             let mut errs: Vec<(usize, Box<dyn std::any::Any + Send>)> = joined
                 .into_iter()
                 .enumerate()
@@ -335,137 +286,38 @@ impl Cluster {
         }
         let results: Vec<R> = joined.into_iter().map(|r| r.unwrap()).collect();
 
-        // Assemble the report: per-proc and per-node data from each pid's
-        // owner shard, counters summed across shards (each shard counts
-        // only what it executed).
-        let guards: Vec<_> = shareds.iter().map(|sh| sh.state.lock()).collect();
+        let st = shared.state.lock();
         let report = SimReport {
-            finish_time: (0..n)
-                .map(|pid| guards[owner[pid]].procs[pid].finish_time)
+            finish_time: st
+                .procs
+                .iter()
+                .map(|p| p.finish_time)
                 .max()
                 .unwrap_or_default(),
-            procs: (0..n)
-                .map(|pid| {
-                    let st = &guards[owner[pid]];
-                    let p = &st.procs[pid];
-                    ProcReport {
-                        node: p.node,
-                        cpu_time: p.cpu_time,
-                        finish_time: p.finish_time,
-                        msgs_sent: p.msgs_sent,
-                        msgs_recvd: p.msgs_recvd,
-                        bytes_sent: p.bytes_sent,
-                        bytes_recvd: p.bytes_recvd,
-                        blocked_fraction: st.nodes[p.node]
-                            .blocks
-                            .blocked_fraction(SimTime::ZERO, p.finish_time),
-                        crashed: matches!(p.status, Status::Crashed),
-                    }
+            procs: st
+                .procs
+                .iter()
+                .map(|p| ProcReport {
+                    node: p.node,
+                    cpu_time: p.cpu_time,
+                    finish_time: p.finish_time,
+                    msgs_sent: p.msgs_sent,
+                    msgs_recvd: p.msgs_recvd,
+                    bytes_sent: p.bytes_sent,
+                    bytes_recvd: p.bytes_recvd,
+                    blocked_fraction: st.nodes[p.node]
+                        .blocks
+                        .blocked_fraction(SimTime::ZERO, p.finish_time),
+                    crashed: matches!(p.status, Status::Crashed),
                 })
                 .collect(),
-            net_messages: guards.iter().map(|st| st.net.message_count()).sum(),
-            net_bytes: guards.iter().map(|st| st.net.byte_count()).sum(),
-            engine_events: guards.iter().map(|st| st.events_pushed).sum(),
-            turn_bypasses: guards.iter().map(|st| st.bypasses).sum(),
-            hand_offs: guards.iter().map(|st| st.hand_offs).sum(),
+            net_messages: st.net.message_count(),
+            net_bytes: st.net.byte_count(),
+            engine_events: st.events_pushed,
+            turn_bypasses: st.bypasses,
+            hand_offs: st.hand_offs,
         };
         SimOutcome { results, report }
-    }
-}
-
-/// The window coordinator for a sharded run: waits for every shard to
-/// quiesce, applies the window's cross-NIC messages in canonical
-/// `(sent, src, seq)` order, then opens the next lookahead window at
-/// `T_min + latency`. Runs until every rank finished (or the run is
-/// poisoned / deadlocked).
-fn coordinate(shareds: &[Arc<Shared>], owner: &[usize], latency: SimDur) {
-    let nshards = shareds.len();
-    let ws = Arc::clone(
-        shareds[0]
-            .state
-            .lock()
-            .wsync
-            .as_ref()
-            .expect("sharded engine without window sync"),
-    );
-    loop {
-        if !ws.wait_all(nshards) {
-            return; // poisoned
-        }
-        // Drain this window's cross-shard traffic and count survivors.
-        let mut msgs: Vec<OutMsg> = Vec::new();
-        let mut live = 0usize;
-        for sh in shareds {
-            let mut st = sh.state.lock();
-            msgs.append(&mut st.outbox);
-            live += st.live;
-        }
-        if live == 0 {
-            // All ranks returned; any undrained messages have no receiver
-            // and no observable effect.
-            return;
-        }
-        // Apply in the canonical order — identical to the order a
-        // single-shard run lands these sends in, so destination NIC state
-        // and mailbox contents evolve bit-identically.
-        msgs.sort_by_key(|m| (m.env.sent, m.env.src, m.env.seq));
-        for m in msgs {
-            shareds[owner[m.dst]].state.lock().land(m);
-        }
-        // Global lower bound on the next event.
-        let mut tmin = SimTime::MAX;
-        for sh in shareds {
-            if let Some(t) = sh.state.lock().next_event_time() {
-                tmin = tmin.min(t);
-            }
-        }
-        if tmin == SimTime::MAX {
-            // Live ranks, no events anywhere, nothing in flight: the same
-            // deadlock a single-shard engine diagnoses in dispatch_next.
-            // Per-rank wait details come from the owning shard (its entry
-            // is the live one); other shards' copies of the same pid are
-            // never dispatched and stay `Scheduled`.
-            let mut details: Vec<(usize, String)> = Vec::new();
-            let mut clock = SimTime::ZERO;
-            for sh in shareds {
-                let st = sh.state.lock();
-                clock = clock.max(st.stuck_time());
-                details.extend(
-                    st.stuck_recv_details()
-                        .into_iter()
-                        .filter(|&(pid, _)| owner[pid] == st.shard),
-                );
-            }
-            details.sort_by_key(|&(pid, _)| pid);
-            let stuck: Vec<usize> = details.iter().map(|&(pid, _)| pid).collect();
-            let clauses: Vec<&str> = details.iter().map(|(_, d)| d.as_str()).collect();
-            let msg = format!(
-                "simulation deadlock at {clock}: no pending events, ranks {stuck:?} \
-                 blocked at recv ({})",
-                clauses.join("; ")
-            );
-            for sh in shareds {
-                sh.poison(stuck.first().copied().unwrap_or(0), msg.clone());
-            }
-            ws.poison();
-            return;
-        }
-        // Open the next window: anything sent at u ≥ tmin arrives at
-        // u + latency ≥ window end, i.e. in a later window — no shard can
-        // miss a message it should have seen (conservative lookahead).
-        let wend = tmin + latency;
-        ws.reset();
-        for sh in shareds {
-            let mut st = sh.state.lock();
-            st.window_end = wend;
-            st.quiesced = false;
-            if st.dispatch_next() {
-                sh.hand_off(st);
-            } else {
-                st.quiesced = true;
-                ws.mark_quiescent();
-            }
-        }
     }
 }
 
@@ -598,52 +450,6 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The tentpole contract in miniature: the same workload, any shard
-    /// count, one `SimReport` — bit for bit (cost counters excluded: the
-    /// shards pay for their windows in engine events).
-    #[test]
-    fn sharded_runs_match_single_shard_bit_for_bit() {
-        let run = |shards: usize| {
-            let script = LoadScript::dedicated()
-                .at_time(1, SimTime::from_millis(50), 2)
-                .at_cycle(2, 7, 1);
-            let c = Cluster::homogeneous(6, NodeSpec::with_speed(1e7))
-                .with_script(script)
-                .with_shards(shards);
-            let out = c.run_spmd(|ctx| {
-                let r = ctx.rank();
-                let n = ctx.nprocs();
-                let mut probe_sum = 0u64;
-                for i in 0..15 {
-                    ctx.advance(4e4);
-                    let next = (r + 1) % n;
-                    let prev = (r + n - 1) % n;
-                    ctx.send(next, 1, vec![r as u8; 256]);
-                    let _ = ctx.recv(prev, 1);
-                    ctx.phase_cycle_completed();
-                    if i % 4 == r % 4 {
-                        // Any-source traffic and monitor reads cross
-                        // shard boundaries.
-                        ctx.send((r + 2) % n, 9, vec![i as u8]);
-                    }
-                    if i % 4 == (r + 2) % 4 {
-                        let _ = ctx.recv_any(9);
-                    }
-                    probe_sum += u64::from(ctx.probe(None, 9));
-                    probe_sum += u64::from(ctx.dmpi_ps((r + 3) % n));
-                    probe_sum += u64::from(ctx.vmstat((r + 1) % n));
-                }
-                (ctx.now(), ctx.cpu_time_exact(), probe_sum)
-            });
-            (out.results, out.report.virtual_outputs())
-        };
-        let one = run(1);
-        assert_eq!(one, run(2), "--shards 2 diverged");
-        assert_eq!(one, run(3), "--shards 3 diverged");
-        assert_eq!(one, run(6), "--shards 6 diverged");
-        assert_eq!(one, run(64), "over-sharding must clamp, not diverge");
-    }
-
     #[test]
     fn competing_process_slows_only_its_node() {
         let mk = |loaded: bool| {
@@ -712,17 +518,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "deadlock")]
-    fn sharded_deadlock_panics_with_diagnosis() {
-        let c = Cluster::homogeneous(2, NodeSpec::default()).with_shards(2);
-        let _ = c.run_spmd(|ctx| {
-            if ctx.rank() == 0 {
-                let _ = ctx.recv(1, 99); // never sent
-            }
-        });
-    }
-
-    #[test]
     #[should_panic(expected = "boom")]
     fn rank_panic_propagates() {
         let c = Cluster::homogeneous(2, NodeSpec::default());
@@ -731,20 +526,6 @@ mod tests {
                 panic!("boom");
             }
             // Rank 0 blocks forever; the poison must still unwind it.
-            let _ = ctx.recv(1, 1);
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "boom")]
-    fn sharded_rank_panic_propagates() {
-        let c = Cluster::homogeneous(3, NodeSpec::default()).with_shards(3);
-        let _ = c.run_spmd(|ctx| {
-            if ctx.rank() == 1 {
-                panic!("boom");
-            }
-            // Other ranks block forever; the poison must unwind all
-            // shards and the coordinator.
             let _ = ctx.recv(1, 1);
         });
     }
@@ -891,18 +672,16 @@ mod tests {
         assert_eq!(out.results[0].0, 0);
     }
 
-    /// The tentpole determinism requirement: the replay contract holds
-    /// through a crash — same results and virtual-time report for every
-    /// shard count and both CPU advance modes.
+    /// The replay contract holds through a crash: same results and
+    /// virtual-time report in both CPU advance modes.
     #[test]
-    fn crash_is_bit_identical_across_shards_and_modes() {
-        let run = |shards: usize, stepped: bool| {
+    fn crash_is_bit_identical_across_modes() {
+        let run = |stepped: bool| {
             let script = LoadScript::dedicated()
                 .at_time(2, SimTime::from_millis(40), 1)
                 .node_crash(SimTime::from_millis(70), 1);
             let c = Cluster::homogeneous(4, NodeSpec::with_speed(1e7))
                 .with_script(script)
-                .with_shards(shards)
                 .with_stepped(stepped);
             let out = c.run_spmd(|ctx| {
                 let r = ctx.rank();
@@ -929,15 +708,35 @@ mod tests {
             });
             (out.results, out.report.virtual_outputs())
         };
-        let base = run(1, false);
-        assert_eq!(base, run(2, false), "--shards 2 diverged through a crash");
-        assert_eq!(base, run(4, false), "--shards 4 diverged through a crash");
-        assert_eq!(base, run(1, true), "stepped mode diverged through a crash");
         assert_eq!(
-            base,
-            run(3, true),
-            "stepped sharded diverged through a crash"
+            run(false),
+            run(true),
+            "stepped mode diverged through a crash"
         );
+    }
+
+    /// A load change aimed at a node the cluster does not have would
+    /// otherwise run as if the cluster were dedicated.
+    #[test]
+    #[should_panic(
+        expected = "load script names node 5, but the cluster has 5 ranks (4 seed + 1 arrivals)"
+    )]
+    fn load_on_a_missing_node_panics() {
+        let script = LoadScript::dedicated()
+            .node_arrival(SimTime::ZERO, NodeSpec::default(), SimDur::ZERO)
+            .at_time(4, SimTime::ZERO, 1)
+            .at_time(5, SimTime::ZERO, 3);
+        let c = Cluster::homogeneous(4, NodeSpec::default()).with_script(script);
+        let _ = c.run_spmd(|ctx| ctx.rank());
+    }
+
+    /// Likewise a crash of a node the cluster does not have.
+    #[test]
+    #[should_panic(expected = "load script names node 9, but the cluster has 4 ranks")]
+    fn crash_of_a_missing_node_panics() {
+        let script = LoadScript::dedicated().node_crash(SimTime::from_millis(1), 9);
+        let c = Cluster::homogeneous(4, NodeSpec::default()).with_script(script);
+        let _ = c.run_spmd(|ctx| ctx.rank());
     }
 
     #[test]

@@ -22,25 +22,13 @@
 //! Stepped mode (and a zero-latency network) never runs ahead: there every
 //! clock advance is a queued event, the local clock equals the engine
 //! clock, and each rule degenerates to the eager behavior.
-//!
-//! Sharded runs share almost every code path with single-shard runs; the
-//! differences are confined to three points, each chosen so virtual-time
-//! behavior is bit-identical across shard counts:
-//!
-//! * cross-node sends catch up and queue in the shard outbox instead of
-//!   a landing (the coordinator applies a window's outbox in the canonical
-//!   `(sent, src, seq)` order — exactly the single-shard landing order);
-//! * remote monitor reads go through the shared [`crate::shard::MonBoard`];
-//! * the turn token reports quiescence to the window coordinator when the
-//!   local queue drains up to `window_end`.
 
 use std::sync::{Arc, OnceLock};
 
 use dynmpi_obs as obs;
 
-use crate::engine::{EngineState, Envelope, RecvWait, Shared, Status};
+use crate::engine::{EngineState, Envelope, OutMsg, RecvWait, Shared, Status};
 use crate::monitor;
-use crate::shard::OutMsg;
 use crate::sync::MutexGuard;
 use crate::time::{SimDur, SimTime};
 
@@ -176,7 +164,7 @@ impl SimCtx {
         st.procs[self.pid].status = Status::Crashed;
         st.procs[self.pid].finish_time = clock;
         st.live -= 1;
-        st.dispatch_or_quiesce();
+        st.dispatch_next();
         self.shared.hand_off(st);
         std::panic::resume_unwind(Box::new(CrashedRank));
     }
@@ -221,10 +209,8 @@ impl SimCtx {
     /// A node that is not yet online has no daemon: the reading is 0.
     ///
     /// Reading a *remote* node's daemon observes the report as of one
-    /// network latency ago — the publication had to cross the wire. (This
-    /// is also what lets a sharded engine serve remote readings from data
-    /// at least one lookahead window old, race-free.) A rank reading its
-    /// own node sees the current second's report.
+    /// network latency ago — the publication had to cross the wire. A rank
+    /// reading its own node sees the current second's report.
     pub fn dmpi_ps(&self, node: usize) -> u32 {
         let st = self.reader_of(node);
         let now = self.local(&st);
@@ -246,10 +232,7 @@ impl SimCtx {
             // report either — every remote node looks silent to it.
             return 0;
         }
-        match &st.board {
-            Some(board) => monitor::dmpi_ps_reading_at(&board.nodes[node].lock().timeline, sample),
-            None => monitor::dmpi_ps_reading_at(&st.nodes[node].timeline, sample),
-        }
+        monitor::dmpi_ps_reading_at(&st.nodes[node].timeline, sample)
     }
 
     /// Whether `node` is online (booted/provisioned) at the current
@@ -278,21 +261,11 @@ impl SimCtx {
         if st.nic_dead_at(node, sample) {
             return 0;
         }
-        match &st.board {
-            Some(board) => {
-                let m = board.nodes[node].lock();
-                monitor::vmstat_reading_at(&m.timeline, &m.blocks, sample)
-            }
-            None => {
-                monitor::vmstat_reading_at(&st.nodes[node].timeline, &st.nodes[node].blocks, sample)
-            }
-        }
+        monitor::vmstat_reading_at(&st.nodes[node].timeline, &st.nodes[node].blocks, sample)
     }
 
     /// True competing-process count on `node` right now (oracle for tests
-    /// and for scripting; real systems only have the monitors above). In a
-    /// sharded run a remote node's reading reflects pre-scripted changes
-    /// only — use the monitors for anything a real system would sense.
+    /// and for scripting; real systems only have the monitors above).
     pub fn true_ncp(&self, node: usize) -> u32 {
         let st = self.reader_of(node);
         st.nodes[node].timeline.at(self.local(&st))
@@ -425,12 +398,6 @@ impl SimCtx {
         let mut st = self.advance_locked(st, cpu);
         let src_node = st.procs[self.pid].node;
         let dst_node = st.procs[dst].node;
-        if st.sharded() && src_node != dst_node {
-            // The coordinator applies a whole window's outbox at the
-            // barrier, so a send dated beyond `window_end` must not be in
-            // it yet.
-            st = self.catch_up(st);
-        }
         let now = self.local(&st);
         st.procs[self.pid].send_seq += 1;
         let seq = st.procs[self.pid].send_seq;
@@ -445,8 +412,8 @@ impl SimCtx {
                 // (with `peer` = the sender), letting analyzers link sends
                 // to receives across ranks; `queued_ns` is the send-side
                 // NIC contention share of this message's flight time (the
-                // receive-side share rides on the `comm/recv` instant —
-                // a sharded engine doesn't know it yet at send time).
+                // receive-side share rides on the `comm/recv` instant: the
+                // RX half may land after the sender has run ahead).
                 obs::instant(
                     "comm",
                     "send",
@@ -498,13 +465,7 @@ impl SimCtx {
             rx_ready: tx.rx_ready,
             tx_end: tx.tx_end,
         };
-        if st.sharded() {
-            // The RX half runs on the destination shard when the
-            // coordinator applies the window's messages in canonical
-            // order. (Same-shard messages too: landing them eagerly here
-            // would update the destination NIC out of that order.)
-            st.outbox.push(msg);
-        } else if now > st.clock {
+        if now > st.clock {
             // Posted ahead of the engine clock: the destination NIC and
             // mailbox are shared state, so the RX half waits in the queue
             // for its place in the dispatch order and the sender keeps the
@@ -546,9 +507,8 @@ impl SimCtx {
     }
 
     /// Non-blocking probe: is a matching message already deliverable?
-    /// Exact in every mode: a message with arrival ≤ now was sent in a
-    /// window that closed at or before that arrival, so a sharded engine
-    /// has already applied it.
+    /// Exact in every mode: the probe catches up first, and a message with
+    /// arrival ≤ now was sent — and landed — before now.
     pub fn probe(&self, src: Option<usize>, tag: u64) -> bool {
         let st = self.catch_up(self.shared.state.lock());
         st.procs[self.pid]
@@ -571,8 +531,9 @@ impl SimCtx {
     ) -> Result<(usize, Vec<u8>), RecvTimeout> {
         let wait = RecvWait { src, tag };
         let mut st = self.shared.state.lock();
-        // `+` saturates, and a saturated deadline is no deadline: a wake-up
-        // queued at `SimTime::MAX` would sit behind `window_end` forever.
+        // `+` saturates, and a saturated deadline is no deadline: an
+        // unanswered receive is then the deadlock it is, not a timeout at
+        // the end of time.
         let deadline = timeout
             .map(|d| self.local(&st) + d)
             .filter(|&d| d < SimTime::MAX);
@@ -698,16 +659,12 @@ impl SimCtx {
         let now = self.local(&st);
         let node = st.procs[self.pid].node;
         st.nodes[node].blocks.block(now);
-        if let Some(board) = &st.board {
-            board.nodes[node].lock().blocks.block(now);
-        }
         // Register as blocked and queue a wake-up hint at the earliest
         // known matching arrival (if the network already determined one),
         // but not before `now`. Every later matching delivery queues its
         // own wake-up (`EngineState::deliver`, same clamp), so the earliest
-        // candidate dispatches — in a sharded run a cross-shard message can
-        // undercut the local hint, and this is also the single-shard
-        // behavior, keeping wake times identical across shard counts.
+        // candidate dispatches — a landing queued later can undercut the
+        // hint.
         st.procs[self.pid].status = Status::BlockedRecv(wait);
         if let Some(arrival) = st.procs[self.pid].mailbox.pending_arrival(wait) {
             st.push_event(arrival.max(now), self.pid);
@@ -725,9 +682,6 @@ impl SimCtx {
         let mut st = self.yield_turn(st);
         let wake = st.clock;
         st.nodes[node].blocks.unblock(wake);
-        if let Some(board) = &st.board {
-            board.nodes[node].lock().blocks.unblock(wake);
-        }
         st
     }
 
@@ -754,17 +708,13 @@ impl SimCtx {
         if due == 0 {
             return;
         }
-        // A write to the load timeline: remote monitors and the other
-        // shards read it, so it happens at a caught-up time.
+        // A write to the load timeline: remote monitors read it, so it
+        // happens at a caught-up time.
         let mut st = self.catch_up(st);
         let clock = st.clock;
         let n = &mut st.nodes[node];
         for (_, ncp) in n.cycle_events.drain(..due) {
             n.timeline.set(clock, ncp);
-        }
-        let ncp = n.timeline.at(clock);
-        if let Some(board) = &st.board {
-            board.nodes[node].lock().timeline.set(clock, ncp);
         }
     }
 
@@ -783,9 +733,6 @@ impl SimCtx {
         let clock = st.clock;
         let node = st.procs[self.pid].node;
         st.nodes[node].timeline.set(clock, ncp);
-        if let Some(board) = &st.board {
-            board.nodes[node].lock().timeline.set(clock, ncp);
-        }
     }
 
     /// Moves this rank's clock forward to `t`: the rank-local clock alone
@@ -804,22 +751,19 @@ impl SimCtx {
     /// Advances the engine clock to `t` on behalf of this (running) rank,
     /// and the rank's local clock with it.
     ///
-    /// In-place bypass: if `t` is inside the current window and no other
-    /// queue entry (another rank's wake-up, anyone's landing) is due at or
-    /// before `t`, this rank keeps the turn — the clock moves forward in
-    /// place with no heap push, no `unpark`, and no `park`. Otherwise it
-    /// falls back to the classic queued event + full yield, preserving the
-    /// global `(time, pid, seq)` dispatch order exactly. (The window bound
-    /// is strict: the *engine* clock, and so every write to state another
-    /// rank can observe, stays below `window_end`, which is what makes
-    /// remote monitor samples at `now − latency` settled at the barrier.)
+    /// In-place bypass: if no other queue entry (another rank's wake-up,
+    /// anyone's landing) is due at or before `t`, this rank keeps the turn
+    /// — the clock moves forward in place with no heap push, no `unpark`,
+    /// and no `park`. Otherwise it falls back to the classic queued event +
+    /// full yield, preserving the global `(time, pid, seq)` dispatch order
+    /// exactly.
     fn advance_to<'a>(&'a self, mut st: Guard<'a>, t: SimTime) -> Guard<'a> {
         debug_assert_eq!(st.current, Some(self.pid));
         debug_assert!(t >= st.clock, "advance_to into the past");
         // Stepped mode keeps the seed's exact execution strategy — every
         // advance goes through the queue and a full turn handoff — so it
         // doubles as the before-side cost baseline for `engine_events`.
-        if !st.stepped && t < st.window_end {
+        if !st.stepped {
             st.prune_stale_heads();
             // Strict `>`: an existing event at exactly `t` may carry a
             // lower (pid, seq) than the event we would push, so it must
@@ -840,7 +784,7 @@ impl SimCtx {
     /// is scheduled again. The caller must have arranged its own wake-up
     /// (queued event or blocked-recv registration) before calling.
     fn yield_turn<'a>(&'a self, mut st: Guard<'a>) -> Guard<'a> {
-        st.dispatch_or_quiesce();
+        st.dispatch_next();
         if st.current == Some(self.pid) {
             // The turn came straight back (our own event was earliest):
             // keep running without waking anyone.
@@ -863,7 +807,7 @@ impl SimCtx {
         st.procs[self.pid].status = Status::Finished;
         st.procs[self.pid].finish_time = clock;
         st.live -= 1;
-        st.dispatch_or_quiesce();
+        st.dispatch_next();
         self.shared.hand_off(st);
     }
 }

@@ -1,12 +1,11 @@
 //! Conservative discrete-event engine core.
 //!
 //! Every simulated rank runs as a real OS thread so application code can be
-//! ordinary imperative Rust (loops, sends, receives), but within one
-//! *shard* **exactly one** simulation thread executes at a time: a thread
-//! that blocks in virtual time hands the "turn" to the thread owning the
-//! earliest pending event. Event order is a total order on
-//! `(virtual time, pid, sequence number)`, so a run is a deterministic
-//! function of its inputs.
+//! ordinary imperative Rust (loops, sends, receives), but **exactly one**
+//! simulation thread executes at a time: a thread that blocks in virtual
+//! time hands the "turn" to the thread owning the earliest pending event.
+//! Event order is a total order on `(virtual time, pid, sequence number)`,
+//! so a run is a deterministic function of its inputs.
 //!
 //! In fast mode a rank runs on a **rank-local clock** (`ProcState::local`)
 //! that may be ahead of the engine clock: whatever reads and writes only the
@@ -20,26 +19,17 @@
 //! its block (see `ctx.rs`). One rank per node (`Cluster::run_spmd` maps
 //! pid → node as the identity) is what gives every piece of node state a
 //! single writer.
-//!
-//! A sharded run (see [`crate::shard`]) builds one `EngineState` per
-//! shard; each owns a contiguous pid range and advances only up to its
-//! `window_end` (the conservative lookahead bound). Cross-NIC messages
-//! are queued in `outbox` and applied by the coordinator at the window
-//! barrier in canonical `(sent, src, seq)` order — exactly the order a
-//! single-shard run applies them in, which is what keeps `SimReport`s
-//! bit-identical across `--shards` values.
 
-use std::sync::{Arc, OnceLock};
+use std::collections::BinaryHeap;
+use std::sync::OnceLock;
 use std::thread::Thread;
 
 use crate::sync::{Mutex, MutexGuard};
 
 use crate::cpu::CpuSched;
-use crate::equeue::EventQueue;
 use crate::mailbox::Mailbox;
 use crate::monitor::BlockHistory;
 use crate::network::Network;
-use crate::shard::{MonBoard, OutMsg, WindowSync};
 use crate::time::{SimDur, SimTime};
 use crate::timeline::NcpTimeline;
 
@@ -70,10 +60,11 @@ pub(crate) enum EventKind {
 
 impl Ord for Event {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap (the test oracle) is a max-heap; invert so the
-        // earliest event pops first. `pid` before `seq`: at equal times
-        // the lowest rank runs first regardless of push order, which is
-        // what makes the cross-shard message order reproducible.
+        // The queue is a `BinaryHeap`, a max-heap; invert so the earliest
+        // event pops first. `pid` before `seq`: at equal times the lowest
+        // rank runs first regardless of push order, so a landing queued
+        // from a rank running ahead dispatches where the eager send of the
+        // stepped engine would have run it.
         (other.time, other.pid, other.seq, other.kind)
             .cmp(&(self.time, self.pid, self.seq, self.kind))
     }
@@ -101,6 +92,22 @@ pub(crate) struct Envelope {
     /// receiver for trace attribution.
     pub rx_queued: SimDur,
     pub payload: Vec<u8>,
+}
+
+/// A cross-NIC message whose sender already ran the TX half of the network
+/// model (`tx_free`, serialization, latency): the payload of a
+/// [`EventKind::Landing`], whose dispatch runs the RX half.
+#[derive(Debug)]
+pub(crate) struct OutMsg {
+    pub env: Envelope,
+    pub dst: usize,
+    pub dst_node: usize,
+    pub bytes: usize,
+    /// First bit reaches the destination NIC at this instant.
+    pub rx_ready: SimTime,
+    /// Sender-side serialization completes at this instant (lower-bounds
+    /// the arrival for asymmetric NIC rates).
+    pub tx_end: SimTime,
 }
 
 /// What a blocked receiver is waiting for. `src == None` matches any sender.
@@ -196,9 +203,9 @@ pub(crate) struct NodeState {
     pub online_at: SimTime,
     /// Scripted crash time: from this instant the node's NIC drops every
     /// frame (in-flight and future, both directions) and remote monitor
-    /// reads of the node return 0. Static per-node data — identical in
-    /// every shard's full-size `nodes` vector, so cross-shard drop
-    /// decisions never depend on another shard's execution frontier.
+    /// reads of the node return 0. Static per-node data, so a landing can
+    /// decide the drop of a frame whose arrival lies beyond the crashing
+    /// node's own execution frontier.
     pub crash_at: Option<SimTime>,
     /// `true` for a scripted network *partition*: the NIC and remote
     /// monitors die at `crash_at` but the node's ranks keep executing
@@ -209,34 +216,18 @@ pub(crate) struct NodeState {
 
 pub(crate) struct EngineState {
     pub clock: SimTime,
-    pub queue: EventQueue,
+    pub queue: BinaryHeap<Event>,
     pub procs: Vec<ProcState>,
     pub nodes: Vec<NodeState>,
     pub net: Network,
     pub current: Option<usize>,
-    /// Live ranks owned by this shard.
+    /// Ranks that have neither finished nor crashed.
     pub live: usize,
     pub seq: u64,
-    /// This shard's index, and the pid → shard map for sharded runs
-    /// (`None` for a single-shard engine, which owns every pid).
-    pub shard: usize,
-    pub owner: Option<Arc<Vec<usize>>>,
-    /// Conservative dispatch horizon: events at or beyond it stay queued
-    /// until the coordinator opens the next window. `SimTime::MAX` for a
-    /// single-shard engine.
-    pub window_end: SimTime,
-    /// Cross-NIC messages sent this window, drained by the coordinator.
-    pub outbox: Vec<OutMsg>,
-    /// Payloads of the queued [`EventKind::Landing`] entries (single-shard
-    /// engine), and the slots free for reuse.
+    /// Payloads of the queued [`EventKind::Landing`] entries, and the
+    /// slots free for reuse.
     landings: Vec<Option<OutMsg>>,
     free_slots: Vec<usize>,
-    /// Whether this shard already reported quiescence for the current
-    /// window (so it reports exactly once per window).
-    pub quiesced: bool,
-    pub wsync: Option<Arc<WindowSync>>,
-    /// Cross-shard monitor mirror (sharded runs only).
-    pub board: Option<Arc<MonBoard>>,
     /// Force the per-slice stepped CPU path (`DYNMPI_SIM_STEPPED=1`): the
     /// reference mode the closed-form fast-forward is validated against.
     pub stepped: bool,
@@ -255,28 +246,19 @@ pub(crate) struct EngineState {
 }
 
 impl EngineState {
-    /// Single-shard engine owning every pid (the classic configuration,
-    /// and the reference the sharded mode must match bit for bit).
+    /// An engine with one wake-up per process queued at t = 0.
     pub fn new(nodes: Vec<NodeState>, proc_nodes: &[usize], net: Network) -> Self {
-        let width = (net.params().latency.0 / 4).max(1);
         let mut st = EngineState {
             clock: SimTime::ZERO,
-            queue: EventQueue::new(width),
+            queue: BinaryHeap::new(),
             procs: proc_nodes.iter().map(|&n| ProcState::new(n)).collect(),
             nodes,
             net,
             current: None,
             live: proc_nodes.len(),
             seq: 0,
-            shard: 0,
-            owner: None,
-            window_end: SimTime::MAX,
-            outbox: Vec::new(),
             landings: Vec::new(),
             free_slots: Vec::new(),
-            quiesced: false,
-            wsync: None,
-            board: None,
             stepped: false,
             events_pushed: 0,
             bypasses: 0,
@@ -290,45 +272,6 @@ impl EngineState {
         st
     }
 
-    /// One shard of a sharded engine: full-size state vectors (indexed by
-    /// global pid/node — only this shard's entries are ever touched), with
-    /// initial events for owned pids only. Starts quiescent; the
-    /// coordinator opens the first window.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_sharded(
-        nodes: Vec<NodeState>,
-        proc_nodes: &[usize],
-        net: Network,
-        shard: usize,
-        owner: Arc<Vec<usize>>,
-        wsync: Arc<WindowSync>,
-        board: Arc<MonBoard>,
-    ) -> Self {
-        let mut st = EngineState::new(nodes, proc_nodes, net);
-        st.queue = EventQueue::new((st.net.params().latency.0 / 4).max(1));
-        st.seq = 0;
-        st.events_pushed = 0;
-        st.shard = shard;
-        st.live = owner.iter().filter(|&&s| s == shard).count();
-        st.owner = Some(owner);
-        st.window_end = SimTime::ZERO;
-        st.quiesced = true;
-        st.wsync = Some(wsync);
-        st.board = Some(board);
-        let owner = st.owner.clone().expect("just set");
-        for (pid, &s) in owner.iter().enumerate() {
-            if s == shard {
-                st.push_event(SimTime::ZERO, pid);
-            }
-        }
-        st
-    }
-
-    /// Is this engine one shard of a sharded run?
-    pub fn sharded(&self) -> bool {
-        self.owner.is_some()
-    }
-
     pub fn next_seq(&mut self) -> u64 {
         self.seq += 1;
         self.seq
@@ -336,8 +279,9 @@ impl EngineState {
 
     /// May a running rank's local clock run ahead of the engine clock?
     /// Not in stepped mode (the fully eager oracle), and not on a
-    /// zero-latency network: with no lookahead a same-instant send or
-    /// monitor read could tell a folded catch-up from an eager one.
+    /// zero-latency network: there a frame lands and a daemon report
+    /// crosses the wire the instant they are sent, so a same-instant send
+    /// or monitor read could tell a folded catch-up from an eager one.
     pub fn runs_ahead(&self) -> bool {
         !self.stepped && self.net.params().latency > SimDur::ZERO
     }
@@ -389,7 +333,8 @@ impl EngineState {
     }
 
     /// Is `node`'s NIC dead (crashed or partitioned) at virtual time `t`?
-    /// Pure static data: safe to evaluate for any `t` from any shard.
+    /// Pure static data: safe to evaluate for any `t`, however far ahead of
+    /// the node's own execution.
     pub fn nic_dead_at(&self, node: usize, t: SimTime) -> bool {
         self.nodes[node].crash_at.is_some_and(|c| t >= c)
     }
@@ -415,16 +360,9 @@ impl EngineState {
         }
     }
 
-    /// Earliest live event time, if any (for the coordinator's `T_min`).
-    pub fn next_event_time(&mut self) -> Option<SimTime> {
-        self.prune_stale_heads();
-        self.queue.peek().map(|e| e.time)
-    }
-
     /// The RX half of a cross-node send: lands the frame on the destination
-    /// NIC and files it. One code path for the eager send, a dispatched
-    /// landing and the coordinator's window barrier — each calls it in the
-    /// canonical `(sent, src, seq)` order.
+    /// NIC and files it. One code path for the eager send and a dispatched
+    /// landing — both run it in the canonical `(sent, src, seq)` order.
     pub fn land(&mut self, mut m: OutMsg) {
         let (arrival, rx_queued) = self.net.rx_land(m.dst_node, m.bytes, m.rx_ready, m.tx_end);
         m.env.arrival = arrival;
@@ -440,8 +378,7 @@ impl EngineState {
     /// Cross-NIC frames touching a dead NIC — the sender's or the
     /// receiver's node crashed/partitioned at or before the arrival — are
     /// dropped here, after the network already charged tx/rx (a dead NIC's
-    /// frames still occupied the wire; charging uniformly keeps fast,
-    /// stepped and every shard count bit-identical). Same-node delivery
+    /// frames still occupied the wire). Same-node delivery
     /// never crosses a NIC, so a partitioned node still talks to itself.
     pub fn deliver(&mut self, dst: usize, env: Envelope) {
         let src_node = self.procs[env.src].node;
@@ -472,9 +409,8 @@ impl EngineState {
     }
 
     /// One `rank N waiting tag=.. src=.., mailbox depth D` clause per
-    /// stuck (blocked-at-recv) rank owned by this engine — the first
-    /// thing needed when a crash test hangs. Used by both the single-shard
-    /// deadlock report below and the coordinator's sharded diagnosis.
+    /// stuck (blocked-at-recv) rank — the first thing needed when a crash
+    /// test hangs, and the body of the deadlock diagnosis.
     pub fn stuck_recv_details(&self) -> Vec<(usize, String)> {
         self.procs
             .iter()
@@ -499,45 +435,15 @@ impl EngineState {
             .collect()
     }
 
-    /// Pops live events **before `window_end`** in order, advancing the
-    /// clock: landings are executed in place, the first wake-up gets the
-    /// turn. Returns `false` when
-    /// nothing is dispatchable — the run drained (single shard), the
-    /// window closed (sharded), or a deadlock was detected (single shard;
-    /// the sharded equivalent is diagnosed by the coordinator, which sees
-    /// every shard).
+    /// Pops live events in order, advancing the clock: landings are
+    /// executed in place, the first wake-up gets the turn. Returns `false`
+    /// when nothing is left to dispatch — the run drained, or (with ranks
+    /// still live) deadlocked, which sets the diagnosis as `panic_msg`.
     pub fn dispatch_next(&mut self) -> bool {
-        loop {
-            let Some(ev) = self.queue.peek().copied() else {
-                if self.window_end == SimTime::MAX && self.live > 0 {
-                    let details = self.stuck_recv_details();
-                    let stuck: Vec<usize> = details.iter().map(|&(pid, _)| pid).collect();
-                    let clauses: Vec<&str> = details.iter().map(|(_, d)| d.as_str()).collect();
-                    self.panic_msg = Some(format!(
-                        "simulation deadlock at {}: no pending events, ranks {stuck:?} \
-                         blocked at recv ({})",
-                        self.stuck_time(),
-                        clauses.join("; ")
-                    ));
-                }
-                self.current = None;
-                return false;
-            };
+        while let Some(ev) = self.queue.pop() {
             if !self.event_live(&ev) {
-                self.queue.pop();
                 continue;
             }
-            // Strict bound: the engine clock — and with it every write to
-            // state another rank can observe — always stays below the
-            // window end, so every cross-shard observation at `now - L`
-            // lands strictly before other shards' mutation frontier. (A
-            // rank's *local* clock may pass it; nothing at that time is
-            // visible outside the rank's own node.)
-            if ev.time >= self.window_end {
-                self.current = None;
-                return false;
-            }
-            self.queue.pop();
             debug_assert!(ev.time >= self.clock, "event in the past");
             self.clock = self.clock.max(ev.time);
             match ev.kind {
@@ -559,21 +465,19 @@ impl EngineState {
                 }
             }
         }
-    }
-
-    /// [`Self::dispatch_next`], reporting quiescence to the window
-    /// coordinator (once per window) when nothing is dispatchable. All
-    /// turn-token call sites use this; the coordinator itself calls
-    /// `dispatch_next` and handles the result inline.
-    pub fn dispatch_or_quiesce(&mut self) -> bool {
-        let ok = self.dispatch_next();
-        if !ok && !self.quiesced {
-            if let Some(ws) = &self.wsync {
-                self.quiesced = true;
-                ws.mark_quiescent();
-            }
+        if self.live > 0 {
+            let details = self.stuck_recv_details();
+            let stuck: Vec<usize> = details.iter().map(|&(pid, _)| pid).collect();
+            let clauses: Vec<&str> = details.iter().map(|(_, d)| d.as_str()).collect();
+            self.panic_msg = Some(format!(
+                "simulation deadlock at {}: no pending events, ranks {stuck:?} \
+                 blocked at recv ({})",
+                self.stuck_time(),
+                clauses.join("; ")
+            ));
         }
-        ok
+        self.current = None;
+        false
     }
 }
 
@@ -587,7 +491,7 @@ pub(crate) struct Shared {
     pub state: Mutex<EngineState>,
     /// The thread running each pid, registered by its first
     /// [`Shared::wait_turn`]. Outside the mutex so a hand-off can unpark
-    /// after unlocking. (A sharded engine only ever fills its own pids.)
+    /// after unlocking.
     parkers: Vec<OnceLock<Thread>>,
 }
 
@@ -756,20 +660,6 @@ mod tests {
         assert!(st.dispatch_next());
         assert_eq!(st.clock, SimTime::from_millis(9));
         assert!(st.queue.is_empty(), "stale epoch events must be consumed");
-    }
-
-    #[test]
-    fn window_end_parks_future_events() {
-        let mut st = state(1);
-        st.queue.clear();
-        st.procs[0].status = Status::Scheduled;
-        st.push_event(SimTime::from_millis(3), 0);
-        st.window_end = SimTime::from_millis(2);
-        assert!(!st.dispatch_next(), "event beyond the window must wait");
-        assert!(st.panic_msg.is_none(), "a closed window is not a deadlock");
-        st.window_end = SimTime::from_millis(4);
-        assert!(st.dispatch_next());
-        assert_eq!(st.clock, SimTime::from_millis(3));
     }
 
     #[test]

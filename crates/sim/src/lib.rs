@@ -40,14 +40,12 @@ mod cluster;
 mod cpu;
 mod ctx;
 mod engine;
-mod equeue;
 mod mailbox;
 mod monitor;
 mod network;
 mod params;
 mod report;
 mod script;
-mod shard;
 mod sync;
 mod time;
 mod timeline;

@@ -11,8 +11,8 @@
 //!   set — O(log senders) even past 1024 ranks, where the seed's
 //!   range-scan-over-fronts went linear in the sender count;
 //! * the matching order — earliest `(arrival, src, seq)` wins — is the
-//!   canonical message order of the sharded engine, pinned by the oracle
-//!   property test.
+//!   engine's canonical message order, pinned by the oracle property
+//!   test.
 //!
 //! `BTreeMap`/`BTreeSet` (not hash maps) keep iteration order
 //! deterministic, which the bit-reproducibility guarantee of the engine

@@ -80,9 +80,8 @@ impl BlockHistory {
 /// monitor whose reports take `lag` to propagate: the start of the second
 /// containing `t - lag` (saturating at 0). A rank reading its own node's
 /// monitor passes `lag = 0`; a rank reading a *remote* node's monitor
-/// passes one network latency — which also makes remote readings a pure
-/// function of state at least one lookahead window old, so the sharded
-/// engine can serve them from the shared monitor board without races.
+/// passes one network latency, because the daemon's report has to cross
+/// the wire.
 pub fn monitor_sample_time(t: SimTime, lag: crate::time::SimDur) -> SimTime {
     SimTime(t.0.saturating_sub(lag.0)).floor_to_second()
 }

@@ -7,13 +7,12 @@
 //! bursts. Rank-to-self messages cost a memcpy.
 //!
 //! Delivery is split into a sender half ([`Network::tx_depart`]) and a
-//! receiver half ([`Network::rx_land`]) so a sharded engine can run them on
-//! different shards: the sender's shard charges the TX NIC when the send is
-//! issued, and the destination's shard charges the RX NIC when the
-//! coordinator applies the message at the window barrier — in the same
-//! canonical order a single-shard run applies sends, so NIC state evolves
-//! identically. [`Network::deliver_at`] composes the two for the
-//! single-shard path.
+//! receiver half ([`Network::rx_land`]) because a rank may send ahead of the
+//! engine clock: the TX NIC is the sender's own and is charged when the send
+//! is issued, while the destination's RX NIC is shared state, charged when
+//! the engine lands the frame — in the canonical `(sent, src, seq)` order an
+//! eager send would have used, so NIC state evolves identically.
+//! [`Network::deliver_at`] composes the two.
 
 use crate::params::NetParams;
 use crate::time::{SimDur, SimTime};
@@ -143,8 +142,8 @@ impl Network {
     /// Schedules a `bytes`-byte message from `src` to `dst`, with the send
     /// call issued at `t`. Returns the virtual time at which the payload is
     /// fully available at the destination. Composes [`Self::tx_depart`]
-    /// and [`Self::rx_land`] (or [`Self::deliver_self`]) — the
-    /// single-shard path, and the reference the split halves must match.
+    /// and [`Self::rx_land`] (or [`Self::deliver_self`]) — the reference
+    /// the split halves must match.
     pub fn deliver_at(&mut self, src: usize, dst: usize, bytes: usize, t: SimTime) -> SimTime {
         if src == dst {
             let (arrival, queued) = self.deliver_self(src, bytes, t);
@@ -237,7 +236,7 @@ mod tests {
 
     #[test]
     fn split_halves_compose_to_deliver_at() {
-        // The sharded engine runs TX and RX on different shards with
+        // A send posted ahead of the engine clock runs TX and RX with
         // other traffic in between; the split must be observationally
         // identical to the one-shot call.
         let mut whole = net(3);

@@ -67,11 +67,11 @@ pub enum CrashKind {
 /// A scripted fail-stop or partition fault on a virtual node.
 ///
 /// Crash triggers are *absolute virtual times* (never phase cycles): the
-/// sharded engine must decide "is this NIC dead at arrival `t`?" for
-/// envelopes crossing shard boundaries before the crashing shard has
-/// executed up to `t`, which only a statically known crash time allows —
-/// the same reason arrivals are time-based. To crash *during* a
-/// redistribution, aim the time inside the redistribution window.
+/// engine must decide "is this NIC dead at arrival `t`?" when it lands a
+/// frame, which can be before the crashing node's own rank has executed
+/// up to `t` — only a statically known crash time allows that, the same
+/// reason arrivals are time-based. To crash *during* a redistribution, aim
+/// the time inside the redistribution window.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NodeCrash {
     pub at: SimTime,

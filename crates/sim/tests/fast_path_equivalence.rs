@@ -10,9 +10,8 @@
 use dynmpi_sim::{Cluster, LoadScript, NodeSpec, SimDur, SimOutcome, SimTime};
 use dynmpi_testkit::{check_n, Rng};
 
-/// Runs `f` under both advance modes — and, for each mode, sharded across
-/// 2 and 8 engine shards — and asserts every virtual-time output matches
-/// bit for bit. Returns the fast-mode single-shard outcome.
+/// Runs `f` under both advance modes and asserts every virtual-time output
+/// matches bit for bit. Returns the fast-mode outcome.
 fn assert_equivalent<R, F>(mk: impl Fn() -> Cluster, f: F) -> SimOutcome<R>
 where
     R: Send + PartialEq + std::fmt::Debug + Default,
@@ -32,23 +31,6 @@ where
         fast.report.engine_events,
         stepped.report.engine_events
     );
-    // Sharding is a pure wall-clock knob: it must commute with the mode
-    // switch (cost counters like engine_events legitimately differ, so
-    // the sharded arms compare `virtual_outputs`).
-    for shards in [2usize, 8] {
-        for (mode, reference) in [(true, &stepped), (false, &fast)] {
-            let sharded = mk().with_stepped(mode).with_shards(shards).run_spmd(f);
-            assert_eq!(
-                reference.results, sharded.results,
-                "per-rank results diverged at shards={shards} stepped={mode}"
-            );
-            assert_eq!(
-                reference.report.virtual_outputs(),
-                sharded.report.virtual_outputs(),
-                "SimReport diverged at shards={shards} stepped={mode}"
-            );
-        }
-    }
     fast
 }
 
@@ -104,9 +86,8 @@ fn message_passing_under_load_is_bit_identical() {
 
 #[test]
 fn cycle_triggered_load_and_sleep_are_bit_identical() {
-    // Own-node oracle reads are exact everywhere; remote load is observed
-    // through the monitor's delayed sample (`dmpi_ps`), the one remote
-    // view that is well-defined under sharded execution.
+    // Own-node oracle reads are exact; remote load is observed through
+    // the monitor's delayed sample (`dmpi_ps`), as a real system sees it.
     let mk = || {
         let script = LoadScript::dedicated().at_cycle(1, 3, 2).at_cycle(0, 5, 1);
         Cluster::homogeneous(2, NodeSpec::with_speed(2e6)).with_script(script)
@@ -270,26 +251,6 @@ fn random_programs_are_bit_identical() {
         assert_eq!(
             stepped.report.virtual_outputs(),
             fast.report.virtual_outputs()
-        );
-        // One sharded arm per random case: a random shard count must
-        // reproduce the single-shard run exactly.
-        let shards = rng.range_usize(2, 9);
-        let sharded = mk()
-            .with_stepped(false)
-            .with_shards(shards)
-            .run_spmd(|ctx| {
-                let r = ctx.rank();
-                for _ in 0..rounds {
-                    ctx.advance(works[r]);
-                    ctx.send((r + 1) % n, 3, vec![r as u8; 64]);
-                    let _ = ctx.recv((r + n - 1) % n, 3);
-                }
-                (ctx.now(), ctx.cpu_time_exact())
-            });
-        assert_eq!(fast.results, sharded.results, "shards={shards} diverged");
-        assert_eq!(
-            fast.report.virtual_outputs(),
-            sharded.report.virtual_outputs()
         );
     });
 }

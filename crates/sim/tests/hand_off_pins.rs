@@ -3,11 +3,11 @@
 //! `SimReport::hand_offs` counts turns given to a different thread — a park
 //! and an unpark each, the host cost that dominates an engine-bound run.
 //! With rank-local clocks only a blocking receive gives up the turn, so the
-//! count sits at about one per message. A single-shard run is a pure
-//! function of its inputs, counters included, so the bars below are exact
-//! integers measured on these two programs plus at most 10 % headroom: a
-//! change that reintroduces a yield per compute slice, send or receive
-//! charge fails here, not on a noisy wall-clock bar.
+//! count sits at about one per message. A run is a pure function of its
+//! inputs, counters included, so the bars below are exact integers
+//! measured on these two programs plus at most 10 % headroom: a change
+//! that reintroduces a yield per compute slice, send or receive charge
+//! fails here, not on a noisy wall-clock bar.
 
 use dynmpi_sim::{Cluster, LoadScript, NodeSpec, SimCtx, SimReport, SimTime};
 

@@ -7,16 +7,17 @@
 //! over every `SimCtx` operation. Each rank logs every value it observes.
 //! The stepped engine is fully eager — every clock advance a queued event —
 //! so it is the oracle: the fast engine, whose ranks run ahead on local
-//! clocks, must reproduce its logs and `SimReport` bit for bit, at one and
-//! at two shards, and a recorded run must produce the same trace events and
-//! health report. Every case runs under a watchdog: a lost wake-up is a
-//! failure with a seed, not a hung `cargo test`.
+//! clocks, must reproduce its logs and `SimReport` bit for bit, and a
+//! recorded run must produce the same trace events and health report.
+//! Every case runs under a watchdog: a lost wake-up is a failure with a
+//! seed, not a hung `cargo test`.
 //!
 //! The generator aims at the edges the four clock rules have: receives
 //! whose deadline *is* the arrival, ranks aligned on one absolute instant
 //! (so `(time, pid)` ties decide who sees what), monitor reads right after
-//! a sleep across a sampling second, probes racing an arrival, back-to-back
-//! sends, and zero-latency networks with free zero-byte sends.
+//! a sleep across a sampling second, remote monitor reads inside the first
+//! network latency (they sample t = 0), probes racing an arrival,
+//! back-to-back sends, and zero-latency networks with free zero-byte sends.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -81,8 +82,11 @@ enum Step {
     Monitors(Vec<Nap>),
     /// `phase_cycle_completed`, then `phase_cycles` and the monitors.
     Cycle,
-    /// `set_own_ncp(ncp)` where given, then the monitors.
-    SetNcp(Vec<Option<u32>>),
+    /// `set_own_ncp(ncp)` where given, a nap, then the monitors.
+    SetNcp {
+        ncp: Vec<Option<u32>>,
+        naps: Vec<Nap>,
+    },
 }
 
 /// How a rank gets ahead of the engine clock before it reads monitors.
@@ -93,6 +97,10 @@ enum Nap {
     /// Until this many ns past the next whole second: the monitors then
     /// sample a second boundary the other ranks have yet to reach.
     PastNextSecond(u64),
+    /// Until this absolute time, if not past it yet. Drawn inside the first
+    /// network latency: a rank there reads remote monitors (which sample
+    /// t = 0) ahead of ranks that have yet to run their t = 0 step.
+    Until(u64),
 }
 
 #[derive(Clone, Debug)]
@@ -108,13 +116,10 @@ struct Case {
     steps: Vec<Step>,
 }
 
-/// What one rank observed: `all` must agree across every engine
-/// configuration; `single_shard` holds remote `true_ncp` oracle reads,
-/// which a sharded run only defines for pre-scripted changes.
+/// What one rank observed: `all` must agree across engine modes.
 #[derive(Clone, Debug, Default, PartialEq)]
 struct Log {
     all: Vec<u64>,
-    single_shard: Vec<u64>,
     exact_hits: usize,
     exact_misses: usize,
 }
@@ -182,6 +187,12 @@ fn gen_case(seed: u64) -> Case {
         _ => r.range_usize(0, 1_500),
     };
     let load = |r: &mut Rng| r.chance(0.4).then(|| r.range_u32(0, 4));
+    let nap = |r: &mut Rng| match r.range_u32(0, 5) {
+        0 => Nap::None,
+        1 => Nap::For(r.range_u64(200_000_000, 1_200_000_000)),
+        2 => Nap::Until(r.range_u64(0, net.latency.0.max(1))),
+        _ => Nap::PastNextSecond(r.range_u64(0, 3_000_000)),
+    };
     let work = |r: &mut Rng| match r.range_u32(0, 8) {
         0 => 0.0,
         1 => r.range_f64(1e5, 4e5), // many scheduler slices
@@ -230,13 +241,12 @@ fn gen_case(seed: u64) -> Case {
                 cycle: rng.vec(n, |r| r.chance(0.5)),
             },
             15 => Step::Clocks,
-            16 | 17 => Step::Monitors(rng.vec(n, |r| match r.range_u32(0, 4) {
-                0 => Nap::None,
-                1 => Nap::For(r.range_u64(200_000_000, 1_200_000_000)),
-                _ => Nap::PastNextSecond(r.range_u64(0, 3_000_000)),
-            })),
+            16 | 17 => Step::Monitors(rng.vec(n, nap)),
             18 => Step::Cycle,
-            _ => Step::SetNcp(rng.vec(n, load)),
+            _ => Step::SetNcp {
+                ncp: rng.vec(n, load),
+                naps: rng.vec(n, nap),
+            },
         })
         .collect();
     Case {
@@ -284,27 +294,30 @@ fn sleep_until(ctx: &SimCtx, at: u64) {
     ctx.sleep(SimDur(at.saturating_sub(ctx.now().0)));
 }
 
+fn take_nap(ctx: &SimCtx, nap: Nap) {
+    match nap {
+        Nap::None => {}
+        Nap::For(ns) => ctx.sleep(SimDur(ns)),
+        Nap::PastNextSecond(ns) => {
+            let second = ctx.now().0 / 1_000_000_000 + 1;
+            sleep_until(ctx, second * 1_000_000_000 + ns);
+        }
+        Nap::Until(at) => sleep_until(ctx, at),
+    }
+}
+
 /// Logs `dmpi_ps` / `vmstat` / `true_ncp` / `node_online` of every node.
 /// The first remote read is the one that has to catch up with the rank's
 /// local clock, so `first` rotates which read that is.
-fn read_monitors(ctx: &SimCtx, case: &Case, first: usize, log: &mut Log) {
-    let (r, n) = (ctx.rank(), ctx.nprocs());
-    // A remote read in the first network latency samples t = 0 while the
-    // window that writes t = 0 is still open: sharded, its result races
-    // with the target's first block (so at the parent commit too; see
-    // ROADMAP item 4). Until then a rank reads only its own node.
-    let settled = ctx.now().0 >= case.net.latency.0;
+fn read_monitors(ctx: &SimCtx, first: usize, log: &mut Log) {
+    let n = ctx.nprocs();
     for i in 0..3 * n {
         let (node, what) = ((first + i) % (3 * n) / 3, (first + i) % 3);
-        if !settled && node != r {
-            continue;
-        }
-        match what {
-            0 => log.all.push(u64::from(ctx.dmpi_ps(node))),
-            1 => log.all.push(u64::from(ctx.vmstat(node))),
-            _ if node == r => log.all.push(u64::from(ctx.true_ncp(node))),
-            _ => log.single_shard.push(u64::from(ctx.true_ncp(node))),
-        }
+        log.all.push(u64::from(match what {
+            0 => ctx.dmpi_ps(node),
+            1 => ctx.vmstat(node),
+            _ => ctx.true_ncp(node),
+        }));
         log.all.push(ctx.node_online(node) as u64);
     }
 }
@@ -410,7 +423,7 @@ fn run_rank(ctx: &SimCtx, case: &Case) -> Log {
                     if cycle[r] {
                         ctx.phase_cycle_completed();
                     }
-                    read_monitors(ctx, case, 5 * k + r, &mut log);
+                    read_monitors(ctx, 5 * k + r, &mut log);
                 }
             }
             Step::Clocks => {
@@ -418,26 +431,20 @@ fn run_rank(ctx: &SimCtx, case: &Case) -> Log {
                     .extend([ctx.cpu_time_reading().0, ctx.cpu_time_exact().0]);
             }
             Step::Monitors(naps) => {
-                match naps[r] {
-                    Nap::None => {}
-                    Nap::For(ns) => ctx.sleep(SimDur(ns)),
-                    Nap::PastNextSecond(ns) => {
-                        let second = ctx.now().0 / 1_000_000_000 + 1;
-                        sleep_until(ctx, second * 1_000_000_000 + ns);
-                    }
-                }
-                read_monitors(ctx, case, 5 * k + r, &mut log);
+                take_nap(ctx, naps[r]);
+                read_monitors(ctx, 5 * k + r, &mut log);
             }
             Step::Cycle => {
                 ctx.phase_cycle_completed();
                 log.all.push(ctx.phase_cycles());
-                read_monitors(ctx, case, 5 * k + r, &mut log);
+                read_monitors(ctx, 5 * k + r, &mut log);
             }
-            Step::SetNcp(ncps) => {
-                if let Some(ncp) = ncps[r] {
+            Step::SetNcp { ncp, naps } => {
+                if let Some(ncp) = ncp[r] {
                     ctx.set_own_ncp(ncp);
                 }
-                read_monitors(ctx, case, 5 * k + r, &mut log);
+                take_nap(ctx, naps[r]);
+                read_monitors(ctx, 5 * k + r, &mut log);
             }
         }
         log.all.push(ctx.now().0);
@@ -450,7 +457,7 @@ struct Run {
     report: SimReport,
 }
 
-fn run(case: &Case, stepped: bool, shards: usize, recorder: Option<Recorder>) -> Run {
+fn run(case: &Case, stepped: bool, recorder: Option<Recorder>) -> Run {
     let mut cluster = Cluster::heterogeneous(
         case.speeds
             .iter()
@@ -459,8 +466,7 @@ fn run(case: &Case, stepped: bool, shards: usize, recorder: Option<Recorder>) ->
     )
     .with_net(case.net)
     .with_script(case.script.clone())
-    .with_stepped(stepped)
-    .with_shards(shards);
+    .with_stepped(stepped);
     if let Some(rec) = recorder {
         cluster = cluster.with_recorder(rec);
     }
@@ -472,15 +478,11 @@ fn run(case: &Case, stepped: bool, shards: usize, recorder: Option<Recorder>) ->
     }
 }
 
-fn recorded(
-    case: &Case,
-    stepped: bool,
-    shards: usize,
-) -> (Run, Arc<Vec<TraceEvent>>, HealthReport) {
+fn recorded(case: &Case, stepped: bool) -> (Run, Arc<Vec<TraceEvent>>, HealthReport) {
     let rec = Recorder::new();
     let monitor = Arc::new(HealthMonitor::new(DEFAULT_WINDOW_NS));
     rec.subscribe(monitor.clone());
-    let run = run(case, stepped, shards, Some(rec.clone()));
+    let run = run(case, stepped, Some(rec.clone()));
     (run, rec.events(), monitor.report())
 }
 
@@ -499,40 +501,26 @@ fn without_cpu_spans(events: &[TraceEvent]) -> Vec<&TraceEvent> {
 fn check_case(seed: u64) -> (usize, usize) {
     let case = &gen_case(seed);
     let at = |what: &str| format!("{what} (case seed {seed:#x}): {case:#?}");
-    let oracle = run(case, true, 1, None);
-    for (stepped, shards) in [(false, 1), (false, 2), (true, 2)] {
-        let got = run(case, stepped, shards, None);
-        let what = at(&format!("stepped={stepped} shards={shards}"));
-        for (rank, (want, got)) in oracle.logs.iter().zip(&got.logs).enumerate() {
-            assert_eq!(want.all, got.all, "rank {rank} log diverged, {what}");
-            if shards == 1 {
-                assert_eq!(want.single_shard, got.single_shard, "rank {rank}, {what}");
-            }
-        }
-        assert_eq!(oracle.report, got.report, "SimReport diverged, {what}");
+    let oracle = run(case, true, None);
+    let fast = run(case, false, None);
+    for (rank, (want, got)) in oracle.logs.iter().zip(&fast.logs).enumerate() {
+        assert_eq!(
+            want.all,
+            got.all,
+            "rank {rank} log diverged, {}",
+            at("fast")
+        );
     }
+    assert_eq!(oracle.report, fast.report, "{}", at("SimReport diverged"));
 
-    let (fast, fast_events, fast_health) = recorded(case, false, 1);
+    let (recorded_fast, fast_events, fast_health) = recorded(case, false);
     assert_eq!(
         oracle.logs,
-        fast.logs,
+        recorded_fast.logs,
         "{}",
         at("recording perturbed the run")
     );
-    let (_, sharded_events, sharded_health) = recorded(case, false, 2);
-    assert_eq!(
-        fast_events,
-        sharded_events,
-        "{}",
-        at("events, shards 1 vs 2")
-    );
-    assert_eq!(
-        fast_health,
-        sharded_health,
-        "{}",
-        at("health, shards 1 vs 2")
-    );
-    let (_, stepped_events, stepped_health) = recorded(case, true, 1);
+    let (_, stepped_events, stepped_health) = recorded(case, true);
     assert_eq!(
         without_cpu_spans(&stepped_events),
         without_cpu_spans(&fast_events),
@@ -553,7 +541,7 @@ fn check_case(seed: u64) -> (usize, usize) {
 }
 
 #[test]
-fn random_programs_agree_across_engine_modes_and_shards() {
+fn random_programs_agree_across_engine_modes() {
     let (hits, misses) = (AtomicUsize::new(0), AtomicUsize::new(0));
     check_n("random_programs", SEEDS, |rng: &mut Rng| {
         let seed = rng.next_u64();
