@@ -107,27 +107,6 @@ impl SimRunResult {
         &self.per_rank[0].events
     }
 
-    /// Mean cycle time over a cycle window, on the slowest rank.
-    pub fn max_mean_cycle(&self, window: std::ops::Range<usize>) -> f64 {
-        self.per_rank
-            .iter()
-            .map(|r| {
-                let w: Vec<f64> = r
-                    .cycle_times
-                    .iter()
-                    .copied()
-                    .skip(window.start)
-                    .take(window.len())
-                    .collect();
-                if w.is_empty() {
-                    0.0
-                } else {
-                    w.iter().sum::<f64>() / w.len() as f64
-                }
-            })
-            .fold(0.0, f64::max)
-    }
-
     /// Total redistribution seconds (max across ranks — it is a
     /// collective, so all participants report ≈ the same).
     pub fn redist_seconds(&self) -> f64 {

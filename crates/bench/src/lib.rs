@@ -47,7 +47,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use dynmpi_obs::{ExplainEngine, HealthMonitor, Json, ProfileReport, Recorder};
+use dynmpi_obs::{ExplainReport, HealthMonitor, Json, ProfileReport, Recorder};
 
 /// Verbosity of the bench logger, in increasing order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -301,17 +301,18 @@ impl BenchArgs {
 }
 
 /// Everything the instrumentation flags set up for one bench run: the
-/// shared [`Recorder`], the streaming [`HealthMonitor`] subscribed to it
-/// (for `--health-out`/`--watch`/`--prom-out`), and the live dashboard
-/// thread. Create it **before** the sweep with
-/// [`BenchArgs::instrumentation`], hand the recorder to exactly one sweep
-/// item via [`recorder_for`](Instrumentation::recorder_for), and call
+/// shared [`Recorder`], the one streaming [`HealthMonitor`] subscribed to
+/// it (for `--health-out`/`--watch`/`--explain-out`: the explain report is
+/// assembled from the same monitor), and the live dashboard thread.
+/// Create it **before** the sweep with [`BenchArgs::instrumentation`],
+/// hand the recorder to exactly one sweep item via
+/// [`recorder_for`](Instrumentation::recorder_for), and call
 /// [`finish`](Instrumentation::finish) after the sweep to stop the watch
 /// thread and write every requested output.
 pub struct Instrumentation {
     recorder: Option<Recorder>,
     monitor: Option<Arc<HealthMonitor>>,
-    explain: Option<Arc<ExplainEngine>>,
+    checksum_intact: OnceLock<bool>,
     watch_stop: Option<Arc<AtomicBool>>,
     watch_thread: Option<std::thread::JoinHandle<()>>,
     trace_out: Option<String>,
@@ -363,7 +364,7 @@ impl Instrumentation {
         }
         let recorder = args.wants_recorder().then(Recorder::new);
         let window_ns = args.health_window_ms * 1_000_000;
-        let wants_monitor = args.health_out.is_some() || args.watch;
+        let wants_monitor = args.health_out.is_some() || args.watch || args.explain_out.is_some();
         let monitor = match (&recorder, wants_monitor) {
             (Some(rec), true) => {
                 let mon = Arc::new(HealthMonitor::new(window_ns));
@@ -371,14 +372,6 @@ impl Instrumentation {
                 // capture the sink list at install time.
                 rec.subscribe(mon.clone());
                 Some(mon)
-            }
-            _ => None,
-        };
-        let explain = match (&recorder, args.explain_out.is_some()) {
-            (Some(rec), true) => {
-                let engine = Arc::new(ExplainEngine::new(window_ns));
-                rec.subscribe(engine.clone());
-                Some(engine)
             }
             _ => None,
         };
@@ -415,7 +408,7 @@ impl Instrumentation {
         Instrumentation {
             recorder,
             monitor,
-            explain,
+            checksum_intact: OnceLock::new(),
             watch_stop,
             watch_thread,
             trace_out: args.trace_out.clone(),
@@ -433,17 +426,12 @@ impl Instrumentation {
         selected.then(|| self.recorder.clone()).flatten()
     }
 
-    /// The health monitor, when `--health-out` or `--watch` asked for one.
-    pub fn monitor(&self) -> Option<&Arc<HealthMonitor>> {
-        self.monitor.as_ref()
-    }
-
-    /// The decision-audit engine, when `--explain-out` asked for one.
-    /// Harnesses use it to attach post-run facts (e.g. the fig9 crash
-    /// harness reports whether the final checksum survived intact) before
-    /// calling [`finish`](Instrumentation::finish).
-    pub fn explain(&self) -> Option<&Arc<ExplainEngine>> {
-        self.explain.as_ref()
+    /// Records whether the instrumented run's final checksum matched the
+    /// crash-free baseline (the fig9 crash harness reports it before
+    /// [`finish`](Instrumentation::finish)); every flight record of the
+    /// explain report shows it. The first verdict stands.
+    pub fn set_checksum_intact(&self, intact: bool) {
+        let _ = self.checksum_intact.set(intact);
     }
 
     /// Stops the watch thread and writes every requested output: trace,
@@ -467,22 +455,23 @@ impl Instrumentation {
             write_profile_report(profile.as_ref().expect("computed above"), path);
         }
         if let Some(mon) = &self.monitor {
-            let report = mon.report();
+            let health = mon.report();
             if self.watch {
                 // Leave the final state on screen after in-place redraws.
-                eprint!("{}", report.render_dashboard());
+                eprint!("{}", health.render_dashboard());
             }
             if let Some(path) = &self.health_out {
-                std::fs::write(path, report.to_jsonl()).expect("write health file");
+                std::fs::write(path, health.to_jsonl()).expect("write health file");
                 log_info!("wrote {path}");
             }
-        }
-        if let (Some(engine), Some(path)) = (&self.explain, &self.explain_out) {
-            let report = engine.report();
-            let blame = profile.as_ref().map_or(&[][..], |p| p.blame.as_slice());
-            std::fs::write(path, report.to_jsonl(blame)).expect("write explain file");
-            print!("{}", report.render_text(blame));
-            log_info!("wrote {path}");
+            if let Some(path) = &self.explain_out {
+                let checksum_intact = self.checksum_intact.get().copied();
+                let report = ExplainReport::from_monitor(mon, &health, checksum_intact);
+                let blame = profile.as_ref().map_or(&[][..], |p| p.blame.as_slice());
+                std::fs::write(path, report.to_jsonl(blame)).expect("write explain file");
+                print!("{}", report.render_text(blame));
+                log_info!("wrote {path}");
+            }
         }
         if let Some(path) = &self.prom_out {
             let text = dynmpi_obs::prometheus_text(&rec.merged_metrics());

@@ -48,27 +48,6 @@ impl ThreadTransport {
         Some(stash.remove(pos))
     }
 
-    /// Non-blocking probe: a matching message if one is already delivered,
-    /// stashing any non-matching deliveries for later receives. Used by
-    /// tests that emulate timeout-guarded receives without wall-clock
-    /// waits (poll this together with the fault condition).
-    pub fn try_recv_bytes(&self, src: usize, tag: u64) -> Option<Vec<u8>> {
-        if let Some(e) = self.take_stashed(Some(src), tag) {
-            return Some(e.payload);
-        }
-        loop {
-            match self.inbox.try_recv() {
-                Ok(e) => {
-                    if e.tag == tag && e.src == src {
-                        return Some(e.payload);
-                    }
-                    self.stash.borrow_mut().push(e);
-                }
-                Err(_) => return None,
-            }
-        }
-    }
-
     fn recv_matching(&self, src: Option<usize>, tag: u64) -> Envelope {
         if let Some(e) = self.take_stashed(src, tag) {
             return e;

@@ -269,24 +269,6 @@ impl TransferSchedule {
         }
         sched
     }
-
-    /// Rows this rank sends plus receives in Phase A, for one array.
-    pub fn moved_rows(&self) -> usize {
-        self.move_sends
-            .iter()
-            .chain(&self.move_recvs)
-            .map(|(_, rows)| rows.len())
-            .sum()
-    }
-
-    /// True when the schedule neither moves ownership nor exchanges
-    /// ghosts — e.g. a single-node group.
-    pub fn is_quiescent(&self) -> bool {
-        self.move_sends.is_empty()
-            && self.move_recvs.is_empty()
-            && self.ghost_sends.iter().all(Vec::is_empty)
-            && self.ghost_recvs.iter().all(Vec::is_empty)
-    }
 }
 
 fn owned_bounds_of(rows: &RowSet) -> Option<(usize, usize)> {

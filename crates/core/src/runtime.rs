@@ -1401,11 +1401,6 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         self.rollback_to.take()
     }
 
-    /// The pending rollback step, without consuming it.
-    pub fn rolled_back_to(&self) -> Option<u64> {
-        self.rollback_to
-    }
-
     /// Did this rank withdraw after concluding it was isolated?
     pub fn is_evicted(&self) -> bool {
         self.evicted
@@ -1414,11 +1409,6 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
     /// World nodes confirmed dead by the failure detector.
     pub fn dead_nodes(&self) -> Vec<usize> {
         (0..self.wsize).filter(|&n| self.dead[n]).collect()
-    }
-
-    /// Refresh generation of the buddy checkpoint (0 = none taken).
-    pub fn checkpoint_epoch(&self) -> u64 {
-        self.ckpt.epoch()
     }
 
     // ---------------- helpers -------------------------------------------

@@ -45,6 +45,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
+use crate::decision_log::{arg_f64, arg_u64, DecisionLog};
 use crate::json::Json;
 use crate::trace::TraceEvent;
 
@@ -66,18 +67,6 @@ const AUDIT_WINDOW: u64 = 3;
 /// Cycles skipped right after a redistribution before the "after" window
 /// starts (the control-plane pipeline lag pollutes them).
 const AUDIT_SETTLE: u64 = 2;
-
-fn arg_u64(args: &[(&'static str, Json)], key: &str) -> Option<u64> {
-    args.iter()
-        .find(|(k, _)| *k == key)
-        .and_then(|(_, v)| v.as_u64())
-}
-
-fn arg_f64(args: &[(&'static str, Json)], key: &str) -> Option<f64> {
-    args.iter()
-        .find(|(k, _)| *k == key)
-        .and_then(|(_, v)| v.as_f64())
-}
 
 // ---------------------------------------------------------------------------
 // Public result types
@@ -522,8 +511,6 @@ struct Lane {
     blocked: Vec<BlockedWait>,
     redist_ctx: Vec<Interval>,
     runtime_ctx: Vec<Interval>,
-    begin_cycle: BTreeMap<u64, u64>,
-    end_cycle: BTreeMap<u64, u64>,
 }
 
 /// Merge possibly nested/overlapping intervals into a disjoint sorted list.
@@ -554,12 +541,11 @@ fn contained(intervals: &[Interval], start: u64, end: u64) -> bool {
 pub fn analyze(events: &[TraceEvent]) -> ProfileReport {
     let mut lanes: BTreeMap<usize, Lane> = BTreeMap::new();
     let mut sends: HashMap<(usize, u64), SendRec> = HashMap::new();
-    // Redistribution instants, deduped by cycle: (seconds, rows_moved).
-    let mut redists: BTreeMap<u64, (f64, u64)> = BTreeMap::new();
-    // `balance` span attributes, keyed by cycle.
-    let mut balances: BTreeMap<u64, (Option<f64>, Option<f64>)> = BTreeMap::new();
+    // Redistributions, `balance` predictions and cycle bounds.
+    let mut log = DecisionLog::default();
 
     for ev in events {
+        log.fold(ev);
         let rank = ev.rank();
         let lane = lanes.entry(rank).or_default();
         match ev {
@@ -602,19 +588,6 @@ pub fn analyze(events: &[TraceEvent]) -> ProfileReport {
                     }
                     "runtime" if RUNTIME_OVERHEAD_SPANS.contains(name) => {
                         lane.runtime_ctx.push(Interval { start, end });
-                        if *name == "end_cycle" {
-                            if let Some(c) = arg_u64(args, "cycle") {
-                                lane.end_cycle.entry(c).or_insert(end);
-                            }
-                        }
-                        if *name == "balance" {
-                            if let Some(c) = arg_u64(args, "cycle") {
-                                balances.entry(c).or_insert((
-                                    arg_f64(args, "predicted_imbalance"),
-                                    arg_f64(args, "moved_fraction"),
-                                ));
-                            }
-                        }
                     }
                     _ => {}
                 }
@@ -659,19 +632,6 @@ pub fn analyze(events: &[TraceEvent]) -> ProfileReport {
                             }
                         }
                     }
-                    ("runtime", "begin_cycle") => {
-                        if let Some(c) = arg_u64(args, "cycle") {
-                            lane.begin_cycle.entry(c).or_insert(*ts_ns);
-                        }
-                    }
-                    ("runtime", "redistributed") => {
-                        if let Some(c) = arg_u64(args, "cycle") {
-                            redists.entry(c).or_insert((
-                                arg_f64(args, "seconds").unwrap_or(0.0),
-                                arg_u64(args, "rows_moved").unwrap_or(0),
-                            ));
-                        }
-                    }
                     _ => {}
                 }
             }
@@ -687,7 +647,7 @@ pub fn analyze(events: &[TraceEvent]) -> ProfileReport {
     let makespan = lanes.values().map(|l| l.makespan).max().unwrap_or(0);
     let ranks = attribute(&lanes, &sends);
     let critical_path = critical_path(&lanes, &sends, makespan);
-    let cycles = cycle_audits(&lanes, &redists, &balances);
+    let cycles = cycle_audits(&lanes, &log);
     let blame = blame(&lanes, &sends, &critical_path);
 
     ProfileReport {
@@ -929,19 +889,17 @@ fn critical_path(
 
 /// Max/mean ratio of per-rank mean cycle wall time over cycles
 /// `[lo, hi]`. `None` without at least two ranks reporting.
-fn window_imbalance(lanes: &BTreeMap<usize, Lane>, lo: u64, hi: u64) -> Option<f64> {
+fn window_imbalance(
+    lanes: &BTreeMap<usize, Lane>,
+    log: &DecisionLog,
+    lo: u64,
+    hi: u64,
+) -> Option<f64> {
     let mut per_rank: Vec<f64> = Vec::new();
-    for lane in lanes.values() {
-        let mut total = 0u64;
-        let mut n = 0u64;
-        for c in lo..=hi {
-            if let (Some(&b), Some(&e)) = (lane.begin_cycle.get(&c), lane.end_cycle.get(&c)) {
-                if e > b {
-                    total += e - b;
-                    n += 1;
-                }
-            }
-        }
+    for &rank in lanes.keys() {
+        let (total, n) = (lo..=hi)
+            .filter_map(|c| log.cycle_wall_ns(c, rank))
+            .fold((0u64, 0u64), |(total, n), wall| (total + wall, n + 1));
         if n > 0 {
             per_rank.push(total as f64 / n as f64);
         }
@@ -954,30 +912,29 @@ fn window_imbalance(lanes: &BTreeMap<usize, Lane>, lo: u64, hi: u64) -> Option<f
     (mean > 0.0).then(|| max / mean)
 }
 
-fn cycle_audits(
-    lanes: &BTreeMap<usize, Lane>,
-    redists: &BTreeMap<u64, (f64, u64)>,
-    balances: &BTreeMap<u64, (Option<f64>, Option<f64>)>,
-) -> Vec<CycleAudit> {
-    redists
-        .iter()
-        .map(|(&cycle, &(seconds, rows_moved))| {
-            let (predicted, moved_fraction) = balances.get(&cycle).copied().unwrap_or((None, None));
+fn cycle_audits(lanes: &BTreeMap<usize, Lane>, log: &DecisionLog) -> Vec<CycleAudit> {
+    log.of_kind("redistributed")
+        .map(|(cycle, d)| {
+            let balance = |key| {
+                let b = log.balances.get(&cycle)?;
+                arg_f64(&b.args, key)
+            };
             let before = (cycle > 1).then(|| {
                 let lo = cycle.saturating_sub(AUDIT_WINDOW).max(1);
-                window_imbalance(lanes, lo, cycle - 1)
+                window_imbalance(lanes, log, lo, cycle - 1)
             });
             let after = window_imbalance(
                 lanes,
+                log,
                 cycle + AUDIT_SETTLE,
                 cycle + AUDIT_SETTLE + AUDIT_WINDOW - 1,
             );
             CycleAudit {
                 cycle,
-                redist_seconds: seconds,
-                rows_moved,
-                moved_fraction,
-                predicted_imbalance: predicted,
+                redist_seconds: arg_f64(&d.args, "seconds").unwrap_or(0.0),
+                rows_moved: arg_u64(&d.args, "rows_moved").unwrap_or(0),
+                moved_fraction: balance("moved_fraction"),
+                predicted_imbalance: balance("predicted_imbalance"),
                 imbalance_before: before.flatten(),
                 imbalance_after: after,
             }

@@ -1,10 +1,10 @@
 //! Decision audit & causal explanation (DESIGN.md §15).
 //!
 //! The health monitor (§11) describes *state* and the profiler (§10)
-//! describes *time*; this module explains *actions*. An [`ExplainEngine`]
-//! subscribes to a [`Recorder`](crate::Recorder) as an
-//! [`EventSink`](crate::EventSink) and reconstructs, for every runtime
-//! decision, the full causal chain:
+//! describes *time*; this module explains *actions*. From a
+//! [`HealthMonitor`]'s decision log and the alerts of its
+//! [`HealthReport`], [`ExplainReport::from_monitor`] reconstructs, for
+//! every runtime decision, the full causal chain:
 //!
 //! * **inputs** — the decision's complete argument snapshot (per-node
 //!   loads, margins, predicted vs. measured cycle times), taken from the
@@ -31,19 +31,18 @@
 //! that held the checkpoint, and — when the harness reports it — whether
 //! the final checksum survived intact.
 //!
-//! Determinism contract: every fold is commutative and keyed by virtual
-//! time ((cycle, kind) min-timestamp dedup of the replicated decision
-//! instants, single-valued per-(cycle, rank) boundaries, the embedded
-//! [`HealthMonitor`]'s windows), so the report — and its JSONL — is a pure
-//! function of the event *set*: byte-identical across `--threads` and
-//! fast vs. stepped engine modes.
+//! Determinism contract: the report reads nothing but the monitor's
+//! commutative folds — its decision log and its alert windows — so it is
+//! a pure function of the event *set*: byte-identical across `--threads`
+//! and fast vs. stepped engine modes.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Mutex;
+use std::sync::OnceLock;
 
 use crate::analysis::BlameEntry;
-use crate::health::{Alert, HealthMonitor};
+use crate::decision_log::{arg_bool, arg_f64, arg_u64, arg_usize_arr, DecisionLog, Logged};
+use crate::health::{Alert, HealthMonitor, HealthReport};
 use crate::json::Json;
 use crate::trace::{EventSink, TraceEvent};
 
@@ -68,76 +67,23 @@ const CARD_KINDS: &[&str] = &[
     "node-rejoined",
 ];
 
-fn arg_u64(args: &[(&'static str, Json)], key: &str) -> Option<u64> {
-    args.iter()
-        .find(|(k, _)| *k == key)
-        .and_then(|(_, v)| v.as_u64())
-}
-
-fn arg_bool(args: &[(&'static str, Json)], key: &str) -> Option<bool> {
-    args.iter()
-        .find(|(k, _)| *k == key)
-        .and_then(|(_, v)| v.as_bool())
-}
-
-fn arg_usize_arr(args: &[(&'static str, Json)], key: &str) -> Vec<usize> {
-    args.iter()
-        .find(|(k, _)| *k == key)
-        .and_then(|(_, v)| v.as_arr())
-        .map(|a| {
-            a.iter()
-                .filter_map(Json::as_u64)
-                .map(|v| v as usize)
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
-/// One replicated decision instant, deduped across ranks: the earliest
-/// (ts, rank) wins; its args are the canonical snapshot (replicated
-/// decisions broadcast their inputs, so every rank's copy is identical).
-#[derive(Clone, Debug)]
-struct DecisionInstant {
-    ts_ns: u64,
-    rank: usize,
-    args: Vec<(&'static str, Json)>,
-}
-
-#[derive(Default)]
-struct ExplainInner {
-    /// (cycle, kind) → earliest rank's instant (min (ts, rank) fold).
-    decisions: BTreeMap<(u64, &'static str), DecisionInstant>,
-    /// (cycle, node) → earliest Suspect instant for that node.
-    suspects: BTreeMap<(u64, usize), u64>,
-    /// (cycle, rank) → `begin_cycle` instant timestamp (min fold — a
-    /// replayed cycle after a rollback keeps its first, pre-crash bound).
-    begin_cycle: BTreeMap<(u64, usize), u64>,
-    /// (cycle, rank) → `end_cycle` span end (min fold, same reason).
-    end_cycle: BTreeMap<(u64, usize), u64>,
-    /// cycle → (earliest balance-span end, predicted post-balance
-    /// imbalance) from the `balance` span.
-    predictions: BTreeMap<u64, (u64, f64)>,
-    /// Harness-reported post-run verdict: did the final checksum match
-    /// the crash-free baseline? Folded into every flight record.
-    checksum_intact: Option<bool>,
-}
-
-/// The streaming decision-audit engine. Create one, subscribe it to the
-/// run's recorder (before installing rank scopes), then pull a
-/// [`report`](ExplainEngine::report) at the end for the `--explain-out`
-/// JSONL and text rendering.
+/// A [`HealthMonitor`] whose report is the explain report. The figures
+/// build both reports from one monitor with
+/// [`ExplainReport::from_monitor`]; this type stays only for the host-cost
+/// benchmark, which subscribes it beside a monitor
+/// (`benchmark/src/workloads.rs`) and replays events through it
+/// (`benchmark/src/probes.rs`), and goes when that benchmark is next
+/// revised.
 pub struct ExplainEngine {
     monitor: HealthMonitor,
-    inner: Mutex<ExplainInner>,
+    checksum_intact: OnceLock<bool>,
 }
 
 impl ExplainEngine {
-    /// Engine with the given health-window width (the embedded monitor
-    /// supplies the alert timeline that cards link as triggers).
     pub fn new(window_ns: u64) -> Self {
         ExplainEngine {
             monitor: HealthMonitor::new(window_ns),
-            inner: Mutex::new(ExplainInner::default()),
+            checksum_intact: OnceLock::new(),
         }
     }
 
@@ -145,444 +91,328 @@ impl ExplainEngine {
         self.monitor.window_ns()
     }
 
-    fn locked(&self) -> std::sync::MutexGuard<'_, ExplainInner> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// Harness hook: record whether the run's final checksum matched the
-    /// crash-free baseline. Shown on every flight record.
+    /// crash-free baseline. Shown on every flight record; the first
+    /// verdict stands.
     pub fn set_checksum_intact(&self, intact: bool) {
-        self.locked().checksum_intact = Some(intact);
+        let _ = self.checksum_intact.set(intact);
     }
 
-    /// Assemble the full explain report from everything streamed so far —
-    /// a pure function of the accumulated commutative state.
     pub fn report(&self) -> ExplainReport {
-        let health = self.monitor.report();
-        let alerts: Vec<Alert> = health.alerts().into_iter().cloned().collect();
-        let m = self.locked();
-
-        // Per-cycle realized wall time: max (makespan-per-cycle) and mean
-        // across ranks reporting both bounds.
-        let mut walls: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-        for (&(cycle, rank), &b) in &m.begin_cycle {
-            if let Some(&e) = m.end_cycle.get(&(cycle, rank)) {
-                if e > b {
-                    walls.entry(cycle).or_default().push(e - b);
-                }
-            }
-        }
-        let max_wall: BTreeMap<u64, u64> = walls
-            .iter()
-            .map(|(&c, v)| (c, *v.iter().max().unwrap()))
-            .collect();
-        let mean_wall: BTreeMap<u64, u64> = walls
-            .iter()
-            .map(|(&c, v)| {
-                let sum: u128 = v.iter().map(|&x| x as u128).sum();
-                (c, (sum / v.len() as u128) as u64)
-            })
-            .collect();
-        let window_mean = |map: &BTreeMap<u64, u64>, lo: u64, hi: u64| -> Option<u64> {
-            let vals: Vec<u64> = (lo..=hi).filter_map(|c| map.get(&c).copied()).collect();
-            (!vals.is_empty()).then(|| {
-                let sum: u128 = vals.iter().map(|&x| x as u128).sum();
-                (sum / vals.len() as u128) as u64
-            })
-        };
-        let outcome_for = |cycle: u64, predicted: Option<u64>| -> Outcome {
-            let before = (cycle > 1)
-                .then(|| {
-                    let lo = cycle.saturating_sub(EXPLAIN_WINDOW).max(1);
-                    window_mean(&max_wall, lo, cycle - 1)
-                })
-                .flatten();
-            let after = window_mean(
-                &max_wall,
-                cycle + EXPLAIN_SETTLE,
-                cycle + EXPLAIN_SETTLE + EXPLAIN_WINDOW - 1,
-            );
-            Outcome {
-                before_ns: before,
-                after_ns: after,
-                delta_vs_predicted_ns: match (after, predicted) {
-                    (Some(a), Some(p)) => Some(a as i64 - p as i64),
-                    _ => None,
-                },
-            }
-        };
-
-        // Most recent decision of `kind` at or before `ts`, optionally on
-        // a specific node.
-        let latest = |kind: &str, ts: u64, node: Option<usize>| -> Option<ChainLink> {
-            m.decisions
-                .iter()
-                .filter(|((_, k), d)| {
-                    *k == kind
-                        && d.ts_ns <= ts
-                        && node.is_none_or(|n| arg_u64(&d.args, "node") == Some(n as u64))
-                })
-                .max_by_key(|((cycle, _), d)| (d.ts_ns, *cycle))
-                .map(|((cycle, kind), d)| ChainLink::Decision {
-                    kind: kind.to_string(),
-                    cycle: *cycle,
-                    ts_ns: d.ts_ns,
-                })
-        };
-        // Alerts preceding `ts` on the implicated nodes, latest per
-        // (node, rule), in timeline order.
-        let triggers_for = |ts: u64, nodes: &[usize]| -> Vec<ChainLink> {
-            let mut latest_alert: BTreeMap<(usize, &'static str), &Alert> = BTreeMap::new();
-            for a in &alerts {
-                if a.ts_ns <= ts && (nodes.is_empty() || nodes.contains(&a.node)) {
-                    let e = latest_alert.entry((a.node, a.rule)).or_insert(a);
-                    if a.ts_ns > e.ts_ns {
-                        *e = a;
-                    }
-                }
-            }
-            let mut links: Vec<ChainLink> = latest_alert
-                .values()
-                .map(|a| ChainLink::Alert {
-                    rule: a.rule,
-                    node: a.node,
-                    state: a.state.name(),
-                    value: a.value,
-                    ts_ns: a.ts_ns,
-                })
-                .collect();
-            links.sort_by_key(|a| a.sort_key());
-            links
-        };
-
-        let mut cards: Vec<DecisionCard> = Vec::new();
-        for ((cycle, kind), d) in &m.decisions {
-            if !CARD_KINDS.contains(kind) {
-                continue;
-            }
-            let kind = kind.to_string();
-            let (cycle, ts) = (*cycle, d.ts_ns);
-            // Implicated nodes, prediction, and counterfactual per kind.
-            let mut taken = kind.clone();
-            let mut nodes: Vec<usize> = Vec::new();
-            let mut predicted = None;
-            let mut counterfactual = None;
-            match kind.as_str() {
-                "drop-evaluated" => {
-                    nodes = arg_usize_arr(&d.args, "loaded");
-                    let pred_unloaded = arg_u64(&d.args, "predicted_unloaded_ns");
-                    let measured = arg_u64(&d.args, "measured_max_ns");
-                    if arg_bool(&d.args, "dropped") == Some(true) {
-                        taken = "drop".to_string();
-                        predicted = pred_unloaded;
-                        counterfactual = measured;
-                    } else {
-                        taken = "keep".to_string();
-                        predicted = measured;
-                        counterfactual = pred_unloaded;
-                    }
-                }
-                "expand-evaluated" => {
-                    nodes = arg_u64(&d.args, "node")
-                        .map(|n| n as usize)
-                        .into_iter()
-                        .collect();
-                    let pred_with = arg_u64(&d.args, "predicted_with_ns");
-                    let measured = arg_u64(&d.args, "measured_max_ns");
-                    if arg_bool(&d.args, "admitted") == Some(true) {
-                        taken = "admit".to_string();
-                        predicted = pred_with;
-                        counterfactual = measured;
-                    } else {
-                        taken = "reject".to_string();
-                        predicted = measured;
-                        counterfactual = pred_with;
-                    }
-                }
-                "redistributed" | "redist-skipped" => {
-                    taken = if kind == "redistributed" {
-                        "redistribute".to_string()
-                    } else {
-                        "skip".to_string()
-                    };
-                    // Implicated: the loaded nodes of the episode's load
-                    // vector (the most recent load-change broadcast).
-                    if let Some(((_, _), lc)) = m
-                        .decisions
-                        .iter()
-                        .filter(|((_, k), lc)| *k == "load-change" && lc.ts_ns <= ts)
-                        .max_by_key(|((c, _), lc)| (lc.ts_ns, *c))
-                    {
-                        nodes = arg_usize_arr(&lc.args, "loads")
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, &l)| l > 0)
-                            .map(|(n, _)| n)
-                            .collect();
-                    }
-                    // The balancer predicts a post-balance *imbalance*;
-                    // scaled by the pre-move mean cycle time it becomes a
-                    // predicted makespan-per-cycle. Skipping keeps the
-                    // measured status quo — that is the counterfactual
-                    // (and the prediction, when the move was skipped).
-                    let lo = cycle.saturating_sub(EXPLAIN_WINDOW).max(1);
-                    let before_mean = (cycle > 1)
-                        .then(|| window_mean(&mean_wall, lo, cycle - 1))
-                        .flatten();
-                    let before_max = (cycle > 1)
-                        .then(|| window_mean(&max_wall, lo, cycle - 1))
-                        .flatten();
-                    let balanced = match (before_mean, m.predictions.get(&cycle)) {
-                        (Some(mean), Some(&(_, pred))) if pred.is_finite() && pred > 0.0 => {
-                            Some((mean as f64 * pred).round() as u64)
-                        }
-                        _ => None,
-                    };
-                    if kind == "redistributed" {
-                        predicted = balanced;
-                        counterfactual = before_max;
-                    } else {
-                        predicted = before_max;
-                        counterfactual = balanced;
-                    }
-                }
-                "node-rejoined" => {
-                    taken = "rejoin".to_string();
-                    nodes = arg_u64(&d.args, "node")
-                        .map(|n| n as usize)
-                        .into_iter()
-                        .collect();
-                }
-                _ => {}
-            }
-
-            // Chain: alerts, then the upstream runtime events, then the
-            // decision itself, then its enactment (if any).
-            let mut chain = triggers_for(ts, &nodes);
-            match kind.as_str() {
-                "redistributed" | "redist-skipped" | "drop-evaluated" => {
-                    chain.extend(latest("load-change", ts, None));
-                    chain.extend(latest("grace-complete", ts, None));
-                }
-                "expand-evaluated" => {
-                    chain.extend(latest("node-arrived", ts, nodes.first().copied()));
-                    chain.extend(latest("grace-complete", ts, None));
-                }
-                _ => {}
-            }
-            chain.push(ChainLink::Decision {
-                kind: kind.clone(),
-                cycle,
-                ts_ns: ts,
-            });
-            let enact_kind = match (kind.as_str(), taken.as_str()) {
-                ("drop-evaluated", "drop") => Some("nodes-dropped"),
-                ("expand-evaluated", "admit") => Some("node-admitted"),
-                _ => None,
-            };
-            if let Some(ek) = enact_kind {
-                if let Some(e) = m.decisions.get(&(cycle, ek)) {
-                    chain.push(ChainLink::Decision {
-                        kind: ek.to_string(),
-                        cycle,
-                        ts_ns: e.ts_ns,
-                    });
-                }
-            }
-
-            cards.push(DecisionCard {
-                kind: kind.clone(),
-                cycle,
-                ts_ns: ts,
-                taken,
-                nodes,
-                inputs: d
-                    .args
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.clone()))
-                    .collect(),
-                predicted_ns: predicted,
-                counterfactual_ns: counterfactual,
-                outcome: outcome_for(cycle, predicted),
-                chain,
-            });
-        }
-        cards.sort_by(|a, b| (a.ts_ns, a.cycle, &a.kind).cmp(&(b.ts_ns, b.cycle, &b.kind)));
-
-        // Flight records: one per confirmed death.
-        let mut flights: Vec<FlightRecord> = Vec::new();
-        for ((cycle, kind), d) in &m.decisions {
-            if *kind != "node-confirmed-dead" {
-                continue;
-            }
-            let (cycle, ts) = (*cycle, d.ts_ns);
-            let Some(node) = arg_u64(&d.args, "node").map(|n| n as usize) else {
-                continue;
-            };
-            let silent_cycles = arg_u64(&d.args, "silent_cycles").unwrap_or(0) as u32;
-            // First Suspect of the streak that ended in this confirmation.
-            let streak_lo = cycle.saturating_sub(u64::from(silent_cycles).saturating_sub(1));
-            let suspected_ts = m
-                .suspects
-                .iter()
-                .filter(|(&(c, n), &sts)| n == node && c >= streak_lo && c <= cycle && sts <= ts)
-                .map(|(_, &sts)| sts)
-                .min()
-                .unwrap_or(ts);
-            let recovered = m.decisions.get(&(cycle, "node-recovered"));
-            let mut chain = triggers_for(ts, &[node]);
-            if let Some(&sts) = m.suspects.get(&(streak_lo, node)) {
-                chain.push(ChainLink::Decision {
-                    kind: "node-suspected".to_string(),
-                    cycle: streak_lo,
-                    ts_ns: sts,
-                });
-            }
-            chain.push(ChainLink::Decision {
-                kind: "node-confirmed-dead".to_string(),
-                cycle,
-                ts_ns: ts,
-            });
-            if let Some(r) = recovered {
-                chain.push(ChainLink::Decision {
-                    kind: "node-recovered".to_string(),
-                    cycle,
-                    ts_ns: r.ts_ns,
-                });
-            }
-            let rollback_to = recovered.and_then(|r| arg_u64(&r.args, "rollback_to"));
-            flights.push(FlightRecord {
-                node,
-                confirmed_cycle: cycle,
-                confirmed_ts_ns: ts,
-                suspected_ts_ns: suspected_ts,
-                detection_ns: ts - suspected_ts,
-                silent_cycles,
-                rollback_to,
-                replay_cycles: rollback_to.map(|rb| cycle.saturating_sub(rb)),
-                restored_rows: recovered.and_then(|r| arg_u64(&r.args, "restored_rows")),
-                holder: recovered
-                    .and_then(|r| arg_u64(&r.args, "holder"))
-                    .map(|h| h as usize),
-                recovery_ns: recovered.map(|r| r.ts_ns.saturating_sub(ts)),
-                checksum_intact: m.checksum_intact,
-                chain,
-            });
-        }
-        flights.sort_by_key(|f| (f.confirmed_ts_ns, f.node));
-
-        ExplainReport {
-            window_ns: self.monitor.window_ns(),
-            cards,
-            flights,
-        }
+        let checksum_intact = self.checksum_intact.get().copied();
+        ExplainReport::from_monitor(&self.monitor, &self.monitor.report(), checksum_intact)
     }
 }
 
 impl EventSink for ExplainEngine {
     fn on_event(&self, ev: &TraceEvent) {
-        // The embedded monitor sees everything; its windows and alert
-        // streaks supply the trigger chains.
         self.monitor.on_event(ev);
-        match ev {
-            TraceEvent::Complete {
-                cat,
-                name,
-                rank,
-                ts_ns,
-                dur_ns,
-                args,
-                ..
-            } if *cat == "runtime" => {
-                let end = ts_ns + dur_ns;
-                let mut m = self.locked();
-                match *name {
-                    "end_cycle" => {
-                        if let Some(c) = arg_u64(args, "cycle") {
-                            m.end_cycle
-                                .entry((c, *rank))
-                                .and_modify(|e| *e = (*e).min(end))
-                                .or_insert(end);
-                        }
-                    }
-                    "balance" => {
-                        if let (Some(c), Some(pred)) = (
-                            arg_u64(args, "cycle"),
-                            args.iter()
-                                .find(|(k, _)| *k == "predicted_imbalance")
-                                .and_then(|(_, v)| v.as_f64()),
-                        ) {
-                            m.predictions
-                                .entry(c)
-                                .and_modify(|e| e.0 = e.0.min(end))
-                                .or_insert((end, pred));
-                        }
-                    }
-                    _ => {}
+    }
+}
+
+fn decision_link(kind: &str, cycle: u64, ts_ns: u64) -> ChainLink {
+    ChainLink::Decision {
+        kind: kind.to_string(),
+        cycle,
+        ts_ns,
+    }
+}
+
+/// Most recent decision of `kind` at or before `ts`, optionally on a
+/// specific node.
+fn latest<'a>(
+    log: &'a DecisionLog,
+    kind: &'a str,
+    ts: u64,
+    node: Option<usize>,
+) -> Option<(u64, &'a Logged)> {
+    log.of_kind(kind)
+        .filter(|(_, d)| {
+            d.ts_ns <= ts && node.is_none_or(|n| arg_u64(&d.args, "node") == Some(n as u64))
+        })
+        .max_by_key(|(cycle, d)| (d.ts_ns, *cycle))
+}
+
+/// Chain link to the [`latest`] decision of `kind`.
+fn latest_link(log: &DecisionLog, kind: &str, ts: u64, node: Option<usize>) -> Option<ChainLink> {
+    latest(log, kind, ts, node).map(|(cycle, d)| decision_link(kind, cycle, d.ts_ns))
+}
+
+/// Alerts preceding `ts` on the implicated nodes (all nodes when none
+/// are), latest per (node, rule), in timeline order.
+fn triggers_for(alerts: &[&Alert], ts: u64, nodes: &[usize]) -> Vec<ChainLink> {
+    let mut latest_alert: BTreeMap<(usize, &'static str), &Alert> = BTreeMap::new();
+    for &a in alerts {
+        if a.ts_ns <= ts && (nodes.is_empty() || nodes.contains(&a.node)) {
+            let e = latest_alert.entry((a.node, a.rule)).or_insert(a);
+            if a.ts_ns > e.ts_ns {
+                *e = a;
+            }
+        }
+    }
+    let mut links: Vec<ChainLink> = latest_alert
+        .values()
+        .map(|a| ChainLink::Alert {
+            rule: a.rule,
+            node: a.node,
+            state: a.state.name(),
+            value: a.value,
+            ts_ns: a.ts_ns,
+        })
+        .collect();
+    links.sort_by_key(|a| a.sort_key());
+    links
+}
+
+/// One card per [`CARD_KINDS`] decision, in timeline order.
+fn cards(log: &DecisionLog, alerts: &[&Alert]) -> Vec<DecisionCard> {
+    // Per-cycle realized wall time: max (makespan-per-cycle) and mean
+    // across ranks reporting both bounds.
+    let mut walls: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+    for &(cycle, rank) in log.cycles.keys() {
+        if let Some(wall) = log.cycle_wall_ns(cycle, rank) {
+            walls.entry(cycle).or_default().push(wall);
+        }
+    }
+    let max_wall: BTreeMap<u64, u64> = walls
+        .iter()
+        .map(|(&c, v)| (c, *v.iter().max().unwrap()))
+        .collect();
+    let mean_wall: BTreeMap<u64, u64> = walls
+        .iter()
+        .map(|(&c, v)| {
+            let sum: u128 = v.iter().map(|&x| x as u128).sum();
+            (c, (sum / v.len() as u128) as u64)
+        })
+        .collect();
+    let window_mean = |map: &BTreeMap<u64, u64>, lo: u64, hi: u64| -> Option<u64> {
+        let vals: Vec<u64> = (lo..=hi).filter_map(|c| map.get(&c).copied()).collect();
+        (!vals.is_empty()).then(|| {
+            let sum: u128 = vals.iter().map(|&x| x as u128).sum();
+            (sum / vals.len() as u128) as u64
+        })
+    };
+    let outcome_for = |cycle: u64, predicted: Option<u64>| -> Outcome {
+        let before = (cycle > 1)
+            .then(|| {
+                let lo = cycle.saturating_sub(EXPLAIN_WINDOW).max(1);
+                window_mean(&max_wall, lo, cycle - 1)
+            })
+            .flatten();
+        let after = window_mean(
+            &max_wall,
+            cycle + EXPLAIN_SETTLE,
+            cycle + EXPLAIN_SETTLE + EXPLAIN_WINDOW - 1,
+        );
+        Outcome {
+            before_ns: before,
+            after_ns: after,
+            delta_vs_predicted_ns: match (after, predicted) {
+                (Some(a), Some(p)) => Some(a as i64 - p as i64),
+                _ => None,
+            },
+        }
+    };
+
+    let mut cards: Vec<DecisionCard> = Vec::new();
+    for (&(cycle, kind), d) in &log.decisions {
+        if !CARD_KINDS.contains(&kind) {
+            continue;
+        }
+        let ts = d.ts_ns;
+        // Implicated nodes, prediction, and counterfactual per kind.
+        let mut taken = kind.to_string();
+        let mut nodes: Vec<usize> = Vec::new();
+        let mut predicted = None;
+        let mut counterfactual = None;
+        match kind {
+            "drop-evaluated" => {
+                nodes = arg_usize_arr(&d.args, "loaded").unwrap_or_default();
+                let pred_unloaded = arg_u64(&d.args, "predicted_unloaded_ns");
+                let measured = arg_u64(&d.args, "measured_max_ns");
+                if arg_bool(&d.args, "dropped") == Some(true) {
+                    taken = "drop".to_string();
+                    predicted = pred_unloaded;
+                    counterfactual = measured;
+                } else {
+                    taken = "keep".to_string();
+                    predicted = measured;
+                    counterfactual = pred_unloaded;
                 }
             }
-            TraceEvent::Instant {
-                cat,
-                name,
-                rank,
-                ts_ns,
-                args,
-                ..
-            } if *cat == "runtime" => {
-                let ts = *ts_ns;
-                let mut m = self.locked();
-                if *name == "begin_cycle" {
-                    if let Some(c) = arg_u64(args, "cycle") {
-                        m.begin_cycle
-                            .entry((c, *rank))
-                            .and_modify(|e| *e = (*e).min(ts))
-                            .or_insert(ts);
-                    }
-                    return;
+            "expand-evaluated" => {
+                nodes = arg_u64(&d.args, "node")
+                    .map(|n| n as usize)
+                    .into_iter()
+                    .collect();
+                let pred_with = arg_u64(&d.args, "predicted_with_ns");
+                let measured = arg_u64(&d.args, "measured_max_ns");
+                if arg_bool(&d.args, "admitted") == Some(true) {
+                    taken = "admit".to_string();
+                    predicted = pred_with;
+                    counterfactual = measured;
+                } else {
+                    taken = "reject".to_string();
+                    predicted = measured;
+                    counterfactual = pred_with;
                 }
-                if let Some(cycle) = arg_u64(args, "cycle") {
-                    if *name == "node-suspected" {
-                        if let Some(node) = arg_u64(args, "node") {
-                            m.suspects
-                                .entry((cycle, node as usize))
-                                .and_modify(|e| *e = (*e).min(ts))
-                                .or_insert(ts);
-                        }
-                    }
-                    let key = (cycle, *name);
-                    match m.decisions.get_mut(&key) {
-                        Some(d) if (d.ts_ns, d.rank) <= (ts, *rank) => {}
-                        Some(d) => {
-                            d.ts_ns = ts;
-                            d.rank = *rank;
-                            d.args = args.clone();
-                        }
-                        None => {
-                            m.decisions.insert(
-                                key,
-                                DecisionInstant {
-                                    ts_ns: ts,
-                                    rank: *rank,
-                                    args: args.clone(),
-                                },
-                            );
-                        }
-                    }
+            }
+            "redistributed" | "redist-skipped" => {
+                taken = if kind == "redistributed" {
+                    "redistribute".to_string()
+                } else {
+                    "skip".to_string()
+                };
+                // Implicated: the loaded nodes of the episode's load
+                // vector (the most recent load-change broadcast).
+                if let Some((_, lc)) = latest(log, "load-change", ts, None) {
+                    nodes = arg_usize_arr(&lc.args, "loads")
+                        .unwrap_or_default()
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, &l)| l > 0)
+                        .map(|(n, _)| n)
+                        .collect();
                 }
+                // The balancer predicts a post-balance *imbalance*;
+                // scaled by the pre-move mean cycle time it becomes a
+                // predicted makespan-per-cycle. Skipping keeps the
+                // measured status quo — that is the counterfactual
+                // (and the prediction, when the move was skipped).
+                let lo = cycle.saturating_sub(EXPLAIN_WINDOW).max(1);
+                let before_mean = (cycle > 1)
+                    .then(|| window_mean(&mean_wall, lo, cycle - 1))
+                    .flatten();
+                let before_max = (cycle > 1)
+                    .then(|| window_mean(&max_wall, lo, cycle - 1))
+                    .flatten();
+                let pred = log
+                    .balances
+                    .get(&cycle)
+                    .and_then(|b| arg_f64(&b.args, "predicted_imbalance"));
+                let balanced = match (before_mean, pred) {
+                    (Some(mean), Some(pred)) if pred.is_finite() && pred > 0.0 => {
+                        Some((mean as f64 * pred).round() as u64)
+                    }
+                    _ => None,
+                };
+                if kind == "redistributed" {
+                    predicted = balanced;
+                    counterfactual = before_max;
+                } else {
+                    predicted = before_max;
+                    counterfactual = balanced;
+                }
+            }
+            "node-rejoined" => {
+                taken = "rejoin".to_string();
+                nodes = arg_u64(&d.args, "node")
+                    .map(|n| n as usize)
+                    .into_iter()
+                    .collect();
             }
             _ => {}
         }
-    }
 
-    fn on_span_open(&self, rank: usize, cat: &'static str, name: &str, ts_ns: u64) {
-        self.monitor.on_span_open(rank, cat, name, ts_ns);
-    }
+        // Chain: alerts, then the upstream runtime events, then the
+        // decision itself, then its enactment (if any).
+        let mut chain = triggers_for(alerts, ts, &nodes);
+        match kind {
+            "redistributed" | "redist-skipped" | "drop-evaluated" => {
+                chain.extend(latest_link(log, "load-change", ts, None));
+                chain.extend(latest_link(log, "grace-complete", ts, None));
+            }
+            "expand-evaluated" => {
+                chain.extend(latest_link(log, "node-arrived", ts, nodes.first().copied()));
+                chain.extend(latest_link(log, "grace-complete", ts, None));
+            }
+            _ => {}
+        }
+        chain.push(decision_link(kind, cycle, ts));
+        let enact_kind = match (kind, taken.as_str()) {
+            ("drop-evaluated", "drop") => Some("nodes-dropped"),
+            ("expand-evaluated", "admit") => Some("node-admitted"),
+            _ => None,
+        };
+        if let Some(ek) = enact_kind {
+            if let Some(e) = log.decisions.get(&(cycle, ek)) {
+                chain.push(decision_link(ek, cycle, e.ts_ns));
+            }
+        }
 
-    fn on_rank_flush(&self, rank: usize) {
-        self.monitor.on_rank_flush(rank);
+        cards.push(DecisionCard {
+            kind: kind.to_string(),
+            cycle,
+            ts_ns: ts,
+            taken,
+            nodes,
+            inputs: d
+                .args
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.clone()))
+                .collect(),
+            predicted_ns: predicted,
+            counterfactual_ns: counterfactual,
+            outcome: outcome_for(cycle, predicted),
+            chain,
+        });
     }
+    cards.sort_by(|a, b| (a.ts_ns, a.cycle, &a.kind).cmp(&(b.ts_ns, b.cycle, &b.kind)));
+    cards
+}
+
+/// One flight record per confirmed death, in timeline order.
+fn flights(
+    log: &DecisionLog,
+    alerts: &[&Alert],
+    checksum_intact: Option<bool>,
+) -> Vec<FlightRecord> {
+    let mut flights: Vec<FlightRecord> = Vec::new();
+    for (cycle, d) in log.of_kind("node-confirmed-dead") {
+        let ts = d.ts_ns;
+        let Some(node) = arg_u64(&d.args, "node").map(|n| n as usize) else {
+            continue;
+        };
+        let silent_cycles = arg_u64(&d.args, "silent_cycles").unwrap_or(0) as u32;
+        // First Suspect of the streak that ended in this confirmation.
+        let streak_lo = cycle.saturating_sub(u64::from(silent_cycles).saturating_sub(1));
+        let suspected_ts = log
+            .suspects
+            .iter()
+            .filter(|(&(c, n), &sts)| n == node && c >= streak_lo && c <= cycle && sts <= ts)
+            .map(|(_, &sts)| sts)
+            .min()
+            .unwrap_or(ts);
+        let recovered = log.decisions.get(&(cycle, "node-recovered"));
+        let mut chain = triggers_for(alerts, ts, &[node]);
+        if let Some(&sts) = log.suspects.get(&(streak_lo, node)) {
+            chain.push(decision_link("node-suspected", streak_lo, sts));
+        }
+        chain.push(decision_link("node-confirmed-dead", cycle, ts));
+        if let Some(r) = recovered {
+            chain.push(decision_link("node-recovered", cycle, r.ts_ns));
+        }
+        let rollback_to = recovered.and_then(|r| arg_u64(&r.args, "rollback_to"));
+        flights.push(FlightRecord {
+            node,
+            confirmed_cycle: cycle,
+            confirmed_ts_ns: ts,
+            suspected_ts_ns: suspected_ts,
+            detection_ns: ts - suspected_ts,
+            silent_cycles,
+            rollback_to,
+            replay_cycles: rollback_to.map(|rb| cycle.saturating_sub(rb)),
+            restored_rows: recovered.and_then(|r| arg_u64(&r.args, "restored_rows")),
+            holder: recovered
+                .and_then(|r| arg_u64(&r.args, "holder"))
+                .map(|h| h as usize),
+            recovery_ns: recovered.map(|r| r.ts_ns.saturating_sub(ts)),
+            checksum_intact,
+            chain,
+        });
+    }
+    flights.sort_by_key(|f| (f.confirmed_ts_ns, f.node));
+    flights
 }
 
 // ---------------------------------------------------------------------------
@@ -726,6 +556,25 @@ fn opt_u64(fields: &mut Vec<(String, Json)>, key: &str, v: Option<u64>) {
 }
 
 impl ExplainReport {
+    /// Assembles the report from what `monitor` folded: its decision log
+    /// and the alerts of `health`, the report that same monitor gave.
+    /// `checksum_intact` is the harness's post-run verdict — did the final
+    /// checksum match the crash-free baseline? — shown on every flight
+    /// record.
+    pub fn from_monitor(
+        monitor: &HealthMonitor,
+        health: &HealthReport,
+        checksum_intact: Option<bool>,
+    ) -> ExplainReport {
+        let alerts = health.alerts();
+        let window_ns = monitor.window_ns();
+        monitor.with_log(|log| ExplainReport {
+            window_ns,
+            cards: cards(log, &alerts),
+            flights: flights(log, &alerts, checksum_intact),
+        })
+    }
+
     /// JSONL: a header object (schema tag + the critical-path blame
     /// table), then one object per decision card, then one per flight
     /// record. `blame` comes from the profiler

@@ -36,6 +36,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
+use crate::decision_log::{arg_f64, arg_u64, arg_usize_arr, DecisionLog};
 use crate::json::Json;
 use crate::trace::{EventSink, TraceEvent, MAX_RANKS};
 
@@ -217,24 +218,9 @@ struct MonitorInner {
     nodes: usize,
     /// Window index → per-node facts (vector grows with `nodes`).
     windows: BTreeMap<u64, Vec<NodeWindow>>,
-    /// `(cycle, kind)` → earliest rank's instant timestamp. Every rank
-    /// mirrors each replicated decision; min-ts dedup keeps one per
-    /// decision, order-independently.
-    decisions: BTreeMap<(u64, &'static str), u64>,
-    /// Cycle → (earliest ts, broadcast per-node load vector).
-    loads: BTreeMap<u64, (u64, Vec<u32>)>,
-    /// Cycle → (earliest balance-span end, balancer's predicted
-    /// post-redistribution imbalance).
-    predictions: BTreeMap<u64, (u64, f64)>,
-    /// Cycle → nodes the runtime dropped (from `nodes-dropped`).
-    drops: BTreeMap<u64, Vec<usize>>,
-    /// Cycle → node the failure detector confirmed dead (from
-    /// `node-confirmed-dead`) — removed like a drop, permanently.
-    deaths: BTreeMap<u64, usize>,
-    /// (cycle, kind) → node returning to the group (`node-rejoined` /
-    /// `node-admitted`) — clears the node's removal so its health is
-    /// tracked (and alertable) again.
-    returns: BTreeMap<(u64, &'static str), usize>,
+    /// The runtime's decisions, one record each: the load vectors, the
+    /// balancer's predictions and the removal timeline come from here.
+    log: DecisionLog,
     /// Per-rank high watermark: max event end seen (live progress only —
     /// report *content* never depends on it).
     watermark: Vec<u64>,
@@ -268,18 +254,6 @@ impl MonitorInner {
     }
 }
 
-fn arg_u64(args: &[(&'static str, Json)], key: &str) -> Option<u64> {
-    args.iter()
-        .find(|(k, _)| *k == key)
-        .and_then(|(_, v)| v.as_u64())
-}
-
-fn arg_f64(args: &[(&'static str, Json)], key: &str) -> Option<f64> {
-    args.iter()
-        .find(|(k, _)| *k == key)
-        .and_then(|(_, v)| v.as_f64())
-}
-
 /// The streaming health monitor. Create one, [`subscribe`](crate::Recorder::subscribe)
 /// it to the run's recorder, then pull [`report`](HealthMonitor::report)s —
 /// live (the `--watch` dashboard re-renders it while ranks still run) or
@@ -301,12 +275,6 @@ impl HealthMonitor {
         }
     }
 
-    /// Replace the rule set (builder style).
-    pub fn with_rules(mut self, rules: Vec<AlertRule>) -> Self {
-        self.rules = rules;
-        self
-    }
-
     pub fn window_ns(&self) -> u64 {
         self.window_ns
     }
@@ -315,6 +283,11 @@ impl HealthMonitor {
         self.inner
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Runs `f` over the decisions folded so far.
+    pub(crate) fn with_log<T>(&self, f: impl FnOnce(&DecisionLog) -> T) -> T {
+        f(&self.locked().log)
     }
 
     /// Mark every window overlapping `[ts, ts+dur)` active for `rank`.
@@ -435,10 +408,55 @@ impl HealthMonitor {
             }
         }
 
-        let mut loads_iter = m.loads.values().peekable();
-        let mut current_loads: Option<&Vec<u32>> = None;
-        let mut pred_iter = m.predictions.values().peekable();
+        // Everything below reads the decision log through timelines, each
+        // consumed up to the end of the window being built. Load vectors
+        // and predictions go in cycle order, each at its decision's
+        // earliest timestamp.
+        let log = &m.log;
+        let mut loads = log
+            .of_kind("load-change")
+            .filter_map(|(_, d)| Some((d.ts_ns, arg_usize_arr(&d.args, "loads")?)))
+            .peekable();
+        let mut current_loads: Option<Vec<usize>> = None;
+        let mut predictions = log
+            .balances
+            .values()
+            .filter_map(|b| Some((b.ts_ns, arg_f64(&b.args, "predicted_imbalance")?)))
+            .peekable();
         let mut current_pred: Option<f64> = None;
+        // Removal timeline: drops and confirmed deaths take a node *out*
+        // (its silence is the runtime's own doing — or already acted upon
+        // — so the alert rules must not keep firing on it); rejoins and
+        // admissions bring it *back* under the rules. A tie puts out
+        // before back, which only matters in the degenerate
+        // same-timestamp case.
+        let mut removals: Vec<(u64, bool, Vec<usize>)> = Vec::new();
+        for ((_, kind), d) in &log.decisions {
+            let node = || arg_u64(&d.args, "node").map(|n| vec![n as usize]);
+            let change = match *kind {
+                "nodes-dropped" => arg_usize_arr(&d.args, "nodes").map(|ns| (false, ns)),
+                "node-confirmed-dead" => node().map(|ns| (false, ns)),
+                "node-rejoined" | "node-admitted" => node().map(|ns| (true, ns)),
+                _ => None,
+            };
+            removals.extend(change.map(|(back, ns)| (d.ts_ns, back, ns)));
+        }
+        removals.sort_by_key(|&(ts, back, _)| (ts, back));
+        let mut removals = removals.into_iter().peekable();
+        // The decisions shown on the timeline, in presentation order.
+        let mut timeline: Vec<Decision> = log
+            .decisions
+            .iter()
+            .filter(|((_, kind), _)| DECISION_KINDS.contains(kind))
+            .map(|(&(cycle, kind), d)| Decision {
+                kind: kind.to_string(),
+                cycle,
+                ts_ns: d.ts_ns,
+            })
+            .collect();
+        timeline.sort_by(|a, b| (a.ts_ns, a.cycle, &a.kind).cmp(&(b.ts_ns, b.cycle, &b.kind)));
+        let mut timeline = timeline.into_iter().peekable();
+
         let mut removed: BTreeSet<usize> = BTreeSet::new();
         let empty = Vec::new();
         let mut depth = vec![0i64; nodes];
@@ -446,58 +464,24 @@ impl HealthMonitor {
         let mut streaks = vec![vec![0u32; self.rules.len()]; nodes];
         let mut windows: Vec<WindowReport> = Vec::with_capacity(last_widx as usize + 1);
 
-        // Removal timeline, applied at each decision's timestamp: drops
-        // and confirmed deaths take a node *out* (its silence is the
-        // runtime's own doing — or already acted upon — so the alert
-        // rules must not keep firing on it); rejoins and admissions bring
-        // it *back* under the rules. Ties keep out-before-back order
-        // (stable sort over build order), which only matters for the
-        // degenerate same-timestamp case.
-        enum Removal<'a> {
-            Out(&'a [usize]),
-            Dead(usize),
-            Back(usize),
-        }
-        let mut removal_events: Vec<(u64, Removal)> = Vec::new();
-        for (cycle, nodes) in &m.drops {
-            if let Some(ts) = m.decisions.get(&(*cycle, "nodes-dropped")) {
-                removal_events.push((*ts, Removal::Out(nodes)));
-            }
-        }
-        for (cycle, node) in &m.deaths {
-            if let Some(ts) = m.decisions.get(&(*cycle, "node-confirmed-dead")) {
-                removal_events.push((*ts, Removal::Dead(*node)));
-            }
-        }
-        for ((cycle, kind), node) in &m.returns {
-            if let Some(ts) = m.decisions.get(&(*cycle, *kind)) {
-                removal_events.push((*ts, Removal::Back(*node)));
-            }
-        }
-        removal_events.sort_by_key(|(ts, _)| *ts);
-        let mut removal_idx = 0;
-
         for widx in 0..=last_widx {
             let t_start = widx * w;
             let t_end = (widx + 1) * w;
             let stats = m.windows.get(&widx).unwrap_or(&empty);
-            while loads_iter.peek().is_some_and(|(ts, _)| *ts < t_end) {
-                current_loads = Some(&loads_iter.next().unwrap().1);
+            while let Some((_, l)) = loads.next_if(|(ts, _)| *ts < t_end) {
+                current_loads = Some(l);
             }
-            while pred_iter.peek().is_some_and(|(ts, _)| *ts < t_end) {
-                current_pred = Some(pred_iter.next().unwrap().1);
+            while let Some((_, p)) = predictions.next_if(|(ts, _)| *ts < t_end) {
+                current_pred = Some(p);
             }
-            while removal_idx < removal_events.len() && removal_events[removal_idx].0 < t_end {
-                match &removal_events[removal_idx].1 {
-                    Removal::Out(ns) => removed.extend(ns.iter().copied()),
-                    Removal::Dead(n) => {
-                        removed.insert(*n);
-                    }
-                    Removal::Back(n) => {
-                        removed.remove(n);
+            while let Some((_, back, ns)) = removals.next_if(|(ts, ..)| *ts < t_end) {
+                for n in ns {
+                    if back {
+                        removed.remove(&n);
+                    } else {
+                        removed.insert(n);
                     }
                 }
-                removal_idx += 1;
             }
 
             // Effective flop rates while computing, and the cluster median.
@@ -585,8 +569,9 @@ impl HealthMonitor {
                     cpu_ns: nw.cpu_ns,
                     wait_ns: nw.wait_ns,
                     ncp: current_loads
-                        .and_then(|l| l.get(node).copied())
-                        .unwrap_or(0),
+                        .as_ref()
+                        .and_then(|l| l.get(node))
+                        .map_or(0, |&l| l as u32),
                 });
             }
 
@@ -598,34 +583,16 @@ impl HealthMonitor {
                 max / mean
             };
 
-            let decisions: Vec<Decision> = m
-                .decisions
-                .iter()
-                .filter(|(_, &ts)| ts >= t_start && ts < t_end)
-                .map(|((cycle, kind), &ts)| Decision {
-                    kind: kind.to_string(),
-                    cycle: *cycle,
-                    ts_ns: ts,
-                })
-                .collect();
-
             windows.push(WindowReport {
                 index: widx,
                 t_start_ns: t_start,
                 t_end_ns: t_end,
                 nodes: node_rows,
                 alerts,
-                decisions,
+                decisions: std::iter::from_fn(|| timeline.next_if(|d| d.ts_ns < t_end)).collect(),
                 measured_imbalance,
                 predicted_imbalance: current_pred,
             });
-        }
-
-        // Sort each window's decisions by timestamp for presentation (the
-        // BTreeMap iterates by (cycle, kind), not time).
-        for win in &mut windows {
-            win.decisions
-                .sort_by_key(|d| (d.ts_ns, d.cycle, d.kind.clone()));
         }
         HealthReport {
             window_ns: w,
@@ -647,6 +614,7 @@ impl EventSink for HealthMonitor {
         if !m.note_rank(rank) {
             return;
         }
+        m.log.fold(ev);
         match ev {
             TraceEvent::Complete {
                 cat,
@@ -673,17 +641,6 @@ impl EventSink for HealthMonitor {
                     }
                     ("sched", "blocked") => {
                         self.add_overlap(&mut m, rank, ts, dur, |nw, c| nw.wait_ns += c);
-                    }
-                    ("runtime", "balance") => {
-                        if let (Some(cycle), Some(pred)) =
-                            (arg_u64(args, "cycle"), arg_f64(args, "predicted_imbalance"))
-                        {
-                            let end = ts + dur;
-                            m.predictions
-                                .entry(cycle)
-                                .and_modify(|e| e.0 = e.0.min(end))
-                                .or_insert((end, pred));
-                        }
                     }
                     _ => {}
                 }
@@ -714,50 +671,6 @@ impl EventSink for HealthMonitor {
                         }
                         if let Some(net) = arg_u64(args, "net_ns") {
                             nw.net_ns += net;
-                        }
-                    }
-                    ("runtime", kind) if DECISION_KINDS.contains(&kind) => {
-                        let cycle = arg_u64(args, "cycle").unwrap_or(0);
-                        m.decisions
-                            .entry((cycle, kind))
-                            .and_modify(|e| *e = (*e).min(ts))
-                            .or_insert(ts);
-                        if kind == "load-change" {
-                            if let Some(Json::Arr(loads)) =
-                                args.iter().find(|(k, _)| *k == "loads").map(|(_, v)| v)
-                            {
-                                let vec: Vec<u32> = loads
-                                    .iter()
-                                    .filter_map(|v| v.as_u64())
-                                    .map(|v| v as u32)
-                                    .collect();
-                                m.loads
-                                    .entry(cycle)
-                                    .and_modify(|e| e.0 = e.0.min(ts))
-                                    .or_insert((ts, vec));
-                            }
-                        }
-                        if kind == "nodes-dropped" {
-                            if let Some(Json::Arr(nodes)) =
-                                args.iter().find(|(k, _)| *k == "nodes").map(|(_, v)| v)
-                            {
-                                let vec: Vec<usize> = nodes
-                                    .iter()
-                                    .filter_map(|v| v.as_u64())
-                                    .map(|v| v as usize)
-                                    .collect();
-                                m.drops.entry(cycle).or_insert(vec);
-                            }
-                        }
-                        if kind == "node-confirmed-dead" {
-                            if let Some(node) = arg_u64(args, "node") {
-                                m.deaths.entry(cycle).or_insert(node as usize);
-                            }
-                        }
-                        if kind == "node-rejoined" || kind == "node-admitted" {
-                            if let Some(node) = arg_u64(args, "node") {
-                                m.returns.entry((cycle, kind)).or_insert(node as usize);
-                            }
                         }
                     }
                     _ => {}

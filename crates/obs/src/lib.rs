@@ -17,11 +17,19 @@
 //! The [`Recorder`] ties it together: one per traced run, cloned into each
 //! rank thread, collecting per-rank events and metric snapshots for export.
 //!
+//! Three readers turn the stream into reports: the profiler ([`analysis`],
+//! after the run), the streaming [`HealthMonitor`] ([`health`]) and the
+//! decision audit ([`explain`]), which the monitor's report feeds. The
+//! runtime's replicated decisions are folded once, into one decision log
+//! per stream: the monitor keeps one and explain reads it, and the
+//! profiler folds its own over the recorded slice.
+//!
 //! This crate deliberately has **no dependencies** (it sits below the
 //! simulator in the crate graph) and never reads the wallclock: callers pass
 //! explicit timestamps, which is what keeps traces deterministic.
 
 pub mod analysis;
+mod decision_log;
 pub mod explain;
 pub mod export;
 pub mod health;
@@ -56,12 +64,13 @@ pub use trace::{
 
 #[derive(Default)]
 struct RecorderInner {
-    /// Flushed rank buffers, appended in flush order; the first read after
-    /// an append sorts them in place (see [`Recorder::events`]) and every
-    /// later read shares the result.
+    /// Every event merged so far, in the canonical order (see
+    /// [`Recorder::events`]); every read shares it.
     events: Arc<Vec<TraceEvent>>,
-    /// Is `events` in the canonical order?
-    sorted: bool,
+    /// Flushed rank buffers not yet merged into `events`, in flush order.
+    /// The merge happens on the reading thread, so the one large vector
+    /// is allocated there and not in whichever rank thread flushed.
+    flushed: Vec<Vec<TraceEvent>>,
     /// One metrics snapshot per rank (last flush wins per rank).
     snapshots: Vec<(usize, Snapshot)>,
     /// Streaming subscribers; cloned into each rank scope at install.
@@ -132,13 +141,9 @@ impl Recorder {
         self.locked().sinks.clone().into()
     }
 
-    pub(crate) fn absorb(&self, rank: usize, mut events: Vec<TraceEvent>, snapshot: Snapshot) {
+    pub(crate) fn absorb(&self, rank: usize, events: Vec<Vec<TraceEvent>>, snapshot: Snapshot) {
         let mut inner = self.locked();
-        if !events.is_empty() {
-            // Copies the vector only if a reader still holds an earlier read.
-            Arc::make_mut(&mut inner.events).append(&mut events);
-            inner.sorted = false;
-        }
+        inner.flushed.extend(events);
         inner.snapshots.retain(|(r, _)| *r != rank);
         inner.snapshots.push((rank, snapshot));
     }
@@ -160,13 +165,17 @@ impl Recorder {
     /// [`jsonl`](export::jsonl)) and the [`analysis`] module consume this
     /// order as-is and never re-sort.
     ///
-    /// The vector is sorted once, by the first read after a flush, and
-    /// shared by every later read.
+    /// The first read after a flush merges the flushed buffers and sorts
+    /// once; every later read shares the result.
     pub fn events(&self) -> Arc<Vec<TraceEvent>> {
         let mut inner = self.locked();
-        if !inner.sorted {
-            Arc::make_mut(&mut inner.events).sort_by_key(|e| (e.ts_ns(), e.rank()));
-            inner.sorted = true;
+        if !inner.flushed.is_empty() {
+            let flushed = std::mem::take(&mut inner.flushed);
+            // Copies the vector only if a reader still holds an earlier read.
+            let events = Arc::make_mut(&mut inner.events);
+            events.reserve_exact(flushed.iter().map(Vec::len).sum());
+            flushed.into_iter().for_each(|block| events.extend(block));
+            events.sort_by_key(|e| (e.ts_ns(), e.rank()));
         }
         Arc::clone(&inner.events)
     }

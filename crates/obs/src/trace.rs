@@ -164,7 +164,13 @@ struct RankScope {
     recorder: Recorder,
     rank: usize,
     registry: Registry,
-    events: Vec<TraceEvent>,
+    /// Emitted events in blocks that are never reallocated: a full block
+    /// is followed by one as large as everything before it. A doubling
+    /// `Vec` would leave its outgrown copies behind as holes in this
+    /// thread's allocator arena, and how much of that a later run's rank
+    /// reuses depends on which arena the allocator hands it, so the
+    /// process's peak memory drifted from run to run.
+    events: Vec<Vec<TraceEvent>>,
     stack: Vec<OpenSpan>,
     /// Streaming sinks captured from the recorder at install time. Empty
     /// for un-subscribed recorders, in which case emission cost is
@@ -178,7 +184,15 @@ impl RankScope {
         for sink in self.sinks.iter() {
             sink.on_event(&ev);
         }
-        self.events.push(ev);
+        match self.events.last_mut() {
+            Some(block) if block.len() < block.capacity() => block.push(ev),
+            _ => {
+                let held: usize = self.events.iter().map(Vec::len).sum();
+                let mut block = Vec::with_capacity(held.max(1024));
+                block.push(ev);
+                self.events.push(block);
+            }
+        }
     }
 }
 

@@ -64,7 +64,8 @@ fn send_instant(i: u64) {
 
 const EVENTS: u64 = 10_000;
 
-/// Emits until the rank buffer (which doubles) has room for `EVENTS` more.
+/// Emits until the rank buffer (each new block as large as all before it)
+/// has room for `EVENTS` more.
 fn grow_buffers() {
     for i in 0..(1 << 14) + 1 {
         send_instant(i);

@@ -354,25 +354,50 @@ fn parse_jsonl_rejects_an_event_past_max_ts_ns() {
 #[test]
 fn health_monitor_ignores_an_event_past_max_ts_ns() {
     let health = HealthMonitor::new(DEFAULT_WINDOW_NS);
-    let instant = |ts_ns| TraceEvent::Instant {
-        cat: "comm",
-        name: "recv",
+    let explain = ExplainEngine::new(DEFAULT_WINDOW_NS);
+    let instant = |cat, name, ts_ns, args| TraceEvent::Instant {
+        cat,
+        name,
         rank: 0,
         ts_ns,
-        args: Vec::new(),
+        args,
     };
-    health.on_event(&instant(5));
-    health.on_event(&instant(u64::MAX));
-    health.on_event(&TraceEvent::Complete {
-        cat: "sched",
-        name: "blocked",
-        rank: 0,
-        ts_ns: 7,
-        dur_ns: u64::MAX - 7,
-        args: Vec::new(),
-    });
+    let cycle = |c| vec![("cycle", Json::UInt(c)), ("node", Json::UInt(1))];
+    let events = [
+        instant("comm", "recv", 5, Vec::new()),
+        instant("comm", "recv", u64::MAX, Vec::new()),
+        TraceEvent::Complete {
+            cat: "sched",
+            name: "blocked",
+            rank: 0,
+            ts_ns: 7,
+            dur_ns: u64::MAX - 7,
+            args: Vec::new(),
+        },
+        // A span end past u64::MAX, and decisions that would make a card
+        // and a flight record, all out of range.
+        TraceEvent::Complete {
+            cat: "runtime",
+            name: "end_cycle",
+            rank: 0,
+            ts_ns: 5,
+            dur_ns: u64::MAX - 1,
+            args: cycle(3),
+        },
+        instant("runtime", "redistributed", MAX_TS_NS + 1, cycle(3)),
+        instant("runtime", "node-confirmed-dead", u64::MAX, cycle(4)),
+    ];
+    for ev in &events {
+        health.on_event(ev);
+        explain.on_event(ev);
+    }
     // Only the in-range event laid out a window.
-    assert_eq!(health.report().windows.len(), 1);
+    let report = health.report();
+    assert_eq!(report.windows.len(), 1);
+    assert!(report.decisions().is_empty());
+    let explained = explain.report();
+    assert!(explained.cards.is_empty(), "{:?}", explained.cards);
+    assert!(explained.flights.is_empty(), "{:?}", explained.flights);
 }
 
 #[test]

@@ -126,16 +126,6 @@ impl Cluster {
         &self.nodes
     }
 
-    /// Network parameters in force.
-    pub fn net_params(&self) -> &NetParams {
-        &self.net
-    }
-
-    /// OS parameters in force.
-    pub fn os_params(&self) -> &OsParams {
-        &self.os
-    }
-
     /// Builds the initial per-node engine state.
     fn build_nodes(&self, n: usize, seed: usize) -> Vec<NodeState> {
         let arrivals = self.script.arrivals();

@@ -27,28 +27,6 @@ fn mix(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One step of CPU progress: the application either ran or waited until
-/// `end`, accomplishing `work_done` units. `completed` is set when the
-/// requested work finished within the segment.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Segment {
-    pub end: SimTime,
-    pub work_done: f64,
-    pub completed: bool,
-}
-
-impl Segment {
-    /// Scheduler-span name for tracing: the application either ran during
-    /// this segment or waited out competing processes' slices.
-    pub fn kind(&self) -> &'static str {
-        if self.work_done > 0.0 {
-            "run"
-        } else {
-            "wait"
-        }
-    }
-}
-
 /// An integer-exact scheduling step: the unit the engine's stepped and
 /// fast-forward CPU paths share. Work is expressed in nanoseconds of CPU
 /// the application still needs ([`CpuSched::work_to_ns`]); `cpu` is how
@@ -171,102 +149,10 @@ impl CpuSched {
         self.phase_offset = off0.wrapping_add(self.slot_start(r, cycle, q));
     }
 
-    /// Computes the next scheduling segment starting at `t`, given the
-    /// competing-process count `ncp` (constant until `next_change`) and the
-    /// application's remaining work.
-    pub fn segment(
-        &self,
-        t: SimTime,
-        ncp: u32,
-        next_change: Option<SimTime>,
-        remaining_work: f64,
-    ) -> Segment {
-        if remaining_work <= 0.0 {
-            return Segment {
-                end: t,
-                work_done: 0.0,
-                completed: true,
-            };
-        }
-        let change_bound = next_change.unwrap_or(SimTime::MAX);
-        debug_assert!(change_bound > t, "ncp change not strictly in the future");
-
-        if ncp == 0 {
-            // Dedicated CPU: run straight through (bounded only by the
-            // load change).
-            return self.run_until(t, remaining_work, change_bound, change_bound);
-        }
-
-        let q = self.os.quantum.0;
-        let cycle = (u64::from(ncp) + 1) * q;
-        let shifted = t.0.wrapping_add(self.phase_offset);
-        let round = shifted / cycle;
-        let pos = shifted % cycle;
-        let start = self.slot_start(round, cycle, q);
-        if pos >= start && pos < start + q {
-            // Inside our slice: run until it ends, the load changes, or
-            // the work completes.
-            let slice_end = SimTime(t.0 + (start + q - pos));
-            return self.run_until(t, remaining_work, slice_end, change_bound);
-        }
-        // Competing processes own the CPU; wait for our next slice (this
-        // round's if still ahead, else next round's) or for the load to
-        // change, whichever is first.
-        let next_start_shifted = if pos < start {
-            round * cycle + start
-        } else {
-            (round + 1) * cycle + self.slot_start(round + 1, cycle, q)
-        };
-        let wait_end = SimTime(t.0 + (next_start_shifted - shifted));
-        let end = wait_end.min(change_bound);
-        Segment {
-            end,
-            work_done: 0.0,
-            completed: false,
-        }
-    }
-
-    /// Runs from `t` at full speed, bounded by `bound` and `change_bound`.
-    fn run_until(
-        &self,
-        t: SimTime,
-        remaining_work: f64,
-        bound: SimTime,
-        change_bound: SimTime,
-    ) -> Segment {
-        let finish_ns = self.work_to_ns(remaining_work).0;
-        if finish_ns == 0 {
-            // Work too small to register at ns granularity: complete in
-            // place instead of inflating the segment by 1 ns (which would
-            // diverge from the closed-form integer paths).
-            return Segment {
-                end: t,
-                work_done: remaining_work,
-                completed: true,
-            };
-        }
-        let finish = SimTime(t.0.saturating_add(finish_ns));
-        let end = finish.min(bound).min(change_bound);
-        if end == finish {
-            Segment {
-                end,
-                work_done: remaining_work,
-                completed: true,
-            }
-        } else {
-            let done = (end - t).as_secs_f64() * self.spec.speed;
-            Segment {
-                end,
-                work_done: done.min(remaining_work),
-                completed: false,
-            }
-        }
-    }
-
     /// Converts work units into whole nanoseconds of dedicated CPU,
-    /// rounding up — the same `ceil(work / speed · 1e9)` the float path
-    /// uses, computed once so the stepped and fast-forward integer paths
-    /// share one quantization and stay bit-identical.
+    /// rounding up (`ceil(work / speed · 1e9)`), computed once so the
+    /// stepped and fast-forward paths share one quantization and stay
+    /// bit-identical.
     pub fn work_to_ns(&self, work: f64) -> SimDur {
         if work <= 0.0 {
             return SimDur::ZERO;
@@ -276,10 +162,13 @@ impl CpuSched {
 
     /// Integer-exact single scheduling step: the *stepped* reference path
     /// (`DYNMPI_SIM_STEPPED=1`). `need` is the remaining dedicated-CPU
-    /// nanoseconds from [`Self::work_to_ns`]. Advances by at most one
-    /// slice or one wait, exactly like [`Self::segment`] but without any
-    /// float accumulation, so [`Self::fast_forward`] can match it bit for
-    /// bit.
+    /// nanoseconds from [`Self::work_to_ns`]; `ncp` holds until
+    /// `next_change`. Advances by at most one slice or one wait: inside
+    /// the application's slice it runs until the slice ends, the load
+    /// changes or the work completes; otherwise the competing processes
+    /// own the CPU and it waits for the next slice (this round's if still
+    /// ahead, else the next round's) or the load change. No float
+    /// accumulation, so [`Self::fast_forward`] can match it bit for bit.
     pub fn step_ns(
         &self,
         t: SimTime,
@@ -325,7 +214,7 @@ impl CpuSched {
     }
 
     /// Runs from `t` for up to `need` ns of CPU, bounded by `bound` and
-    /// `change_bound` — the integer twin of [`Self::run_until`].
+    /// `change_bound`.
     fn finish_by(&self, t: SimTime, need: SimDur, bound: SimTime, change_bound: SimTime) -> Step {
         let finish = SimTime(t.0.saturating_add(need.0));
         let end = finish.min(bound).min(change_bound);
@@ -471,24 +360,11 @@ mod tests {
         CpuSched::new(NodeSpec::with_speed(1e6), OsParams::default())
     }
 
-    /// Drives `segment` in a loop the way the engine does and returns the
-    /// finish time plus accumulated CPU run time.
+    /// Drives `step_ns` in a loop the way the stepped engine does and
+    /// returns the finish time plus accumulated CPU run time.
     fn drive(s: &CpuSched, start: SimTime, work: f64, ncp: u32) -> (SimTime, SimDur) {
-        let mut t = start;
-        let mut remaining = work;
-        let mut cpu = SimDur::ZERO;
-        for _ in 0..1_000_000 {
-            let seg = s.segment(t, ncp, None, remaining);
-            if seg.work_done > 0.0 {
-                cpu += seg.end - t;
-            }
-            remaining -= seg.work_done;
-            t = seg.end;
-            if seg.completed {
-                return (t, cpu);
-            }
-        }
-        panic!("segment loop did not terminate");
+        let (end, cpu, _, _) = drive_ns(s, start, s.work_to_ns(work), ncp, false);
+        (end, cpu)
     }
 
     #[test]
@@ -544,17 +420,9 @@ mod tests {
         let mut t = SimTime::ZERO;
         let mut walls = Vec::new();
         for _ in 0..60 {
-            let start = t;
-            let mut remaining = row_work;
-            loop {
-                let seg = s.segment(t, 1, None, remaining);
-                remaining -= seg.work_done;
-                t = seg.end;
-                if seg.completed {
-                    break;
-                }
-            }
-            walls.push((t - start).as_secs_f64());
+            let (end, _) = drive(&s, t, row_work, 1);
+            walls.push((end - t).as_secs_f64());
+            t = end;
         }
         let min = walls.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = walls.iter().cloned().fold(0.0, f64::max);
@@ -570,29 +438,30 @@ mod tests {
         // Wherever a waiting segment starts, it ends within one full
         // round and is followed by runnable time.
         let s = sched();
+        let need = SimDur::from_secs(1_000);
         let mut saw_wait = false;
         for ms in 0..40u64 {
             let t = SimTime::from_millis(ms);
-            let seg = s.segment(t, 1, None, 1.0e9);
-            if seg.work_done == 0.0 {
+            let st = s.step_ns(t, 1, None, need);
+            if st.cpu == SimDur::ZERO {
                 saw_wait = true;
-                assert!(seg.end > t);
-                assert!((seg.end - t).as_secs_f64() <= 0.040);
-                let next = s.segment(seg.end, 1, None, 1.0e9);
-                assert!(next.work_done > 0.0, "slot must follow the wait");
+                assert!(st.end > t);
+                assert!((st.end - t).as_secs_f64() <= 0.040);
+                let next = s.step_ns(st.end, 1, None, need);
+                assert!(next.cpu > SimDur::ZERO, "slot must follow the wait");
             }
         }
         assert!(saw_wait, "a 1-CP schedule must contain waits");
     }
 
     #[test]
-    fn ncp_change_bounds_segment() {
+    fn ncp_change_bounds_step() {
         let s = sched();
         let change = SimTime::from_millis(5);
-        let seg = s.segment(SimTime::ZERO, 0, Some(change), 1e6);
-        assert!(!seg.completed);
-        assert_eq!(seg.end, change);
-        assert!((seg.work_done - 5_000.0).abs() < 1.0);
+        let st = s.step_ns(SimTime::ZERO, 0, Some(change), SimDur::from_secs(1));
+        assert!(!st.completed);
+        assert_eq!(st.end, change);
+        assert_eq!(st.cpu, SimDur::from_millis(5));
     }
 
     #[test]
@@ -603,11 +472,11 @@ mod tests {
         // ~1.5 ms + drift.
         let t = SimTime::from_millis(25);
         s.note_reentry(t, 3);
-        let seg = s.segment(t, 3, None, 1e9);
-        let delay = if seg.work_done > 0.0 {
+        let st = s.step_ns(t, 3, None, SimDur::from_secs(1_000));
+        let delay = if st.cpu > SimDur::ZERO {
             0.0
         } else {
-            (seg.end - t).as_secs_f64()
+            (st.end - t).as_secs_f64()
         };
         assert!(delay < 0.004, "boosted wake delay {delay}");
     }
@@ -629,16 +498,17 @@ mod tests {
     fn unloaded_reentry_only_drifts() {
         let mut s = sched();
         s.note_reentry(SimTime::from_millis(7), 0);
-        let seg = s.segment(SimTime::from_millis(7), 0, None, 1_000.0);
-        assert!(seg.completed);
+        let st = s.step_ns(SimTime::from_millis(7), 0, None, SimDur::from_millis(1));
+        assert!(st.completed);
+        assert_eq!(st.end, SimTime::from_millis(8));
     }
 
     #[test]
     fn zero_work_completes_immediately() {
         let s = sched();
-        let seg = s.segment(SimTime::from_millis(3), 2, None, 0.0);
-        assert!(seg.completed);
-        assert_eq!(seg.end, SimTime::from_millis(3));
+        let st = s.step_ns(SimTime::from_millis(3), 2, None, s.work_to_ns(0.0));
+        assert!(st.completed);
+        assert_eq!(st.end, SimTime::from_millis(3));
     }
 
     /// Drives the integer API to completion and returns (finish, cpu,
@@ -729,14 +599,12 @@ mod tests {
     }
 
     #[test]
-    fn step_ns_matches_float_segment_on_dedicated() {
+    fn step_ns_finishes_dedicated_work_in_one_step() {
         let s = sched();
-        let need = s.work_to_ns(2e6);
-        let st = s.step_ns(SimTime::from_secs(1), 0, None, need);
-        let seg = s.segment(SimTime::from_secs(1), 0, None, 2e6);
-        assert_eq!(st.end, seg.end);
-        assert!(st.completed && seg.completed);
+        let st = s.step_ns(SimTime::from_secs(1), 0, None, s.work_to_ns(2e6));
+        assert!(st.completed);
         assert_eq!(st.end, SimTime::from_secs(3));
+        assert_eq!((st.cpu, st.slices), (SimDur::from_secs(2), 1));
     }
 
     #[test]

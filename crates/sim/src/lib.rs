@@ -51,7 +51,7 @@ mod time;
 mod timeline;
 
 pub use cluster::Cluster;
-pub use cpu::{CpuSched, Segment, Step};
+pub use cpu::{CpuSched, Step};
 pub use ctx::RecvTimeout;
 pub use ctx::SimCtx;
 pub use monitor::{dmpi_ps_reading, vmstat_reading, BlockHistory};

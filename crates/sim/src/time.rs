@@ -95,12 +95,6 @@ impl SimDur {
         self.0 as f64 / 1e6
     }
 
-    /// Integer division rounding down: how many `unit`s fit in this span.
-    pub fn div_floor(self, unit: SimDur) -> u64 {
-        assert!(unit.0 > 0, "division by zero-length span");
-        self.0 / unit.0
-    }
-
     /// Truncates this span down to a whole multiple of `unit`.
     ///
     /// Models clocks with limited granularity, e.g. `/proc` CPU accounting
@@ -115,12 +109,6 @@ impl SimDur {
     /// Saturating subtraction.
     pub fn saturating_sub(self, rhs: SimDur) -> SimDur {
         SimDur(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Scales the span by a non-negative factor, rounding to nearest ns.
-    pub fn mul_f64(self, f: f64) -> SimDur {
-        assert!(f >= 0.0, "negative scale factor");
-        SimDur((self.0 as f64 * f).round() as u64)
     }
 
     /// Minimum of two spans.

@@ -2,7 +2,9 @@
 //! scheduling, monotone network delivery, and whole-run determinism under
 //! arbitrary load scripts. Driven by the seeded `dynmpi_testkit` harness.
 
-use dynmpi_sim::{Cluster, CpuSched, LoadScript, NetParams, Network, NodeSpec, OsParams, SimTime};
+use dynmpi_sim::{
+    Cluster, CpuSched, LoadScript, NetParams, Network, NodeSpec, OsParams, SimDur, SimTime,
+};
 use dynmpi_testkit::check;
 
 /// Long computations get exactly a 1/(ncp+1) CPU share, whatever the
@@ -15,23 +17,21 @@ fn cpu_share_matches_relative_power() {
         let work_secs = rng.range_f64(0.5, 3.0);
         let start_ms = rng.range_u64(0, 100);
         let s = CpuSched::new(NodeSpec::with_speed(speed), OsParams::default());
-        let work = work_secs * speed;
         let mut t = SimTime::from_millis(start_ms);
         let t0 = t;
-        let mut remaining = work;
-        let mut cpu = 0.0f64;
+        let mut left = s.work_to_ns(work_secs * speed);
+        let mut cpu = SimDur::ZERO;
         for _ in 0..5_000_000u64 {
-            let seg = s.segment(t, ncp, None, remaining);
-            if seg.work_done > 0.0 {
-                cpu += (seg.end - t).as_secs_f64();
-            }
-            remaining -= seg.work_done;
-            t = seg.end;
-            if seg.completed {
+            let st = s.step_ns(t, ncp, None, left);
+            cpu += st.cpu;
+            left = left - st.cpu;
+            t = st.end;
+            if st.completed {
                 break;
             }
         }
-        assert!(remaining <= 0.0 || remaining < 1e-6);
+        assert_eq!(left, SimDur::ZERO);
+        let cpu = cpu.as_secs_f64();
         let wall = (t - t0).as_secs_f64();
         let share = cpu / wall;
         let expect = 1.0 / f64::from(ncp + 1);
