@@ -195,8 +195,8 @@ pub fn successive_balance_with_floor(
     ))
 }
 
-/// [`successive_balance_with_floor`] with the default 50 % participation
-/// floor (matching `DynMpiConfig::default().balance_floor`).
+/// [`successive_balance_with_floor`] with a 50 % participation floor (the
+/// runtime's own balancer keeps 80 %).
 pub fn successive_balance(
     row_weights: &[f64],
     loads: &[NodeLoad],

@@ -45,23 +45,16 @@ pub struct DynMpiConfig {
     pub drop_policy: DropPolicy,
     /// Minimum rows kept by a logically dropped node.
     pub min_rows_logical: usize,
-    /// Redistribute only if the new assignment moves more than this
-    /// fraction of all rows (avoids thrashing on measurement noise).
-    pub rebalance_threshold: f64,
     /// Re-admit removed nodes when their load clears (future-work
     /// extension; off by default to match the paper).
     pub allow_rejoin: bool,
-    /// Consecutive load-free cycles a removed node must show before
-    /// rejoin.
+    /// Consecutive load-free cycles a removed node must show to rejoin.
     pub rejoin_after_cycles: u32,
     /// Expected scheduler-slice wait per blocking receive per competing
     /// process, as a fraction of the quantum. With the OS wake-up boost
     /// the residual wait is small (default 0.05); refined by the
     /// micro-benchmark calibration of §4.3.
     pub wait_factor: f64,
-    /// OS scheduler quantum in seconds, for the communication penalty
-    /// model.
-    pub quantum_seconds: f64,
     /// Safety margin: drop nodes only if the predicted unloaded
     /// configuration is at least this much faster (1.0 = any
     /// improvement).
@@ -69,11 +62,6 @@ pub struct DynMpiConfig {
     /// Stop reacting to load changes after this many redistributions
     /// (the Figure 5 "Redist Once" arm). `None` = unlimited.
     pub max_redistributions: Option<u32>,
-    /// Successive balancing never assigns a participating node less than
-    /// this fraction of its relative-power share — balancing alone must
-    /// not idle a node; *removal* (§4.4) is the separate facility for
-    /// that.
-    pub balance_floor: f64,
     /// World ranks `0..seed_world` start in the computation; ranks at or
     /// beyond it are reserved for *arrivals* — brand-new nodes that come
     /// online mid-run and must be admitted through the expansion decision
@@ -123,14 +111,11 @@ impl Default for DynMpiConfig {
             balancer: BalancerKind::SuccessiveBalancing,
             drop_policy: DropPolicy::Auto,
             min_rows_logical: 1,
-            rebalance_threshold: 0.02,
             allow_rejoin: false,
             rejoin_after_cycles: 3,
             wait_factor: 0.05,
-            quantum_seconds: 0.010,
             drop_margin: 1.0,
             max_redistributions: None,
-            balance_floor: 0.8,
             seed_world: None,
             node_speeds: Vec::new(),
             expand_margin: 1.0,
@@ -164,16 +149,8 @@ impl DynMpiConfig {
             self.post_redist_period >= 1,
             "post-redistribution period must be ≥ 1"
         );
-        assert!(
-            (0.0..=1.0).contains(&self.rebalance_threshold),
-            "rebalance threshold must be a fraction"
-        );
-        assert!(self.wait_factor >= 0.0 && self.quantum_seconds >= 0.0);
+        assert!(self.wait_factor >= 0.0);
         assert!(self.drop_margin > 0.0);
-        assert!(
-            (0.0..=1.0).contains(&self.balance_floor),
-            "balance floor is a fraction"
-        );
         if let Some(seed) = self.seed_world {
             assert!(seed >= 1, "seed world must have at least one rank");
         }

@@ -20,6 +20,11 @@ fn to_ppm(ratio: f64) -> u64 {
     (ratio.max(0.0) * 1e6).round() as u64
 }
 
+/// Node ids, row counts or loads as a JSON array.
+fn uints(v: impl IntoIterator<Item = u64>) -> Json {
+    Json::Arr(v.into_iter().map(Json::UInt).collect())
+}
+
 /// One adaptation event, stamped with the phase cycle it occurred in.
 #[derive(Clone, Debug, PartialEq)]
 pub enum RuntimeEvent {
@@ -143,10 +148,7 @@ impl RuntimeEvent {
         let mut push = |k, v| args.push((k, v));
         match self {
             RuntimeEvent::LoadChangeDetected { loads, .. } => {
-                push(
-                    "loads",
-                    Json::Arr(loads.iter().map(|&l| Json::UInt(l as u64)).collect()),
-                );
+                push("loads", uints(loads.iter().map(|&l| u64::from(l))))
             }
             RuntimeEvent::GraceComplete { mode, .. } => {
                 push("mode", Json::str(format!("{mode:?}")));
@@ -160,10 +162,7 @@ impl RuntimeEvent {
                 push("seconds", Json::Num(*seconds));
                 push("seconds_ns", Json::UInt(secs_to_ns(*seconds)));
                 push("rows_moved", Json::UInt(*rows_moved as u64));
-                push(
-                    "counts",
-                    Json::Arr(counts.iter().map(|&c| Json::UInt(c as u64)).collect()),
-                );
+                push("counts", uints(counts.iter().map(|&c| c as u64)));
             }
             RuntimeEvent::RedistributionSkipped { moved_fraction, .. } => {
                 push("moved_fraction", Json::Num(*moved_fraction));
@@ -185,17 +184,11 @@ impl RuntimeEvent {
                 push("measured_max", Json::Num(*measured_max));
                 push("measured_max_ns", Json::UInt(secs_to_ns(*measured_max)));
                 push("margin_ppm", Json::UInt(to_ppm(*margin)));
-                push(
-                    "loaded",
-                    Json::Arr(loaded.iter().map(|&n| Json::UInt(n as u64)).collect()),
-                );
+                push("loaded", uints(loaded.iter().map(|&n| n as u64)));
                 push("dropped", Json::Bool(*dropped));
             }
             RuntimeEvent::NodesDropped { nodes, .. } => {
-                push(
-                    "nodes",
-                    Json::Arr(nodes.iter().map(|&n| Json::UInt(n as u64)).collect()),
-                );
+                push("nodes", uints(nodes.iter().map(|&n| n as u64)))
             }
             RuntimeEvent::NodeRejoined { node, .. } | RuntimeEvent::NodeArrived { node, .. } => {
                 push("node", Json::UInt(*node as u64));
@@ -229,11 +222,8 @@ impl RuntimeEvent {
                 node,
                 silent_cycles,
                 ..
-            } => {
-                push("node", Json::UInt(*node as u64));
-                push("silent_cycles", Json::UInt(u64::from(*silent_cycles)));
             }
-            RuntimeEvent::NodeSuspected {
+            | RuntimeEvent::NodeSuspected {
                 node,
                 silent_cycles,
                 ..

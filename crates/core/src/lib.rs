@@ -63,6 +63,7 @@ pub mod dist;
 pub mod drsd;
 pub mod events;
 pub mod microbench;
+mod policy;
 pub mod redist;
 pub mod rowset;
 pub mod runtime;
@@ -74,6 +75,7 @@ pub mod timing;
 #[cfg(test)]
 extern crate self as dynmpi;
 #[cfg(test)]
+#[allow(dead_code)] // `drive` itself serves `tests/failure_modes.rs`
 #[path = "../tests/drive/mod.rs"]
 mod drive;
 
@@ -91,6 +93,6 @@ pub use drsd::{AccessMode, ArrayAccess, Bound, Drsd};
 pub use events::RuntimeEvent;
 pub use redist::{ghost_needs, RedistOutcome};
 pub use rowset::RowSet;
-pub use runtime::{ArrayId, CommPattern, CycleReport, DynMpi, PhaseId, PhaseSpec};
+pub use runtime::{ArrayId, CommPattern, DynMpi, PhaseId, PhaseSpec};
 pub use sparse::{SparseMatrix, SparseRow};
 pub use timing::{RowTimer, TimingMode};

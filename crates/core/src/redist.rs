@@ -330,38 +330,32 @@ impl ScheduleCache {
     }
 }
 
-/// Executes a redistribution. Must be called collectively by every member
-/// of `old_group` ∪ `new_group` (a rank leaving the computation
-/// participates as a sender; a rank joining participates as a receiver).
+/// Executes a redistribution, reusing `cache` so repeated redistributions
+/// over unchanged groups and distributions skip schedule construction.
+/// Must be called collectively by every member of `old_group` ∪
+/// `new_group` (a rank leaving the computation participates as a sender; a
+/// rank joining participates as a receiver). `accesses` is the flattened
+/// access list across all phases, used for ghost-row acquisition.
 ///
-/// `accesses` is the flattened access list across all phases, used for
-/// ghost-row acquisition. Builds a fresh [`TransferSchedule`]; use
-/// [`execute_cached`] on paths that repeat distributions.
-#[allow(clippy::too_many_arguments)]
-pub fn execute<T: Transport>(
-    t: &T,
-    me: usize,
-    old_group: &Group,
-    old_dist: &Distribution,
-    new_group: &Group,
-    new_dist: &Distribution,
-    accesses: &[ArrayAccess],
-    arrays: &mut [&mut dyn RedistArray],
-) -> RedistOutcome {
-    let sched = TransferSchedule::build(
-        me,
-        old_group,
-        old_dist,
-        new_group,
-        new_dist,
-        accesses,
-        arrays.len(),
-    );
-    execute_with(t, me, &sched, old_group, new_group, arrays)
-}
-
-/// Like [`execute`], but reuses `cache` so repeated redistributions over
-/// unchanged groups and distributions skip schedule construction.
+/// `stand_in = Some((dead, holder))` makes it the *recovery*
+/// redistribution after a confirmed node death: `dead` (a member of
+/// `old_group`, absent from `new_group`) no longer exists, and `holder` —
+/// the buddy that materialized `dead`'s checkpointed rows locally
+/// ([`crate::checkpoint::BuddyCheckpoint::materialize_mirror`]) — stands
+/// in for it. Every survivor calls it after rolling its rows back to the
+/// same checkpoint. The protocol deltas:
+/// - the holder executes `dead`'s Phase A sends by proxy from the
+///   materialized mirror, *after* its own sends per array, and receivers
+///   take their `src == dead` entry last, from `holder`: both sides agree
+///   on that order, which keeps the shared-FIFO `(holder, tag)` channel
+///   unambiguous;
+/// - proxy legs aimed at the holder itself are skipped on both sides —
+///   those rows are already local from the mirror;
+/// - the closing barrier leaves `dead` out.
+///
+/// `rows_moved`/`bytes_sent` count actual transfers only (skipped
+/// self-legs are not transfers; the runtime reports restored rows
+/// separately via `NodeRecovered`).
 #[allow(clippy::too_many_arguments)]
 pub fn execute_cached<T: Transport>(
     t: &T,
@@ -373,17 +367,31 @@ pub fn execute_cached<T: Transport>(
     new_dist: &Distribution,
     accesses: &[ArrayAccess],
     arrays: &mut [&mut dyn RedistArray],
+    stand_in: Option<(usize, usize)>,
 ) -> RedistOutcome {
+    let narrays = arrays.len();
     let sched = cache.schedule(
-        me,
-        old_group,
-        old_dist,
-        new_group,
-        new_dist,
-        accesses,
-        arrays.len(),
+        me, old_group, old_dist, new_group, new_dist, accesses, narrays,
     );
-    execute_with(t, me, &sched, old_group, new_group, arrays)
+    let proxy = stand_in.map(|(dead, holder)| {
+        assert!(
+            holder != dead && old_group.contains(dead) && !new_group.contains(dead),
+            "the dead rank must leave the group in recovery"
+        );
+        // The dead rank's schedule, built from the same shared state: only
+        // Phase A sends survive (it owns nothing in `new_dist`).
+        let legs = if me == holder {
+            let proxy = TransferSchedule::build(
+                dead, old_group, old_dist, new_group, new_dist, accesses, narrays,
+            );
+            let legs = proxy.move_sends.into_iter();
+            legs.filter(|(dst, _)| *dst != me).collect()
+        } else {
+            Vec::new()
+        };
+        StandIn { dead, holder, legs }
+    });
+    transfer(t, me, &sched, proxy.as_ref(), old_group, new_group, arrays)
 }
 
 /// Executes a redistribution from a prebuilt schedule. The schedule must
@@ -398,49 +406,84 @@ pub fn execute_with<T: Transport>(
     new_group: &Group,
     arrays: &mut [&mut dyn RedistArray],
 ) -> RedistOutcome {
+    transfer(t, me, sched, None, old_group, new_group, arrays)
+}
+
+/// The recovery leg of [`execute_cached`]: `holder` stands in for `dead`,
+/// and on the holder `legs` are `dead`'s Phase A sends minus those aimed
+/// at the holder itself.
+struct StandIn {
+    dead: usize,
+    holder: usize,
+    legs: Vec<(usize, RowSet)>,
+}
+
+/// The one transfer executor: Phases A–C of a schedule, the stand-in leg
+/// when recovering, and the closing barrier.
+fn transfer<T: Transport>(
+    t: &T,
+    me: usize,
+    sched: &TransferSchedule,
+    stand_in: Option<&StandIn>,
+    old_group: &Group,
+    new_group: &Group,
+    arrays: &mut [&mut dyn RedistArray],
+) -> RedistOutcome {
     let t0 = t.wtime();
     let traced = obs::enabled();
+    // A recovery is one `recovery` span, without the phase children.
+    let phases = traced && stand_in.is_none();
     if traced {
-        obs::span_begin("redist", "redistribute", t.now_ns());
+        let name = if phases { "redistribute" } else { "recovery" };
+        obs::span_begin("redist", name, t.now_ns());
     }
     assert_eq!(
         sched.keep.len(),
         arrays.len(),
         "schedule was built for a different array count"
     );
+    let dead = stand_in.map(|s| s.dead);
+    let proxy_sends = stand_in.map_or(&[][..], |s| &s.legs[..]);
+    // The dead rank's rows reach me through the holder, unless I am it.
+    let dead_leg = stand_in.filter(|s| s.holder != me).and_then(|s| {
+        let leg = sched.move_recvs.iter().find(|(src, _)| *src == s.dead);
+        leg.map(|(_, mv)| (s.holder, mv))
+    });
 
     let mut rows_moved = 0usize;
     let mut bytes_sent = 0u64;
 
     // ---- Phase A: ownership moves -------------------------------------
-    if traced {
+    if phases {
         obs::span_begin("redist", "exchange", t.now_ns());
     }
     for (ai, arr) in arrays.iter_mut().enumerate() {
         let tag = TAG_MOVE + ai as u64;
-        if traced {
+        if phases {
             obs::span_begin("redist", "pack", t.now_ns());
         }
-        for (dst, mv) in &sched.move_sends {
+        for (dst, mv) in sched.move_sends.iter().chain(proxy_sends) {
             let payload = arr.pack_rows(mv, true);
             rows_moved += mv.len();
             bytes_sent += payload.len() as u64;
             t.send_bytes(*dst, tag, payload);
         }
-        if traced {
+        if phases {
             obs::span_end(t.now_ns());
             obs::span_begin("redist", "unpack", t.now_ns());
         }
-        for (src, mv) in &sched.move_recvs {
-            let payload = t.recv_bytes(*src, tag);
+        let recvs = sched.move_recvs.iter();
+        let own = recvs.filter(|(src, _)| Some(*src) != dead);
+        for (src, mv) in own.map(|(src, mv)| (*src, mv)).chain(dead_leg) {
+            let payload = t.recv_bytes(src, tag);
             rows_moved += mv.len();
             arr.unpack_rows(mv, &payload);
         }
-        if traced {
+        if phases {
             obs::span_end(t.now_ns());
         }
     }
-    if traced {
+    if phases {
         obs::span_end(t.now_ns());
         obs::span_begin("redist", "ghost_exchange", t.now_ns());
     }
@@ -460,8 +503,8 @@ pub fn execute_with<T: Transport>(
         }
     }
 
-    // ---- Phase C: release stale storage --------------------------------
-    if traced {
+    // ---- Phase C: release stale storage (and any mirror surplus) -------
+    if phases {
         obs::span_end(t.now_ns());
         obs::span_begin("redist", "release", t.now_ns());
     }
@@ -469,18 +512,14 @@ pub fn execute_with<T: Transport>(
         let stale = arr.present_rows().diff(&sched.keep[ai]);
         arr.drop_rows(&stale);
     }
-    if traced {
+    if phases {
         obs::span_end(t.now_ns());
     }
 
     // Close with a barrier over everyone involved so the measured time
     // covers the full collective operation.
-    let mut members: Vec<usize> = old_group
-        .members()
-        .iter()
-        .chain(new_group.members())
-        .copied()
-        .collect();
+    let everyone = old_group.members().iter().chain(new_group.members());
+    let mut members: Vec<usize> = everyone.copied().filter(|&r| Some(r) != dead).collect();
     members.sort_unstable();
     members.dedup();
     let all = Group::new(members, me);
@@ -489,166 +528,16 @@ pub fn execute_with<T: Transport>(
     if traced {
         obs::count("redist.rows_moved", rows_moved as u64);
         obs::count("redist.bytes_sent", bytes_sent);
-        obs::span_end_args(
-            t.now_ns(),
-            vec![
-                ("rows_moved", Json::UInt(rows_moved as u64)),
-                ("bytes_sent", Json::UInt(bytes_sent)),
+        let mut args = match stand_in {
+            Some(s) => vec![
+                ("dead", Json::UInt(s.dead as u64)),
+                ("holder", Json::UInt(s.holder as u64)),
             ],
-        );
-    }
-    RedistOutcome {
-        seconds: t.wtime() - t0,
-        rows_moved,
-        bytes_sent,
-    }
-}
-
-/// Executes the *recovery* redistribution after a confirmed node death.
-///
-/// Semantics are those of [`execute`] over `old_group → new_group`, except
-/// that `dead` (a member of `old_group`, absent from `new_group`) no longer
-/// exists: `holder` — the buddy that materialized `dead`'s checkpointed
-/// rows locally ([`crate::checkpoint::BuddyCheckpoint::materialize_mirror`])
-/// — stands in for it. Every survivor of `old_group` ∪ `new_group` must
-/// call this collectively; callers must have rolled their own rows back to
-/// the same checkpoint first, so row contents match the distributions.
-///
-/// Protocol deltas vs. a plain redistribution:
-/// - the holder executes `dead`'s Phase A sends by proxy from the
-///   materialized mirror, *after* its own sends per array (senders and
-///   receivers agree on that order, which keeps the shared-FIFO
-///   `(holder, tag)` channel unambiguous);
-/// - proxy legs aimed at the holder itself are skipped on both sides —
-///   those rows are already local from the mirror;
-/// - receivers take their `src == dead` entry last, from `holder`;
-/// - the closing barrier spans `old_group` ∪ `new_group` *minus* `dead`.
-///
-/// `rows_moved`/`bytes_sent` count actual transfers only (skipped
-/// self-legs are not transfers; the runtime reports restored rows
-/// separately via `NodeRecovered`).
-#[allow(clippy::too_many_arguments)]
-pub fn execute_recovery<T: Transport>(
-    t: &T,
-    me: usize,
-    old_group: &Group,
-    old_dist: &Distribution,
-    new_group: &Group,
-    new_dist: &Distribution,
-    accesses: &[ArrayAccess],
-    arrays: &mut [&mut dyn RedistArray],
-    dead: usize,
-    holder: usize,
-) -> RedistOutcome {
-    assert_ne!(me, dead, "the dead rank cannot participate in recovery");
-    assert_ne!(holder, dead, "the buddy holder must be a survivor");
-    assert!(
-        old_group.rel_of(dead).is_some() && new_group.rel_of(dead).is_none(),
-        "dead rank must leave the group in recovery"
-    );
-
-    let t0 = t.wtime();
-    let traced = obs::enabled();
-    if traced {
-        obs::span_begin("redist", "recovery", t.now_ns());
-    }
-
-    let narrays = arrays.len();
-    let sched = TransferSchedule::build(
-        me, old_group, old_dist, new_group, new_dist, accesses, narrays,
-    );
-    // The dead rank's schedule, built from the same shared state: only
-    // Phase A sends survive (it owns nothing in `new_dist`), and the
-    // holder executes them from the materialized mirror.
-    let proxy = (me == holder).then(|| {
-        TransferSchedule::build(
-            dead, old_group, old_dist, new_group, new_dist, accesses, narrays,
-        )
-    });
-
-    let mut rows_moved = 0usize;
-    let mut bytes_sent = 0u64;
-
-    // ---- Phase A: ownership moves, with the holder standing in --------
-    for (ai, arr) in arrays.iter_mut().enumerate() {
-        let tag = TAG_MOVE + ai as u64;
-        for (dst, mv) in &sched.move_sends {
-            let payload = arr.pack_rows(mv, true);
-            rows_moved += mv.len();
-            bytes_sent += payload.len() as u64;
-            t.send_bytes(*dst, tag, payload);
-        }
-        if let Some(p) = &proxy {
-            for (dst, mv) in &p.move_sends {
-                if *dst == me {
-                    // Self-leg: the mirror already holds these rows.
-                    continue;
-                }
-                let payload = arr.pack_rows(mv, true);
-                rows_moved += mv.len();
-                bytes_sent += payload.len() as u64;
-                t.send_bytes(*dst, tag, payload);
-            }
-        }
-        for (src, mv) in sched.move_recvs.iter().filter(|(s, _)| *s != dead) {
-            let payload = t.recv_bytes(*src, tag);
-            rows_moved += mv.len();
-            arr.unpack_rows(mv, &payload);
-        }
-        if let Some((_, mv)) = sched.move_recvs.iter().find(|(s, _)| *s == dead) {
-            if me != holder {
-                let payload = t.recv_bytes(holder, tag);
-                rows_moved += mv.len();
-                arr.unpack_rows(mv, &payload);
-            }
-            // me == holder: the rows never left local storage.
-        }
-    }
-
-    // ---- Phase B: ghost acquisition (survivors only by construction) --
-    for (ai, arr) in arrays.iter_mut().enumerate() {
-        let tag = TAG_GHOST + ai as u64;
-        for (dst, from_me) in &sched.ghost_sends[ai] {
-            let payload = arr.pack_rows(from_me, false);
-            bytes_sent += payload.len() as u64;
-            t.send_bytes(*dst, tag, payload);
-        }
-        for (src, from_src) in &sched.ghost_recvs[ai] {
-            let payload = t.recv_bytes(*src, tag);
-            arr.unpack_rows(from_src, &payload);
-        }
-    }
-
-    // ---- Phase C: release stale storage (drops any mirror surplus) ----
-    for (ai, arr) in arrays.iter_mut().enumerate() {
-        let stale = arr.present_rows().diff(&sched.keep[ai]);
-        arr.drop_rows(&stale);
-    }
-
-    let mut members: Vec<usize> = old_group
-        .members()
-        .iter()
-        .chain(new_group.members())
-        .copied()
-        .filter(|&r| r != dead)
-        .collect();
-    members.sort_unstable();
-    members.dedup();
-    let all = Group::new(members, me);
-    t.barrier(&all);
-
-    if traced {
-        obs::count("redist.rows_moved", rows_moved as u64);
-        obs::count("redist.bytes_sent", bytes_sent);
-        obs::span_end_args(
-            t.now_ns(),
-            vec![
-                ("dead", Json::UInt(dead as u64)),
-                ("holder", Json::UInt(holder as u64)),
-                ("rows_moved", Json::UInt(rows_moved as u64)),
-                ("bytes_sent", Json::UInt(bytes_sent)),
-            ],
-        );
+            None => Vec::new(),
+        };
+        args.push(("rows_moved", Json::UInt(rows_moved as u64)));
+        args.push(("bytes_sent", Json::UInt(bytes_sent)));
+        obs::span_end_args(t.now_ns(), args);
     }
     RedistOutcome {
         seconds: t.wtime() - t0,
@@ -827,7 +716,18 @@ mod tests {
             m.fill_rows(&mine.union(&ghosts), |i, j| (i * 10 + j) as f64);
 
             let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
-            let oc = execute(t, me, &g, &old, &g, &new, &acc, &mut arrays);
+            let oc = execute_cached(
+                t,
+                me,
+                &mut ScheduleCache::new(),
+                &g,
+                &old,
+                &g,
+                &new,
+                &acc,
+                &mut arrays,
+                None,
+            );
             assert!(oc.seconds >= 0.0);
 
             // Every owned + ghost row must be present with correct values.
@@ -861,7 +761,18 @@ mod tests {
             m.fill_rows(&mine.union(&ghosts), |i, _| i as f64);
 
             let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
-            execute(t, me, &old_g, &old, &new_g, &new, &acc, &mut arrays);
+            execute_cached(
+                t,
+                me,
+                &mut ScheduleCache::new(),
+                &old_g,
+                &old,
+                &new_g,
+                &new,
+                &acc,
+                &mut arrays,
+                None,
+            );
 
             if me == 2 {
                 assert!(
@@ -900,7 +811,18 @@ mod tests {
             }
 
             let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
-            execute(t, me, &old_g, &old, &new_g, &new, &acc, &mut arrays);
+            execute_cached(
+                t,
+                me,
+                &mut ScheduleCache::new(),
+                &old_g,
+                &old,
+                &new_g,
+                &new,
+                &acc,
+                &mut arrays,
+                None,
+            );
 
             let mine_new = new.rows_of(me);
             for i in mine_new.iter() {
@@ -932,7 +854,18 @@ mod tests {
             }
 
             let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut d, &mut s];
-            execute(t, me, &g, &old, &g, &new, &acc, &mut arrays);
+            execute_cached(
+                t,
+                me,
+                &mut ScheduleCache::new(),
+                &g,
+                &old,
+                &g,
+                &new,
+                &acc,
+                &mut arrays,
+                None,
+            );
 
             for i in new.rows_of(me).iter() {
                 assert_eq!(d.row(i)[0], i as f64);
@@ -951,7 +884,18 @@ mod tests {
             let mut m = DenseMatrix::<f64>::new(8, 1);
             m.fill_rows(&d.rows_of(me), |i, _| i as f64);
             let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
-            let oc = execute(t, me, &g, &d, &g, &d, &[], &mut arrays);
+            let oc = execute_cached(
+                t,
+                me,
+                &mut ScheduleCache::new(),
+                &g,
+                &d,
+                &g,
+                &d,
+                &[],
+                &mut arrays,
+                None,
+            );
             assert_eq!(oc.rows_moved, 0);
             assert_eq!(oc.bytes_sent, 0);
         });
@@ -983,9 +927,9 @@ mod tests {
             let builds_ctr = obs::counter_handle(SCHEDULE_BUILDS).unwrap();
             let snapshot = || (needs_ctr.get(), builds_ctr.get());
             let baseline = snapshot();
-            let first = execute_cached(t, me, &mut cache, &g, &d, &g, &d, &acc, &mut arrays);
+            let first = execute_cached(t, me, &mut cache, &g, &d, &g, &d, &acc, &mut arrays, None);
             let after_first = snapshot();
-            let second = execute_cached(t, me, &mut cache, &g, &d, &g, &d, &acc, &mut arrays);
+            let second = execute_cached(t, me, &mut cache, &g, &d, &g, &d, &acc, &mut arrays, None);
             let after_second = snapshot();
 
             // Both calls exchanged the same ghosts...
@@ -1035,17 +979,17 @@ mod tests {
             }
 
             let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
-            let oc = execute_recovery(
+            let oc = execute_cached(
                 t,
                 me,
+                &mut ScheduleCache::new(),
                 &old_g,
                 &old,
                 &new_g,
                 &new,
                 &acc,
                 &mut arrays,
-                dead,
-                holder,
+                Some((dead, holder)),
             );
             assert!(oc.seconds >= 0.0);
 
@@ -1092,17 +1036,17 @@ mod tests {
             }
 
             let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
-            let oc = execute_recovery(
+            let oc = execute_cached(
                 t,
                 me,
+                &mut ScheduleCache::new(),
                 &old_g,
                 &old,
                 &new_g,
                 &new,
                 &acc,
                 &mut arrays,
-                dead,
-                holder,
+                Some((dead, holder)),
             );
 
             let rel = if me == 2 { 1 } else { 0 };
@@ -1151,17 +1095,17 @@ mod tests {
             }
 
             let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
-            execute_recovery(
+            execute_cached(
                 t,
                 me,
+                &mut ScheduleCache::new(),
                 &old_g,
                 &old,
                 &new_g,
                 &new,
                 &[],
                 &mut arrays,
-                dead,
-                holder,
+                Some((dead, holder)),
             );
 
             if me == 0 {

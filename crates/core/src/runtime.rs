@@ -1,4 +1,4 @@
-//! The Dyn-MPI runtime (§4).
+//! The Dyn-MPI runtime (§4): the protocol.
 //!
 //! One [`DynMpi`] instance lives on each rank. The application registers
 //! its redistributable arrays, phases, and DRSD accesses, then brackets
@@ -6,9 +6,10 @@
 //! `end_cycle` is where everything happens:
 //!
 //! 1. every active rank's cycle time is gathered; the root reads the
-//!    `dmpi_ps` monitors and broadcasts a consistent load vector;
-//! 2. the replicated state machine advances:
-//!    `Stable → Grace(5) → [redistribute] → PostRedist(10) → {Stable | drop}`;
+//!    `dmpi_ps` monitors and broadcasts a consistent control snapshot;
+//! 2. the replicated state machine of [`crate::policy`] advances:
+//!    `Stable → Grace(5) → [redistribute] → PostRedist(10) → {Stable | drop}`,
+//!    and this module carries out what it decides;
 //! 3. removed ranks receive a per-cycle status message from the active
 //!    root (the *send-out-only* global communication of §4.4) so they stay
 //!    current on membership and can rejoin.
@@ -20,15 +21,13 @@ use dynmpi_comm::{from_bytes, to_bytes, CommOps, Group, HostMeters};
 use dynmpi_obs::{self as obs, Json};
 
 use crate::array::{ArrayMeta, RedistArray};
-use crate::balance::{
-    predict_cycle_time, relative_power, successive_balance_with_floor, CommModel, NodeLoad,
-};
 use crate::checkpoint::{BuddyCheckpoint, TAG_CKPT_META};
-use crate::config::{BalancerKind, DropPolicy, DynMpiConfig};
+use crate::config::DynMpiConfig;
 use crate::dist::Distribution;
 use crate::drsd::{AccessMode, ArrayAccess, Drsd};
 use crate::events::RuntimeEvent;
-use crate::redist::{self, RedistOutcome, ScheduleCache, TransferSchedule};
+use crate::policy::{self, Kernel, Mode, Sample, Snapshot, State, Step, CTRL_LAG};
+use crate::redist::{self, ScheduleCache, TransferSchedule};
 use crate::rowset::RowSet;
 use crate::timing::RowTimer;
 
@@ -41,23 +40,10 @@ const TAG_STATUS: u64 = (1 << 33) + 0x20_0000;
 /// blobs back down, tagged per epoch (membership generation).
 const TAG_CTRL_UP: u64 = 1 << 34;
 const TAG_CTRL_DOWN: u64 = (1 << 34) + 1;
-/// Control pipeline depth: decisions at cycle `k` use data from cycle
-/// `k − CTRL_LAG`, so no rank ever blocks on another's in-flight control
-/// message — monitoring stays off the critical path (the paper's
-/// daemon-based design point).
-const CTRL_LAG: u64 = 2;
 /// Send-out leg of removed-aware global reductions.
 const TAG_GLOBAL: u64 = (1 << 33) + 0x30_0000;
 /// Per-cycle ghost-row exchange (one tag per array).
 const TAG_GEX: u64 = (1 << 33) + 0x40_0000;
-/// Control-gather sentinels (failure detection only): the peer's sample
-/// never arrived within the timeout. `CTRL_SILENT` = its `dmpi_ps`
-/// monitor also reads dead (a crash suspect); `CTRL_STALLED` = the
-/// monitor still answers (overload — no suspicion, and the detector
-/// streak resets so a merely slow node is never confirmed). Negative so
-/// they can never collide with a real cycle time.
-const CTRL_SILENT: f64 = -1.0;
-const CTRL_STALLED: f64 = -2.0;
 
 /// Identifier of a registered array (registration order).
 pub type ArrayId = usize;
@@ -81,7 +67,7 @@ pub enum CommPattern {
 }
 
 impl CommPattern {
-    fn blocking_recvs(self, n_active: usize) -> f64 {
+    pub(crate) fn blocking_recvs(self, n_active: usize) -> f64 {
         match self {
             CommPattern::None => 0.0,
             CommPattern::NearestNeighbor => 2.0,
@@ -101,43 +87,6 @@ pub struct PhaseSpec {
     /// Last global iteration, exclusive.
     pub hi: usize,
     pub pattern: CommPattern,
-}
-
-/// What `end_cycle` did this cycle.
-#[derive(Clone, Debug, Default)]
-pub struct CycleReport {
-    pub cycle: u64,
-    pub seconds: f64,
-    pub redistributed: bool,
-    pub dropped: Vec<usize>,
-    pub rejoined: Option<usize>,
-    /// A brand-new node (beyond the seed world) admitted this cycle.
-    pub admitted: Option<usize>,
-    /// A node confirmed dead and recovered around this cycle. The caller
-    /// must also check [`DynMpi::take_rollback`] and rewind its loop.
-    pub recovered: Option<usize>,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Mode {
-    Stable,
-    /// Rows are timed individually. With `arrival` it is the
-    /// re-measurement window for an arriving node (malleability): cycle
-    /// times are accumulated too, before the expansion decision for it.
-    Grace {
-        left: u32,
-        arrival: Option<usize>,
-    },
-    PostRedist {
-        left: u32,
-    },
-}
-
-/// Crash recovery's part in a membership transition: the rows move out of
-/// a restored checkpoint generation, `holder` standing in for `dead_node`.
-struct Restore {
-    dead_node: usize,
-    holder: usize,
 }
 
 /// The per-rank Dyn-MPI runtime.
@@ -163,46 +112,27 @@ pub struct DynMpi<'a, T: HostMeters> {
     accesses: Vec<ArrayAccess>,
     setup_done: bool,
 
-    mode: Mode,
+    /// The replicated decision state (identical on every active rank).
+    state: State,
     cycle: u64,
-    last_loads: Vec<u32>,
-    rebalance_requested: bool,
     timer: Option<RowTimer>,
     row_weights: Option<Vec<f64>>,
     cycle_wall_start: f64,
-    /// Per-active-member cycle-time accumulator for the post-redist
-    /// window (indexed like `active.members()`).
-    post_accum: Vec<f64>,
-    post_count: u32,
-    /// Consecutive load-free cycles per world node (rejoin tracking).
-    clear_streak: Vec<u32>,
 
     local_cycle_times: Vec<f64>,
     events: Vec<RuntimeEvent>,
     redist_seconds_total: f64,
-    redist_count: u32,
 
     /// Control-plane epoch: bumped at every membership transition so
     /// stale pipeline messages are never consumed.
     ctrl_epoch: u64,
     /// Samples sent since the epoch started.
     ctrl_sent: u64,
-    /// Root only: this rank's own queued samples (peers' queue in their
-    /// mailboxes).
+    /// Root only: its own queued samples (peers' queue in their mailboxes).
     self_samples: std::collections::VecDeque<f64>,
-    /// Blobs to ignore at the start of a PostRedist window (they carry
-    /// pre-redistribution cycle times because of the pipeline lag).
-    post_skip: u32,
 
-    /// Buddy checkpoints (fail-stop path; empty unless
-    /// `cfg.failure_detection`).
+    /// Buddy checkpoints (empty unless `cfg.failure_detection`).
     ckpt: BuddyCheckpoint,
-    /// Confirmed-dead world nodes — never readmitted.
-    dead: Vec<bool>,
-    /// Consecutive silent control cycles per world node (the replicated
-    /// detector streaks; advanced identically on every active rank from
-    /// the broadcast blob).
-    silent_streak: Vec<u32>,
     /// Application steps completed on this rank (= phase cycles, minus
     /// replayed steps after a rollback). Stamped into checkpoints.
     app_progress: u64,
@@ -214,10 +144,8 @@ pub struct DynMpi<'a, T: HostMeters> {
     /// the full confirmation window) and withdrew permanently.
     evicted: bool,
 
-    /// Transfer-schedule cache: steady-state cycles (ghost exchange,
-    /// repeated redistributions over an unchanged distribution) reuse the
-    /// schedule instead of re-deriving it. `RefCell` because the
-    /// per-cycle ghost exchange runs behind `&self`.
+    /// Transfer schedules reused while the layout is unchanged (`RefCell`:
+    /// the per-cycle ghost exchange runs behind `&self`).
     sched_cache: RefCell<ScheduleCache>,
 }
 
@@ -249,27 +177,18 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             phases: Vec::new(),
             accesses: Vec::new(),
             setup_done: false,
-            mode: Mode::Stable,
+            state: State::new(wsize),
             cycle: 0,
-            last_loads: vec![0; wsize],
-            rebalance_requested: false,
             timer: None,
             row_weights: None,
             cycle_wall_start: 0.0,
-            post_accum: vec![0.0; wsize],
-            post_count: 0,
-            clear_streak: vec![0; wsize],
             local_cycle_times: Vec::new(),
             events: Vec::new(),
             redist_seconds_total: 0.0,
-            redist_count: 0,
             ctrl_epoch: 0,
             ctrl_sent: 0,
             self_samples: std::collections::VecDeque::new(),
-            post_skip: 0,
             ckpt: BuddyCheckpoint::new(),
-            dead: vec![false; wsize],
-            silent_streak: vec![0; wsize],
             app_progress: 0,
             rollback_to: None,
             cycles_since_ckpt: 0,
@@ -474,7 +393,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
     /// change (the REDISTRIBUTE-annotation analogue; must be called by
     /// every active rank in the same cycle).
     pub fn request_rebalance(&mut self) {
-        self.rebalance_requested = true;
+        self.state.rebalance_requested = true;
     }
 
     // ---------------- per-cycle hooks -----------------------------------
@@ -497,7 +416,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
     /// (§4.2).
     pub fn charge_rows(&mut self, phase: PhaseId, work: impl Fn(usize) -> f64) {
         let rows = self.my_rows(phase);
-        let grace = matches!(self.mode, Mode::Grace { .. }) && self.timer.is_some();
+        let grace = matches!(self.state.mode, Mode::Grace { .. }) && self.timer.is_some();
         let traced = obs::enabled();
         let cpu0 = if traced { self.t.proc_cpu_ns() } else { 0 };
         if traced {
@@ -529,14 +448,12 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             // span and `work_uflop` the charged work in integer
             // micro-flops — both mode-invariant integers the health
             // monitor splits exactly across its windows.
+            let cpu_ns = self.t.proc_cpu_ns().saturating_sub(cpu0);
             obs::span_end_args(
                 self.t.now_ns(),
                 vec![
                     ("rows", Json::UInt(rows.len() as u64)),
-                    (
-                        "cpu_ns",
-                        Json::UInt(self.t.proc_cpu_ns().saturating_sub(cpu0)),
-                    ),
+                    ("cpu_ns", Json::UInt(cpu_ns)),
                     ("work_uflop", Json::UInt((total * 1e6).round() as u64)),
                 ],
             );
@@ -546,14 +463,12 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
     /// Ends a phase cycle: monitoring, grace bookkeeping, redistribution,
     /// node removal, and removed-rank status handling. Pass every
     /// registered array, in registration order.
-    pub fn end_cycle(&mut self, arrays: &mut [&mut dyn RedistArray]) -> CycleReport {
-        if !obs::enabled() {
-            return self.end_cycle_inner(arrays);
-        }
+    pub fn end_cycle(&mut self, arrays: &mut [&mut dyn RedistArray]) {
         obs::span_begin("runtime", "end_cycle", self.t.now_ns());
-        let report = self.end_cycle_inner(arrays);
-        obs::span_end_args(self.t.now_ns(), vec![("cycle", Json::UInt(report.cycle))]);
-        report
+        self.end_cycle_inner(arrays);
+        if obs::enabled() {
+            obs::span_end_args(self.t.now_ns(), vec![("cycle", Json::UInt(self.cycle))]);
+        }
     }
 
     /// Records an adaptation event: appended to the queryable log and, when
@@ -570,7 +485,21 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         }
     }
 
-    fn end_cycle_inner(&mut self, arrays: &mut [&mut dyn RedistArray]) -> CycleReport {
+    /// The decision kernel over this rank's replica and current layout.
+    fn kernel(&mut self) -> Kernel<'_> {
+        Kernel {
+            state: &mut self.state,
+            cfg: &self.cfg,
+            phases: &self.phases,
+            seed: self.seed,
+            active: &self.active,
+            dist: &self.dist,
+            row_weights: self.row_weights.as_deref(),
+            cycle: self.cycle,
+        }
+    }
+
+    fn end_cycle_inner(&mut self, arrays: &mut [&mut dyn RedistArray]) {
         assert!(self.setup_done, "call setup before cycling");
         self.validate_arrays(arrays);
         let cycle_time = self.t.wtime() - self.cycle_wall_start;
@@ -578,48 +507,84 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         self.t.phase_cycle_completed();
         self.cycle += 1;
         self.app_progress += 1;
-        let mut report = CycleReport {
-            cycle: self.cycle,
-            seconds: cycle_time,
-            ..Default::default()
-        };
 
         if self.evicted {
             // A self-evicted rank has no one to talk to: every cycle is a
             // silent no-op until the application finishes its loop.
-            return report;
+            return;
         }
         if self.is_removed {
-            self.removed_end_cycle(arrays, &mut report);
+            self.removed_end_cycle(arrays);
             if !self.is_removed && self.cfg.failure_detection {
                 // Just readmitted: join the actives' checkpoint refresh
                 // (they run theirs after the same transition).
                 self.refresh_ckpt(arrays);
             }
-            return report;
+            return;
         }
         if !self.cfg.adapt {
-            return report;
+            return;
         }
         if self.cfg.failure_detection && self.ckpt.epoch() == 0 {
-            // First cycle: the arrays now hold the application's
-            // initialized data (setup-time contents are unfilled), so
-            // this is the earliest sound baseline checkpoint. A crash
-            // before this refresh completes is unrecoverable (DESIGN.md
-            // §14).
+            // First cycle: the arrays now hold the application's data, so
+            // this is the earliest sound baseline checkpoint (a crash before
+            // it is unrecoverable, DESIGN.md §14).
             self.refresh_ckpt(arrays);
         }
+        let Some(snap) = self.exchange_control(cycle_time) else {
+            return;
+        };
 
-        // 1. Pipelined control plane. Every cycle each active rank posts
-        //    its cycle time to the root; the root assembles per-cycle
-        //    state blobs (times + monitor loads) and posts them back.
-        //    Both directions run CTRL_LAG cycles deep, so every receive
-        //    finds its message already delivered: no rank stalls on a
-        //    loaded node's in-flight control traffic.
-        let rel = self.active.rel_unchecked();
-        let root = self.active.world_rank(0);
-        let up = TAG_CTRL_UP + 4 * self.ctrl_epoch;
-        let down = TAG_CTRL_DOWN + 4 * self.ctrl_epoch;
+        // 2. Replicated failure detector: all survivors confirm a death on
+        //    the same cycle, and recover.
+        for event in self.kernel().observe(&snap) {
+            let dead = match event {
+                RuntimeEvent::NodeConfirmedDead { node, .. } => Some(node),
+                _ => None,
+            };
+            self.note(event);
+            if let Some(dead) = dead {
+                return self.recover_from_death(dead, &snap.loads, arrays);
+            }
+        }
+
+        // 3. Replicated state machine. A membership transition bumps the
+        //    control epoch and sends its own statuses; an in-place
+        //    redistribution bumps the count.
+        let pre_removed = self.removed_nodes();
+        let (epoch, redists) = (self.ctrl_epoch, self.state.redist_count);
+        self.advance(&snap, arrays);
+        let transition = self.ctrl_epoch != epoch;
+
+        // 4. Status send-out to the ranks removed at cycle start.
+        if !transition && !self.is_removed && self.active.rel() == Some(0) {
+            self.send_statuses(&pre_removed, &snap.loads);
+        }
+
+        // 5. Fail-stop path: checkpoints track the distribution, refreshed
+        //    after every transition and on the interval when stable.
+        if self.cfg.failure_detection && !self.is_removed {
+            self.cycles_since_ckpt = self.cycles_since_ckpt.saturating_add(1);
+            let interval = self.cfg.checkpoint_interval_cycles;
+            let due = interval > 0
+                && self.cycles_since_ckpt >= interval
+                && self.state.mode == Mode::Stable
+                && !self.state.suspect_open(self.active.members());
+            if transition || self.state.redist_count != redists || due {
+                self.refresh_ckpt(arrays);
+            }
+        }
+    }
+
+    /// 1. The pipelined control plane: each active rank posts its cycle
+    ///    time to the root, which posts back the cycle's [`Snapshot`]. Both
+    ///    directions run `CTRL_LAG` cycles deep, so no rank stalls on a
+    ///    loaded node's in-flight control traffic. `None` during the
+    ///    warm-up, and when this rank withdrew.
+    fn exchange_control(&mut self, cycle_time: f64) -> Option<Snapshot> {
+        let (rel, root) = (self.active.rel_unchecked(), self.active.world_rank(0));
+        let epoch = 4 * self.ctrl_epoch;
+        let (up, down) = (TAG_CTRL_UP + epoch, TAG_CTRL_DOWN + epoch);
         if rel == 0 {
             self.self_samples.push_back(cycle_time);
         } else {
@@ -627,624 +592,225 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         }
         self.ctrl_sent += 1;
         if self.ctrl_sent <= CTRL_LAG {
-            // Pipeline warm-up: no blob yet, but removed ranks still
-            // expect their per-cycle status.
+            // Warm-up: no snapshot yet, but the removed ranks' status is due.
             if rel == 0 {
                 let removed = self.removed_nodes();
                 self.send_statuses(&removed, &vec![0; self.wsize]);
             }
-            return report;
+            return None;
         }
-        let blob: Vec<f64> = if rel == 0 {
-            let mut b = Vec::with_capacity(self.active.size() + self.wsize);
-            for r in 0..self.active.size() {
-                if r == 0 {
-                    b.push(self.self_samples.pop_front().expect("own sample queued"));
-                    continue;
-                }
-                let peer = self.active.world_rank(r);
-                let sample = if self.cfg.failure_detection {
-                    self.t
-                        .recv_bytes_timeout(peer, up, self.cfg.peer_timeout_seconds)
-                } else {
-                    Ok(self.t.recv_bytes(peer, up))
-                };
-                b.push(match sample {
-                    Ok(bytes) => from_bytes::<f64>(&bytes)[0],
-                    // Timeout-guarded gather: a missing sample becomes a
-                    // sentinel the replicated detector classifies from
-                    // the monitor reading (dead vs. merely overloaded).
-                    Err(_) if self.t.dmpi_ps(peer) == 0 => CTRL_SILENT,
-                    Err(_) => CTRL_STALLED,
-                });
-            }
-            for node in 0..self.wsize {
-                b.push(f64::from(self.t.dmpi_ps(node).saturating_sub(1)));
-            }
-            // Arrival extension: online flags for the non-seed ranks.
-            // Absent entirely when the world is fully seeded, so classic
-            // runs keep a byte-identical control plane.
-            for node in self.seed..self.wsize {
-                b.push(if self.t.node_online(node) { 1.0 } else { 0.0 });
-            }
-            // Fail-stop path: raw monitor liveness per world node. The
-            // load entries above subtract the application's own process,
-            // so a dead monitor (raw 0) is indistinguishable from an
-            // unloaded node there; these flags disambiguate. Gated on
-            // `failure_detection` so classic control blobs stay
-            // byte-identical.
-            if self.cfg.failure_detection {
-                for node in 0..self.wsize {
-                    b.push(if self.t.dmpi_ps(node) >= 1 { 1.0 } else { 0.0 });
-                }
-            }
-            let bytes = to_bytes(&b);
-            for r in 1..self.active.size() {
-                self.t
-                    .send_bytes(self.active.world_rank(r), down, bytes.clone());
-            }
-            b
-        } else {
-            // The state blob is the replicated machine's input: a rank
-            // must never advance without it. When the root's monitor
-            // reads dead from here (partitioned reader, or the root
-            // itself died — the latter is out of scope, DESIGN.md §14)
-            // this rank withdraws rather than blocking forever — the
-            // survivors are confirming it dead through the same silence.
+        let fd = self.cfg.failure_detection;
+        if rel != 0 {
+            // A rank never advances without the snapshot. When the root's
+            // monitor reads dead from here (this rank is partitioned; a dead
+            // root is out of scope, DESIGN.md §14) it withdraws rather than
+            // block forever: the survivors confirm it dead by that silence.
             let Some(bytes) = self.recv_unless_dead(root, down) else {
                 self.self_evict();
-                return report;
+                return None;
             };
-            from_bytes(&bytes)
-        };
-        let na = self.active.size();
-        let times: Vec<f64> = blob[..na].to_vec();
-        let loads: Vec<u32> = blob[na..na + self.wsize]
-            .iter()
-            .map(|&x| x as u32)
-            .collect();
-        let online_end = na + self.wsize + (self.wsize - self.seed);
-        let online: Vec<bool> = blob[na + self.wsize..online_end]
-            .iter()
-            .map(|&x| x == 1.0)
-            .collect();
-        let alive: Vec<bool> = if self.cfg.failure_detection {
-            blob[online_end..].iter().map(|&x| x == 1.0).collect()
-        } else {
-            vec![true; self.wsize]
-        };
-        debug_assert_eq!(online.len(), self.wsize - self.seed);
-        debug_assert_eq!(alive.len(), self.wsize);
-
-        // Track load-free streaks of removed nodes (for rejoin).
-        for (n, &load) in loads.iter().enumerate() {
-            if load == 0 {
-                self.clear_streak[n] = self.clear_streak[n].saturating_add(1);
+            let na = self.active.size();
+            return Some(Snapshot::decode(&bytes, na, self.wsize, self.seed, fd));
+        }
+        let own = self.self_samples.pop_front().expect("own sample queued");
+        let mut samples = vec![Sample::Time(own)];
+        let timeout = self.cfg.peer_timeout_seconds;
+        for &peer in &self.active.members()[1..] {
+            let sample = if fd {
+                self.t.recv_bytes_timeout(peer, up, timeout)
             } else {
-                self.clear_streak[n] = 0;
-            }
-        }
-
-        // 2. Replicated failure detector: every active rank advances the
-        //    same Suspect→Confirmed streak machine from the broadcast
-        //    sentinels, so all survivors confirm a death on the same
-        //    cycle without further coordination.
-        let mut confirmed = None;
-        if self.cfg.failure_detection {
-            for (r, &tm) in times.iter().enumerate() {
-                let m = self.active.world_rank(r);
-                if tm == CTRL_SILENT {
-                    let streak = self.silent_streak[m] + 1;
-                    self.silent_streak[m] = streak;
-                    self.note(RuntimeEvent::NodeSuspected {
-                        cycle: self.cycle,
-                        node: m,
-                        silent_cycles: streak,
-                    });
-                    if streak >= self.cfg.failure_confirm_cycles && confirmed.is_none() {
-                        confirmed = Some(m);
-                    }
-                } else {
-                    // A real sample or a stall sentinel (monitor alive):
-                    // the sustain rule restarts, so pure overload never
-                    // escalates to Confirmed.
-                    self.silent_streak[m] = 0;
-                }
-            }
-        }
-        if let Some(d) = confirmed {
-            self.note(RuntimeEvent::NodeConfirmedDead {
-                cycle: self.cycle,
-                node: d,
-                silent_cycles: self.silent_streak[d],
+                Ok(self.t.recv_bytes(peer, up))
+            };
+            // A missing sample becomes a sentinel, classified by the monitor
+            // reading: dead, or merely overloaded.
+            samples.push(match sample {
+                Ok(bytes) => Sample::Time(from_bytes::<f64>(&bytes)[0]),
+                Err(_) if self.t.dmpi_ps(peer) == 0 => Sample::Silent,
+                Err(_) => Sample::Stalled,
             });
-            self.recover_from_death(d, &loads, arrays, &mut report);
-            return report;
         }
-
-        // 3. Replicated state machine.
-        let pre_removed = self.removed_nodes();
-        self.step(&times, &loads, &online, &alive, arrays, &mut report);
-
-        // 4. Status send-out to ranks that were already removed at cycle
-        //    start. Drop, rejoin, and admission transitions send their
-        //    own statuses inside step() (the pre-transition root owes
-        //    them), so the generic send is suppressed on those cycles.
-        let transition =
-            !report.dropped.is_empty() || report.rejoined.is_some() || report.admitted.is_some();
-        if !transition && !self.is_removed && self.active.rel() == Some(0) {
-            self.send_statuses(&pre_removed, &loads);
+        let (world, ps) = (0..self.wsize, |n| self.t.dmpi_ps(n));
+        let newcomers = self.seed..self.wsize;
+        let snap = Snapshot {
+            samples,
+            loads: world.clone().map(|n| ps(n).saturating_sub(1)).collect(),
+            online: newcomers.map(|n| self.t.node_online(n)).collect(),
+            alive: world.map(|n| !fd || ps(n) >= 1).collect(),
+        };
+        let bytes = snap.encode(fd);
+        for &peer in &self.active.members()[1..] {
+            self.t.send_bytes(peer, down, bytes.clone());
         }
-
-        // 5. Fail-stop path: keep buddy checkpoints tracking the
-        //    distribution — refresh after every transition (the snapshot
-        //    row sets must equal the new distribution's) and on the
-        //    configured interval when stable and unsuspicious.
-        if self.cfg.failure_detection && !self.is_removed {
-            self.cycles_since_ckpt = self.cycles_since_ckpt.saturating_add(1);
-            let interval = self.cfg.checkpoint_interval_cycles;
-            let due = interval > 0
-                && self.cycles_since_ckpt >= interval
-                && matches!(self.mode, Mode::Stable)
-                && !self.suspect_open();
-            if transition || report.redistributed || due {
-                self.refresh_ckpt(arrays);
-            }
-        }
-        report
-    }
-
-    /// Is any active member's suspect streak open?
-    fn suspect_open(&self) -> bool {
-        let mut members = self.active.members().iter();
-        members.any(|&m| self.silent_streak[m] > 0)
+        Some(snap)
     }
 
     /// Nodes currently outside the active group.
     fn removed_nodes(&self) -> Vec<usize> {
         (0..self.wsize)
-            .filter(|n| !self.active.contains(*n))
+            .filter(|&n| !self.active.contains(n))
             .collect()
     }
 
-    // ---------------- the state machine ---------------------------------
+    // ---------------- carrying out the decisions --------------------------
 
-    fn step(
-        &mut self,
-        times: &[f64],
-        loads: &[u32],
-        online: &[bool],
-        alive: &[bool],
-        arrays: &mut [&mut dyn RedistArray],
-        report: &mut CycleReport,
-    ) {
-        // Freeze the adaptation machine while any control sample is a
-        // sentinel or any suspect streak is open: every transition runs a
-        // collective that would hang on a dead member, and sentinel
-        // "times" must never enter the measurement accumulators. The
-        // condition is a pure function of broadcast data, so all ranks
-        // freeze and thaw together.
-        if self.cfg.failure_detection && (times.iter().any(|&x| x < 0.0) || self.suspect_open()) {
+    /// Advances the replicated machine one snapshot and carries out what it
+    /// decides.
+    fn advance(&mut self, snap: &Snapshot, arrays: &mut [&mut dyn RedistArray]) {
+        let grace = matches!(self.state.mode, Mode::Grace { .. });
+        let Some(step) = self.kernel().step(snap) else {
             return;
+        };
+        if let (true, Some(t)) = (grace, self.timer.as_mut()) {
+            t.end_cycle();
         }
-        match self.mode {
-            Mode::Stable => {
-                let exhausted = self
-                    .cfg
-                    .max_redistributions
-                    .is_some_and(|k| self.redist_count >= k);
-                let changed = !exhausted
-                    && self
-                        .active
-                        .members()
-                        .iter()
-                        .any(|&m| loads[m] != self.last_loads[m]);
-                if changed || self.rebalance_requested {
-                    self.rebalance_requested = false;
-                    assert!(
-                        matches!(self.dist, Distribution::Block { .. }),
-                        "adaptive rebalancing requires a block distribution"
-                    );
-                    self.note(RuntimeEvent::LoadChangeDetected {
-                        cycle: self.cycle,
-                        loads: loads.to_vec(),
-                    });
-                    self.start_row_timer();
-                    self.mode = Mode::Grace {
-                        left: self.cfg.grace_period,
-                        arrival: None,
-                    };
-                } else {
-                    if self.cfg.allow_rejoin {
-                        self.maybe_rejoin(loads, alive, arrays, report);
-                    }
-                    if report.rejoined.is_none() && self.seed < self.wsize {
-                        self.maybe_begin_arrival(online, alive);
-                    }
-                }
+        let loads = &snap.loads;
+        match step {
+            Step::Hold => {}
+            Step::Measure(event) => {
+                self.note(event);
+                self.start_row_timer();
             }
-            Mode::Grace { left, arrival } => {
-                if let Some(t) = self.timer.as_mut() {
-                    t.end_cycle();
+            Step::Rejoin((members, dist)) => self.enact(members, dist, None, loads, arrays),
+            Step::CloseGrace(None) => self.spanned("finish_grace", |rt| rt.balance(loads, arrays)),
+            // Expansion and removal (§4.4): the new layout is a full
+            // redistribution, relative ranks reassigned by the new group.
+            Step::CloseGrace(Some(node)) => self.spanned("arrival_eval", |rt| {
+                rt.finish_measurement(); // fresh row weights, as for a grace
+                let (event, admit) = rt.kernel().expand_rule(node, loads);
+                rt.note(event);
+                if let Some((members, dist)) = admit {
+                    rt.enact(members, dist, None, loads, arrays);
                 }
-                if let Some(node) = arrival {
-                    if !online[node - self.seed] || !alive[node] {
-                        // The newcomer vanished mid-window: abandon the
-                        // evaluation (a fresh window starts if it returns).
-                        self.reset_window();
-                        return;
-                    }
-                    self.accumulate_window(times);
+            }),
+            Step::CloseDrop => self.spanned("drop_eval", |rt| {
+                let (event, drop) = rt.kernel().drop_rule(loads);
+                if let Some(event) = event {
+                    rt.note(event);
                 }
-                if left > 1 {
-                    let left = left - 1;
-                    self.mode = Mode::Grace { left, arrival };
-                } else if let Some(node) = arrival {
-                    self.spanned("arrival_eval", |rt| {
-                        rt.finish_arrival_eval(node, loads, arrays, report)
-                    });
-                } else {
-                    self.spanned("finish_grace", |rt| rt.finish_grace(loads, arrays, report));
+                if let Some((members, dist)) = drop {
+                    rt.enact(members, dist, None, loads, arrays);
                 }
-            }
-            Mode::PostRedist { left } => {
-                if self.post_skip > 0 {
-                    // The pipeline lag means the first blobs of the
-                    // window still carry pre-redistribution cycles.
-                    self.post_skip -= 1;
-                    return;
-                }
-                self.accumulate_window(times);
-                if left > 1 {
-                    self.mode = Mode::PostRedist { left: left - 1 };
-                } else {
-                    self.spanned("drop_eval", |rt| {
-                        rt.finish_post_redist(loads, arrays, report)
-                    });
-                }
-            }
+            }),
         }
     }
 
     /// End of the grace period: build global row weights, balance,
     /// redistribute if worthwhile.
-    fn finish_grace(
-        &mut self,
-        loads: &[u32],
-        arrays: &mut [&mut dyn RedistArray],
-        report: &mut CycleReport,
-    ) {
+    fn balance(&mut self, loads: &[u32], arrays: &mut [&mut dyn RedistArray]) {
         self.finish_measurement();
-
-        let traced = obs::enabled();
-        if traced {
-            obs::span_begin("runtime", "balance", self.t.now_ns());
-        }
-        let min_rows = if self.cfg.drop_policy == DropPolicy::Logical {
-            self.cfg.min_rows_logical
-        } else {
-            0
-        };
-        let new_dist = self.balance_over(self.active.members(), loads, min_rows);
-        let moved = self.moved_fraction(&new_dist);
-        if traced {
+        obs::span_begin("runtime", "balance", self.t.now_ns());
+        let (new_dist, moved, skip) = self.kernel().balance_or_skip(loads);
+        if obs::enabled() {
             // The prediction the audit report checks against reality: the
             // balancer's own model of post-balance imbalance.
+            let imbalance = self.kernel().predicted_imbalance(&new_dist, loads);
             obs::span_end_args(
                 self.t.now_ns(),
                 vec![
                     ("cycle", Json::UInt(self.cycle)),
                     ("moved_fraction", Json::Num(moved)),
-                    (
-                        "predicted_imbalance",
-                        Json::Num(self.predicted_imbalance(&new_dist, loads)),
-                    ),
+                    ("predicted_imbalance", Json::Num(imbalance)),
                 ],
             );
         }
-        if moved > self.cfg.rebalance_threshold {
-            let oc = self.redistribute_in_place(&new_dist, arrays);
-            self.note(RuntimeEvent::Redistributed {
-                cycle: self.cycle,
-                seconds: oc.seconds,
-                rows_moved: oc.rows_moved,
-                counts: new_dist.counts(),
-            });
-            report.redistributed = true;
-            self.post_skip = CTRL_LAG as u32 + 1;
-            self.mode = Mode::PostRedist {
-                left: self.cfg.post_redist_period,
-            };
-        } else {
-            self.note(RuntimeEvent::RedistributionSkipped {
-                cycle: self.cycle,
-                moved_fraction: moved,
-            });
-            self.mode = Mode::Stable;
+        if let Some(skip) = skip {
+            return self.note(skip);
         }
-        self.last_loads = loads.to_vec();
-    }
-
-    /// End of the post-redistribution window: the node-removal decision
-    /// (§4.4).
-    fn finish_post_redist(
-        &mut self,
-        loads: &[u32],
-        arrays: &mut [&mut dyn RedistArray],
-        report: &mut CycleReport,
-    ) {
-        let avg = self.window_average();
-        self.reset_window();
-        let measured_max = avg.iter().cloned().fold(0.0, f64::max);
-
-        let members = self.active.members().iter().copied();
-        let (loaded, unloaded): (Vec<usize>, Vec<usize>) = members.partition(|&m| loads[m] > 0);
-        if loaded.is_empty() || unloaded.is_empty() {
-            return;
-        }
-
-        // Predicted cycle time of the unloaded-only configuration:
-        // balanced compute plus the measured communication baseline.
-        let weights = self.row_weights.as_deref().unwrap_or(&[]);
-        let total_work: f64 = weights.iter().sum();
-        let comm_baseline = self.comm_baseline(&avg, loads, weights);
-        let pred = predict_cycle_time(
-            total_work,
-            &self.node_loads(&unloaded, loads),
-            &self.comm_model_for(self.active.size()),
-            comm_baseline,
+        let oc = redist::execute_cached(
+            self.t,
+            self.wrank,
+            self.sched_cache.get_mut(),
+            &self.active,
+            &self.dist,
+            &self.active,
+            &new_dist,
+            &self.accesses,
+            arrays,
+            None,
         );
-        let drop = match self.cfg.drop_policy {
-            DropPolicy::Never | DropPolicy::Logical => false,
-            DropPolicy::Always => true,
-            DropPolicy::Auto => pred * self.cfg.drop_margin < measured_max,
-        };
-        self.note(RuntimeEvent::DropEvaluated {
+        self.redist_seconds_total += oc.seconds;
+        self.note(RuntimeEvent::Redistributed {
             cycle: self.cycle,
-            predicted_unloaded: pred,
-            measured_max,
-            margin: self.cfg.drop_margin,
-            loaded: loaded.clone(),
-            dropped: drop,
+            seconds: oc.seconds,
+            rows_moved: oc.rows_moved,
+            counts: new_dist.counts(),
         });
-        if !drop {
-            return;
-        }
-
-        // Physically remove the loaded nodes (§4.4): new group, new
-        // distribution, full redistribution, relative ranks reassigned by
-        // construction of the new group.
-        let dist = self.balance_over(&unloaded, loads, 0);
-        self.enact(unloaded, dist, None, loads, arrays);
-        report.dropped = loaded;
-    }
-
-    /// Rejoin check (extension): a removed node with a clear load streak
-    /// is re-admitted.
-    fn maybe_rejoin(
-        &mut self,
-        loads: &[u32],
-        alive: &[bool],
-        arrays: &mut [&mut dyn RedistArray],
-        report: &mut CycleReport,
-    ) {
-        // Only seed-world ranks rejoin through the clear-streak path;
-        // non-seed ranks (pending or previously admitted arrivals) go
-        // through the expansion decision instead. A dead node's monitor
-        // reads unloaded, so its clear streak builds — the liveness
-        // flags (and the permanent `dead` bits) keep it out.
-        let candidate = self.removed_nodes().into_iter().find(|&n| {
-            n < self.seed
-                && alive[n]
-                && !self.dead[n]
-                && self.clear_streak[n] >= self.cfg.rejoin_after_cycles
-        });
-        let Some(node) = candidate else { return };
-
-        let members = self.active.with_member(node, self.wrank).members().to_vec();
-        let dist = self.balance_over(&members, loads, 0);
-        self.enact(members, dist, None, loads, arrays);
-        report.rejoined = Some(node);
-    }
-
-    /// Arrival check (malleability): when a non-seed rank's node is
-    /// online and not in the computation, open an arrival grace window
-    /// to re-measure row weights and cycle times before the expansion
-    /// decision. Gated to every `arrival_retry_cycles`-th cycle — a
-    /// deterministic retry schedule, identical on every rank, so a
-    /// rejected newcomer is reconsidered without per-node state.
-    fn maybe_begin_arrival(&mut self, online: &[bool], alive: &[bool]) {
-        if !self
-            .cycle
-            .is_multiple_of(u64::from(self.cfg.arrival_retry_cycles))
-        {
-            return;
-        }
-        let candidate = (self.seed..self.wsize).find(|&n| {
-            online[n - self.seed] && alive[n] && !self.dead[n] && !self.active.contains(n)
-        });
-        let Some(node) = candidate else { return };
-        self.note(RuntimeEvent::NodeArrived {
-            cycle: self.cycle,
-            node,
-        });
-        // Rows are timed through the window exactly like an ordinary
-        // grace period.
-        self.reset_window();
-        self.start_row_timer();
-        self.mode = Mode::Grace {
-            left: self.cfg.grace_period,
-            arrival: Some(node),
-        };
-    }
-
-    /// End of an arrival grace window: the expansion decision, symmetric
-    /// to the §4.4 removal rule. Admit the newcomer only when the
-    /// predicted cycle time with it beats the measured one by the margin
-    /// AND the per-cycle saving amortizes the redistribution cost over
-    /// the configured horizon.
-    fn finish_arrival_eval(
-        &mut self,
-        node: usize,
-        loads: &[u32],
-        arrays: &mut [&mut dyn RedistArray],
-        report: &mut CycleReport,
-    ) {
-        // Fresh global row weights, exactly as in `finish_grace`.
-        self.finish_measurement();
-        let avg = self.window_average();
-        self.reset_window();
-        let measured_max = avg.iter().cloned().fold(0.0, f64::max);
-
-        let members = self.active.with_member(node, self.wrank).members().to_vec();
-        let w = self.effective_weights();
-        let total_work: f64 = w.iter().sum();
-        let comm_baseline = self.comm_baseline(&avg, loads, &w);
-        let pred_with = predict_cycle_time(
-            total_work,
-            &self.node_loads(&members, loads),
-            &self.comm_model_for(members.len()),
-            comm_baseline,
-        );
-        let new_dist = self.balance_over(&members, loads, 0);
-        let new_rel = members
-            .iter()
-            .position(|&m| m == node)
-            .expect("candidate in members");
-        let new_rows = new_dist.rows_of(new_rel).len();
-        let cost = new_rows as f64 * self.cfg.redist_seconds_per_row;
-        let benefit = measured_max - pred_with;
-        let admitted = pred_with * self.cfg.expand_margin < measured_max
-            && (cost <= 0.0 || benefit * f64::from(self.cfg.expand_horizon_cycles) >= cost);
-        self.note(RuntimeEvent::ExpandEvaluated {
-            cycle: self.cycle,
-            node,
-            predicted_with: pred_with,
-            measured_max,
-            redist_cost: cost,
-            margin: self.cfg.expand_margin,
-            horizon_cycles: self.cfg.expand_horizon_cycles,
-            admitted,
-        });
-        if !admitted {
-            // A rejected evaluation leaves `last_loads` alone so a
-            // pending load change is still detected next cycle.
-            return;
-        }
-
-        // Expansion: symmetric to the rejoin path, with the newcomer as
-        // a pure receiver of the redistribution.
-        self.enact(members, new_dist, None, loads, arrays);
-        report.admitted = Some(node);
+        self.dist = new_dist;
     }
 
     // ---------------- the one membership transition ----------------------
 
     /// Enacts a membership change. Node drop, rejoin, admission, crash
-    /// recovery and — on the entering rank — the joiner's side all come
-    /// here with the new member list and distribution, both pure functions
-    /// of broadcast data, so every participant makes the identical change:
-    /// adopt the new group, move the rows, start a fresh measurement
-    /// window and control epoch, log what happened.
+    /// recovery (`restore = (dead, holder)`: the rows move out of a restored
+    /// checkpoint, `holder` standing in for `dead`) and the joiner's side
+    /// all come here with a layout decided from broadcast data, so every
+    /// participant makes the identical change: adopt the new group, move the
+    /// rows, start a fresh window and control epoch, log what happened.
     ///
-    /// Only the place of the status send-out differs. Letting a rank in
-    /// sends the statuses *first*: it must learn its membership before the
-    /// transfers reach it, and it reads the pre-transition epoch and bumps
-    /// it once like the actives do. A pure shrink sends them *last*, with
-    /// the new epoch. Either way they come from the pre-transition root,
-    /// even if it just removed itself.
+    /// Letting a rank in sends the statuses *first*: it must learn its
+    /// membership before the transfers reach it, and it reads the old epoch
+    /// and bumps it like the actives do. A pure shrink sends them *last*,
+    /// with the new epoch. Either way the pre-transition root sends them.
     fn enact(
         &mut self,
         members: Vec<usize>,
         dist: Distribution,
-        restore: Option<Restore>,
+        restore: Option<(usize, usize)>,
         loads: &[u32],
         arrays: &mut [&mut dyn RedistArray],
     ) {
-        let owed = if self.active.rel() == Some(0) {
-            self.removed_nodes()
-        } else {
-            Vec::new()
-        };
+        let root = self.active.rel() == Some(0);
+        let owed = if root { self.removed_nodes() } else { vec![] };
         // Adopt the new layout at once (the statuses announce it); the
         // old one is what the rows move *from*.
         let old_group = std::mem::replace(&mut self.active, Group::new(members, self.wrank));
         let old_dist = std::mem::replace(&mut self.dist, dist);
         self.is_removed = self.active.rel().is_none();
         let (old, new) = (old_group.members().iter(), self.active.members().iter());
-        let leaving: Vec<usize> = old.copied().filter(|&m| !self.active.contains(m)).collect();
+        let nodes: Vec<usize> = old.copied().filter(|&m| !self.active.contains(m)).collect();
         let entering: Vec<usize> = new.copied().filter(|&m| !old_group.contains(m)).collect();
         let cycle = self.cycle;
-        let event = match (entering.first(), &restore) {
+        let event = match (entering.first(), restore) {
             (Some(&node), _) if node >= self.seed => {
                 let rel = self.active.rel_of(node).expect("entering node is a member");
                 let rows = self.dist.rows_of(rel).len();
                 RuntimeEvent::NodeAdmitted { cycle, node, rows }
             }
             (Some(&node), _) => RuntimeEvent::NodeRejoined { cycle, node },
-            (None, Some(r)) => {
-                let rel = old_group.rel_of(r.dead_node).expect("dead node was active");
+            (None, Some((node, holder))) => {
+                let rel = old_group.rel_of(node).expect("dead node was active");
                 RuntimeEvent::NodeRecovered {
                     cycle,
-                    node: r.dead_node,
+                    node,
                     rollback_to: self.app_progress,
                     // Identical on every survivor (the holder's actual
                     // count equals this by the refresh invariant).
                     restored_rows: old_dist.rows_of(rel).len() * arrays.len(),
-                    holder: r.holder,
+                    holder,
                 }
             }
-            (None, None) => RuntimeEvent::NodesDropped {
-                cycle,
-                nodes: leaving,
-            },
+            (None, None) => RuntimeEvent::NodesDropped { cycle, nodes },
         };
-        if entering.is_empty() {
-            self.clear_streak = vec![0; self.wsize];
-        } else {
-            // Reset only the entering node's streak — the other removed
-            // nodes keep theirs, so several nodes clearing together rejoin
-            // on consecutive eligible cycles instead of each restarting a
-            // full streak. Done before the statuses go out: the tail ships
-            // the post-reset streak vector, keeping the joiner's replica
-            // exact.
-            for &m in &entering {
-                self.clear_streak[m] = 0;
-            }
+        // Before the statuses go out: the joiner's tail ships the
+        // post-transition streaks, keeping its replica exact.
+        self.state.transition(&entering, loads);
+        if !entering.is_empty() {
             self.send_statuses(&owed, loads);
         }
 
-        let oc = match &restore {
-            None => redist::execute_cached(
-                self.t,
-                self.wrank,
-                self.sched_cache.get_mut(),
-                &old_group,
-                &old_dist,
-                &self.active,
-                &self.dist,
-                &self.accesses,
-                arrays,
-            ),
-            Some(r) => {
-                self.sched_cache.get_mut().invalidate();
-                redist::execute_recovery(
-                    self.t,
-                    self.wrank,
-                    &old_group,
-                    &old_dist,
-                    &self.active,
-                    &self.dist,
-                    &self.accesses,
-                    arrays,
-                    r.dead_node,
-                    r.holder,
-                )
-            }
-        };
+        let oc = redist::execute_cached(
+            self.t,
+            self.wrank,
+            self.sched_cache.get_mut(),
+            &old_group,
+            &old_dist,
+            &self.active,
+            &self.dist,
+            &self.accesses,
+            arrays,
+            restore,
+        );
         self.redist_seconds_total += oc.seconds;
-        self.last_loads = loads.to_vec();
-        self.reset_window();
         self.reset_ctrl_pipeline();
         self.note(event);
 
@@ -1275,58 +841,36 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         self.cycles_since_ckpt = 0;
     }
 
-    /// A confirmed death: every survivor rolls its own rows back to the
-    /// checkpoint, the dead node's ring buddy materializes its mirror
-    /// and stands in for it in the recovery redistribution, the group
-    /// shrinks, and the application is told to rewind its loop to the
-    /// checkpointed step ([`Self::take_rollback`]). All decisions here
-    /// are pure functions of broadcast data, so every survivor executes
-    /// the identical recovery.
+    /// A confirmed death: every survivor rolls its rows back to the
+    /// checkpoint, the dead node's ring buddy materializes its mirror and
+    /// stands in for it in the recovery redistribution, the group shrinks,
+    /// and the application rewinds its loop ([`Self::take_rollback`]).
     fn recover_from_death(
         &mut self,
         dead_node: usize,
         loads: &[u32],
         arrays: &mut [&mut dyn RedistArray],
-        report: &mut CycleReport,
     ) {
-        let traced = obs::enabled();
-        if traced {
-            obs::span_begin("runtime", "crash_recovery", self.t.now_ns());
-        }
-        let dead_rel = self
-            .active
-            .rel_of(dead_node)
-            .expect("confirmed node must be active");
+        obs::span_begin("runtime", "crash_recovery", self.t.now_ns());
+        let dead_rel = self.active.rel_of(dead_node).expect("dead node is active");
         // The ring buddy: the dead node's successor holds its mirror.
         let holder = self.active.world_rank((dead_rel + 1) % self.active.size());
-        let survivors: Vec<usize> = self
-            .active
-            .members()
-            .iter()
-            .copied()
-            .filter(|&m| m != dead_node)
-            .collect();
+        let mut survivors = self.active.members().to_vec();
+        survivors.retain(|&m| m != dead_node);
 
-        // Which generation is restorable is the holder's mirror stamp:
-        // a refresh that ran after the (still-masked) death kept the
-        // holder's mirror one generation behind everyone's latest own
-        // snapshot. Only the holder knows, so it broadcasts the stamp and
-        // every survivor rolls back to that generation.
+        // The restorable generation is the holder's mirror stamp: a refresh
+        // after the (still-masked) death left that mirror one generation
+        // behind. Only the holder knows, so it sends the stamp round.
         let rb = if self.wrank == holder {
             assert_eq!(
                 self.ckpt.holds_mirror_of(),
                 Some(dead_node),
                 "holder's mirror is not of the dead node (unrecoverable)"
             );
-            let rb = self
-                .ckpt
-                .mirror_app_cycle()
-                .expect("holder without a mirror");
-            for &s in &survivors {
-                if s != holder {
-                    self.t
-                        .send_bytes(s, TAG_CKPT_META, rb.to_le_bytes().to_vec());
-                }
+            let rb = self.ckpt.mirror_app_cycle().expect("holder has a mirror");
+            for &s in survivors.iter().filter(|&&s| s != holder) {
+                self.t
+                    .send_bytes(s, TAG_CKPT_META, rb.to_le_bytes().to_vec());
             }
             rb
         } else {
@@ -1334,10 +878,8 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             u64::from_le_bytes(bytes.try_into().expect("an app-cycle stamp"))
         };
 
-        // Roll back to that generation: my own rows from my snapshot, the
-        // dead node's rows from its buddy's mirror. The generation's
-        // membership and distribution are what the recovery
-        // redistribution moves *from*.
+        // Roll back to that generation (my rows from my snapshot, the dead
+        // node's from the mirror): the recovery moves rows *from* its layout.
         let (gen_members, gen_dist) = self.ckpt.restore_generation(rb, arrays);
         assert_eq!(
             gen_members,
@@ -1348,29 +890,23 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         if self.wrank == holder {
             self.ckpt.materialize_mirror(arrays);
         }
-        let new_dist = self.balance_over(&survivors, loads, 0);
+        let new_dist = self.kernel().balance_over(&survivors, loads, 0);
 
-        self.dead[dead_node] = true;
-        self.silent_streak[dead_node] = 0;
-        // Rewind the application: progress returns to the restored
-        // generation's step; the survivors replay the lost steps from
-        // restored data.
+        self.state.bury(dead_node);
+        // The survivors replay the lost steps from restored data.
         self.app_progress = rb;
         self.rollback_to = Some(rb);
-        let restore = Some(Restore { dead_node, holder });
+        let restore = Some((dead_node, holder));
         self.enact(survivors, new_dist, restore, loads, arrays);
-        report.recovered = Some(dead_node);
-        if traced {
-            obs::span_end_args(
-                self.t.now_ns(),
-                vec![
-                    ("cycle", Json::UInt(self.cycle)),
-                    ("dead", Json::UInt(dead_node as u64)),
-                    ("holder", Json::UInt(holder as u64)),
-                    ("rollback_to", Json::UInt(self.app_progress)),
-                ],
-            );
-        }
+        obs::span_end_args(
+            self.t.now_ns(),
+            vec![
+                ("cycle", Json::UInt(self.cycle)),
+                ("dead", Json::UInt(dead_node as u64)),
+                ("holder", Json::UInt(holder as u64)),
+                ("rollback_to", Json::UInt(self.app_progress)),
+            ],
+        );
     }
 
     /// Permanent withdrawal of an isolated rank: its control receives
@@ -1408,140 +944,17 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
 
     /// World nodes confirmed dead by the failure detector.
     pub fn dead_nodes(&self) -> Vec<usize> {
-        (0..self.wsize).filter(|&n| self.dead[n]).collect()
-    }
-
-    // ---------------- helpers -------------------------------------------
-
-    /// Load descriptors for `members`: monitor readings plus the
-    /// configured per-node relative speeds (heterogeneous clusters).
-    fn node_loads(&self, members: &[usize], loads: &[u32]) -> Vec<NodeLoad> {
-        members
-            .iter()
-            .map(|&m| NodeLoad {
-                ncp: loads[m],
-                speed: self.cfg.speed_of(m),
-            })
-            .collect()
-    }
-
-    fn effective_weights(&self) -> Vec<f64> {
-        match &self.row_weights {
-            Some(w) if w.iter().sum::<f64>() > 0.0 => w.clone(),
-            _ => vec![1.0; self.nrows],
-        }
-    }
-
-    fn comm_model_for(&self, n_active: usize) -> CommModel {
-        let recvs: f64 = self
-            .phases
-            .iter()
-            .map(|p| p.pattern.blocking_recvs(n_active))
-            .sum();
-        CommModel {
-            blocking_recvs_per_cycle: recvs,
-            quantum: self.cfg.quantum_seconds,
-            wait_factor: self.cfg.wait_factor,
-        }
-    }
-
-    /// The balancer: the measured row weights over `members` under the
-    /// monitor's `loads`, every member keeping at least `min_rows`.
-    fn balance_over(&self, members: &[usize], loads: &[u32], min_rows: usize) -> Distribution {
-        let node_loads = self.node_loads(members, loads);
-        let w = self.effective_weights();
-        match self.cfg.balancer {
-            BalancerKind::RelativePower => relative_power(&w, &node_loads, min_rows),
-            BalancerKind::SuccessiveBalancing => successive_balance_with_floor(
-                &w,
-                &node_loads,
-                &self.comm_model_for(members.len()),
-                min_rows,
-                self.cfg.balance_floor,
-            ),
-        }
-    }
-
-    /// Predicted max/mean cycle-time imbalance of a candidate distribution
-    /// under the balancer's own model: each active node's time is its
-    /// assigned effective weight scaled by `ncp + 1` (the same
-    /// [`NodeLoad`] availability the balancer optimized, at unit speed).
-    fn predicted_imbalance(&self, dist: &Distribution, loads: &[u32]) -> f64 {
-        let per = self.modeled_compute(dist, loads, &self.effective_weights());
-        let max = per.iter().cloned().fold(0.0, f64::max);
-        let mean = per.iter().sum::<f64>() / per.len().max(1) as f64;
-        if mean > 0.0 {
-            max / mean
-        } else {
-            1.0
-        }
-    }
-
-    /// Fraction of rows that change owner between the current and a
-    /// candidate distribution.
-    fn moved_fraction(&self, new: &Distribution) -> f64 {
-        let moved: usize = self
-            .dist
-            .transfers_to(new)
-            .iter()
-            .filter(|(s, d, _)| s != d)
-            .map(|(_, _, rs)| rs.len())
-            .sum();
-        moved as f64 / self.nrows as f64
-    }
-
-    /// Communication baseline: the least "cycle minus modeled compute"
-    /// across active nodes (the node waiting least on stragglers).
-    fn comm_baseline(&self, avg_times: &[f64], loads: &[u32], weights: &[f64]) -> f64 {
-        let mut best = f64::INFINITY;
-        let compute = self.modeled_compute(&self.dist, loads, weights);
-        for (avg, compute) in avg_times.iter().zip(compute) {
-            let extra = avg - compute;
-            if extra < best {
-                best = extra;
-            }
-        }
-        best.max(0.0)
-    }
-
-    /// Modeled compute time per active member under `dist`: its assigned
-    /// weight scaled by `ncp + 1` over its configured speed.
-    fn modeled_compute(&self, dist: &Distribution, loads: &[u32], weights: &[f64]) -> Vec<f64> {
-        let members = self.active.members().iter().enumerate();
-        members
-            .map(|(rel, &m)| {
-                let mine: f64 = dist.rows_of(rel).iter().map(|r| weights[r]).sum();
-                mine * f64::from(loads[m] + 1) / self.cfg.speed_of(m)
-            })
-            .collect()
-    }
-
-    fn redistribute_in_place(
-        &mut self,
-        new_dist: &Distribution,
-        arrays: &mut [&mut dyn RedistArray],
-    ) -> RedistOutcome {
-        let oc = redist::execute_cached(
-            self.t,
-            self.wrank,
-            self.sched_cache.get_mut(),
-            &self.active,
-            &self.dist,
-            &self.active,
-            new_dist,
-            &self.accesses,
-            arrays,
-        );
-        self.redist_seconds_total += oc.seconds;
-        self.redist_count += 1;
-        self.dist = new_dist.clone();
-        oc
+        (0..self.wsize).filter(|&n| self.state.dead[n]).collect()
     }
 
     // ---------------- measurement windows --------------------------------
 
     /// Starts timing this rank's currently owned rows.
     fn start_row_timer(&mut self) {
+        assert!(
+            matches!(self.dist, Distribution::Block { .. }),
+            "adaptive rebalancing requires a block distribution"
+        );
         let mine = self.dist.rows_of(self.active.rel_unchecked());
         let (lo, count) = (mine.first().unwrap_or(0), mine.len());
         self.timer = Some(RowTimer::new(lo, count, self.t.proc_tick_seconds()));
@@ -1552,50 +965,18 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
     /// contributes its contiguous block, in relative-rank (= row) order.
     fn finish_measurement(&mut self) {
         let timer = self.timer.take().expect("grace without timer");
-        let mode = timer.mode().expect("grace period saw no cycles");
-        self.note(RuntimeEvent::GraceComplete {
-            cycle: self.cycle,
-            mode,
-        });
+        let (cycle, mode) = (self.cycle, timer.mode().expect("grace saw no cycles"));
+        self.note(RuntimeEvent::GraceComplete { cycle, mode });
         let weights = self.t.allgatherv(&self.active, &timer.weights()).concat();
         assert_eq!(weights.len(), self.nrows, "weight gather incomplete");
         self.row_weights = Some(weights);
     }
 
-    /// Adds one cycle's broadcast times to the cycle-time window.
-    fn accumulate_window(&mut self, times: &[f64]) {
-        for (i, &t) in times.iter().enumerate() {
-            self.post_accum[i] += t;
-        }
-        self.post_count += 1;
-    }
-
-    /// Mean cycle time per active member over the window.
-    fn window_average(&self) -> Vec<f64> {
-        self.post_accum[..self.active.size()]
-            .iter()
-            .map(|&s| s / f64::from(self.post_count.max(1)))
-            .collect()
-    }
-
-    /// Back to `Stable` with no measurement in progress.
-    fn reset_window(&mut self) {
-        self.timer = None;
-        self.post_accum.fill(0.0);
-        self.post_count = 0;
-        self.mode = Mode::Stable;
-    }
-
-    /// Runs `f` inside a `runtime` trace span when tracing is active.
+    /// Runs `f` inside a `runtime` trace span.
     fn spanned(&mut self, name: &'static str, f: impl FnOnce(&mut Self)) {
-        let traced = obs::enabled();
-        if traced {
-            obs::span_begin("runtime", name, self.t.now_ns());
-        }
+        obs::span_begin("runtime", name, self.t.now_ns());
         f(self);
-        if traced {
-            obs::span_end(self.t.now_ns());
-        }
+        obs::span_end(self.t.now_ns());
     }
 
     /// Starts a fresh control-pipeline epoch after a membership change:
@@ -1610,8 +991,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
     // ---------------- removed-rank path ----------------------------------
 
     /// Encodes the post-cycle status: membership and distribution counts,
-    /// plus (for a rank that is rejoining) the load vector and row
-    /// weights it needs to resynchronize its replicated state.
+    /// plus a joining rank's replica resync tail ([`State::tail`]).
     fn status_payload(&self, for_member: bool, loads: &[u32]) -> Vec<u8> {
         let mut v: Vec<u64> = Vec::with_capacity(3 + self.active.size() * 2);
         v.push(self.cycle);
@@ -1621,15 +1001,8 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         v.push(self.ctrl_epoch);
         let mut bytes = to_bytes(&v);
         if for_member {
-            // Tail order: loads[wsize] ++ clear_streak[wsize] ++
-            // weights[nrows]. Shipping the streaks keeps the joiner's
-            // rejoin bookkeeping replicated — without them, a readmitted
-            // rank would disagree with the actives about which other
-            // removed node rejoins next.
-            let mut tail: Vec<f64> = loads.iter().map(|&l| f64::from(l)).collect();
-            tail.extend(self.clear_streak.iter().map(|&s| f64::from(s)));
-            tail.extend(self.effective_weights());
-            bytes.extend_from_slice(&to_bytes(&tail));
+            let weights = policy::effective_weights(self.row_weights.as_deref(), self.nrows);
+            bytes.extend_from_slice(&to_bytes(&self.state.tail(loads, &weights, &self.cfg)));
         }
         bytes
     }
@@ -1642,7 +1015,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         }
     }
 
-    fn removed_end_cycle(&mut self, arrays: &mut [&mut dyn RedistArray], report: &mut CycleReport) {
+    fn removed_end_cycle(&mut self, arrays: &mut [&mut dyn RedistArray]) {
         // Same self-eviction rule as the active blob receive.
         let Some(bytes) = self.recv_unless_dead(self.active.world_rank(0), TAG_STATUS) else {
             self.self_evict();
@@ -1656,37 +1029,20 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         // Track the control epoch so a rejoin resumes with aligned tags
         // (the rejoin branch bumps it once, like the actives do).
         self.ctrl_epoch = v[2 + 2 * nm];
+        let dist = Distribution::block_from_counts(&counts);
 
-        if members.contains(&self.wrank) {
-            // Resynchronize the replicated decision state from the tail
-            // the root appended for us: the load vector and row weights
-            // the actives balanced against.
-            let tail: Vec<f64> = from_bytes(&bytes[header_len..]);
-            assert_eq!(
-                tail.len(),
-                2 * self.wsize + self.nrows,
-                "malformed rejoin status"
-            );
-            let loads: Vec<u32> = tail[..self.wsize].iter().map(|&x| x as u32).collect();
-            self.clear_streak = tail[self.wsize..2 * self.wsize]
-                .iter()
-                .map(|&x| x as u32)
-                .collect();
-            self.row_weights = Some(tail[2 * self.wsize..].to_vec());
-
-            // Rejoin: participate in the redistribution the actives are
-            // running right now, as a receiver.
-            let dist = Distribution::block_from_counts(&counts);
-            self.enact(members, dist, None, &loads, arrays);
-            if self.wrank >= self.seed {
-                report.admitted = Some(self.wrank);
-            } else {
-                report.rejoined = Some(self.wrank);
-            }
-        } else {
+        if !members.contains(&self.wrank) {
             self.active = Group::new(members, self.wrank);
-            self.dist = Distribution::block_from_counts(&counts);
+            self.dist = dist;
+            return;
         }
+        // Joining: resync the replica from the tail, then take part in the
+        // redistribution the actives are running right now, as a receiver.
+        let tail: Vec<f64> = from_bytes(&bytes[header_len..]);
+        let (loads, weights) = self.state.resync(&tail, &self.cfg);
+        assert_eq!(weights.len(), self.nrows, "malformed rejoin status");
+        self.row_weights = Some(weights);
+        self.enact(members, dist, None, &loads, arrays);
     }
 
     /// Refreshes the DRSD ghost rows of `array` from their current
@@ -1714,12 +1070,11 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             // are given up as stale. The detector then confirms within
             // cycles and recovery rolls everything back past the stale
             // reads.
-            match self.recv_unless_dead(*src, tag) {
-                Some(p) => arr.unpack_rows(from_src, &p),
-                None => {
-                    self.trace_point("ghost-timeout", || vec![("src", Json::UInt(*src as u64))])
-                }
-            }
+            let Some(p) = self.recv_unless_dead(*src, tag) else {
+                self.trace_point("ghost-timeout", || vec![("src", Json::UInt(*src as u64))]);
+                continue;
+            };
+            arr.unpack_rows(from_src, &p);
         }
     }
 
@@ -1791,14 +1146,30 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DropPolicy;
     use crate::dense::DenseMatrix;
-    use crate::drive::{cluster, drive, RankOut, Scenario};
+    use crate::drive::{cluster, drive_probed, RankOut, Scenario};
     use dynmpi_comm::SimTransport;
     use dynmpi_obs::{Recorder, TraceEvent};
     use dynmpi_sim::{LoadScript, NodeSpec, SimDur};
 
+    /// The shared driver, which here also asserts that every rank active
+    /// at the end holds an equal replicated decision state. Without a
+    /// `max_redistributions` cap the redistribution count sways no
+    /// decision, so a joiner's status tail does not ship it: it is left
+    /// out of the comparison.
+    fn drive(sc: &Scenario) -> Vec<Option<RankOut<State>>> {
+        drive_probed(sc, &|rt: &DynMpi<'_, SimTransport<'_>>| {
+            let mut state = rt.state.clone();
+            if rt.cfg.max_redistributions.is_none() {
+                state.redist_count = 0;
+            }
+            state
+        })
+    }
+
     /// The ranks that did not crash.
-    fn finished(outs: Vec<Option<RankOut>>) -> Vec<RankOut> {
+    fn finished(outs: Vec<Option<RankOut<State>>>) -> Vec<RankOut<State>> {
         outs.into_iter().flatten().collect()
     }
 
@@ -1992,6 +1363,35 @@ mod tests {
             }
             let admissions = if admit { vec!["node-admitted"] } else { vec![] };
             assert_eq!(outs[2].kinds(), admissions);
+        }
+    }
+
+    /// A newcomer admitted after the seed ranks used up their
+    /// `max_redistributions` holds the same replica: the status tail ships
+    /// the count under a cap.
+    #[test]
+    fn admitted_rank_replicates_the_capped_count() {
+        let cfg = DynMpiConfig {
+            seed_world: Some(2),
+            max_redistributions: Some(1),
+            grace_period: 2,
+            arrival_retry_cycles: 1,
+            drop_policy: DropPolicy::Never,
+            ..Default::default()
+        };
+        let sc = Scenario::new(2, 30, 30, cfg);
+        let online = sc.at(0.3);
+        let newcomer = NodeSpec::with_speed(1e6);
+        let script = (LoadScript::dedicated().at_cycle(0, 2, 2)).node_arrival(
+            online,
+            newcomer,
+            SimDur::ZERO,
+        );
+        let outs = finished(drive(&sc.script(script)));
+        assert_eq!(outs[2].kinds(), ["node-admitted"]);
+        for o in &outs {
+            assert_eq!(o.members, [0, 1, 2]);
+            assert_eq!(o.state.redist_count, 1);
         }
     }
 

@@ -4,7 +4,10 @@
 //! [`SimTransport`], with load, arrival, crash, partition and overload
 //! scripted in virtual time by a [`LoadScript`] — so every measurement the
 //! runtime balances on is deterministic. Shared by `runtime::tests` (via
-//! `#[path]`) and `tests/failure_modes.rs`; public API only.
+//! `#[path]`) and `tests/failure_modes.rs`; public API only — a caller
+//! inside the crate reads private state through [`drive_probed`].
+
+use std::fmt::Debug;
 
 use dynmpi::{AccessMode, CommPattern, DenseMatrix, Drsd, DynMpi, DynMpiConfig, RuntimeEvent};
 use dynmpi_comm::SimTransport;
@@ -65,13 +68,13 @@ impl Scenario {
         let mut plain = self.clone();
         plain.script = LoadScript::dedicated();
         plain.recorder = None;
-        SimTime::from_secs_f64(run(&plain, false).1.as_secs_f64() * frac)
+        SimTime::from_secs_f64(run(&plain, false, &|_| ()).1.as_secs_f64() * frac)
     }
 }
 
 /// What one rank reports at the end of a run.
 #[derive(Clone, Debug, PartialEq)]
-pub struct RankOut {
+pub struct RankOut<S = ()> {
     pub participating: bool,
     pub evicted: bool,
     pub members: Vec<usize>,
@@ -83,9 +86,11 @@ pub struct RankOut {
     pub dead: Vec<usize>,
     /// `end_cycle` calls made (steps plus replayed steps).
     pub cycles: usize,
+    /// What [`drive_probed`]'s probe read off the runtime at the end.
+    pub state: S,
 }
 
-impl RankOut {
+impl<S> RankOut<S> {
     pub fn kinds(&self) -> Vec<&'static str> {
         self.events.iter().map(|e| e.kind()).collect()
     }
@@ -106,7 +111,7 @@ fn fill_pattern(i: usize, j: usize) -> f64 {
 /// The canonical application loop, rollback included. Every owned row
 /// must end with exactly `steps` increments on column 0 and an untouched
 /// fill pattern elsewhere, whatever moved, dropped, joined or died.
-fn app(t: &SimTransport<'_>, sc: &Scenario) -> RankOut {
+fn app<S>(t: &SimTransport<'_>, sc: &Scenario, probe: &impl Probe<S>) -> RankOut<S> {
     let n = sc.nrows;
     let mut rt = DynMpi::init(t, n, sc.cfg.clone());
     let a = rt.register_dense("A", n);
@@ -162,19 +167,28 @@ fn app(t: &SimTransport<'_>, sc: &Scenario) -> RankOut {
         rollbacks,
         dead: rt.dead_nodes(),
         cycles: rt.local_cycle_times().len(),
+        state: probe(&rt),
     }
 }
 
+/// Reads a rank's state off its runtime at the end of a run.
+pub trait Probe<S>: Fn(&DynMpi<'_, SimTransport<'_>>) -> S + Sync {}
+impl<S, F: Fn(&DynMpi<'_, SimTransport<'_>>) -> S + Sync> Probe<S> for F {}
+
 /// One engine mode's run: per-rank reports (`None` = the rank's node
 /// crashed) and the virtual makespan.
-fn run(sc: &Scenario, stepped: bool) -> (Vec<Option<RankOut>>, SimTime) {
+fn run<S: Send>(
+    sc: &Scenario,
+    stepped: bool,
+    probe: &impl Probe<S>,
+) -> (Vec<Option<RankOut<S>>>, SimTime) {
     let mut c = cluster(sc.nodes)
         .with_script(sc.script.clone())
         .with_stepped(stepped);
     if let (Some(rec), false) = (&sc.recorder, stepped) {
         c = c.with_recorder(rec.clone());
     }
-    let out = c.run_spmd(|ctx| Some(app(&SimTransport::new(ctx), sc)));
+    let out = c.run_spmd(|ctx| Some(app(&SimTransport::new(ctx), sc, probe)));
     (out.results, out.report.finish_time)
 }
 
@@ -184,13 +198,22 @@ fn run(sc: &Scenario, stepped: bool) -> (Vec<Option<RankOut>>, SimTime) {
 /// and each one's event log (kind + cycle), from its latest entry into
 /// the group on, is a suffix of the log of a rank that never left.
 pub fn drive(sc: &Scenario) -> Vec<Option<RankOut>> {
-    let fast = run(sc, false);
-    assert_eq!(fast, run(sc, true), "engines diverged");
+    drive_probed(sc, &|_| ())
+}
+
+/// [`drive`], also asserting that every rank active at the end reports the
+/// same `probe` reading.
+pub fn drive_probed<S>(sc: &Scenario, probe: &impl Probe<S>) -> Vec<Option<RankOut<S>>>
+where
+    S: Clone + Debug + PartialEq + Send,
+{
+    let fast = run(sc, false, probe);
+    assert_eq!(fast, run(sc, true, probe), "engines diverged");
     let ranks = fast.0;
-    let log = |o: &RankOut| -> Vec<(&'static str, u64)> {
+    let log = |o: &RankOut<S>| -> Vec<(&'static str, u64)> {
         o.events.iter().map(|e| (e.kind(), e.cycle())).collect()
     };
-    let entered = |r: usize, o: &RankOut| {
+    let entered = |r: usize, o: &RankOut<S>| {
         o.events.iter().rposition(|e| {
             matches!(e, RuntimeEvent::NodeRejoined { node, .. }
                       | RuntimeEvent::NodeAdmitted { node, .. } if *node == r)
@@ -210,6 +233,7 @@ pub fn drive(sc: &Scenario) -> Vec<Option<RankOut>> {
             o.counts, stayed.counts,
             "rank {r} holds another distribution"
         );
+        assert_eq!(o.state, stayed.state, "rank {r} holds another replica");
         let since = &log(o)[entered(r, o).unwrap_or(0)..];
         assert!(
             log(stayed).ends_with(since),

@@ -7,7 +7,7 @@ mod drive;
 use drive::{cluster, drive, RankOut, Scenario};
 use dynmpi::{DropPolicy, DynMpi, DynMpiConfig};
 use dynmpi_comm::SimTransport;
-use dynmpi_sim::LoadScript;
+use dynmpi_sim::{LoadScript, NodeSpec, SimDur};
 
 /// Runs the halo application (ghost exchange every step) under `script`;
 /// data integrity and replica agreement are checked inside the driver.
@@ -105,6 +105,37 @@ fn max_redistributions_caps_adaptation() {
     for o in run(2, 16, 40, cfg, script) {
         assert_eq!(o.count("redistributed"), 1, "{:?}", o.kinds());
     }
+}
+
+/// Regression: a rank admitted after `max_redistributions` was reached
+/// used to enter with a redistribution count of 0, so the next load change
+/// sent it alone into a grace period, where it blocked in the weight
+/// allgather — a simulation deadlock. Under a cap the joiner's status tail
+/// ships the count.
+#[test]
+fn joiner_inherits_the_redistribution_cap() {
+    let cfg = DynMpiConfig {
+        seed_world: Some(2),
+        max_redistributions: Some(1),
+        grace_period: 2,
+        arrival_retry_cycles: 1,
+        drop_policy: DropPolicy::Never,
+        ..Default::default()
+    };
+    let sc = Scenario::new(2, 30, 60, cfg);
+    let arrival = sc.at(0.3);
+    let script = LoadScript::dedicated()
+        .at_cycle(0, 2, 2)
+        .node_arrival(arrival, NodeSpec::with_speed(1e6), SimDur::ZERO)
+        .at_cycle(1, 40, 2);
+    let outs: Vec<RankOut> = drive(&sc.script(script)).into_iter().flatten().collect();
+    for o in &outs[..2] {
+        // The second load change comes after the cap: nobody reacts.
+        assert_eq!(o.count("load-change"), 1, "{:?}", o.kinds());
+        assert_eq!(o.count("redistributed"), 1, "{:?}", o.kinds());
+    }
+    assert_eq!(outs[2].kinds(), ["node-admitted"], "the newcomer joined");
+    assert!(outs.iter().all(|o| o.members == [0, 1, 2]), "{outs:?}");
 }
 
 #[test]
