@@ -7,8 +7,8 @@
 //! Every conversion in this module charges the [`BYTES_COPIED`] counter
 //! with the number of payload bytes it memcpy'd (when an obs recorder is
 //! installed), so the collectives' copy discipline is measurable: the
-//! micro-bench and the equivalence tests compare algorithms by exactly
-//! this counter. The `*_into` variants reuse a caller-owned buffer so
+//! cross-transport tests pin a broadcast's copies by exactly this
+//! counter. The `*_into` variants reuse a caller-owned buffer so
 //! steady-state collectives allocate once and stay one-copy per hop.
 
 use dynmpi_obs as obs;
@@ -18,7 +18,7 @@ use dynmpi_obs as obs;
 pub const BYTES_COPIED: &str = "comm.bytes_copied";
 
 /// Records `n` payload bytes copied. Exposed so `ops.rs` can charge relay
-/// clones and block assemblies through the same counter.
+/// clones through the same counter.
 #[inline]
 pub(crate) fn count_copied(n: usize) {
     obs::count(BYTES_COPIED, n as u64);
@@ -26,35 +26,24 @@ pub(crate) fn count_copied(n: usize) {
 
 /// Marker for types that can be safely reinterpreted as raw bytes.
 ///
-/// `ZERO` gives collectives a valid fill value so they can preallocate
-/// output vectors in safe code before assembling received blocks in place.
-///
 /// # Safety
 ///
 /// Implementors must be `Copy`, have no padding bytes, and admit every bit
 /// pattern as a valid value. All implementations live in this module; the
 /// trait is sealed by convention (do not implement it downstream unless the
 /// same guarantees hold).
-pub unsafe trait Pod: Copy + Send + 'static {
-    /// The all-zero-bits value.
-    const ZERO: Self;
-}
+pub unsafe trait Pod: Copy + Send + 'static {}
 
 macro_rules! impl_pod {
-    ($($t:ty => $zero:expr),* $(,)?) => {
-        $(unsafe impl Pod for $t {
-            const ZERO: Self = $zero;
-        })*
+    ($($t:ty),* $(,)?) => {
+        $(unsafe impl Pod for $t {})*
     };
 }
 
-impl_pod! {
-    u8 => 0, i8 => 0, u16 => 0, i16 => 0, u32 => 0, i32 => 0,
-    u64 => 0, i64 => 0, f32 => 0.0, f64 => 0.0,
-}
+impl_pod!(u8, i8, u16, i16, u32, i32, u64, i64, f32, f64);
 
 /// Appends the byte image of `data` to `out` without clearing it — the
-/// primitive under [`to_bytes_into`] and the framed-message builders in
+/// primitive under [`to_bytes_into`] and the broadcast frame builder in
 /// `ops.rs`.
 pub(crate) fn append_bytes<P: Pod>(data: &[P], out: &mut Vec<u8>) {
     let len = std::mem::size_of_val(data);
@@ -126,39 +115,6 @@ pub fn from_bytes_into<P: Pod>(bytes: &[u8], out: &mut Vec<P>) {
     count_copied(bytes.len());
 }
 
-/// Decodes `bytes` into `out[at..at + bytes.len()/esz]` in place — the
-/// block-assembly primitive of the scatter–allgather collectives, which
-/// write each received block straight into the final output vector
-/// instead of growing intermediate vectors.
-///
-/// Panics if the byte length is not a multiple of the element size or the
-/// decoded elements would overrun `out`.
-pub fn write_bytes_at<P: Pod>(out: &mut [P], at: usize, bytes: &[u8]) {
-    let esz = std::mem::size_of::<P>();
-    assert!(esz > 0, "zero-sized POD elements are not supported");
-    assert!(
-        bytes.len().is_multiple_of(esz),
-        "byte length {} is not a multiple of element size {}",
-        bytes.len(),
-        esz
-    );
-    let n = bytes.len() / esz;
-    assert!(
-        at.checked_add(n).is_some_and(|end| end <= out.len()),
-        "write_bytes_at: {n} elements at offset {at} overrun output of {}",
-        out.len()
-    );
-    // SAFETY: bounds checked above; `P: Pod` accepts any bit pattern.
-    unsafe {
-        std::ptr::copy_nonoverlapping(
-            bytes.as_ptr(),
-            out.as_mut_ptr().add(at).cast::<u8>(),
-            bytes.len(),
-        );
-    }
-    count_copied(bytes.len());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,19 +170,5 @@ mod tests {
         to_bytes_into(&[9u32], &mut bytes);
         assert_eq!(bytes.capacity(), cap);
         assert_eq!(from_bytes::<u32>(&bytes), vec![9]);
-    }
-
-    #[test]
-    fn write_bytes_at_places_block() {
-        let mut out = vec![0u64; 6];
-        write_bytes_at(&mut out, 2, &to_bytes(&[7u64, 8, 9]));
-        assert_eq!(out, vec![0, 0, 7, 8, 9, 0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "overrun")]
-    fn write_bytes_at_rejects_overrun() {
-        let mut out = vec![0u64; 2];
-        write_bytes_at(&mut out, 1, &to_bytes(&[1u64, 2]));
     }
 }

@@ -10,7 +10,9 @@
 //!
 //! Collectives ([`CommOps`]) operate over a [`Group`] of world ranks, which
 //! is how Dyn-MPI's *relative ranks* work after node removal: the active
-//! nodes form a group, and all global operations run over it.
+//! nodes form a group, and all global operations run over it. The layer
+//! keeps only what the runtime, the applications and the benchmark call,
+//! with one algorithm per collective (see the `ops` module).
 //!
 //! ```
 //! use dynmpi_comm::{run_threads, CommOps, Group, Transport};
@@ -29,11 +31,9 @@ mod sim_transport;
 mod thread;
 mod transport;
 
-pub use datatype::{
-    from_bytes, from_bytes_into, to_bytes, to_bytes_into, write_bytes_at, Pod, BYTES_COPIED,
-};
+pub use datatype::{from_bytes, from_bytes_into, to_bytes, to_bytes_into, Pod, BYTES_COPIED};
 pub use group::Group;
-pub use ops::{CommOps, COLL_LARGE_THRESHOLD, LARGE_ALGO_MIN_RANKS};
+pub use ops::CommOps;
 pub use sim_transport::SimTransport;
 pub use thread::{run_threads, ThreadTransport};
 pub use transport::{HostMeters, PeerTimeout, Transport, RESERVED_TAG_BASE};

@@ -54,16 +54,6 @@ impl Transport for SimTransport<'_> {
         payload
     }
 
-    fn recv_bytes_any(&self, tag: u64) -> (usize, Vec<u8>) {
-        let (src, payload) = self.ctx.recv_any(tag);
-        obs::observe(
-            "comm.msg_bytes_recvd",
-            &obs::BYTE_BUCKETS,
-            payload.len() as u64,
-        );
-        (src, payload)
-    }
-
     fn recv_bytes_timeout(
         &self,
         src: usize,

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 
-use crate::transport::{HostMeters, Transport};
+use crate::transport::{HostMeters, PeerTimeout, Transport};
 
 /// A message in flight between threads.
 #[derive(Debug)]
@@ -40,26 +40,31 @@ pub struct ThreadTransport {
 }
 
 impl ThreadTransport {
-    fn take_stashed(&self, src: Option<usize>, tag: u64) -> Option<Envelope> {
-        let mut stash = self.stash.borrow_mut();
-        let pos = stash
-            .iter()
-            .position(|e| e.tag == tag && src.is_none_or(|s| s == e.src))?;
-        Some(stash.remove(pos))
-    }
-
-    fn recv_matching(&self, src: Option<usize>, tag: u64) -> Envelope {
-        if let Some(e) = self.take_stashed(src, tag) {
-            return e;
+    /// The one stash-and-poll loop under both receives: returns the first
+    /// message from `src` under `tag` (stashed earlier or arriving now),
+    /// or `None` once `deadline` passes. Non-matching deliveries are
+    /// stashed for later receives. Polls in 20 ms slices so a panicked
+    /// peer unwinds a blocked receiver instead of hanging it.
+    fn recv_until(&self, src: usize, tag: u64, deadline: Option<Instant>) -> Option<Vec<u8>> {
+        let matches = |e: &Envelope| e.tag == tag && e.src == src;
+        {
+            let mut stash = self.stash.borrow_mut();
+            if let Some(pos) = stash.iter().position(matches) {
+                return Some(stash.remove(pos).payload);
+            }
         }
         loop {
-            match self.inbox.recv_timeout(Duration::from_millis(20)) {
-                Ok(e) => {
-                    if e.tag == tag && src.is_none_or(|s| s == e.src) {
-                        return e;
-                    }
-                    self.stash.borrow_mut().push(e);
+            let mut slice = Duration::from_millis(20);
+            if let Some(deadline) = deadline {
+                let now = Instant::now();
+                if now >= deadline {
+                    return None;
                 }
+                slice = slice.min(deadline - now);
+            }
+            match self.inbox.recv_timeout(slice) {
+                Ok(e) if matches(&e) => return Some(e.payload),
+                Ok(e) => self.stash.borrow_mut().push(e),
                 Err(RecvTimeoutError::Timeout) => {
                     assert!(
                         !self.poison.load(Ordering::Acquire),
@@ -96,12 +101,8 @@ impl Transport for ThreadTransport {
     }
 
     fn recv_bytes(&self, src: usize, tag: u64) -> Vec<u8> {
-        self.recv_matching(Some(src), tag).payload
-    }
-
-    fn recv_bytes_any(&self, tag: u64) -> (usize, Vec<u8>) {
-        let e = self.recv_matching(None, tag);
-        (e.src, e.payload)
+        self.recv_until(src, tag, None)
+            .expect("a receive without a deadline cannot time out")
     }
 
     /// Real wall-clock timed receive: gives up once `timeout_seconds`
@@ -112,41 +113,13 @@ impl Transport for ThreadTransport {
         src: usize,
         tag: u64,
         timeout_seconds: f64,
-    ) -> Result<Vec<u8>, crate::transport::PeerTimeout> {
-        if let Some(e) = self.take_stashed(Some(src), tag) {
-            return Ok(e.payload);
-        }
+    ) -> Result<Vec<u8>, PeerTimeout> {
         let deadline = Instant::now() + Duration::from_secs_f64(timeout_seconds.max(0.0));
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(crate::transport::PeerTimeout {
-                    src: Some(src),
-                    tag,
-                });
-            }
-            match self
-                .inbox
-                .recv_timeout((deadline - now).min(Duration::from_millis(20)))
-            {
-                Ok(e) => {
-                    if e.tag == tag && e.src == src {
-                        return Ok(e.payload);
-                    }
-                    self.stash.borrow_mut().push(e);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    assert!(
-                        !self.poison.load(Ordering::Acquire),
-                        "thread transport: a peer rank panicked while rank {} was receiving",
-                        self.rank
-                    );
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    panic!("thread transport: all peers disconnected while receiving")
-                }
-            }
-        }
+        self.recv_until(src, tag, Some(deadline))
+            .ok_or(PeerTimeout {
+                src: Some(src),
+                tag,
+            })
     }
 
     fn wtime(&self) -> f64 {
@@ -312,18 +285,72 @@ mod tests {
     }
 
     #[test]
-    fn recv_any_from_many() {
-        let out = run_threads(4, |t| {
+    fn timed_recv_deadline_reports_peer_and_tag() {
+        // Rank 1 sends nothing and exits; the channels stay connected until
+        // every rank has joined, so only the deadline ends rank 0's wait.
+        let out = run_threads(2, |t| {
+            (t.rank() == 0).then(|| t.recv_bytes_timeout(1, 7, 0.05))
+        });
+        assert_eq!(
+            out[0],
+            Some(Err(PeerTimeout {
+                src: Some(1),
+                tag: 7
+            }))
+        );
+    }
+
+    #[test]
+    fn timed_recv_returns_stashed_message_at_once() {
+        let out = run_threads(2, |t| {
             if t.rank() == 0 {
-                let mut got: Vec<usize> = (0..3).map(|_| t.recv_bytes_any(9).0).collect();
-                got.sort_unstable();
-                got
+                t.send_bytes(1, 5, vec![5]);
+                t.send_bytes(1, 6, vec![6]);
+                None
             } else {
-                t.send_bytes(0, 9, vec![]);
-                vec![]
+                // Tag 6 arrives behind tag 5, which gets stashed.
+                assert_eq!(t.recv_bytes(0, 6), vec![6]);
+                // A zero timeout still finds the stashed tag-5 message.
+                Some(t.recv_bytes_timeout(0, 5, 0.0))
             }
         });
-        assert_eq!(out[0], vec![1, 2, 3]);
+        assert_eq!(out[1], Some(Ok(vec![5])));
+    }
+
+    #[test]
+    fn timed_recv_stashes_non_matching_arrivals() {
+        let out = run_threads(2, |t| {
+            if t.rank() == 0 {
+                t.send_bytes(1, 3, vec![3]);
+                t.recv_bytes(1, 4);
+                vec![]
+            } else {
+                // Tag 3 arrives during a timed wait for tag 9 that expires.
+                let r = t.recv_bytes_timeout(0, 9, 0.1);
+                assert_eq!(
+                    r,
+                    Err(PeerTimeout {
+                        src: Some(0),
+                        tag: 9
+                    })
+                );
+                t.send_bytes(0, 4, vec![]);
+                t.recv_bytes(0, 3)
+            }
+        });
+        assert_eq!(out[1], vec![3]);
+    }
+
+    #[test]
+    fn zero_timeout_with_nothing_queued_times_out() {
+        let out = run_threads(1, |t| t.recv_bytes_timeout(0, 2, 0.0));
+        assert_eq!(
+            out[0],
+            Err(PeerTimeout {
+                src: Some(0),
+                tag: 2
+            })
+        );
     }
 
     #[test]

@@ -48,24 +48,16 @@ pub trait Transport {
     /// Receives the next message from `src` under `tag`, blocking.
     fn recv_bytes(&self, src: usize, tag: u64) -> Vec<u8>;
 
-    /// Receives the next message under `tag` from any rank, blocking.
-    fn recv_bytes_any(&self, tag: u64) -> (usize, Vec<u8>);
-
     /// Receives like [`recv_bytes`](Transport::recv_bytes) but gives up
     /// after `timeout_seconds` of transport time, returning
     /// `Err(`[`PeerTimeout`]`)` instead of blocking forever — the
-    /// progress-or-fail primitive failure detection builds on. The default
-    /// implementation never times out (transports without a clocked wait
-    /// degrade to plain blocking receives; callers treat that as "failure
-    /// detection unavailable", not as an error).
+    /// progress-or-fail primitive failure detection builds on.
     fn recv_bytes_timeout(
         &self,
         src: usize,
         tag: u64,
-        _timeout_seconds: f64,
-    ) -> Result<Vec<u8>, PeerTimeout> {
-        Ok(self.recv_bytes(src, tag))
-    }
+        timeout_seconds: f64,
+    ) -> Result<Vec<u8>, PeerTimeout>;
 
     /// Wallclock seconds (virtual or real, per transport).
     fn wtime(&self) -> f64;

@@ -29,11 +29,6 @@ trait DynTransport {
     fn allgatherv(&self, g: &Group, data: &[u64]) -> Vec<Vec<u64>>;
     fn bcast(&self, g: &Group, root: usize, data: Option<&[i64]>) -> Vec<i64>;
     fn alltoallv(&self, g: &Group, parts: &[Vec<u32>]) -> Vec<Vec<u32>>;
-    fn sendrecv_ring(&self, val: u64) -> u64;
-    /// Adaptive bcast plus both forced algorithms, in that order.
-    fn bcast_all_algos(&self, g: &Group, root: usize, data: Option<&[u64]>) -> [Vec<u64>; 3];
-    /// Ring allreduce plus the reduce+bcast tree path, in that order.
-    fn allreduce_both_algos(&self, g: &Group, data: &[f64]) -> [Vec<f64>; 2];
 }
 
 struct TransportObj<'a, T: Transport>(&'a T);
@@ -56,30 +51,6 @@ impl<T: Transport> DynTransport for TransportObj<'_, T> {
     }
     fn alltoallv(&self, g: &Group, parts: &[Vec<u32>]) -> Vec<Vec<u32>> {
         self.0.alltoallv(g, parts)
-    }
-    fn sendrecv_ring(&self, val: u64) -> u64 {
-        let n = self.0.size();
-        let r = self.0.rank();
-        let got = self.0.sendrecv((r + 1) % n, 3, &[val], (r + n - 1) % n, 3);
-        got[0]
-    }
-    fn bcast_all_algos(&self, g: &Group, root: usize, data: Option<&[u64]>) -> [Vec<u64>; 3] {
-        [
-            self.0.bcast(g, root, data),
-            self.0.bcast_binomial(g, root, data),
-            self.0.bcast_scatter_allgather(g, root, data),
-        ]
-    }
-    fn allreduce_both_algos(&self, g: &Group, data: &[f64]) -> [Vec<f64>; 2] {
-        let sum = |a: &mut [f64], b: &[f64]| {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += y;
-            }
-        };
-        let ring = self.0.allreduce_ring(g, data, sum);
-        let reduced = self.0.reduce(g, 0, data, sum);
-        let tree = self.0.bcast_binomial(g, 0, reduced.as_deref());
-        [ring, tree]
     }
 }
 
@@ -134,71 +105,29 @@ fn alltoallv_matches_across_transports() {
     assert_eq!(a, b);
 }
 
-#[test]
-fn ring_shift_matches_across_transports() {
-    let (a, b) = on_both(5, |t| t.sendrecv_ring(t.rank() as u64 * 3));
-    assert_eq!(a, b);
-    assert_eq!(a, vec![12, 0, 3, 6, 9]);
-}
-
-/// The size-adaptive dispatch must be invisible to callers: the adaptive
-/// bcast and both forced algorithms return byte-identical payloads, on
-/// both transports, across group sizes, roots, and the small/large
-/// threshold.
-#[test]
-fn bcast_algorithms_byte_identical_across_transports() {
-    // 97 u64s stay under the large threshold; 16 Ki u64s (128 KiB) cross
-    // it, so the adaptive path exercises both algorithms.
-    for elems in [97usize, 16 * 1024] {
-        for n in [1usize, 2, 3, 5, 8] {
-            for root in [0, n - 1] {
-                let (threads, sim) = on_both(n, move |t| {
-                    let g = Group::world(t.rank(), t.size());
-                    let data: Vec<u64> =
-                        (0..elems as u64).map(|i| i ^ (root as u64) << 32).collect();
-                    t.bcast_all_algos(&g, root, (t.rank() == root).then_some(&data))
-                });
-                let expect: Vec<u64> = (0..elems as u64).map(|i| i ^ (root as u64) << 32).collect();
-                assert_eq!(threads, sim, "elems={elems} n={n} root={root}");
-                for per_rank in &threads {
-                    let [adaptive, binomial, vdg] = per_rank;
-                    assert_eq!(adaptive, &expect, "elems={elems} n={n} root={root}");
-                    assert_eq!(binomial, &expect, "elems={elems} n={n} root={root}");
-                    assert_eq!(vdg, &expect, "elems={elems} n={n} root={root}");
-                }
-            }
-        }
-    }
-}
-
 /// The one-copy discipline, pinned exactly: a 1 MiB broadcast over 8
-/// ranks charges `comm.bytes_copied` 9 payloads under the adaptive
-/// dispatch (scatter + ring allgather at this size), and 12 payloads plus
-/// the 8-byte frame of each of the three cloned relays under the binomial
-/// tree — an eager tree that re-serializes per child would copy 15. One
-/// more clone of a relayed buffer per child breaks the pin. The simulated
-/// broadcast time on the 100 Mbit/s cluster is pinned alongside.
+/// ranks charges `comm.bytes_copied` 12 payloads (the root's frame and its
+/// own copy, seven decodes, three cloned relays) plus the 8-byte frame of
+/// each cloned relay — an eager tree that re-serializes per child would
+/// copy 15. One more clone of a relayed buffer per child breaks the pin.
+/// The simulated broadcast on the 100 Mbit/s cluster is pinned alongside:
+/// seven framed messages down the tree.
 #[test]
 fn bcast_1mib_copies_and_virtual_time_are_pinned() {
     const MIB: u64 = 1 << 20;
     let payload: Vec<u64> = (0..MIB / 8).collect();
-    let copied = |binomial: bool| {
-        let rec = Recorder::new();
-        run_threads(8, |t| {
-            let _guard = rec.install(t.rank());
-            let g = Group::world(t.rank(), t.size());
-            let data = (t.rank() == 0).then_some(&payload[..]);
-            let got = if binomial {
-                t.bcast_binomial(&g, 0, data)
-            } else {
-                t.bcast(&g, 0, data)
-            };
-            assert!(got == payload, "broadcast corrupted the payload");
-        });
-        rec.merged_metrics().counter(BYTES_COPIED)
-    };
-    assert_eq!(copied(false), 9 * MIB, "adaptive bcast bytes copied");
-    assert_eq!(copied(true), 12 * MIB + 24, "binomial bcast bytes copied");
+    let rec = Recorder::new();
+    run_threads(8, |t| {
+        let _guard = rec.install(t.rank());
+        let g = Group::world(t.rank(), t.size());
+        let got = t.bcast(&g, 0, (t.rank() == 0).then_some(&payload[..]));
+        assert!(got == payload, "broadcast corrupted the payload");
+    });
+    assert_eq!(
+        rec.merged_metrics().counter(BYTES_COPIED),
+        12 * MIB + 24,
+        "bcast bytes copied"
+    );
 
     let sim = Cluster::homogeneous(8, NodeSpec::default()).run_spmd(|ctx| {
         let t = SimTransport::new(ctx);
@@ -207,34 +136,9 @@ fn bcast_1mib_copies_and_virtual_time_are_pinned() {
             .len()
     });
     assert!(sim.results.iter().all(|&len| len as u64 == MIB / 8));
-    assert_eq!(sim.report.finish_time.as_secs_f64(), 0.1862228);
-}
-
-/// Ring allreduce vs reduce+bcast on exactly representable values: the
-/// two associations are byte-identical for integer-valued doubles, on
-/// both transports.
-#[test]
-fn allreduce_algorithms_byte_identical_across_transports() {
-    for elems in [64usize, 16 * 1024] {
-        for n in [1usize, 2, 3, 5, 8] {
-            let (threads, sim) = on_both(n, move |t| {
-                let g = Group::world(t.rank(), t.size());
-                // Small integers: every partial sum is exact in f64, so
-                // both associations must agree bit-for-bit.
-                let data: Vec<f64> = (0..elems).map(|i| ((t.rank() + i) % 13) as f64).collect();
-                t.allreduce_both_algos(&g, &data)
-            });
-            assert_eq!(threads, sim, "elems={elems} n={n}");
-            for (r, per_rank) in threads.iter().enumerate() {
-                let [ring, tree] = per_rank;
-                assert_eq!(ring, tree, "elems={elems} n={n} rank={r}");
-                let expect: Vec<f64> = (0..elems)
-                    .map(|i| (0..n).map(|rk| ((rk + i) % 13) as f64).sum())
-                    .collect();
-                assert_eq!(ring, &expect, "elems={elems} n={n} rank={r}");
-            }
-        }
-    }
+    assert_eq!(sim.report.finish_time.as_secs_f64(), 0.26780892);
+    assert_eq!(sim.report.net_messages, 7);
+    assert_eq!(sim.report.net_bytes, 7 * (MIB + 8));
 }
 
 #[test]

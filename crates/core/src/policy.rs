@@ -191,9 +191,15 @@ impl State {
     /// A membership transition onto a layout balanced for `loads`: a fresh
     /// window, and only the entering nodes' clear streaks restart (all on a
     /// shrink), so nodes clearing together rejoin on consecutive cycles.
+    /// Letting a node in drops any pending rebalance request on every side:
+    /// the admission has just redistributed, and a joiner's request (made
+    /// while removed, or during the arrival window) may differ from the
+    /// actives'.
     pub fn transition(&mut self, entering: &[usize], loads: &[u32]) {
         if entering.is_empty() {
             self.clear_streak.fill(0);
+        } else {
+            self.rebalance_requested = false;
         }
         for &m in entering {
             self.clear_streak[m] = 0;

@@ -138,6 +138,67 @@ fn joiner_inherits_the_redistribution_cap() {
     assert!(outs.iter().all(|o| o.members == [0, 1, 2]), "{outs:?}");
 }
 
+/// Regression: the apps call `request_rebalance` on every rank, removed or
+/// not. A rank dropped before the actives consumed the request used to keep
+/// it, rejoin, and enter a grace period alone, blocking in the weight
+/// allgather — a simulation deadlock. Every admission now drops the
+/// request (`State::transition`); each request here lands before node 2's
+/// rejoin.
+#[test]
+fn rebalance_request_does_not_outlive_a_removal() {
+    let cfg = DynMpiConfig {
+        allow_rejoin: true,
+        rejoin_after_cycles: 2,
+        drop_policy: DropPolicy::Always,
+        grace_period: 2,
+        post_redist_period: 2,
+        ..Default::default()
+    };
+    let script = LoadScript::dedicated().at_cycle(2, 1, 2).at_cycle(2, 12, 0);
+    for at in (2..=16).step_by(2) {
+        let mut sc = Scenario::new(3, 60, 30, cfg.clone()).script(script.clone());
+        sc.rebalance_at = Some(at);
+        let outs: Vec<RankOut> = drive(&sc).into_iter().flatten().collect();
+        let kinds = outs[0].kinds();
+        assert!(kinds.contains(&"nodes-dropped"), "{at}: {kinds:?}");
+        assert!(kinds.contains(&"node-rejoined"), "{at}: {kinds:?}");
+        assert!(outs.iter().all(|o| o.participating), "{at}: {outs:?}");
+    }
+}
+
+/// Regression: the seed ranks consume a rebalance request only in
+/// `Stable`. One made just before an arrival was consumed without the
+/// newcomer, which kept it; one made inside the arrival's grace window
+/// (cycles 9–11 here) outlived the window on the seed ranks. Either way
+/// the replicas could split at the admission, and one side entered a grace
+/// period alone, blocking in the weight allgather. Every admission now
+/// clears the request on every side: it has just redistributed.
+#[test]
+fn rebalance_request_does_not_outlive_an_admission() {
+    let cfg = DynMpiConfig {
+        seed_world: Some(2),
+        grace_period: 2,
+        arrival_retry_cycles: 1,
+        expand_margin: 1e-6,
+        drop_policy: DropPolicy::Never,
+        ..Default::default()
+    };
+    let sc = Scenario::new(2, 30, 30, cfg);
+    let arrival = sc.at(0.3);
+    let script =
+        LoadScript::dedicated().node_arrival(arrival, NodeSpec::with_speed(1e6), SimDur::ZERO);
+    for at in 6..=14 {
+        let mut sc = sc.clone().script(script.clone());
+        sc.rebalance_at = Some(at);
+        let outs: Vec<RankOut> = drive(&sc).into_iter().flatten().collect();
+        assert_eq!(outs[2].kinds()[0], "node-admitted", "{at}: {outs:?}");
+        assert!(
+            outs.iter().all(|o| o.members == [0, 1, 2]),
+            "{at}: {outs:?}"
+        );
+    }
+}
+
 #[test]
 fn setup_misuse_fails_loudly() {
     let r = std::panic::catch_unwind(|| {

@@ -44,8 +44,9 @@
 //! the two modes (see `crates/sim/tests/profile_equivalence.rs`).
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::RangeInclusive;
 
-use crate::decision_log::{arg_f64, arg_u64, DecisionLog};
+use crate::decision_log::{after_window, arg_f64, arg_u64, before_window, DecisionLog};
 use crate::json::Json;
 use crate::trace::TraceEvent;
 
@@ -59,14 +60,6 @@ const RUNTIME_OVERHEAD_SPANS: &[&str] = &[
     "arrival_eval",
     "crash_recovery",
 ];
-
-/// Measured-imbalance window length (cycles) on each side of a
-/// redistribution.
-const AUDIT_WINDOW: u64 = 3;
-
-/// Cycles skipped right after a redistribution before the "after" window
-/// starts (the control-plane pipeline lag pollutes them).
-const AUDIT_SETTLE: u64 = 2;
 
 // ---------------------------------------------------------------------------
 // Public result types
@@ -205,9 +198,10 @@ impl CritSegment {
 
 /// Predicted vs. realized imbalance around one redistribution.
 ///
-/// Imbalance is the max/mean ratio of per-rank mean cycle wall time over a
-/// [`AUDIT_WINDOW`]-cycle window; `None` when the window has no data (run
-/// ended, fewer than two ranks reporting).
+/// Imbalance is the max/mean ratio of per-rank mean cycle wall time over
+/// the three-cycle outcome window on each side (the one explain judges
+/// decisions on); `None` when the window has no data (run ended, fewer
+/// than two ranks reporting).
 #[derive(Clone, Debug, PartialEq)]
 pub struct CycleAudit {
     /// Phase cycle the redistribution executed in.
@@ -887,17 +881,17 @@ fn critical_path(
     segs
 }
 
-/// Max/mean ratio of per-rank mean cycle wall time over cycles
-/// `[lo, hi]`. `None` without at least two ranks reporting.
+/// Max/mean ratio of per-rank mean cycle wall time over `cycles`. `None`
+/// without at least two ranks reporting.
 fn window_imbalance(
     lanes: &BTreeMap<usize, Lane>,
     log: &DecisionLog,
-    lo: u64,
-    hi: u64,
+    cycles: RangeInclusive<u64>,
 ) -> Option<f64> {
     let mut per_rank: Vec<f64> = Vec::new();
     for &rank in lanes.keys() {
-        let (total, n) = (lo..=hi)
+        let (total, n) = cycles
+            .clone()
             .filter_map(|c| log.cycle_wall_ns(c, rank))
             .fold((0u64, 0u64), |(total, n), wall| (total + wall, n + 1));
         if n > 0 {
@@ -919,23 +913,15 @@ fn cycle_audits(lanes: &BTreeMap<usize, Lane>, log: &DecisionLog) -> Vec<CycleAu
                 let b = log.balances.get(&cycle)?;
                 arg_f64(&b.args, key)
             };
-            let before = (cycle > 1).then(|| {
-                let lo = cycle.saturating_sub(AUDIT_WINDOW).max(1);
-                window_imbalance(lanes, log, lo, cycle - 1)
-            });
-            let after = window_imbalance(
-                lanes,
-                log,
-                cycle + AUDIT_SETTLE,
-                cycle + AUDIT_SETTLE + AUDIT_WINDOW - 1,
-            );
+            let before = before_window(cycle).and_then(|w| window_imbalance(lanes, log, w));
+            let after = window_imbalance(lanes, log, after_window(cycle));
             CycleAudit {
                 cycle,
                 redist_seconds: arg_f64(&d.args, "seconds").unwrap_or(0.0),
                 rows_moved: arg_u64(&d.args, "rows_moved").unwrap_or(0),
                 moved_fraction: balance("moved_fraction"),
                 predicted_imbalance: balance("predicted_imbalance"),
-                imbalance_before: before.flatten(),
+                imbalance_before: before,
                 imbalance_after: after,
             }
         })

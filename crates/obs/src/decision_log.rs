@@ -9,6 +9,7 @@
 //! over the recorded slice.
 
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::ops::RangeInclusive;
 
 use crate::json::Json;
 use crate::trace::TraceEvent;
@@ -35,6 +36,25 @@ pub(crate) fn arg_bool(args: &Args, key: &str) -> Option<bool> {
 pub(crate) fn arg_usize_arr(args: &Args, key: &str) -> Option<Vec<usize>> {
     let values = arg(args, key)?.as_arr()?.iter().filter_map(Json::as_u64);
     Some(values.map(|v| v as usize).collect())
+}
+
+/// Outcome window length in cycles, on each side of a decision.
+const OUTCOME_WINDOW: u64 = 3;
+
+/// Cycles skipped after a decision before its "after" window starts (the
+/// control-pipeline lag pollutes them).
+const OUTCOME_SETTLE: u64 = 2;
+
+/// The cycles just before a decision at `cycle` — `[max(1, c−3), c−1]`,
+/// `None` at cycle ≤ 1. Explain's outcomes and the profiler's audits both
+/// judge a decision on this window and [`after_window`].
+pub(crate) fn before_window(cycle: u64) -> Option<RangeInclusive<u64>> {
+    (cycle > 1).then(|| cycle.saturating_sub(OUTCOME_WINDOW).max(1)..=cycle - 1)
+}
+
+/// The cycles a decision at `cycle` is judged after: `[c+2, c+4]`.
+pub(crate) fn after_window(cycle: u64) -> RangeInclusive<u64> {
+    cycle + OUTCOME_SETTLE..=cycle + OUTCOME_SETTLE + OUTCOME_WINDOW - 1
 }
 
 /// One replicated event as its earliest `(ts, rank)` copy carried it.

@@ -38,22 +38,16 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::ops::RangeInclusive;
 use std::sync::OnceLock;
 
 use crate::analysis::BlameEntry;
-use crate::decision_log::{arg_bool, arg_f64, arg_u64, arg_usize_arr, DecisionLog, Logged};
+use crate::decision_log::{
+    after_window, arg_bool, arg_f64, arg_u64, arg_usize_arr, before_window, DecisionLog, Logged,
+};
 use crate::health::{Alert, HealthMonitor, HealthReport};
 use crate::json::Json;
 use crate::trace::{EventSink, TraceEvent};
-
-/// Cycles skipped after a decision before its "after" outcome window
-/// starts (control-pipeline lag pollutes them) — mirrors the profiler's
-/// audit settle.
-pub const EXPLAIN_SETTLE: u64 = 2;
-
-/// Outcome window length in cycles, on each side of a decision — mirrors
-/// the profiler's audit window.
-pub const EXPLAIN_WINDOW: u64 = 3;
 
 /// Decision kinds that get a card of their own. The remaining runtime
 /// events (load-change, grace-complete, arrivals, drops-enacted,
@@ -185,25 +179,16 @@ fn cards(log: &DecisionLog, alerts: &[&Alert]) -> Vec<DecisionCard> {
             (c, (sum / v.len() as u128) as u64)
         })
         .collect();
-    let window_mean = |map: &BTreeMap<u64, u64>, lo: u64, hi: u64| -> Option<u64> {
-        let vals: Vec<u64> = (lo..=hi).filter_map(|c| map.get(&c).copied()).collect();
+    let window_mean = |map: &BTreeMap<u64, u64>, cycles: RangeInclusive<u64>| -> Option<u64> {
+        let vals: Vec<u64> = cycles.filter_map(|c| map.get(&c).copied()).collect();
         (!vals.is_empty()).then(|| {
             let sum: u128 = vals.iter().map(|&x| x as u128).sum();
             (sum / vals.len() as u128) as u64
         })
     };
     let outcome_for = |cycle: u64, predicted: Option<u64>| -> Outcome {
-        let before = (cycle > 1)
-            .then(|| {
-                let lo = cycle.saturating_sub(EXPLAIN_WINDOW).max(1);
-                window_mean(&max_wall, lo, cycle - 1)
-            })
-            .flatten();
-        let after = window_mean(
-            &max_wall,
-            cycle + EXPLAIN_SETTLE,
-            cycle + EXPLAIN_SETTLE + EXPLAIN_WINDOW - 1,
-        );
+        let before = before_window(cycle).and_then(|w| window_mean(&max_wall, w));
+        let after = window_mean(&max_wall, after_window(cycle));
         Outcome {
             before_ns: before,
             after_ns: after,
@@ -279,13 +264,8 @@ fn cards(log: &DecisionLog, alerts: &[&Alert]) -> Vec<DecisionCard> {
                 // predicted makespan-per-cycle. Skipping keeps the
                 // measured status quo — that is the counterfactual
                 // (and the prediction, when the move was skipped).
-                let lo = cycle.saturating_sub(EXPLAIN_WINDOW).max(1);
-                let before_mean = (cycle > 1)
-                    .then(|| window_mean(&mean_wall, lo, cycle - 1))
-                    .flatten();
-                let before_max = (cycle > 1)
-                    .then(|| window_mean(&max_wall, lo, cycle - 1))
-                    .flatten();
+                let before_mean = before_window(cycle).and_then(|w| window_mean(&mean_wall, w));
+                let before_max = before_window(cycle).and_then(|w| window_mean(&max_wall, w));
                 let pred = log
                     .balances
                     .get(&cycle)

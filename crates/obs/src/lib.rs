@@ -6,7 +6,7 @@
 //!   nanoseconds (the simulator's clock, not wallclock). A thread-local
 //!   scope installed per rank thread buffers events without cross-thread
 //!   contention; everything is a no-op when no scope is installed.
-//! * **Metrics** ([`metrics`]): counters, gauges, and fixed-bucket
+//! * **Metrics** ([`metrics`]): counters and fixed-bucket
 //!   histograms with atomic recording and plain-data snapshots whose merge
 //!   is commutative and associative.
 //! * **Exporters** ([`export`]): Chrome `trace_event` JSON (open in
@@ -55,11 +55,11 @@ pub use health::{
 };
 pub use json::Json;
 pub use metrics::{
-    prometheus_text, Counter, Gauge, HistSnapshot, Histogram, Registry, Snapshot, BYTE_BUCKETS,
+    prometheus_text, Counter, HistSnapshot, Histogram, Registry, Snapshot, BYTE_BUCKETS,
 };
 pub use trace::{
-    count, counter_handle, enabled, gauge_handle, gauge_set, histogram_handle, instant, observe,
-    span_begin, span_end, span_end_args, EventSink, ScopeGuard,
+    count, counter_handle, enabled, instant, observe, span_begin, span_end, span_end_args,
+    EventSink, ScopeGuard,
 };
 
 #[derive(Default)]

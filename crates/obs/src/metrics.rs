@@ -1,4 +1,4 @@
-//! Metrics registry: counters, gauges, and fixed-bucket histograms.
+//! Metrics registry: counters and fixed-bucket histograms.
 //!
 //! Recording is a single atomic RMW on a pre-registered handle; the registry
 //! mutex is only touched when a metric is first named or a snapshot is
@@ -31,27 +31,6 @@ impl Counter {
 
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Last-written value gauge (stored as `f64` bits). Merging snapshots keeps
-/// the maximum, so gauges report peaks across ranks.
-#[derive(Clone, Debug)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Gauge(Arc::new(AtomicU64::new(0f64.to_bits())))
-    }
-}
-
-impl Gauge {
-    pub fn set(&self, value: f64) {
-        self.0.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
 
@@ -121,7 +100,6 @@ impl Histogram {
 #[derive(Default)]
 struct RegistryInner {
     counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, Gauge>,
     hists: BTreeMap<String, Histogram>,
 }
 
@@ -153,17 +131,6 @@ impl Registry {
         c
     }
 
-    /// Get or create the gauge named `name`.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut inner = self.locked();
-        if let Some(g) = inner.gauges.get(name) {
-            return g.clone();
-        }
-        let g = Gauge::default();
-        inner.gauges.insert(name.to_string(), g.clone());
-        g
-    }
-
     /// Get or create the histogram named `name` with the given bucket upper
     /// bounds. Panics if the name exists with different bounds.
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
@@ -189,11 +156,6 @@ impl Registry {
                 .counters
                 .iter()
                 .map(|(k, c)| (k.clone(), c.get()))
-                .collect(),
-            gauges: inner
-                .gauges
-                .iter()
-                .map(|(k, g)| (k.clone(), g.get()))
                 .collect(),
             hists: inner
                 .hists
@@ -231,23 +193,18 @@ impl HistSnapshot {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
-    pub gauges: BTreeMap<String, f64>,
     pub hists: BTreeMap<String, HistSnapshot>,
 }
 
 impl Snapshot {
     /// Fold `other` into `self`. Counters add (wrapping, like recording),
-    /// gauges keep the maximum, histograms add bucket-wise. All three folds
-    /// are commutative and associative, so merge order never matters.
+    /// histograms add bucket-wise. Both folds are commutative and
+    /// associative, so merge order never matters.
     /// Panics if the same histogram name appears with different bounds.
     pub fn merge(&mut self, other: &Snapshot) {
         for (k, v) in &other.counters {
             let e = self.counters.entry(k.clone()).or_insert(0);
             *e = e.wrapping_add(*v);
-        }
-        for (k, v) in &other.gauges {
-            let e = self.gauges.entry(k.clone()).or_insert(f64::NEG_INFINITY);
-            *e = e.max(*v);
         }
         for (k, h) in &other.hists {
             match self.hists.get_mut(k) {
@@ -281,12 +238,6 @@ impl Snapshot {
                 .map(|(k, v)| (k.clone(), Json::UInt(*v)))
                 .collect(),
         );
-        let gauges = Json::Obj(
-            self.gauges
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::Num(*v)))
-                .collect(),
-        );
         let hists = Json::Obj(
             self.hists
                 .iter()
@@ -309,11 +260,7 @@ impl Snapshot {
                 })
                 .collect(),
         );
-        Json::obj([
-            ("counters", counters),
-            ("gauges", gauges),
-            ("histograms", hists),
-        ])
+        Json::obj([("counters", counters), ("histograms", hists)])
     }
 }
 
@@ -386,16 +333,6 @@ pub fn prometheus_text(snap: &Snapshot) -> String {
             let _ = writeln!(out, "{n}_total {}", secs(*v));
         } else {
             let _ = writeln!(out, "{n}_total {v}");
-        }
-    }
-    for (name, v) in &snap.gauges {
-        let (n, unit) = exposition_name(name);
-        let _ = writeln!(out, "# HELP {n} Dyn-MPI metric `{name}`.");
-        let _ = writeln!(out, "# TYPE {n} gauge");
-        if unit == PromUnit::Seconds {
-            let _ = writeln!(out, "{n} {}", v / 1e9);
-        } else {
-            let _ = writeln!(out, "{n} {v}");
         }
     }
     for (name, h) in &snap.hists {
@@ -502,14 +439,13 @@ mod tests {
 
     #[test]
     fn merge_is_order_independent_basic() {
-        let mk = |c: u64, g: f64| {
+        let mk = |c: u64| {
             let r = Registry::new();
             r.counter("c").add(c);
-            r.gauge("g").set(g);
             r.histogram("h", &[8, 64]).record(c);
             r.snapshot()
         };
-        let parts = [mk(1, 0.5), mk(7, 9.0), mk(100, -3.0)];
+        let parts = [mk(1), mk(7), mk(100)];
         let mut fwd = Snapshot::default();
         for p in &parts {
             fwd.merge(p);
@@ -520,7 +456,6 @@ mod tests {
         }
         assert_eq!(fwd, rev);
         assert_eq!(fwd.counter("c"), 108);
-        assert_eq!(fwd.gauges["g"], 9.0);
         assert_eq!(fwd.hists["h"].count, 3);
     }
 
@@ -529,7 +464,6 @@ mod tests {
         let r = Registry::new();
         r.counter("sim.msgs_sent").add(42);
         r.counter("sim.bytes_sent").add(1024);
-        r.gauge("queue-depth").set(3.5);
         let h = r.histogram("lat.ns", &[10, 100]);
         h.record(5);
         h.record(50);
@@ -540,8 +474,8 @@ mod tests {
         assert!(text.contains("# TYPE sim_msgs_sent_total counter\nsim_msgs_sent_total 42\n"));
         // Embedded unit tokens move to the canonical suffix position.
         assert!(text.contains("# TYPE sim_sent_bytes_total counter\nsim_sent_bytes_total 1024\n"));
-        assert!(!text.contains("sim_bytes_sent")); // clean rename, no alias
-        assert!(text.contains("# TYPE queue_depth gauge\nqueue_depth 3.5\n"));
+        // A clean rename, no alias.
+        assert!(!text.contains("sim_bytes_sent"));
         // Nanosecond histograms expose as `_seconds`, bounds and sum
         // converted; buckets are cumulative, ending in +Inf == count.
         assert!(text.contains("# TYPE lat_seconds histogram\n"));

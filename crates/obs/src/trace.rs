@@ -13,7 +13,7 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::json::Json;
-use crate::metrics::{Counter, Gauge, Histogram, Registry};
+use crate::metrics::{Counter, Registry};
 use crate::Recorder;
 
 /// A streaming consumer of trace events, notified *at emission time* on the
@@ -315,28 +315,15 @@ pub fn count(name: &str, n: u64) {
     with_scope(|scope| scope.registry.counter(name).add(n));
 }
 
-/// Set the gauge `name` in this rank's registry (no-op untraced).
-pub fn gauge_set(name: &str, value: f64) {
-    with_scope(|scope| scope.registry.gauge(name).set(value));
-}
-
 /// Record `value` into histogram `name` with `bounds` (no-op untraced).
 pub fn observe(name: &str, bounds: &[u64], value: u64) {
     with_scope(|scope| scope.registry.histogram(name, bounds).record(value));
 }
 
-/// Handles for hot paths that record many times: resolves once, then each
-/// record is a bare atomic. `None` when tracing is off for this thread.
+/// Handle for hot paths that count many times: resolves once, then each
+/// add is a bare atomic. `None` when tracing is off for this thread.
 pub fn counter_handle(name: &str) -> Option<Counter> {
     with_scope(|scope| scope.registry.counter(name))
-}
-
-pub fn gauge_handle(name: &str) -> Option<Gauge> {
-    with_scope(|scope| scope.registry.gauge(name))
-}
-
-pub fn histogram_handle(name: &str, bounds: &[u64]) -> Option<Histogram> {
-    with_scope(|scope| scope.registry.histogram(name, bounds))
 }
 
 #[cfg(test)]
