@@ -55,17 +55,23 @@ fn initial(i: usize, j: usize, n: usize) -> f64 {
 }
 
 /// One half-sweep over row `i`, updating points of the given color
-/// (`(i + j) % 2 == color`).
+/// (`(i + j) % 2 == color`) in place. The points sit at `start`,
+/// `start + 2`, …, `< n - 1`, so each pair `[j, j + 1]` holds one of them
+/// and its right neighbour; the left one is carried from the previous
+/// pair. Both neighbours are the other color, which this half-sweep only
+/// reads.
 fn half_sweep_row(g: &mut DenseMatrix<f64>, i: usize, n: usize, color: usize, omega: f64) {
-    let up = g.row(i - 1).to_vec();
-    let down = g.row(i + 1).to_vec();
-    let row = g.row_mut(i);
+    let (up, row, down) = g.stencil_mut(i);
     let start = if (i + 1) % 2 == color { 1 } else { 2 };
-    let mut j = start;
-    while j < n - 1 {
-        let avg = 0.25 * (up[j] + down[j] + row[j - 1] + row[j + 1]);
-        row[j] += omega * (avg - row[j]);
-        j += 2;
+    let mut left = row[start - 1];
+    let pairs = row[start..n]
+        .chunks_exact_mut(2)
+        .zip(up[start..n].chunks_exact(2))
+        .zip(down[start..n].chunks_exact(2));
+    for ((pair, u), d) in pairs {
+        let avg = 0.25 * (u[0] + d[0] + left + pair[1]);
+        pair[0] += omega * (avg - pair[0]);
+        left = pair[1];
     }
 }
 
@@ -90,7 +96,10 @@ pub fn run<T: HostMeters>(t: &T, p: &SorParams, cfg: DynMpiConfig) -> AppResult 
 
     // Each half-sweep touches half the points of a row.
     let row_work = (n - 2) as f64 * 0.5 * work::SOR_POINT;
-    for _step in 0..p.iters {
+    // The canonical rollback loop (as in Jacobi): a crash recovery rewinds
+    // `step` to the checkpointed progress and the survivors replay.
+    let mut step = 0usize;
+    while step < p.iters {
         rt.begin_cycle();
         if rt.participating() {
             for (phase, color) in [(ph_red, 0usize), (ph_black, 1usize)] {
@@ -105,6 +114,10 @@ pub fn run<T: HostMeters>(t: &T, p: &SorParams, cfg: DynMpiConfig) -> AppResult 
         }
         let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut g];
         rt.end_cycle(&mut arrays);
+        step = match rt.take_rollback() {
+            Some(back) => back as usize,
+            None => step + 1,
+        };
     }
 
     let local: f64 = if rt.participating() && p.exercise_kernel {
@@ -165,6 +178,25 @@ mod tests {
                     (c - expect).abs() < 1e-9 * expect.abs().max(1.0),
                     "{ranks} ranks: {c} vs {expect}"
                 );
+            }
+        }
+    }
+
+    /// Exact checksum bits: the tolerance comparisons above would let a
+    /// reassociated half-sweep pass. Sixty cycles, because the first few
+    /// on integer boundaries round exactly whatever the association.
+    #[test]
+    fn checksum_bits_are_pinned() {
+        for (ranks, bits) in [
+            (1usize, 0x40a1_6fc0_d563_a3c1_u64),
+            (2, 0x40a1_6fc0_d563_a3c2),
+            (3, 0x40a1_6fc0_d563_a3c2),
+        ] {
+            let outs = run_threads(ranks, |t| {
+                run(t, &SorParams::small(29, 60), DynMpiConfig::no_adapt())
+            });
+            for r in &outs {
+                assert_eq!(r.checksum.unwrap().to_bits(), bits, "{ranks} ranks");
             }
         }
     }

@@ -11,6 +11,7 @@
 use dynmpi::{DropPolicy, DynMpiConfig, CKPT_BYTES_SENT, CKPT_REFRESHES};
 use dynmpi_apps::harness::{run_sim, run_sim_with};
 use dynmpi_apps::jacobi::JacobiParams;
+use dynmpi_apps::sor::SorParams;
 use dynmpi_apps::{AppSpec, Experiment, SimRunResult};
 use dynmpi_obs::Recorder;
 use dynmpi_sim::{LoadScript, NodeSpec, SimTime};
@@ -104,6 +105,23 @@ fn jacobi_crash_is_engine_invariant() {
         fast.makespan == stepped.makespan,
         "makespan diverged between engines"
     );
+}
+
+/// SOR rolls back like Jacobi: the survivors restore the checkpointed
+/// rows and must also replay the cycles lost since that checkpoint, or the
+/// answer silently drifts while `node-recovered` is still logged.
+#[test]
+fn sor_crash_recovery_matches_crash_free_checksum() {
+    let exp = |script| {
+        Experiment::new(AppSpec::Sor(SorParams::small(48, 60)), 4)
+            .with_node_spec(NodeSpec::with_speed(1e6))
+            .with_script(script)
+            .with_cfg(crash_cfg())
+    };
+    let baseline = run_sim(&exp(LoadScript::dedicated()));
+    let t_crash = SimTime::from_secs_f64(baseline.makespan * 0.4);
+    let out = run_sim(&exp(LoadScript::dedicated().node_crash(t_crash, 2)));
+    assert_recovered(&out, &baseline, 2, "sor crash@40%");
 }
 
 /// Property sweep: random crash times × nodes (deterministic LCG). For

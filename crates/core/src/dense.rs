@@ -89,18 +89,26 @@ impl<P: Pod> DenseMatrix<P> {
         self.rows[i].as_deref_mut().unwrap()
     }
 
-    /// Two rows mutably at once (red/black sweeps, row swaps).
-    pub fn two_rows_mut(&mut self, a: usize, b: usize) -> (&mut [P], &mut [P]) {
-        assert_ne!(a, b, "two_rows_mut requires distinct rows");
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        let (left, right) = self.rows.split_at_mut(hi);
-        let lo_row = left[lo].as_deref_mut().expect("row not stored");
-        let hi_row = right[0].as_deref_mut().expect("row not stored");
-        if a < b {
-            (lo_row, hi_row)
-        } else {
-            (hi_row, lo_row)
+    /// Rows `i − 1`, `i` and `i + 1` at once, the middle one writable: the
+    /// split borrow an in-place stencil sweep needs. Panics if `i` is the
+    /// first or last row, or if any of the three rows is not stored.
+    pub fn stencil_mut(&mut self, i: usize) -> (&[P], &mut [P], &[P]) {
+        assert!(
+            i > 0 && i + 1 < self.nrows,
+            "row {i} has no neighbour on both sides among {} rows",
+            self.nrows
+        );
+        fn absent(k: usize) -> ! {
+            panic!("row {k} is not stored on this node")
         }
+        let [up, mid, down] = &mut self.rows[i - 1..=i + 1] else {
+            unreachable!("a three-row window");
+        };
+        (
+            up.as_deref().unwrap_or_else(|| absent(i - 1)),
+            mid.as_deref_mut().unwrap_or_else(|| absent(i)),
+            down.as_deref().unwrap_or_else(|| absent(i + 1)),
+        )
     }
 
     /// Fills `rows` with values from `f(row, col)`, allocating as needed.
@@ -335,12 +343,39 @@ mod tests {
     }
 
     #[test]
-    fn two_rows_mut_order() {
-        let mut m = DenseMatrix::<f64>::new(4, 1);
-        m.fill_rows(&RowSet::from_range(0..4), |i, _| i as f64);
-        let (a, b) = m.two_rows_mut(2, 0);
-        assert_eq!(a[0], 2.0);
-        assert_eq!(b[0], 0.0);
+    fn stencil_mut_lends_neighbours_and_a_writable_middle() {
+        let mut m = DenseMatrix::<f64>::new(5, 2);
+        m.fill_rows(&RowSet::from_range(1..4), |i, j| (i * 10 + j) as f64);
+        let (up, mid, down) = m.stencil_mut(2);
+        assert_eq!(up, &[10.0, 11.0]);
+        assert_eq!(down, &[30.0, 31.0]);
+        assert_eq!(mid, &[20.0, 21.0]);
+        mid[1] = up[0] + down[0];
+        assert_eq!(m.row(2), &[20.0, 40.0]);
+        assert_eq!(m.row(1), &[10.0, 11.0], "neighbours are untouched");
+        assert_eq!(m.row(3), &[30.0, 31.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 3 is not stored")]
+    fn stencil_mut_names_an_absent_neighbour() {
+        let mut m = DenseMatrix::<f64>::new(5, 2);
+        m.fill_rows(&RowSet::from_range(1..3), |_, _| 1.0);
+        let _ = m.stencil_mut(2);
+    }
+
+    #[test]
+    fn stencil_mut_rejects_the_edge_rows() {
+        for i in [0, 4] {
+            let r = std::panic::catch_unwind(|| {
+                let mut m = DenseMatrix::<f64>::new(5, 2);
+                m.fill_rows(&RowSet::from_range(0..5), |_, _| 1.0);
+                let _ = m.stencil_mut(i);
+            });
+            let msg = r.expect_err("an edge row has a neighbour missing");
+            let msg = msg.downcast_ref::<String>().unwrap();
+            assert!(msg.contains(&format!("row {i} has no neighbour")), "{msg}");
+        }
     }
 
     #[test]
