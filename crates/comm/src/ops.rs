@@ -85,13 +85,7 @@ fn traced<R>(
     obs::span_begin("comm", name, t.now_ns());
     obs::count(counter, 1);
     let out = body();
-    obs::span_end_args(
-        t.now_ns(),
-        vec![
-            ("ranks", obs::Json::UInt(ranks as u64)),
-            ("bytes", obs::Json::UInt(bytes as u64)),
-        ],
-    );
+    obs::span_end_collective(t.now_ns(), ranks as u64, bytes as u64);
     out
 }
 

@@ -405,9 +405,9 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         // counter increments inside `end_cycle_inner`, so the cycle now
         // starting is `self.cycle + 1`): together they bound each
         // adaptation cycle's wall time per rank for the profiler.
-        self.trace_point("begin_cycle", || {
-            vec![("cycle", Json::UInt(self.cycle + 1))]
-        });
+        if obs::enabled() {
+            obs::begin_cycle(self.t.now_ns(), self.cycle + 1);
+        }
     }
 
     /// Performs this rank's compute for `phase`, charging `work(row)`
@@ -449,14 +449,8 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             // micro-flops — both mode-invariant integers the health
             // monitor splits exactly across its windows.
             let cpu_ns = self.t.proc_cpu_ns().saturating_sub(cpu0);
-            obs::span_end_args(
-                self.t.now_ns(),
-                vec![
-                    ("rows", Json::UInt(rows.len() as u64)),
-                    ("cpu_ns", Json::UInt(cpu_ns)),
-                    ("work_uflop", Json::UInt((total * 1e6).round() as u64)),
-                ],
-            );
+            let work_uflop = (total * 1e6).round() as u64;
+            obs::span_end_charge_rows(self.t.now_ns(), rows.len() as u64, cpu_ns, work_uflop);
         }
     }
 
@@ -467,7 +461,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         obs::span_begin("runtime", "end_cycle", self.t.now_ns());
         self.end_cycle_inner(arrays);
         if obs::enabled() {
-            obs::span_end_args(self.t.now_ns(), vec![("cycle", Json::UInt(self.cycle))]);
+            obs::span_end_cycle(self.t.now_ns(), self.cycle);
         }
     }
 

@@ -51,9 +51,9 @@ use crate::json::Json;
 use crate::trace::TraceEvent;
 
 /// Runtime-pipeline span names whose contents count as runtime overhead
-/// (monitor + balancer), not application time.
+/// (monitor + balancer), not application time; `end_cycle`, typed as
+/// [`TraceEvent::EndCycle`], counts too.
 const RUNTIME_OVERHEAD_SPANS: &[&str] = &[
-    "end_cycle",
     "finish_grace",
     "balance",
     "drop_eval",
@@ -542,93 +542,59 @@ pub fn analyze(events: &[TraceEvent]) -> ProfileReport {
         log.fold(ev);
         let rank = ev.rank();
         let lane = lanes.entry(rank).or_default();
-        match ev {
+        let start = ev.ts_ns();
+        let end = start + ev.dur_ns().unwrap_or(0);
+        lane.makespan = lane.makespan.max(end);
+        match *ev {
+            TraceEvent::Sched { cpu_ns, .. } => lane.sched.push(SchedLeaf {
+                start,
+                end,
+                cpu: cpu_ns.min(end - start),
+            }),
+            TraceEvent::Blocked { .. } => lane.blocked.push(BlockedWait {
+                start,
+                end,
+                link: None,
+                rx_queued: 0,
+            }),
+            TraceEvent::Send { msg, queued_ns, .. } => {
+                let send = SendRec {
+                    rank,
+                    ts: start,
+                    bytes: msg.bytes,
+                    tag: msg.tag,
+                    queued: queued_ns,
+                };
+                sends.insert((rank, msg.seq), send);
+            }
+            TraceEvent::Recv {
+                msg, rx_queued_ns, ..
+            } => {
+                // Link the wait that this receive resolved: the receiver
+                // pops the message at the instant its blocked span ends,
+                // so the timestamps coincide. Seqs are per-sender, so the
+                // link key needs the peer (sending rank) too.
+                if let Some(last) = lane.blocked.last_mut() {
+                    if last.end == start && last.link.is_none() {
+                        last.link = Some((msg.peer as usize, msg.seq));
+                        last.rx_queued = rx_queued_ns;
+                    }
+                }
+            }
+            TraceEvent::EndCycle { .. } => lane.runtime_ctx.push(Interval { start, end }),
             TraceEvent::Complete {
-                cat,
-                name,
-                ts_ns,
-                dur_ns,
-                args,
+                cat: "redist",
+                name: "redistribute",
                 ..
-            } => {
-                let (start, end) = (*ts_ns, ts_ns + dur_ns);
-                lane.makespan = lane.makespan.max(end);
-                match *cat {
-                    "sched" => {
-                        if *name == "blocked" {
-                            lane.blocked.push(BlockedWait {
-                                start,
-                                end,
-                                link: None,
-                                rx_queued: 0,
-                            });
-                        } else {
-                            // Fall back on the span name when the exact
-                            // `cpu` attribute is absent (legacy traces).
-                            let cpu = arg_u64(args, "cpu").unwrap_or(if *name == "run" {
-                                end - start
-                            } else {
-                                0
-                            });
-                            lane.sched.push(SchedLeaf {
-                                start,
-                                end,
-                                cpu: cpu.min(end - start),
-                            });
-                        }
-                    }
-                    "redist" if *name == "redistribute" => {
-                        lane.redist_ctx.push(Interval { start, end });
-                    }
-                    "runtime" if RUNTIME_OVERHEAD_SPANS.contains(name) => {
-                        lane.runtime_ctx.push(Interval { start, end });
-                    }
-                    _ => {}
-                }
-            }
-            TraceEvent::Instant {
-                cat,
+            } => lane.redist_ctx.push(Interval { start, end }),
+            TraceEvent::Complete {
+                cat: "runtime",
                 name,
-                ts_ns,
-                args,
                 ..
-            } => {
-                lane.makespan = lane.makespan.max(*ts_ns);
-                match (*cat, *name) {
-                    ("comm", "send") => {
-                        if let Some(seq) = arg_u64(args, "seq") {
-                            sends.insert(
-                                (rank, seq),
-                                SendRec {
-                                    rank,
-                                    ts: *ts_ns,
-                                    bytes: arg_u64(args, "bytes").unwrap_or(0),
-                                    tag: arg_u64(args, "tag").unwrap_or(0),
-                                    queued: arg_u64(args, "queued_ns").unwrap_or(0),
-                                },
-                            );
-                        }
-                    }
-                    ("comm", "recv") => {
-                        // Link the wait that this receive resolved: the
-                        // receiver pops the message at the instant its
-                        // blocked span ends, so the timestamps coincide.
-                        // Seqs are per-sender, so the link key needs the
-                        // peer (sending rank) too.
-                        if let Some(last) = lane.blocked.last_mut() {
-                            if last.end == *ts_ns && last.link.is_none() {
-                                if let (Some(peer), Some(seq)) =
-                                    (arg_u64(args, "peer"), arg_u64(args, "seq"))
-                                {
-                                    last.link = Some((peer as usize, seq));
-                                    last.rx_queued = arg_u64(args, "rx_queued_ns").unwrap_or(0);
-                                }
-                            }
-                        }
-                    }
-                    _ => {}
-                }
+            } if RUNTIME_OVERHEAD_SPANS.contains(&name) => {
+                lane.runtime_ctx.push(Interval { start, end })
             }
+            _ => {}
         }
     }
 
@@ -931,53 +897,58 @@ fn cycle_audits(lanes: &BTreeMap<usize, Lane>, log: &DecisionLog) -> Vec<CycleAu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{Msg, SchedState};
 
-    fn span(cat: &'static str, name: &'static str, rank: usize, ts: u64, dur: u64) -> TraceEvent {
-        TraceEvent::Complete {
-            cat,
-            name,
+    fn span(cat: &'static str, name: &'static str, rank: u32, ts: u64, dur: u64) -> TraceEvent {
+        TraceEvent::span(cat, name, rank, ts, dur, Vec::new())
+    }
+
+    fn sched(state: SchedState, rank: u32, ts_ns: u64, dur_ns: u64, cpu_ns: u64) -> TraceEvent {
+        TraceEvent::Sched {
+            state,
             rank,
-            ts_ns: ts,
-            dur_ns: dur,
-            args: Vec::new(),
+            ts_ns,
+            dur_ns,
+            cpu_ns,
+            slices: 1,
         }
     }
 
-    fn span_args(
-        cat: &'static str,
-        name: &'static str,
-        rank: usize,
-        ts: u64,
-        dur: u64,
-        args: Vec<(&'static str, Json)>,
-    ) -> TraceEvent {
-        TraceEvent::Complete {
-            cat,
-            name,
+    fn blocked(rank: u32, ts_ns: u64, dur_ns: u64) -> TraceEvent {
+        TraceEvent::Blocked {
             rank,
-            ts_ns: ts,
-            dur_ns: dur,
-            args,
+            ts_ns,
+            dur_ns,
         }
     }
 
-    fn inst(
-        name: &'static str,
-        rank: usize,
-        ts: u64,
-        args: Vec<(&'static str, Json)>,
-    ) -> TraceEvent {
-        TraceEvent::Instant {
-            cat: "comm",
-            name,
-            rank,
-            ts_ns: ts,
-            args,
+    fn msg(peer: u64, seq: u64, bytes: u64, tag: u64) -> Msg {
+        Msg {
+            peer,
+            tag,
+            seq,
+            bytes,
         }
     }
 
-    fn u(k: &'static str, v: u64) -> (&'static str, Json) {
-        (k, Json::UInt(v))
+    fn send(rank: u32, ts_ns: u64, msg: Msg, queued_ns: u64) -> TraceEvent {
+        TraceEvent::Send {
+            rank,
+            ts_ns,
+            msg,
+            queued_ns,
+        }
+    }
+
+    fn recv(rank: u32, ts_ns: u64, msg: Msg, rx_queued_ns: u64) -> TraceEvent {
+        TraceEvent::Recv {
+            rank,
+            ts_ns,
+            msg,
+            rx_queued_ns,
+            late_ns: 0,
+            net_ns: 0,
+        }
     }
 
     /// Rank 1 computes 100ns, sends to rank 0 who blocked at t=10; the
@@ -985,49 +956,13 @@ mod tests {
     fn two_rank_trace() -> Vec<TraceEvent> {
         vec![
             // rank 0: 10ns compute, then blocked 10..150, then 50 compute.
-            span_args("sched", "run", 0, 0, 10, vec![u("cpu", 10), u("slices", 1)]),
-            span("sched", "blocked", 0, 10, 140),
+            sched(SchedState::Run, 0, 0, 10, 10),
+            blocked(0, 10, 140),
             // rank 1: 110ns compute (55 cpu under 1 competitor), send.
-            span_args(
-                "sched",
-                "run+wait",
-                1,
-                0,
-                110,
-                vec![u("cpu", 55), u("slices", 11)],
-            ),
-            inst(
-                "send",
-                1,
-                110,
-                vec![
-                    u("peer", 0),
-                    u("tag", 7),
-                    u("seq", 42),
-                    u("bytes", 64),
-                    u("queued_ns", 3),
-                ],
-            ),
-            inst(
-                "recv",
-                0,
-                150,
-                vec![
-                    u("peer", 1),
-                    u("tag", 7),
-                    u("seq", 42),
-                    u("bytes", 64),
-                    u("rx_queued_ns", 2),
-                ],
-            ),
-            span_args(
-                "sched",
-                "run",
-                0,
-                150,
-                50,
-                vec![u("cpu", 50), u("slices", 1)],
-            ),
+            sched(SchedState::RunWait, 1, 0, 110, 55),
+            send(1, 110, msg(0, 42, 64, 7), 3),
+            recv(0, 150, msg(1, 42, 64, 7), 2),
+            sched(SchedState::Run, 0, 150, 50, 50),
         ]
     }
 
@@ -1093,11 +1028,16 @@ mod tests {
     #[test]
     fn context_spans_reclassify_contained_time() {
         let events = vec![
-            span("runtime", "end_cycle", 0, 0, 100),
-            span_args("sched", "run", 0, 10, 30, vec![u("cpu", 30)]),
-            span("sched", "blocked", 0, 40, 50),
+            TraceEvent::EndCycle {
+                rank: 0,
+                ts_ns: 0,
+                dur_ns: 100,
+                cycle: 1,
+            },
+            sched(SchedState::Run, 0, 10, 30, 30),
+            blocked(0, 40, 50),
             span("redist", "redistribute", 0, 100, 100),
-            span_args("sched", "run", 0, 120, 60, vec![u("cpu", 60)]),
+            sched(SchedState::Run, 0, 120, 60, 60),
         ];
         let report = analyze(&events);
         let r0 = &report.ranks[0];
@@ -1165,20 +1105,10 @@ mod tests {
         // A rank whose blocked wait resolves from a message it sent itself
         // at the very same timestamp must not loop forever.
         let events = vec![
-            inst(
-                "send",
-                0,
-                50,
-                vec![u("peer", 0), u("seq", 1), u("bytes", 0), u("tag", 1)],
-            ),
-            span("sched", "blocked", 0, 40, 10),
-            inst(
-                "recv",
-                0,
-                50,
-                vec![u("peer", 0), u("seq", 1), u("bytes", 0), u("tag", 1)],
-            ),
-            span_args("sched", "run", 0, 50, 10, vec![u("cpu", 10)]),
+            send(0, 50, msg(0, 1, 0, 1), 0),
+            blocked(0, 40, 10),
+            recv(0, 50, msg(0, 1, 0, 1), 0),
+            sched(SchedState::Run, 0, 50, 10, 10),
         ];
         let report = analyze(&events);
         assert_eq!(report.critical_path_ns(), report.makespan_ns);

@@ -99,24 +99,32 @@ impl DecisionLog {
     /// Folds one event. The caller passes only events within
     /// [`MAX_TS_NS`](crate::trace::MAX_TS_NS), so a span's end is exact.
     pub fn fold(&mut self, ev: &TraceEvent) {
-        let (TraceEvent::Complete { args, .. } | TraceEvent::Instant { args, .. }) = ev;
-        if ev.cat() != "runtime" {
-            return;
-        }
-        let Some(cycle) = arg_u64(args, "cycle") else {
-            return;
-        };
-        let (name, rank, ts) = (ev.name(), ev.rank(), ev.ts_ns());
-        match (ev, name) {
-            (TraceEvent::Complete { dur_ns, .. }, "balance") => {
-                keep_earliest(&mut self.balances, cycle, (ts + dur_ns, rank), args)
-            }
-            (TraceEvent::Complete { dur_ns, .. }, "end_cycle") => {
+        let (rank, ts) = (ev.rank(), ev.ts_ns());
+        match *ev {
+            TraceEvent::BeginCycle { cycle, .. } => self.min_bound((cycle, rank), 0, ts),
+            TraceEvent::EndCycle { dur_ns, cycle, .. } => {
                 self.min_bound((cycle, rank), 1, ts + dur_ns)
             }
-            (TraceEvent::Complete { .. }, _) => {}
-            (TraceEvent::Instant { .. }, "begin_cycle") => self.min_bound((cycle, rank), 0, ts),
-            (TraceEvent::Instant { .. }, _) => {
+            TraceEvent::Complete {
+                cat: "runtime",
+                name: "balance",
+                dur_ns,
+                ref args,
+                ..
+            } => {
+                if let Some(cycle) = arg_u64(args, "cycle") {
+                    keep_earliest(&mut self.balances, cycle, (ts + dur_ns, rank), args)
+                }
+            }
+            TraceEvent::Instant {
+                cat: "runtime",
+                name,
+                ref args,
+                ..
+            } => {
+                let Some(cycle) = arg_u64(args, "cycle") else {
+                    return;
+                };
                 if name == "node-suspected" {
                     if let Some(node) = arg_u64(args, "node") {
                         let first = self.suspects.entry((cycle, node as usize)).or_insert(ts);
@@ -125,6 +133,7 @@ impl DecisionLog {
                 }
                 keep_earliest(&mut self.decisions, (cycle, name), (ts, rank), args);
             }
+            _ => {}
         }
     }
 

@@ -795,35 +795,25 @@ mod tests {
 
     fn decision(
         kind: &'static str,
-        rank: usize,
+        rank: u32,
         ts: u64,
         mut args: Vec<(&'static str, Json)>,
     ) -> TraceEvent {
         args.insert(0, ("cycle", Json::UInt(10)));
-        TraceEvent::Instant {
-            cat: "runtime",
-            name: kind,
-            rank,
-            ts_ns: ts,
-            args,
-        }
+        TraceEvent::instant("runtime", kind, rank, ts, args)
     }
 
-    fn cycle_bounds(engine: &ExplainEngine, cycle: u64, rank: usize, b: u64, e: u64) {
-        engine.on_event(&TraceEvent::Instant {
-            cat: "runtime",
-            name: "begin_cycle",
+    fn cycle_bounds(engine: &ExplainEngine, cycle: u64, rank: u32, b: u64, e: u64) {
+        engine.on_event(&TraceEvent::BeginCycle {
             rank,
             ts_ns: b,
-            args: vec![("cycle", Json::UInt(cycle))],
+            cycle,
         });
-        engine.on_event(&TraceEvent::Complete {
-            cat: "runtime",
-            name: "end_cycle",
+        engine.on_event(&TraceEvent::EndCycle {
             rank,
             ts_ns: e,
             dur_ns: 0,
-            args: vec![("cycle", Json::UInt(cycle))],
+            cycle,
         });
     }
 
@@ -924,13 +914,14 @@ mod tests {
     fn flight_record_links_suspects_and_recovery() {
         let engine = ExplainEngine::new(100);
         for (c, ts) in [(8u64, 800u64), (9, 900), (10, 1_000)] {
-            engine.on_event(&TraceEvent::Instant {
-                cat: "runtime",
-                name: "node-suspected",
-                rank: 0,
-                ts_ns: ts,
-                args: vec![u("cycle", c), u("node", 2), u("silent_cycles", c - 7)],
-            });
+            let args = vec![u("cycle", c), u("node", 2), u("silent_cycles", c - 7)];
+            engine.on_event(&TraceEvent::instant(
+                "runtime",
+                "node-suspected",
+                0,
+                ts,
+                args,
+            ));
         }
         engine.on_event(&decision(
             "node-confirmed-dead",

@@ -8,8 +8,8 @@
 
 use std::fmt::{self, Write};
 
-use crate::json::{write_escaped, Json, JsonError};
-use crate::trace::{intern, intern_cat, TraceEvent, MAX_RANKS, MAX_TS_NS};
+use crate::json::{write_escaped, write_uint, Json, JsonError};
+use crate::trace::{intern, intern_cat, Args, TraceEvent, MAX_RANKS, MAX_TS_NS};
 
 fn us(ns: u64) -> Json {
     if ns.is_multiple_of(1_000) {
@@ -27,16 +27,34 @@ fn write_cat_name<W: Write>(out: &mut W, ev: &TraceEvent) -> fmt::Result {
     write_escaped(out, ev.name())
 }
 
-/// `,"args":{…}}` — the attributes, closing the event object.
-fn write_args<W: Write>(out: &mut W, args: &[(&'static str, Json)]) -> fmt::Result {
+/// `,"args":{…}}` — the attributes, closing the event object. A typed
+/// kind writes its integers under its keys exactly as the `Json::UInt`
+/// attributes of a generic event would be written.
+fn write_args<W: Write>(out: &mut W, args: Args<'_>) -> fmt::Result {
     out.write_str(",\"args\":{")?;
-    for (i, (k, v)) in args.iter().enumerate() {
-        if i > 0 {
-            out.write_char(',')?;
+    match args {
+        Args::Ints { keys, values } => {
+            for (i, (k, v)) in keys.iter().zip(values).enumerate() {
+                if i > 0 {
+                    out.write_char(',')?;
+                }
+                // Schema keys are plain identifiers: nothing to escape.
+                out.write_char('"')?;
+                out.write_str(k)?;
+                out.write_str("\":")?;
+                write_uint(out, v)?;
+            }
         }
-        write_escaped(out, k)?;
-        out.write_char(':')?;
-        v.write_to(out)?;
+        Args::Json(pairs) => {
+            for (i, (k, v)) in pairs.iter().enumerate() {
+                if i > 0 {
+                    out.write_char(',')?;
+                }
+                write_escaped(out, k)?;
+                out.write_char(':')?;
+                v.write_to(out)?;
+            }
+        }
     }
     out.write_str("}}")
 }
@@ -53,13 +71,15 @@ pub fn write_chrome_trace<W: Write>(out: &mut W, events: &[TraceEvent]) -> fmt::
         if i > 0 {
             out.write_char(',')?;
         }
-        let (ph, dur_ns, args) = match ev {
-            TraceEvent::Complete { dur_ns, args, .. } => ('X', Some(*dur_ns), args),
-            TraceEvent::Instant { args, .. } => ('i', None, args),
-        };
-        write!(out, "{{\"ph\":\"{ph}\",")?;
+        let dur_ns = ev.dur_ns();
+        out.write_str(match dur_ns {
+            Some(_) => "{\"ph\":\"X\",",
+            None => "{\"ph\":\"i\",",
+        })?;
         write_cat_name(out, ev)?;
-        write!(out, ",\"pid\":0,\"tid\":{},\"ts\":", ev.rank())?;
+        out.write_str(",\"pid\":0,\"tid\":")?;
+        write_uint(out, ev.rank() as u64)?;
+        out.write_str(",\"ts\":")?;
         us(ev.ts_ns()).write_to(out)?;
         match dur_ns {
             Some(d) => {
@@ -68,7 +88,7 @@ pub fn write_chrome_trace<W: Write>(out: &mut W, events: &[TraceEvent]) -> fmt::
             }
             None => out.write_str(",\"s\":\"t\"")?,
         }
-        write_args(out, args)?;
+        write_args(out, ev.args())?;
     }
     out.write_str("]}")
 }
@@ -77,17 +97,21 @@ pub fn write_chrome_trace<W: Write>(out: &mut W, events: &[TraceEvent]) -> fmt::
 /// Chrome export but with exact nanosecond `ts_ns`/`dur_ns` timestamps.
 pub fn write_jsonl<W: Write>(out: &mut W, events: &[TraceEvent]) -> fmt::Result {
     for ev in events {
-        let (kind, dur_ns, args) = match ev {
-            TraceEvent::Complete { dur_ns, args, .. } => ("span", Some(*dur_ns), args),
-            TraceEvent::Instant { args, .. } => ("instant", None, args),
-        };
-        write!(out, "{{\"kind\":\"{kind}\",")?;
+        let dur_ns = ev.dur_ns();
+        out.write_str(match dur_ns {
+            Some(_) => "{\"kind\":\"span\",",
+            None => "{\"kind\":\"instant\",",
+        })?;
         write_cat_name(out, ev)?;
-        write!(out, ",\"rank\":{},\"ts_ns\":{}", ev.rank(), ev.ts_ns())?;
+        out.write_str(",\"rank\":")?;
+        write_uint(out, ev.rank() as u64)?;
+        out.write_str(",\"ts_ns\":")?;
+        write_uint(out, ev.ts_ns())?;
         if let Some(d) = dur_ns {
-            write!(out, ",\"dur_ns\":{d}")?;
+            out.write_str(",\"dur_ns\":")?;
+            write_uint(out, d)?;
         }
-        write_args(out, args)?;
+        write_args(out, ev.args())?;
         out.write_char('\n')?;
     }
     Ok(())
@@ -157,11 +181,17 @@ pub fn parse_chrome_trace(text: &str) -> Result<Vec<ParsedEvent>, JsonError> {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| bad(&format!("missing integer field `{k}`")))
         };
-        // ts/dur may be fractional µs; decode to ns with rounding.
+        // ts/dur may be fractional µs; decode to ns with rounding. A value
+        // past MAX_TS_NS is rejected before the cast could saturate it.
         let field_ns = |k: &str, required: bool| -> Result<u64, JsonError> {
             match ev.get(k).and_then(Json::as_f64) {
-                Some(v) if v >= 0.0 => Ok((v * 1_000.0).round() as u64),
-                Some(_) => Err(bad(&format!("negative time field `{k}`"))),
+                Some(v) if v < 0.0 => Err(bad(&format!("negative time field `{k}`"))),
+                Some(v) => match (v * 1_000.0).round() {
+                    ns if ns <= MAX_TS_NS as f64 => Ok(ns as u64),
+                    _ => Err(bad(&format!(
+                        "time field `{k}` is past MAX_TS_NS = {MAX_TS_NS}"
+                    ))),
+                },
                 None if required => Err(bad(&format!("missing time field `{k}`"))),
                 None => Ok(0),
             }
@@ -171,14 +201,28 @@ pub fn parse_chrome_trace(text: &str) -> Result<Vec<ParsedEvent>, JsonError> {
             Some(Json::Obj(pairs)) => pairs.clone(),
             _ => Vec::new(),
         };
+        let tid = match field_u64("tid")? {
+            t if t < MAX_RANKS as u64 => t,
+            t => {
+                return Err(bad(&format!(
+                    "tid {t} is not below MAX_RANKS = {MAX_RANKS}"
+                )))
+            }
+        };
+        let (ts_ns, dur_ns) = (field_ns("ts", true)?, field_ns("dur", ph == "X")?);
+        if ts_ns + dur_ns > MAX_TS_NS {
+            return Err(bad(&format!(
+                "the event at ts {ts_ns} ns does not end by MAX_TS_NS = {MAX_TS_NS}"
+            )));
+        }
         out.push(ParsedEvent {
             phase: ph.chars().next().ok_or_else(|| bad("empty ph"))?,
             cat: field_str("cat")?,
             name: field_str("name")?,
             pid: field_u64("pid")?,
-            tid: field_u64("tid")?,
-            ts_ns: field_ns("ts", true)?,
-            dur_ns: field_ns("dur", ph == "X")?,
+            tid,
+            ts_ns,
+            dur_ns,
             args,
         });
     }
@@ -214,10 +258,9 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, JsonError> {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| bad(format!("line {}: missing integer `{k}`", lineno + 1)))
         };
-        let cat = intern_cat(field_str("cat")?);
-        let name = intern(field_str("name")?);
+        let (cat, name) = (field_str("cat")?, field_str("name")?);
         let rank = match field_u64("rank")? {
-            r if r < MAX_RANKS as u64 => r as usize,
+            r if r < MAX_RANKS as u64 => r as u32,
             r => {
                 return Err(bad(format!(
                     "line {}: rank {r} is not below MAX_RANKS = {MAX_RANKS}",
@@ -226,28 +269,38 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, JsonError> {
             }
         };
         let ts_ns = field_u64("ts_ns")?;
-        let args = match j.get("args") {
-            Some(Json::Obj(pairs)) => pairs.iter().map(|(k, v)| (intern(k), v.clone())).collect(),
-            _ => Vec::new(),
-        };
-        let ev = match field_str("kind")? {
-            "span" => TraceEvent::Complete {
-                cat,
-                name,
-                rank,
-                ts_ns,
-                dur_ns: field_u64("dur_ns")?,
-                args,
-            },
-            "instant" => TraceEvent::Instant {
-                cat,
-                name,
-                rank,
-                ts_ns,
-                args,
-            },
+        let dur_ns = match field_str("kind")? {
+            "span" => Some(field_u64("dur_ns")?),
+            "instant" => None,
             other => return Err(bad(format!("line {}: unknown kind `{other}`", lineno + 1))),
         };
+        let pairs = match j.get("args") {
+            Some(Json::Obj(pairs)) => pairs.as_slice(),
+            _ => &[],
+        };
+        // A typed kind resolves against its static schema; only a generic
+        // event interns its strings.
+        let ev = TraceEvent::typed(cat, name, rank, ts_ns, dur_ns, pairs).unwrap_or_else(|| {
+            let (cat, name) = (intern_cat(cat), intern(name));
+            let args = pairs.iter().map(|(k, v)| (intern(k), v.clone())).collect();
+            match dur_ns {
+                Some(dur_ns) => TraceEvent::Complete {
+                    cat,
+                    name,
+                    rank,
+                    ts_ns,
+                    dur_ns,
+                    args,
+                },
+                None => TraceEvent::Instant {
+                    cat,
+                    name,
+                    rank,
+                    ts_ns,
+                    args,
+                },
+            }
+        });
         if !ev.in_time_range() {
             return Err(bad(format!(
                 "line {}: the event at ts_ns {ts_ns} does not end by MAX_TS_NS = {MAX_TS_NS}",
@@ -262,24 +315,19 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{Msg, SchedState};
 
     fn sample() -> Vec<TraceEvent> {
         vec![
-            TraceEvent::Complete {
-                cat: "sched",
-                name: "run",
-                rank: 0,
-                ts_ns: 1_500,
-                dur_ns: 10_000,
-                args: vec![("work", Json::Num(5.5))],
-            },
-            TraceEvent::Instant {
-                cat: "runtime",
-                name: "load-change",
-                rank: 2,
-                ts_ns: 2_000_000,
-                args: vec![],
-            },
+            TraceEvent::span(
+                "sched",
+                "run",
+                0,
+                1_500,
+                10_000,
+                vec![("work", Json::Num(5.5))],
+            ),
+            TraceEvent::instant("runtime", "load-change", 2, 2_000_000, vec![]),
         ]
     }
 
@@ -324,17 +372,12 @@ mod tests {
 
     #[test]
     fn chrome_parse_preserves_args_in_order() {
-        let ev = TraceEvent::Instant {
-            cat: "comm",
-            name: "send",
-            rank: 1,
-            ts_ns: 42,
-            args: vec![
-                ("peer", Json::UInt(3)),
-                ("seq", Json::UInt(7)),
-                ("bytes", Json::UInt(1024)),
-            ],
-        };
+        let args = vec![
+            ("peer", Json::UInt(3)),
+            ("seq", Json::UInt(7)),
+            ("bytes", Json::UInt(1024)),
+        ];
+        let ev = TraceEvent::instant("comm", "send", 1, 42, args);
         let parsed = parse_chrome_trace(&chrome_trace(std::slice::from_ref(&ev))).unwrap();
         assert_eq!(parsed[0].args.len(), 3);
         assert_eq!(parsed[0].args[0].0, "peer");
@@ -398,5 +441,225 @@ mod tests {
         assert!(parse_jsonl("{\"kind\":\"span\"}").is_err());
         assert!(parse_jsonl("not json").is_err());
         assert_eq!(parse_jsonl("\n\n").unwrap().len(), 0);
+    }
+
+    fn msg(peer: u64) -> Msg {
+        Msg {
+            peer,
+            tag: 7,
+            seq: 9,
+            bytes: 2048,
+        }
+    }
+
+    /// One event of every typed kind, each with the JSONL line and the
+    /// Chrome object that the generic `(key, Json)` form of the same event
+    /// was exported as before the kinds were typed.
+    fn typed_pins() -> Vec<(TraceEvent, &'static str, &'static str)> {
+        let sched = |state, ts_ns, dur_ns, cpu_ns, slices| TraceEvent::Sched {
+            state,
+            rank: 2,
+            ts_ns,
+            dur_ns,
+            cpu_ns,
+            slices,
+        };
+        let rows = |grace, ts_ns, dur_ns, cpu_ns| TraceEvent::ChargeRows {
+            grace,
+            rank: 1,
+            ts_ns,
+            dur_ns,
+            rows: 64,
+            cpu_ns,
+            work_uflop: 5_000_000,
+        };
+        vec![
+            (
+                sched(SchedState::Run, 1_500, 10_000, 7_250, 3),
+                r#"{"kind":"span","cat":"sched","name":"run","rank":2,"ts_ns":1500,"dur_ns":10000,"args":{"cpu":7250,"slices":3}}"#,
+                r#"{"ph":"X","cat":"sched","name":"run","pid":0,"tid":2,"ts":1.5,"dur":10,"args":{"cpu":7250,"slices":3}}"#,
+            ),
+            (
+                sched(SchedState::Wait, 11_500, 4_000, 0, 2),
+                r#"{"kind":"span","cat":"sched","name":"wait","rank":2,"ts_ns":11500,"dur_ns":4000,"args":{"cpu":0,"slices":2}}"#,
+                r#"{"ph":"X","cat":"sched","name":"wait","pid":0,"tid":2,"ts":11.5,"dur":4,"args":{"cpu":0,"slices":2}}"#,
+            ),
+            (
+                sched(SchedState::RunWait, 15_500, 6_001, 3_000, 5),
+                r#"{"kind":"span","cat":"sched","name":"run+wait","rank":2,"ts_ns":15500,"dur_ns":6001,"args":{"cpu":3000,"slices":5}}"#,
+                r#"{"ph":"X","cat":"sched","name":"run+wait","pid":0,"tid":2,"ts":15.5,"dur":6.001,"args":{"cpu":3000,"slices":5}}"#,
+            ),
+            (
+                TraceEvent::Blocked {
+                    rank: 0,
+                    ts_ns: 12_000,
+                    dur_ns: 3_001,
+                },
+                r#"{"kind":"span","cat":"sched","name":"blocked","rank":0,"ts_ns":12000,"dur_ns":3001,"args":{}}"#,
+                r#"{"ph":"X","cat":"sched","name":"blocked","pid":0,"tid":0,"ts":12,"dur":3.001,"args":{}}"#,
+            ),
+            (
+                TraceEvent::Send {
+                    rank: 1,
+                    ts_ns: 42,
+                    msg: msg(3),
+                    queued_ns: 15,
+                },
+                r#"{"kind":"instant","cat":"comm","name":"send","rank":1,"ts_ns":42,"args":{"peer":3,"tag":7,"seq":9,"bytes":2048,"queued_ns":15}}"#,
+                r#"{"ph":"i","cat":"comm","name":"send","pid":0,"tid":1,"ts":0.042,"s":"t","args":{"peer":3,"tag":7,"seq":9,"bytes":2048,"queued_ns":15}}"#,
+            ),
+            (
+                TraceEvent::Recv {
+                    rank: 3,
+                    ts_ns: 2_000_000,
+                    msg: msg(1),
+                    rx_queued_ns: 4,
+                    late_ns: 1_000,
+                    net_ns: 250,
+                },
+                r#"{"kind":"instant","cat":"comm","name":"recv","rank":3,"ts_ns":2000000,"args":{"peer":1,"tag":7,"seq":9,"bytes":2048,"rx_queued_ns":4,"late_ns":1000,"net_ns":250}}"#,
+                r#"{"ph":"i","cat":"comm","name":"recv","pid":0,"tid":3,"ts":2000,"s":"t","args":{"peer":1,"tag":7,"seq":9,"bytes":2048,"rx_queued_ns":4,"late_ns":1000,"net_ns":250}}"#,
+            ),
+            (
+                TraceEvent::BeginCycle {
+                    rank: 0,
+                    ts_ns: 5_000,
+                    cycle: 12,
+                },
+                r#"{"kind":"instant","cat":"runtime","name":"begin_cycle","rank":0,"ts_ns":5000,"args":{"cycle":12}}"#,
+                r#"{"ph":"i","cat":"runtime","name":"begin_cycle","pid":0,"tid":0,"ts":5,"s":"t","args":{"cycle":12}}"#,
+            ),
+            (
+                TraceEvent::EndCycle {
+                    rank: 0,
+                    ts_ns: 6_000,
+                    dur_ns: 777,
+                    cycle: 12,
+                },
+                r#"{"kind":"span","cat":"runtime","name":"end_cycle","rank":0,"ts_ns":6000,"dur_ns":777,"args":{"cycle":12}}"#,
+                r#"{"ph":"X","cat":"runtime","name":"end_cycle","pid":0,"tid":0,"ts":6,"dur":0.777,"args":{"cycle":12}}"#,
+            ),
+            (
+                rows(false, 7_000, 1_234, 1_200),
+                r#"{"kind":"span","cat":"runtime","name":"charge_rows","rank":1,"ts_ns":7000,"dur_ns":1234,"args":{"rows":64,"cpu_ns":1200,"work_uflop":5000000}}"#,
+                r#"{"ph":"X","cat":"runtime","name":"charge_rows","pid":0,"tid":1,"ts":7,"dur":1.234,"args":{"rows":64,"cpu_ns":1200,"work_uflop":5000000}}"#,
+            ),
+            (
+                rows(true, 9_000, 2_000, 1_900),
+                r#"{"kind":"span","cat":"runtime","name":"grace_measure","rank":1,"ts_ns":9000,"dur_ns":2000,"args":{"rows":64,"cpu_ns":1900,"work_uflop":5000000}}"#,
+                r#"{"ph":"X","cat":"runtime","name":"grace_measure","pid":0,"tid":1,"ts":9,"dur":2,"args":{"rows":64,"cpu_ns":1900,"work_uflop":5000000}}"#,
+            ),
+            (
+                TraceEvent::Collective {
+                    name: "allreduce",
+                    rank: 2,
+                    ts_ns: 8_000,
+                    dur_ns: 999,
+                    ranks: 8,
+                    bytes: 16,
+                },
+                r#"{"kind":"span","cat":"comm","name":"allreduce","rank":2,"ts_ns":8000,"dur_ns":999,"args":{"ranks":8,"bytes":16}}"#,
+                r#"{"ph":"X","cat":"comm","name":"allreduce","pid":0,"tid":2,"ts":8,"dur":0.999,"args":{"ranks":8,"bytes":16}}"#,
+            ),
+        ]
+    }
+
+    fn is_generic(ev: &TraceEvent) -> bool {
+        matches!(ev, TraceEvent::Complete { .. } | TraceEvent::Instant { .. })
+    }
+
+    #[test]
+    fn typed_kinds_export_the_generic_forms_bytes() {
+        for (ev, line, object) in typed_pins() {
+            let one = std::slice::from_ref(&ev);
+            assert_eq!(jsonl(one), format!("{line}\n"));
+            let doc = format!("{{\"displayTimeUnit\":\"ns\",\"traceEvents\":[{object}]}}");
+            assert_eq!(chrome_trace(one), doc);
+        }
+    }
+
+    #[test]
+    fn typed_kinds_parse_back_typed() {
+        for (ev, line, _) in typed_pins() {
+            let parsed = parse_jsonl(line).unwrap();
+            assert_eq!(parsed, std::slice::from_ref(&ev));
+            assert!(!is_generic(&parsed[0]), "{line}");
+            // The generic constructors build the same typed event.
+            let args = ev.args().to_vec();
+            let (cat, name, rank, ts) = (ev.cat(), ev.name(), ev.rank() as u32, ev.ts_ns());
+            let built = match ev.dur_ns() {
+                Some(dur) => TraceEvent::span(cat, name, rank, ts, dur, args),
+                None => TraceEvent::instant(cat, name, rank, ts, args),
+            };
+            assert_eq!(built, ev);
+        }
+    }
+
+    #[test]
+    fn a_line_off_a_kinds_schema_parses_generic() {
+        let recv = typed_pins()[5].1;
+        let off_schema = [
+            // A missing key, a renamed one, an extra one, a float value, a
+            // negative one, keys out of order.
+            recv.replace(",\"net_ns\":250", ""),
+            recv.replace("late_ns", "late"),
+            recv.replace("\"net_ns\":250", "\"net_ns\":250,\"extra\":1"),
+            recv.replace("\"net_ns\":250", "\"net_ns\":2.5"),
+            recv.replace("\"net_ns\":250", "\"net_ns\":-250"),
+            recv.replace("\"peer\":1,\"tag\":7", "\"tag\":7,\"peer\":1"),
+            // The right keys on an instant that should be a span, and on an
+            // unknown collective.
+            typed_pins()[7]
+                .1
+                .replace("\"kind\":\"span\"", "\"kind\":\"instant\"")
+                .replace(",\"dur_ns\":777", ""),
+            typed_pins()[10].1.replace("allreduce", "scan"),
+        ];
+        for line in off_schema {
+            let parsed = parse_jsonl(&line).unwrap();
+            assert!(is_generic(&parsed[0]), "{line} parsed as {:?}", parsed[0]);
+            assert_eq!(jsonl(&parsed), format!("{line}\n"));
+        }
+    }
+
+    #[test]
+    fn chrome_parse_rejects_a_tid_at_or_above_max_ranks() {
+        let doc = |tid: usize| {
+            format!(
+                r#"{{"traceEvents":[{{"ph":"i","cat":"a","name":"n","pid":0,"tid":{tid},"ts":1}}]}}"#
+            )
+        };
+        let err = parse_chrome_trace(&doc(MAX_RANKS)).unwrap_err();
+        assert!(
+            err.msg.contains("traceEvents[0]") && err.msg.contains("MAX_RANKS"),
+            "{err}"
+        );
+        let ok = parse_chrome_trace(&doc(MAX_RANKS - 1)).expect("the largest tid parses");
+        assert_eq!(ok[0].tid, MAX_RANKS as u64 - 1);
+    }
+
+    #[test]
+    fn chrome_parse_rejects_a_time_past_max_ts_ns() {
+        let doc = |ts: &str, dur: &str| {
+            format!(
+                r#"{{"traceEvents":[{{"ph":"X","cat":"a","name":"n","pid":0,"tid":0,"ts":{ts},"dur":{dur}}}]}}"#
+            )
+        };
+        // 2^53 ns is 9007199254740.992 µs.
+        for (ts, dur) in [
+            ("1e300", "0"),
+            ("9007199254741", "0"),
+            ("0", "1e30"),
+            ("9007199254740", "1"),
+        ] {
+            let err = parse_chrome_trace(&doc(ts, dur)).unwrap_err();
+            assert!(
+                err.msg.contains("traceEvents[0]") && err.msg.contains("MAX_TS_NS"),
+                "{err}"
+            );
+        }
+        let ok =
+            parse_chrome_trace(&doc("9007199254740", "0.992")).expect("the latest span parses");
+        assert_eq!(ok[0].ts_ns + ok[0].dur_ns, MAX_TS_NS);
     }
 }

@@ -615,67 +615,37 @@ impl EventSink for HealthMonitor {
             return;
         }
         m.log.fold(ev);
-        match ev {
-            TraceEvent::Complete {
-                cat,
-                name,
-                ts_ns,
-                dur_ns,
-                args,
-                ..
+        let (ts, dur) = (ev.ts_ns(), ev.dur_ns().unwrap_or(0));
+        m.watermark[rank] = m.watermark[rank].max(ts + dur);
+        self.mark_active(&mut m, rank, ts, dur);
+        match *ev {
+            TraceEvent::ChargeRows {
+                cpu_ns, work_uflop, ..
             } => {
-                let (ts, dur) = (*ts_ns, *dur_ns);
-                m.watermark[rank] = m.watermark[rank].max(ts + dur);
-                self.mark_active(&mut m, rank, ts, dur);
-                match (*cat, *name) {
-                    ("runtime", "charge_rows") | ("runtime", "grace_measure") => {
-                        self.add_overlap(&mut m, rank, ts, dur, |nw, c| nw.busy_ns += c);
-                        if let Some(cpu) = arg_u64(args, "cpu_ns") {
-                            self.split_attr(&mut m, rank, ts, dur, cpu, |nw, c| nw.cpu_ns += c);
-                        }
-                        if let Some(work) = arg_u64(args, "work_uflop") {
-                            self.split_attr(&mut m, rank, ts, dur, work, |nw, c| {
-                                nw.work_uflop += c
-                            });
-                        }
-                    }
-                    ("sched", "blocked") => {
-                        self.add_overlap(&mut m, rank, ts, dur, |nw, c| nw.wait_ns += c);
-                    }
-                    _ => {}
+                self.add_overlap(&mut m, rank, ts, dur, |nw, c| nw.busy_ns += c);
+                self.split_attr(&mut m, rank, ts, dur, cpu_ns, |nw, c| nw.cpu_ns += c);
+                self.split_attr(&mut m, rank, ts, dur, work_uflop, |nw, c| {
+                    nw.work_uflop += c
+                });
+            }
+            TraceEvent::Blocked { .. } => {
+                self.add_overlap(&mut m, rank, ts, dur, |nw, c| nw.wait_ns += c);
+            }
+            TraceEvent::Send { msg, .. } => {
+                let peer = usize::try_from(msg.peer).ok();
+                if let Some(peer) = peer.filter(|p| m.note_rank(*p)) {
+                    m.window_mut(ts / self.window_ns, peer).sends_to += 1;
                 }
             }
-            TraceEvent::Instant {
-                cat,
-                name,
-                ts_ns,
-                args,
-                ..
+            TraceEvent::Recv {
+                late_ns, net_ns, ..
             } => {
-                let ts = *ts_ns;
-                m.watermark[rank] = m.watermark[rank].max(ts);
-                self.mark_active(&mut m, rank, ts, 0);
-                match (*cat, *name) {
-                    ("comm", "send") => {
-                        let peer = arg_u64(args, "peer").and_then(|p| usize::try_from(p).ok());
-                        if let Some(peer) = peer.filter(|p| m.note_rank(*p)) {
-                            m.window_mut(ts / self.window_ns, peer).sends_to += 1;
-                        }
-                    }
-                    ("comm", "recv") => {
-                        let widx = ts / self.window_ns;
-                        let nw = m.window_mut(widx, rank);
-                        nw.recvs_by += 1;
-                        if let Some(late) = arg_u64(args, "late_ns") {
-                            nw.late_ns += late;
-                        }
-                        if let Some(net) = arg_u64(args, "net_ns") {
-                            nw.net_ns += net;
-                        }
-                    }
-                    _ => {}
-                }
+                let nw = m.window_mut(ts / self.window_ns, rank);
+                nw.recvs_by += 1;
+                nw.late_ns += late_ns;
+                nw.net_ns += net_ns;
             }
+            _ => {}
         }
     }
 
@@ -935,37 +905,25 @@ impl HealthReport {
 mod tests {
     use super::*;
 
-    fn span(
-        cat: &'static str,
-        name: &'static str,
-        rank: usize,
-        ts: u64,
-        dur: u64,
-        args: Vec<(&'static str, Json)>,
-    ) -> TraceEvent {
-        TraceEvent::Complete {
-            cat,
-            name,
+    fn charge(rank: u32, ts_ns: u64, dur_ns: u64, cpu_ns: u64, work_uflop: u64) -> TraceEvent {
+        TraceEvent::ChargeRows {
+            grace: false,
             rank,
-            ts_ns: ts,
-            dur_ns: dur,
-            args,
+            ts_ns,
+            dur_ns,
+            rows: 10,
+            cpu_ns,
+            work_uflop,
         }
     }
 
-    fn charge(rank: usize, ts: u64, dur: u64, cpu: u64, work: u64) -> TraceEvent {
-        span(
-            "runtime",
-            "charge_rows",
-            rank,
-            ts,
-            dur,
-            vec![
-                ("rows", Json::UInt(10)),
-                ("cpu_ns", Json::UInt(cpu)),
-                ("work_uflop", Json::UInt(work)),
-            ],
-        )
+    fn msg(peer: u64) -> crate::trace::Msg {
+        crate::trace::Msg {
+            peer,
+            tag: 0,
+            seq: 0,
+            bytes: 8,
+        }
     }
 
     #[test]
@@ -989,13 +947,18 @@ mod tests {
         let events = [
             charge(0, 0, 90, 90, 500),
             charge(1, 0, 180, 90, 500),
-            span("sched", "blocked", 0, 90, 90, vec![]),
-            TraceEvent::Instant {
-                cat: "comm",
-                name: "recv",
+            TraceEvent::Blocked {
+                rank: 0,
+                ts_ns: 90,
+                dur_ns: 90,
+            },
+            TraceEvent::Recv {
                 rank: 0,
                 ts_ns: 180,
-                args: vec![("late_ns", Json::UInt(60)), ("net_ns", Json::UInt(30))],
+                msg: msg(1),
+                rx_queued_ns: 0,
+                late_ns: 60,
+                net_ns: 30,
             },
         ];
         let fwd = HealthMonitor::new(100);
@@ -1069,13 +1032,16 @@ mod tests {
     fn decisions_dedup_across_ranks_by_min_ts() {
         let mon = HealthMonitor::new(100);
         for rank in 0..3 {
-            mon.on_event(&TraceEvent::Instant {
-                cat: "runtime",
-                name: "redistributed",
+            // Each rank stamps its own time.
+            let ts = 250 + rank as u64;
+            let args = vec![("cycle", Json::UInt(15))];
+            mon.on_event(&TraceEvent::instant(
+                "runtime",
+                "redistributed",
                 rank,
-                ts_ns: 250 + rank as u64, // each rank stamps its own time
-                args: vec![("cycle", Json::UInt(15))],
-            });
+                ts,
+                args,
+            ));
         }
         let report = mon.report();
         let ds = report.decisions();
@@ -1088,20 +1054,20 @@ mod tests {
     fn queue_depth_accumulates_across_windows() {
         let mon = HealthMonitor::new(100);
         for i in 0..5u64 {
-            mon.on_event(&TraceEvent::Instant {
-                cat: "comm",
-                name: "send",
+            mon.on_event(&TraceEvent::Send {
                 rank: 0,
                 ts_ns: i * 40,
-                args: vec![("peer", Json::UInt(1))],
+                msg: msg(1),
+                queued_ns: 0,
             });
         }
-        mon.on_event(&TraceEvent::Instant {
-            cat: "comm",
-            name: "recv",
+        mon.on_event(&TraceEvent::Recv {
             rank: 1,
             ts_ns: 150,
-            args: vec![],
+            msg: msg(0),
+            rx_queued_ns: 0,
+            late_ns: 0,
+            net_ns: 0,
         });
         let report = mon.report();
         // Windows: sends at 0,40,80 (w0) and 120,160 (w1); recv in w1.

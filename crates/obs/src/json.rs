@@ -98,7 +98,7 @@ impl Json {
         match self {
             Json::Null => out.write_str("null"),
             Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
-            Json::UInt(u) => write!(out, "{u}"),
+            Json::UInt(u) => write_uint(out, *u),
             // Shortest representation that round-trips through f64; an
             // integral value prints without a decimal point, which is
             // still valid JSON.
@@ -155,6 +155,22 @@ impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.write_to(f)
     }
+}
+
+/// `v` in decimal, as `write!(out, "{v}")` writes it, without the
+/// formatting machinery: exporters write several integers per event.
+pub(crate) fn write_uint<W: fmt::Write>(out: &mut W, mut v: u64) -> fmt::Result {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.write_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"))
 }
 
 /// Writes `s` as a JSON string literal. Stretches that need no escape go
@@ -410,6 +426,21 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn write_uint_matches_display() {
+        let mut v = 1u64;
+        let mut cases = vec![0, 9, 10, 99, 100, u64::MAX, u64::MAX - 1];
+        while let Some(next) = v.checked_mul(7) {
+            cases.extend([v - 1, v, v + 1]);
+            v = next;
+        }
+        for v in cases {
+            let mut out = String::new();
+            write_uint(&mut out, v).unwrap();
+            assert_eq!(out, v.to_string());
+        }
+    }
 
     #[test]
     fn round_trips_scalars() {

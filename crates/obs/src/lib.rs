@@ -58,8 +58,9 @@ pub use metrics::{
     prometheus_text, Counter, HistSnapshot, Histogram, Registry, Snapshot, BYTE_BUCKETS,
 };
 pub use trace::{
-    count, counter_handle, enabled, instant, observe, span_begin, span_end, span_end_args,
-    EventSink, ScopeGuard,
+    begin_cycle, comm_recv, comm_send, count, counter_handle, enabled, instant, observe,
+    sched_span, span_begin, span_end, span_end_args, span_end_blocked, span_end_charge_rows,
+    span_end_collective, span_end_cycle, Args, EventSink, Msg, SchedState, ScopeGuard,
 };
 
 #[derive(Default)]
@@ -122,7 +123,8 @@ impl Recorder {
     /// returned guard flushes buffered events and this rank's metrics
     /// snapshot back into the recorder when dropped (even on panic).
     ///
-    /// Panics if the thread already has a scope installed.
+    /// Panics if the thread already has a scope installed, or if `rank`
+    /// is not below [`MAX_RANKS`](trace::MAX_RANKS).
     pub fn install(&self, rank: usize) -> ScopeGuard {
         trace::install_scope(self.clone(), rank)
     }

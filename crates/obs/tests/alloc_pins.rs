@@ -1,16 +1,20 @@
 //! Deterministic pins on what emitting an event allocates.
 //!
-//! Names, categories and attribute keys are `&'static str`, so an event
-//! owns one heap block — its `args` vector — and a span without attributes
-//! owns none. The counts below are exact on a thread whose buffers have
-//! grown: a change that turns a key or a name back into a `String`, or
-//! boxes something per event, fails here and not on a noisy wall-clock bar.
+//! The hot kinds (scheduler spans, sends, receives, cycle bounds, row
+//! charges, collectives) are typed events with their integers inline, so
+//! emitting one allocates nothing; a generic event owns one heap block,
+//! its boxed `args`, and a generic span without attributes owns none. The
+//! counts below are exact on a thread whose buffers have grown: a change
+//! that turns a key or a name back into a `String`, or boxes something per
+//! event, fails here and not on a noisy wall-clock bar.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use dynmpi_obs::{
-    count, counter_handle, enabled, instant, span_begin, span_end, span_end_args, Json, Recorder,
+    begin_cycle, comm_recv, comm_send, count, counter_handle, enabled, instant, sched_span,
+    span_begin, span_end, span_end_args, span_end_blocked, span_end_charge_rows,
+    span_end_collective, span_end_cycle, Json, Msg, Recorder, SchedState,
 };
 
 thread_local! {
@@ -47,17 +51,24 @@ fn allocations(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.with(Cell::get) - before
 }
 
-fn send_instant(i: u64) {
+fn msg(i: u64) -> Msg {
+    Msg {
+        peer: i % 8,
+        tag: 7,
+        seq: i,
+        bytes: 2048,
+    }
+}
+
+/// A runtime decision: the kind that stays generic.
+fn decision_instant(i: u64) {
     instant(
-        "comm",
-        "send",
+        "runtime",
+        "redistributed",
         i,
         vec![
-            ("peer", Json::UInt(i % 8)),
-            ("tag", Json::UInt(7)),
-            ("seq", Json::UInt(i)),
-            ("bytes", Json::UInt(2048)),
-            ("queued_ns", Json::UInt(0)),
+            ("cycle", Json::UInt(i)),
+            ("moved_fraction", Json::Num(0.25)),
         ],
     );
 }
@@ -65,39 +76,112 @@ fn send_instant(i: u64) {
 const EVENTS: u64 = 10_000;
 
 /// Emits until the rank buffer (each new block as large as all before it)
-/// has room for `EVENTS` more.
+/// has room for `2 * EVENTS` more, and the span stack has grown.
 fn grow_buffers() {
-    for i in 0..(1 << 14) + 1 {
-        send_instant(i);
+    for i in 0..(1 << 15) + 1 {
+        comm_send(i, msg(i), 0);
     }
-    span_begin("sched", "run", 0);
-    span_end(1);
+    span_begin("sched", "blocked", 0);
+    span_end_blocked(1);
 }
 
-#[test]
-fn a_send_shaped_instant_allocates_once() {
+/// One scope, buffers grown, then the allocations of `EVENTS` runs of `f`.
+fn per_event(f: impl Fn(u64)) -> u64 {
     let rec = Recorder::new();
     let _guard = rec.install(0);
     grow_buffers();
-    let n = allocations(|| (0..EVENTS).for_each(send_instant));
-    assert!(
-        n <= EVENTS,
-        "{n} allocations: more than the `args` vector per instant"
-    );
+    allocations(|| (0..EVENTS).for_each(f))
+}
+
+#[test]
+fn a_sched_span_allocates_nothing() {
+    let n = per_event(|i| sched_span(SchedState::RunWait, i, i + 10, 5, 2));
+    assert_eq!(n, 0);
+}
+
+#[test]
+fn a_blocked_span_allocates_nothing() {
+    let n = per_event(|i| {
+        span_begin("sched", "blocked", i);
+        span_end_blocked(i + 1);
+    });
+    assert_eq!(n, 0);
+}
+
+#[test]
+fn a_send_allocates_nothing() {
+    assert_eq!(per_event(|i| comm_send(i, msg(i), 3)), 0);
+}
+
+#[test]
+fn a_recv_allocates_nothing() {
+    assert_eq!(per_event(|i| comm_recv(i, msg(i), 1, 2, 3)), 0);
+}
+
+#[test]
+fn cycle_bounds_allocate_nothing() {
+    let n = per_event(|i| {
+        begin_cycle(i, i + 1);
+        span_begin("runtime", "end_cycle", i);
+        span_end_cycle(i + 5, i + 1);
+    });
+    assert_eq!(n, 0);
+}
+
+#[test]
+fn a_charge_rows_span_allocates_nothing() {
+    let n = per_event(|i| {
+        span_begin("runtime", "charge_rows", i);
+        span_end_charge_rows(i + 5, 64, 5, 1_000);
+        span_begin("runtime", "grace_measure", i + 5);
+        span_end_charge_rows(i + 9, 64, 4, 1_000);
+    });
+    assert_eq!(n, 0);
+}
+
+#[test]
+fn a_collective_span_allocates_nothing() {
+    let n = per_event(|i| {
+        span_begin("comm", "allreduce", i);
+        span_end_collective(i + 5, 8, 16);
+    });
+    assert_eq!(n, 0);
 }
 
 #[test]
 fn a_span_pair_allocates_nothing() {
-    let rec = Recorder::new();
-    let _guard = rec.install(0);
-    grow_buffers();
-    let n = allocations(|| {
-        for i in 0..EVENTS {
-            span_begin("sched", "blocked", i);
-            span_end(i + 1);
-        }
+    let n = per_event(|i| {
+        span_begin("redist", "pack", i);
+        span_end(i + 1);
     });
     assert_eq!(n, 0);
+}
+
+#[test]
+fn a_send_shaped_instant_allocates_once() {
+    // Through the generic emitter: the `args` vector, dropped once the
+    // event is found to be a typed send.
+    let n = per_event(|i| {
+        instant(
+            "comm",
+            "send",
+            i,
+            vec![
+                ("peer", Json::UInt(i % 8)),
+                ("tag", Json::UInt(7)),
+                ("seq", Json::UInt(i)),
+                ("bytes", Json::UInt(2048)),
+                ("queued_ns", Json::UInt(0)),
+            ],
+        )
+    });
+    assert_eq!(n, EVENTS);
+}
+
+#[test]
+fn a_generic_instant_allocates_once() {
+    // Its `args` vector, boxed in place: the literal's capacity is exact.
+    assert_eq!(per_event(decision_instant), EVENTS);
 }
 
 #[test]
@@ -108,6 +192,10 @@ fn emission_without_a_scope_allocates_nothing() {
             span_begin("sched", "run", i);
             span_end_args(i + 1, Vec::new());
             instant("comm", "send", i, Vec::new());
+            sched_span(SchedState::Run, i, i + 1, 1, 1);
+            comm_send(i, msg(i), 0);
+            comm_recv(i, msg(i), 0, 0, 0);
+            begin_cycle(i, 1);
             count("sim.msgs_sent", 1);
             assert!(counter_handle("sim.msgs_sent").is_none());
         }

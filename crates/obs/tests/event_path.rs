@@ -4,10 +4,12 @@
 use std::path::Path;
 
 use dynmpi_obs::export::{chrome_trace, jsonl};
-use dynmpi_obs::trace::{intern, intern_cat, EventSink, KNOWN_CATS, MAX_RANKS, MAX_TS_NS};
+use dynmpi_obs::trace::{
+    intern, intern_cat, EventSink, COLLECTIVES, KNOWN_CATS, MAX_RANKS, MAX_TS_NS,
+};
 use dynmpi_obs::{
-    instant, parse_jsonl, span_begin, span_end_args, ExplainEngine, HealthMonitor, Json, Recorder,
-    TraceEvent, DEFAULT_WINDOW_NS,
+    instant, parse_jsonl, span_begin, span_end_args, ExplainEngine, HealthMonitor, Json, Msg,
+    Recorder, SchedState, TraceEvent, DEFAULT_WINDOW_NS,
 };
 use dynmpi_testkit::{check_n, Rng};
 
@@ -58,39 +60,101 @@ fn random_ns(rng: &mut Rng) -> u64 {
 }
 
 fn random_event(rng: &mut Rng) -> TraceEvent {
+    let rank = rng.range_usize(0, MAX_RANKS) as u32;
+    let ts_ns = random_ns(rng);
+    if rng.chance(0.5) {
+        return random_typed(rng, rank, ts_ns);
+    }
     let cat = if rng.chance(0.5) {
         KNOWN_CATS[rng.range_usize(0, KNOWN_CATS.len())]
     } else {
         intern_cat(&random_string(rng))
     };
     let name = intern(&random_string(rng));
-    let rank = rng.range_usize(0, MAX_RANKS);
-    let ts_ns = random_ns(rng);
     let args = rng.vec_in(0, 6, |r| (intern(&random_string(r)), random_value(r, 0)));
     if rng.chance(0.5) {
-        TraceEvent::Complete {
-            cat,
-            name,
-            rank,
-            ts_ns,
-            dur_ns: random_ns(rng),
-            args,
-        }
+        TraceEvent::span(cat, name, rank, ts_ns, random_ns(rng), args)
     } else {
-        TraceEvent::Instant {
-            cat,
-            name,
-            rank,
-            ts_ns,
-            args,
-        }
+        TraceEvent::instant(cat, name, rank, ts_ns, args)
     }
 }
 
-fn args_tree(args: &[(&'static str, Json)]) -> Json {
+/// One of the typed kinds, with integers over the whole `u64` range.
+fn random_typed(rng: &mut Rng, rank: u32, ts_ns: u64) -> TraceEvent {
+    let mut int = || rng.next_u64() >> rng.range_u64(0, 64);
+    let msg = Msg {
+        peer: int(),
+        tag: int(),
+        seq: int(),
+        bytes: int(),
+    };
+    let (a, b, c) = (int(), int(), int());
+    let dur_ns = random_ns(rng);
+    match rng.range_u64(0, 9) {
+        0 => TraceEvent::Sched {
+            state: [SchedState::Run, SchedState::Wait, SchedState::RunWait][(a % 3) as usize],
+            rank,
+            ts_ns,
+            dur_ns,
+            cpu_ns: b,
+            slices: c,
+        },
+        1 => TraceEvent::Blocked {
+            rank,
+            ts_ns,
+            dur_ns,
+        },
+        2 => TraceEvent::Send {
+            rank,
+            ts_ns,
+            msg,
+            queued_ns: a,
+        },
+        3 => TraceEvent::Recv {
+            rank,
+            ts_ns,
+            msg,
+            rx_queued_ns: a,
+            late_ns: b,
+            net_ns: c,
+        },
+        4 => TraceEvent::BeginCycle {
+            rank,
+            ts_ns,
+            cycle: a,
+        },
+        5 => TraceEvent::EndCycle {
+            rank,
+            ts_ns,
+            dur_ns,
+            cycle: a,
+        },
+        6 | 7 => TraceEvent::ChargeRows {
+            grace: a % 2 == 0,
+            rank,
+            ts_ns,
+            dur_ns,
+            rows: a,
+            cpu_ns: b,
+            work_uflop: c,
+        },
+        _ => TraceEvent::Collective {
+            name: COLLECTIVES[(a % COLLECTIVES.len() as u64) as usize],
+            rank,
+            ts_ns,
+            dur_ns,
+            ranks: b,
+            bytes: c,
+        },
+    }
+}
+
+fn args_tree(ev: &TraceEvent) -> Json {
     Json::Obj(
-        args.iter()
-            .map(|(k, v)| (k.to_string(), v.clone()))
+        ev.args()
+            .to_vec()
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
             .collect(),
     )
 }
@@ -104,76 +168,45 @@ fn us(ns: u64) -> Json {
 }
 
 fn chrome_tree(ev: &TraceEvent) -> Json {
-    match ev {
-        TraceEvent::Complete {
-            cat,
-            name,
-            rank,
-            ts_ns,
-            dur_ns,
-            args,
-        } => Json::obj([
-            ("ph", Json::str("X")),
-            ("cat", Json::str(*cat)),
-            ("name", Json::str(*name)),
-            ("pid", Json::UInt(0)),
-            ("tid", Json::UInt(*rank as u64)),
-            ("ts", us(*ts_ns)),
-            ("dur", us(*dur_ns)),
-            ("args", args_tree(args)),
-        ]),
-        TraceEvent::Instant {
-            cat,
-            name,
-            rank,
-            ts_ns,
-            args,
-        } => Json::obj([
-            ("ph", Json::str("i")),
-            ("cat", Json::str(*cat)),
-            ("name", Json::str(*name)),
-            ("pid", Json::UInt(0)),
-            ("tid", Json::UInt(*rank as u64)),
-            ("ts", us(*ts_ns)),
-            ("s", Json::str("t")),
-            ("args", args_tree(args)),
-        ]),
-    }
+    let mut fields = vec![
+        (
+            "ph",
+            Json::str(if ev.dur_ns().is_some() { "X" } else { "i" }),
+        ),
+        ("cat", Json::str(ev.cat())),
+        ("name", Json::str(ev.name())),
+        ("pid", Json::UInt(0)),
+        ("tid", Json::UInt(ev.rank() as u64)),
+        ("ts", us(ev.ts_ns())),
+    ];
+    fields.push(match ev.dur_ns() {
+        Some(dur_ns) => ("dur", us(dur_ns)),
+        None => ("s", Json::str("t")),
+    });
+    fields.push(("args", args_tree(ev)));
+    Json::obj(fields)
 }
 
 fn jsonl_tree(ev: &TraceEvent) -> Json {
-    match ev {
-        TraceEvent::Complete {
-            cat,
-            name,
-            rank,
-            ts_ns,
-            dur_ns,
-            args,
-        } => Json::obj([
-            ("kind", Json::str("span")),
-            ("cat", Json::str(*cat)),
-            ("name", Json::str(*name)),
-            ("rank", Json::UInt(*rank as u64)),
-            ("ts_ns", Json::UInt(*ts_ns)),
-            ("dur_ns", Json::UInt(*dur_ns)),
-            ("args", args_tree(args)),
-        ]),
-        TraceEvent::Instant {
-            cat,
-            name,
-            rank,
-            ts_ns,
-            args,
-        } => Json::obj([
-            ("kind", Json::str("instant")),
-            ("cat", Json::str(*cat)),
-            ("name", Json::str(*name)),
-            ("rank", Json::UInt(*rank as u64)),
-            ("ts_ns", Json::UInt(*ts_ns)),
-            ("args", args_tree(args)),
-        ]),
+    let mut fields = vec![
+        (
+            "kind",
+            Json::str(if ev.dur_ns().is_some() {
+                "span"
+            } else {
+                "instant"
+            }),
+        ),
+        ("cat", Json::str(ev.cat())),
+        ("name", Json::str(ev.name())),
+        ("rank", Json::UInt(ev.rank() as u64)),
+        ("ts_ns", Json::UInt(ev.ts_ns())),
+    ];
+    if let Some(dur_ns) = ev.dur_ns() {
+        fields.push(("dur_ns", Json::UInt(dur_ns)));
     }
+    fields.push(("args", args_tree(ev)));
+    Json::obj(fields)
 }
 
 #[test]
@@ -224,8 +257,8 @@ fn keys(events: &[TraceEvent]) -> Vec<(u64, usize, u64)> {
     events
         .iter()
         .map(|ev| {
-            let (TraceEvent::Complete { args, .. } | TraceEvent::Instant { args, .. }) = ev;
-            (ev.ts_ns(), ev.rank(), args[0].1.as_u64().expect("seq"))
+            let seq = ev.args().to_vec()[0].1.as_u64().expect("seq");
+            (ev.ts_ns(), ev.rank(), seq)
         })
         .collect()
 }
@@ -355,37 +388,41 @@ fn parse_jsonl_rejects_an_event_past_max_ts_ns() {
 fn health_monitor_ignores_an_event_past_max_ts_ns() {
     let health = HealthMonitor::new(DEFAULT_WINDOW_NS);
     let explain = ExplainEngine::new(DEFAULT_WINDOW_NS);
-    let instant = |cat, name, ts_ns, args| TraceEvent::Instant {
-        cat,
-        name,
+    let recv = |ts_ns| TraceEvent::Recv {
         rank: 0,
         ts_ns,
-        args,
+        msg: Msg {
+            peer: 1,
+            tag: 0,
+            seq: 1,
+            bytes: 8,
+        },
+        rx_queued_ns: 0,
+        late_ns: 3,
+        net_ns: 2,
     };
-    let cycle = |c| vec![("cycle", Json::UInt(c)), ("node", Json::UInt(1))];
+    let decision = |name, ts_ns, c| {
+        let args = vec![("cycle", Json::UInt(c)), ("node", Json::UInt(1))];
+        TraceEvent::instant("runtime", name, 0, ts_ns, args)
+    };
     let events = [
-        instant("comm", "recv", 5, Vec::new()),
-        instant("comm", "recv", u64::MAX, Vec::new()),
-        TraceEvent::Complete {
-            cat: "sched",
-            name: "blocked",
+        recv(5),
+        recv(u64::MAX),
+        TraceEvent::Blocked {
             rank: 0,
             ts_ns: 7,
             dur_ns: u64::MAX - 7,
-            args: Vec::new(),
         },
         // A span end past u64::MAX, and decisions that would make a card
         // and a flight record, all out of range.
-        TraceEvent::Complete {
-            cat: "runtime",
-            name: "end_cycle",
+        TraceEvent::EndCycle {
             rank: 0,
             ts_ns: 5,
             dur_ns: u64::MAX - 1,
-            args: cycle(3),
+            cycle: 3,
         },
-        instant("runtime", "redistributed", MAX_TS_NS + 1, cycle(3)),
-        instant("runtime", "node-confirmed-dead", u64::MAX, cycle(4)),
+        decision("redistributed", MAX_TS_NS + 1, 3),
+        decision("node-confirmed-dead", u64::MAX, 4),
     ];
     for ev in &events {
         health.on_event(ev);
@@ -402,9 +439,15 @@ fn health_monitor_ignores_an_event_past_max_ts_ns() {
 
 #[test]
 fn sinks_ignore_a_peer_at_or_above_max_ranks() {
-    let dump = "{\"kind\":\"instant\",\"cat\":\"comm\",\"name\":\"send\",\"rank\":0,\"ts_ns\":5,\"args\":{\"peer\":1099511627776}}\n\
-                {\"kind\":\"instant\",\"cat\":\"comm\",\"name\":\"send\",\"rank\":0,\"ts_ns\":6,\"args\":{\"peer\":1}}\n";
-    let events = parse_jsonl(dump).expect("well-formed lines");
+    let line = |ts: u64, peer: u64| {
+        format!(
+            "{{\"kind\":\"instant\",\"cat\":\"comm\",\"name\":\"send\",\"rank\":0,\"ts_ns\":{ts},\
+             \"args\":{{\"peer\":{peer},\"tag\":0,\"seq\":{ts},\"bytes\":8,\"queued_ns\":0}}}}\n"
+        )
+    };
+    let dump = line(5, 1 << 40) + &line(6, 1);
+    let events = parse_jsonl(&dump).expect("well-formed lines");
+    assert!(events.iter().all(|e| matches!(e, TraceEvent::Send { .. })));
     let health = HealthMonitor::new(DEFAULT_WINDOW_NS);
     let explain = ExplainEngine::new(DEFAULT_WINDOW_NS);
     for ev in &events {
@@ -472,5 +515,12 @@ fn every_emitted_category_is_a_known_cat() {
             );
         }
     }
-    assert!(seen >= 20, "the scan found only {seen} emission sites");
+    // The hot kinds left this count for their typed emitters (whose
+    // categories are checked below): 23 literal sites before, 19 after.
+    assert!(seen >= 15, "the scan found only {seen} emission sites");
+    let mut rng = Rng::new(1);
+    for _ in 0..200 {
+        let ev = random_typed(&mut rng, 0, 0);
+        assert!(KNOWN_CATS.contains(&ev.cat()), "{ev:?}");
+    }
 }

@@ -4,62 +4,57 @@
 //! the event *set*, independent of delivery order.
 
 use dynmpi_obs::trace::EventSink;
-use dynmpi_obs::{HealthMonitor, Json, TraceEvent};
+use dynmpi_obs::{HealthMonitor, Json, Msg, TraceEvent};
 use dynmpi_testkit::{check_n, Rng};
 
 fn random_event(rng: &mut Rng, nodes: usize) -> TraceEvent {
-    let rank = rng.range_usize(0, nodes);
     let ts = rng.range_u64(0, 2_000);
+    random_event_at(rng, nodes, ts)
+}
+
+fn random_event_at(rng: &mut Rng, nodes: usize, ts_ns: u64) -> TraceEvent {
+    let rank = rng.range_usize(0, nodes) as u32;
     match rng.range_u64(0, 4) {
         0 => {
-            let dur = rng.range_u64(1, 700);
-            let cpu = rng.range_u64(0, dur + 1);
-            let work = rng.range_u64(0, 1_000_000);
-            TraceEvent::Complete {
-                cat: "runtime",
-                name: "charge_rows",
+            let dur_ns = rng.range_u64(1, 700);
+            TraceEvent::ChargeRows {
+                grace: false,
                 rank,
-                ts_ns: ts,
-                dur_ns: dur,
-                args: vec![
-                    ("rows", Json::UInt(1)),
-                    ("cpu_ns", Json::UInt(cpu)),
-                    ("work_uflop", Json::UInt(work)),
-                ],
+                ts_ns,
+                dur_ns,
+                rows: 1,
+                cpu_ns: rng.range_u64(0, dur_ns + 1),
+                work_uflop: rng.range_u64(0, 1_000_000),
             }
         }
-        1 => TraceEvent::Complete {
-            cat: "sched",
-            name: "blocked",
+        1 => TraceEvent::Blocked {
             rank,
-            ts_ns: ts,
+            ts_ns,
             dur_ns: rng.range_u64(0, 900),
-            args: vec![],
         },
-        2 => TraceEvent::Instant {
-            cat: "comm",
-            name: "send",
+        2 => TraceEvent::Send {
             rank,
-            ts_ns: ts,
-            args: vec![
-                ("peer", Json::UInt(rng.range_u64(0, nodes as u64))),
-                ("seq", Json::UInt(rng.next_u64() % 1000)),
-            ],
+            ts_ns,
+            msg: msg(rng.range_u64(0, nodes as u64), rng.next_u64() % 1000),
+            queued_ns: 0,
         },
-        _ => {
-            let late = rng.range_u64(0, 500);
-            TraceEvent::Instant {
-                cat: "comm",
-                name: "recv",
-                rank,
-                ts_ns: ts,
-                args: vec![
-                    ("peer", Json::UInt(0)),
-                    ("late_ns", Json::UInt(late)),
-                    ("net_ns", Json::UInt(rng.range_u64(0, 300))),
-                ],
-            }
-        }
+        _ => TraceEvent::Recv {
+            rank,
+            ts_ns,
+            msg: msg(0, 0),
+            rx_queued_ns: 0,
+            late_ns: rng.range_u64(0, 500),
+            net_ns: rng.range_u64(0, 300),
+        },
+    }
+}
+
+fn msg(peer: u64, seq: u64) -> Msg {
+    Msg {
+        peer,
+        tag: 7,
+        seq,
+        bytes: 64,
     }
 }
 
@@ -80,36 +75,21 @@ fn window_sums_are_exact_partitions() {
         let mut exp_work = 0u64;
         let mut exp_wait = 0u64;
         let mut exp_late = 0u64;
-        let arg = |args: &[(&'static str, Json)], k: &str| {
-            args.iter()
-                .find(|(n, _)| *n == k)
-                .and_then(|(_, v)| v.as_u64())
-                .unwrap_or(0)
-        };
         for ev in &events {
-            match ev {
-                TraceEvent::Complete {
-                    cat,
-                    name,
+            match *ev {
+                TraceEvent::ChargeRows {
                     dur_ns,
-                    args,
+                    cpu_ns,
+                    work_uflop,
                     ..
                 } => {
-                    if *cat == "runtime" && *name == "charge_rows" {
-                        exp_busy += dur_ns;
-                        exp_cpu += arg(args, "cpu_ns");
-                        exp_work += arg(args, "work_uflop");
-                    } else if *cat == "sched" && *name == "blocked" {
-                        exp_wait += dur_ns;
-                    }
+                    exp_busy += dur_ns;
+                    exp_cpu += cpu_ns;
+                    exp_work += work_uflop;
                 }
-                TraceEvent::Instant {
-                    cat, name, args, ..
-                } => {
-                    if *cat == "comm" && *name == "recv" {
-                        exp_late += arg(args, "late_ns");
-                    }
-                }
+                TraceEvent::Blocked { dur_ns, .. } => exp_wait += dur_ns,
+                TraceEvent::Recv { late_ns, .. } => exp_late += late_ns,
+                _ => {}
             }
         }
 
@@ -131,18 +111,11 @@ fn window_sums_are_exact_partitions() {
         let _ = exp_work;
         let total_sends: i64 = events
             .iter()
-            .filter(|e| {
-                matches!(e, TraceEvent::Instant { cat, name, args, .. }
-                    if *cat == "comm" && *name == "send"
-                        && arg(args, "peer") < report.nodes as u64)
-            })
+            .filter(|e| matches!(e, TraceEvent::Send { msg, .. } if msg.peer < report.nodes as u64))
             .count() as i64;
         let total_recvs: i64 = events
             .iter()
-            .filter(|e| {
-                matches!(e, TraceEvent::Instant { cat, name, .. }
-                    if *cat == "comm" && *name == "recv")
-            })
+            .filter(|e| matches!(e, TraceEvent::Recv { .. }))
             .count() as i64;
         if let Some(last) = report.windows.last() {
             let final_depth: i64 = last.nodes.iter().map(|n| n.queue_depth).sum();
@@ -169,18 +142,14 @@ fn report_is_order_independent() {
     check_n("health_report_order_independent", 120, |rng| {
         let nodes = rng.range_usize(2, 5);
         let n_events = rng.range_u64(2, 60);
-        let mut events: Vec<TraceEvent> = (0..n_events).map(|_| random_event(rng, nodes)).collect();
         // Force timestamp collisions so same-ts reordering is exercised.
         let collide = rng.range_u64(0, 2_000);
-        let half = events.len() / 2;
-        for ev in events.iter_mut().take(half) {
-            if rng.chance(0.5) {
-                match ev {
-                    TraceEvent::Complete { ts_ns, .. } => *ts_ns = collide,
-                    TraceEvent::Instant { ts_ns, .. } => *ts_ns = collide,
-                }
-            }
-        }
+        let mut events: Vec<TraceEvent> = (0..n_events)
+            .map(|i| match i < n_events / 2 && rng.chance(0.5) {
+                true => random_event_at(rng, nodes, collide),
+                false => random_event(rng, nodes),
+            })
+            .collect();
 
         let window = rng.range_u64(50, 500);
         let feed = |events: &[TraceEvent]| {
@@ -210,13 +179,14 @@ fn report_is_order_independent() {
 /// resets the streak.
 #[test]
 fn sustain_streaks_reset_on_recovery() {
-    let charge = |rank: usize, w: u64, cpu: u64| TraceEvent::Complete {
-        cat: "runtime",
-        name: "charge_rows",
+    let charge = |rank: u32, w: u64, cpu_ns: u64| TraceEvent::ChargeRows {
+        grace: false,
         rank,
         ts_ns: w * 100,
         dur_ns: 80,
-        args: vec![("cpu_ns", Json::UInt(cpu)), ("work_uflop", Json::UInt(100))],
+        rows: 1,
+        cpu_ns,
+        work_uflop: 100,
     };
     let mon = HealthMonitor::new(100);
     // Interference (cpu 40/busy 80 = 0.5 > 0.2, sustain 2) in windows
@@ -242,30 +212,22 @@ fn sustain_streaks_reset_on_recovery() {
 // ---------------------------------------------------------------------------
 
 /// A `charge_rows` span marking `rank` active across `[ts, ts+dur)`.
-fn activity(rank: usize, ts: u64, dur: u64) -> TraceEvent {
-    TraceEvent::Complete {
-        cat: "runtime",
-        name: "charge_rows",
+fn activity(rank: u32, ts: u64, dur: u64) -> TraceEvent {
+    TraceEvent::ChargeRows {
+        grace: false,
         rank,
         ts_ns: ts,
         dur_ns: dur,
-        args: vec![
-            ("rows", Json::UInt(1)),
-            ("cpu_ns", Json::UInt(dur)),
-            ("work_uflop", Json::UInt(100)),
-        ],
+        rows: 1,
+        cpu_ns: dur,
+        work_uflop: 100,
     }
 }
 
 /// A replicated runtime decision instant, as a survivor rank mirrors it.
-fn decision(rank: usize, kind: &'static str, ts: u64, cycle: u64, node: u64) -> TraceEvent {
-    TraceEvent::Instant {
-        cat: "runtime",
-        name: kind,
-        rank,
-        ts_ns: ts,
-        args: vec![("cycle", Json::UInt(cycle)), ("node", Json::UInt(node))],
-    }
+fn decision(rank: u32, kind: &'static str, ts: u64, cycle: u64, node: u64) -> TraceEvent {
+    let args = vec![("cycle", Json::UInt(cycle)), ("node", Json::UInt(node))];
+    TraceEvent::instant("runtime", kind, rank, ts, args)
 }
 
 /// Regression: once the runtime has confirmed a node dead, its ensuing
@@ -329,16 +291,17 @@ fn rejoined_node_is_tracked_again() {
     for widx in 0..3 {
         monitor.on_event(&activity(2, widx * w + 10, 50));
     }
-    monitor.on_event(&TraceEvent::Instant {
-        cat: "runtime",
-        name: "nodes-dropped",
-        rank: 0,
-        ts_ns: 2 * w + 20,
-        args: vec![
-            ("cycle", Json::UInt(4)),
-            ("nodes", Json::Arr(vec![Json::UInt(2)])),
-        ],
-    });
+    let dropped = vec![
+        ("cycle", Json::UInt(4)),
+        ("nodes", Json::Arr(vec![Json::UInt(2)])),
+    ];
+    monitor.on_event(&TraceEvent::instant(
+        "runtime",
+        "nodes-dropped",
+        0,
+        2 * w + 20,
+        dropped,
+    ));
     monitor.on_event(&decision(0, "node-rejoined", 6 * w + 20, 11, 2));
     for widx in 6..10 {
         monitor.on_event(&activity(2, widx * w + 30, 50));

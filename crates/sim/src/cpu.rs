@@ -14,6 +14,8 @@
 //!   spike of `ncp * quantum` even though it used little CPU — the
 //!   `gethrtime` measurement noise that the grace period filters (§4.2).
 
+use dynmpi_obs::SchedState;
+
 use crate::params::{NodeSpec, OsParams};
 use crate::time::{SimDur, SimTime};
 use crate::timeline::NcpTimeline;
@@ -44,13 +46,13 @@ pub struct Step {
 impl Step {
     /// Scheduler-span name for tracing: pure run, pure wait, or an
     /// aggregated stretch mixing both.
-    pub fn kind(&self, start: SimTime) -> &'static str {
+    pub fn kind(&self, start: SimTime) -> SchedState {
         if self.cpu == SimDur::ZERO {
-            "wait"
+            SchedState::Wait
         } else if self.end.since(start) == self.cpu {
-            "run"
+            SchedState::Run
         } else {
-            "run+wait"
+            SchedState::RunWait
         }
     }
 }

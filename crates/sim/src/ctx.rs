@@ -319,14 +319,7 @@ impl SimCtx {
                     // consumed and quantum count, so analyzers can
                     // re-expand aggregated spans: summed attribution is
                     // bit-identical between stepped and fast modes.
-                    obs::span_begin("sched", step.kind(now), now.0);
-                    obs::span_end_args(
-                        step.end.0,
-                        vec![
-                            ("cpu", obs::Json::UInt(step.cpu.0)),
-                            ("slices", obs::Json::UInt(step.slices)),
-                        ],
-                    );
+                    obs::sched_span(step.kind(now), now.0, step.end.0, step.cpu.0, step.slices);
                     if step.slices > 0 {
                         self.sched_quanta.add(step.slices);
                     }
@@ -349,14 +342,7 @@ impl SimCtx {
             }
             if step.end > now {
                 if obs::enabled() {
-                    obs::span_begin("sched", step.kind(now), now.0);
-                    obs::span_end_args(
-                        step.end.0,
-                        vec![
-                            ("cpu", obs::Json::UInt(step.cpu.0)),
-                            ("slices", obs::Json::UInt(step.slices)),
-                        ],
-                    );
+                    obs::sched_span(step.kind(now), now.0, step.end.0, step.cpu.0, step.slices);
                     if step.slices > 0 {
                         self.sched_quanta.add(step.slices);
                     }
@@ -414,18 +400,13 @@ impl SimCtx {
                 // NIC contention share of this message's flight time (the
                 // receive-side share rides on the `comm/recv` instant: the
                 // RX half may land after the sender has run ahead).
-                obs::instant(
-                    "comm",
-                    "send",
-                    now.0,
-                    vec![
-                        ("peer", obs::Json::UInt(dst as u64)),
-                        ("tag", obs::Json::UInt(tag)),
-                        ("seq", obs::Json::UInt(seq)),
-                        ("bytes", obs::Json::UInt(len as u64)),
-                        ("queued_ns", obs::Json::UInt(queued.0)),
-                    ],
-                );
+                let msg = obs::Msg {
+                    peer: dst as u64,
+                    tag,
+                    seq,
+                    bytes: len as u64,
+                };
+                obs::comm_send(now.0, msg, queued.0);
             }
         };
         if src_node == dst_node {
@@ -558,7 +539,7 @@ impl SimCtx {
                     // one an eager receive entered at `now` would have had.
                     wait_start = Some(now.0);
                     obs::span_begin("sched", "blocked", now.0);
-                    obs::span_end(wake.0);
+                    obs::span_end_blocked(wake.0);
                     self.note_reentry(&mut st);
                 }
                 continue;
@@ -590,20 +571,13 @@ impl SimCtx {
                         }
                         None => (0, 0),
                     };
-                    obs::instant(
-                        "comm",
-                        "recv",
-                        now.0,
-                        vec![
-                            ("peer", obs::Json::UInt(env.src as u64)),
-                            ("tag", obs::Json::UInt(env.tag)),
-                            ("seq", obs::Json::UInt(env.seq)),
-                            ("bytes", obs::Json::UInt(len as u64)),
-                            ("rx_queued_ns", obs::Json::UInt(env.rx_queued.0)),
-                            ("late_ns", obs::Json::UInt(late_ns)),
-                            ("net_ns", obs::Json::UInt(net_ns)),
-                        ],
-                    );
+                    let msg = obs::Msg {
+                        peer: env.src as u64,
+                        tag: env.tag,
+                        seq: env.seq,
+                        bytes: len as u64,
+                    };
+                    obs::comm_recv(now.0, msg, env.rx_queued.0, late_ns, net_ns);
                 }
                 let p = st.net.params();
                 let cpu = p.recv_cpu_base + p.recv_cpu_per_byte * len as f64;
@@ -640,7 +614,7 @@ impl SimCtx {
             wait_start.get_or_insert(now.0);
             obs::span_begin("sched", "blocked", now.0);
             st = self.block_until_woken(st, wait, deadline);
-            obs::span_end(st.clock.0);
+            obs::span_end_blocked(st.clock.0);
             self.note_reentry(&mut st);
         }
     }

@@ -17,7 +17,7 @@ use dynmpi_testkit::{check_n, Rng};
 fn sched_span_count(events: &[TraceEvent]) -> usize {
     events
         .iter()
-        .filter(|e| matches!(e, TraceEvent::Complete { .. }) && e.cat() == "sched")
+        .filter(|e| matches!(e, TraceEvent::Sched { .. } | TraceEvent::Blocked { .. }))
         .count()
 }
 

@@ -492,7 +492,7 @@ fn recorded(case: &Case, stepped: bool) -> (Run, Arc<Vec<TraceEvent>>, HealthRep
 fn without_cpu_spans(events: &[TraceEvent]) -> Vec<&TraceEvent> {
     events
         .iter()
-        .filter(|e| !(e.cat() == "sched" && e.name() != "blocked"))
+        .filter(|e| !matches!(e, TraceEvent::Sched { .. }))
         .collect()
 }
 

@@ -131,10 +131,8 @@ fn span_attributes_round_trip_through_jsonl_and_chrome() {
             assert_eq!(p.ts_ns, e.ts_ns());
             assert_eq!(p.tid, e.rank() as u64);
             assert_eq!(p.name, e.name());
-            let (TraceEvent::Complete { args, .. } | TraceEvent::Instant { args, .. }) = e;
-            let args: Vec<_> = args
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
+            let args: Vec<_> = (e.args().to_vec().into_iter())
+                .map(|(k, v)| (k.to_string(), v))
                 .collect();
             assert_eq!(p.args, args, "chrome round-trip changed span args");
         }
