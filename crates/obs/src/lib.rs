@@ -4,7 +4,7 @@
 //!
 //! * **Tracing** ([`trace`]): spans and instants stamped with *virtual*
 //!   nanoseconds (the simulator's clock, not wallclock). A thread-local
-//!   scope installed per rank thread buffers events without cross-thread
+//!   scope installed per rank buffers events without cross-thread
 //!   contention; everything is a no-op when no scope is installed.
 //! * **Metrics** ([`metrics`]): counters and fixed-bucket
 //!   histograms with atomic recording and plain-data snapshots whose merge
@@ -15,7 +15,7 @@
 //!   backs both and is reused by the bench binaries for row output.
 //!
 //! The [`Recorder`] ties it together: one per traced run, cloned into each
-//! rank thread, collecting per-rank events and metric snapshots for export.
+//! rank's scope, collecting per-rank events and metric snapshots for export.
 //!
 //! Three readers turn the stream into reports: the profiler ([`analysis`],
 //! after the run), the streaming [`HealthMonitor`] ([`health`]) and the
@@ -58,9 +58,10 @@ pub use metrics::{
     prometheus_text, Counter, HistSnapshot, Histogram, Registry, Snapshot, BYTE_BUCKETS,
 };
 pub use trace::{
-    begin_cycle, comm_recv, comm_send, count, counter_handle, enabled, instant, observe,
-    sched_span, span_begin, span_end, span_end_args, span_end_blocked, span_end_charge_rows,
-    span_end_collective, span_end_cycle, Args, EventSink, Msg, SchedState, ScopeGuard,
+    begin_cycle, comm_recv, comm_send, count, counter_handle, detach_scope, enabled, instant,
+    observe, sched_span, span_begin, span_end, span_end_args, span_end_blocked,
+    span_end_charge_rows, span_end_collective, span_end_cycle, Args, DetachedScope, EventSink, Msg,
+    SchedState, ScopeGuard,
 };
 
 #[derive(Default)]
@@ -70,7 +71,7 @@ struct RecorderInner {
     events: Arc<Vec<TraceEvent>>,
     /// Flushed rank buffers not yet merged into `events`, in flush order.
     /// The merge happens on the reading thread, so the one large vector
-    /// is allocated there and not in whichever rank thread flushed.
+    /// is allocated there and not in whichever rank flushed.
     flushed: Vec<Vec<TraceEvent>>,
     /// One metrics snapshot per rank (last flush wins per rank).
     snapshots: Vec<(usize, Snapshot)>,

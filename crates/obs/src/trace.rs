@@ -3,11 +3,12 @@
 //! The simulator's clock is a `u64` nanosecond count since simulation start,
 //! so every tracing call takes an explicit `ts_ns` — guards cannot observe
 //! virtual time at drop, and wallclock would be meaningless inside a
-//! discrete-event run. A thread-local scope, installed per rank thread by
-//! the cluster runner, buffers events locally; nothing is shared until the
-//! scope flushes into its [`Recorder`](crate::Recorder). With no scope
-//! installed every call is a no-op, so instrumented code costs almost
-//! nothing outside traced runs.
+//! discrete-event run. A thread-local scope, installed per rank by the
+//! cluster runner, buffers events locally; nothing is shared until the
+//! scope flushes into its [`Recorder`](crate::Recorder). Ranks that take
+//! turns on one thread set their scope aside while another runs
+//! ([`detach_scope`]). With no scope installed every call is a no-op, so
+//! instrumented code costs almost nothing outside traced runs.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -657,6 +658,35 @@ pub(crate) fn install_scope(recorder: Recorder, rank: usize) -> ScopeGuard {
         assert!(prev.is_none(), "tracing scope already installed on thread");
     });
     ScopeGuard { _priv: () }
+}
+
+/// The calling thread's tracing scope, moved off the thread by
+/// [`detach_scope`]; dropping it puts the scope back. Several ranks that
+/// take turns on one thread each keep their own scope this way: a rank
+/// sets its scope aside before it gives up the thread and has it back when
+/// it resumes. Holds nothing when the thread had no scope.
+#[must_use = "dropping the guard is what puts the scope back"]
+pub struct DetachedScope(Option<RankScope>);
+
+/// Moves the calling thread's tracing scope, if any, aside until the
+/// returned guard drops: meanwhile the thread emits nothing and may
+/// install another scope, which must be gone again by then.
+pub fn detach_scope() -> DetachedScope {
+    DetachedScope(SCOPE.with(|s| s.borrow_mut().take()))
+}
+
+impl Drop for DetachedScope {
+    fn drop(&mut self) {
+        if let Some(scope) = self.0.take() {
+            SCOPE.with(|s| {
+                let prev = s.borrow_mut().replace(scope);
+                assert!(
+                    prev.is_none(),
+                    "tracing scope installed over a detached one"
+                );
+            });
+        }
+    }
 }
 
 /// Is a tracing scope installed on this thread?

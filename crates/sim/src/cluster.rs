@@ -6,6 +6,7 @@ use std::sync::Arc;
 use crate::cpu::CpuSched;
 use crate::ctx::{CrashedRank, SimCtx};
 use crate::engine::{EngineState, NodeState, Shared, Status};
+use crate::fiber::Fiber;
 use crate::monitor::BlockHistory;
 use crate::network::Network;
 use crate::params::{NetParams, NodeSpec, OsParams};
@@ -85,8 +86,8 @@ impl Cluster {
         self
     }
 
-    /// Attaches an observability recorder: every rank thread gets a tracing
-    /// scope for the duration of [`run_spmd`](Self::run_spmd), so spans,
+    /// Attaches an observability recorder: every rank gets a tracing scope
+    /// for the duration of [`run_spmd`](Self::run_spmd), so spans,
     /// instants, and metrics land in `recorder` stamped with virtual time.
     pub fn with_recorder(mut self, recorder: dynmpi_obs::Recorder) -> Self {
         self.recorder = Some(recorder);
@@ -174,10 +175,10 @@ impl Cluster {
     /// plus the run report. Deterministic: same inputs → same virtual
     /// timings, bit for bit.
     ///
-    /// Ranks `1..n` get a thread each; rank 0 runs on the calling thread,
-    /// which is blocked for the duration anyway (so rank 0 sees the
-    /// caller's thread-locals, and the caller must not already hold a
-    /// tracing scope when a recorder is attached).
+    /// Every rank is a fiber with a 2 MiB stack on the calling thread, so
+    /// all of them see the caller's thread-locals. A tracing scope the
+    /// caller holds is set aside for the run and kept: its events stay in
+    /// its own recorder, the ranks' go to the run's.
     ///
     /// Panics (with the original payload) if any rank panics. A rank
     /// killed by a scripted fail-stop crash is *not* a panic: its result
@@ -190,7 +191,7 @@ impl Cluster {
     {
         let seed = self.nodes.len();
         // Scripted arrivals get the ranks after the seed nodes, in script
-        // order. Their threads exist from t = 0 (the engine needs every
+        // order. Their fibers exist from t = 0 (the engine needs every
         // rank's events) but their monitors read offline until
         // `online_at`; the runtime keeps them out of the compute group
         // until it admits them.
@@ -217,9 +218,9 @@ impl Cluster {
         // Kick off: hand the turn to the earliest initial event.
         shared.state.lock().dispatch_next();
 
-        // One rank's whole life on the current thread: wait for the first
-        // turn, run the program, retire. Every unwind — the program's, a
-        // scripted crash, a poisoned wait — comes back as a value.
+        // One rank's whole life on its fiber: wait for the first turn, run
+        // the program, retire. Every unwind — the program's, a scripted
+        // crash, a poisoned wait — comes back as a value.
         let run_rank = |pid: usize| -> std::thread::Result<R> {
             // Guard dropped (and buffers flushed) after the rank finishes
             // or unwinds.
@@ -245,18 +246,33 @@ impl Cluster {
                 }
             }
         };
-        let joined: Vec<std::thread::Result<R>> = std::thread::scope(|s| {
+        let mut joined: Vec<Option<std::thread::Result<R>>> = (0..n).map(|_| None).collect();
+        {
+            let _caller_scope = dynmpi_obs::detach_scope();
             let run_rank = &run_rank;
-            let handles: Vec<_> = (1..n).map(|pid| s.spawn(move || run_rank(pid))).collect();
-            // Rank 0 runs here, on the thread that called `run_spmd`: it
-            // would otherwise only sit in `join`, and the root rank's heap
-            // then stays in this thread's allocator arena from run to run
-            // instead of landing in a fresh thread's arena every time.
-            let root = run_rank(0);
-            std::iter::once(root)
-                .chain(handles.into_iter().map(|h| h.join().unwrap_or_else(Err)))
-                .collect()
-        });
+            let mut fibers: Vec<_> = joined
+                .iter_mut()
+                .enumerate()
+                .map(|(pid, slot)| Fiber::new(move || *slot = Some(run_rank(pid))))
+                .collect();
+            // Resume whichever rank holds the turn. A drained run leaves no
+            // owner; so does a failed one (poison, deadlock), after which
+            // every unfinished rank is resumed until it has unwound.
+            loop {
+                let next = shared.state.lock().current;
+                let Some(pid) = next else { break };
+                fibers[pid].resume();
+            }
+            for fiber in &mut fibers {
+                while !fiber.is_finished() {
+                    fiber.resume();
+                }
+            }
+        }
+        let joined: Vec<std::thread::Result<R>> = joined
+            .into_iter()
+            .map(|r| r.expect("every rank's fiber ran to completion"))
+            .collect();
 
         if joined.iter().any(|r| r.is_err()) {
             // Re-raise the payload of the rank that poisoned the run (the

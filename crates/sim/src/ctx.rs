@@ -55,8 +55,8 @@ pub struct RecvTimeout {
 pub(crate) struct CrashedRank;
 
 /// A counter of this rank's metrics registry, looked up by name on first
-/// use; every later bump is one atomic add (nothing, when the rank's thread
-/// had no tracing scope at that first use).
+/// use; every later bump is one atomic add (nothing, when the rank had no
+/// tracing scope at that first use).
 struct RankCounter {
     name: &'static str,
     handle: OnceLock<Option<obs::Counter>>,
@@ -727,10 +727,10 @@ impl SimCtx {
     ///
     /// In-place bypass: if no other queue entry (another rank's wake-up,
     /// anyone's landing) is due at or before `t`, this rank keeps the turn
-    /// — the clock moves forward in place with no heap push, no `unpark`,
-    /// and no `park`. Otherwise it falls back to the classic queued event +
-    /// full yield, preserving the global `(time, pid, seq)` dispatch order
-    /// exactly.
+    /// — the clock moves forward in place with no heap push and no switch
+    /// away from this rank's fiber. Otherwise it falls back to the classic
+    /// queued event + full yield, preserving the global `(time, pid, seq)`
+    /// dispatch order exactly.
     fn advance_to<'a>(&'a self, mut st: Guard<'a>, t: SimTime) -> Guard<'a> {
         debug_assert_eq!(st.current, Some(self.pid));
         debug_assert!(t >= st.clock, "advance_to into the past");
@@ -761,7 +761,7 @@ impl SimCtx {
         st.dispatch_next();
         if st.current == Some(self.pid) {
             // The turn came straight back (our own event was earliest):
-            // keep running without waking anyone.
+            // keep running, with no switch away from this fiber.
             debug_assert_eq!(st.procs[self.pid].status, Status::Running);
             return st;
         }

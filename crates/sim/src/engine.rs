@@ -1,9 +1,10 @@
 //! Conservative discrete-event engine core.
 //!
-//! Every simulated rank runs as a real OS thread so application code can be
-//! ordinary imperative Rust (loops, sends, receives), but **exactly one**
-//! simulation thread executes at a time: a thread that blocks in virtual
-//! time hands the "turn" to the thread owning the earliest pending event.
+//! Every simulated rank runs as a stackful fiber on the thread that called
+//! `Cluster::run_spmd`, so application code can be ordinary imperative Rust
+//! (loops, sends, receives) and **exactly one** rank executes at a time: a
+//! rank that blocks in virtual time hands the "turn" to the rank owning the
+//! earliest pending event, and the hand-off is a user-space stack switch.
 //! Event order is a total order on `(virtual time, pid, sequence number)`,
 //! so a run is a deterministic function of its inputs.
 //!
@@ -21,12 +22,11 @@
 //! single writer.
 
 use std::collections::BinaryHeap;
-use std::sync::OnceLock;
-use std::thread::Thread;
 
 use crate::sync::{Mutex, MutexGuard};
 
 use crate::cpu::CpuSched;
+use crate::fiber;
 use crate::mailbox::Mailbox;
 use crate::monitor::BlockHistory;
 use crate::network::Network;
@@ -237,7 +237,7 @@ pub(crate) struct EngineState {
     /// Clock advances that did not give up the turn: rank-local advances
     /// plus engine catch-ups made in place.
     pub bypasses: u64,
-    /// Turns given to a different thread.
+    /// Turns given to a different rank.
     pub hand_offs: u64,
     pub panic_msg: Option<String>,
     /// Rank whose panic poisoned the run, so the runner can re-raise the
@@ -481,39 +481,33 @@ impl EngineState {
     }
 }
 
-/// Shared engine handle: the state plus one parker per rank thread.
+/// Shared engine handle.
 ///
-/// The turn token is *targeted*: whoever gives the turn away wakes exactly
-/// the rank `EngineState::current` names, and only after releasing the
-/// engine mutex (see [`Shared::hand_off`]). Waiting ranks sit in
-/// `std::thread::park` without holding the lock.
+/// Every rank is a fiber on the thread that called `Cluster::run_spmd`
+/// (see `fiber.rs`), so the turn is the thread: a rank that gives the turn
+/// away suspends, and the run's loop resumes whichever rank
+/// `EngineState::current` names next.
 pub(crate) struct Shared {
     pub state: Mutex<EngineState>,
-    /// The thread running each pid, registered by its first
-    /// [`Shared::wait_turn`]. Outside the mutex so a hand-off can unpark
-    /// after unlocking.
-    parkers: Vec<OnceLock<Thread>>,
 }
 
 impl Shared {
     pub fn new(state: EngineState) -> Self {
-        let parkers = state.procs.iter().map(|_| OnceLock::new()).collect();
         Shared {
             state: Mutex::new(state),
-            parkers,
         }
     }
 
-    /// Blocks the calling rank thread until it holds the turn, and returns
-    /// the engine guard it observed that under.
+    /// Suspends the calling rank until it holds the turn, and returns the
+    /// engine guard it observed that under; panics with the diagnosis once
+    /// the run has failed. The rank's tracing scope is set aside while it
+    /// is suspended, so whichever rank runs next emits into its own.
     ///
-    /// The parker is registered *before* `current` is read under the lock,
-    /// so a hand-off either finds the parker (its `unpark` token makes the
-    /// next `park` return at once) or ran entirely before this thread's
-    /// first lock, which then already sees `current == Some(pid)`. Every
-    /// wake re-checks under the lock: `park` may return spuriously.
+    /// No engine call may be made from a `Drop`: a rank must never suspend
+    /// while its thread unwinds, because the panic count and mutex
+    /// poisoning belong to the one OS thread all ranks share. A suspension
+    /// while panicking therefore aborts, naming the rank.
     pub fn wait_turn(&self, pid: usize) -> MutexGuard<'_, EngineState> {
-        self.parkers[pid].get_or_init(std::thread::current);
         loop {
             let st = self.state.lock();
             if let Some(msg) = &st.panic_msg {
@@ -525,38 +519,32 @@ impl Shared {
                 return st;
             }
             drop(st);
-            std::thread::park();
+            if std::thread::panicking() {
+                eprintln!(
+                    "dynmpi-sim: rank {pid} gave up the turn while unwinding \
+                     (an engine call from a Drop?); aborting"
+                );
+                std::process::abort();
+            }
+            let scope = dynmpi_obs::detach_scope();
+            fiber::suspend();
+            drop(scope);
         }
     }
 
     /// Gives the turn away — the one function every site that changed
-    /// `current` (or failed the run) goes through. Reads the next owner,
-    /// **releases the engine mutex first**, then unparks exactly that
-    /// rank; a failed run (`panic_msg` set: poison, deadlock) unparks
-    /// every rank so all of them unwind. Unparking while still holding the
-    /// mutex would send the woken thread straight into a block on it.
+    /// `current` (or failed the run) goes through. Releases the engine
+    /// mutex; the rank then suspends in [`Shared::wait_turn`] and the run's
+    /// loop resumes the next owner (every rank, once the run has failed).
     /// Each turn handed to a rank is counted in `EngineState::hand_offs`.
     pub fn hand_off(&self, mut st: MutexGuard<'_, EngineState>) {
-        let next = st.current;
-        let failed = st.panic_msg.is_some();
-        if next.is_some() && !failed {
+        if st.current.is_some() && st.panic_msg.is_none() {
             st.hand_offs += 1;
-        }
-        drop(st);
-        let wake = |p: &OnceLock<Thread>| {
-            if let Some(t) = p.get() {
-                t.unpark();
-            }
-        };
-        if failed {
-            self.parkers.iter().for_each(wake);
-        } else if let Some(pid) = next {
-            wake(&self.parkers[pid]);
         }
     }
 
-    /// Marks the simulation as failed and wakes everyone so all threads
-    /// unwind promptly.
+    /// Marks the simulation as failed, so every rank unwinds when it is
+    /// next resumed.
     pub fn poison(&self, origin: usize, msg: String) {
         let mut st = self.state.lock();
         if st.panic_msg.is_none() {

@@ -16,9 +16,10 @@
 //! * **Clocks**: an exact virtual wallclock (`gethrtime`), exact per-process
 //!   CPU accounting readable only at 10 ms granularity (`/proc`), and two
 //!   load monitors — the reliable `dmpi_ps` and the faulty `vmstat`.
-//! * **Execution**: each rank is a real thread running ordinary Rust, but
-//!   the engine serializes them in virtual-time order, so a run is a pure
-//!   function of its inputs.
+//! * **Execution**: each rank runs ordinary Rust as a stackful fiber on the
+//!   calling thread (x86_64 Linux), and the engine hands the one thread
+//!   from rank to rank in virtual-time order, so a run is a pure function
+//!   of its inputs.
 //!
 //! ## Quick example
 //!
@@ -40,6 +41,7 @@ mod cluster;
 mod cpu;
 mod ctx;
 mod engine;
+mod fiber;
 mod mailbox;
 mod monitor;
 mod network;

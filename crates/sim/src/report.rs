@@ -39,9 +39,10 @@ pub struct SimReport {
     /// rank-local clock, or catching the engine clock up in place (also an
     /// execution-cost metric; 0 in stepped mode).
     pub turn_bypasses: u64,
-    /// Turns given to a *different* thread — one park/unpark pair each,
-    /// the host cost the engine pays per simulated message (also an
-    /// execution-cost metric).
+    /// Turns given to a *different* rank — one suspension of the giver and
+    /// one resumption of the taker each, the two user-space stack switches
+    /// the engine pays per simulated message (also an execution-cost
+    /// metric).
     pub hand_offs: u64,
 }
 

@@ -1,9 +1,8 @@
 //! Minimal `parking_lot`-shaped wrapper over `std::sync::Mutex`.
 //!
 //! The engine only needs `lock()` without a poison `Result`. Poisoned locks
-//! are unrecoverable here — a panicking sim thread already poisons the
-//! engine through `Shared::poison` — so lock poisoning is deliberately
-//! ignored.
+//! are unrecoverable here — a panicking rank already poisons the engine
+//! through `Shared::poison` — so lock poisoning is deliberately ignored.
 
 pub(crate) use std::sync::MutexGuard;
 

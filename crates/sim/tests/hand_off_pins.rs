@@ -1,7 +1,8 @@
 //! Deterministic pins on what the engine pays per simulated message.
 //!
-//! `SimReport::hand_offs` counts turns given to a different thread — a park
-//! and an unpark each, the host cost that dominates an engine-bound run.
+//! `SimReport::hand_offs` counts turns given to a different rank — a switch
+//! off one fiber and onto another each, the host cost that dominates an
+//! engine-bound run.
 //! With rank-local clocks only a blocking receive gives up the turn, so the
 //! count sits at about one per message. A run is a pure function of its
 //! inputs, counters included, so the bars below are exact integers

@@ -1,15 +1,15 @@
-//! The wake-up paths of the targeted turn hand-off, each under a wall-clock
+//! The wake-up paths of the turn hand-off, each under a wall-clock
 //! watchdog.
 //!
-//! A hand-off unparks exactly one rank thread, so every situation in which
-//! *more* than the next owner must wake — or in which there is no next
-//! owner at all — needs its own wake-up: a failed run has to unpark every
-//! parked rank, a dying rank has to pass the turn on, a deadline has to
-//! fire with nothing else queued. A mistake in any of them is a hang, not a
-//! wrong answer, so each case runs inside `with_watchdog` and fails by
-//! message instead. Every case runs once with pid 0 in the critical role:
-//! rank 0 executes on the thread that called `run_spmd`, not on a spawned
-//! one.
+//! A hand-off resumes exactly one rank's fiber, so every situation in which
+//! *more* than the next owner must run — or in which there is no next
+//! owner at all — needs its own path: a failed run has to resume every
+//! suspended rank so it unwinds, a dying rank has to pass the turn on, a
+//! deadline has to fire with nothing else queued. A mistake in any of them
+//! is a hang or a rank that never unwinds, not a wrong answer, so each case
+//! runs inside `with_watchdog` and fails by message instead. Every case
+//! runs once with pid 0 in the critical role: the lowest pid is the first
+//! one the run resumes.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -33,8 +33,8 @@ fn panic_message_of(f: impl FnOnce() + Send + 'static) -> String {
 /// The last runnable rank *returns* while another is still blocked on a
 /// receive nobody will ever match: the deadlock is found by the returning
 /// rank's `finish` (there is no `yield_turn` left to find it), and the
-/// blocked rank — parked, and not the next owner of anything — must still
-/// be woken to unwind with the diagnosis.
+/// blocked rank — suspended, and not the next owner of anything — must
+/// still be resumed to unwind with the diagnosis.
 #[test]
 fn deadlock_found_by_the_last_finisher_wakes_the_blocked_rank() {
     for blocked in [0usize, 3] {
@@ -97,8 +97,8 @@ fn deadlock_diagnosis_is_identical_in_fast_and_stepped_mode() {
     }
 }
 
-/// One rank panics while the 63 others are parked in receives: every one
-/// of them must be unparked to unwind, all threads must be joined (the run
+/// One rank panics while the 63 others are suspended in receives: every
+/// one of them must be resumed to unwind, every fiber must finish (the run
 /// returns), and the payload re-raised is the original one.
 #[test]
 fn panic_with_63_ranks_parked_reraises_the_original_payload() {
