@@ -11,12 +11,30 @@ use std::fmt::{self, Write};
 use crate::json::{write_escaped, write_uint, Json, JsonError};
 use crate::trace::{intern, intern_cat, Args, TraceEvent, MAX_RANKS, MAX_TS_NS};
 
-fn us(ns: u64) -> Json {
-    if ns.is_multiple_of(1_000) {
-        Json::UInt(ns / 1_000)
-    } else {
-        Json::Num(ns as f64 / 1_000.0)
+/// Below this many nanoseconds, 10^12 µs < 2^43 µs, an `f64` count of
+/// microseconds has an ulp of at most 2^-10 < 0.001.
+pub const EXACT_US_BELOW_NS: u64 = 1_000_000_000_000_000;
+
+/// `ns` in microseconds as the `f64` `ns / 1000` writes. Below
+/// [`EXACT_US_BELOW_NS`] that is `ns / 1000` and 1–3 fraction digits,
+/// trailing zeros stripped: the `f64` is the double nearest that decimal,
+/// and any other as short lies ≥ 0.001 away, more than an ulp.
+fn write_us<W: Write>(out: &mut W, ns: u64) -> fmt::Result {
+    let mut frac = ns % 1_000;
+    if frac != 0 && ns >= EXACT_US_BELOW_NS {
+        return Json::Num(ns as f64 / 1_000.0).write_to(out);
     }
+    write_uint(out, ns / 1_000)?;
+    if frac != 0 {
+        out.write_char('.')?;
+    }
+    let mut unit = 100;
+    while frac > 0 {
+        out.write_char(char::from(b'0' + (frac / unit) as u8))?;
+        frac %= unit;
+        unit /= 10;
+    }
+    Ok(())
 }
 
 /// `"cat":…,"name":…` — the two string fields both formats share.
@@ -59,8 +77,8 @@ fn write_args<W: Write>(out: &mut W, args: Args<'_>) -> fmt::Result {
     out.write_str("}}")
 }
 
-/// Bytes to reserve per event: what an event of the instrumented layers
-/// serialises to on average, in either format.
+/// Bytes to reserve per event, in either format: above the ≈ 135 B the
+/// instrumented layers' events average, so the `String` never grows.
 const BYTES_PER_EVENT: usize = 192;
 
 /// Write events as a Chrome `trace_event` document:
@@ -80,11 +98,11 @@ pub fn write_chrome_trace<W: Write>(out: &mut W, events: &[TraceEvent]) -> fmt::
         out.write_str(",\"pid\":0,\"tid\":")?;
         write_uint(out, ev.rank() as u64)?;
         out.write_str(",\"ts\":")?;
-        us(ev.ts_ns()).write_to(out)?;
+        write_us(out, ev.ts_ns())?;
         match dur_ns {
             Some(d) => {
                 out.write_str(",\"dur\":")?;
-                us(d).write_to(out)?;
+                write_us(out, d)?;
             }
             None => out.write_str(",\"s\":\"t\"")?,
         }

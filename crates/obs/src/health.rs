@@ -32,12 +32,12 @@
 //! so "the monitor saw the straggler before the balancer acted" is a
 //! plain timestamp comparison.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
+use std::collections::BTreeSet;
+use std::fmt::{self, Write as _};
 use std::sync::Mutex;
 
 use crate::decision_log::{arg_f64, arg_u64, arg_usize_arr, DecisionLog};
-use crate::json::Json;
+use crate::json::{write_escaped, Json};
 use crate::trace::{EventSink, TraceEvent, MAX_RANKS};
 
 /// Default sliding-window width: 20 virtual milliseconds. Small enough
@@ -216,8 +216,9 @@ const DECISION_KINDS: &[&str] = &[
 struct MonitorInner {
     /// Highest rank seen + 1.
     nodes: usize,
-    /// Window index → per-node facts (vector grows with `nodes`).
-    windows: BTreeMap<u64, Vec<NodeWindow>>,
+    /// Per-node facts by window index, dense from t = 0 to the latest
+    /// window touched (an untouched one has no rows); rows grow with `nodes`.
+    windows: Vec<Vec<NodeWindow>>,
     /// The runtime's decisions, one record each: the load vectors, the
     /// balancer's predictions and the removal timeline come from here.
     log: DecisionLog,
@@ -245,8 +246,11 @@ impl MonitorInner {
     }
 
     fn window_mut(&mut self, widx: u64, rank: usize) -> &mut NodeWindow {
-        let nodes = self.nodes;
-        let v = self.windows.entry(widx).or_default();
+        let (widx, nodes) = (widx as usize, self.nodes);
+        if widx >= self.windows.len() {
+            self.windows.resize_with(widx + 1, Vec::new);
+        }
+        let v = &mut self.windows[widx];
         if v.len() < nodes {
             v.resize(nodes, NodeWindow::default());
         }
@@ -391,16 +395,9 @@ impl HealthMonitor {
         let m = self.locked();
         let w = self.window_ns;
         let nodes = m.nodes;
-        let Some(last_widx) = m.windows.keys().next_back().copied() else {
-            return HealthReport {
-                window_ns: w,
-                nodes,
-                windows: Vec::new(),
-            };
-        };
         // Per-rank last activity (max event end), for the silence rule.
         let mut last_event = vec![0u64; nodes];
-        for (widx, v) in &m.windows {
+        for (widx, v) in (0..).zip(&m.windows) {
             for (rank, nw) in v.iter().enumerate() {
                 if nw.active {
                     last_event[rank] = last_event[rank].max((widx + 1) * w);
@@ -458,16 +455,14 @@ impl HealthMonitor {
         let mut timeline = timeline.into_iter().peekable();
 
         let mut removed: BTreeSet<usize> = BTreeSet::new();
-        let empty = Vec::new();
         let mut depth = vec![0i64; nodes];
         let mut silent = vec![0u32; nodes];
         let mut streaks = vec![vec![0u32; self.rules.len()]; nodes];
-        let mut windows: Vec<WindowReport> = Vec::with_capacity(last_widx as usize + 1);
+        let mut windows: Vec<WindowReport> = Vec::with_capacity(m.windows.len());
 
-        for widx in 0..=last_widx {
+        for (widx, stats) in (0..).zip(&m.windows) {
             let t_start = widx * w;
             let t_end = (widx + 1) * w;
-            let stats = m.windows.get(&widx).unwrap_or(&empty);
             while let Some((_, l)) = loads.next_if(|(ts, _)| *ts < t_end) {
                 current_loads = Some(l);
             }
@@ -723,6 +718,73 @@ pub struct WindowReport {
     pub predicted_imbalance: Option<f64>,
 }
 
+impl WindowReport {
+    /// This window's `HealthSnapshot` object, field by field: the bytes a
+    /// `Json` tree of it would write, without building one. Keys and
+    /// state, rule and decision names are plain identifiers.
+    fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        let field = |out: &mut W, key: &str, v: Json| {
+            out.write_str(key)?;
+            v.write_to(out)
+        };
+        let name = |out: &mut W, key: &str, v: &str| {
+            out.write_str(key)?;
+            write_escaped(out, v)
+        };
+        let open = |i: usize| if i == 0 { "{" } else { ",{" };
+        field(out, "{\"window\":", Json::UInt(self.index))?;
+        field(out, ",\"t_start_ns\":", Json::UInt(self.t_start_ns))?;
+        field(out, ",\"t_end_ns\":", Json::UInt(self.t_end_ns))?;
+        out.write_str(",\"nodes\":[")?;
+        for (i, n) in self.nodes.iter().enumerate() {
+            out.write_str(open(i))?;
+            field(out, "\"node\":", Json::UInt(n.node as u64))?;
+            name(out, ",\"state\":", n.state.name())?;
+            field(out, ",\"removed\":", Json::Bool(n.removed))?;
+            field(out, ",\"eff_mflops\":", Json::Num(n.eff_mflops))?;
+            field(
+                out,
+                ",\"interference_share\":",
+                Json::Num(n.interference_share),
+            )?;
+            field(out, ",\"late_wait_share\":", Json::Num(n.late_wait_share))?;
+            field(out, ",\"queue_depth\":", Json::Num(n.queue_depth as f64))?;
+            field(out, ",\"busy_ns\":", Json::UInt(n.busy_ns))?;
+            field(out, ",\"cpu_ns\":", Json::UInt(n.cpu_ns))?;
+            field(out, ",\"wait_ns\":", Json::UInt(n.wait_ns))?;
+            field(out, ",\"ncp\":", Json::UInt(u64::from(n.ncp)))?;
+            out.write_char('}')?;
+        }
+        out.write_str("],\"alerts\":[")?;
+        for (i, a) in self.alerts.iter().enumerate() {
+            out.write_str(open(i))?;
+            name(out, "\"rule\":", a.rule)?;
+            field(out, ",\"node\":", Json::UInt(a.node as u64))?;
+            name(out, ",\"state\":", a.state.name())?;
+            field(out, ",\"value\":", Json::Num(a.value))?;
+            field(out, ",\"ts_ns\":", Json::UInt(a.ts_ns))?;
+            out.write_char('}')?;
+        }
+        out.write_str("],\"decisions\":[")?;
+        for (i, d) in self.decisions.iter().enumerate() {
+            out.write_str(open(i))?;
+            name(out, "\"kind\":", &d.kind)?;
+            field(out, ",\"cycle\":", Json::UInt(d.cycle))?;
+            field(out, ",\"ts_ns\":", Json::UInt(d.ts_ns))?;
+            out.write_char('}')?;
+        }
+        field(
+            out,
+            "],\"imbalance\":{\"measured\":",
+            Json::Num(self.measured_imbalance),
+        )?;
+        if let Some(p) = self.predicted_imbalance {
+            field(out, ",\"predicted\":", Json::Num(p))?;
+        }
+        out.write_str("}}")
+    }
+}
+
 /// The monitor's full output: every window since t = 0.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HealthReport {
@@ -736,66 +798,8 @@ impl HealthReport {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for w in &self.windows {
-            let nodes = Json::Arr(
-                w.nodes
-                    .iter()
-                    .map(|n| {
-                        Json::obj([
-                            ("node", Json::UInt(n.node as u64)),
-                            ("state", Json::str(n.state.name())),
-                            ("removed", Json::Bool(n.removed)),
-                            ("eff_mflops", Json::Num(n.eff_mflops)),
-                            ("interference_share", Json::Num(n.interference_share)),
-                            ("late_wait_share", Json::Num(n.late_wait_share)),
-                            ("queue_depth", Json::Num(n.queue_depth as f64)),
-                            ("busy_ns", Json::UInt(n.busy_ns)),
-                            ("cpu_ns", Json::UInt(n.cpu_ns)),
-                            ("wait_ns", Json::UInt(n.wait_ns)),
-                            ("ncp", Json::UInt(n.ncp as u64)),
-                        ])
-                    })
-                    .collect(),
-            );
-            let alerts = Json::Arr(
-                w.alerts
-                    .iter()
-                    .map(|a| {
-                        Json::obj([
-                            ("rule", Json::str(a.rule)),
-                            ("node", Json::UInt(a.node as u64)),
-                            ("state", Json::str(a.state.name())),
-                            ("value", Json::Num(a.value)),
-                            ("ts_ns", Json::UInt(a.ts_ns)),
-                        ])
-                    })
-                    .collect(),
-            );
-            let decisions = Json::Arr(
-                w.decisions
-                    .iter()
-                    .map(|d| {
-                        Json::obj([
-                            ("kind", Json::str(d.kind.clone())),
-                            ("cycle", Json::UInt(d.cycle)),
-                            ("ts_ns", Json::UInt(d.ts_ns)),
-                        ])
-                    })
-                    .collect(),
-            );
-            let mut imbalance = vec![("measured".to_string(), Json::Num(w.measured_imbalance))];
-            if let Some(p) = w.predicted_imbalance {
-                imbalance.push(("predicted".to_string(), Json::Num(p)));
-            }
-            let doc = Json::obj([
-                ("window", Json::UInt(w.index)),
-                ("t_start_ns", Json::UInt(w.t_start_ns)),
-                ("t_end_ns", Json::UInt(w.t_end_ns)),
-                ("nodes", nodes),
-                ("alerts", alerts),
-                ("decisions", decisions),
-                ("imbalance", Json::Obj(imbalance)),
-            ]);
-            out.push_str(&doc.to_string());
+            w.write_json(&mut out)
+                .expect("writing to a String cannot fail");
             out.push('\n');
         }
         out
@@ -933,9 +937,9 @@ mod tests {
         // evenly: shares must sum exactly.
         mon.on_event(&charge(0, 50, 230, 77, 1_000_003));
         let m = mon.locked();
-        let cpu: u64 = m.windows.values().map(|v| v[0].cpu_ns).sum();
-        let work: u64 = m.windows.values().map(|v| v[0].work_uflop).sum();
-        let busy: u64 = m.windows.values().map(|v| v[0].busy_ns).sum();
+        let cpu: u64 = m.windows.iter().map(|v| v[0].cpu_ns).sum();
+        let work: u64 = m.windows.iter().map(|v| v[0].work_uflop).sum();
+        let busy: u64 = m.windows.iter().map(|v| v[0].busy_ns).sum();
         assert_eq!(cpu, 77);
         assert_eq!(work, 1_000_003);
         assert_eq!(busy, 230);

@@ -178,7 +178,7 @@ impl Recorder {
             let events = Arc::make_mut(&mut inner.events);
             events.reserve_exact(flushed.iter().map(Vec::len).sum());
             flushed.into_iter().for_each(|block| events.extend(block));
-            events.sort_by_key(|e| (e.ts_ns(), e.rank()));
+            sort_by_ts_rank(events);
         }
         Arc::clone(&inner.events)
     }
@@ -242,6 +242,30 @@ impl Recorder {
             ("ranks", ranks),
         ]);
         std::fs::write(path, doc.to_string())
+    }
+}
+
+/// The stable sort of `events` by `(ts_ns, rank)` on 16-byte keys: sorted
+/// unstably, `(ts_ns, rank << 44 | append index)` is the stable order, as
+/// the index is unique (and below 2^44: no memory holds more events). The
+/// events then move by following the permutation's cycles, in place.
+fn sort_by_ts_rank(events: &mut [TraceEvent]) {
+    const INDEX_BITS: u32 = (trace::MAX_RANKS as u64 - 1).leading_zeros();
+    let mut keys: Vec<(u64, u64)> = (events.iter().enumerate())
+        .map(|(i, e)| (e.ts_ns(), (e.rank() as u64) << INDEX_BITS | i as u64))
+        .collect();
+    keys.sort_unstable();
+    // `keys[at]` names the event that belongs at `at`; `u64::MAX` marks a
+    // slot already filled.
+    for start in 0..keys.len() {
+        let mut at = start;
+        while keys[at].1 != u64::MAX {
+            let from = std::mem::replace(&mut keys[at].1, u64::MAX) & ((1 << INDEX_BITS) - 1);
+            if from as usize != start {
+                events.swap(at, from as usize);
+            }
+            at = from as usize;
+        }
     }
 }
 

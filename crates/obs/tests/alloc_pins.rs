@@ -11,10 +11,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use dynmpi_obs::export::{chrome_trace, jsonl};
 use dynmpi_obs::{
     begin_cycle, comm_recv, comm_send, count, counter_handle, enabled, instant, sched_span,
     span_begin, span_end, span_end_args, span_end_blocked, span_end_charge_rows,
-    span_end_collective, span_end_cycle, Json, Msg, Recorder, SchedState,
+    span_end_collective, span_end_cycle, EventSink, HealthMonitor, Json, Msg, Recorder, SchedState,
+    TraceEvent, DEFAULT_WINDOW_NS,
 };
 
 thread_local! {
@@ -201,4 +203,119 @@ fn emission_without_a_scope_allocates_nothing() {
         }
     });
     assert_eq!(n, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Readers: the health fold and the exports
+// ---------------------------------------------------------------------------
+
+const RANKS: u64 = 8;
+
+/// Events shaped like an adaptive Jacobi run's on 8 ranks, in the shares
+/// its trace has (per 100: 41 scheduler runs, 18 sends, 18 receives,
+/// 6 blocked spans, 6 + 6 cycle bounds, 5 row charges), over `rounds`
+/// rounds of one cycle each, ≈ 150 µs apart, at timestamps with odd
+/// nanoseconds.
+fn adapt8_mix(rounds: u64) -> Vec<TraceEvent> {
+    let mut events = Vec::new();
+    for r in 0..rounds {
+        let t0 = 1_000_000_007 + r * 150_013;
+        for i in 0..100u64 {
+            let (rank, ts_ns) = ((i % RANKS) as u32, t0 + i * 1_237);
+            let dur_ns = 900 + i * 37;
+            let msg = Msg {
+                peer: (i + 1) % RANKS,
+                tag: 4_294_987_776 + i % 3,
+                seq: r * 100 + i,
+                bytes: 8_192,
+            };
+            events.push(match i {
+                0..=40 => TraceEvent::Sched {
+                    state: SchedState::Run,
+                    rank,
+                    ts_ns,
+                    dur_ns,
+                    cpu_ns: dur_ns - 13,
+                    slices: 1 + i % 4,
+                },
+                41..=58 => TraceEvent::Send {
+                    rank,
+                    ts_ns,
+                    msg,
+                    queued_ns: 0,
+                },
+                59..=76 => TraceEvent::Recv {
+                    rank,
+                    ts_ns,
+                    msg,
+                    rx_queued_ns: 21_017,
+                    late_ns: 113_009,
+                    net_ns: 16_384,
+                },
+                77..=82 => TraceEvent::Blocked {
+                    rank,
+                    ts_ns,
+                    dur_ns,
+                },
+                83..=88 => TraceEvent::BeginCycle {
+                    rank,
+                    ts_ns,
+                    cycle: r,
+                },
+                89..=94 => TraceEvent::EndCycle {
+                    rank,
+                    ts_ns,
+                    dur_ns,
+                    cycle: r,
+                },
+                _ => TraceEvent::ChargeRows {
+                    grace: false,
+                    rank,
+                    ts_ns,
+                    dur_ns: 131_072 + i,
+                    rows: 64,
+                    cpu_ns: 98_304 + i,
+                    work_uflop: 163_840_000,
+                },
+            });
+        }
+    }
+    events
+}
+
+#[test]
+fn the_health_fold_allocates_nothing_in_covered_windows() {
+    let monitor = HealthMonitor::new(DEFAULT_WINDOW_NS);
+    let events = adapt8_mix(200);
+    // The first pass lays out every window and node the second touches.
+    events.iter().for_each(|ev| monitor.on_event(ev));
+    let n = allocations(|| events.iter().for_each(|ev| monitor.on_event(ev)));
+    assert_eq!(n, 0);
+}
+
+#[test]
+fn the_health_jsonl_allocates_less_than_once_per_window() {
+    let monitor = HealthMonitor::new(1_000_000);
+    adapt8_mix(1_000).iter().for_each(|ev| monitor.on_event(ev));
+    let report = monitor.report();
+    assert!(
+        report.windows.len() >= 100,
+        "{} windows",
+        report.windows.len()
+    );
+    let mut text = String::new();
+    let n = allocations(|| text = report.to_jsonl());
+    assert!(n < report.windows.len() as u64, "{n} allocations");
+    assert_eq!(text.lines().count(), report.windows.len());
+}
+
+#[test]
+fn the_exports_allocate_once_for_their_output() {
+    let events = adapt8_mix(100);
+    for export in [chrome_trace, jsonl] {
+        let mut text = String::new();
+        assert_eq!(allocations(|| text = export(&events)), 1);
+        // The mix is as wordy as the run it imitates (≈ 135 B per event).
+        assert!(text.len() > 125 * events.len(), "{} B", text.len());
+    }
 }

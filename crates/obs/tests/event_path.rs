@@ -3,7 +3,7 @@
 
 use std::path::Path;
 
-use dynmpi_obs::export::{chrome_trace, jsonl};
+use dynmpi_obs::export::{chrome_trace, jsonl, EXACT_US_BELOW_NS};
 use dynmpi_obs::trace::{
     intern, intern_cat, EventSink, COLLECTIVES, KNOWN_CATS, MAX_RANKS, MAX_TS_NS,
 };
@@ -231,6 +231,69 @@ fn direct_writers_equal_the_json_tree_and_jsonl_round_trips() {
     });
 }
 
+/// The `ts` and `dur` texts the Chrome exporter writes for a span of
+/// `dur_ns` starting at `ts_ns`, next to what the `Json` tree writes.
+fn chrome_times(ts_ns: u64, dur_ns: u64) -> (String, String) {
+    let ev = TraceEvent::span("sched", "run", 0, ts_ns, dur_ns, vec![]);
+    let tree = format!(
+        "{{\"displayTimeUnit\":\"ns\",\"traceEvents\":[{}]}}",
+        chrome_tree(&ev)
+    );
+    (chrome_trace(&[ev]), tree)
+}
+
+#[test]
+fn chrome_times_are_the_f64_texts_at_every_boundary() {
+    let mut points = vec![0, 1, 999, 1_000, 1_001];
+    for k in 1..=15 {
+        let p = 10u64.pow(k);
+        points.extend([p - 1, p, p + 1]);
+    }
+    let cutoff = EXACT_US_BELOW_NS;
+    points.extend([cutoff - 1, cutoff, cutoff + 1, MAX_TS_NS - 1, MAX_TS_NS]);
+    for ns in points {
+        let (direct, tree) = chrome_times(ns, ns);
+        assert_eq!(direct, tree, "ts = dur = {ns} ns");
+    }
+}
+
+#[test]
+fn chrome_times_are_the_f64_texts_for_log_uniform_draws() {
+    let mut rng = Rng::new(0x00e5_7a11);
+    let mut draw = || (rng.range_f64(0.0, 53.0).exp2() as u64).min(MAX_TS_NS);
+    for _ in 0..100_000 {
+        let (ts_ns, dur_ns) = (draw(), draw());
+        let (direct, tree) = chrome_times(ts_ns, dur_ns);
+        assert_eq!(direct, tree, "ts {ts_ns} ns, dur {dur_ns} ns");
+    }
+}
+
+#[test]
+fn integers_are_written_as_to_string_writes_them() {
+    let mut values = vec![u64::MAX - 1, u64::MAX];
+    for k in 0..=19 {
+        let p = 10u64.pow(k);
+        values.extend([p - 1, p, p + 1]);
+    }
+    for v in values {
+        assert_eq!(Json::UInt(v).to_string(), v.to_string());
+        // And through a typed event's attributes.
+        let msg = Msg {
+            peer: v,
+            tag: 0,
+            seq: 0,
+            bytes: 0,
+        };
+        let line = jsonl(&[TraceEvent::Send {
+            rank: 0,
+            ts_ns: 0,
+            msg,
+            queued_ns: 0,
+        }]);
+        assert!(line.contains(&format!("\"peer\":{v},")), "{line}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Recorder: one stable sort over append order
 // ---------------------------------------------------------------------------
@@ -315,6 +378,69 @@ fn events_order_is_ts_rank_seq_in_every_flush_order() {
                 emit(&scripts[rank], 0);
             }
             assert_eq!(keys(&rec.events()), expected, "flush order {order:?}");
+        }
+    });
+}
+
+/// The merge as a stable sort by `(ts, rank)` over append order.
+fn stable_oracle(mut appended: Vec<(u64, usize, u64)>) -> Vec<(u64, usize, u64)> {
+    appended.sort_by_key(|&(ts, rank, _)| (ts, rank));
+    appended
+}
+
+/// `(ts, rank, seq)` of `script` as `rank` emits it from `first_seq` on.
+fn appended(script: &Script, rank: usize, first_seq: usize) -> Vec<(u64, usize, u64)> {
+    (script.iter().enumerate())
+        .map(|(i, (ts, _))| (*ts, rank, (first_seq + i) as u64))
+        .collect()
+}
+
+/// Long enough to fill several of a rank's buffer blocks (1 024 events,
+/// then each block as large as all before it).
+fn long_script(rng: &mut Rng) -> Script {
+    let len = rng.range_usize(1_025, 5_000);
+    rng.vec(len, |r| {
+        (
+            r.range_u64(0, 64) * 500,
+            r.chance(0.4).then(|| r.range_u64(0, 3)),
+        )
+    })
+}
+
+#[test]
+fn events_order_holds_across_blocks_and_under_a_held_read() {
+    check_n("recorder_order_blocks", 12, |rng| {
+        let ranks = rng.range_usize(2, 4);
+        let scripts = rng.vec(ranks, |r| {
+            if r.chance(0.7) {
+                long_script(r)
+            } else {
+                random_script(r)
+            }
+        });
+        for order in permutations(ranks) {
+            let rec = Recorder::new();
+            let mut flushed = Vec::new();
+            for &rank in &order {
+                let _guard = rec.install(rank);
+                emit(&scripts[rank], 0);
+                flushed.extend(appended(&scripts[rank], rank, 0));
+            }
+            let before = rec.events();
+            let expected = stable_oracle(flushed);
+            assert_eq!(keys(&before), expected, "flush order {order:?}");
+
+            // A rank comes back and flushes more blocks while `before` is
+            // still held, so the merge copies the stream first.
+            let (rank, more) = (order[0], long_script(rng));
+            {
+                let _guard = rec.install(rank);
+                emit(&more, scripts[rank].len());
+            }
+            let mut flushed = expected.clone();
+            flushed.extend(appended(&more, rank, scripts[rank].len()));
+            assert_eq!(keys(&rec.events()), stable_oracle(flushed));
+            assert_eq!(keys(&before), expected, "an earlier read changed");
         }
     });
 }
