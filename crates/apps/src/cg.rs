@@ -8,9 +8,7 @@
 //! local mat-vec, and reduces the dot products globally — the reductions
 //! use the removed-aware collective, so dropped nodes stay current (§4.4).
 
-use dynmpi::{
-    AccessMode, CommPattern, DenseMatrix, Drsd, DynMpi, DynMpiConfig, RedistArray, SparseMatrix,
-};
+use dynmpi::{AccessMode, CommPattern, DenseMatrix, Drsd, DynMpi, DynMpiConfig, SparseMatrix};
 use dynmpi_comm::{CommOps, HostMeters};
 
 use crate::gen;
@@ -72,10 +70,7 @@ pub fn run<T: HostMeters>(t: &T, p: &CgParams, cfg: DynMpiConfig) -> AppResult {
     let mut x = DenseMatrix::<f64>::new(n, 1);
     let mut r = DenseMatrix::<f64>::new(n, 1);
     let mut pv = DenseMatrix::<f64>::new(n, 1);
-    {
-        let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut a, &mut x, &mut r, &mut pv];
-        rt.setup(&mut arrays);
-    }
+    rt.setup(&mut [&mut a, &mut x, &mut r, &mut pv]);
 
     // Deterministic global generation; keep owned rows.
     let mine = rt.my_rows(ph);
@@ -146,8 +141,7 @@ pub fn run<T: HostMeters>(t: &T, p: &CgParams, cfg: DynMpiConfig) -> AppResult {
             }
         }
         final_rr = rr_new;
-        let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut a, &mut x, &mut r, &mut pv];
-        rt.end_cycle(&mut arrays);
+        rt.end_cycle(&mut [&mut a, &mut x, &mut r, &mut pv]);
     }
 
     AppResult {

@@ -6,7 +6,7 @@
 //! neighbors and sweeps the owned interior rows. This is the paper's
 //! Figure 1/2 program, written against the Dyn-MPI API.
 
-use dynmpi::{AccessMode, CommPattern, DenseMatrix, Drsd, DynMpi, DynMpiConfig, RedistArray};
+use dynmpi::{AccessMode, CommPattern, DenseMatrix, Drsd, DynMpi, DynMpiConfig};
 use dynmpi_comm::HostMeters;
 
 use crate::result::AppResult;
@@ -73,10 +73,7 @@ pub fn run<T: HostMeters>(t: &T, p: &JacobiParams, cfg: DynMpiConfig) -> AppResu
 
     let mut ma = DenseMatrix::<f64>::new(n, n);
     let mut mb = DenseMatrix::<f64>::new(n, n);
-    {
-        let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut ma, &mut mb];
-        rt.setup(&mut arrays);
-    }
+    rt.setup(&mut [&mut ma, &mut mb]);
     ma.fill_rows(&rt.local_rows(a_id), |_, j| initial(j));
     mb.fill_rows(&rt.local_rows(b_id), |_, j| initial(j));
 
@@ -104,8 +101,7 @@ pub fn run<T: HostMeters>(t: &T, p: &JacobiParams, cfg: DynMpiConfig) -> AppResu
             }
             rt.charge_rows(ph, |_| row_work);
         }
-        let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut ma, &mut mb];
-        rt.end_cycle(&mut arrays);
+        rt.end_cycle(&mut [&mut ma, &mut mb]);
         step = match rt.take_rollback() {
             Some(back) => back as usize,
             None => step + 1,

@@ -8,7 +8,7 @@
 //! the row, so iterations are **nonuniform** — the case that forces
 //! per-iteration grace-period timing (§4.2) and the Figure 7 study.
 
-use dynmpi::{AccessMode, CommPattern, DenseMatrix, Drsd, DynMpi, DynMpiConfig, RedistArray};
+use dynmpi::{AccessMode, CommPattern, DenseMatrix, Drsd, DynMpi, DynMpiConfig};
 use dynmpi_comm::{CommOps, HostMeters};
 
 use crate::gen;
@@ -97,10 +97,7 @@ pub fn run<T: HostMeters>(t: &T, p: &ParticleParams, cfg: DynMpiConfig) -> AppRe
     rt.add_access(ph, c_id, AccessMode::ReadWrite, Drsd::iter_space());
 
     let mut cells = DenseMatrix::<f64>::new(nr, nc);
-    {
-        let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut cells];
-        rt.setup(&mut arrays);
-    }
+    rt.setup(&mut [&mut cells]);
     let hot_rows = p.hot_rows.clone().unwrap_or(0..nr / 8);
     let init = gen::particle_counts(nr, nc, p.base, p.hot, hot_rows, p.seed);
     cells.fill_rows(&rt.my_rows(ph), |i, j| init[i][j]);
@@ -114,8 +111,7 @@ pub fn run<T: HostMeters>(t: &T, p: &ParticleParams, cfg: DynMpiConfig) -> AppRe
                 move |i| cells.row(i).iter().sum::<f64>() * work::PARTICLE
             });
         }
-        let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut cells];
-        rt.end_cycle(&mut arrays);
+        rt.end_cycle(&mut [&mut cells]);
     }
 
     let local: f64 = rt

@@ -5,7 +5,7 @@
 //! exchange — twice the communication of Jacobi per unit of compute,
 //! which is why the paper uses SOR for the node-removal study (Figure 6).
 
-use dynmpi::{AccessMode, CommPattern, DenseMatrix, Drsd, DynMpi, DynMpiConfig, RedistArray};
+use dynmpi::{AccessMode, CommPattern, DenseMatrix, Drsd, DynMpi, DynMpiConfig};
 use dynmpi_comm::HostMeters;
 
 use crate::result::AppResult;
@@ -88,10 +88,7 @@ pub fn run<T: HostMeters>(t: &T, p: &SorParams, cfg: DynMpiConfig) -> AppResult 
     rt.add_access(ph_black, g_id, AccessMode::ReadWrite, Drsd::with_halo(1));
 
     let mut g = DenseMatrix::<f64>::new(n, n);
-    {
-        let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut g];
-        rt.setup(&mut arrays);
-    }
+    rt.setup(&mut [&mut g]);
     g.fill_rows(&rt.local_rows(g_id), |i, j| initial(i, j, n));
 
     // Each half-sweep touches half the points of a row.
@@ -112,8 +109,7 @@ pub fn run<T: HostMeters>(t: &T, p: &SorParams, cfg: DynMpiConfig) -> AppResult 
                 rt.charge_rows(phase, |_| row_work);
             }
         }
-        let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut g];
-        rt.end_cycle(&mut arrays);
+        rt.end_cycle(&mut [&mut g]);
         step = match rt.take_rollback() {
             Some(back) => back as usize,
             None => step + 1,

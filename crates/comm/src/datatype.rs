@@ -46,6 +46,13 @@ impl_pod!(u8, i8, u16, i16, u32, i32, u64, i64, f32, f64);
 /// primitive under [`to_bytes_into`] and the broadcast frame builder in
 /// `ops.rs`.
 pub(crate) fn append_bytes<P: Pod>(data: &[P], out: &mut Vec<u8>) {
+    extend_bytes(data, out);
+    count_copied(std::mem::size_of_val(data));
+}
+
+/// [`append_bytes`] without the charge, for callers that charge a whole
+/// payload at once.
+fn extend_bytes<P: Pod>(data: &[P], out: &mut Vec<u8>) {
     let len = std::mem::size_of_val(data);
     let old = out.len();
     out.reserve(len);
@@ -55,7 +62,63 @@ pub(crate) fn append_bytes<P: Pod>(data: &[P], out: &mut Vec<u8>) {
         std::ptr::copy_nonoverlapping(data.as_ptr().cast::<u8>(), out.as_mut_ptr().add(old), len);
         out.set_len(old + len);
     }
+}
+
+/// Packs `parts` end to end into one payload of exactly `elems` elements'
+/// bytes: one allocation of the final size, one copy of each part, one
+/// charge of [`BYTES_COPIED`] for the whole payload. Panics if the parts
+/// hold a different number of elements.
+pub fn concat_to_bytes<'a, P: Pod>(
+    parts: impl IntoIterator<Item = &'a [P]>,
+    elems: usize,
+) -> Vec<u8> {
+    let len = elems * std::mem::size_of::<P>();
+    let mut out = Vec::with_capacity(len);
+    for part in parts {
+        extend_bytes(part, &mut out);
+    }
+    assert_eq!(
+        out.len(),
+        len,
+        "parts do not hold the {elems} elements declared"
+    );
     count_copied(len);
+    out
+}
+
+/// Copies consecutive slices of `bytes` into `parts`, each taking as many
+/// bytes as it has elements: the inverse of [`concat_to_bytes`], with no
+/// intermediate buffer, charging [`BYTES_COPIED`] once. Panics unless the
+/// parts cover `bytes` exactly.
+pub fn scatter_from_bytes<'a, P: Pod>(bytes: &[u8], parts: impl IntoIterator<Item = &'a mut [P]>) {
+    let mut off = 0;
+    for part in parts {
+        let n = std::mem::size_of_val(part);
+        assert!(
+            off + n <= bytes.len(),
+            "parts exceed the {}-byte payload",
+            bytes.len()
+        );
+        // SAFETY: `P: Pod` accepts any bit pattern, so writing arbitrary
+        // bytes over `part` leaves valid elements; `bytes[off..off + n]`
+        // is in bounds (checked above) and cannot overlap `part`, which is
+        // borrowed mutably.
+        unsafe {
+            std::ptr::copy_nonoverlapping(
+                bytes.as_ptr().add(off),
+                part.as_mut_ptr().cast::<u8>(),
+                n,
+            );
+        }
+        off += n;
+    }
+    assert_eq!(
+        off,
+        bytes.len(),
+        "parts do not cover the {}-byte payload",
+        bytes.len()
+    );
+    count_copied(off);
 }
 
 /// Typed clone that charges [`BYTES_COPIED`], so `data.to_vec()` on hot
@@ -156,6 +219,30 @@ mod tests {
     fn byte_length_is_exact() {
         let v = vec![0u16; 7];
         assert_eq!(to_bytes(&v).len(), 14);
+    }
+
+    #[test]
+    fn concat_and_scatter_round_trip_in_one_buffer() {
+        let (a, b) = ([1u32, 2], [3u32, 4, 5]);
+        let bytes = concat_to_bytes([&a[..], &b[..]], 5);
+        assert_eq!(bytes, to_bytes(&[1u32, 2, 3, 4, 5]));
+        assert_eq!(bytes.capacity(), 20, "allocated at its final size");
+        let (mut x, mut y) = ([0u32; 3], [0u32; 2]);
+        scatter_from_bytes(&bytes, [&mut x[..], &mut y[..]]);
+        assert_eq!((x, y), ([1, 2, 3], [4, 5]));
+    }
+
+    #[test]
+    #[should_panic(expected = "do not hold")]
+    fn concat_checks_the_declared_length() {
+        let _ = concat_to_bytes([&[1u8][..]], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not cover")]
+    fn scatter_checks_the_payload_is_used_up() {
+        let mut x = [0u16; 1];
+        scatter_from_bytes(&[0u8; 4], [&mut x[..]]);
     }
 
     #[test]

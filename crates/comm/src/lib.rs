@@ -31,7 +31,10 @@ mod sim_transport;
 mod thread;
 mod transport;
 
-pub use datatype::{from_bytes, from_bytes_into, to_bytes, to_bytes_into, Pod, BYTES_COPIED};
+pub use datatype::{
+    concat_to_bytes, from_bytes, from_bytes_into, scatter_from_bytes, to_bytes, to_bytes_into, Pod,
+    BYTES_COPIED,
+};
 pub use group::Group;
 pub use ops::CommOps;
 pub use sim_transport::SimTransport;

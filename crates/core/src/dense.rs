@@ -14,7 +14,7 @@
 
 use std::any::Any;
 
-use dynmpi_comm::{from_bytes, to_bytes, Pod};
+use dynmpi_comm::{concat_to_bytes, scatter_from_bytes, Pod};
 
 use crate::array::{AllocStats, RedistArray};
 use crate::rowset::RowSet;
@@ -121,12 +121,6 @@ impl<P: Pod> DenseMatrix<P> {
             }
         }
     }
-
-    /// Overwrites one whole row from a slice.
-    pub fn set_row(&mut self, i: usize, data: &[P]) {
-        assert_eq!(data.len(), self.row_len, "row length mismatch");
-        self.row_mut(i).copy_from_slice(data);
-    }
 }
 
 impl<P: Pod> RedistArray for DenseMatrix<P> {
@@ -138,33 +132,41 @@ impl<P: Pod> RedistArray for DenseMatrix<P> {
         DenseMatrix::alloc_rows(self, rows);
     }
 
+    /// One payload of exactly `rows` × `row_len` elements, each row copied
+    /// straight into it.
     fn pack_rows(&mut self, rows: &RowSet, take: bool) -> Vec<u8> {
-        let mut flat: Vec<P> = Vec::with_capacity(rows.len() * self.row_len);
-        for i in rows.iter() {
-            let row = self.rows[i]
+        let present = rows.iter().map(|i| {
+            self.rows[i]
                 .as_deref()
-                .unwrap_or_else(|| panic!("packing absent row {i}"));
-            flat.extend_from_slice(row);
-            if take {
-                self.rows[i] = None;
-            }
+                .unwrap_or_else(|| panic!("packing absent row {i}"))
+        });
+        let payload = concat_to_bytes(present, rows.len() * self.row_len);
+        if take {
+            self.drop_rows(rows);
         }
-        to_bytes(&flat)
+        payload
     }
 
+    /// Copies the payload straight into the rows, allocating the absent
+    /// ones; the length is checked before anything is written.
     fn unpack_rows(&mut self, rows: &RowSet, bytes: &[u8]) {
-        let flat: Vec<P> = from_bytes(bytes);
+        let n = rows.len();
         assert_eq!(
-            flat.len(),
-            rows.len() * self.row_len,
-            "payload does not match {} rows × {}",
-            rows.len(),
+            bytes.len(),
+            n * self.row_len * std::mem::size_of::<P>(),
+            "payload does not match {n} rows × {}",
             self.row_len
         );
-        for (k, i) in rows.iter().enumerate() {
-            let src = &flat[k * self.row_len..(k + 1) * self.row_len];
-            self.set_row(i, src);
-        }
+        self.alloc_rows(rows);
+        // `rows` ascends, so each row's slot lies past the previous one's.
+        let mut slots = self.rows.iter_mut();
+        let mut next = 0;
+        let dsts = rows.iter().map(|i| {
+            let slot = slots.nth(i - next).expect("row index within the matrix");
+            next = i + 1;
+            slot.as_deref_mut().expect("allocated above")
+        });
+        scatter_from_bytes(bytes, dsts);
     }
 
     fn drop_rows(&mut self, rows: &RowSet) {
@@ -282,6 +284,7 @@ impl<P: Pod> ContiguousMatrix<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynmpi_comm::to_bytes;
 
     #[test]
     fn alloc_and_access() {
@@ -380,11 +383,20 @@ mod tests {
 
     #[test]
     fn unpack_length_mismatch_panics() {
-        let mut m = DenseMatrix::<f64>::new(4, 2);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            m.unpack_rows(&RowSet::from_range(0..2), &to_bytes(&[1.0f64]));
-        }));
-        assert!(r.is_err());
+        // One element, then one short of two rows: rejected before any row
+        // is written or allocated.
+        for short in [1, 3] {
+            let mut m = DenseMatrix::<f64>::new(4, 2);
+            m.fill_rows(&RowSet::from_range(0..1), |_, _| 5.0);
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                m.unpack_rows(&RowSet::from_range(0..2), &to_bytes(&vec![1.0f64; short]));
+            }));
+            let msg = r.expect_err("a short payload");
+            let msg = msg.downcast_ref::<String>().unwrap();
+            assert!(msg.contains("payload does not match 2 rows × 2"), "{msg}");
+            assert_eq!(m.row(0), &[5.0, 5.0], "nothing was written");
+            assert!(!m.has_row(1), "nothing was allocated");
+        }
     }
 
     #[test]

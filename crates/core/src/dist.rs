@@ -6,6 +6,8 @@
 //! expressed over the **active** node set (relative ranks), since removed
 //! nodes own nothing.
 
+use std::ops::Range;
+
 use crate::rowset::RowSet;
 
 /// An assignment of `nrows` rows to `n` (active) nodes.
@@ -122,6 +124,22 @@ impl Distribution {
         }
     }
 
+    /// Rows owned by relative rank `node` within `rows`: `rows_of(node)`
+    /// intersected with the range, built directly as the one result set.
+    pub(crate) fn rows_of_in(&self, node: usize, rows: Range<usize>) -> RowSet {
+        assert!(node < self.nnodes());
+        match self {
+            Distribution::Block { starts } => {
+                RowSet::from_range(starts[node].max(rows.start)..starts[node + 1].min(rows.end))
+            }
+            Distribution::Cyclic { nnodes, nrows } => {
+                // The first row at or after `rows.start` congruent to `node`.
+                let first = node + rows.start.saturating_sub(node).div_ceil(*nnodes) * nnodes;
+                RowSet::strided(first, rows.end.min(*nrows), *nnodes)
+            }
+        }
+    }
+
     /// The contiguous row range `[lo, hi]` (inclusive) of `node`, for
     /// block distributions; `None` when empty or cyclic.
     pub fn block_range(&self, node: usize) -> Option<(usize, usize)> {
@@ -165,6 +183,40 @@ impl Distribution {
 #[allow(clippy::single_range_in_vec_init)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rows_of_in_is_the_intersection() {
+        let dists = [
+            Distribution::block_even(17, 4),
+            Distribution::block_from_counts(&[0, 9, 0, 8]),
+            Distribution::Cyclic {
+                nnodes: 1,
+                nrows: 17,
+            },
+            Distribution::Cyclic {
+                nnodes: 3,
+                nrows: 17,
+            },
+            Distribution::Cyclic {
+                nnodes: 5,
+                nrows: 17,
+            },
+        ];
+        for d in &dists {
+            for node in 0..d.nnodes() {
+                for lo in 0..=18 {
+                    for hi in 0..=18 {
+                        let want = d.rows_of(node).intersect(&RowSet::from_range(lo..hi));
+                        assert_eq!(
+                            d.rows_of_in(node, lo..hi),
+                            want,
+                            "{d:?} node {node} {lo}..{hi}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn even_blocks() {

@@ -321,9 +321,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         let Some(rel) = self.rel_rank() else {
             return RowSet::new();
         };
-        self.dist
-            .rows_of(rel)
-            .intersect(&RowSet::from_range(spec.lo..spec.hi))
+        self.dist.rows_of_in(rel, spec.lo..spec.hi)
     }
 
     /// Rows of `array` present on this rank: owned plus DRSD ghosts. Use

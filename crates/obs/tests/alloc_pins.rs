@@ -8,9 +8,6 @@
 //! that turns a key or a name back into a `String`, or boxes something per
 //! event, fails here and not on a noisy wall-clock bar.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use dynmpi_obs::export::{chrome_trace, jsonl};
 use dynmpi_obs::{
     begin_cycle, comm_recv, comm_send, count, counter_handle, enabled, instant, sched_span,
@@ -18,40 +15,10 @@ use dynmpi_obs::{
     span_end_collective, span_end_cycle, EventSink, HealthMonitor, Json, Msg, Recorder, SchedState,
     TraceEvent, DEFAULT_WINDOW_NS,
 };
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// The system allocator, counting this thread's allocations (a `realloc`
-/// arrives here as the `alloc` of its default implementation).
-struct Counting;
-
-// SAFETY: every request is forwarded unchanged to `System`; the counter is
-// a const-initialised thread-local `Cell` without a destructor, so touching
-// it allocates nothing and is valid for the whole life of the thread.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's contract for `alloc` is `System::alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use dynmpi_testkit::{allocations, CountingAlloc};
 
 #[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Allocations this thread makes while running `f`.
-fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
-    f();
-    ALLOCATIONS.with(Cell::get) - before
-}
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn msg(i: u64) -> Msg {
     Msg {

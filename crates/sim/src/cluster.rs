@@ -1,7 +1,7 @@
 //! Cluster construction and SPMD execution.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::cpu::CpuSched;
 use crate::ctx::{CrashedRank, SimCtx};
@@ -214,9 +214,9 @@ impl Cluster {
             self.build_net(n, seed),
         );
         state.stepped = stepped;
-        let shared = Arc::new(Shared::new(state));
+        let shared = Rc::new(Shared::new(state));
         // Kick off: hand the turn to the earliest initial event.
-        shared.state.lock().dispatch_next();
+        shared.state.borrow_mut().dispatch_next();
 
         // One rank's whole life on its fiber: wait for the first turn, run
         // the program, retire. Every unwind — the program's, a scripted
@@ -225,7 +225,7 @@ impl Cluster {
             // Guard dropped (and buffers flushed) after the rank finishes
             // or unwinds.
             let _obs = self.recorder.clone().map(|r| r.install(pid));
-            let ctx = SimCtx::new(Arc::clone(&shared), pid, n);
+            let ctx = SimCtx::new(Rc::clone(&shared), pid, n);
             let out = catch_unwind(AssertUnwindSafe(|| {
                 drop(shared.wait_turn(pid));
                 f(&ctx)
@@ -259,7 +259,7 @@ impl Cluster {
             // owner; so does a failed one (poison, deadlock), after which
             // every unfinished rank is resumed until it has unwound.
             loop {
-                let next = shared.state.lock().current;
+                let next = shared.state.borrow().current;
                 let Some(pid) = next else { break };
                 fibers[pid].resume();
             }
@@ -277,7 +277,7 @@ impl Cluster {
         if joined.iter().any(|r| r.is_err()) {
             // Re-raise the payload of the rank that poisoned the run (the
             // root cause); secondary unwinds from other ranks are noise.
-            let origin = shared.state.lock().panic_origin;
+            let origin = shared.state.borrow().panic_origin;
             let mut errs: Vec<(usize, Box<dyn std::any::Any + Send>)> = joined
                 .into_iter()
                 .enumerate()
@@ -292,7 +292,7 @@ impl Cluster {
         }
         let results: Vec<R> = joined.into_iter().map(|r| r.unwrap()).collect();
 
-        let st = shared.state.lock();
+        let st = shared.state.borrow();
         let report = SimReport {
             finish_time: st
                 .procs

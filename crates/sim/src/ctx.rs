@@ -23,19 +23,19 @@
 //! clock advance is a queued event, the local clock equals the engine
 //! clock, and each rule degenerates to the eager behavior.
 
-use std::sync::{Arc, OnceLock};
+use std::cell::{OnceCell, RefMut};
+use std::rc::Rc;
 
 use dynmpi_obs as obs;
 
 use crate::engine::{EngineState, Envelope, OutMsg, RecvWait, Shared, Status};
 use crate::monitor;
-use crate::sync::MutexGuard;
 use crate::time::{SimDur, SimTime};
 
-/// The engine lock as the turn holder carries it: taken and returned by
+/// The engine borrow as the turn holder carries it: taken and returned by
 /// value by everything that may hand the turn over, because waiting for the
-/// turn releases the lock and re-acquires a fresh guard.
-type Guard<'a> = MutexGuard<'a, EngineState>;
+/// turn ends the borrow and takes a fresh one.
+type Guard<'a> = RefMut<'a, EngineState>;
 
 /// Error returned by [`SimCtx::recv_timeout`]: no matching message became
 /// deliverable within the timeout window. Carries the receive's match
@@ -59,14 +59,14 @@ pub(crate) struct CrashedRank;
 /// tracing scope at that first use).
 struct RankCounter {
     name: &'static str,
-    handle: OnceLock<Option<obs::Counter>>,
+    handle: OnceCell<Option<obs::Counter>>,
 }
 
 impl RankCounter {
     fn new(name: &'static str) -> Self {
         RankCounter {
             name,
-            handle: OnceLock::new(),
+            handle: OnceCell::new(),
         }
     }
 
@@ -80,7 +80,7 @@ impl RankCounter {
 
 /// Handle held by one simulated rank.
 pub struct SimCtx {
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
     pid: usize,
     nprocs: usize,
     // Mirrors of the `ProcState` counters, so merged per-rank metrics
@@ -93,7 +93,7 @@ pub struct SimCtx {
 }
 
 impl SimCtx {
-    pub(crate) fn new(shared: Arc<Shared>, pid: usize, nprocs: usize) -> Self {
+    pub(crate) fn new(shared: Rc<Shared>, pid: usize, nprocs: usize) -> Self {
         SimCtx {
             shared,
             pid,
@@ -123,11 +123,11 @@ impl SimCtx {
         }
     }
 
-    /// Locks the engine for a read of `node`'s state at this rank's time:
+    /// Borrows the engine for a read of `node`'s state at this rank's time:
     /// as is for the rank's own node, caught up first for any other (the
     /// local and the engine clock then agree).
     fn reader_of(&self, node: usize) -> Guard<'_> {
-        let st = self.shared.state.lock();
+        let st = self.shared.state.borrow_mut();
         if st.procs[self.pid].node == node {
             st
         } else {
@@ -181,25 +181,25 @@ impl SimCtx {
 
     /// The node this rank runs on (one rank per node).
     pub fn node(&self) -> usize {
-        let st = self.shared.state.lock();
+        let st = self.shared.state.borrow();
         st.procs[self.pid].node
     }
 
     /// Current virtual time — the `gethrtime` wallclock of §4.2.
     pub fn now(&self) -> SimTime {
-        self.local(&self.shared.state.lock())
+        self.local(&self.shared.state.borrow())
     }
 
     /// Exact accumulated CPU time of this rank (ground truth; real systems
     /// cannot read this directly).
     pub fn cpu_time_exact(&self) -> SimDur {
-        self.shared.state.lock().procs[self.pid].cpu_time
+        self.shared.state.borrow().procs[self.pid].cpu_time
     }
 
     /// The `/proc` CPU-time *reading*: exact accounting truncated to the
     /// OS accounting tick (10 ms by default), per §4.2.
     pub fn cpu_time_reading(&self) -> SimDur {
-        let st = self.shared.state.lock();
+        let st = self.shared.state.borrow();
         let p = &st.procs[self.pid];
         let tick = st.nodes[p.node].sched.os().proc_tick;
         p.cpu_time.quantize(tick)
@@ -239,13 +239,13 @@ impl SimCtx {
     /// virtual time. Seed nodes are online from t = 0; scripted arrivals
     /// come online at `at + cold_start`.
     pub fn node_online(&self, node: usize) -> bool {
-        let st = self.shared.state.lock();
+        let st = self.shared.state.borrow();
         self.local(&st) >= st.nodes[node].online_at
     }
 
     /// Virtual time `node` comes online (`SimTime::ZERO` for seed nodes).
     pub fn online_at(&self, node: usize) -> SimTime {
-        self.shared.state.lock().nodes[node].online_at
+        self.shared.state.borrow().nodes[node].online_at
     }
 
     /// A `vmstat`-style reading for `node` (unreliable: misses an
@@ -286,7 +286,7 @@ impl SimCtx {
         if work <= 0.0 {
             return;
         }
-        let st = self.shared.state.lock();
+        let st = self.shared.state.borrow_mut();
         if self.crash_due(&st) {
             self.die_crashed(st);
         }
@@ -360,7 +360,7 @@ impl SimCtx {
         if dur == SimDur::ZERO {
             return;
         }
-        let st = self.shared.state.lock();
+        let st = self.shared.state.borrow_mut();
         if self.crash_due(&st) {
             self.die_crashed(st);
         }
@@ -375,7 +375,7 @@ impl SimCtx {
     pub fn send(&self, dst: usize, tag: u64, payload: Vec<u8>) {
         assert!(dst < self.nprocs, "send to invalid rank {dst}");
         let len = payload.len();
-        let st = self.shared.state.lock();
+        let st = self.shared.state.borrow_mut();
         if self.crash_due(&st) {
             self.die_crashed(st);
         }
@@ -491,7 +491,7 @@ impl SimCtx {
     /// Exact in every mode: the probe catches up first, and a message with
     /// arrival ≤ now was sent — and landed — before now.
     pub fn probe(&self, src: Option<usize>, tag: u64) -> bool {
-        let st = self.catch_up(self.shared.state.lock());
+        let st = self.catch_up(self.shared.state.borrow_mut());
         st.procs[self.pid]
             .mailbox
             .has_ready(RecvWait { src, tag }, st.clock)
@@ -511,7 +511,7 @@ impl SimCtx {
         timeout: Option<SimDur>,
     ) -> Result<(usize, Vec<u8>), RecvTimeout> {
         let wait = RecvWait { src, tag };
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared.state.borrow_mut();
         // `+` saturates, and a saturated deadline is no deadline: an
         // unanswered receive is then the deadlock it is, not a timeout at
         // the end of time.
@@ -670,7 +670,7 @@ impl SimCtx {
     /// Reports that this rank completed one application phase cycle; fires
     /// any cycle-triggered load-script events for this node.
     pub fn phase_cycle_completed(&self) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared.state.borrow_mut();
         if self.crash_due(&st) {
             self.die_crashed(st);
         }
@@ -694,7 +694,7 @@ impl SimCtx {
 
     /// Phase cycles completed on this rank's node.
     pub fn phase_cycles(&self) -> u64 {
-        let st = self.shared.state.lock();
+        let st = self.shared.state.borrow();
         let node = st.procs[self.pid].node;
         st.nodes[node].cycle_count
     }
@@ -703,7 +703,7 @@ impl SimCtx {
     /// (for harnesses that drive load programmatically rather than through
     /// a pre-registered script).
     pub fn set_own_ncp(&self, ncp: u32) {
-        let mut st = self.catch_up(self.shared.state.lock());
+        let mut st = self.catch_up(self.shared.state.borrow_mut());
         let clock = st.clock;
         let node = st.procs[self.pid].node;
         st.nodes[node].timeline.set(clock, ncp);
@@ -776,7 +776,7 @@ impl SimCtx {
     pub(crate) fn finish(&self) {
         // Caught up first: `finish_time`, the live count and the turn it
         // passes on are all visible beyond this rank.
-        let mut st = self.catch_up(self.shared.state.lock());
+        let mut st = self.catch_up(self.shared.state.borrow_mut());
         let clock = st.clock;
         st.procs[self.pid].status = Status::Finished;
         st.procs[self.pid].finish_time = clock;

@@ -21,9 +21,8 @@
 //! pid → node as the identity) is what gives every piece of node state a
 //! single writer.
 
+use std::cell::{RefCell, RefMut};
 use std::collections::BinaryHeap;
-
-use crate::sync::{Mutex, MutexGuard};
 
 use crate::cpu::CpuSched;
 use crate::fiber;
@@ -486,30 +485,33 @@ impl EngineState {
 /// Every rank is a fiber on the thread that called `Cluster::run_spmd`
 /// (see `fiber.rs`), so the turn is the thread: a rank that gives the turn
 /// away suspends, and the run's loop resumes whichever rank
-/// `EngineState::current` names next.
+/// `EngineState::current` names next. One thread means no lock: the state
+/// is a `RefCell` (which makes `Shared`, and every `SimCtx`, `!Sync`), and
+/// a borrow held across a fiber switch panics "already borrowed" on the
+/// next rank's first engine call instead of deadlocking.
 pub(crate) struct Shared {
-    pub state: Mutex<EngineState>,
+    pub state: RefCell<EngineState>,
 }
 
 impl Shared {
     pub fn new(state: EngineState) -> Self {
         Shared {
-            state: Mutex::new(state),
+            state: RefCell::new(state),
         }
     }
 
     /// Suspends the calling rank until it holds the turn, and returns the
-    /// engine guard it observed that under; panics with the diagnosis once
+    /// engine borrow it observed that under; panics with the diagnosis once
     /// the run has failed. The rank's tracing scope is set aside while it
     /// is suspended, so whichever rank runs next emits into its own.
     ///
     /// No engine call may be made from a `Drop`: a rank must never suspend
-    /// while its thread unwinds, because the panic count and mutex
-    /// poisoning belong to the one OS thread all ranks share. A suspension
-    /// while panicking therefore aborts, naming the rank.
-    pub fn wait_turn(&self, pid: usize) -> MutexGuard<'_, EngineState> {
+    /// while its thread unwinds, because the panic count belongs to the one
+    /// OS thread all ranks share. A suspension while panicking therefore
+    /// aborts, naming the rank.
+    pub fn wait_turn(&self, pid: usize) -> RefMut<'_, EngineState> {
         loop {
-            let st = self.state.lock();
+            let st = self.state.borrow_mut();
             if let Some(msg) = &st.panic_msg {
                 let msg = msg.clone();
                 drop(st);
@@ -533,11 +535,11 @@ impl Shared {
     }
 
     /// Gives the turn away — the one function every site that changed
-    /// `current` (or failed the run) goes through. Releases the engine
-    /// mutex; the rank then suspends in [`Shared::wait_turn`] and the run's
-    /// loop resumes the next owner (every rank, once the run has failed).
-    /// Each turn handed to a rank is counted in `EngineState::hand_offs`.
-    pub fn hand_off(&self, mut st: MutexGuard<'_, EngineState>) {
+    /// `current` (or failed the run) goes through. Ends the engine borrow;
+    /// the rank then suspends in [`Shared::wait_turn`] and the run's loop
+    /// resumes the next owner (every rank, once the run has failed). Each
+    /// turn handed to a rank is counted in `EngineState::hand_offs`.
+    pub fn hand_off(&self, mut st: RefMut<'_, EngineState>) {
         if st.current.is_some() && st.panic_msg.is_none() {
             st.hand_offs += 1;
         }
@@ -546,7 +548,7 @@ impl Shared {
     /// Marks the simulation as failed, so every rank unwinds when it is
     /// next resumed.
     pub fn poison(&self, origin: usize, msg: String) {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         if st.panic_msg.is_none() {
             st.panic_msg = Some(msg);
             st.panic_origin = Some(origin);
@@ -770,8 +772,8 @@ mod tests {
 
     #[test]
     fn proc_mailbox_delivers_in_arrival_seq_order() {
-        // The indexed mailbox behind ProcState keeps the canonical
-        // matching order; the full oracle suite lives in `mailbox.rs`.
+        // The mailbox behind ProcState matches in the canonical order; the
+        // full oracle suite lives in `mailbox.rs`.
         let mut p = ProcState::new(0);
         let mk = |seq, arrival_ms| Envelope {
             src: 1,

@@ -17,9 +17,10 @@
 //! Rules the rest of the crate keeps:
 //!
 //! * A fiber never suspends while its thread unwinds. Rust's panic count
-//!   and `std::sync::Mutex` poisoning belong to the OS thread, so a
-//!   suspended unwind would make every other fiber's code run "while
-//!   panicking" (`Shared::wait_turn` aborts instead).
+//!   belongs to the OS thread, so a suspended unwind would make every
+//!   other fiber's code run "while panicking" (`Shared::wait_turn` aborts
+//!   instead). Nor does it suspend holding the engine's `RefCell` borrow:
+//!   the next fiber's first engine call would panic "already borrowed".
 //! * A fiber that has started is resumed until it finishes before it is
 //!   dropped. Dropping one suspended halfway leaks its stack rather than
 //!   hand memory that its frames may still be pointed into back to the

@@ -48,7 +48,6 @@ mod network;
 mod params;
 mod report;
 mod script;
-mod sync;
 mod time;
 mod timeline;
 

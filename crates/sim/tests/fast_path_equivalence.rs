@@ -207,6 +207,40 @@ fn recv_any_fan_in_is_bit_identical() {
             Vec::new()
         }
     });
+
+    // 256 senders post twice at three shared instants. A zero-byte frame
+    // serializes in no time, so the senders of one instant land at the
+    // same arrival and only the `(arrival, src, seq)` tie-break orders
+    // them; every fourth sender's 64-byte frame lands just after. The
+    // nodes run at 1 Gflop/s: at 1 Mflop/s this fan-in pushes more queue
+    // entries fast than stepped, which `assert_equivalent` rejects
+    // (ROADMAP item 10).
+    let wide = assert_equivalent(
+        || Cluster::homogeneous(257, NodeSpec::with_speed(1e9)),
+        |ctx| {
+            let r = ctx.rank();
+            if r == 0 {
+                let mut got = Vec::new();
+                for _ in 0..2 * 256 {
+                    let (src, msg) = ctx.recv_any(9);
+                    got.push((src, msg.len(), ctx.now()));
+                }
+                got
+            } else {
+                for _ in 0..2 {
+                    ctx.sleep(SimDur::from_millis(1 + (r % 3) as u64));
+                    ctx.send(0, 9, vec![1u8; if r % 4 == 0 { 64 } else { 0 }]);
+                }
+                Vec::new()
+            }
+        },
+    );
+    let first: Vec<usize> = wide.results[0][..4].iter().map(|g| g.0).collect();
+    assert_eq!(
+        first,
+        [3, 6, 9, 15],
+        "tied arrivals are taken in rank order"
+    );
 }
 
 #[test]

@@ -15,7 +15,11 @@
 //!   order, so figure harnesses parallelize without reordering output.
 //! * [`with_watchdog`] — runs a closure under a wall-clock limit, so a test
 //!   of a wake-up path fails instead of hanging `cargo test`.
+//! * [`CountingAlloc`] / [`allocations`] — the system allocator counting
+//!   each thread's allocations, for tests that pin what a path allocates.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -341,6 +345,46 @@ pub fn with_watchdog<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send 
         Ok(Err(payload)) => std::panic::resume_unwind(payload),
         Err(_) => panic!("watchdog: still running after {secs} s (hung, or a lost wake-up)"),
     }
+}
+
+// ---------------------------------------------------------------------------
+// Counting allocator
+// ---------------------------------------------------------------------------
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting each thread's allocations (a `realloc`
+/// arrives here as the `alloc` of its default implementation). A test
+/// binary that pins allocation counts installs it with
+/// `#[global_allocator] static GLOBAL: CountingAlloc = CountingAlloc;` and
+/// reads it through [`allocations`]. The counts are exact: they do not
+/// depend on timing, only on what the code under test does.
+pub struct CountingAlloc;
+
+// SAFETY: every request is forwarded unchanged to `System`; the counter is
+// a const-initialised thread-local `Cell` without a destructor, so touching
+// it allocates nothing and is valid for the whole life of the thread.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's contract for `alloc` is `System::alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+/// Allocations this thread makes while running `f`: always 0 unless the
+/// test binary installed [`CountingAlloc`] as its global allocator.
+pub fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 #[cfg(test)]
