@@ -42,10 +42,6 @@ pub struct Experiment {
     pub net: NetParams,
     pub script: LoadScript,
     pub cfg: DynMpiConfig,
-    /// Force the simulator engine mode: `Some(true)` = stepped,
-    /// `Some(false)` = fast-forward, `None` = cluster default (the
-    /// `DYNMPI_SIM_STEPPED` environment switch).
-    pub stepped: Option<bool>,
 }
 
 impl Experiment {
@@ -59,7 +55,6 @@ impl Experiment {
             net: NetParams::ethernet_100mbps(),
             script: LoadScript::dedicated(),
             cfg: DynMpiConfig::default(),
-            stepped: None,
         }
     }
 
@@ -78,9 +73,13 @@ impl Experiment {
         self
     }
 
-    pub fn with_stepped(mut self, stepped: bool) -> Self {
-        self.stepped = Some(stepped);
-        self
+    /// The virtual cluster the experiment runs on: its nodes, OS, network
+    /// and load script.
+    pub fn cluster(&self) -> Cluster {
+        Cluster::homogeneous(self.nodes, self.node_spec)
+            .with_os(self.os)
+            .with_net(self.net)
+            .with_script(self.script.clone())
     }
 }
 
@@ -143,22 +142,23 @@ impl ResultRow {
 
 /// Runs an experiment on the virtual cluster.
 pub fn run_sim(exp: &Experiment) -> SimRunResult {
-    run_sim_with(exp, None)
+    run_sim_on(exp, exp.cluster())
 }
 
 /// Runs an experiment, optionally attaching an observability [`Recorder`]:
 /// every rank then emits virtual-time trace spans and metrics into it.
 pub fn run_sim_with(exp: &Experiment, recorder: Option<Recorder>) -> SimRunResult {
-    let mut cluster = Cluster::homogeneous(exp.nodes, exp.node_spec)
-        .with_os(exp.os)
-        .with_net(exp.net)
-        .with_script(exp.script.clone());
+    let mut cluster = exp.cluster();
     if let Some(r) = recorder {
         cluster = cluster.with_recorder(r);
     }
-    if let Some(stepped) = exp.stepped {
-        cluster = cluster.with_stepped(stepped);
-    }
+    run_sim_on(exp, cluster)
+}
+
+/// Runs an experiment on `cluster`, which is [`Experiment::cluster`] with
+/// engine options added: tests compare engine modes by passing
+/// `exp.cluster().with_stepped(true)`.
+pub fn run_sim_on(exp: &Experiment, cluster: Cluster) -> SimRunResult {
     let app = exp.app.clone();
     let mut cfg = exp.cfg.clone();
     // Scripted arrivals: the extra ranks start outside the computation

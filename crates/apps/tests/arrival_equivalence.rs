@@ -5,7 +5,7 @@
 //! numerical answer.
 
 use dynmpi::{DropPolicy, DynMpiConfig};
-use dynmpi_apps::harness::run_sim;
+use dynmpi_apps::harness::{run_sim, run_sim_on};
 use dynmpi_apps::jacobi::JacobiParams;
 use dynmpi_apps::{AppSpec, Experiment, SimRunResult};
 use dynmpi_sim::{LoadScript, NodeSpec, SimDur, SimTime};
@@ -13,8 +13,8 @@ use dynmpi_sim::{LoadScript, NodeSpec, SimDur, SimTime};
 /// Runs the experiment under both engines and asserts every output is
 /// bit-identical. Returns the fast-mode result.
 fn assert_engine_equivalent(exp: &Experiment) -> SimRunResult {
-    let stepped = run_sim(&exp.clone().with_stepped(true));
-    let fast = run_sim(&exp.clone().with_stepped(false));
+    let stepped = run_sim_on(exp, exp.cluster().with_stepped(true));
+    let fast = run_sim(exp);
     assert_eq!(
         stepped.per_rank, fast.per_rank,
         "per-rank results diverged between engines"

@@ -9,7 +9,7 @@
 //! like every other output.
 
 use dynmpi::{DropPolicy, DynMpiConfig, CKPT_BYTES_SENT, CKPT_REFRESHES};
-use dynmpi_apps::harness::{run_sim, run_sim_with};
+use dynmpi_apps::harness::{run_sim, run_sim_on, run_sim_with};
 use dynmpi_apps::jacobi::JacobiParams;
 use dynmpi_apps::sor::SorParams;
 use dynmpi_apps::{AppSpec, Experiment, SimRunResult};
@@ -94,9 +94,9 @@ fn jacobi_crash_is_engine_invariant() {
     let t_crash = SimTime::from_secs_f64(baseline.makespan * 0.5);
     let exp = jacobi_exp(&p, 4, LoadScript::dedicated().node_crash(t_crash, 1));
 
-    let fast = run_sim(&exp.clone().with_stepped(false));
+    let fast = run_sim(&exp);
     assert_recovered(&fast, &baseline, 1, "fast");
-    let stepped = run_sim(&exp.clone().with_stepped(true));
+    let stepped = run_sim_on(&exp, exp.cluster().with_stepped(true));
     assert_eq!(
         fast.per_rank, stepped.per_rank,
         "per-rank results diverged between engines"

@@ -17,8 +17,10 @@
 //!   capacity — recovery from removal by re-adding.
 //!
 //! Every simulated configuration is deterministic: rows (and `--health-out`
-//! snapshots) are byte-identical at any `--threads` value and under both
-//! simulator engines (`DYNMPI_SIM_STEPPED=1`).
+//! snapshots) are byte-identical at any `--threads` value. The binary runs
+//! the fast engine; that arrivals run alike on the stepped test oracle
+//! (`Cluster::with_stepped(true)`) is held by the runtime's `tests/drive`
+//! arrival scenarios and by `dynmpi-apps`' `tests/arrival_equivalence.rs`.
 
 use dynmpi::{DropPolicy, DynMpiConfig, RuntimeEvent};
 use dynmpi_apps::harness::{run_sim_with, AppSpec, Experiment};

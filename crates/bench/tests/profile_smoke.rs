@@ -6,7 +6,9 @@
 //! and fault paths. Artifacts land in `target/profile-smoke/` so CI can
 //! upload them when this fails. Two more tests hold the shims' command
 //! line: a flag a figure would ignore, or an `--out` it cannot write, exits
-//! 2 before anything is simulated.
+//! 2 before anything is simulated. Engine-mode equivalence is held below
+//! the binaries, not here: `SimCtx` operations in the simulator's
+//! `random_programs.rs`, runtime scenarios in the runtime's `tests/drive`.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -108,20 +110,15 @@ fn fig4_quick_profile_is_complete() {
 }
 
 /// Runs quick fig8 (node arrival) with `--health-out`/`--explain-out`
-/// under the given thread count and engine mode, returning
+/// under the given thread count, returning
 /// `(rows_jsonl, health_jsonl, explain_jsonl)`.
-fn fig8_run(
-    out_dir: &std::path::Path,
-    tag: &str,
-    threads: &str,
-    stepped: bool,
-) -> (String, String, String) {
+fn fig8_run(out_dir: &std::path::Path, tag: &str, threads: &str) -> (String, String, String) {
     let dir = out_dir.join(format!("fig8-{tag}"));
     std::fs::create_dir_all(&dir).unwrap();
     let health = dir.join("health.jsonl");
     let explain = dir.join("explain.jsonl");
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fig8_node_arrival"));
-    cmd.arg("--quick")
+    let output = Command::new(env!("CARGO_BIN_EXE_fig8_node_arrival"))
+        .arg("--quick")
         .arg("--out")
         .arg(&dir)
         .arg("--threads")
@@ -129,11 +126,9 @@ fn fig8_run(
         .arg("--health-out")
         .arg(&health)
         .arg("--explain-out")
-        .arg(&explain);
-    if stepped {
-        cmd.env("DYNMPI_SIM_STEPPED", "1");
-    }
-    let output = cmd.output().expect("failed to launch fig8_node_arrival");
+        .arg(&explain)
+        .output()
+        .expect("failed to launch fig8_node_arrival");
     assert!(
         output.status.success(),
         "fig8_node_arrival ({tag}) failed:\n{}",
@@ -149,37 +144,27 @@ fn fig8_run(
 /// The fig8 arm of the smoke job: every scenario's arrival must be
 /// absorbed (admitted, with rows transferred to the newcomer), and the
 /// result rows, health snapshot stream, and explain report must be
-/// byte-identical across `--threads 1` vs `8` and across fast vs.
-/// stepped engine modes. The explain report must card the instrumented
-/// run's expansion decision as an admit with both branch predictions.
+/// byte-identical across `--threads 1` vs `8`. The explain report must
+/// card the instrumented run's expansion decision as an admit with both
+/// branch predictions.
 #[test]
 fn fig8_quick_arrival_absorbed_deterministically() {
     let out_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/profile-smoke");
     std::fs::create_dir_all(&out_dir).unwrap();
 
-    let (rows_t1, health_t1, explain_t1) = fig8_run(&out_dir, "t1", "1", false);
-    let (rows_t8, health_t8, explain_t8) = fig8_run(&out_dir, "t8", "8", false);
-    let (rows_st, health_st, explain_st) = fig8_run(&out_dir, "stepped", "4", true);
+    let (rows_t1, health_t1, explain_t1) = fig8_run(&out_dir, "t1", "1");
+    let (rows_t8, health_t8, explain_t8) = fig8_run(&out_dir, "t8", "8");
     assert_eq!(
         rows_t1, rows_t8,
         "fig8 rows differ between --threads 1 and 8"
     );
-    assert_eq!(rows_t1, rows_st, "fig8 rows differ between engine modes");
     assert_eq!(
         health_t1, health_t8,
         "fig8 health snapshots differ between --threads 1 and 8"
     );
     assert_eq!(
-        health_t1, health_st,
-        "fig8 health snapshots differ between engine modes"
-    );
-    assert_eq!(
         explain_t1, explain_t8,
         "fig8 explain report differs between --threads 1 and 8"
-    );
-    assert_eq!(
-        explain_t1, explain_st,
-        "fig8 explain report differs between engine modes"
     );
 
     let admit = explain_t1
@@ -233,22 +218,20 @@ fn fig8_quick_arrival_absorbed_deterministically() {
 }
 
 /// Runs quick fig9 (node crash) fully observed (`--trace-out`,
-/// `--health-out`, `--explain-out`) under the given thread count and
-/// engine mode, returning
-/// `(rows_jsonl, health_jsonl, trace_json, explain_jsonl)`.
+/// `--health-out`, `--explain-out`) under the given thread count,
+/// returning `(rows_jsonl, health_jsonl, trace_json, explain_jsonl)`.
 fn fig9_run(
     out_dir: &std::path::Path,
     tag: &str,
     threads: &str,
-    stepped: bool,
 ) -> (String, String, String, String) {
     let dir = out_dir.join(format!("fig9-{tag}"));
     std::fs::create_dir_all(&dir).unwrap();
     let health = dir.join("health.jsonl");
     let trace = dir.join("trace.json");
     let explain = dir.join("explain.jsonl");
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fig9_node_crash"));
-    cmd.arg("--quick")
+    let output = Command::new(env!("CARGO_BIN_EXE_fig9_node_crash"))
+        .arg("--quick")
         .arg("--out")
         .arg(&dir)
         .arg("--threads")
@@ -258,11 +241,9 @@ fn fig9_run(
         .arg("--trace-out")
         .arg(&trace)
         .arg("--explain-out")
-        .arg(&explain);
-    if stepped {
-        cmd.env("DYNMPI_SIM_STEPPED", "1");
-    }
-    let output = cmd.output().expect("failed to launch fig9_node_crash");
+        .arg(&explain)
+        .output()
+        .expect("failed to launch fig9_node_crash");
     assert!(
         output.status.success(),
         "fig9_node_crash ({tag}) failed:\n{}",
@@ -280,37 +261,26 @@ fn fig9_run(
 /// survivors must confirm the death, restore from the buddy checkpoint,
 /// and finish with the crash-free checksum — and the rows, health
 /// snapshots, raw trace, and explain report must be byte-identical
-/// across `--threads 1` vs `8` and fast vs. stepped engine modes. Each confirmed death must produce a flight
-/// record with detection latency, replay cost, and the intact checksum.
+/// across `--threads 1` vs `8`. Each confirmed death must produce a
+/// flight record with detection latency, replay cost, and the intact
+/// checksum.
 #[test]
 fn fig9_quick_crash_recovers_deterministically() {
     let out_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/profile-smoke");
     std::fs::create_dir_all(&out_dir).unwrap();
 
-    let (rows_t1, health_t1, trace_t1, explain_t1) = fig9_run(&out_dir, "t1", "1", false);
-    let (rows_t8, health_t8, trace_t8, explain_t8) = fig9_run(&out_dir, "t8", "8", false);
-    let (rows_st, health_st, trace_st, explain_st) = fig9_run(&out_dir, "stepped", "4", true);
-    for (name, rows, health, trace, explain) in [
-        ("--threads 8", &rows_t8, &health_t8, &trace_t8, &explain_t8),
-        (
-            "stepped engine",
-            &rows_st,
-            &health_st,
-            &trace_st,
-            &explain_st,
-        ),
-    ] {
-        assert_eq!(&rows_t1, rows, "fig9 rows differ under {name}");
-        assert_eq!(
-            &health_t1, health,
-            "fig9 health snapshots differ under {name}"
-        );
-        assert_eq!(&trace_t1, trace, "fig9 trace differs under {name}");
-        assert_eq!(
-            &explain_t1, explain,
-            "fig9 explain report differs under {name}"
-        );
-    }
+    let (rows_t1, health_t1, trace_t1, explain_t1) = fig9_run(&out_dir, "t1", "1");
+    let (rows_t8, health_t8, trace_t8, explain_t8) = fig9_run(&out_dir, "t8", "8");
+    assert_eq!(rows_t1, rows_t8, "fig9 rows differ under --threads 8");
+    assert_eq!(
+        health_t1, health_t8,
+        "fig9 health snapshots differ under --threads 8"
+    );
+    assert_eq!(trace_t1, trace_t8, "fig9 trace differs under --threads 8");
+    assert_eq!(
+        explain_t1, explain_t8,
+        "fig9 explain report differs under --threads 8"
+    );
 
     assert!(!trace_t1.trim().is_empty(), "fig9 trace is empty");
 
@@ -364,18 +334,12 @@ fn fig9_quick_crash_recovers_deterministically() {
 }
 
 /// Runs quick fig4 `jacobi/8` with `--health-out`/`--explain-out` under
-/// the given thread count and engine mode, returning
-/// `(health_jsonl, explain_jsonl)`.
-fn health_run(
-    out_dir: &std::path::Path,
-    tag: &str,
-    threads: &str,
-    stepped: bool,
-) -> (String, String) {
+/// the given thread count, returning `(health_jsonl, explain_jsonl)`.
+fn health_run(out_dir: &std::path::Path, tag: &str, threads: &str) -> (String, String) {
     let path = out_dir.join(format!("health-{tag}.jsonl"));
     let explain = out_dir.join(format!("explain-{tag}.jsonl"));
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fig4_overall"));
-    cmd.arg("--quick")
+    let output = Command::new(env!("CARGO_BIN_EXE_fig4_overall"))
+        .arg("--quick")
         .arg("--only")
         .arg("jacobi/8")
         .arg("--out")
@@ -385,11 +349,9 @@ fn health_run(
         .arg("--health-out")
         .arg(&path)
         .arg("--explain-out")
-        .arg(&explain);
-    if stepped {
-        cmd.env("DYNMPI_SIM_STEPPED", "1");
-    }
-    let output = cmd.output().expect("failed to launch fig4_overall");
+        .arg(&explain)
+        .output()
+        .expect("failed to launch fig4_overall");
     assert!(
         output.status.success(),
         "fig4_overall ({tag}) failed:\n{}",
@@ -405,28 +367,21 @@ fn health_run(
 /// scenario must classify the loaded node (node 7 of jacobi/8) as a
 /// `Straggler` before the runtime's redistribution on the same timeline,
 /// and both the snapshot stream and the explain report must be
-/// byte-identical across `--threads 1` vs `8` and across fast vs.
-/// stepped engine modes. The explain report must also tell the fig4
-/// story end to end: straggler alert on the loaded node → load-change →
-/// redistribution, one causal chain on one card, with a counterfactual
-/// makespan and a realized-vs-predicted delta.
+/// byte-identical across `--threads 1` vs `8`. The explain report must
+/// also tell the fig4 story end to end: straggler alert on the loaded
+/// node → load-change → redistribution, one causal chain on one card,
+/// with a counterfactual makespan and a realized-vs-predicted delta.
 #[test]
 fn fig4_quick_health_flags_straggler_deterministically() {
     let out_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/profile-smoke");
     std::fs::create_dir_all(&out_dir).unwrap();
 
-    let (t1, explain_t1) = health_run(&out_dir, "t1", "1", false);
-    let (t8, explain_t8) = health_run(&out_dir, "t8", "8", false);
-    let (stepped, explain_st) = health_run(&out_dir, "stepped", "4", true);
+    let (t1, explain_t1) = health_run(&out_dir, "t1", "1");
+    let (t8, explain_t8) = health_run(&out_dir, "t8", "8");
     assert_eq!(t1, t8, "health snapshots differ between --threads 1 and 8");
-    assert_eq!(t1, stepped, "health snapshots differ between engine modes");
     assert_eq!(
         explain_t1, explain_t8,
         "explain report differs between --threads 1 and 8"
-    );
-    assert_eq!(
-        explain_t1, explain_st,
-        "explain report differs between engine modes"
     );
 
     // Header: schema tag plus a non-empty critical-path blame table.

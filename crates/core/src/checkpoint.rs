@@ -15,11 +15,11 @@
 //! the pre-crash ownership from checkpoints alone.
 //!
 //! On a confirmed death, every survivor rolls its own rows back from its
-//! snapshot ([`BuddyCheckpoint::restore_own`]); the dead node's buddy
-//! holder materializes the mirrored rows locally
+//! snapshot ([`BuddyCheckpoint::restore_generation`]); the dead node's
+//! buddy holder materializes the mirrored rows locally
 //! ([`BuddyCheckpoint::materialize_mirror`]) and then stands in for the
 //! dead node in the recovery redistribution
-//! ([`crate::redist::execute_recovery`]).
+//! ([`crate::redist::execute_cached`] with a `stand_in`).
 
 use dynmpi_comm::{Group, Transport};
 use dynmpi_obs as obs;

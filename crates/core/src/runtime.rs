@@ -7,7 +7,7 @@
 //!
 //! 1. every active rank's cycle time is gathered; the root reads the
 //!    `dmpi_ps` monitors and broadcasts a consistent control snapshot;
-//! 2. the replicated state machine of [`crate::policy`] advances:
+//! 2. the replicated state machine of the crate's `policy` module advances:
 //!    `Stable → Grace(5) → [redistribute] → PostRedist(10) → {Stable | drop}`,
 //!    and this module carries out what it decides;
 //! 3. removed ranks receive a per-cycle status message from the active

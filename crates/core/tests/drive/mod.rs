@@ -6,12 +6,20 @@
 //! runtime balances on is deterministic. Shared by `runtime::tests` (via
 //! `#[path]`) and `tests/failure_modes.rs`; public API only — a caller
 //! inside the crate reads private state through [`drive_probed`].
+//!
+//! This is where engine-mode equivalence is held for runtime scenarios:
+//! every scenario runs on the fast engine and on the stepped test oracle
+//! (`Cluster::with_stepped(true)`), both recorded, and their outputs,
+//! health and explain JSONL, profiles and traces must agree.
 
 use std::fmt::Debug;
+use std::sync::Arc;
 
 use dynmpi::{AccessMode, CommPattern, DenseMatrix, Drsd, DynMpi, DynMpiConfig, RuntimeEvent};
 use dynmpi_comm::SimTransport;
-use dynmpi_obs::Recorder;
+use dynmpi_obs::{
+    analyze, ExplainReport, HealthMonitor, ProfileReport, Recorder, TraceEvent, DEFAULT_WINDOW_NS,
+};
 use dynmpi_sim::{Cluster, LoadScript, NodeSpec, SimTime};
 
 /// Columns of the test matrix: column 0 counts application steps, the
@@ -37,7 +45,7 @@ pub struct Scenario {
     pub ghosts: bool,
     /// Run a removed-aware global sum every step and check its value.
     pub reduce: bool,
-    /// Records the fast-engine run.
+    /// Records the fast-engine run (a fresh recorder otherwise).
     pub recorder: Option<Recorder>,
 }
 
@@ -67,8 +75,8 @@ impl Scenario {
     pub fn at(&self, frac: f64) -> SimTime {
         let mut plain = self.clone();
         plain.script = LoadScript::dedicated();
-        plain.recorder = None;
-        SimTime::from_secs_f64(run(&plain, false, &|_| ()).1.as_secs_f64() * frac)
+        let makespan = run(&plain, cluster(plain.nodes), &|_| ()).1;
+        SimTime::from_secs_f64(makespan.as_secs_f64() * frac)
     }
 }
 
@@ -175,28 +183,64 @@ fn app<S>(t: &SimTransport<'_>, sc: &Scenario, probe: &impl Probe<S>) -> RankOut
 pub trait Probe<S>: Fn(&DynMpi<'_, SimTransport<'_>>) -> S + Sync {}
 impl<S, F: Fn(&DynMpi<'_, SimTransport<'_>>) -> S + Sync> Probe<S> for F {}
 
-/// One engine mode's run: per-rank reports (`None` = the rank's node
-/// crashed) and the virtual makespan.
-fn run<S: Send>(
-    sc: &Scenario,
-    stepped: bool,
-    probe: &impl Probe<S>,
-) -> (Vec<Option<RankOut<S>>>, SimTime) {
-    let mut c = cluster(sc.nodes)
-        .with_script(sc.script.clone())
-        .with_stepped(stepped);
-    if let (Some(rec), false) = (&sc.recorder, stepped) {
-        c = c.with_recorder(rec.clone());
-    }
+/// One run's per-rank reports (`None` = the rank's node crashed) and its
+/// virtual makespan.
+type Run<S> = (Vec<Option<RankOut<S>>>, SimTime);
+
+/// Runs the scenario on `cluster`, which supplies the engine options.
+fn run<S: Send>(sc: &Scenario, cluster: Cluster, probe: &impl Probe<S>) -> Run<S> {
+    let c = cluster.with_script(sc.script.clone());
     let out = c.run_spmd(|ctx| Some(app(&SimTransport::new(ctx), sc, probe)));
     (out.results, out.report.finish_time)
 }
 
-/// Runs the scenario on both engines and returns the per-rank reports.
-/// Every replica decides alike, as an assertion: the two engines agree on
-/// everything, all ranks active at the end hold the same distribution,
-/// and each one's event log (kind + cycle), from its latest entry into
-/// the group on, is a suffix of the log of a rank that never left.
+/// What the observers made of one recorded run.
+struct Observed {
+    /// The trace without `sched` spans: the fast engine merges into one
+    /// span what the stepped one records slice by slice.
+    trace: Vec<TraceEvent>,
+    health: String,
+    explain: String,
+    profile: ProfileReport,
+}
+
+/// Runs the scenario on one engine, recorded into `rec` with a health
+/// monitor subscribed.
+fn recorded<S: Send>(
+    sc: &Scenario,
+    stepped: bool,
+    rec: Recorder,
+    probe: &impl Probe<S>,
+) -> (Run<S>, Observed) {
+    let monitor = Arc::new(HealthMonitor::new(DEFAULT_WINDOW_NS));
+    rec.subscribe(monitor.clone());
+    let c = cluster(sc.nodes)
+        .with_stepped(stepped)
+        .with_recorder(rec.clone());
+    let out = run(sc, c, probe);
+    let events = rec.events();
+    let health = monitor.report();
+    let profile = analyze(&events);
+    let observed = Observed {
+        trace: events
+            .iter()
+            .filter(|e| !matches!(e, TraceEvent::Sched { .. }))
+            .cloned()
+            .collect(),
+        health: health.to_jsonl(),
+        explain: ExplainReport::from_monitor(&monitor, &health, None).to_jsonl(&profile.blame),
+        profile,
+    };
+    (out, observed)
+}
+
+/// Runs the scenario on both engines, recorded, and once more on the fast
+/// engine unrecorded, and returns the per-rank reports. Every replica
+/// decides alike, as an assertion: the three runs agree on everything,
+/// the two recordings on their trace, health, explain and profile
+/// reports, all ranks active at the end hold the same distribution, and
+/// each one's event log (kind + cycle), from its latest entry into the
+/// group on, is a suffix of the log of a rank that never left.
 pub fn drive(sc: &Scenario) -> Vec<Option<RankOut>> {
     drive_probed(sc, &|_| ())
 }
@@ -207,8 +251,16 @@ pub fn drive_probed<S>(sc: &Scenario, probe: &impl Probe<S>) -> Vec<Option<RankO
 where
     S: Clone + Debug + PartialEq + Send,
 {
-    let fast = run(sc, false, probe);
-    assert_eq!(fast, run(sc, true, probe), "engines diverged");
+    let fast = run(sc, cluster(sc.nodes), probe);
+    let rec = sc.recorder.clone().unwrap_or_default();
+    let (recorded_fast, fast_obs) = recorded(sc, false, rec, probe);
+    let (stepped, stepped_obs) = recorded(sc, true, Recorder::new(), probe);
+    assert_eq!(fast, recorded_fast, "recording changed the run");
+    assert_eq!(fast, stepped, "engines diverged");
+    assert_eq!(fast_obs.trace, stepped_obs.trace, "engines traced apart");
+    assert_eq!(fast_obs.health, stepped_obs.health, "health diverged");
+    assert_eq!(fast_obs.explain, stepped_obs.explain, "explain diverged");
+    assert_eq!(fast_obs.profile, stepped_obs.profile, "profiles diverged");
     let ranks = fast.0;
     let log = |o: &RankOut<S>| -> Vec<(&'static str, u64)> {
         o.events.iter().map(|e| (e.kind(), e.cycle())).collect()

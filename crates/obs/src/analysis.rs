@@ -37,11 +37,13 @@
 //! ## Span-aggregation equivalence
 //!
 //! The simulator's fast path aggregates thousands of scheduler quanta into
-//! one `sched` span; stepped mode (`DYNMPI_SIM_STEPPED=1`) emits them one
-//! by one. Both attach exact `cpu`/`slices` attributes, and this analyzer
-//! attributes from those sums rather than from span counts, so the
-//! resulting buckets, critical path, and audits are bit-identical between
-//! the two modes (see `crates/sim/tests/profile_equivalence.rs`).
+//! one `sched` span; the stepped test oracle (`Cluster::with_stepped(true)`)
+//! emits them one by one. Both attach exact `cpu`/`slices` attributes, and
+//! this analyzer attributes from those sums rather than from span counts,
+//! so the resulting buckets, critical path, and audits are bit-identical
+//! between the two modes (held by `crates/sim/tests/random_programs.rs`
+//! and `fast_path_equivalence.rs`, and by the `dynmpi` crate's
+//! `tests/drive` for runtime scenarios).
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::RangeInclusive;

@@ -5,7 +5,7 @@
 //! virtual time at drop, and wallclock would be meaningless inside a
 //! discrete-event run. A thread-local scope, installed per rank by the
 //! cluster runner, buffers events locally; nothing is shared until the
-//! scope flushes into its [`Recorder`](crate::Recorder). Ranks that take
+//! scope flushes into its [`Recorder`]. Ranks that take
 //! turns on one thread set their scope aside while another runs
 //! ([`detach_scope`]). With no scope installed every call is a no-op, so
 //! instrumented code costs almost nothing outside traced runs.

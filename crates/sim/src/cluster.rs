@@ -24,9 +24,8 @@ pub struct Cluster {
     net: NetParams,
     script: LoadScript,
     recorder: Option<dynmpi_obs::Recorder>,
-    /// `Some(true)` forces the per-slice stepped CPU path, `Some(false)`
-    /// forces fast-forward; `None` defers to `DYNMPI_SIM_STEPPED`.
-    stepped: Option<bool>,
+    /// Runs the per-slice stepped CPU path instead of fast-forward.
+    stepped: bool,
 }
 
 impl std::fmt::Debug for Cluster {
@@ -51,7 +50,7 @@ impl Cluster {
             net: NetParams::default(),
             script: LoadScript::dedicated(),
             recorder: None,
-            stepped: None,
+            stepped: false,
         }
     }
 
@@ -64,7 +63,7 @@ impl Cluster {
             net: NetParams::default(),
             script: LoadScript::dedicated(),
             recorder: None,
-            stepped: None,
+            stepped: false,
         }
     }
 
@@ -94,14 +93,14 @@ impl Cluster {
         self
     }
 
-    /// Forces the CPU advance mode: `true` runs the per-slice stepped
-    /// reference path, `false` the closed-form fast-forward. Without this
-    /// override the mode comes from the `DYNMPI_SIM_STEPPED` environment
-    /// variable (`1` → stepped), defaulting to fast-forward. Both modes
-    /// produce bit-identical virtual timings; the override exists so
-    /// equivalence tests can compare them within one process.
+    /// Selects the CPU advance mode: `true` runs the per-slice stepped
+    /// reference path, `false` (the default) the closed-form
+    /// fast-forward. Both modes produce bit-identical virtual timings; the
+    /// stepped one is a test oracle, compared with the fast one once per
+    /// layer: `SimCtx` operations in `tests/random_programs.rs`, runtime
+    /// scenarios in the `dynmpi` crate's `tests/drive`.
     pub fn with_stepped(mut self, stepped: bool) -> Self {
-        self.stepped = Some(stepped);
+        self.stepped = stepped;
         self
     }
 
@@ -205,15 +204,12 @@ impl Cluster {
                 n - seed
             );
         }
-        let stepped = self
-            .stepped
-            .unwrap_or_else(|| std::env::var("DYNMPI_SIM_STEPPED").is_ok_and(|v| v == "1"));
         let mut state = EngineState::new(
             self.build_nodes(n, seed),
             &Vec::from_iter(0..n),
             self.build_net(n, seed),
         );
-        state.stepped = stepped;
+        state.stepped = self.stepped;
         let shared = Rc::new(Shared::new(state));
         // Kick off: hand the turn to the earliest initial event.
         shared.state.borrow_mut().dispatch_next();

@@ -163,7 +163,7 @@ impl CpuSched {
     }
 
     /// Integer-exact single scheduling step: the *stepped* reference path
-    /// (`DYNMPI_SIM_STEPPED=1`). `need` is the remaining dedicated-CPU
+    /// (`Cluster::with_stepped(true)`, a test oracle). `need` is the remaining dedicated-CPU
     /// nanoseconds from [`Self::work_to_ns`]; `ncp` holds until
     /// `next_change`. Advances by at most one slice or one wait: inside
     /// the application's slice it runs until the slice ends, the load
@@ -232,7 +232,7 @@ impl CpuSched {
     /// as fits before `next_change` in O(1), no matter how many scheduler
     /// rounds that spans.
     ///
-    /// The invariant that makes this sound: the rotated [`Self::slot_start`]
+    /// The invariant that makes this sound: the rotated `slot_start`
     /// moves the application slice *within* its `(ncp+1)·q` round but never
     /// changes the one-slice-per-round total, so `r` whole rounds always
     /// deliver exactly `r·q` ns of CPU. Only the partial first slice and the

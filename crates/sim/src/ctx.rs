@@ -278,10 +278,11 @@ impl SimCtx {
     /// The remaining work is quantized to nanoseconds once up front
     /// ([`crate::CpuSched::work_to_ns`]) and then advanced in exact integer
     /// steps: one scheduler slice at a time when the engine runs stepped
-    /// (`DYNMPI_SIM_STEPPED=1`), or the whole load-script stretch in one
-    /// closed-form call otherwise. Both paths produce bit-identical
-    /// timestamps and CPU accounting; the fast path moves the rank-local
-    /// clock and does not touch the event queue at all.
+    /// (the test oracle, [`crate::Cluster::with_stepped`]), or the whole
+    /// load-script stretch in one closed-form call otherwise. Both paths
+    /// produce bit-identical timestamps and CPU accounting; the fast path
+    /// moves the rank-local clock and does not touch the event queue at
+    /// all.
     pub fn advance(&self, work: f64) {
         if work <= 0.0 {
             return;

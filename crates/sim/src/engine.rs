@@ -227,8 +227,8 @@ pub(crate) struct EngineState {
     /// slots free for reuse.
     landings: Vec<Option<OutMsg>>,
     free_slots: Vec<usize>,
-    /// Force the per-slice stepped CPU path (`DYNMPI_SIM_STEPPED=1`): the
-    /// reference mode the closed-form fast-forward is validated against.
+    /// Run the per-slice stepped CPU path ([`crate::Cluster::with_stepped`]): the
+    /// test oracle the closed-form fast-forward is validated against.
     pub stepped: bool,
     /// Queue entries pushed over the run, wake-ups and landings — the cost
     /// metric the fast path exists to shrink.

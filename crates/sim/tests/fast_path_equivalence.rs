@@ -1,37 +1,74 @@
 //! Stepped ↔ fast-forward equivalence: the two CPU advance modes must be
-//! indistinguishable in every virtual-time output.
+//! indistinguishable in every virtual-time output and in the profile.
 //!
 //! The fast path (closed-form multi-round fast-forward + turn-handoff
-//! bypass) exists purely to make the simulator cheaper to *execute*; the
-//! `DYNMPI_SIM_STEPPED=1` switch forces the per-slice reference path so
-//! these tests can assert bit-identical `SimReport`s — finish times, exact
-//! CPU accounting, traffic counters — on loaded heterogeneous runs.
+//! bypass) exists purely to make the simulator cheaper to *execute*;
+//! `Cluster::with_stepped(true)` runs the per-slice reference path, a test
+//! oracle, so these hand-built cases can assert bit-identical
+//! `SimReport`s — finish times, exact CPU accounting, traffic counters —
+//! and `analyze` reports on loaded heterogeneous runs. Random programs
+//! over every `SimCtx` operation are `random_programs.rs`'s.
+//!
+//! The fast path merges many scheduler slices into one `sched` span, so
+//! the two modes record different span streams for the same run. The
+//! spans carry exact `cpu`/`slices` attributes, and the analyzer
+//! attributes from attribute sums rather than span counts — which is what
+//! makes the aggregation safe.
 
-use dynmpi_sim::{Cluster, LoadScript, NodeSpec, SimDur, SimOutcome, SimTime};
-use dynmpi_testkit::{check_n, Rng};
+use dynmpi_obs::{analyze, ProfileReport, Recorder, TraceEvent};
+use dynmpi_sim::{Cluster, LoadScript, NodeSpec, SimCtx, SimDur, SimOutcome, SimTime};
 
-/// Runs `f` under both advance modes and asserts every virtual-time output
-/// matches bit for bit. Returns the fast-mode outcome.
-fn assert_equivalent<R, F>(mk: impl Fn() -> Cluster, f: F) -> SimOutcome<R>
+/// One advance mode's recorded run.
+struct Profiled<R> {
+    out: SimOutcome<R>,
+    profile: ProfileReport,
+    sched_spans: usize,
+}
+
+fn profiled<R, F>(cluster: Cluster, f: F) -> Profiled<R>
+where
+    R: Send + Default,
+    F: Fn(&SimCtx) -> R + Send + Sync + Copy,
+{
+    let rec = Recorder::new();
+    let out = cluster.with_recorder(rec.clone()).run_spmd(f);
+    let events = rec.events();
+    Profiled {
+        out,
+        profile: analyze(&events),
+        sched_spans: events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Sched { .. }))
+            .count(),
+    }
+}
+
+/// Runs `f` recorded under both advance modes and asserts every
+/// virtual-time output and the profile match bit for bit. Returns the
+/// fast and the stepped run.
+fn assert_equivalent<R, F>(mk: impl Fn() -> Cluster, f: F) -> (Profiled<R>, Profiled<R>)
 where
     R: Send + PartialEq + std::fmt::Debug + Default,
-    F: Fn(&dynmpi_sim::SimCtx) -> R + Send + Sync + Copy,
+    F: Fn(&SimCtx) -> R + Send + Sync + Copy,
 {
-    let stepped = mk().with_stepped(true).run_spmd(f);
-    let fast = mk().with_stepped(false).run_spmd(f);
-    assert_eq!(stepped.results, fast.results, "per-rank results diverged");
+    let stepped = profiled(mk().with_stepped(true), f);
+    let fast = profiled(mk(), f);
+    let (s, f) = (&stepped.out, &fast.out);
+    assert_eq!(s.results, f.results, "per-rank results diverged");
     assert_eq!(
-        stepped.report.virtual_outputs(),
-        fast.report.virtual_outputs(),
+        s.report.virtual_outputs(),
+        f.report.virtual_outputs(),
         "SimReport virtual outputs diverged"
     );
+    assert_eq!(stepped.profile, fast.profile, "profile reports diverged");
     assert!(
-        fast.report.engine_events <= stepped.report.engine_events,
+        f.report.engine_events <= s.report.engine_events,
         "fast path pushed more events ({}) than stepped ({})",
-        fast.report.engine_events,
-        stepped.report.engine_events
+        f.report.engine_events,
+        s.report.engine_events
     );
-    fast
+    assert!(fast.sched_spans <= stepped.sched_spans);
+    (fast, stepped)
 }
 
 #[test]
@@ -51,11 +88,18 @@ fn loaded_heterogeneous_compute_is_bit_identical() {
         ])
         .with_script(script)
     };
-    let out = assert_equivalent(mk, |ctx| {
+    let (fast, stepped) = assert_equivalent(mk, |ctx| {
         ctx.advance(2e5 * (1.0 + ctx.rank() as f64));
         ctx.now()
     });
-    assert!(out.report.finish_time > SimTime::from_millis(500));
+    assert!(fast.out.report.finish_time > SimTime::from_millis(500));
+    let events = |run: &Profiled<SimTime>| run.out.report.engine_events;
+    assert!(
+        events(&fast) * 5 <= events(&stepped),
+        "fast mode must push >=5x fewer events ({} vs {})",
+        events(&fast),
+        events(&stepped)
+    );
 }
 
 #[test]
@@ -71,7 +115,7 @@ fn message_passing_under_load_is_bit_identical() {
             .at_time(3, SimTime::from_millis(400), 0);
         Cluster::homogeneous(4, NodeSpec::with_speed(1e6)).with_script(script)
     };
-    let out = assert_equivalent(mk, |ctx| {
+    let (fast, _) = assert_equivalent(mk, |ctx| {
         let r = ctx.rank();
         let n = ctx.nprocs();
         for i in 0..12 {
@@ -81,7 +125,52 @@ fn message_passing_under_load_is_bit_identical() {
         }
         (ctx.now(), ctx.cpu_time_exact())
     });
-    assert_eq!(out.report.net_messages, 48);
+    assert_eq!(fast.out.report.net_messages, 48);
+}
+
+#[test]
+fn ring_attribution_is_bit_identical_across_modes() {
+    // Loaded ring exchange: compute long enough to span many scheduler
+    // slices, plus blocked receives so every bucket except redist/runtime
+    // is exercised.
+    let mk = || {
+        let script = LoadScript::dedicated()
+            .at_time(0, SimTime::from_millis(20), 2)
+            .at_time(2, SimTime::from_millis(55), 3)
+            .at_time(3, SimTime::from_millis(10), 1);
+        Cluster::homogeneous(4, NodeSpec::with_speed(1e6)).with_script(script)
+    };
+    let (fast, stepped) = assert_equivalent(mk, |ctx| {
+        let r = ctx.rank();
+        let n = ctx.nprocs();
+        for i in 0..10 {
+            ctx.advance(4e4 + (r as f64) * 2e3);
+            ctx.send((r + 1) % n, 1, vec![(r * 16 + i) as u8; 512]);
+            let _ = ctx.recv((r + n - 1) % n, 1);
+        }
+        ctx.now()
+    });
+
+    // The aggregation actually happened: stepped subdivides what fast
+    // records as one span per advance, yet attribution is equal.
+    assert!(
+        fast.sched_spans < stepped.sched_spans,
+        "expected fast mode to merge sched spans ({} vs {})",
+        fast.sched_spans,
+        stepped.sched_spans
+    );
+
+    // And the shared report is non-trivial: full coverage, real waits,
+    // interference from the competing processes.
+    let profile = &fast.profile;
+    assert!(profile.makespan_ns > 0);
+    assert!(profile.min_coverage_pct() >= 95.0);
+    for rank in &profile.ranks {
+        assert_eq!(rank.buckets.total(), rank.makespan_ns);
+    }
+    assert!(profile.ranks.iter().any(|r| r.buckets.late_wait_ns > 0));
+    assert!(profile.ranks.iter().any(|r| r.buckets.interference_ns > 0));
+    assert!(!profile.critical_path.is_empty());
 }
 
 #[test]
@@ -121,7 +210,7 @@ fn time_and_cycle_triggers_on_one_node_are_bit_identical() {
             .at_cycle(1, 4, 2);
         Cluster::homogeneous(2, NodeSpec::with_speed(1e6)).with_script(script)
     };
-    let out = assert_equivalent(mk, |ctx| {
+    let (out, _) = assert_equivalent(mk, |ctx| {
         let r = ctx.rank();
         let mut seen = Vec::new();
         for i in 0..6u8 {
@@ -135,7 +224,7 @@ fn time_and_cycle_triggers_on_one_node_are_bit_identical() {
         seen.push((ctx.true_ncp(r), ctx.dmpi_ps(1 - r), ctx.now()));
         seen
     });
-    let ncps = |r: usize| out.results[r].iter().map(|s| s.0).collect::<Vec<_>>();
+    let ncps = |r: usize| out.out.results[r].iter().map(|s| s.0).collect::<Vec<_>>();
     // Node 0: the cycle-1 value holds until t = 5 s.
     assert_eq!(ncps(0), [2, 2, 2, 2, 2, 2, 1]);
     // Node 1: cycle 2 undercuts the 60 ms trigger, which then takes over;
@@ -162,7 +251,7 @@ fn node_arrival_is_bit_identical() {
             );
         Cluster::homogeneous(2, NodeSpec::with_speed(1e6)).with_script(script)
     };
-    let out = assert_equivalent(mk, |ctx| {
+    let (out, _) = assert_equivalent(mk, |ctx| {
         let r = ctx.rank();
         let mut log = Vec::new();
         if r == 2 {
@@ -180,9 +269,10 @@ fn node_arrival_is_bit_identical() {
         }
         log
     });
-    assert_eq!(out.results.len(), 3, "arrival allocates a third rank");
+    let results = &out.out.results;
+    assert_eq!(results.len(), 3, "arrival allocates a third rank");
     // The newcomer came online exactly at arrival + cold start.
-    assert!(out.results[2][0].0 >= SimTime::from_millis(75));
+    assert!(results[2][0].0 >= SimTime::from_millis(75));
 }
 
 #[test]
@@ -215,7 +305,7 @@ fn recv_any_fan_in_is_bit_identical() {
     // nodes run at 1 Gflop/s: at 1 Mflop/s this fan-in pushes more queue
     // entries fast than stepped, which `assert_equivalent` rejects
     // (ROADMAP item 10).
-    let wide = assert_equivalent(
+    let (wide, _) = assert_equivalent(
         || Cluster::homogeneous(257, NodeSpec::with_speed(1e9)),
         |ctx| {
             let r = ctx.rank();
@@ -235,88 +325,10 @@ fn recv_any_fan_in_is_bit_identical() {
             }
         },
     );
-    let first: Vec<usize> = wide.results[0][..4].iter().map(|g| g.0).collect();
+    let first: Vec<usize> = wide.out.results[0][..4].iter().map(|g| g.0).collect();
     assert_eq!(
         first,
         [3, 6, 9, 15],
         "tied arrivals are taken in rank order"
-    );
-}
-
-#[test]
-fn random_programs_are_bit_identical() {
-    // Property sweep: random speeds, load timelines, and work sizes. Each
-    // case builds one cluster config and a deterministic per-rank program,
-    // then demands stepped == fast on every output.
-    check_n("stepped_vs_fast_random", 12, |rng: &mut Rng| {
-        let n = rng.range_usize(2, 5);
-        let speeds: Vec<f64> = (0..n).map(|_| rng.range_f64(3e5, 3e6)).collect();
-        let mut script = LoadScript::dedicated();
-        for node in 0..n {
-            for _ in 0..rng.range_u64(0, 4) {
-                script = script.at_time(
-                    node,
-                    SimTime::from_micros(rng.range_u64(1, 300_000)),
-                    rng.range_u32(0, 4),
-                );
-            }
-        }
-        let works: Vec<f64> = (0..n).map(|_| rng.range_f64(1e4, 3e5)).collect();
-        let rounds = rng.range_u64(1, 5);
-        let mk = || {
-            Cluster::heterogeneous(speeds.iter().map(|&s| NodeSpec::with_speed(s)).collect())
-                .with_script(script.clone())
-        };
-        let works = &works;
-        let run = |stepped: bool| {
-            mk().with_stepped(stepped).run_spmd(|ctx| {
-                let r = ctx.rank();
-                for _ in 0..rounds {
-                    ctx.advance(works[r]);
-                    ctx.send((r + 1) % n, 3, vec![r as u8; 64]);
-                    let _ = ctx.recv((r + n - 1) % n, 3);
-                }
-                (ctx.now(), ctx.cpu_time_exact())
-            })
-        };
-        let stepped = run(true);
-        let fast = run(false);
-        assert_eq!(stepped.results, fast.results);
-        assert_eq!(
-            stepped.report.virtual_outputs(),
-            fast.report.virtual_outputs()
-        );
-    });
-}
-
-#[test]
-fn env_switch_selects_stepped_mode() {
-    // `DYNMPI_SIM_STEPPED=1` must force the reference path when no
-    // programmatic override is given. Spawn-free check: set the var,
-    // run, and verify the event count matches an explicit stepped run.
-    // (Serial: no other test in this binary touches the variable.)
-    let mk = || {
-        let script = LoadScript::dedicated().at_time(0, SimTime::ZERO, 3);
-        Cluster::homogeneous(1, NodeSpec::with_speed(1e6)).with_script(script)
-    };
-    let f = |ctx: &dynmpi_sim::SimCtx| {
-        ctx.advance(1e6);
-        ctx.now()
-    };
-    let stepped = mk().with_stepped(true).run_spmd(f);
-    std::env::set_var("DYNMPI_SIM_STEPPED", "1");
-    let via_env = mk().run_spmd(f);
-    std::env::remove_var("DYNMPI_SIM_STEPPED");
-    let fast = mk().run_spmd(f);
-    assert_eq!(via_env.report.engine_events, stepped.report.engine_events);
-    assert!(
-        fast.report.engine_events * 5 <= stepped.report.engine_events,
-        "fast mode must push >=5x fewer events ({} vs {})",
-        fast.report.engine_events,
-        stepped.report.engine_events
-    );
-    assert_eq!(
-        via_env.report.virtual_outputs(),
-        fast.report.virtual_outputs()
     );
 }

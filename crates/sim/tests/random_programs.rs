@@ -8,7 +8,10 @@
 //! The stepped engine is fully eager — every clock advance a queued event —
 //! so it is the oracle: the fast engine, whose ranks run ahead on local
 //! clocks, must reproduce its logs and `SimReport` bit for bit, and a
-//! recorded run must produce the same trace events and health report.
+//! recorded run must produce the same trace events (but for its merged
+//! `sched` spans, of which it has no more), health report and profile.
+//! This is where engine-mode equivalence is held for `SimCtx` operations;
+//! the `dynmpi` crate's `tests/drive` holds it for runtime scenarios.
 //! Every case runs under a watchdog: a lost wake-up is a failure with a
 //! seed, not a hung `cargo test`.
 //!
@@ -22,7 +25,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use dynmpi_obs::{HealthMonitor, HealthReport, Recorder, TraceEvent, DEFAULT_WINDOW_NS};
+use dynmpi_obs::{analyze, HealthMonitor, HealthReport, Recorder, TraceEvent, DEFAULT_WINDOW_NS};
 use dynmpi_sim::{
     Cluster, LoadScript, NetParams, Network, NodeSpec, SimCtx, SimDur, SimReport, SimTime,
 };
@@ -532,6 +535,18 @@ fn check_case(seed: u64) -> (usize, usize) {
         fast_health,
         "{}",
         at("health, stepped vs fast")
+    );
+    assert_eq!(
+        analyze(&stepped_events),
+        analyze(&fast_events),
+        "{}",
+        at("profile, stepped vs fast")
+    );
+    let cpu_spans = |events: &[TraceEvent]| events.len() - without_cpu_spans(events).len();
+    assert!(
+        cpu_spans(&fast_events) <= cpu_spans(&stepped_events),
+        "{}",
+        at("fast recorded more sched spans than stepped")
     );
 
     (

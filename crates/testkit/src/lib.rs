@@ -1,15 +1,13 @@
 //! Dependency-free test support for the Dyn-MPI workspace.
 //!
-//! Provides what the external crates `proptest`, `rand`, and
-//! `criterion` used to supply, scoped down to exactly what this repo needs:
+//! Provides what the external crates `proptest` and `rand` used to
+//! supply, scoped down to exactly what this repo needs:
 //!
 //! * [`Rng`] — a seeded SplitMix64 generator with ranged helpers, so tests
 //!   and data generators stay deterministic per seed.
 //! * [`check`] / [`check_n`] — a property-check harness: run a closure over
 //!   `n` generated cases and panic with the failing seed on the first
 //!   counterexample, so failures are reproducible with `Rng::new(seed)`.
-//! * [`bench`] — a tiny wall-clock micro-benchmark loop used by the
-//!   `crates/bench/benches/*` binaries (which run with `harness = false`).
 //! * [`sweep`] — a scoped worker pool that runs independent, deterministic
 //!   simulation configurations concurrently and returns results in input
 //!   order, so figure harnesses parallelize without reordering output.
@@ -22,7 +20,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Seeded RNG
@@ -143,84 +141,6 @@ pub fn check_n(name: &str, cases: u32, prop: impl Fn(&mut Rng)) {
             panic!("property `{name}` failed on case {case} (seed {seed:#x}): {msg}");
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Micro-bench harness
-// ---------------------------------------------------------------------------
-
-/// One timed result from [`bench`].
-#[derive(Clone, Debug)]
-pub struct BenchResult {
-    pub name: String,
-    pub iters: u64,
-    pub mean_ns: f64,
-    pub min_ns: f64,
-}
-
-impl BenchResult {
-    fn fmt_ns(ns: f64) -> String {
-        if ns >= 1e9 {
-            format!("{:.3} s", ns / 1e9)
-        } else if ns >= 1e6 {
-            format!("{:.3} ms", ns / 1e6)
-        } else if ns >= 1e3 {
-            format!("{:.3} µs", ns / 1e3)
-        } else {
-            format!("{ns:.0} ns")
-        }
-    }
-
-    /// Print a one-line summary in `name  mean (min)` form.
-    pub fn report(&self) {
-        println!(
-            "{:<48} {:>12} /iter (min {:>12}, {} iters)",
-            self.name,
-            Self::fmt_ns(self.mean_ns),
-            Self::fmt_ns(self.min_ns),
-            self.iters
-        );
-    }
-}
-
-/// Time `f` with a warm-up pass and several measurement batches, returning
-/// mean and best per-iteration wall time. Replacement for the criterion
-/// harness: coarse, but stable enough to rank implementations.
-pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> BenchResult {
-    // Warm-up and batch sizing: aim for batches of at least ~2 ms.
-    let mut iters_per_batch = 1u64;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters_per_batch {
-            std::hint::black_box(f());
-        }
-        let elapsed = start.elapsed();
-        if elapsed.as_millis() >= 2 || iters_per_batch >= 1 << 20 {
-            break;
-        }
-        iters_per_batch *= 4;
-    }
-
-    const BATCHES: usize = 8;
-    let mut total_ns = 0.0f64;
-    let mut min_ns = f64::INFINITY;
-    for _ in 0..BATCHES {
-        let start = Instant::now();
-        for _ in 0..iters_per_batch {
-            std::hint::black_box(f());
-        }
-        let per_iter = start.elapsed().as_secs_f64() * 1e9 / iters_per_batch as f64;
-        total_ns += per_iter;
-        min_ns = min_ns.min(per_iter);
-    }
-    let res = BenchResult {
-        name: name.to_string(),
-        iters: iters_per_batch * BATCHES as u64,
-        mean_ns: total_ns / BATCHES as f64,
-        min_ns,
-    };
-    res.report();
-    res
 }
 
 // ---------------------------------------------------------------------------
