@@ -144,6 +144,20 @@ pub fn to_bytes_into<P: Pod>(data: &[P], out: &mut Vec<u8>) {
     append_bytes(data, out);
 }
 
+/// Serializes `items` straight into one payload, with no slice of them
+/// in between: [`to_bytes`] of what they would collect into. One
+/// allocation of the final size when the iterator's length is exact, and
+/// one charge of [`BYTES_COPIED`].
+pub fn iter_to_bytes<P: Pod>(items: impl IntoIterator<Item = P>) -> Vec<u8> {
+    let items = items.into_iter();
+    let mut out = Vec::with_capacity(items.size_hint().0 * std::mem::size_of::<P>());
+    for item in items {
+        extend_bytes(std::slice::from_ref(&item), &mut out);
+    }
+    count_copied(out.len());
+    out
+}
+
 /// Deserializes bytes produced by [`to_bytes`] back into elements.
 ///
 /// Panics if the byte length is not a multiple of the element size.

@@ -32,8 +32,8 @@ mod thread;
 mod transport;
 
 pub use datatype::{
-    concat_to_bytes, from_bytes, from_bytes_into, scatter_from_bytes, to_bytes, to_bytes_into, Pod,
-    BYTES_COPIED,
+    concat_to_bytes, from_bytes, from_bytes_into, iter_to_bytes, scatter_from_bytes, to_bytes,
+    to_bytes_into, Pod, BYTES_COPIED,
 };
 pub use group::Group;
 pub use ops::CommOps;

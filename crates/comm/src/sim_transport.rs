@@ -5,6 +5,15 @@ use dynmpi_sim::SimCtx;
 
 use crate::transport::{HostMeters, PeerTimeout, Transport};
 
+/// Message-size histograms, in [`obs::BYTE_BUCKETS`]. A traced rank
+/// resolves each once; every later message only records.
+const MSG_BYTES_SENT: &str = "comm.msg_bytes_sent";
+const MSG_BYTES_RECVD: &str = "comm.msg_bytes_recvd";
+
+fn observe_bytes(name: &'static str, payload: &[u8]) {
+    obs::observe(name, &obs::BYTE_BUCKETS, payload.len() as u64);
+}
+
 /// A [`Transport`] view over a simulated rank.
 ///
 /// All paper experiments run on this transport: message timing follows the
@@ -36,21 +45,13 @@ impl Transport for SimTransport<'_> {
     }
 
     fn send_bytes(&self, dst: usize, tag: u64, payload: Vec<u8>) {
-        obs::observe(
-            "comm.msg_bytes_sent",
-            &obs::BYTE_BUCKETS,
-            payload.len() as u64,
-        );
+        observe_bytes(MSG_BYTES_SENT, &payload);
         self.ctx.send(dst, tag, payload);
     }
 
     fn recv_bytes(&self, src: usize, tag: u64) -> Vec<u8> {
         let payload = self.ctx.recv(src, tag);
-        obs::observe(
-            "comm.msg_bytes_recvd",
-            &obs::BYTE_BUCKETS,
-            payload.len() as u64,
-        );
+        observe_bytes(MSG_BYTES_RECVD, &payload);
         payload
     }
 
@@ -63,11 +64,7 @@ impl Transport for SimTransport<'_> {
         let timeout = dynmpi_sim::SimDur::from_secs_f64(timeout_seconds);
         match self.ctx.recv_timeout(Some(src), tag, timeout) {
             Ok((_, payload)) => {
-                obs::observe(
-                    "comm.msg_bytes_recvd",
-                    &obs::BYTE_BUCKETS,
-                    payload.len() as u64,
-                );
+                observe_bytes(MSG_BYTES_RECVD, &payload);
                 Ok(payload)
             }
             Err(t) => Err(PeerTimeout {

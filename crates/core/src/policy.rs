@@ -3,7 +3,7 @@
 //! active rank reaches the identical conclusion. Each rule returns the
 //! [`RuntimeEvent`] that logs it: the event is the decision record.
 
-use dynmpi_comm::{from_bytes, to_bytes, Group};
+use dynmpi_comm::{from_bytes_into, iter_to_bytes, Group};
 
 use crate::balance::{
     predict_cycle_time, relative_power, successive_balance_with_floor, CommModel, NodeLoad,
@@ -42,8 +42,9 @@ pub enum Sample {
 /// The control blob the root broadcasts every cycle, the replicated
 /// machine's only input. On the wire, all `f64`: samples ++ loads ++ online
 /// ++ alive, where `online` is empty when the whole world is seeded and
-/// `alive` is sent only with failure detection.
-#[derive(Clone, Debug, PartialEq)]
+/// `alive` is sent only with failure detection. The runtime keeps one and
+/// refills it every cycle, so its vectors keep their capacity.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
     /// Per active member, in relative-rank order.
     pub samples: Vec<Sample>,
@@ -56,6 +57,7 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
+    /// The wire payload, each value written straight into it.
     pub fn encode(&self, failure_detection: bool) -> Vec<u8> {
         let flag = |&b: &bool| f64::from(u8::from(b));
         let wire = |s: &Sample| match *s {
@@ -63,32 +65,55 @@ impl Snapshot {
             Sample::Stalled => STALLED,
             Sample::Silent => SILENT,
         };
-        let mut b: Vec<f64> = self.samples.iter().map(wire).collect();
-        b.extend(self.loads.iter().map(|&l| f64::from(l)));
-        b.extend(self.online.iter().map(flag));
-        if failure_detection {
-            b.extend(self.alive.iter().map(flag));
-        }
-        to_bytes(&b)
+        let alive = if failure_detection {
+            &self.alive[..]
+        } else {
+            &[]
+        };
+        iter_to_bytes(
+            (self.samples.iter().map(wire))
+                .chain(self.loads.iter().map(|&l| f64::from(l)))
+                .chain(self.online.iter().map(flag))
+                .chain(alive.iter().map(flag)),
+        )
     }
 
-    /// Reads `members` samples in a world of `wsize` ranks, `seed` seeded.
-    pub fn decode(bytes: &[u8], members: usize, wsize: usize, seed: usize, fd: bool) -> Snapshot {
-        let b: Vec<f64> = from_bytes(bytes);
-        let (samples, rest) = b.split_at(members);
+    /// Reads `members` samples in a world of `wsize` ranks, `seed` seeded,
+    /// into `self`; `wire` holds the payload's values in between. Both keep
+    /// their capacity, so a warm decode allocates nothing.
+    pub fn decode_into(
+        &mut self,
+        bytes: &[u8],
+        wire: &mut Vec<f64>,
+        members: usize,
+        wsize: usize,
+        seed: usize,
+        fd: bool,
+    ) {
+        from_bytes_into(bytes, wire);
+        let (samples, rest) = wire.split_at(members);
         let (loads, rest) = rest.split_at(wsize);
         let (online, alive) = rest.split_at(wsize - seed);
-        let flags = |v: &[f64]| v.iter().map(|&x| x == 1.0).collect();
+        let flags = |to: &mut Vec<bool>, v: &[f64]| {
+            to.clear();
+            to.extend(v.iter().map(|&x| x == 1.0));
+        };
         let sample = |&x: &f64| match x {
             SILENT => Sample::Silent,
             STALLED => Sample::Stalled,
             t => Sample::Time(t),
         };
-        Snapshot {
-            samples: samples.iter().map(sample).collect(),
-            loads: loads.iter().map(|&x| x as u32).collect(),
-            online: flags(online),
-            alive: if fd { flags(alive) } else { vec![true; wsize] },
+        self.samples.clear();
+        self.samples.extend(samples.iter().map(sample));
+        self.loads.clear();
+        self.loads.extend(loads.iter().map(|&x| x as u32));
+        flags(&mut self.online, online);
+        match fd {
+            true => flags(&mut self.alive, alive),
+            false => {
+                self.alive.clear();
+                self.alive.resize(wsize, true);
+            }
         }
     }
 }
@@ -604,7 +629,7 @@ mod tests {
                 wire.extend([1.0, 0.0, 1.0, 1.0]);
             }
             let bytes = snap.encode(fd);
-            assert_eq!(bytes, to_bytes(&wire));
+            assert_eq!(bytes, dynmpi_comm::to_bytes(&wire));
             let alive = if fd {
                 snap.alive.clone()
             } else {
@@ -614,7 +639,9 @@ mod tests {
                 alive,
                 ..snap.clone()
             };
-            assert_eq!(Snapshot::decode(&bytes, 3, 4, 3, fd), expect);
+            let mut decoded = Snapshot::default();
+            decoded.decode_into(&bytes, &mut Vec::new(), 3, 4, 3, fd);
+            assert_eq!(decoded, expect);
         }
     }
 }

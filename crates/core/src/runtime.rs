@@ -17,7 +17,7 @@
 //! All decisions are pure functions of broadcast data, so every rank
 //! reaches the identical conclusion without further coordination.
 
-use dynmpi_comm::{from_bytes, to_bytes, CommOps, Group, HostMeters};
+use dynmpi_comm::{from_bytes, from_bytes_into, to_bytes, CommOps, Group, HostMeters};
 use dynmpi_obs::{self as obs, Json};
 
 use crate::array::{ArrayMeta, RedistArray};
@@ -130,6 +130,10 @@ pub struct DynMpi<'a, T: HostMeters> {
     ctrl_sent: u64,
     /// Root only: its own queued samples (peers' queue in their mailboxes).
     self_samples: std::collections::VecDeque<f64>,
+    /// The cycle's control snapshot and its decoded wire values, refilled
+    /// every cycle in place.
+    ctrl: Snapshot,
+    ctrl_wire: Vec<f64>,
 
     /// Buddy checkpoints (empty unless `cfg.failure_detection`).
     ckpt: BuddyCheckpoint,
@@ -188,6 +192,8 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             ctrl_epoch: 0,
             ctrl_sent: 0,
             self_samples: std::collections::VecDeque::new(),
+            ctrl: Snapshot::default(),
+            ctrl_wire: Vec::new(),
             ckpt: BuddyCheckpoint::new(),
             app_progress: 0,
             rollback_to: None,
@@ -523,13 +529,18 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             // it is unrecoverable, DESIGN.md §14).
             self.refresh_ckpt(arrays);
         }
-        let Some(snap) = self.exchange_control(cycle_time) else {
-            return;
-        };
+        let mut snap = std::mem::take(&mut self.ctrl);
+        if self.exchange_control(cycle_time, &mut snap) {
+            self.apply_snapshot(&snap, arrays);
+        }
+        self.ctrl = snap;
+    }
 
+    /// Steps 2–5 of a cycle, on the snapshot the control plane delivered.
+    fn apply_snapshot(&mut self, snap: &Snapshot, arrays: &mut [&mut dyn RedistArray]) {
         // 2. Replicated failure detector: all survivors confirm a death on
         //    the same cycle, and recover.
-        for event in self.kernel().observe(&snap) {
+        for event in self.kernel().observe(snap) {
             let dead = match event {
                 RuntimeEvent::NodeConfirmedDead { node, .. } => Some(node),
                 _ => None,
@@ -545,7 +556,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         //    redistribution bumps the count.
         let pre_removed = self.removed_nodes();
         let (epoch, redists) = (self.ctrl_epoch, self.state.redist_count);
-        self.advance(&snap, arrays);
+        self.advance(snap, arrays);
         let transition = self.ctrl_epoch != epoch;
 
         // 4. Status send-out to the ranks removed at cycle start.
@@ -571,9 +582,9 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
     /// 1. The pipelined control plane: each active rank posts its cycle
     ///    time to the root, which posts back the cycle's [`Snapshot`]. Both
     ///    directions run `CTRL_LAG` cycles deep, so no rank stalls on a
-    ///    loaded node's in-flight control traffic. `None` during the
-    ///    warm-up, and when this rank withdrew.
-    fn exchange_control(&mut self, cycle_time: f64) -> Option<Snapshot> {
+    ///    loaded node's in-flight control traffic. Fills `snap` and says
+    ///    so; `false` during the warm-up, and when this rank withdrew.
+    fn exchange_control(&mut self, cycle_time: f64, snap: &mut Snapshot) -> bool {
         let (rel, root) = (self.active.rel_unchecked(), self.active.world_rank(0));
         let epoch = 4 * self.ctrl_epoch;
         let (up, down) = (TAG_CTRL_UP + epoch, TAG_CTRL_DOWN + epoch);
@@ -589,7 +600,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
                 let removed = self.removed_nodes();
                 self.send_statuses(&removed, &vec![0; self.wsize]);
             }
-            return None;
+            return false;
         }
         let fd = self.cfg.failure_detection;
         if rel != 0 {
@@ -599,13 +610,16 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             // block forever: the survivors confirm it dead by that silence.
             let Some(bytes) = self.recv_unless_dead(root, down) else {
                 self.self_evict();
-                return None;
+                return false;
             };
-            let na = self.active.size();
-            return Some(Snapshot::decode(&bytes, na, self.wsize, self.seed, fd));
+            let (na, wire) = (self.active.size(), &mut self.ctrl_wire);
+            snap.decode_into(&bytes, wire, na, self.wsize, self.seed, fd);
+            return true;
         }
         let own = self.self_samples.pop_front().expect("own sample queued");
-        let mut samples = vec![Sample::Time(own)];
+        let samples = &mut snap.samples;
+        samples.clear();
+        samples.push(Sample::Time(own));
         let timeout = self.cfg.peer_timeout_seconds;
         for &peer in &self.active.members()[1..] {
             let sample = if fd {
@@ -616,24 +630,32 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             // A missing sample becomes a sentinel, classified by the monitor
             // reading: dead, or merely overloaded.
             samples.push(match sample {
-                Ok(bytes) => Sample::Time(from_bytes::<f64>(&bytes)[0]),
+                Ok(bytes) => {
+                    from_bytes_into(&bytes, &mut self.ctrl_wire);
+                    Sample::Time(self.ctrl_wire[0])
+                }
                 Err(_) if self.t.dmpi_ps(peer) == 0 => Sample::Silent,
                 Err(_) => Sample::Stalled,
             });
         }
         let (world, ps) = (0..self.wsize, |n| self.t.dmpi_ps(n));
         let newcomers = self.seed..self.wsize;
-        let snap = Snapshot {
-            samples,
-            loads: world.clone().map(|n| ps(n).saturating_sub(1)).collect(),
-            online: newcomers.map(|n| self.t.node_online(n)).collect(),
-            alive: world.map(|n| !fd || ps(n) >= 1).collect(),
-        };
+        snap.loads.clear();
+        snap.loads
+            .extend(world.clone().map(|n| ps(n).saturating_sub(1)));
+        snap.online.clear();
+        snap.online.extend(newcomers.map(|n| self.t.node_online(n)));
+        snap.alive.clear();
+        snap.alive.extend(world.map(|n| !fd || ps(n) >= 1));
+        // Copies for all peers but the last, which takes the payload.
         let bytes = snap.encode(fd);
-        for &peer in &self.active.members()[1..] {
-            self.t.send_bytes(peer, down, bytes.clone());
+        if let Some((&last, rest)) = self.active.members()[1..].split_last() {
+            for &peer in rest {
+                self.t.send_bytes(peer, down, bytes.clone());
+            }
+            self.t.send_bytes(last, down, bytes);
         }
-        Some(snap)
+        true
     }
 
     /// Nodes currently outside the active group.

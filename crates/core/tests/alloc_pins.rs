@@ -4,11 +4,16 @@
 //! the exact size, and `unpack_rows` copies payload slices straight into
 //! the rows: one allocation and one copy on the sending side, none and one
 //! on the receiving side when the rows are already there (a ghost refresh).
-//! `comm.bytes_copied` charges exactly those two copies.
+//! `comm.bytes_copied` charges exactly those two copies. A control cycle
+//! allocates its payloads and nothing else: the snapshot is encoded
+//! straight into its wire bytes and decoded into buffers the runtime keeps.
 
-use dynmpi::{DenseMatrix, RedistArray, RowSet};
-use dynmpi_comm::BYTES_COPIED;
+use dynmpi::{
+    AccessMode, CommPattern, DenseMatrix, Drsd, DynMpi, DynMpiConfig, RedistArray, RowSet,
+};
+use dynmpi_comm::{SimTransport, BYTES_COPIED};
 use dynmpi_obs::Recorder;
+use dynmpi_sim::{Cluster, NodeSpec};
 use dynmpi_testkit::{allocations, CountingAlloc};
 
 #[global_allocator]
@@ -73,4 +78,54 @@ fn pack_and_unpack_each_charge_the_payload_once() {
         2 * 3 * ROW_LEN as u64 * 8
     );
     assert!(!src.has_row(9), "`take` released the packed rows");
+}
+
+/// Allocations of a whole dedicated 4-rank run of `steps` cycles: every
+/// cycle is compute plus, when `cfg` adapts, the control exchange (no
+/// ghosts and no load, so the balancer never moves a row).
+fn run_allocations(steps: u64, cfg: &DynMpiConfig) -> u64 {
+    let cluster = Cluster::homogeneous(4, NodeSpec::with_speed(1e6));
+    allocations(|| {
+        cluster.run_spmd(|ctx| {
+            let t = SimTransport::new(ctx);
+            let n = 64;
+            let mut rt = DynMpi::init(&t, n, cfg.clone());
+            let a = rt.register_dense("A", n);
+            let ph = rt.init_phase(0, n, CommPattern::NearestNeighbor);
+            rt.add_access(ph, a, AccessMode::ReadWrite, Drsd::with_halo(1));
+            let mut m = DenseMatrix::<f64>::new(n, 4);
+            rt.setup(&mut [&mut m]);
+            for _ in 0..steps {
+                rt.begin_cycle();
+                rt.charge_rows(ph, |_| 1e4);
+                rt.end_cycle(&mut [&mut m]);
+            }
+        });
+    })
+}
+
+/// Allocations per cycle once a run has warmed up: the growth from 80 to
+/// 120 cycles, which must be the same in every one of those 40. A first
+/// run fills the thread's pool of rank stacks.
+fn per_cycle(cfg: &DynMpiConfig) -> u64 {
+    run_allocations(1, cfg);
+    let grown = run_allocations(120, cfg) - run_allocations(80, cfg);
+    assert_eq!(grown % 40, 0, "{grown} allocations over 40 cycles");
+    grown / 40
+}
+
+#[test]
+fn a_control_cycle_allocates_only_its_payloads() {
+    let compute = per_cycle(&DynMpiConfig::no_adapt());
+    for failure_detection in [false, true] {
+        let cfg = DynMpiConfig {
+            failure_detection,
+            ..DynMpiConfig::default()
+        };
+        // Three samples up; the snapshot, encoded straight into its
+        // payload, and copies for two of the three peers down (the last
+        // takes the payload). Decoding, at the root and at the peers,
+        // refills buffers the runtime keeps.
+        assert_eq!(per_cycle(&cfg) - compute, 3 + 1 + 2, "{cfg:?}");
+    }
 }

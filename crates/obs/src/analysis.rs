@@ -45,12 +45,12 @@
 //! and `fast_path_equivalence.rs`, and by the `dynmpi` crate's
 //! `tests/drive` for runtime scenarios).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::ops::RangeInclusive;
 
 use crate::decision_log::{after_window, arg_f64, arg_u64, before_window, DecisionLog};
 use crate::json::Json;
-use crate::trace::TraceEvent;
+use crate::trace::{TraceEvent, MAX_RANKS};
 
 /// Runtime-pipeline span names whose contents count as runtime overhead
 /// (monitor + balancer), not application time; `end_cycle`, typed as
@@ -500,6 +500,42 @@ struct SendRec {
     queued: u64,
 }
 
+/// The sends of a trace, by `(sender rank, seq)`: per sender, its sends
+/// sorted by seq (the order it sent them in, so usually already sorted).
+/// A repeated key keeps its last send, as a map insert would.
+#[derive(Default)]
+struct SendIndex {
+    by_rank: Vec<Vec<(u64, SendRec)>>,
+}
+
+impl SendIndex {
+    fn push(&mut self, seq: u64, send: SendRec) {
+        if send.rank >= self.by_rank.len() {
+            self.by_rank.resize_with(send.rank + 1, Vec::new);
+        }
+        self.by_rank[send.rank].push((seq, send));
+    }
+
+    fn finish(&mut self) {
+        for sends in &mut self.by_rank {
+            if !sends.windows(2).all(|w| w[0].0 < w[1].0) {
+                // Stable: the last of equal seqs ends up first once
+                // reversed, and `dedup` keeps the first.
+                sends.sort_by_key(|(seq, _)| *seq);
+                sends.reverse();
+                sends.dedup_by_key(|(seq, _)| *seq);
+                sends.reverse();
+            }
+        }
+    }
+
+    fn get(&self, (rank, seq): (usize, u64)) -> Option<&SendRec> {
+        let sends = self.by_rank.get(rank)?;
+        let at = sends.binary_search_by_key(&seq, |(s, _)| *s).ok()?;
+        Some(&sends[at].1)
+    }
+}
+
 #[derive(Default)]
 struct Lane {
     makespan: u64,
@@ -534,16 +570,25 @@ fn contained(intervals: &[Interval], start: u64, end: u64) -> bool {
 
 /// Analyze a trace-event stream (in [`Recorder::events`](crate::Recorder::events)
 /// order) into a [`ProfileReport`].
+///
+/// Ignores an event of a rank at or above [`MAX_RANKS`], as the sinks do.
 pub fn analyze(events: &[TraceEvent]) -> ProfileReport {
-    let mut lanes: BTreeMap<usize, Lane> = BTreeMap::new();
-    let mut sends: HashMap<(usize, u64), SendRec> = HashMap::new();
+    // Dense by rank while folding; a rank without events has no lane.
+    let mut dense: Vec<Option<Lane>> = Vec::new();
+    let mut sends = SendIndex::default();
     // Redistributions, `balance` predictions and cycle bounds.
     let mut log = DecisionLog::default();
 
     for ev in events {
-        log.fold(ev);
         let rank = ev.rank();
-        let lane = lanes.entry(rank).or_default();
+        if rank >= MAX_RANKS {
+            continue;
+        }
+        log.fold(ev);
+        if rank >= dense.len() {
+            dense.resize_with(rank + 1, || None);
+        }
+        let lane = dense[rank].get_or_insert_with(Lane::default);
         let start = ev.ts_ns();
         let end = start + ev.dur_ns().unwrap_or(0);
         lane.makespan = lane.makespan.max(end);
@@ -567,7 +612,7 @@ pub fn analyze(events: &[TraceEvent]) -> ProfileReport {
                     tag: msg.tag,
                     queued: queued_ns,
                 };
-                sends.insert((rank, msg.seq), send);
+                sends.push(msg.seq, send);
             }
             TraceEvent::Recv {
                 msg, rx_queued_ns, ..
@@ -600,6 +645,10 @@ pub fn analyze(events: &[TraceEvent]) -> ProfileReport {
         }
     }
 
+    sends.finish();
+    let mut lanes: BTreeMap<usize, Lane> = (dense.into_iter().enumerate())
+        .filter_map(|(rank, lane)| Some((rank, lane?)))
+        .collect();
     // Context intervals become disjoint unions for containment queries.
     for lane in lanes.values_mut() {
         lane.redist_ctx = merge(std::mem::take(&mut lane.redist_ctx));
@@ -638,7 +687,7 @@ fn overlap(a_start: u64, a_end: u64, b_start: u64, b_end: u64) -> u64 {
 /// critical-path length.
 fn blame(
     lanes: &BTreeMap<usize, Lane>,
-    sends: &HashMap<(usize, u64), SendRec>,
+    sends: &SendIndex,
     path: &[CritSegment],
 ) -> Vec<BlameEntry> {
     let mut table: BTreeMap<(usize, &'static str), u64> = BTreeMap::new();
@@ -685,7 +734,7 @@ fn blame(
                     } else if contained(&lane.runtime_ctx, w.start, w.end) {
                         add(rank, "runtime", ov);
                     } else {
-                        match w.link.and_then(|k| sends.get(&k)) {
+                        match w.link.and_then(|k| sends.get(k)) {
                             Some(send) => {
                                 let boundary = send.ts.clamp(w.start, w.end);
                                 let (lo, hi) = (seg.start_ns.max(w.start), seg.end_ns.min(w.end));
@@ -709,10 +758,7 @@ fn blame(
     out
 }
 
-fn attribute(
-    lanes: &BTreeMap<usize, Lane>,
-    sends: &HashMap<(usize, u64), SendRec>,
-) -> Vec<RankAttribution> {
+fn attribute(lanes: &BTreeMap<usize, Lane>, sends: &SendIndex) -> Vec<RankAttribution> {
     let mut out = Vec::with_capacity(lanes.len());
     for (&rank, lane) in lanes {
         let mut b = Buckets::default();
@@ -743,7 +789,7 @@ fn attribute(
                 b.runtime_ns += dur;
                 continue;
             }
-            match w.link.and_then(|k| sends.get(&k)) {
+            match w.link.and_then(|k| sends.get(k)) {
                 Some(send) => {
                     // Up to the send instant the wait is the sender's
                     // fault; from the send to delivery it is the network's.
@@ -777,7 +823,7 @@ fn attribute(
 /// gated progress. Produces a gap-free partition of `[0, makespan]`.
 fn critical_path(
     lanes: &BTreeMap<usize, Lane>,
-    sends: &HashMap<(usize, u64), SendRec>,
+    sends: &SendIndex,
     makespan: u64,
 ) -> Vec<CritSegment> {
     if makespan == 0 || lanes.is_empty() {
@@ -803,7 +849,7 @@ fn critical_path(
             .rev()
             .find(|(i, w)| {
                 w.end <= t
-                    && w.link.map(|k| sends.contains_key(&k)).unwrap_or(false)
+                    && w.link.is_some_and(|k| sends.get(k).is_some())
                     && !visited.contains(&(cur, *i))
             })
             .map(|(i, w)| (i, *w));
@@ -825,7 +871,9 @@ fn critical_path(
                 end_ns: t,
             });
         }
-        let send = sends[&w.link.expect("picked waits are linked")];
+        let send = *sends
+            .get(w.link.expect("picked waits are linked"))
+            .expect("picked waits have their send");
         let s_ts = send.ts.min(w.end);
         if w.end > s_ts {
             segs.push(CritSegment {

@@ -73,11 +73,17 @@ pub(crate) struct DecisionLog {
     pub suspects: BTreeMap<(u64, usize), u64>,
     /// cycle → the `balance` span; `ts_ns` is its earliest end.
     pub balances: BTreeMap<u64, Logged>,
-    /// `(cycle, rank)` → earliest `begin_cycle` instant and earliest
-    /// `end_cycle` span end, `u64::MAX` until seen. A cycle replayed after
-    /// a rollback keeps its first, pre-crash bounds.
-    pub cycles: BTreeMap<(u64, usize), [u64; 2]>,
+    /// `cycles[cycle][rank]`: the earliest `begin_cycle` instant and the
+    /// earliest `end_cycle` span end, `u64::MAX` until seen; dense, as
+    /// cycles count up from 0 or 1. A cycle replayed after a rollback
+    /// keeps its first, pre-crash bounds.
+    cycles: Vec<Vec<[u64; 2]>>,
 }
+
+/// Cycles at or above this carry no bounds: a malformed dump's cycle
+/// number must not size the dense table. No run here comes near a
+/// million cycles.
+const MAX_CYCLES: u64 = 1 << 20;
 
 fn keep_earliest<K: Ord>(map: &mut BTreeMap<K, Logged>, key: K, at: (u64, usize), args: &Args) {
     let (ts_ns, rank) = at;
@@ -146,14 +152,33 @@ impl DecisionLog {
     }
 
     /// Min-folds `ts` into bound `i` (0 begin, 1 end) of a `(cycle, rank)`.
-    fn min_bound(&mut self, key: (u64, usize), i: usize, ts: u64) {
-        let bound = &mut self.cycles.entry(key).or_insert([u64::MAX; 2])[i];
-        *bound = (*bound).min(ts);
+    fn min_bound(&mut self, (cycle, rank): (u64, usize), i: usize, ts: u64) {
+        if cycle >= MAX_CYCLES {
+            return;
+        }
+        let cycle = cycle as usize;
+        if cycle >= self.cycles.len() {
+            self.cycles.resize_with(cycle + 1, Vec::new);
+        }
+        let row = &mut self.cycles[cycle];
+        if rank >= row.len() {
+            row.resize(rank + 1, [u64::MAX; 2]);
+        }
+        row[rank][i] = row[rank][i].min(ts);
     }
 
     /// `rank`'s wall time in `cycle`, when both bounds are known and in order.
     pub fn cycle_wall_ns(&self, cycle: u64, rank: usize) -> Option<u64> {
-        let &[b, e] = self.cycles.get(&(cycle, rank))?;
+        let row = self.cycles.get(usize::try_from(cycle).ok()?)?;
+        let &[b, e] = row.get(rank)?;
         (e != u64::MAX && e > b).then(|| e - b)
+    }
+
+    /// Every known `(cycle, rank, wall time)`, in `(cycle, rank)` order.
+    pub fn cycle_walls(&self) -> impl Iterator<Item = (u64, usize, u64)> + '_ {
+        (0u64..).zip(&self.cycles).flat_map(move |(cycle, row)| {
+            (0..row.len())
+                .filter_map(move |rank| Some((cycle, rank, self.cycle_wall_ns(cycle, rank)?)))
+        })
     }
 }

@@ -163,10 +163,8 @@ fn cards(log: &DecisionLog, alerts: &[&Alert]) -> Vec<DecisionCard> {
     // Per-cycle realized wall time: max (makespan-per-cycle) and mean
     // across ranks reporting both bounds.
     let mut walls: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-    for &(cycle, rank) in log.cycles.keys() {
-        if let Some(wall) = log.cycle_wall_ns(cycle, rank) {
-            walls.entry(cycle).or_default().push(wall);
-        }
+    for (cycle, _, wall) in log.cycle_walls() {
+        walls.entry(cycle).or_default().push(wall);
     }
     let max_wall: BTreeMap<u64, u64> = walls
         .iter()

@@ -8,62 +8,75 @@
 
 use std::fmt::{self, Write};
 
-use crate::json::{write_escaped, write_uint, Json, JsonError};
-use crate::trace::{intern, intern_cat, Args, TraceEvent, MAX_RANKS, MAX_TS_NS};
+use crate::json::{push_uint, write_escaped, Json, JsonError};
+use crate::trace::{intern, intern_cat, Args, Kind, TraceEvent, MAX_RANKS, MAX_TS_NS};
 
 /// Below this many nanoseconds, 10^12 µs < 2^43 µs, an `f64` count of
 /// microseconds has an ulp of at most 2^-10 < 0.001.
 pub const EXACT_US_BELOW_NS: u64 = 1_000_000_000_000_000;
 
+/// The exporters render into bytes: a typed event is a few constant
+/// slices and its integers. `fmt::Write` over the buffer serves what
+/// goes through the [`Json`] writer (a generic event's strings and
+/// values, a timestamp past [`EXACT_US_BELOW_NS`]).
+struct Bytes<'a>(&'a mut Vec<u8>);
+
+impl Write for Bytes<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// Runs a `fmt::Write` writer over `buf`, which cannot fail.
+fn push_fmt(buf: &mut Vec<u8>, write: impl FnOnce(&mut Bytes<'_>) -> fmt::Result) {
+    write(&mut Bytes(buf)).expect("writing to a byte buffer cannot fail");
+}
+
 /// `ns` in microseconds as the `f64` `ns / 1000` writes. Below
 /// [`EXACT_US_BELOW_NS`] that is `ns / 1000` and 1–3 fraction digits,
 /// trailing zeros stripped: the `f64` is the double nearest that decimal,
 /// and any other as short lies ≥ 0.001 away, more than an ulp.
-fn write_us<W: Write>(out: &mut W, ns: u64) -> fmt::Result {
+fn push_us(buf: &mut Vec<u8>, ns: u64) {
     let mut frac = ns % 1_000;
     if frac != 0 && ns >= EXACT_US_BELOW_NS {
-        return Json::Num(ns as f64 / 1_000.0).write_to(out);
+        return push_fmt(buf, |out| Json::Num(ns as f64 / 1_000.0).write_to(out));
     }
-    write_uint(out, ns / 1_000)?;
+    push_uint(buf, ns / 1_000);
     if frac != 0 {
-        out.write_char('.')?;
+        buf.push(b'.');
     }
     let mut unit = 100;
     while frac > 0 {
-        out.write_char(char::from(b'0' + (frac / unit) as u8))?;
+        buf.push(b'0' + (frac / unit) as u8);
         frac %= unit;
         unit /= 10;
     }
-    Ok(())
 }
 
-/// `"cat":…,"name":…` — the two string fields both formats share.
-fn write_cat_name<W: Write>(out: &mut W, ev: &TraceEvent) -> fmt::Result {
-    out.write_str("\"cat\":")?;
-    write_escaped(out, ev.cat())?;
-    out.write_str(",\"name\":")?;
-    write_escaped(out, ev.name())
+/// A generic event's `"cat":…,"name":…`, escaped.
+fn push_cat_name(buf: &mut Vec<u8>, ev: &TraceEvent) {
+    push_fmt(buf, |out| {
+        out.write_str("\"cat\":")?;
+        write_escaped(out, ev.cat())?;
+        out.write_str(",\"name\":")?;
+        write_escaped(out, ev.name())
+    });
 }
 
 /// `,"args":{…}}` — the attributes, closing the event object. A typed
-/// kind writes its integers under its keys exactly as the `Json::UInt`
-/// attributes of a generic event would be written.
-fn write_args<W: Write>(out: &mut W, args: Args<'_>) -> fmt::Result {
-    out.write_str(",\"args\":{")?;
-    match args {
-        Args::Ints { keys, values } => {
-            for (i, (k, v)) in keys.iter().zip(values).enumerate() {
-                if i > 0 {
-                    out.write_char(',')?;
-                }
-                // Schema keys are plain identifiers: nothing to escape.
-                out.write_char('"')?;
-                out.write_str(k)?;
-                out.write_str("\":")?;
-                write_uint(out, v)?;
+/// kind writes each integer after its key's constant head, exactly as
+/// the `Json::UInt` attributes of a generic event would be written.
+fn push_args(buf: &mut Vec<u8>, ev: &TraceEvent, kind: Option<&Kind>) {
+    buf.extend_from_slice(b",\"args\":{");
+    match (kind, ev.args()) {
+        (Some(kind), _) => {
+            for (head, v) in kind.key_heads.iter().zip(ev.values()) {
+                buf.extend_from_slice(head.as_bytes());
+                push_uint(buf, v);
             }
         }
-        Args::Json(pairs) => {
+        (None, Args::Json(pairs)) => push_fmt(buf, |out| {
             for (i, (k, v)) in pairs.iter().enumerate() {
                 if i > 0 {
                     out.write_char(',')?;
@@ -72,86 +85,150 @@ fn write_args<W: Write>(out: &mut W, args: Args<'_>) -> fmt::Result {
                 out.write_char(':')?;
                 v.write_to(out)?;
             }
+            Ok(())
+        }),
+        // A collective named off the list: its keys are plain identifiers.
+        (None, Args::Ints { keys, values }) => {
+            for (i, (k, &v)) in keys.iter().zip(&values).enumerate() {
+                buf.extend_from_slice(if i > 0 { b",\"" } else { b"\"" });
+                buf.extend_from_slice(k.as_bytes());
+                buf.extend_from_slice(b"\":");
+                push_uint(buf, v);
+            }
         }
     }
-    out.write_str("}}")
+    buf.extend_from_slice(b"}}");
 }
 
+/// One event's Chrome object, preceded by a comma unless it is the first.
+fn push_chrome(buf: &mut Vec<u8>, first: bool, ev: &TraceEvent) {
+    if !first {
+        buf.push(b',');
+    }
+    let (kind, dur_ns) = (ev.kind(), ev.dur_ns());
+    match kind {
+        Some(kind) => buf.extend_from_slice(kind.chrome_head.as_bytes()),
+        None => {
+            buf.extend_from_slice(match dur_ns {
+                Some(_) => b"{\"ph\":\"X\",",
+                None => b"{\"ph\":\"i\",",
+            });
+            push_cat_name(buf, ev);
+            buf.extend_from_slice(b",\"pid\":0,\"tid\":");
+        }
+    }
+    push_uint(buf, ev.rank() as u64);
+    buf.extend_from_slice(b",\"ts\":");
+    push_us(buf, ev.ts_ns());
+    match dur_ns {
+        Some(d) => {
+            buf.extend_from_slice(b",\"dur\":");
+            push_us(buf, d);
+        }
+        None => buf.extend_from_slice(b",\"s\":\"t\""),
+    }
+    push_args(buf, ev, kind);
+}
+
+/// One event's JSONL line.
+fn push_jsonl(buf: &mut Vec<u8>, _first: bool, ev: &TraceEvent) {
+    let (kind, dur_ns) = (ev.kind(), ev.dur_ns());
+    match kind {
+        Some(kind) => buf.extend_from_slice(kind.jsonl_head.as_bytes()),
+        None => {
+            buf.extend_from_slice(match dur_ns {
+                Some(_) => b"{\"kind\":\"span\",",
+                None => b"{\"kind\":\"instant\",",
+            });
+            push_cat_name(buf, ev);
+            buf.extend_from_slice(b",\"rank\":");
+        }
+    }
+    push_uint(buf, ev.rank() as u64);
+    buf.extend_from_slice(b",\"ts_ns\":");
+    push_uint(buf, ev.ts_ns());
+    if let Some(d) = dur_ns {
+        buf.extend_from_slice(b",\"dur_ns\":");
+        push_uint(buf, d);
+    }
+    push_args(buf, ev, kind);
+    buf.push(b'\n');
+}
+
+/// A document: its opening text, one rendering per event, its closing text.
+struct Doc {
+    open: &'static str,
+    push: fn(&mut Vec<u8>, bool, &TraceEvent),
+    close: &'static str,
+}
+
+const CHROME: Doc = Doc {
+    open: "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[",
+    push: push_chrome,
+    close: "]}",
+};
+
+const JSONL: Doc = Doc {
+    open: "",
+    push: push_jsonl,
+    close: "",
+};
+
 /// Bytes to reserve per event, in either format: above the ≈ 135 B the
-/// instrumented layers' events average, so the `String` never grows.
+/// instrumented layers' events average, so the buffer never grows.
 const BYTES_PER_EVENT: usize = 192;
+
+/// Events rendered per write when streaming to a `fmt::Write`.
+const CHUNK: usize = 4_096;
+
+const UTF8: &str = "the exporters write UTF-8";
+
+impl Doc {
+    fn to_string(&self, events: &[TraceEvent]) -> String {
+        let mut buf =
+            Vec::with_capacity(self.open.len() + events.len() * BYTES_PER_EVENT + self.close.len());
+        buf.extend_from_slice(self.open.as_bytes());
+        for (i, ev) in events.iter().enumerate() {
+            (self.push)(&mut buf, i == 0, ev);
+        }
+        buf.extend_from_slice(self.close.as_bytes());
+        String::from_utf8(buf).expect(UTF8)
+    }
+
+    fn write<W: Write>(&self, out: &mut W, events: &[TraceEvent]) -> fmt::Result {
+        out.write_str(self.open)?;
+        let mut buf = Vec::with_capacity(CHUNK.min(events.len()) * BYTES_PER_EVENT);
+        for (c, chunk) in events.chunks(CHUNK).enumerate() {
+            buf.clear();
+            for (i, ev) in chunk.iter().enumerate() {
+                (self.push)(&mut buf, c == 0 && i == 0, ev);
+            }
+            out.write_str(std::str::from_utf8(&buf).expect(UTF8))?;
+        }
+        out.write_str(self.close)
+    }
+}
 
 /// Write events as a Chrome `trace_event` document:
 /// `{"displayTimeUnit":"ns","traceEvents":[...]}`.
 pub fn write_chrome_trace<W: Write>(out: &mut W, events: &[TraceEvent]) -> fmt::Result {
-    out.write_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[")?;
-    for (i, ev) in events.iter().enumerate() {
-        if i > 0 {
-            out.write_char(',')?;
-        }
-        let dur_ns = ev.dur_ns();
-        out.write_str(match dur_ns {
-            Some(_) => "{\"ph\":\"X\",",
-            None => "{\"ph\":\"i\",",
-        })?;
-        write_cat_name(out, ev)?;
-        out.write_str(",\"pid\":0,\"tid\":")?;
-        write_uint(out, ev.rank() as u64)?;
-        out.write_str(",\"ts\":")?;
-        write_us(out, ev.ts_ns())?;
-        match dur_ns {
-            Some(d) => {
-                out.write_str(",\"dur\":")?;
-                write_us(out, d)?;
-            }
-            None => out.write_str(",\"s\":\"t\"")?,
-        }
-        write_args(out, ev.args())?;
-    }
-    out.write_str("]}")
+    CHROME.write(out, events)
 }
 
 /// Write events as JSONL: one event object per line, same fields as the
 /// Chrome export but with exact nanosecond `ts_ns`/`dur_ns` timestamps.
 pub fn write_jsonl<W: Write>(out: &mut W, events: &[TraceEvent]) -> fmt::Result {
-    for ev in events {
-        let dur_ns = ev.dur_ns();
-        out.write_str(match dur_ns {
-            Some(_) => "{\"kind\":\"span\",",
-            None => "{\"kind\":\"instant\",",
-        })?;
-        write_cat_name(out, ev)?;
-        out.write_str(",\"rank\":")?;
-        write_uint(out, ev.rank() as u64)?;
-        out.write_str(",\"ts_ns\":")?;
-        write_uint(out, ev.ts_ns())?;
-        if let Some(d) = dur_ns {
-            out.write_str(",\"dur_ns\":")?;
-            write_uint(out, d)?;
-        }
-        write_args(out, ev.args())?;
-        out.write_char('\n')?;
-    }
-    Ok(())
-}
-
-fn to_string(
-    events: &[TraceEvent],
-    write: fn(&mut String, &[TraceEvent]) -> fmt::Result,
-) -> String {
-    let mut out = String::with_capacity(events.len() * BYTES_PER_EVENT);
-    write(&mut out, events).expect("writing to a String cannot fail");
-    out
+    JSONL.write(out, events)
 }
 
 /// [`write_chrome_trace`] into a `String`.
 pub fn chrome_trace(events: &[TraceEvent]) -> String {
-    to_string(events, write_chrome_trace)
+    CHROME.to_string(events)
 }
 
 /// [`write_jsonl`] into a `String`.
 pub fn jsonl(events: &[TraceEvent]) -> String {
-    to_string(events, write_jsonl)
+    JSONL.to_string(events)
 }
 
 /// A span decoded from an exported Chrome trace (round-trip direction).
@@ -638,6 +715,26 @@ mod tests {
             assert!(is_generic(&parsed[0]), "{line} parsed as {:?}", parsed[0]);
             assert_eq!(jsonl(&parsed), format!("{line}\n"));
         }
+    }
+
+    #[test]
+    fn a_collective_named_off_the_list_exports_its_own_name() {
+        let ev = TraceEvent::Collective {
+            name: "scan",
+            rank: 2,
+            ts_ns: 8_000,
+            dur_ns: 999,
+            ranks: 8,
+            bytes: 16,
+        };
+        let (_, line, object) = typed_pins()[10];
+        let one = std::slice::from_ref(&ev);
+        assert_eq!(
+            jsonl(one),
+            format!("{}\n", line.replace("allreduce", "scan"))
+        );
+        let doc = format!("{{\"displayTimeUnit\":\"ns\",\"traceEvents\":[{object}]}}");
+        assert_eq!(chrome_trace(one), doc.replace("allreduce", "scan"));
     }
 
     #[test]

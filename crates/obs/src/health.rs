@@ -294,81 +294,54 @@ impl HealthMonitor {
         f(&self.locked().log)
     }
 
-    /// Mark every window overlapping `[ts, ts+dur)` active for `rank`.
-    /// (OR-fold: invariant under span aggregation, since fast and stepped
-    /// sched spans tile the same intervals.)
-    fn mark_active(&self, m: &mut MonitorInner, rank: usize, ts: u64, dur: u64) {
-        let w = self.window_ns;
-        let (first_w, last_w) = (ts / w, if dur == 0 { ts / w } else { (ts + dur - 1) / w });
-        for widx in first_w..=last_w {
-            m.window_mut(widx, rank).active = true;
-        }
-    }
-
-    /// Add the exact overlap of `[ts, ts+dur)` with each window to the
-    /// field selected by `f`.
-    fn add_overlap(
-        &self,
-        m: &mut MonitorInner,
-        rank: usize,
-        ts: u64,
-        dur: u64,
-        f: impl Fn(&mut NodeWindow, u64),
-    ) {
-        let w = self.window_ns;
-        if dur == 0 {
-            return;
-        }
-        let end = ts + dur;
-        let mut t = ts;
-        while t < end {
-            let widx = t / w;
-            let wend = (widx + 1) * w;
-            let chunk = end.min(wend) - t;
-            f(m.window_mut(widx, rank), chunk);
-            t += chunk;
-        }
-    }
-
-    /// Split integer attribute `attr` of span `[ts, ts+dur)` across the
-    /// windows it overlaps by cumulative rounding: window `i` receives
-    /// `prefix(end_i) - prefix(start_i)` with
+    /// Folds `ev`, a span `[ts, ts+dur)` or (`dur` 0) an instant of
+    /// `rank`, into every window it overlaps: each is marked active (an
+    /// OR-fold, invariant under span aggregation, since fast and stepped
+    /// sched spans tile the same intervals); `charge_rows` and `blocked`
+    /// spans add their exact overlap with the window; a row charge's
+    /// integer attributes are split by cumulative rounding: window `i`
+    /// receives `prefix(end_i) - prefix(start_i)` with
     /// `prefix(t) = attr * (t - ts) / dur` in `u128`. The shares are exact
-    /// integers summing to `attr`, and each window's share depends only on
-    /// the span itself — order-independent and u64-exact.
-    fn split_attr(
-        &self,
-        m: &mut MonitorInner,
-        rank: usize,
-        ts: u64,
-        dur: u64,
-        attr: u64,
-        f: impl Fn(&mut NodeWindow, u64),
-    ) {
+    /// integers summing to the attribute, and each depends only on the
+    /// span itself — order-independent and u64-exact. An instant's
+    /// attributes go whole to its window.
+    fn fold_windows(&self, m: &mut MonitorInner, rank: usize, ev: &TraceEvent, ts: u64, dur: u64) {
         let w = self.window_ns;
-        if attr == 0 {
-            return;
-        }
-        if dur == 0 {
-            f(m.window_mut(ts / w, rank), attr);
-            return;
-        }
-        let prefix = |t: u64| -> u64 { ((attr as u128 * (t - ts) as u128) / dur as u128) as u64 };
         let end = ts + dur;
-        let mut t = ts;
-        let mut given = 0u64;
-        while t < end {
-            let widx = t / w;
-            let wend = ((widx + 1) * w).min(end);
-            let upto = prefix(wend);
-            let share = upto - given;
-            given = upto;
-            if share > 0 {
-                f(m.window_mut(widx, rank), share);
+        let last = if dur == 0 { ts / w } else { (end - 1) / w };
+        // The share of `attr` in `[ts, upto)`; all of it at the span's end.
+        let prefix = |attr: u64, upto: u64| match upto == end {
+            true => attr,
+            false => ((attr as u128 * (upto - ts) as u128) / dur as u128) as u64,
+        };
+        // What the windows before have received of each attribute.
+        let (mut t, mut given) = (ts, [0, 0]);
+        for widx in ts / w..=last {
+            let upto = ((widx + 1) * w).min(end);
+            let (overlap, nw) = (upto - t, m.window_mut(widx, rank));
+            nw.active = true;
+            match *ev {
+                TraceEvent::ChargeRows {
+                    cpu_ns, work_uflop, ..
+                } => {
+                    let upto = [prefix(cpu_ns, upto), prefix(work_uflop, upto)];
+                    nw.busy_ns += overlap;
+                    nw.cpu_ns += upto[0] - given[0];
+                    nw.work_uflop += upto[1] - given[1];
+                    given = upto;
+                }
+                TraceEvent::Blocked { .. } => nw.wait_ns += overlap,
+                TraceEvent::Recv {
+                    late_ns, net_ns, ..
+                } => {
+                    nw.recvs_by += 1;
+                    nw.late_ns += late_ns;
+                    nw.net_ns += net_ns;
+                }
+                _ => {}
             }
-            t = wend;
+            t = upto;
         }
-        debug_assert_eq!(given, attr);
     }
 
     /// Current virtual-time progress: (max event end seen, min unflushed
@@ -612,42 +585,12 @@ impl EventSink for HealthMonitor {
         m.log.fold(ev);
         let (ts, dur) = (ev.ts_ns(), ev.dur_ns().unwrap_or(0));
         m.watermark[rank] = m.watermark[rank].max(ts + dur);
-        self.mark_active(&mut m, rank, ts, dur);
-        match *ev {
-            TraceEvent::ChargeRows {
-                cpu_ns, work_uflop, ..
-            } => {
-                self.add_overlap(&mut m, rank, ts, dur, |nw, c| nw.busy_ns += c);
-                self.split_attr(&mut m, rank, ts, dur, cpu_ns, |nw, c| nw.cpu_ns += c);
-                self.split_attr(&mut m, rank, ts, dur, work_uflop, |nw, c| {
-                    nw.work_uflop += c
-                });
+        self.fold_windows(&mut m, rank, ev, ts, dur);
+        if let TraceEvent::Send { msg, .. } = *ev {
+            let peer = usize::try_from(msg.peer).ok();
+            if let Some(peer) = peer.filter(|p| m.note_rank(*p)) {
+                m.window_mut(ts / self.window_ns, peer).sends_to += 1;
             }
-            TraceEvent::Blocked { .. } => {
-                self.add_overlap(&mut m, rank, ts, dur, |nw, c| nw.wait_ns += c);
-            }
-            TraceEvent::Send { msg, .. } => {
-                let peer = usize::try_from(msg.peer).ok();
-                if let Some(peer) = peer.filter(|p| m.note_rank(*p)) {
-                    m.window_mut(ts / self.window_ns, peer).sends_to += 1;
-                }
-            }
-            TraceEvent::Recv {
-                late_ns, net_ns, ..
-            } => {
-                let nw = m.window_mut(ts / self.window_ns, rank);
-                nw.recvs_by += 1;
-                nw.late_ns += late_ns;
-                nw.net_ns += net_ns;
-            }
-            _ => {}
-        }
-    }
-
-    fn on_span_open(&self, rank: usize, _cat: &'static str, _name: &str, ts_ns: u64) {
-        let mut m = self.locked();
-        if m.note_rank(rank) {
-            m.watermark[rank] = m.watermark[rank].max(ts_ns);
         }
     }
 
@@ -796,7 +739,11 @@ pub struct HealthReport {
 impl HealthReport {
     /// `HealthSnapshot` JSONL: one object per window (DESIGN.md §11 schema).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+        // ≈ 210 B per node a window shows, a little more for its own fields.
+        let bytes = (self.windows.iter())
+            .map(|w| 256 * (w.nodes.len() + 1))
+            .sum();
+        let mut out = String::with_capacity(bytes);
         for w in &self.windows {
             w.write_json(&mut out)
                 .expect("writing to a String cannot fail");

@@ -165,11 +165,10 @@ const DIGIT_PAIRS: &[u8; 200] = b"\
     6061626364656667686970717273747576777879\
     8081828384858687888990919293949596979899";
 
-/// `v` in decimal, as `write!(out, "{v}")` writes it, without the
-/// formatting machinery: exporters write several integers per event. The
-/// digits go out as ASCII `char`s, which spares a UTF-8 check per call.
-pub(crate) fn write_uint<W: fmt::Write>(out: &mut W, mut v: u64) -> fmt::Result {
-    let mut digits = [0u8; 20];
+/// `v`'s decimal digits, as `write!(out, "{v}")` writes them, without the
+/// formatting machinery: right-aligned in `digits`, from the returned
+/// index on.
+fn uint_digits(mut v: u64, digits: &mut [u8; 20]) -> usize {
     let mut at = digits.len();
     while v >= 10 {
         let pair = (v % 100) as usize * 2;
@@ -182,9 +181,22 @@ pub(crate) fn write_uint<W: fmt::Write>(out: &mut W, mut v: u64) -> fmt::Result 
         at -= 1;
         digits[at] = b'0' + v as u8;
     }
-    digits[at..]
-        .iter()
-        .try_for_each(|&d| out.write_char(char::from(d)))
+    at
+}
+
+/// Appends `v` in decimal to `buf`: the exporters write several integers
+/// per event.
+pub(crate) fn push_uint(buf: &mut Vec<u8>, v: u64) {
+    let mut digits = [0u8; 20];
+    let at = uint_digits(v, &mut digits);
+    buf.extend_from_slice(&digits[at..]);
+}
+
+/// `v` in decimal, as `write!(out, "{v}")` writes it.
+pub(crate) fn write_uint<W: fmt::Write>(out: &mut W, v: u64) -> fmt::Result {
+    let mut digits = [0u8; 20];
+    let at = uint_digits(v, &mut digits);
+    out.write_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"))
 }
 
 /// Writes `s` as a JSON string literal. Stretches that need no escape go

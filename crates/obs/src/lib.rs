@@ -69,10 +69,12 @@ struct RecorderInner {
     /// Every event merged so far, in the canonical order (see
     /// [`Recorder::events`]); every read shares it.
     events: Arc<Vec<TraceEvent>>,
-    /// Flushed rank buffers not yet merged into `events`, in flush order.
-    /// The merge happens on the reading thread, so the one large vector
-    /// is allocated there and not in whichever rank flushed.
-    flushed: Vec<Vec<TraceEvent>>,
+    /// Flushed rank buffers not yet merged into `events`, one run per
+    /// flush in flush order: a run is one rank scope's events in emission
+    /// order, in the blocks the scope buffered them in. The merge happens
+    /// on the reading thread, so the one large vector is allocated there
+    /// and not in whichever rank flushed.
+    flushed: Vec<Vec<Vec<TraceEvent>>>,
     /// One metrics snapshot per rank (last flush wins per rank).
     snapshots: Vec<(usize, Snapshot)>,
     /// Streaming subscribers; cloned into each rank scope at install.
@@ -146,7 +148,9 @@ impl Recorder {
 
     pub(crate) fn absorb(&self, rank: usize, events: Vec<Vec<TraceEvent>>, snapshot: Snapshot) {
         let mut inner = self.locked();
-        inner.flushed.extend(events);
+        if events.iter().any(|block| !block.is_empty()) {
+            inner.flushed.push(events);
+        }
         inner.snapshots.retain(|(r, _)| *r != rank);
         inner.snapshots.push((rank, snapshot));
     }
@@ -168,17 +172,16 @@ impl Recorder {
     /// [`jsonl`](export::jsonl)) and the [`analysis`] module consume this
     /// order as-is and never re-sort.
     ///
-    /// The first read after a flush merges the flushed buffers and sorts
-    /// once; every later read shares the result.
+    /// The first read after a flush merges the flushed runs into what
+    /// earlier reads merged; every later read shares the result.
     pub fn events(&self) -> Arc<Vec<TraceEvent>> {
         let mut inner = self.locked();
         if !inner.flushed.is_empty() {
             let flushed = std::mem::take(&mut inner.flushed);
-            // Copies the vector only if a reader still holds an earlier read.
-            let events = Arc::make_mut(&mut inner.events);
-            events.reserve_exact(flushed.iter().map(Vec::len).sum());
-            flushed.into_iter().for_each(|block| events.extend(block));
-            sort_by_ts_rank(events);
+            // Copies the merged events only if a reader still holds them.
+            let merged = Arc::try_unwrap(std::mem::take(&mut inner.events))
+                .unwrap_or_else(|shared| (*shared).clone());
+            inner.events = Arc::new(merge_runs(merged, flushed));
         }
         Arc::clone(&inner.events)
     }
@@ -245,28 +248,108 @@ impl Recorder {
     }
 }
 
-/// The stable sort of `events` by `(ts_ns, rank)` on 16-byte keys: sorted
-/// unstably, `(ts_ns, rank << 44 | append index)` is the stable order, as
-/// the index is unique (and below 2^44: no memory holds more events). The
-/// events then move by following the permutation's cycles, in place.
-fn sort_by_ts_rank(events: &mut [TraceEvent]) {
-    const INDEX_BITS: u32 = (trace::MAX_RANKS as u64 - 1).leading_zeros();
-    let mut keys: Vec<(u64, u64)> = (events.iter().enumerate())
-        .map(|(i, e)| (e.ts_ns(), (e.rank() as u64) << INDEX_BITS | i as u64))
-        .collect();
-    keys.sort_unstable();
-    // `keys[at]` names the event that belongs at `at`; `u64::MAX` marks a
-    // slot already filled.
-    for start in 0..keys.len() {
-        let mut at = start;
-        while keys[at].1 != u64::MAX {
-            let from = std::mem::replace(&mut keys[at].1, u64::MAX) & ((1 << INDEX_BITS) - 1);
-            if from as usize != start {
-                events.swap(at, from as usize);
+/// Bits of a merge key's tie below the rank: a run's block index, then
+/// the offset in that block.
+const RANK_SHIFT: u32 = 44;
+const BLOCK_SHIFT: u32 = 38;
+
+/// One run of the merge: blocks of events and their `(ts_ns, rank << 44
+/// | block << 38 | offset)` keys in the run's sorted order. Blocks
+/// double, so a run has far fewer than 2^6 of them, each far shorter
+/// than 2^38 events; ranks are below 2^20.
+struct Run {
+    blocks: Vec<Vec<TraceEvent>>,
+    keys: Vec<(u64, u64)>,
+}
+
+impl Run {
+    fn new(blocks: Vec<Vec<TraceEvent>>) -> Run {
+        let mut keys = Vec::with_capacity(blocks.iter().map(Vec::len).sum());
+        for (block, b) in blocks.iter().zip(0u64..) {
+            for (ev, offset) in block.iter().zip(0u64..) {
+                let tie = (ev.rank() as u64) << RANK_SHIFT | b << BLOCK_SHIFT | offset;
+                keys.push((ev.ts_ns(), tie));
             }
-            at = from as usize;
+        }
+        Run { blocks, keys }
+    }
+
+    /// Moves the event a key names out, leaving a placeholder.
+    fn take(&mut self, tie: u64) -> TraceEvent {
+        const TAKEN: TraceEvent = TraceEvent::Blocked {
+            rank: 0,
+            ts_ns: 0,
+            dur_ns: 0,
+        };
+        let block = (tie >> BLOCK_SHIFT) & ((1 << (RANK_SHIFT - BLOCK_SHIFT)) - 1);
+        let offset = tie & ((1 << BLOCK_SHIFT) - 1);
+        std::mem::replace(&mut self.blocks[block as usize][offset as usize], TAKEN)
+    }
+}
+
+/// Sorts keys that are nearly in order: by insertion while that stays
+/// cheap (a rank's descents are its outer spans, emitted when they close
+/// after what they contain), else by `sort_unstable`. The keys are
+/// unique, so both give the one order.
+fn sort_nearly_sorted(keys: &mut [(u64, u64)]) {
+    let mut budget = 32 * keys.len() + 1_024;
+    for i in 1..keys.len() {
+        let key = keys[i];
+        let mut at = i;
+        while at > 0 && keys[at - 1] > key {
+            keys[at] = keys[at - 1];
+            at -= 1;
+        }
+        keys[at] = key;
+        match budget.checked_sub(i - at) {
+            Some(left) => budget = left,
+            None => return keys.sort_unstable(),
         }
     }
+}
+
+/// The stable sort by `(ts_ns, rank)` of `merged` (already in that
+/// order) followed by `runs` (each one rank's events in emission order),
+/// moving each event once. Each run's keys are sorted on their own; then
+/// the least of the runs' heads, ordered by `(ts_ns, rank, run)`, goes
+/// next (ranks are below 2^20, runs below 2^32): a tie between runs goes to the one appended first, and within a
+/// run the key's block and offset keep the append order.
+fn merge_runs(merged: Vec<TraceEvent>, runs: Vec<Vec<Vec<TraceEvent>>>) -> Vec<TraceEvent> {
+    use std::cmp::Reverse;
+    use std::collections::binary_heap::{BinaryHeap, PeekMut};
+
+    let mut runs: Vec<(Run, usize)> = std::iter::once(Run::new(vec![merged]))
+        .chain(runs.into_iter().map(|blocks| {
+            let mut run = Run::new(blocks);
+            sort_nearly_sorted(&mut run.keys);
+            run
+        }))
+        .map(|run| (run, 0))
+        .collect();
+    let total = runs.iter().map(|(run, _)| run.keys.len()).sum();
+    // A heap of the runs' heads, each `ts_ns << 64 | rank << 32 | run`:
+    // one integer compare orders two.
+    let head = |run: &Run, at: usize, r: usize| {
+        let &(ts, tie) = run.keys.get(at)?;
+        Some(Reverse(
+            u128::from(ts) << 64 | u128::from(tie >> RANK_SHIFT) << 32 | r as u128,
+        ))
+    };
+    let mut heads: BinaryHeap<_> = (runs.iter().enumerate())
+        .filter_map(|(r, (run, _))| head(run, 0, r))
+        .collect();
+    let mut out = Vec::with_capacity(total);
+    while let Some(mut least) = heads.peek_mut() {
+        let r = least.0 as u32 as usize;
+        let (run, at) = &mut runs[r];
+        out.push(run.take(run.keys[*at].1));
+        *at += 1;
+        match head(run, *at, r) {
+            Some(next) => *least = next,
+            None => drop(PeekMut::pop(least)),
+        }
+    }
+    out
 }
 
 /// `fmt::Write` over a buffered file, keeping the I/O error that

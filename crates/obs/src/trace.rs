@@ -14,7 +14,7 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::json::Json;
-use crate::metrics::{Counter, Registry};
+use crate::metrics::{Counter, Histogram, Registry};
 use crate::Recorder;
 
 /// A streaming consumer of trace events, notified *at emission time* on the
@@ -36,11 +36,6 @@ pub trait EventSink: Send + Sync {
     /// An event was emitted: a span closed or an instant fired.
     fn on_event(&self, ev: &TraceEvent);
 
-    /// A span opened on `rank` at `ts_ns`. Default: ignored. (Useful for
-    /// low-watermark tracking; the matching close arrives via
-    /// [`on_event`](EventSink::on_event).)
-    fn on_span_open(&self, _rank: usize, _cat: &'static str, _name: &str, _ts_ns: u64) {}
-
     /// `rank`'s tracing scope flushed (its thread finished or unwound).
     fn on_rank_flush(&self, _rank: usize) {}
 }
@@ -60,21 +55,14 @@ pub enum SchedState {
 
 impl SchedState {
     /// The span name: `run`, `wait` or `run+wait`.
-    pub const fn name(self) -> &'static str {
-        match self {
-            SchedState::Run => "run",
-            SchedState::Wait => "wait",
-            SchedState::RunWait => "run+wait",
-        }
+    pub fn name(self) -> &'static str {
+        KINDS[self as usize].name
     }
 
     fn from_name(name: &str) -> Option<SchedState> {
-        match name {
-            "run" => Some(SchedState::Run),
-            "wait" => Some(SchedState::Wait),
-            "run+wait" => Some(SchedState::RunWait),
-            _ => None,
-        }
+        [SchedState::Run, SchedState::Wait, SchedState::RunWait]
+            .into_iter()
+            .find(|s| s.name() == name)
     }
 }
 
@@ -100,6 +88,78 @@ pub const COLLECTIVES: &[&str] = &[
     "allgatherv",
     "alltoallv",
 ];
+
+/// A typed kind's schema: its category, name and attribute keys, and
+/// the constant text both exporters write around its integers, rendered
+/// at compile time from the same literals.
+pub(crate) struct Kind {
+    pub cat: &'static str,
+    pub name: &'static str,
+    /// The attribute keys, in export order.
+    pub keys: &'static [&'static str],
+    /// `{"ph":…,"cat":…,"name":…,"pid":0,"tid":` — the Chrome object up
+    /// to its rank.
+    pub chrome_head: &'static str,
+    /// `{"kind":…,"cat":…,"name":…,"rank":` — the JSONL line up to its
+    /// rank.
+    pub jsonl_head: &'static str,
+    /// `"k0":`, `,"k1":`, …: what precedes each attribute's value.
+    pub key_heads: &'static [&'static str],
+}
+
+macro_rules! kind {
+    (span $cat:literal $name:literal [$($key:literal),*]) => {
+        kind!(@ "X" "span" $cat $name [$($key),*])
+    };
+    (instant $cat:literal $name:literal [$($key:literal),*]) => {
+        kind!(@ "i" "instant" $cat $name [$($key),*])
+    };
+    (@ $ph:literal $kind:literal $cat:literal $name:literal [$($key:literal),*]) => {
+        Kind {
+            cat: $cat,
+            name: $name,
+            keys: &[$($key),*],
+            chrome_head: concat!(
+                "{\"ph\":\"", $ph, "\",\"cat\":\"", $cat, "\",\"name\":\"", $name,
+                "\",\"pid\":0,\"tid\":"
+            ),
+            jsonl_head: concat!(
+                "{\"kind\":\"", $kind, "\",\"cat\":\"", $cat, "\",\"name\":\"", $name,
+                "\",\"rank\":"
+            ),
+            key_heads: kind!(@heads $($key),*),
+        }
+    };
+    (@heads) => { &[] };
+    (@heads $first:literal $(, $key:literal)*) => {
+        &[concat!("\"", $first, "\":") $(, concat!(",\"", $key, "\":"))*]
+    };
+}
+
+/// Every typed kind, in [`TraceEvent::kind`]'s order: the three
+/// [`SchedState`]s, then one entry per other variant and name, the
+/// collectives last in [`COLLECTIVES`] order.
+pub(crate) static KINDS: [Kind; 16] = [
+    kind!(span "sched" "run" ["cpu", "slices"]),
+    kind!(span "sched" "wait" ["cpu", "slices"]),
+    kind!(span "sched" "run+wait" ["cpu", "slices"]),
+    kind!(span "sched" "blocked" []),
+    kind!(instant "comm" "send" ["peer", "tag", "seq", "bytes", "queued_ns"]),
+    kind!(instant "comm" "recv" ["peer", "tag", "seq", "bytes", "rx_queued_ns", "late_ns", "net_ns"]),
+    kind!(instant "runtime" "begin_cycle" ["cycle"]),
+    kind!(span "runtime" "end_cycle" ["cycle"]),
+    kind!(span "runtime" "charge_rows" ["rows", "cpu_ns", "work_uflop"]),
+    kind!(span "runtime" "grace_measure" ["rows", "cpu_ns", "work_uflop"]),
+    kind!(span "comm" "barrier" ["ranks", "bytes"]),
+    kind!(span "comm" "bcast" ["ranks", "bytes"]),
+    kind!(span "comm" "reduce" ["ranks", "bytes"]),
+    kind!(span "comm" "allreduce" ["ranks", "bytes"]),
+    kind!(span "comm" "allgatherv" ["ranks", "bytes"]),
+    kind!(span "comm" "alltoallv" ["ranks", "bytes"]),
+];
+
+/// The index of the first collective in [`KINDS`].
+const FIRST_COLLECTIVE: usize = KINDS.len() - COLLECTIVES.len();
 
 /// One trace event, timestamps in virtual nanoseconds; `rank` is the rank
 /// that emitted it (exported as `tid`).
@@ -224,13 +284,6 @@ impl Args<'_> {
             Args::Json(pairs) => pairs.to_vec(),
         }
     }
-}
-
-/// [`Args::Ints`] of a kind with `N` integer attributes.
-fn ints<const N: usize>(keys: &'static [&'static str; N], v: [u64; N]) -> Args<'static> {
-    let mut values = [0; 7];
-    values[..N].copy_from_slice(&v);
-    Args::Ints { keys, values }
 }
 
 impl TraceEvent {
@@ -424,86 +477,100 @@ impl TraceEvent {
 
     pub fn cat(&self) -> &'static str {
         match self {
-            TraceEvent::Sched { .. } | TraceEvent::Blocked { .. } => "sched",
-            TraceEvent::Send { .. } | TraceEvent::Recv { .. } | TraceEvent::Collective { .. } => {
-                "comm"
-            }
-            TraceEvent::BeginCycle { .. }
-            | TraceEvent::EndCycle { .. }
-            | TraceEvent::ChargeRows { .. } => "runtime",
             TraceEvent::Complete { cat, .. } | TraceEvent::Instant { cat, .. } => cat,
+            typed => typed.schema().cat,
         }
     }
 
     pub fn name(&self) -> &'static str {
         match self {
-            TraceEvent::Sched { state, .. } => state.name(),
-            TraceEvent::Blocked { .. } => "blocked",
-            TraceEvent::Send { .. } => "send",
-            TraceEvent::Recv { .. } => "recv",
-            TraceEvent::BeginCycle { .. } => "begin_cycle",
-            TraceEvent::EndCycle { .. } => "end_cycle",
-            TraceEvent::ChargeRows { grace: false, .. } => "charge_rows",
-            TraceEvent::ChargeRows { grace: true, .. } => "grace_measure",
             TraceEvent::Collective { name, .. }
             | TraceEvent::Complete { name, .. }
             | TraceEvent::Instant { name, .. } => name,
+            typed => typed.schema().name,
         }
     }
 
-    /// The attributes, in the order both exporters write them.
-    pub fn args(&self) -> Args<'_> {
+    /// The typed kind's schema and templates, `None` for a generic event
+    /// (and for a hand-built collective named off [`COLLECTIVES`]).
+    pub(crate) fn kind(&self) -> Option<&'static Kind> {
+        let index = match *self {
+            TraceEvent::Sched { state, .. } => state as usize,
+            TraceEvent::Blocked { .. } => 3,
+            TraceEvent::Send { .. } => 4,
+            TraceEvent::Recv { .. } => 5,
+            TraceEvent::BeginCycle { .. } => 6,
+            TraceEvent::EndCycle { .. } => 7,
+            TraceEvent::ChargeRows { grace, .. } => 8 + grace as usize,
+            TraceEvent::Collective { name, .. } => {
+                FIRST_COLLECTIVE + COLLECTIVES.iter().position(|c| *c == name)?
+            }
+            TraceEvent::Complete { .. } | TraceEvent::Instant { .. } => return None,
+        };
+        Some(&KINDS[index])
+    }
+
+    /// A typed kind's integers, in its keys' order (zero-padded); zeros
+    /// for a generic event.
+    pub(crate) fn values(&self) -> [u64; 7] {
+        let v = |head: &[u64]| {
+            let mut values = [0; 7];
+            values[..head.len()].copy_from_slice(head);
+            values
+        };
         match *self {
-            TraceEvent::Sched { cpu_ns, slices, .. } => ints(&["cpu", "slices"], [cpu_ns, slices]),
-            TraceEvent::Blocked { .. } => ints(&[], []),
-            TraceEvent::Send { msg, queued_ns, .. } => ints(
-                &["peer", "tag", "seq", "bytes", "queued_ns"],
-                [msg.peer, msg.tag, msg.seq, msg.bytes, queued_ns],
-            ),
+            TraceEvent::Sched { cpu_ns, slices, .. } => v(&[cpu_ns, slices]),
+            TraceEvent::Send { msg, queued_ns, .. } => {
+                v(&[msg.peer, msg.tag, msg.seq, msg.bytes, queued_ns])
+            }
             TraceEvent::Recv {
                 msg,
                 rx_queued_ns,
                 late_ns,
                 net_ns,
                 ..
-            } => ints(
-                &[
-                    "peer",
-                    "tag",
-                    "seq",
-                    "bytes",
-                    "rx_queued_ns",
-                    "late_ns",
-                    "net_ns",
-                ],
-                [
-                    msg.peer,
-                    msg.tag,
-                    msg.seq,
-                    msg.bytes,
-                    rx_queued_ns,
-                    late_ns,
-                    net_ns,
-                ],
-            ),
+            } => [
+                msg.peer,
+                msg.tag,
+                msg.seq,
+                msg.bytes,
+                rx_queued_ns,
+                late_ns,
+                net_ns,
+            ],
             TraceEvent::BeginCycle { cycle, .. } | TraceEvent::EndCycle { cycle, .. } => {
-                ints(&["cycle"], [cycle])
+                v(&[cycle])
             }
             TraceEvent::ChargeRows {
                 rows,
                 cpu_ns,
                 work_uflop,
                 ..
-            } => ints(
-                &["rows", "cpu_ns", "work_uflop"],
-                [rows, cpu_ns, work_uflop],
-            ),
-            TraceEvent::Collective { ranks, bytes, .. } => {
-                ints(&["ranks", "bytes"], [ranks, bytes])
-            }
-            TraceEvent::Complete { ref args, .. } | TraceEvent::Instant { ref args, .. } => {
+            } => v(&[rows, cpu_ns, work_uflop]),
+            TraceEvent::Collective { ranks, bytes, .. } => v(&[ranks, bytes]),
+            TraceEvent::Blocked { .. }
+            | TraceEvent::Complete { .. }
+            | TraceEvent::Instant { .. } => [0; 7],
+        }
+    }
+
+    /// A typed event's category and keys: its kind's, where a collective
+    /// named off [`COLLECTIVES`] takes the collectives' (its name is its
+    /// own).
+    fn schema(&self) -> &'static Kind {
+        self.kind().unwrap_or(&KINDS[FIRST_COLLECTIVE])
+    }
+
+    /// The attributes, in the order both exporters write them.
+    pub fn args(&self) -> Args<'_> {
+        match self {
+            TraceEvent::Complete { args, .. } | TraceEvent::Instant { args, .. } => {
                 Args::Json(args)
             }
+            typed => Args::Ints {
+                keys: typed.schema().keys,
+                values: typed.values(),
+            },
         }
     }
 
@@ -573,6 +640,11 @@ struct RankScope {
     /// Below [`MAX_RANKS`], as every event stores it.
     rank: u32,
     registry: Registry,
+    /// The metrics this scope has named, by the address of the name (and
+    /// the bounds) it was named with: a repeated [`count`] or [`observe`]
+    /// finds its handle by pointer and skips the registry's lock.
+    counters: Vec<(&'static str, Counter)>,
+    hists: Vec<(&'static str, &'static [u64], Histogram)>,
     /// Emitted events in blocks that are never reallocated: a full block
     /// is followed by one as large as everything before it. A doubling
     /// `Vec` would leave its outgrown copies behind as holes in this
@@ -606,7 +678,9 @@ impl RankScope {
 }
 
 thread_local! {
-    static SCOPE: RefCell<Option<RankScope>> = const { RefCell::new(None) };
+    /// Boxed: a rank that gives up its turn moves its scope aside (and
+    /// back) at every switch, a pointer and not the scope.
+    static SCOPE: RefCell<Option<Box<RankScope>>> = const { RefCell::new(None) };
 }
 
 /// RAII handle returned by [`Recorder::install`]. Dropping it — including
@@ -619,7 +693,8 @@ pub struct ScopeGuard {
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
         SCOPE.with(|s| {
-            if let Some(mut scope) = s.borrow_mut().take() {
+            if let Some(scope) = s.borrow_mut().take() {
+                let mut scope = *scope;
                 // Close any spans left open (panic unwind mid-span): give
                 // them zero duration at their start time so the trace stays
                 // well-formed.
@@ -647,14 +722,16 @@ pub(crate) fn install_scope(recorder: Recorder, rank: usize) -> ScopeGuard {
     let rank = rank as u32;
     let sinks = recorder.sinks();
     SCOPE.with(|s| {
-        let prev = s.borrow_mut().replace(RankScope {
+        let prev = s.borrow_mut().replace(Box::new(RankScope {
             recorder,
             rank,
             registry: Registry::new(),
+            counters: Vec::new(),
+            hists: Vec::new(),
             events: Vec::new(),
             stack: Vec::new(),
             sinks,
-        });
+        }));
         assert!(prev.is_none(), "tracing scope already installed on thread");
     });
     ScopeGuard { _priv: () }
@@ -666,7 +743,7 @@ pub(crate) fn install_scope(recorder: Recorder, rank: usize) -> ScopeGuard {
 /// sets its scope aside before it gives up the thread and has it back when
 /// it resumes. Holds nothing when the thread had no scope.
 #[must_use = "dropping the guard is what puts the scope back"]
-pub struct DetachedScope(Option<RankScope>);
+pub struct DetachedScope(Option<Box<RankScope>>);
 
 /// Moves the calling thread's tracing scope, if any, aside until the
 /// returned guard drops: meanwhile the thread emits nothing and may
@@ -695,18 +772,13 @@ pub fn enabled() -> bool {
 }
 
 fn with_scope<T>(f: impl FnOnce(&mut RankScope) -> T) -> Option<T> {
-    SCOPE.with(|s| s.borrow_mut().as_mut().map(f))
+    SCOPE.with(|s| s.borrow_mut().as_deref_mut().map(f))
 }
 
 /// Open a span at virtual time `ts_ns`. Pair with [`span_end`] or a typed
 /// closer; spans on one rank must close in LIFO order (they nest).
 pub fn span_begin(cat: &'static str, name: &'static str, ts_ns: u64) {
-    with_scope(|scope| {
-        for sink in scope.sinks.iter() {
-            sink.on_span_open(scope.rank as usize, cat, name, ts_ns);
-        }
-        scope.stack.push(OpenSpan { cat, name, ts_ns });
-    });
+    with_scope(|scope| scope.stack.push(OpenSpan { cat, name, ts_ns }));
 }
 
 /// Close the innermost open span at virtual time `ts_ns`, emitting the
@@ -748,13 +820,9 @@ pub fn instant(cat: &'static str, name: &'static str, ts_ns: u64, args: Vec<(&'s
     emit_instant(|rank| TraceEvent::instant(cat, name, rank, ts_ns, args));
 }
 
-/// Emit a [`TraceEvent::Sched`] span from `ts_ns` to `end_ns`: it opens
-/// (sinks see [`EventSink::on_span_open`]) and closes at once.
+/// Emit a [`TraceEvent::Sched`] span from `ts_ns` to `end_ns`.
 pub fn sched_span(state: SchedState, ts_ns: u64, end_ns: u64, cpu_ns: u64, slices: u64) {
     with_scope(|scope| {
-        for sink in scope.sinks.iter() {
-            sink.on_span_open(scope.rank as usize, "sched", state.name(), ts_ns);
-        }
         let ev = TraceEvent::Sched {
             state,
             rank: scope.rank,
@@ -857,13 +925,37 @@ pub fn span_end_collective(ts_ns: u64, ranks: u64, bytes: u64) {
 }
 
 /// Add `n` to the counter `name` in this rank's registry (no-op untraced).
-pub fn count(name: &str, n: u64) {
-    with_scope(|scope| scope.registry.counter(name).add(n));
+/// The scope resolves each name once; later calls are an atomic add.
+pub fn count(name: &'static str, n: u64) {
+    with_scope(|scope| {
+        let cached = scope.counters.iter().find(|(k, _)| std::ptr::eq(*k, name));
+        match cached {
+            Some((_, c)) => c.add(n),
+            None => {
+                let c = scope.registry.counter(name);
+                c.add(n);
+                scope.counters.push((name, c));
+            }
+        }
+    });
 }
 
 /// Record `value` into histogram `name` with `bounds` (no-op untraced).
-pub fn observe(name: &str, bounds: &[u64], value: u64) {
-    with_scope(|scope| scope.registry.histogram(name, bounds).record(value));
+/// The scope resolves each `(name, bounds)` once; later calls only
+/// record. Panics if `name` was registered with different bounds.
+pub fn observe(name: &'static str, bounds: &'static [u64], value: u64) {
+    with_scope(|scope| {
+        let cached = (scope.hists.iter())
+            .find(|(k, b, _)| std::ptr::eq(*k, name) && std::ptr::eq(*b, bounds));
+        match cached {
+            Some((.., h)) => h.record(value),
+            None => {
+                let h = scope.registry.histogram(name, bounds);
+                h.record(value);
+                scope.hists.push((name, bounds, h));
+            }
+        }
+    });
 }
 
 /// Handle for hot paths that count many times: resolves once, then each
