@@ -151,6 +151,7 @@ pub fn run<T: HostMeters>(t: &T, p: &CgParams, cfg: DynMpiConfig) -> AppResult {
         redist_seconds: rt.redistribution_seconds(),
         participating: rt.participating(),
         final_rows: rt.my_rows(ph).len(),
+        state_digest: 0,
     }
 }
 

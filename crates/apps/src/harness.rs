@@ -100,6 +100,16 @@ impl SimRunResult {
         self.per_rank[0].checksum
     }
 
+    /// The ranks' [`AppResult::state_digest`] shares, added (wrapping)
+    /// here on the host, after the run: equal for two runs of Jacobi or
+    /// SOR that end with the same grid bit for bit, whatever the
+    /// distribution, membership history or recovered crash.
+    pub fn state_digest(&self) -> u64 {
+        self.per_rank
+            .iter()
+            .fold(0, |h, r| h.wrapping_add(r.state_digest))
+    }
+
     /// Rank-0's adaptation events (identical on all participating ranks
     /// up to removal).
     pub fn events(&self) -> &[dynmpi::RuntimeEvent] {

@@ -9,8 +9,8 @@
 use dynmpi::{AccessMode, CommPattern, DenseMatrix, Drsd, DynMpi, DynMpiConfig};
 use dynmpi_comm::HostMeters;
 
-use crate::result::AppResult;
-use crate::work;
+use crate::result::{checksum_and_digest, AppResult};
+use crate::{vector, work};
 
 /// Jacobi parameters.
 #[derive(Clone, Debug)]
@@ -95,9 +95,14 @@ pub fn run<T: HostMeters>(t: &T, p: &JacobiParams, cfg: DynMpiConfig) -> AppResu
             };
             rt.ghost_exchange(src_id, &mut *src);
             if p.exercise_kernel {
-                for i in rt.my_rows(ph).iter() {
-                    sweep_row(src, dst, i, n);
-                }
+                vector::run(
+                    #[inline(always)]
+                    || {
+                        for i in rt.my_rows(ph).iter() {
+                            sweep_row(src, dst, i, n);
+                        }
+                    },
+                );
             }
             rt.charge_rows(ph, |_| row_work);
         }
@@ -108,15 +113,13 @@ pub fn run<T: HostMeters>(t: &T, p: &JacobiParams, cfg: DynMpiConfig) -> AppResu
         };
     }
 
-    // Checksum over the final written buffer (globally consistent).
+    // Checksum and digest over the final written buffer (globally
+    // consistent).
     let final_m = if p.iters % 2 == 1 { &mb } else { &ma };
-    let local: f64 = if rt.participating() && p.exercise_kernel {
-        rt.my_rows(ph)
-            .iter()
-            .map(|i| final_m.row(i).iter().sum::<f64>())
-            .sum()
+    let (local, state_digest) = if rt.participating() && p.exercise_kernel {
+        checksum_and_digest(final_m, &rt.my_rows(ph))
     } else {
-        0.0
+        (0.0, 0)
     };
     let checksum = rt.allreduce_sum(&[local])[0];
     AppResult {
@@ -126,19 +129,31 @@ pub fn run<T: HostMeters>(t: &T, p: &JacobiParams, cfg: DynMpiConfig) -> AppResu
         redist_seconds: rt.redistribution_seconds(),
         participating: rt.participating(),
         final_rows: rt.my_rows(ph).len(),
+        state_digest,
     }
 }
 
 /// One row of the 5-point sweep: `dst[i] ← avg of src neighbors`, written
 /// in place. The source and destination are different matrices, so nothing
-/// aliases; slicing every row to `n` lets the loop run without bounds
-/// checks. The fixed boundary columns keep the destination's own initial
-/// condition.
+/// aliases.
+#[inline(always)]
 fn sweep_row(src: &DenseMatrix<f64>, dst: &mut DenseMatrix<f64>, i: usize, n: usize) {
-    let up = &src.row(i - 1)[..n];
-    let mid = &src.row(i)[..n];
-    let down = &src.row(i + 1)[..n];
-    let d = &mut dst.row_mut(i)[..n];
+    sweep(
+        src.row(i - 1),
+        src.row(i),
+        src.row(i + 1),
+        &mut dst.row_mut(i)[..n],
+    );
+}
+
+/// The sweep's body over one row's slices, all of `d`'s length, which
+/// lets the loop run without bounds checks. The fixed boundary columns
+/// keep the destination's own initial condition. [`vector::run`] compiles
+/// it at the host's vector width.
+#[inline(always)]
+pub(crate) fn sweep(up: &[f64], mid: &[f64], down: &[f64], d: &mut [f64]) {
+    let n = d.len();
+    let (up, mid, down) = (&up[..n], &mid[..n], &down[..n]);
     for j in 1..n - 1 {
         d[j] = 0.25 * (up[j] + down[j] + mid[j - 1] + mid[j + 1]);
     }
@@ -246,6 +261,7 @@ mod tests {
         });
         for r in &outs {
             assert!(r.checksum.is_none());
+            assert_eq!(r.state_digest, 0);
             assert_eq!(r.cycle_times.len(), 5);
         }
     }

@@ -21,6 +21,7 @@ pub mod jacobi;
 pub mod particle;
 pub mod result;
 pub mod sor;
+mod vector;
 pub mod work;
 
 pub use harness::{AppSpec, Experiment, SimRunResult};

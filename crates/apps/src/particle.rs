@@ -13,7 +13,7 @@ use dynmpi_comm::{CommOps, HostMeters};
 
 use crate::gen;
 use crate::result::AppResult;
-use crate::work;
+use crate::{vector, work};
 
 /// Particle-simulation parameters.
 #[derive(Clone, Debug)]
@@ -127,6 +127,7 @@ pub fn run<T: HostMeters>(t: &T, p: &ParticleParams, cfg: DynMpiConfig) -> AppRe
         redist_seconds: rt.redistribution_seconds(),
         participating: rt.participating(),
         final_rows: rt.my_rows(ph).len(),
+        state_digest: 0,
     }
 }
 
@@ -144,7 +145,6 @@ fn step_cells<T: HostMeters>(
         return;
     }
     let nr = p.rows;
-    let nc = p.cols;
     let d = p.drift;
     let dist = rt.distribution();
     let rel = rt.rel_rank().expect("participating");
@@ -152,30 +152,14 @@ fn step_cells<T: HostMeters>(
     // Vertical outflow per row, staged so updates don't cascade. A row
     // loses the same amount upward and downward, so it is computed once.
     let mut outflow: Vec<(usize, Vec<f64>)> = Vec::with_capacity(mine.len());
-    for i in mine.iter() {
-        let row = &mut cells.row_mut(i)[..nc];
-        // Horizontal drift first (purely local): a fraction d of every cell
-        // shifts right, wrapping, so each cell gains what its left
-        // neighbour loses and the first cell gains what the last loses.
-        let mut carry = row[nc - 1] * d;
-        for c in row.iter_mut() {
-            let m = *c * d;
-            *c = (*c - m) + carry;
-            carry = m;
-        }
-        // Vertical outflow.
-        let flux: Vec<f64> = row.iter().map(|c| c * d).collect();
-        let (up, down) = (i > 0, i + 1 < nr);
-        for (c, f) in row.iter_mut().zip(&flux) {
-            if up {
-                *c -= f;
+    vector::run(
+        #[inline(always)]
+        || {
+            for i in mine.iter() {
+                outflow.push((i, drift(cells.row_mut(i), d, i > 0, i + 1 < nr)));
             }
-            if down {
-                *c -= f;
-            }
-        }
-        outflow.push((i, flux));
-    }
+        },
+    );
 
     // Apply local flux; send boundary flux to the owning node. All upward
     // flux goes first, then all downward.
@@ -219,6 +203,37 @@ fn step_cells<T: HostMeters>(
             add_flux(cells.row_mut(hi), &flux);
         }
     }
+}
+
+/// One row's drift, in place; returns the row's vertical outflow.
+/// Horizontal drift first (purely local): a fraction `d` of every cell
+/// shifts right, wrapping, so each cell gains what its left neighbour
+/// loses and the first cell gains what the last loses. Every cell's
+/// outflow is computed before any cell changes, so no value is carried
+/// from one cell to the next and [`vector::run`] can compile the loops at
+/// the host's vector width; each cell still computes `(c - m) + carry`.
+/// Then the vertical outflow, which the row loses upward when `up` and
+/// downward when `down`.
+#[inline(always)]
+pub(crate) fn drift(row: &mut [f64], d: f64, up: bool, down: bool) -> Vec<f64> {
+    let nc = row.len();
+    let mut flux: Vec<f64> = row.iter().map(|c| c * d).collect();
+    row[0] = (row[0] - flux[0]) + flux[nc - 1];
+    for ((c, m), carry) in row[1..].iter_mut().zip(&flux[1..]).zip(&flux[..nc - 1]) {
+        *c = (*c - m) + carry;
+    }
+    for (f, c) in flux.iter_mut().zip(row.iter()) {
+        *f = c * d;
+    }
+    for (c, f) in row.iter_mut().zip(&flux) {
+        if up {
+            *c -= f;
+        }
+        if down {
+            *c -= f;
+        }
+    }
+    flux
 }
 
 /// `row += flux`, cell by cell.

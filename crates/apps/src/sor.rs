@@ -8,7 +8,7 @@
 use dynmpi::{AccessMode, CommPattern, DenseMatrix, Drsd, DynMpi, DynMpiConfig};
 use dynmpi_comm::HostMeters;
 
-use crate::result::AppResult;
+use crate::result::{checksum_and_digest, AppResult};
 use crate::work;
 
 /// SOR parameters.
@@ -116,13 +116,10 @@ pub fn run<T: HostMeters>(t: &T, p: &SorParams, cfg: DynMpiConfig) -> AppResult 
         };
     }
 
-    let local: f64 = if rt.participating() && p.exercise_kernel {
-        rt.my_rows(ph_red)
-            .iter()
-            .map(|i| g.row(i).iter().sum::<f64>())
-            .sum()
+    let (local, state_digest) = if rt.participating() && p.exercise_kernel {
+        checksum_and_digest(&g, &rt.my_rows(ph_red))
     } else {
-        0.0
+        (0.0, 0)
     };
     let checksum = rt.allreduce_sum(&[local])[0];
     AppResult {
@@ -132,6 +129,7 @@ pub fn run<T: HostMeters>(t: &T, p: &SorParams, cfg: DynMpiConfig) -> AppResult 
         redist_seconds: rt.redistribution_seconds(),
         participating: rt.participating(),
         final_rows: rt.my_rows(ph_red).len(),
+        state_digest,
     }
 }
 

@@ -64,6 +64,7 @@ fn jacobi_node_arrival_is_engine_invariant_and_absorbed() {
     let baseline =
         run_sim(&Experiment::new(AppSpec::Jacobi(p), 2).with_node_spec(NodeSpec::with_speed(1e6)));
     assert_eq!(out.checksum(), baseline.checksum());
+    assert_eq!(out.state_digest(), baseline.state_digest());
 }
 
 #[test]
@@ -97,6 +98,7 @@ fn jacobi_node_removal_is_engine_invariant() {
     let baseline =
         run_sim(&Experiment::new(AppSpec::Jacobi(p), 4).with_node_spec(NodeSpec::with_speed(1e6)));
     assert_eq!(out.checksum(), baseline.checksum());
+    assert_eq!(out.state_digest(), baseline.state_digest());
 }
 
 #[test]
@@ -133,4 +135,5 @@ fn jacobi_drop_then_rejoin_is_engine_invariant() {
     let baseline =
         run_sim(&Experiment::new(AppSpec::Jacobi(p), 3).with_node_spec(NodeSpec::with_speed(1e6)));
     assert_eq!(out.checksum(), baseline.checksum());
+    assert_eq!(out.state_digest(), baseline.state_digest());
 }

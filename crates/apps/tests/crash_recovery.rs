@@ -1,9 +1,12 @@
 //! End-to-end fail-stop tests on the virtual cluster: a scripted node
 //! crash is detected by the replicated timeout detector, the survivors
 //! restore the dead node's rows from its buddy checkpoint, roll the
-//! application back, and finish with the checksum of a crash-free run.
-//! The comparison is to a ~1-ulp relative tolerance: the survivors'
-//! final sum-reduction is grouped over a different partition than the
+//! application back, and finish with the final grid of a crash-free run.
+//! The verdict is exact: the run's state digest (a wrapping sum of each
+//! final row's FNV-1a, which no partition can move) must equal both the
+//! crash-free run's and the 1-rank dedicated run's. The checksum is also
+//! held, to a ~1-ulp relative tolerance only: the survivors' final
+//! sum-reduction is grouped over a different partition than the
 //! baseline's, which legitimately rounds differently. Within one
 //! partition, crash handling must be *bit*-invisible to the engine mode,
 //! like every other output.
@@ -45,11 +48,45 @@ fn checksums_close(a: Option<f64>, b: Option<f64>) -> bool {
     }
 }
 
+/// The state digest of `app` run on one dedicated node.
+fn one_rank_digest(app: AppSpec) -> u64 {
+    run_sim(&Experiment::new(app, 1).with_cfg(DynMpiConfig::no_adapt())).state_digest()
+}
+
+/// Asserts that `out` ended with the final grid of the crash-free
+/// `baseline` and of the 1-rank dedicated run (digest `one_rank`): equal
+/// digests, exactly, and checksums within the regrouping tolerance.
+fn assert_same_answer(out: &SimRunResult, baseline: &SimRunResult, one_rank: u64, ctx: &str) {
+    assert!(
+        checksums_close(out.checksum(), baseline.checksum()),
+        "{ctx}: the answer changed: {:?} vs {:?}",
+        out.checksum(),
+        baseline.checksum()
+    );
+    assert_ne!(one_rank, 0, "{ctx}: the kernel ran");
+    assert_eq!(
+        out.state_digest(),
+        baseline.state_digest(),
+        "{ctx}: final grid differs from the crash-free run's"
+    );
+    assert_eq!(
+        out.state_digest(),
+        one_rank,
+        "{ctx}: final grid differs from the 1-rank dedicated run's"
+    );
+}
+
 /// Asserts the crashed run ended correctly relative to its crash-free
 /// baseline: the dead rank yields no result, every survivor participates,
 /// a full suspect → confirm → recover arc was recorded, and the restored
-/// computation produced the identical checksum.
-fn assert_recovered(out: &SimRunResult, baseline: &SimRunResult, dead: usize, ctx: &str) {
+/// computation produced the identical final grid.
+fn assert_recovered(
+    out: &SimRunResult,
+    baseline: &SimRunResult,
+    one_rank: u64,
+    dead: usize,
+    ctx: &str,
+) {
     assert!(
         out.per_rank[dead].checksum.is_none() && !out.per_rank[dead].participating,
         "{ctx}: crashed rank must yield no result"
@@ -63,12 +100,7 @@ fn assert_recovered(out: &SimRunResult, baseline: &SimRunResult, dead: usize, ct
     for k in ["node-suspected", "node-confirmed-dead", "node-recovered"] {
         assert!(kinds.contains(&k), "{ctx}: missing {k} in {kinds:?}");
     }
-    assert!(
-        checksums_close(out.checksum(), baseline.checksum()),
-        "{ctx}: recovery changed the answer: {:?} vs {:?}",
-        out.checksum(),
-        baseline.checksum()
-    );
+    assert_same_answer(out, baseline, one_rank, ctx);
 }
 
 #[test]
@@ -80,7 +112,8 @@ fn jacobi_crash_recovery_matches_crash_free_checksum() {
     let t_crash = SimTime::from_secs_f64(baseline.makespan * 0.4);
     let script = LoadScript::dedicated().node_crash(t_crash, 2);
     let out = run_sim(&jacobi_exp(&p, 4, script));
-    assert_recovered(&out, &baseline, 2, "crash@40%");
+    let one_rank = one_rank_digest(AppSpec::Jacobi(p));
+    assert_recovered(&out, &baseline, one_rank, 2, "crash@40%");
     assert!(
         out.makespan > baseline.makespan,
         "recovery (rollback + replay) costs time"
@@ -95,7 +128,8 @@ fn jacobi_crash_is_engine_invariant() {
     let exp = jacobi_exp(&p, 4, LoadScript::dedicated().node_crash(t_crash, 1));
 
     let fast = run_sim(&exp);
-    assert_recovered(&fast, &baseline, 1, "fast");
+    let one_rank = one_rank_digest(AppSpec::Jacobi(p));
+    assert_recovered(&fast, &baseline, one_rank, 1, "fast");
     let stepped = run_sim_on(&exp, exp.cluster().with_stepped(true));
     assert_eq!(
         fast.per_rank, stepped.per_rank,
@@ -121,16 +155,18 @@ fn sor_crash_recovery_matches_crash_free_checksum() {
     let baseline = run_sim(&exp(LoadScript::dedicated()));
     let t_crash = SimTime::from_secs_f64(baseline.makespan * 0.4);
     let out = run_sim(&exp(LoadScript::dedicated().node_crash(t_crash, 2)));
-    assert_recovered(&out, &baseline, 2, "sor crash@40%");
+    let one_rank = one_rank_digest(AppSpec::Sor(SorParams::small(48, 60)));
+    assert_recovered(&out, &baseline, one_rank, 2, "sor crash@40%");
 }
 
 /// Property sweep: random crash times × nodes (deterministic LCG). For
 /// every sample the survivors terminate and reproduce the crash-free
-/// checksum bit-for-bit.
+/// final grid bit for bit.
 #[test]
 fn jacobi_random_crash_times_always_recover_exactly() {
     let p = JacobiParams::small(40, 44);
     let baseline = run_sim(&jacobi_exp(&p, 4, LoadScript::dedicated()));
+    let one_rank = one_rank_digest(AppSpec::Jacobi(p.clone()));
     let mut state = 0x243F_6A88_85A3_08D3u64; // LCG seed (π digits)
     let mut rand = move || {
         state = state
@@ -151,6 +187,7 @@ fn jacobi_random_crash_times_always_recover_exactly() {
         assert_recovered(
             &out,
             &baseline,
+            one_rank,
             dead,
             &format!("sample {sample}: node {dead} at {:.0}%", frac * 100.0),
         );
@@ -175,12 +212,8 @@ fn jacobi_overload_is_never_confirmed_dead() {
         "overload escalated to death: {kinds:?}"
     );
     assert!(out.per_rank.iter().all(|r| r.participating));
-    assert!(
-        checksums_close(out.checksum(), baseline.checksum()),
-        "{:?} vs {:?}",
-        out.checksum(),
-        baseline.checksum()
-    );
+    let one_rank = one_rank_digest(AppSpec::Jacobi(p));
+    assert_same_answer(&out, &baseline, one_rank, "overload");
 }
 
 /// A partition is the same silence as a crash from the survivors' side;
@@ -202,12 +235,8 @@ fn jacobi_partition_recovers_like_a_crash() {
     }
     let kinds: Vec<&str> = out.events().iter().map(|e| e.kind()).collect();
     assert!(kinds.contains(&"node-confirmed-dead"), "{kinds:?}");
-    assert!(
-        checksums_close(out.checksum(), baseline.checksum()),
-        "{:?} vs {:?}",
-        out.checksum(),
-        baseline.checksum()
-    );
+    let one_rank = one_rank_digest(AppSpec::Jacobi(p));
+    assert_same_answer(&out, &baseline, one_rank, "partition");
 }
 
 /// What arming the fault path costs a crash-free run, pinned exactly: the
