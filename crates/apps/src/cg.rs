@@ -7,9 +7,11 @@
 //! are rowlen-1 dense arrays. Each iteration allgathers `p`, computes the
 //! local mat-vec, and reduces the dot products globally — the reductions
 //! use the removed-aware collective, so dropped nodes stay current (§4.4).
+//! Neither the gather nor the reductions are death-aware, so CG is
+//! outside the fault envelope (DESIGN.md §14).
 
 use dynmpi::{AccessMode, CommPattern, DenseMatrix, Drsd, DynMpi, DynMpiConfig, SparseMatrix};
-use dynmpi_comm::{CommOps, HostMeters};
+use dynmpi_comm::HostMeters;
 
 use crate::gen;
 use crate::result::AppResult;
@@ -47,7 +49,7 @@ impl CgParams {
             n,
             offdiag_per_row: 6,
             iters,
-            seed: 1,
+            ..Self::paper()
         }
     }
 }
@@ -87,72 +89,61 @@ pub fn run<T: HostMeters>(t: &T, p: &CgParams, cfg: DynMpiConfig) -> AppResult {
     pv.fill_rows(&mine, |_, _| 1.0);
 
     let mut final_rr = f64::NAN;
-    let mut full_p: Vec<f64> = Vec::with_capacity(n);
     let mut q: Vec<(usize, f64)> = Vec::new();
-    for _iter in 0..p.iters {
-        rt.begin_cycle();
-        // Ownership changes only inside `end_cycle`.
-        let mine = rt.my_rows(ph);
-        let (mut rr_local, mut pq_local) = (0.0, 0.0);
-        q.clear();
-        if rt.participating() {
-            // Assemble the full p vector from all active blocks.
-            let my_p: Vec<f64> = mine.iter().map(|i| pv.row(i)[0]).collect();
-            let blocks = t.allgatherv(rt.group(), &my_p);
-            full_p.clear();
-            for b in &blocks {
-                full_p.extend_from_slice(b);
-            }
-            debug_assert_eq!(full_p.len(), n);
-            // q = A·p on my rows; accumulate r·r and p·q.
-            for i in mine.iter() {
-                let mut qi = 0.0;
-                for (c, v) in a.row(i).iter() {
-                    qi += v * full_p[c as usize];
+    let mut sys = (a, x, r, pv);
+    rt.run_cycles(
+        p.iters,
+        &mut sys,
+        |(a, x, r, p)| [a, x, r, p],
+        |rt, (a, x, r, pv), _| {
+            // Ownership changes only between cycles.
+            let mine = rt.my_rows(ph);
+            let (mut rr_local, mut pq_local) = (0.0, 0.0);
+            q.clear();
+            if rt.participating() {
+                // Assemble the full p vector from all active blocks.
+                let my_p: Vec<f64> = mine.iter().map(|i| pv.row(i)[0]).collect();
+                let full_p = rt.allgather(&my_p);
+                debug_assert_eq!(full_p.len(), n);
+                // q = A·p on my rows; accumulate r·r and p·q.
+                for i in mine.iter() {
+                    let mut qi = 0.0;
+                    for (c, v) in a.row(i).iter() {
+                        qi += v * full_p[c as usize];
+                    }
+                    q.push((i, qi));
+                    rr_local += r.row(i)[0] * r.row(i)[0];
+                    pq_local += pv.row(i)[0] * qi;
                 }
-                q.push((i, qi));
-                rr_local += r.row(i)[0] * r.row(i)[0];
-                pq_local += pv.row(i)[0] * qi;
+                rt.charge_rows(ph, |i| {
+                    a.row(i).nnz() as f64 * work::CG_NNZ + 3.0 * work::CG_VEC
+                });
             }
-            rt.charge_rows(ph, {
-                let a = &a;
-                move |i| a.row(i).nnz() as f64 * work::CG_NNZ + 3.0 * work::CG_VEC
-            });
-        }
-        // Global reductions — every world rank calls these.
-        let sums = rt.allreduce_sum(&[rr_local, pq_local]);
-        let (rr, pq) = (sums[0], sums[1]);
-        let alpha = if pq.abs() > 0.0 { rr / pq } else { 0.0 };
-        let mut rr_new_local = 0.0;
-        if rt.participating() {
-            for &(i, qi) in &q {
-                x.row_mut(i)[0] += alpha * pv.row(i)[0];
-                let ri = r.row(i)[0] - alpha * qi;
-                r.row_mut(i)[0] = ri;
-                rr_new_local += ri * ri;
+            // Global reductions — every world rank calls these.
+            let sums = rt.allreduce_sum(&[rr_local, pq_local]);
+            let (rr, pq) = (sums[0], sums[1]);
+            let alpha = if pq.abs() > 0.0 { rr / pq } else { 0.0 };
+            let mut rr_new_local = 0.0;
+            if rt.participating() {
+                for &(i, qi) in &q {
+                    x.row_mut(i)[0] += alpha * pv.row(i)[0];
+                    let ri = r.row(i)[0] - alpha * qi;
+                    r.row_mut(i)[0] = ri;
+                    rr_new_local += ri * ri;
+                }
             }
-        }
-        let rr_new = rt.allreduce_sum(&[rr_new_local])[0];
-        let beta = if rr.abs() > 0.0 { rr_new / rr } else { 0.0 };
-        if rt.participating() {
-            for i in mine.iter() {
-                let v = r.row(i)[0] + beta * pv.row(i)[0];
-                pv.row_mut(i)[0] = v;
+            let rr_new = rt.allreduce_sum(&[rr_new_local])[0];
+            let beta = if rr.abs() > 0.0 { rr_new / rr } else { 0.0 };
+            if rt.participating() {
+                for i in mine.iter() {
+                    let v = r.row(i)[0] + beta * pv.row(i)[0];
+                    pv.row_mut(i)[0] = v;
+                }
             }
-        }
-        final_rr = rr_new;
-        rt.end_cycle(&mut [&mut a, &mut x, &mut r, &mut pv]);
-    }
-
-    AppResult {
-        checksum: Some(final_rr.sqrt()),
-        cycle_times: rt.local_cycle_times().to_vec(),
-        events: rt.events().to_vec(),
-        redist_seconds: rt.redistribution_seconds(),
-        participating: rt.participating(),
-        final_rows: rt.my_rows(ph).len(),
-        state_digest: 0,
-    }
+            final_rr = rr_new;
+        },
+    );
+    AppResult::new(&rt, ph, Some(final_rr.sqrt()), 0)
 }
 
 #[cfg(test)]

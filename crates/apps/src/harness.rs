@@ -3,7 +3,7 @@
 
 use dynmpi::DynMpiConfig;
 use dynmpi_comm::SimTransport;
-use dynmpi_obs::{Json, Recorder};
+use dynmpi_obs::Recorder;
 use dynmpi_sim::{Cluster, LoadScript, NetParams, NodeSpec, OsParams};
 
 use crate::cg::{self, CgParams};
@@ -123,30 +123,6 @@ impl SimRunResult {
             .iter()
             .map(|r| r.redist_seconds)
             .fold(0.0, f64::max)
-    }
-}
-
-/// One row of a figure table, serializable for EXPERIMENTS.md.
-#[derive(Clone, Debug)]
-pub struct ResultRow {
-    pub figure: String,
-    pub app: String,
-    pub nodes: usize,
-    pub variant: String,
-    pub seconds: f64,
-    pub normalized: f64,
-}
-
-impl ResultRow {
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("figure", Json::str(self.figure.clone())),
-            ("app", Json::str(self.app.clone())),
-            ("nodes", Json::UInt(self.nodes as u64)),
-            ("variant", Json::str(self.variant.clone())),
-            ("seconds", Json::Num(self.seconds)),
-            ("normalized", Json::Num(self.normalized)),
-        ])
     }
 }
 

@@ -43,8 +43,7 @@ impl JacobiParams {
         JacobiParams {
             n,
             iters,
-            exercise_kernel: true,
-            rebalance_at: None,
+            ..Self::paper()
         }
     }
 }
@@ -78,59 +77,48 @@ pub fn run<T: HostMeters>(t: &T, p: &JacobiParams, cfg: DynMpiConfig) -> AppResu
     mb.fill_rows(&rt.local_rows(b_id), |_, j| initial(j));
 
     let row_work = (n - 2) as f64 * work::JACOBI_POINT;
-    // The canonical rollback loop: a crash recovery rewinds `step` to the
-    // checkpointed progress and the survivors replay from restored data.
-    let mut step = 0usize;
-    while step < p.iters {
-        rt.begin_cycle();
-        if p.rebalance_at == Some(step) {
-            rt.request_rebalance();
-        }
-        if rt.participating() {
-            // Even steps read B / write A, odd steps the reverse.
-            let (src_id, src, dst) = if step.is_multiple_of(2) {
-                (b_id, &mut mb, &mut ma)
-            } else {
-                (a_id, &mut ma, &mut mb)
-            };
-            rt.ghost_exchange(src_id, &mut *src);
-            if p.exercise_kernel {
-                vector::run(
-                    #[inline(always)]
-                    || {
-                        for i in rt.my_rows(ph).iter() {
-                            sweep_row(src, dst, i, n);
-                        }
-                    },
-                );
+    let mut grids = (ma, mb);
+    rt.run_cycles(
+        p.iters,
+        &mut grids,
+        |(a, b)| [a, b],
+        |rt, (ma, mb), step| {
+            if p.rebalance_at == Some(step) {
+                rt.request_rebalance();
             }
-            rt.charge_rows(ph, |_| row_work);
-        }
-        rt.end_cycle(&mut [&mut ma, &mut mb]);
-        step = match rt.take_rollback() {
-            Some(back) => back as usize,
-            None => step + 1,
-        };
-    }
+            if rt.participating() {
+                // Even steps read B / write A, odd steps the reverse.
+                let (src_id, src, dst) = if step.is_multiple_of(2) {
+                    (b_id, mb, ma)
+                } else {
+                    (a_id, ma, mb)
+                };
+                rt.ghost_exchange(src_id, &mut *src);
+                if p.exercise_kernel {
+                    vector::run(
+                        #[inline(always)]
+                        || {
+                            for i in rt.my_rows(ph).iter() {
+                                sweep_row(src, dst, i, n);
+                            }
+                        },
+                    );
+                }
+                rt.charge_rows(ph, |_| row_work);
+            }
+        },
+    );
 
     // Checksum and digest over the final written buffer (globally
     // consistent).
-    let final_m = if p.iters % 2 == 1 { &mb } else { &ma };
+    let final_m = if p.iters % 2 == 1 { &grids.1 } else { &grids.0 };
     let (local, state_digest) = if rt.participating() && p.exercise_kernel {
         checksum_and_digest(final_m, &rt.my_rows(ph))
     } else {
         (0.0, 0)
     };
     let checksum = rt.allreduce_sum(&[local])[0];
-    AppResult {
-        checksum: p.exercise_kernel.then_some(checksum),
-        cycle_times: rt.local_cycle_times().to_vec(),
-        events: rt.events().to_vec(),
-        redist_seconds: rt.redistribution_seconds(),
-        participating: rt.participating(),
-        final_rows: rt.my_rows(ph).len(),
-        state_digest,
-    }
+    AppResult::new(&rt, ph, p.exercise_kernel.then_some(checksum), state_digest)
 }
 
 /// One row of the 5-point sweep: `dst[i] ← avg of src neighbors`, written

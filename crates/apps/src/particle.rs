@@ -3,13 +3,14 @@
 //! Particles live in an `rows × cols` cell grid; each time step a fixed
 //! fraction of every cell's particles drifts to the neighboring cells
 //! (deterministically, so runs are reproducible). Rows are
-//! block-distributed; flux into a row owned by another node is sent
-//! explicitly. Per-row compute cost is proportional to the particles in
-//! the row, so iterations are **nonuniform** — the case that forces
-//! per-iteration grace-period timing (§4.2) and the Figure 7 study.
+//! block-distributed; flux into a row owned by another node crosses in
+//! the runtime's neighbour exchange. Per-row compute cost is proportional
+//! to the particles in the row, so iterations are **nonuniform** — the
+//! case that forces per-iteration grace-period timing (§4.2) and the
+//! Figure 7 study.
 
 use dynmpi::{AccessMode, CommPattern, DenseMatrix, Drsd, DynMpi, DynMpiConfig};
-use dynmpi_comm::{CommOps, HostMeters};
+use dynmpi_comm::HostMeters;
 
 use crate::gen;
 use crate::result::AppResult;
@@ -84,9 +85,6 @@ impl ParticleParams {
     }
 }
 
-const TAG_FLUX_UP: u64 = 40;
-const TAG_FLUX_DOWN: u64 = 41;
-
 /// Runs the particle simulation on one rank; the checksum is the total
 /// particle mass (conserved).
 pub fn run<T: HostMeters>(t: &T, p: &ParticleParams, cfg: DynMpiConfig) -> AppResult {
@@ -102,17 +100,17 @@ pub fn run<T: HostMeters>(t: &T, p: &ParticleParams, cfg: DynMpiConfig) -> AppRe
     let init = gen::particle_counts(nr, nc, p.base, p.hot, hot_rows, p.seed);
     cells.fill_rows(&rt.my_rows(ph), |i, j| init[i][j]);
 
-    for _step in 0..p.iters {
-        rt.begin_cycle();
-        if rt.participating() {
-            step_cells(t, &rt, ph, &mut cells, p);
-            rt.charge_rows(ph, {
-                let cells = &cells;
-                move |i| cells.row(i).iter().sum::<f64>() * work::PARTICLE
-            });
-        }
-        rt.end_cycle(&mut [&mut cells]);
-    }
+    rt.run_cycles(
+        p.iters,
+        &mut cells,
+        |c| [c],
+        |rt, cells, _| {
+            if rt.participating() {
+                step_cells(rt, ph, cells, p);
+                rt.charge_rows(ph, |i| cells.row(i).iter().sum::<f64>() * work::PARTICLE);
+            }
+        },
+    );
 
     let local: f64 = rt
         .my_rows(ph)
@@ -120,88 +118,48 @@ pub fn run<T: HostMeters>(t: &T, p: &ParticleParams, cfg: DynMpiConfig) -> AppRe
         .map(|i| cells.row(i).iter().sum::<f64>())
         .sum();
     let checksum = rt.allreduce_sum(&[local])[0];
-    AppResult {
-        checksum: Some(checksum),
-        cycle_times: rt.local_cycle_times().to_vec(),
-        events: rt.events().to_vec(),
-        redist_seconds: rt.redistribution_seconds(),
-        participating: rt.participating(),
-        final_rows: rt.my_rows(ph).len(),
-        state_digest: 0,
-    }
+    AppResult::new(&rt, ph, Some(checksum), 0)
 }
 
 /// One drift step: horizontal drift within rows, vertical drift between
-/// rows (with explicit flux messages across ownership boundaries).
+/// rows, the block's boundary rows' outflow crossing to its neighbours.
 fn step_cells<T: HostMeters>(
-    t: &T,
     rt: &DynMpi<'_, T>,
     ph: usize,
     cells: &mut DenseMatrix<f64>,
     p: &ParticleParams,
 ) {
-    let mine = rt.my_rows(ph);
-    if mine.is_empty() {
+    let Some((lo, hi)) = rt.my_range(ph) else {
         return;
-    }
-    let nr = p.rows;
-    let d = p.drift;
-    let dist = rt.distribution();
-    let rel = rt.rel_rank().expect("participating");
+    };
+    let (nr, d) = (p.rows, p.drift);
 
     // Vertical outflow per row, staged so updates don't cascade. A row
     // loses the same amount upward and downward, so it is computed once.
-    let mut outflow: Vec<(usize, Vec<f64>)> = Vec::with_capacity(mine.len());
+    let mut outflow: Vec<Vec<f64>> = Vec::with_capacity(hi + 1 - lo);
     vector::run(
         #[inline(always)]
         || {
-            for i in mine.iter() {
-                outflow.push((i, drift(cells.row_mut(i), d, i > 0, i + 1 < nr)));
+            for i in lo..=hi {
+                outflow.push(drift(cells.row_mut(i), d, i > 0, i + 1 < nr));
             }
         },
     );
 
-    // Apply local flux; send boundary flux to the owning node. All upward
-    // flux goes first, then all downward.
-    let up = outflow
-        .iter()
-        .filter(|(i, _)| *i > 0)
-        .map(|(i, f)| (i - 1, f));
-    let down = outflow
-        .iter()
-        .filter(|(i, _)| i + 1 < nr)
-        .map(|(i, f)| (i + 1, f));
-    for (target, flux) in up.chain(down) {
-        let owner_rel = dist.owner(target);
-        if owner_rel == rel {
-            add_flux(cells.row_mut(target), flux);
-        } else {
-            let tag = if target < mine.first().unwrap() {
-                TAG_FLUX_UP
-            } else {
-                TAG_FLUX_DOWN
-            };
-            t.send_slice(rt.world_rank_of(owner_rel), tag, flux);
-        }
+    // Local flux, all upward first, then all downward; then the boundary
+    // rows' outflow goes to the neighbouring blocks, whose flux comes in.
+    for i in lo + 1..=hi {
+        add_flux(cells.row_mut(i - 1), &outflow[i - lo]);
     }
-
-    // Receive flux into my boundary rows from the owners of the adjacent
-    // rows (if they exist and are foreign).
-    let lo = mine.first().unwrap();
-    let hi = mine.last().unwrap();
-    if lo > 0 {
-        let owner = dist.owner(lo - 1);
-        if owner != rel {
-            let flux: Vec<f64> = t.recv_vec(rt.world_rank_of(owner), TAG_FLUX_DOWN);
-            add_flux(cells.row_mut(lo), &flux);
-        }
+    for i in lo..hi {
+        add_flux(cells.row_mut(i + 1), &outflow[i - lo]);
     }
-    if hi + 1 < nr {
-        let owner = dist.owner(hi + 1);
-        if owner != rel {
-            let flux: Vec<f64> = t.recv_vec(rt.world_rank_of(owner), TAG_FLUX_UP);
-            add_flux(cells.row_mut(hi), &flux);
-        }
+    let (above, below) = rt.neighbor_exchange(ph, &outflow[0], &outflow[hi - lo]);
+    if let Some(flux) = above {
+        add_flux(cells.row_mut(lo), &flux);
+    }
+    if let Some(flux) = below {
+        add_flux(cells.row_mut(hi), &flux);
     }
 }
 

@@ -1,6 +1,7 @@
 //! Common per-rank result type for the benchmark applications.
 
-use dynmpi::{DenseMatrix, RowSet, RuntimeEvent};
+use dynmpi::{DenseMatrix, DynMpi, PhaseId, RowSet, RuntimeEvent};
+use dynmpi_comm::HostMeters;
 
 /// What one rank reports after running an application.
 ///
@@ -36,6 +37,25 @@ pub struct AppResult {
 }
 
 impl AppResult {
+    /// What `rt`'s rank reports at the end of a run, with `phase` the
+    /// phase whose rows it owns.
+    pub(crate) fn new<T: HostMeters>(
+        rt: &DynMpi<'_, T>,
+        phase: PhaseId,
+        checksum: Option<f64>,
+        state_digest: u64,
+    ) -> Self {
+        AppResult {
+            checksum,
+            cycle_times: rt.local_cycle_times().to_vec(),
+            events: rt.events().to_vec(),
+            redist_seconds: rt.redistribution_seconds(),
+            participating: rt.participating(),
+            final_rows: rt.my_rows(phase).len(),
+            state_digest,
+        }
+    }
+
     /// Sum of this rank's cycle times.
     pub fn total_time(&self) -> f64 {
         self.cycle_times.iter().sum()

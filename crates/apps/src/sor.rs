@@ -40,8 +40,7 @@ impl SorParams {
         SorParams {
             n,
             iters,
-            omega: 1.5,
-            exercise_kernel: true,
+            ..Self::paper()
         }
     }
 }
@@ -93,28 +92,24 @@ pub fn run<T: HostMeters>(t: &T, p: &SorParams, cfg: DynMpiConfig) -> AppResult 
 
     // Each half-sweep touches half the points of a row.
     let row_work = (n - 2) as f64 * 0.5 * work::SOR_POINT;
-    // The canonical rollback loop (as in Jacobi): a crash recovery rewinds
-    // `step` to the checkpointed progress and the survivors replay.
-    let mut step = 0usize;
-    while step < p.iters {
-        rt.begin_cycle();
-        if rt.participating() {
-            for (phase, color) in [(ph_red, 0usize), (ph_black, 1usize)] {
-                rt.ghost_exchange(g_id, &mut g);
-                if p.exercise_kernel {
-                    for i in rt.my_rows(phase).iter() {
-                        half_sweep_row(&mut g, i, n, color, p.omega);
+    rt.run_cycles(
+        p.iters,
+        &mut g,
+        |g| [g],
+        |rt, g, _| {
+            if rt.participating() {
+                for (phase, color) in [(ph_red, 0usize), (ph_black, 1usize)] {
+                    rt.ghost_exchange(g_id, g);
+                    if p.exercise_kernel {
+                        for i in rt.my_rows(phase).iter() {
+                            half_sweep_row(g, i, n, color, p.omega);
+                        }
                     }
+                    rt.charge_rows(phase, |_| row_work);
                 }
-                rt.charge_rows(phase, |_| row_work);
             }
-        }
-        rt.end_cycle(&mut [&mut g]);
-        step = match rt.take_rollback() {
-            Some(back) => back as usize,
-            None => step + 1,
-        };
-    }
+        },
+    );
 
     let (local, state_digest) = if rt.participating() && p.exercise_kernel {
         checksum_and_digest(&g, &rt.my_rows(ph_red))
@@ -122,15 +117,8 @@ pub fn run<T: HostMeters>(t: &T, p: &SorParams, cfg: DynMpiConfig) -> AppResult 
         (0.0, 0)
     };
     let checksum = rt.allreduce_sum(&[local])[0];
-    AppResult {
-        checksum: p.exercise_kernel.then_some(checksum),
-        cycle_times: rt.local_cycle_times().to_vec(),
-        events: rt.events().to_vec(),
-        redist_seconds: rt.redistribution_seconds(),
-        participating: rt.participating(),
-        final_rows: rt.my_rows(ph_red).len(),
-        state_digest,
-    }
+    let checksum = p.exercise_kernel.then_some(checksum);
+    AppResult::new(&rt, ph_red, checksum, state_digest)
 }
 
 #[cfg(test)]

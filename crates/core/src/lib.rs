@@ -26,31 +26,31 @@
 //!
 //! ## Minimal usage sketch
 //!
+//! The application registers its arrays, phases and accesses, then hands
+//! [`DynMpi::run_cycles`] its per-cycle body; the runtime owns the loop,
+//! adapts between cycles and replays after a crash recovery.
+//!
 //! ```no_run
-//! use dynmpi::{AccessMode, CommPattern, DenseMatrix, Drsd, DynMpi, DynMpiConfig, RedistArray};
+//! use dynmpi::{AccessMode, CommPattern, DenseMatrix, Drsd, DynMpi, DynMpiConfig};
 //! use dynmpi_comm::run_threads;
 //!
 //! run_threads(4, |t| {
 //!     let n = 1024;
 //!     let mut rt = DynMpi::init(t, n, DynMpiConfig::default());
 //!     let a = rt.register_dense("A", n);
-//!     let ph = rt.init_phase(0, n, CommPattern::NearestNeighbor);
+//!     let ph = rt.init_phase(1, n - 1, CommPattern::NearestNeighbor);
 //!     rt.add_access(ph, a, AccessMode::ReadWrite, Drsd::with_halo(1));
 //!     let mut m = DenseMatrix::<f64>::new(n, n);
-//!     let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
-//!     rt.setup(&mut arrays);
+//!     rt.setup(&mut [&mut m]);
 //!     m.fill_rows(&rt.local_rows(a), |_, _| 0.0);
-//!     for _step in 0..100 {
-//!         rt.begin_cycle();
+//!     rt.run_cycles(100, &mut m, |m| [m], |rt, m, _step| {
 //!         if rt.participating() {
+//!             rt.ghost_exchange(a, m);
 //!             let (lo, hi) = rt.my_range(ph).unwrap();
 //!             for _i in lo..=hi { /* stencil on m */ }
 //!             rt.charge_rows(ph, |_i| 5.0 * n as f64);
-//!             // explicit neighbor exchange via t.send_slice/recv_vec …
 //!         }
-//!         let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
-//!         rt.end_cycle(&mut arrays);
-//!     }
+//!     });
 //! });
 //! ```
 

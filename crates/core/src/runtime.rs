@@ -1,9 +1,9 @@
 //! The Dyn-MPI runtime (§4): the protocol.
 //!
 //! One [`DynMpi`] instance lives on each rank. The application registers
-//! its redistributable arrays, phases, and DRSD accesses, then brackets
-//! every phase cycle with [`DynMpi::begin_cycle`] / [`DynMpi::end_cycle`].
-//! `end_cycle` is where everything happens:
+//! its redistributable arrays, phases, and DRSD accesses, then hands the
+//! runtime its per-cycle body: [`DynMpi::run_cycles`] owns the loop, and
+//! the end of every cycle is where everything happens:
 //!
 //! 1. every active rank's cycle time is gathered; the root reads the
 //!    `dmpi_ps` monitors and broadcasts a consistent control snapshot;
@@ -44,6 +44,9 @@ const TAG_CTRL_DOWN: u64 = (1 << 34) + 1;
 const TAG_GLOBAL: u64 = (1 << 33) + 0x30_0000;
 /// Per-cycle ghost-row exchange (one tag per array).
 const TAG_GEX: u64 = (1 << 33) + 0x40_0000;
+/// Per-cycle neighbour exchange: payloads sent up, and sent down.
+const TAG_NBR_UP: u64 = (1 << 33) + 0x48_0000;
+const TAG_NBR_DOWN: u64 = TAG_NBR_UP + 1;
 
 /// Identifier of a registered array (registration order).
 pub type ArrayId = usize;
@@ -140,7 +143,7 @@ pub struct DynMpi<'a, T: HostMeters> {
     /// Application steps completed on this rank (= phase cycles, minus
     /// replayed steps after a rollback). Stamped into checkpoints.
     app_progress: u64,
-    /// Pending rollback for the application after a recovery.
+    /// Pending rewind of the cycle driver's loop after a recovery.
     rollback_to: Option<u64>,
     /// Cycles since the last checkpoint refresh (interval refreshes).
     cycles_since_ckpt: u32,
@@ -302,11 +305,6 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         self.active.size()
     }
 
-    /// World rank of a relative rank (for neighbor messaging).
-    pub fn world_rank_of(&self, rel: usize) -> usize {
-        self.active.world_rank(rel)
-    }
-
     /// This rank's world rank.
     pub fn world_rank(&self) -> usize {
         self.wrank
@@ -360,13 +358,6 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         &self.dist
     }
 
-    /// The active group, for application-level collectives over active
-    /// ranks (e.g. CG's allgather of `p`). Guard uses with
-    /// [`Self::participating`].
-    pub fn group(&self) -> &dynmpi_comm::Group {
-        &self.active
-    }
-
     /// Active members (world ranks).
     pub fn active_members(&self) -> &[usize] {
         self.active.members()
@@ -382,28 +373,49 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         &self.local_cycle_times
     }
 
-    /// The latest measured global per-row weights, if a grace period has
-    /// completed.
-    pub fn row_weights(&self) -> Option<&[f64]> {
-        self.row_weights.as_deref()
-    }
-
     /// Total wall seconds spent inside redistribution operations.
     pub fn redistribution_seconds(&self) -> f64 {
         self.redist_seconds_total
     }
 
-    /// Requests a rebalance at the next `end_cycle` even without a load
+    /// Requests a rebalance at the end of this cycle even without a load
     /// change (the REDISTRIBUTE-annotation analogue; must be called by
     /// every active rank in the same cycle).
     pub fn request_rebalance(&mut self) {
         self.state.rebalance_requested = true;
     }
 
-    // ---------------- per-cycle hooks -----------------------------------
+    // ---------------- the cycle driver ----------------------------------
+
+    /// Runs `steps` application steps, one phase cycle each: the one way
+    /// to drive cycles. `body(rt, state, step)` is step `step`'s compute
+    /// and in-phase exchanges; `arrays` lists the registered arrays held in
+    /// `state`, in registration order (e.g. `|(a, b)| [a, b]`). After every
+    /// body the runtime monitors, balances, drops or admits nodes. When a
+    /// crash recovery rolled the arrays back to a checkpoint, the loop
+    /// rewinds to the step the checkpoint was taken at, so the survivors
+    /// replay the lost steps from restored data.
+    pub fn run_cycles<S, const N: usize>(
+        &mut self,
+        steps: usize,
+        state: &mut S,
+        arrays: for<'s> fn(&'s mut S) -> [&'s mut dyn RedistArray; N],
+        mut body: impl FnMut(&mut Self, &mut S, usize),
+    ) {
+        let mut step = 0;
+        while step < steps {
+            self.begin_cycle();
+            body(self, state, step);
+            self.end_cycle(&mut arrays(state));
+            step = match self.rollback_to.take() {
+                Some(back) => back as usize,
+                None => step + 1,
+            };
+        }
+    }
 
     /// Marks the start of a phase cycle.
-    pub fn begin_cycle(&mut self) {
+    fn begin_cycle(&mut self) {
         self.cycle_wall_start = self.t.wtime();
         // Paired with the `end_cycle` span's `cycle` attribute (the
         // counter increments inside `end_cycle_inner`, so the cycle now
@@ -459,9 +471,8 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
     }
 
     /// Ends a phase cycle: monitoring, grace bookkeeping, redistribution,
-    /// node removal, and removed-rank status handling. Pass every
-    /// registered array, in registration order.
-    pub fn end_cycle(&mut self, arrays: &mut [&mut dyn RedistArray]) {
+    /// node removal, and removed-rank status handling.
+    fn end_cycle(&mut self, arrays: &mut [&mut dyn RedistArray]) {
         obs::span_begin("runtime", "end_cycle", self.t.now_ns());
         self.end_cycle_inner(arrays);
         if obs::enabled() {
@@ -858,7 +869,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
     /// A confirmed death: every survivor rolls its rows back to the
     /// checkpoint, the dead node's ring buddy materializes its mirror and
     /// stands in for it in the recovery redistribution, the group shrinks,
-    /// and the application rewinds its loop ([`Self::take_rollback`]).
+    /// and [`Self::run_cycles`] rewinds the application's loop.
     fn recover_from_death(
         &mut self,
         dead_node: usize,
@@ -935,22 +946,6 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         self.is_removed = true;
     }
 
-    /// After a crash recovery the application must rewind its outer loop:
-    /// returns the step index to resume from (= completed steps at the
-    /// checkpoint), once per recovery. The canonical loop:
-    ///
-    /// ```text
-    /// let mut step = 0;
-    /// while step < steps {
-    ///     rt.begin_cycle(); /* compute step `step` */ rt.end_cycle(..);
-    ///     step = match rt.take_rollback() { Some(back) => back as usize,
-    ///                                       None => step + 1 };
-    /// }
-    /// ```
-    pub fn take_rollback(&mut self) -> Option<u64> {
-        self.rollback_to.take()
-    }
-
     /// Did this rank withdraw after concluding it was isolated?
     pub fn is_evicted(&self) -> bool {
         self.evicted
@@ -981,7 +976,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         let timer = self.timer.take().expect("grace without timer");
         let (cycle, mode) = (self.cycle, timer.mode().expect("grace saw no cycles"));
         self.note(RuntimeEvent::GraceComplete { cycle, mode });
-        let weights = self.t.allgatherv(&self.active, &timer.weights()).concat();
+        let weights = self.allgather(&timer.weights());
         assert_eq!(weights.len(), self.nrows, "weight gather incomplete");
         self.row_weights = Some(weights);
     }
@@ -1090,6 +1085,44 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             };
             arr.unpack_rows(from_src, &p);
         }
+    }
+
+    /// The per-cycle exchange of a code whose boundary rows push data into
+    /// the neighbouring blocks (particle's flux). Sends `up` to the owner of
+    /// the row just above this rank's block of `phase` and `down` to the
+    /// owner of the row just below, where those rows are in the phase, then
+    /// receives from the owner above and the owner below: returns
+    /// `(from_above, from_below)`. A dead neighbour's payload is given up
+    /// (`None`), as in [`Self::ghost_exchange`]. Must be called by every
+    /// active rank in the same cycle; removed ranks and empty blocks no-op.
+    pub fn neighbor_exchange(
+        &self,
+        phase: PhaseId,
+        up: &[f64],
+        down: &[f64],
+    ) -> (Option<Vec<f64>>, Option<Vec<f64>>) {
+        let Some((lo, hi)) = self.my_range(phase) else {
+            return (None, None);
+        };
+        let spec = self.phases[phase];
+        let owner = |row: usize| self.active.world_rank(self.dist.owner(row));
+        let above = (lo > spec.lo).then(|| owner(lo - 1));
+        let below = (hi + 1 < spec.hi).then(|| owner(hi + 1));
+        for (dst, tag, payload) in [(above, TAG_NBR_UP, up), (below, TAG_NBR_DOWN, down)] {
+            if let Some(dst) = dst {
+                self.t.send_bytes(dst, tag, to_bytes(payload));
+            }
+        }
+        let recv = |src: Option<usize>, tag| Some(from_bytes(&self.recv_unless_dead(src?, tag)?));
+        (recv(above, TAG_NBR_DOWN), recv(below, TAG_NBR_UP))
+    }
+
+    /// Gathers every active rank's `mine`, concatenated in relative-rank
+    /// order: under a block layout, a row-distributed vector made whole
+    /// (CG's `p`, the grace period's row weights). Every active rank calls
+    /// it in the same cycle; it is not death-aware.
+    pub fn allgather(&self, mine: &[f64]) -> Vec<f64> {
+        self.t.allgatherv(&self.active, mine).concat()
     }
 
     /// A receive that a dead peer must not hang (a plain blocking receive
@@ -1512,10 +1545,12 @@ mod tests {
     /// confirmed after the sustain window, its rows are restored from the
     /// buddy mirror, the survivors roll back and replay — and (checked in
     /// the driver) every row ends with exactly `steps` increments, as in
-    /// a crash-free run.
+    /// a crash-free run. The neighbour exchange runs every step, so its
+    /// receives from the dead node must give up rather than hang.
     #[test]
     fn crash_is_confirmed_and_recovered_from_buddy() {
-        let sc = Scenario::new(4, 40, 16, crash_cfg());
+        let mut sc = Scenario::new(4, 40, 16, crash_cfg());
+        sc.neighbors = true;
         let script = LoadScript::dedicated().node_crash(sc.at(0.4), 2);
         let outs = drive(&sc.script(script));
         assert!(outs[2].is_none(), "rank 2 crashed");

@@ -83,7 +83,7 @@ fn pack_and_unpack_each_charge_the_payload_once() {
 /// Allocations of a whole dedicated 4-rank run of `steps` cycles: every
 /// cycle is compute plus, when `cfg` adapts, the control exchange (no
 /// ghosts and no load, so the balancer never moves a row).
-fn run_allocations(steps: u64, cfg: &DynMpiConfig) -> u64 {
+fn run_allocations(steps: usize, cfg: &DynMpiConfig) -> u64 {
     let cluster = Cluster::homogeneous(4, NodeSpec::with_speed(1e6));
     allocations(|| {
         cluster.run_spmd(|ctx| {
@@ -95,11 +95,12 @@ fn run_allocations(steps: u64, cfg: &DynMpiConfig) -> u64 {
             rt.add_access(ph, a, AccessMode::ReadWrite, Drsd::with_halo(1));
             let mut m = DenseMatrix::<f64>::new(n, 4);
             rt.setup(&mut [&mut m]);
-            for _ in 0..steps {
-                rt.begin_cycle();
-                rt.charge_rows(ph, |_| 1e4);
-                rt.end_cycle(&mut [&mut m]);
-            }
+            rt.run_cycles(
+                steps,
+                &mut m,
+                |m| [m],
+                |rt, _, _| rt.charge_rows(ph, |_| 1e4),
+            );
         });
     })
 }

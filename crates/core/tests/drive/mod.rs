@@ -43,6 +43,10 @@ pub struct Scenario {
     pub rebalance_at: Option<u64>,
     /// Refresh the halo rows every step.
     pub ghosts: bool,
+    /// Send each block's boundary row indices to the neighbouring blocks
+    /// every step, through the runtime's neighbour exchange, and check
+    /// what arrives.
+    pub neighbors: bool,
     /// Run a removed-aware global sum every step and check its value.
     pub reduce: bool,
     /// Records the fast-engine run (a fresh recorder otherwise).
@@ -59,6 +63,7 @@ impl Scenario {
             script: LoadScript::dedicated(),
             rebalance_at: None,
             ghosts: false,
+            neighbors: false,
             reduce: false,
             recorder: None,
         }
@@ -92,7 +97,7 @@ pub struct RankOut<S = ()> {
     pub events: Vec<RuntimeEvent>,
     pub rollbacks: Vec<u64>,
     pub dead: Vec<usize>,
-    /// `end_cycle` calls made (steps plus replayed steps).
+    /// Cycles run (steps plus replayed steps).
     pub cycles: usize,
     /// What [`drive_probed`]'s probe read off the runtime at the end.
     pub state: S,
@@ -116,9 +121,10 @@ fn fill_pattern(i: usize, j: usize) -> f64 {
     (i * 1000 + j) as f64
 }
 
-/// The canonical application loop, rollback included. Every owned row
-/// must end with exactly `steps` increments on column 0 and an untouched
-/// fill pattern elsewhere, whatever moved, dropped, joined or died.
+/// The application: one body under the runtime's cycle driver, which
+/// replays after a rollback. Every owned row must end with exactly `steps`
+/// increments on column 0 and an untouched fill pattern elsewhere,
+/// whatever moved, dropped, joined or died.
 fn app<S>(t: &SimTransport<'_>, sc: &Scenario, probe: &impl Probe<S>) -> RankOut<S> {
     let n = sc.nrows;
     let mut rt = DynMpi::init(t, n, sc.cfg.clone());
@@ -129,35 +135,44 @@ fn app<S>(t: &SimTransport<'_>, sc: &Scenario, probe: &impl Probe<S>) -> RankOut
     rt.setup(&mut [&mut m]);
     m.fill_rows(&rt.local_rows(a), fill_pattern);
     let row_work = STEP_WORK * sc.nodes as f64 / n as f64;
-    let mut rollbacks = Vec::new();
-    let mut step = 0;
-    while step < sc.steps {
-        if sc.rebalance_at == Some(step) {
-            rt.request_rebalance();
-        }
-        rt.begin_cycle();
-        if sc.ghosts {
-            rt.ghost_exchange(a, &mut m);
-        }
-        for i in rt.my_rows(ph).iter() {
-            m.row_mut(i)[0] += 1.0;
-        }
-        rt.charge_rows(ph, |_| row_work);
-        if sc.reduce {
-            // Every world rank calls it, removed or not (CG-style).
-            let part: f64 = rt.my_rows(ph).iter().map(|i| i as f64).sum();
-            let expect = (n * (n - 1) / 2) as f64;
-            assert_eq!(rt.allreduce_sum(&[part]), [expect], "step {step}");
-        }
-        rt.end_cycle(&mut [&mut m]);
-        step = match rt.take_rollback() {
-            Some(back) => {
-                rollbacks.push(back);
-                back
+    rt.run_cycles(
+        sc.steps as usize,
+        &mut m,
+        |m| [m],
+        |rt, m, step| {
+            if sc.rebalance_at == Some(step as u64) {
+                rt.request_rebalance();
             }
-            None => step + 1,
-        };
-    }
+            if sc.ghosts {
+                rt.ghost_exchange(a, m);
+            }
+            if sc.neighbors {
+                // Each block sends its first row's index up and its last
+                // row's down; a dead neighbour's is given up.
+                let s = step as f64;
+                let (lo, hi) = rt
+                    .my_range(ph)
+                    .map_or((0.0, 0.0), |(lo, hi)| (lo as f64, hi as f64));
+                let (above, below) = rt.neighbor_exchange(ph, &[lo, s], &[hi, s]);
+                assert!(above.is_none_or(|p| p == [lo - 1.0, s]), "step {step}");
+                assert!(below.is_none_or(|p| p == [hi + 1.0, s]), "step {step}");
+            }
+            for i in rt.my_rows(ph).iter() {
+                m.row_mut(i)[0] += 1.0;
+            }
+            rt.charge_rows(ph, |_| row_work);
+            if sc.reduce {
+                // Every world rank calls it, removed or not (CG-style).
+                let part: f64 = rt.my_rows(ph).iter().map(|i| i as f64).sum();
+                let expect = (n * (n - 1) / 2) as f64;
+                assert_eq!(rt.allreduce_sum(&[part]), [expect], "step {step}");
+            }
+        },
+    );
+    let rollbacks = rt.events().iter().filter_map(|e| match e {
+        RuntimeEvent::NodeRecovered { rollback_to, .. } => Some(*rollback_to),
+        _ => None,
+    });
     for i in rt.my_rows(ph).iter() {
         let expect = fill_pattern(i, 0) + sc.steps as f64;
         assert_eq!(m.row(i)[0], expect, "row {i} lost or repeated steps");
@@ -172,7 +187,7 @@ fn app<S>(t: &SimTransport<'_>, sc: &Scenario, probe: &impl Probe<S>) -> RankOut
         counts: rt.distribution().counts(),
         rows: rt.my_rows(ph).len(),
         events: rt.events().to_vec(),
-        rollbacks,
+        rollbacks: rollbacks.collect(),
         dead: rt.dead_nodes(),
         cycles: rt.local_cycle_times().len(),
         state: probe(&rt),

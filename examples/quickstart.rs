@@ -9,7 +9,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use dynmpi::{AccessMode, CommPattern, DenseMatrix, Drsd, DynMpi, DynMpiConfig, RedistArray};
+use dynmpi::{AccessMode, CommPattern, DenseMatrix, Drsd, DynMpi, DynMpiConfig};
 use dynmpi_comm::run_threads;
 
 fn main() {
@@ -23,35 +23,36 @@ fn main() {
         rt.add_access(ph, a, AccessMode::ReadWrite, Drsd::with_halo(1));
 
         let mut grid = DenseMatrix::<f64>::new(N, N);
-        {
-            let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut grid];
-            rt.setup(&mut arrays);
-        }
+        rt.setup(&mut [&mut grid]);
         // Hot left wall, cold elsewhere.
         grid.fill_rows(&rt.local_rows(a), |_, j| if j == 0 { 100.0 } else { 0.0 });
 
         let before = rt.distribution().counts();
-        for step in 0..STEPS {
-            rt.begin_cycle();
-            if step == 10 {
-                rt.request_rebalance();
-            }
-            if rt.participating() {
-                rt.ghost_exchange(a, &mut grid);
-                let (lo, hi) = rt.my_range(ph).expect("non-empty block");
-                for i in lo..=hi {
-                    let up = grid.row(i - 1).to_vec();
-                    let down = grid.row(i + 1).to_vec();
-                    let row = grid.row_mut(i);
-                    for j in 1..N - 1 {
-                        row[j] = 0.25 * (up[j] + down[j] + row[j - 1] + row[j + 1]);
-                    }
+        // The runtime owns the loop: it runs the body once per cycle and
+        // adapts (here: rebalances) between cycles.
+        rt.run_cycles(
+            STEPS,
+            &mut grid,
+            |g| [g],
+            |rt, grid, step| {
+                if step == 10 {
+                    rt.request_rebalance();
                 }
-                rt.charge_rows(ph, |_| 5.0 * N as f64);
-            }
-            let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut grid];
-            rt.end_cycle(&mut arrays);
-        }
+                if rt.participating() {
+                    rt.ghost_exchange(a, grid);
+                    let (lo, hi) = rt.my_range(ph).expect("non-empty block");
+                    for i in lo..=hi {
+                        let up = grid.row(i - 1).to_vec();
+                        let down = grid.row(i + 1).to_vec();
+                        let row = grid.row_mut(i);
+                        for j in 1..N - 1 {
+                            row[j] = 0.25 * (up[j] + down[j] + row[j - 1] + row[j + 1]);
+                        }
+                    }
+                    rt.charge_rows(ph, |_| 5.0 * N as f64);
+                }
+            },
+        );
 
         let local: f64 = rt
             .my_rows(ph)
