@@ -11,7 +11,7 @@
 //! partition, crash handling must be *bit*-invisible to the engine mode,
 //! like every other output.
 
-use dynmpi::{DropPolicy, DynMpiConfig, CKPT_BYTES_SENT, CKPT_REFRESHES};
+use dynmpi::{DropPolicy, DynMpiConfig, RuntimeEvent, CKPT_BYTES_SENT, CKPT_REFRESHES};
 use dynmpi_apps::harness::{run_sim, run_sim_on, run_sim_with};
 use dynmpi_apps::jacobi::JacobiParams;
 use dynmpi_apps::particle::ParticleParams;
@@ -170,11 +170,14 @@ fn sor_crash_recovery_matches_crash_free_checksum() {
 /// neighbour's payload up instead of hanging. A boundary row adds its
 /// remote flux after its local flux, so the answer's rounding depends on
 /// the partition (no digest): the total mass must match the crash-free
-/// run's to 1e-12 relative.
+/// run's to 1e-12 relative. Mass survives a skipped replay too, so each
+/// survivor's cycle count must show the replay: `iters` plus the cycles
+/// from its `node-recovered` rollback point to the recovery.
 #[test]
 fn particle_crash_recovery_conserves_mass() {
+    let p = ParticleParams::small(48, 32, 60);
     let exp = |script| {
-        Experiment::new(AppSpec::Particle(ParticleParams::small(48, 32, 60)), 4)
+        Experiment::new(AppSpec::Particle(p.clone()), 4)
             .with_node_spec(NodeSpec::with_speed(1e6))
             .with_script(script)
             .with_cfg(crash_cfg())
@@ -189,6 +192,25 @@ fn particle_crash_recovery_conserves_mass() {
         "mass {mass} vs {crash_free} crash-free"
     );
     assert!(out.makespan > baseline.makespan, "recovery costs time");
+    for (r, res) in out.per_rank.iter().enumerate().filter(|&(r, _)| r != 2) {
+        let replayed: Vec<u64> = (res.events.iter())
+            .filter_map(|e| match *e {
+                RuntimeEvent::NodeRecovered {
+                    cycle, rollback_to, ..
+                } => Some(cycle - rollback_to),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            replayed.len() == 1 && replayed[0] > 0,
+            "survivor {r}: one recovery that loses cycles, not {replayed:?}"
+        );
+        assert_eq!(
+            res.cycle_times.len() as u64,
+            p.iters as u64 + replayed[0],
+            "survivor {r} ran iters + the replayed cycles"
+        );
+    }
 }
 
 /// Property sweep: random crash times × nodes (deterministic LCG). For

@@ -565,13 +565,20 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         // 3. Replicated state machine. A membership transition bumps the
         //    control epoch and sends its own statuses; an in-place
         //    redistribution bumps the count.
-        let pre_removed = self.removed_nodes();
+        // Only the root sends the statuses, so only it lists the ranks.
+        let root = self.active.rel() == Some(0);
+        let pre_removed = if root {
+            self.removed_nodes()
+        } else {
+            Vec::new()
+        };
         let (epoch, redists) = (self.ctrl_epoch, self.state.redist_count);
         self.advance(snap, arrays);
         let transition = self.ctrl_epoch != epoch;
 
-        // 4. Status send-out to the ranks removed at cycle start.
-        if !transition && !self.is_removed && self.active.rel() == Some(0) {
+        // 4. Status send-out to the ranks removed at cycle start. Without a
+        //    transition the group, and with it the root, is unchanged.
+        if !transition && !self.is_removed && root {
             self.send_statuses(&pre_removed, &snap.loads);
         }
 
@@ -669,10 +676,12 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         true
     }
 
-    /// Nodes currently outside the active group.
+    /// Nodes currently outside the active group: the gaps between its
+    /// sorted members, in one walk (no allocation when there are none).
     fn removed_nodes(&self) -> Vec<usize> {
-        (0..self.wsize)
-            .filter(|&n| !self.active.contains(n))
+        let mut from = 0;
+        (self.active.members().iter().chain([&self.wsize]))
+            .flat_map(|&m| std::mem::replace(&mut from, m + 1)..m)
             .collect()
     }
 

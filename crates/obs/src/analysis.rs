@@ -573,6 +573,11 @@ fn contained(intervals: &[Interval], start: u64, end: u64) -> bool {
 ///
 /// Ignores an event of a rank at or above [`MAX_RANKS`], as the sinks do.
 pub fn analyze(events: &[TraceEvent]) -> ProfileReport {
+    analyze_iter(events)
+}
+
+/// [`analyze`] over an iterator, as [`Recorder::profile`](crate::Recorder::profile) walks.
+pub fn analyze_iter<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> ProfileReport {
     // Dense by rank while folding; a rank without events has no lane.
     let mut dense: Vec<Option<Lane>> = Vec::new();
     let mut sends = SendIndex::default();

@@ -15,47 +15,34 @@ use crate::trace::{intern, intern_cat, Args, Kind, TraceEvent, MAX_RANKS, MAX_TS
 /// microseconds has an ulp of at most 2^-10 < 0.001.
 pub const EXACT_US_BELOW_NS: u64 = 1_000_000_000_000_000;
 
-/// The exporters render into bytes: a typed event is a few constant
-/// slices and its integers. `fmt::Write` over the buffer serves what
-/// goes through the [`Json`] writer (a generic event's strings and
-/// values, a timestamp past [`EXACT_US_BELOW_NS`]).
-struct Bytes<'a>(&'a mut Vec<u8>);
-
-impl Write for Bytes<'_> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0.extend_from_slice(s.as_bytes());
-        Ok(())
-    }
-}
-
 /// Runs a `fmt::Write` writer over `buf`, which cannot fail.
-fn push_fmt(buf: &mut Vec<u8>, write: impl FnOnce(&mut Bytes<'_>) -> fmt::Result) {
-    write(&mut Bytes(buf)).expect("writing to a byte buffer cannot fail");
+fn push_fmt(buf: &mut String, write: impl FnOnce(&mut String) -> fmt::Result) {
+    write(buf).expect("writing to a String cannot fail");
 }
 
 /// `ns` in microseconds as the `f64` `ns / 1000` writes. Below
 /// [`EXACT_US_BELOW_NS`] that is `ns / 1000` and 1–3 fraction digits,
 /// trailing zeros stripped: the `f64` is the double nearest that decimal,
 /// and any other as short lies ≥ 0.001 away, more than an ulp.
-fn push_us(buf: &mut Vec<u8>, ns: u64) {
+fn push_us(buf: &mut String, ns: u64) {
     let mut frac = ns % 1_000;
     if frac != 0 && ns >= EXACT_US_BELOW_NS {
         return push_fmt(buf, |out| Json::Num(ns as f64 / 1_000.0).write_to(out));
     }
     push_uint(buf, ns / 1_000);
     if frac != 0 {
-        buf.push(b'.');
+        buf.push('.');
     }
     let mut unit = 100;
     while frac > 0 {
-        buf.push(b'0' + (frac / unit) as u8);
+        buf.push(char::from(b'0' + (frac / unit) as u8));
         frac %= unit;
         unit /= 10;
     }
 }
 
 /// A generic event's `"cat":…,"name":…`, escaped.
-fn push_cat_name(buf: &mut Vec<u8>, ev: &TraceEvent) {
+fn push_cat_name(buf: &mut String, ev: &TraceEvent) {
     push_fmt(buf, |out| {
         out.write_str("\"cat\":")?;
         write_escaped(out, ev.cat())?;
@@ -67,12 +54,12 @@ fn push_cat_name(buf: &mut Vec<u8>, ev: &TraceEvent) {
 /// `,"args":{…}}` — the attributes, closing the event object. A typed
 /// kind writes each integer after its key's constant head, exactly as
 /// the `Json::UInt` attributes of a generic event would be written.
-fn push_args(buf: &mut Vec<u8>, ev: &TraceEvent, kind: Option<&Kind>) {
-    buf.extend_from_slice(b",\"args\":{");
+fn push_args(buf: &mut String, ev: &TraceEvent, kind: Option<&Kind>) {
+    buf.push_str(",\"args\":{");
     match (kind, ev.args()) {
         (Some(kind), _) => {
             for (head, v) in kind.key_heads.iter().zip(ev.values()) {
-                buf.extend_from_slice(head.as_bytes());
+                buf.push_str(head);
                 push_uint(buf, v);
             }
         }
@@ -90,85 +77,85 @@ fn push_args(buf: &mut Vec<u8>, ev: &TraceEvent, kind: Option<&Kind>) {
         // A collective named off the list: its keys are plain identifiers.
         (None, Args::Ints { keys, values }) => {
             for (i, (k, &v)) in keys.iter().zip(&values).enumerate() {
-                buf.extend_from_slice(if i > 0 { b",\"" } else { b"\"" });
-                buf.extend_from_slice(k.as_bytes());
-                buf.extend_from_slice(b"\":");
+                buf.push_str(if i > 0 { ",\"" } else { "\"" });
+                buf.push_str(k);
+                buf.push_str("\":");
                 push_uint(buf, v);
             }
         }
     }
-    buf.extend_from_slice(b"}}");
+    buf.push_str("}}");
 }
 
 /// One event's Chrome object, preceded by a comma unless it is the first.
-fn push_chrome(buf: &mut Vec<u8>, first: bool, ev: &TraceEvent) {
+fn push_chrome(buf: &mut String, first: bool, ev: &TraceEvent) {
     if !first {
-        buf.push(b',');
+        buf.push(',');
     }
     let (kind, dur_ns) = (ev.kind(), ev.dur_ns());
     match kind {
-        Some(kind) => buf.extend_from_slice(kind.chrome_head.as_bytes()),
+        Some(kind) => buf.push_str(kind.chrome_head),
         None => {
-            buf.extend_from_slice(match dur_ns {
-                Some(_) => b"{\"ph\":\"X\",",
-                None => b"{\"ph\":\"i\",",
+            buf.push_str(match dur_ns {
+                Some(_) => "{\"ph\":\"X\",",
+                None => "{\"ph\":\"i\",",
             });
             push_cat_name(buf, ev);
-            buf.extend_from_slice(b",\"pid\":0,\"tid\":");
+            buf.push_str(",\"pid\":0,\"tid\":");
         }
     }
     push_uint(buf, ev.rank() as u64);
-    buf.extend_from_slice(b",\"ts\":");
+    buf.push_str(",\"ts\":");
     push_us(buf, ev.ts_ns());
     match dur_ns {
         Some(d) => {
-            buf.extend_from_slice(b",\"dur\":");
+            buf.push_str(",\"dur\":");
             push_us(buf, d);
         }
-        None => buf.extend_from_slice(b",\"s\":\"t\""),
+        None => buf.push_str(",\"s\":\"t\""),
     }
     push_args(buf, ev, kind);
 }
 
 /// One event's JSONL line.
-fn push_jsonl(buf: &mut Vec<u8>, _first: bool, ev: &TraceEvent) {
+fn push_jsonl(buf: &mut String, _first: bool, ev: &TraceEvent) {
     let (kind, dur_ns) = (ev.kind(), ev.dur_ns());
     match kind {
-        Some(kind) => buf.extend_from_slice(kind.jsonl_head.as_bytes()),
+        Some(kind) => buf.push_str(kind.jsonl_head),
         None => {
-            buf.extend_from_slice(match dur_ns {
-                Some(_) => b"{\"kind\":\"span\",",
-                None => b"{\"kind\":\"instant\",",
+            buf.push_str(match dur_ns {
+                Some(_) => "{\"kind\":\"span\",",
+                None => "{\"kind\":\"instant\",",
             });
             push_cat_name(buf, ev);
-            buf.extend_from_slice(b",\"rank\":");
+            buf.push_str(",\"rank\":");
         }
     }
     push_uint(buf, ev.rank() as u64);
-    buf.extend_from_slice(b",\"ts_ns\":");
+    buf.push_str(",\"ts_ns\":");
     push_uint(buf, ev.ts_ns());
     if let Some(d) = dur_ns {
-        buf.extend_from_slice(b",\"dur_ns\":");
+        buf.push_str(",\"dur_ns\":");
         push_uint(buf, d);
     }
     push_args(buf, ev, kind);
-    buf.push(b'\n');
+    buf.push('\n');
 }
 
 /// A document: its opening text, one rendering per event, its closing text.
-struct Doc {
+pub(crate) struct Doc {
     open: &'static str,
-    push: fn(&mut Vec<u8>, bool, &TraceEvent),
+    push: fn(&mut String, bool, &TraceEvent),
     close: &'static str,
 }
 
-const CHROME: Doc = Doc {
+pub(crate) const CHROME: Doc = Doc {
     open: "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[",
     push: push_chrome,
     close: "]}",
 };
 
-const JSONL: Doc = Doc {
+pub(crate) const JSONL: Doc = Doc {
     open: "",
     push: push_jsonl,
     close: "",
@@ -178,57 +165,65 @@ const JSONL: Doc = Doc {
 /// instrumented layers' events average, so the buffer never grows.
 const BYTES_PER_EVENT: usize = 192;
 
-/// Events rendered per write when streaming to a `fmt::Write`.
+/// Events rendered per write when streaming a document.
 const CHUNK: usize = 4_096;
 
-const UTF8: &str = "the exporters write UTF-8";
-
 impl Doc {
-    fn to_string(&self, events: &[TraceEvent]) -> String {
-        let mut buf =
-            Vec::with_capacity(self.open.len() + events.len() * BYTES_PER_EVENT + self.close.len());
-        buf.extend_from_slice(self.open.as_bytes());
-        for (i, ev) in events.iter().enumerate() {
+    pub(crate) fn to_string<'a>(
+        &self,
+        events: impl ExactSizeIterator<Item = &'a TraceEvent>,
+    ) -> String {
+        let mut buf = String::with_capacity(
+            self.open.len() + events.len() * BYTES_PER_EVENT + self.close.len(),
+        );
+        buf.push_str(self.open);
+        for (i, ev) in events.enumerate() {
             (self.push)(&mut buf, i == 0, ev);
         }
-        buf.extend_from_slice(self.close.as_bytes());
-        String::from_utf8(buf).expect(UTF8)
+        buf.push_str(self.close);
+        buf
     }
 
-    fn write<W: Write>(&self, out: &mut W, events: &[TraceEvent]) -> fmt::Result {
-        out.write_str(self.open)?;
-        let mut buf = Vec::with_capacity(CHUNK.min(events.len()) * BYTES_PER_EVENT);
-        for (c, chunk) in events.chunks(CHUNK).enumerate() {
-            buf.clear();
-            for (i, ev) in chunk.iter().enumerate() {
-                (self.push)(&mut buf, c == 0 && i == 0, ev);
+    /// Streams the document to `out` a chunk of events at a time.
+    pub(crate) fn write<'a, E>(
+        &self,
+        mut out: impl FnMut(&str) -> Result<(), E>,
+        events: impl ExactSizeIterator<Item = &'a TraceEvent>,
+    ) -> Result<(), E> {
+        out(self.open)?;
+        let mut buf = String::with_capacity(CHUNK.min(events.len()) * BYTES_PER_EVENT);
+        for (i, ev) in events.enumerate() {
+            (self.push)(&mut buf, i == 0, ev);
+            if (i + 1) % CHUNK == 0 {
+                out(&buf)?;
+                buf.clear();
             }
-            out.write_str(std::str::from_utf8(&buf).expect(UTF8))?;
         }
-        out.write_str(self.close)
+        out(&buf)?;
+        out(self.close)
     }
 }
 
 /// Write events as a Chrome `trace_event` document:
 /// `{"displayTimeUnit":"ns","traceEvents":[...]}`.
 pub fn write_chrome_trace<W: Write>(out: &mut W, events: &[TraceEvent]) -> fmt::Result {
-    CHROME.write(out, events)
+    CHROME.write(|text| out.write_str(text), events.iter())
 }
 
 /// Write events as JSONL: one event object per line, same fields as the
 /// Chrome export but with exact nanosecond `ts_ns`/`dur_ns` timestamps.
 pub fn write_jsonl<W: Write>(out: &mut W, events: &[TraceEvent]) -> fmt::Result {
-    JSONL.write(out, events)
+    JSONL.write(|text| out.write_str(text), events.iter())
 }
 
 /// [`write_chrome_trace`] into a `String`.
 pub fn chrome_trace(events: &[TraceEvent]) -> String {
-    CHROME.to_string(events)
+    CHROME.to_string(events.iter())
 }
 
 /// [`write_jsonl`] into a `String`.
 pub fn jsonl(events: &[TraceEvent]) -> String {
-    JSONL.to_string(events)
+    JSONL.to_string(events.iter())
 }
 
 /// A span decoded from an exported Chrome trace (round-trip direction).

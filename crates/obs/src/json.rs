@@ -157,46 +157,46 @@ impl fmt::Display for Json {
     }
 }
 
-/// `00 01 … 99`: two decimal digits per division.
-const DIGIT_PAIRS: &[u8; 200] = b"\
-    0001020304050607080910111213141516171819\
-    2021222324252627282930313233343536373839\
-    4041424344454647484950515253545556575859\
-    6061626364656667686970717273747576777879\
-    8081828384858687888990919293949596979899";
+/// `0000 0001 … 9999`: four decimal digits per division, checked as
+/// UTF-8 once, at compile time.
+static QUADS: &str = {
+    static TABLE: [u8; 40_000] = {
+        let (mut t, mut i) = ([0; 40_000], 0);
+        while i < 40_000 {
+            t[i] = b'0' + (i / 4 / [1_000, 100, 10, 1][i % 4] % 10) as u8;
+            i += 1;
+        }
+        t
+    };
+    match std::str::from_utf8(&TABLE) {
+        Ok(quads) => quads,
+        Err(_) => panic!("decimal digits are ASCII"),
+    }
+};
 
-/// `v`'s decimal digits, as `write!(out, "{v}")` writes them, without the
-/// formatting machinery: right-aligned in `digits`, from the returned
-/// index on.
-fn uint_digits(mut v: u64, digits: &mut [u8; 20]) -> usize {
-    let mut at = digits.len();
-    while v >= 10 {
-        let pair = (v % 100) as usize * 2;
-        at -= 2;
-        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-        v /= 100;
+/// `v` in decimal, as `write!(out, "{v}")` writes it, without the
+/// formatting machinery: in groups of up to four digits sliced from
+/// [`QUADS`], so the text is a `str` from the start.
+pub(crate) fn write_uint<W: fmt::Write>(out: &mut W, mut v: u64) -> fmt::Result {
+    // The groups after the leading one, least significant first.
+    let (mut low, mut n) = ([0u16; 4], 0);
+    while v >= 10_000 {
+        low[n] = (v % 10_000) as u16;
+        v /= 10_000;
+        n += 1;
     }
-    // One digit is left, unless the pairs took them all.
-    if v > 0 || at == digits.len() {
-        at -= 1;
-        digits[at] = b'0' + v as u8;
+    let (lead, digits) = (4 * v as usize, v.checked_ilog10().unwrap_or(0) as usize + 1);
+    out.write_str(&QUADS[lead + 4 - digits..lead + 4])?;
+    for &group in low[..n].iter().rev() {
+        out.write_str(&QUADS[4 * group as usize..][..4])?;
     }
-    at
+    Ok(())
 }
 
 /// Appends `v` in decimal to `buf`: the exporters write several integers
 /// per event.
-pub(crate) fn push_uint(buf: &mut Vec<u8>, v: u64) {
-    let mut digits = [0u8; 20];
-    let at = uint_digits(v, &mut digits);
-    buf.extend_from_slice(&digits[at..]);
-}
-
-/// `v` in decimal, as `write!(out, "{v}")` writes it.
-pub(crate) fn write_uint<W: fmt::Write>(out: &mut W, v: u64) -> fmt::Result {
-    let mut digits = [0u8; 20];
-    let at = uint_digits(v, &mut digits);
-    out.write_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"))
+pub(crate) fn push_uint(buf: &mut String, v: u64) {
+    write_uint(buf, v).expect("writing to a String cannot fail");
 }
 
 /// Writes `s` as a JSON string literal. Stretches that need no escape go

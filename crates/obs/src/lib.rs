@@ -22,7 +22,7 @@
 //! decision audit ([`explain`]), which the monitor's report feeds. The
 //! runtime's replicated decisions are folded once, into one decision log
 //! per stream: the monitor keeps one and explain reads it, and the
-//! profiler folds its own over the recorded slice.
+//! profiler folds its own over the recording.
 //!
 //! This crate deliberately has **no dependencies** (it sits below the
 //! simulator in the crate graph) and never reads the wallclock: callers pass
@@ -37,10 +37,13 @@ pub mod json;
 pub mod metrics;
 pub mod trace;
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fmt;
 use std::io::{self, Write as _};
+use std::ops::Deref;
 use std::path::Path;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 pub use trace::TraceEvent;
 
@@ -61,20 +64,13 @@ pub use trace::{
     begin_cycle, comm_recv, comm_send, count, counter_handle, detach_scope, enabled, instant,
     observe, sched_span, span_begin, span_end, span_end_args, span_end_blocked,
     span_end_charge_rows, span_end_collective, span_end_cycle, Args, DetachedScope, EventSink, Msg,
-    SchedState, ScopeGuard,
+    SchedState, ScopeGuard, BLOCK_EVENTS,
 };
 
 #[derive(Default)]
 struct RecorderInner {
-    /// Every event merged so far, in the canonical order (see
-    /// [`Recorder::events`]); every read shares it.
-    events: Arc<Vec<TraceEvent>>,
-    /// Flushed rank buffers not yet merged into `events`, one run per
-    /// flush in flush order: a run is one rank scope's events in emission
-    /// order, in the blocks the scope buffered them in. The merge happens
-    /// on the reading thread, so the one large vector is allocated there
-    /// and not in whichever rank flushed.
-    flushed: Vec<Vec<Vec<TraceEvent>>>,
+    /// Every run flushed so far; every read shares it.
+    recording: Arc<Recording>,
     /// One metrics snapshot per rank (last flush wins per rank).
     snapshots: Vec<(usize, Snapshot)>,
     /// Streaming subscribers; cloned into each rank scope at install.
@@ -146,16 +142,22 @@ impl Recorder {
         self.locked().sinks.clone().into()
     }
 
-    pub(crate) fn absorb(&self, rank: usize, events: Vec<Vec<TraceEvent>>, snapshot: Snapshot) {
+    pub(crate) fn absorb(&self, rank: usize, blocks: Vec<Vec<TraceEvent>>, snapshot: Snapshot) {
         let mut inner = self.locked();
-        if events.iter().any(|block| !block.is_empty()) {
-            inner.flushed.push(events);
+        if !blocks.is_empty() {
+            let runs = [&inner.recording.runs[..], &[Arc::new(blocks)]].concat();
+            inner.recording = Arc::new(Recording {
+                runs,
+                ..Recording::default()
+            });
         }
         inner.snapshots.retain(|(r, _)| *r != rank);
         inner.snapshots.push((rank, snapshot));
     }
 
-    /// All flushed events, in the canonical trace order.
+    /// All flushed events, in the canonical trace order: a view of what
+    /// was flushed by the time of the call, which later flushes leave as
+    /// it is.
     ///
     /// **Ordering contract:** events are sorted by
     /// `(ts_ns, rank, emission seq)` — virtual timestamp first, rank as the
@@ -171,19 +173,8 @@ impl Recorder {
     /// thread flush interleaving. Exporters ([`chrome_trace`](export::chrome_trace),
     /// [`jsonl`](export::jsonl)) and the [`analysis`] module consume this
     /// order as-is and never re-sort.
-    ///
-    /// The first read after a flush merges the flushed runs into what
-    /// earlier reads merged; every later read shares the result.
-    pub fn events(&self) -> Arc<Vec<TraceEvent>> {
-        let mut inner = self.locked();
-        if !inner.flushed.is_empty() {
-            let flushed = std::mem::take(&mut inner.flushed);
-            // Copies the merged events only if a reader still holds them.
-            let merged = Arc::try_unwrap(std::mem::take(&mut inner.events))
-                .unwrap_or_else(|shared| (*shared).clone());
-            inner.events = Arc::new(merge_runs(merged, flushed));
-        }
-        Arc::clone(&inner.events)
+    pub fn events(&self) -> Events {
+        Events(Arc::clone(&self.locked().recording))
     }
 
     /// Per-rank metric snapshots, sorted by rank.
@@ -204,31 +195,27 @@ impl Recorder {
 
     /// Chrome `trace_event` JSON document of everything recorded so far.
     pub fn chrome_trace(&self) -> String {
-        export::chrome_trace(&self.events())
+        export::CHROME.to_string(self.events().0.walk())
     }
 
     /// JSONL stream of everything recorded so far.
     pub fn jsonl(&self) -> String {
-        export::jsonl(&self.events())
+        export::JSONL.to_string(self.events().0.walk())
     }
 
     /// Run the [`analysis`] pass over everything recorded so far.
     pub fn profile(&self) -> analysis::ProfileReport {
-        analysis::analyze(&self.events())
+        analysis::analyze_iter(self.events().0.walk())
     }
 
     /// Stream the Chrome trace to `path`.
     pub fn write_chrome_trace(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        write_file(path.as_ref(), |out| {
-            export::write_chrome_trace(out, &self.events())
-        })
+        write_file(path.as_ref(), export::CHROME, self.events().0.walk())
     }
 
     /// Stream the JSONL events to `path`.
     pub fn write_jsonl(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        write_file(path.as_ref(), |out| {
-            export::write_jsonl(out, &self.events())
-        })
+        write_file(path.as_ref(), export::JSONL, self.events().0.walk())
     }
 
     /// Write the merged metrics report (JSON) to `path`, including the
@@ -248,42 +235,75 @@ impl Recorder {
     }
 }
 
-/// Bits of a merge key's tie below the rank: a run's block index, then
-/// the offset in that block.
-const RANK_SHIFT: u32 = 44;
-const BLOCK_SHIFT: u32 = 38;
-
-/// One run of the merge: blocks of events and their `(ts_ns, rank << 44
-/// | block << 38 | offset)` keys in the run's sorted order. Blocks
-/// double, so a run has far fewer than 2^6 of them, each far shorter
-/// than 2^38 events; ranks are below 2^20.
-struct Run {
-    blocks: Vec<Vec<TraceEvent>>,
-    keys: Vec<(u64, u64)>,
+/// The recorder's flushed runs: they are its only storage.
+#[derive(Default)]
+struct Recording {
+    /// Each flushed rank scope's blocks of events in emission order, in
+    /// flush order.
+    runs: Vec<Arc<Vec<Vec<TraceEvent>>>>,
+    /// The canonical order as references, `run << 32 | index in run`:
+    /// built by the first walk, 8 B an event.
+    order: OnceLock<Vec<u64>>,
+    /// The canonical slice, built the first time a view of this recording
+    /// is dereferenced.
+    merged: OnceLock<Vec<TraceEvent>>,
 }
 
-impl Run {
-    fn new(blocks: Vec<Vec<TraceEvent>>) -> Run {
-        let mut keys = Vec::with_capacity(blocks.iter().map(Vec::len).sum());
-        for (block, b) in blocks.iter().zip(0u64..) {
-            for (ev, offset) in block.iter().zip(0u64..) {
-                let tie = (ev.rank() as u64) << RANK_SHIFT | b << BLOCK_SHIFT | offset;
-                keys.push((ev.ts_ns(), tie));
-            }
-        }
-        Run { blocks, keys }
+/// The event at emission index `i` of a run: every block but the last is
+/// full.
+fn event(run: &[Vec<TraceEvent>], i: u32) -> &TraceEvent {
+    let i = i as usize;
+    &run[i / BLOCK_EVENTS][i % BLOCK_EVENTS]
+}
+
+impl Recording {
+    fn len(&self) -> usize {
+        let lens = self.runs.iter().flat_map(|run| run.iter().map(Vec::len));
+        lens.sum()
     }
 
-    /// Moves the event a key names out, leaving a placeholder.
-    fn take(&mut self, tie: u64) -> TraceEvent {
-        const TAKEN: TraceEvent = TraceEvent::Blocked {
-            rank: 0,
-            ts_ns: 0,
-            dur_ns: 0,
+    /// Every event by reference, in the canonical order.
+    fn walk(&self) -> impl ExactSizeIterator<Item = &TraceEvent> {
+        let order = self.order.get_or_init(|| self.merge());
+        (order.iter()).map(|&at| event(&self.runs[(at >> 32) as usize], at as u32))
+    }
+
+    /// Sorts each run's `(ts_ns, index)` keys, then takes the least of
+    /// the runs' heads, ordered by `(ts_ns, rank, run)`, next: a tie
+    /// between runs goes to the one appended first, and within a run the
+    /// index keeps the emission order.
+    fn merge(&self) -> Vec<u64> {
+        let runs: Vec<(u128, Vec<(u64, u32)>)> = (self.runs.iter())
+            .map(|run| {
+                let len = run.iter().map(Vec::len).sum();
+                assert!(len <= 1 << 32, "a run holds at most 2^32 events");
+                let mut keys = Vec::with_capacity(len);
+                keys.extend(run.iter().flatten().map(TraceEvent::ts_ns).zip(0..));
+                sort_nearly_sorted(&mut keys);
+                (run[0][0].rank() as u128, keys)
+            })
+            .collect();
+        // A head is `ts_ns << 64 | rank << 32 | run` (ranks are below 2^20,
+        // runs below 2^32; a run is one rank's), so one integer compare
+        // orders two, and its position in the run's keys.
+        let head = |r: usize, at: usize| {
+            let (rank, keys) = &runs[r];
+            let &(ts, _) = keys.get(at)?;
+            Some(Reverse((u128::from(ts) << 64 | rank << 32 | r as u128, at)))
         };
-        let block = (tie >> BLOCK_SHIFT) & ((1 << (RANK_SHIFT - BLOCK_SHIFT)) - 1);
-        let offset = tie & ((1 << BLOCK_SHIFT) - 1);
-        std::mem::replace(&mut self.blocks[block as usize][offset as usize], TAKEN)
+        let mut heads = BinaryHeap::with_capacity(runs.len());
+        heads.extend((0..runs.len()).filter_map(|r| head(r, 0)));
+        let mut order = Vec::with_capacity(self.len());
+        while let Some(mut least) = heads.peek_mut() {
+            let Reverse((key, at)) = *least;
+            let r = key as u32 as usize;
+            order.push((r as u64) << 32 | u64::from(runs[r].1[at].1));
+            match head(r, at + 1) {
+                Some(next) => *least = next,
+                None => drop(PeekMut::pop(least)),
+            }
+        }
+        order
     }
 }
 
@@ -291,7 +311,7 @@ impl Run {
 /// cheap (a rank's descents are its outer spans, emitted when they close
 /// after what they contain), else by `sort_unstable`. The keys are
 /// unique, so both give the one order.
-fn sort_nearly_sorted(keys: &mut [(u64, u64)]) {
+fn sort_nearly_sorted(keys: &mut [(u64, u32)]) {
     let mut budget = 32 * keys.len() + 1_024;
     for i in 1..keys.len() {
         let key = keys[i];
@@ -308,78 +328,55 @@ fn sort_nearly_sorted(keys: &mut [(u64, u64)]) {
     }
 }
 
-/// The stable sort by `(ts_ns, rank)` of `merged` (already in that
-/// order) followed by `runs` (each one rank's events in emission order),
-/// moving each event once. Each run's keys are sorted on their own; then
-/// the least of the runs' heads, ordered by `(ts_ns, rank, run)`, goes
-/// next (ranks are below 2^20, runs below 2^32): a tie between runs goes to the one appended first, and within a
-/// run the key's block and offset keep the append order.
-fn merge_runs(merged: Vec<TraceEvent>, runs: Vec<Vec<Vec<TraceEvent>>>) -> Vec<TraceEvent> {
-    use std::cmp::Reverse;
-    use std::collections::binary_heap::{BinaryHeap, PeekMut};
+/// The events a [`Recorder`] had when [`Recorder::events`] was called, in
+/// the canonical order. The view holds the recorder's own blocks: its
+/// [`len`](Events::len) is a count, and the canonical slice it
+/// dereferences to is built (cloned) the first time any view of the same
+/// flushes is dereferenced, then shared.
+#[derive(Clone)]
+pub struct Events(Arc<Recording>);
 
-    let mut runs: Vec<(Run, usize)> = std::iter::once(Run::new(vec![merged]))
-        .chain(runs.into_iter().map(|blocks| {
-            let mut run = Run::new(blocks);
-            sort_nearly_sorted(&mut run.keys);
-            run
-        }))
-        .map(|run| (run, 0))
-        .collect();
-    let total = runs.iter().map(|(run, _)| run.keys.len()).sum();
-    // A heap of the runs' heads, each `ts_ns << 64 | rank << 32 | run`:
-    // one integer compare orders two.
-    let head = |run: &Run, at: usize, r: usize| {
-        let &(ts, tie) = run.keys.get(at)?;
-        Some(Reverse(
-            u128::from(ts) << 64 | u128::from(tie >> RANK_SHIFT) << 32 | r as u128,
-        ))
-    };
-    let mut heads: BinaryHeap<_> = (runs.iter().enumerate())
-        .filter_map(|(r, (run, _))| head(run, 0, r))
-        .collect();
-    let mut out = Vec::with_capacity(total);
-    while let Some(mut least) = heads.peek_mut() {
-        let r = least.0 as u32 as usize;
-        let (run, at) = &mut runs[r];
-        out.push(run.take(run.keys[*at].1));
-        *at += 1;
-        match head(run, *at, r) {
-            Some(next) => *least = next,
-            None => drop(PeekMut::pop(least)),
-        }
+impl Events {
+    /// The number of events, without building the slice.
+    pub fn len(&self) -> usize {
+        self.0.len()
     }
-    out
-}
 
-/// `fmt::Write` over a buffered file, keeping the I/O error that
-/// `fmt::Error` cannot carry.
-struct FileFmt {
-    file: io::BufWriter<std::fs::File>,
-    error: Option<io::Error>,
-}
-
-impl fmt::Write for FileFmt {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.file.write_all(s.as_bytes()).map_err(|e| {
-            self.error = Some(e);
-            fmt::Error
-        })
+    pub fn is_empty(&self) -> bool {
+        self.0.runs.is_empty()
     }
 }
 
-/// Creates `path` and lets `write` stream into it through a buffer.
-fn write_file(path: &Path, write: impl FnOnce(&mut FileFmt) -> fmt::Result) -> io::Result<()> {
-    let mut out = FileFmt {
-        file: io::BufWriter::new(std::fs::File::create(path)?),
-        error: None,
-    };
-    match write(&mut out) {
-        Ok(()) => out.file.flush(),
-        Err(fmt::Error) => Err(out
-            .error
-            .unwrap_or_else(|| io::Error::other("formatter error"))),
+impl Deref for Events {
+    type Target = [TraceEvent];
+
+    fn deref(&self) -> &[TraceEvent] {
+        self.0
+            .merged
+            .get_or_init(|| self.0.walk().cloned().collect())
     }
+}
+
+impl fmt::Debug for Events {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.0.walk()).finish()
+    }
+}
+
+impl PartialEq for Events {
+    fn eq(&self, other: &Events) -> bool {
+        self.len() == other.len() && self.0.walk().eq(other.0.walk())
+    }
+}
+
+/// Creates `path` and streams `doc` over `events` into it.
+fn write_file<'a>(
+    path: &Path,
+    doc: export::Doc,
+    events: impl ExactSizeIterator<Item = &'a TraceEvent>,
+) -> io::Result<()> {
+    let mut file = std::fs::File::create(path)?;
+    doc.write(|text| file.write_all(text.as_bytes()), events)
 }
 
 #[cfg(test)]

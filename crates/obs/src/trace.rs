@@ -596,6 +596,10 @@ pub const MAX_RANKS: usize = 1 << 20;
 /// the range in which the Chrome export's `f64` microseconds stay exact.
 pub const MAX_TS_NS: u64 = 1 << 53;
 
+/// Events per block of a rank scope's buffer (72 KiB): a rank allocates
+/// once per this many, and only its last block has room to spare.
+pub const BLOCK_EVENTS: usize = 1_024;
+
 /// The span categories the instrumentation layers emit; [`intern_cat`]
 /// resolves these without taking the [`intern`] lock.
 pub const KNOWN_CATS: &[&str] = &[
@@ -645,12 +649,10 @@ struct RankScope {
     /// finds its handle by pointer and skips the registry's lock.
     counters: Vec<(&'static str, Counter)>,
     hists: Vec<(&'static str, &'static [u64], Histogram)>,
-    /// Emitted events in blocks that are never reallocated: a full block
-    /// is followed by one as large as everything before it. A doubling
-    /// `Vec` would leave its outgrown copies behind as holes in this
-    /// thread's allocator arena, and how much of that a later run's rank
-    /// reuses depends on which arena the allocator hands it, so the
-    /// process's peak memory drifted from run to run.
+    /// Emitted events in blocks of [`BLOCK_EVENTS`], never reallocated;
+    /// all but the last are full. The flush hands them to the recorder as
+    /// they are: they are the recording's storage, which the exports read
+    /// in place.
     events: Vec<Vec<TraceEvent>>,
     stack: Vec<OpenSpan>,
     /// Streaming sinks captured from the recorder at install time. Empty
@@ -666,10 +668,9 @@ impl RankScope {
             sink.on_event(&ev);
         }
         match self.events.last_mut() {
-            Some(block) if block.len() < block.capacity() => block.push(ev),
+            Some(block) if block.len() < BLOCK_EVENTS => block.push(ev),
             _ => {
-                let held: usize = self.events.iter().map(Vec::len).sum();
-                let mut block = Vec::with_capacity(held.max(1024));
+                let mut block = Vec::with_capacity(BLOCK_EVENTS);
                 block.push(ev);
                 self.events.push(block);
             }

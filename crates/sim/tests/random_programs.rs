@@ -481,12 +481,12 @@ fn run(case: &Case, stepped: bool, recorder: Option<Recorder>) -> Run {
     }
 }
 
-fn recorded(case: &Case, stepped: bool) -> (Run, Arc<Vec<TraceEvent>>, HealthReport) {
+fn recorded(case: &Case, stepped: bool) -> (Run, Vec<TraceEvent>, HealthReport) {
     let rec = Recorder::new();
     let monitor = Arc::new(HealthMonitor::new(DEFAULT_WINDOW_NS));
     rec.subscribe(monitor.clone());
     let run = run(case, stepped, Some(rec.clone()));
-    (run, rec.events(), monitor.report())
+    (run, rec.events().to_vec(), monitor.report())
 }
 
 /// The stepped engine records one `sched` span per scheduler slice where

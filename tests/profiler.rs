@@ -10,8 +10,6 @@
 //! Plus an integration test driving the full adaptive pipeline and
 //! checking the profile a user would get from `--profile-out`.
 
-use std::sync::Arc;
-
 use dynmpi::DynMpiConfig;
 use dynmpi_apps::harness::{run_sim_with, AppSpec, Experiment};
 use dynmpi_apps::jacobi::JacobiParams;
@@ -65,7 +63,7 @@ fn assert_profile_invariants(report: &ProfileReport) {
 /// Records a deterministic ring program on a random loaded cluster. All
 /// instrumentation args on such a trace are unsigned integers, so both
 /// exporters must round-trip them exactly.
-fn random_ring_trace(rng: &mut Rng) -> Arc<Vec<TraceEvent>> {
+fn random_ring_trace(rng: &mut Rng) -> Vec<TraceEvent> {
     let n = rng.range_usize(2, 5);
     let speeds: Vec<f64> = (0..n).map(|_| rng.range_f64(3e5, 3e6)).collect();
     let mut script = LoadScript::dedicated();
@@ -93,7 +91,7 @@ fn random_ring_trace(rng: &mut Rng) -> Arc<Vec<TraceEvent>> {
                 let _ = ctx.recv((r + n - 1) % n, 7);
             }
         });
-    rec.events()
+    rec.events().to_vec()
 }
 
 #[test]
