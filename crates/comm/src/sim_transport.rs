@@ -1,7 +1,9 @@
 //! Transport backed by the virtual-time cluster simulator.
 
+use std::sync::Arc;
+
 use dynmpi_obs as obs;
-use dynmpi_sim::SimCtx;
+use dynmpi_sim::{SimCtx, SimDur};
 
 use crate::transport::{HostMeters, PeerTimeout, Transport};
 
@@ -61,8 +63,34 @@ impl Transport for SimTransport<'_> {
         tag: u64,
         timeout_seconds: f64,
     ) -> Result<Vec<u8>, PeerTimeout> {
-        let timeout = dynmpi_sim::SimDur::from_secs_f64(timeout_seconds);
+        let timeout = SimDur::from_secs_f64(timeout_seconds);
         match self.ctx.recv_timeout(Some(src), tag, timeout) {
+            Ok((_, payload)) => {
+                observe_bytes(MSG_BYTES_RECVD, &payload);
+                Ok(payload)
+            }
+            Err(t) => Err(PeerTimeout {
+                src: t.src,
+                tag: t.tag,
+            }),
+        }
+    }
+
+    /// The message carries the `Arc`: no copy, and a shared receive at
+    /// the destination holds this very buffer.
+    fn send_shared(&self, dst: usize, tag: u64, payload: Arc<Vec<u8>>) {
+        observe_bytes(MSG_BYTES_SENT, &payload);
+        self.ctx.send_shared(dst, tag, payload);
+    }
+
+    fn recv_shared(
+        &self,
+        src: usize,
+        tag: u64,
+        timeout_seconds: Option<f64>,
+    ) -> Result<Arc<Vec<u8>>, PeerTimeout> {
+        let timeout = timeout_seconds.map(SimDur::from_secs_f64);
+        match self.ctx.recv_shared(Some(src), tag, timeout) {
             Ok((_, payload)) => {
                 observe_bytes(MSG_BYTES_RECVD, &payload);
                 Ok(payload)

@@ -7,6 +7,8 @@
 //! multi-threaded channel transport ([`crate::ThreadTransport`]) proving
 //! the stack runs on actual concurrency.
 
+use std::sync::Arc;
+
 /// Reserved tag space boundary: application tags must stay below this;
 /// internal (collective) traffic uses tags at or above it.
 pub const RESERVED_TAG_BASE: u64 = 1 << 32;
@@ -58,6 +60,32 @@ pub trait Transport {
         tag: u64,
         timeout_seconds: f64,
     ) -> Result<Vec<u8>, PeerTimeout>;
+
+    /// Sends an immutable buffer the caller may keep a reference to. A
+    /// transport that can hand the receiver the buffer itself (the
+    /// simulator) does; the default sends a copy, or the buffer itself
+    /// when the caller kept no other reference.
+    fn send_shared(&self, dst: usize, tag: u64, payload: Arc<Vec<u8>>) {
+        self.send_bytes(dst, tag, Arc::unwrap_or_clone(payload));
+    }
+
+    /// Receives like [`recv_bytes_timeout`](Transport::recv_bytes_timeout)
+    /// (or, with no timeout, like [`recv_bytes`](Transport::recv_bytes)),
+    /// as a shared buffer: the sender's own one after a
+    /// [`send_shared`](Transport::send_shared) where the transport can,
+    /// the received bytes behind a new `Arc` by default.
+    fn recv_shared(
+        &self,
+        src: usize,
+        tag: u64,
+        timeout_seconds: Option<f64>,
+    ) -> Result<Arc<Vec<u8>>, PeerTimeout> {
+        let payload = match timeout_seconds {
+            Some(secs) => self.recv_bytes_timeout(src, tag, secs)?,
+            None => self.recv_bytes(src, tag),
+        };
+        Ok(Arc::new(payload))
+    }
 
     /// Wallclock seconds (virtual or real, per transport).
     fn wtime(&self) -> f64;

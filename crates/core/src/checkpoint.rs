@@ -20,6 +20,14 @@
 //! ([`BuddyCheckpoint::materialize_mirror`]) and then stands in for the
 //! dead node in the recovery redistribution
 //! ([`crate::redist::execute_cached`] with a `stand_in`).
+//!
+//! A refresh packs each array once. The packed payload is immutable from
+//! then on, so the generation that keeps it and the message to the buddy
+//! share it ([`Transport::send_shared`]); on the simulator the buddy's
+//! mirror is that same buffer, where a real MPI would move the bytes by
+//! DMA.
+
+use std::sync::Arc;
 
 use dynmpi_comm::{Group, Transport};
 use dynmpi_obs as obs;
@@ -53,8 +61,28 @@ pub const CKPT_BYTES_SENT: &str = "ckpt.bytes_sent";
 /// died mid-refresh); the previous mirror is kept.
 pub const CKPT_REFRESH_TIMEOUTS: &str = "ckpt.refresh_timeouts";
 
-/// One node's snapshot: per-array `(rows, packed payload)`.
-type Snapshot = Vec<(RowSet, Vec<u8>)>;
+/// One node's snapshot: its rows, and every array's payload packed from
+/// them.
+struct Snapshot {
+    rows: RowSet,
+    payloads: Vec<Arc<Vec<u8>>>,
+}
+
+impl Snapshot {
+    /// Overwrites `rows` of every array with its payload, allocating the
+    /// rows that are absent.
+    fn unpack_into(&self, arrays: &mut [&mut dyn RedistArray], what: &str) {
+        assert_eq!(
+            self.payloads.len(),
+            arrays.len(),
+            "{what} covers a different array count"
+        );
+        for (arr, payload) in arrays.iter_mut().zip(&self.payloads) {
+            arr.alloc_rows(&self.rows);
+            arr.unpack_rows(&self.rows, payload);
+        }
+    }
+}
 
 /// One completed refresh of this rank's own rows, together with the
 /// membership and distribution it was taken under (a recovery that rolls
@@ -126,7 +154,7 @@ impl BuddyCheckpoint {
     pub fn mirror_rows(&self) -> usize {
         self.mirror
             .as_ref()
-            .map(|m| m.snap.iter().map(|(rows, _)| rows.len()).sum())
+            .map(|m| m.snap.rows.len() * m.snap.payloads.len())
             .unwrap_or(0)
     }
 
@@ -166,11 +194,11 @@ impl BuddyCheckpoint {
         obs::count(CKPT_REFRESHES, 1);
 
         let epoch = self.epoch() + 1;
-        let my_rows = dist.rows_of(rel);
-        let own: Snapshot = arrays
-            .iter_mut()
-            .map(|arr| (my_rows.clone(), arr.pack_rows(&my_rows, false)))
+        let rows = dist.rows_of(rel);
+        let payloads = (arrays.iter_mut())
+            .map(|arr| Arc::new(arr.pack_rows(&rows, false)))
             .collect();
+        let own = Snapshot { rows, payloads };
         self.prev = self.cur.take();
         self.cur = Some(Generation {
             epoch,
@@ -184,35 +212,23 @@ impl BuddyCheckpoint {
             let succ = group.world_rank((rel + 1) % n);
             let pred_rel = (rel + n - 1) % n;
             let pred = group.world_rank(pred_rel);
-            let pred_rows = dist.rows_of(pred_rel);
             let mut bytes = 0u64;
             // Rows are derivable from shared state (`dist`), so payloads
             // need no headers — the same discipline as redistribution.
             let own = &self.cur.as_ref().expect("just set").own;
-            for (ai, (_, payload)) in own.iter().enumerate() {
+            for (ai, payload) in own.payloads.iter().enumerate() {
                 bytes += payload.len() as u64;
-                t.send_bytes(succ, ckpt_tag(epoch, ai), payload.clone());
+                t.send_shared(succ, ckpt_tag(epoch, ai), Arc::clone(payload));
             }
-            let mut mirror: Snapshot = Vec::with_capacity(arrays.len());
-            let mut complete = true;
-            for ai in 0..arrays.len() {
-                let payload = match recv_timeout {
-                    Some(secs) => match t.recv_bytes_timeout(pred, ckpt_tag(epoch, ai), secs) {
-                        Ok(p) => p,
-                        Err(_) => {
-                            complete = false;
-                            break;
-                        }
-                    },
-                    None => t.recv_bytes(pred, ckpt_tag(epoch, ai)),
-                };
-                mirror.push((pred_rows.clone(), payload));
-            }
-            if complete {
+            let mirror: Result<Vec<_>, _> = (0..arrays.len())
+                .map(|ai| t.recv_shared(pred, ckpt_tag(epoch, ai), recv_timeout))
+                .collect();
+            if let Ok(payloads) = mirror {
+                let rows = dist.rows_of(pred_rel);
                 self.mirror = Some(Mirror {
                     of: pred,
                     app_cycle,
-                    snap: mirror,
+                    snap: Snapshot { rows, payloads },
                 });
             } else {
                 // Keep the previous mirror with its older stamp: the
@@ -254,15 +270,7 @@ impl BuddyCheckpoint {
                      two refresh windows (unrecoverable under the single-failure model)"
                 )
             });
-        assert_eq!(
-            gen.own.len(),
-            arrays.len(),
-            "checkpoint covers a different array count"
-        );
-        for (arr, (rows, payload)) in arrays.iter_mut().zip(&gen.own) {
-            arr.alloc_rows(rows);
-            arr.unpack_rows(rows, payload);
-        }
+        gen.own.unpack_into(arrays, "checkpoint");
         (
             gen.members.clone(),
             Distribution::block_from_counts(&gen.counts),
@@ -279,18 +287,8 @@ impl BuddyCheckpoint {
             .as_ref()
             .expect("materialize_mirror without a held mirror")
             .snap;
-        assert_eq!(
-            snap.len(),
-            arrays.len(),
-            "mirror covers a different array count"
-        );
-        let mut restored = 0;
-        for (arr, (rows, payload)) in arrays.iter_mut().zip(snap) {
-            arr.alloc_rows(rows);
-            arr.unpack_rows(rows, payload);
-            restored += rows.len();
-        }
-        restored
+        snap.unpack_into(arrays, "mirror");
+        snap.rows.len() * snap.payloads.len()
     }
 }
 
@@ -298,7 +296,61 @@ impl BuddyCheckpoint {
 mod tests {
     use super::*;
     use crate::dense::DenseMatrix;
-    use dynmpi_comm::run_threads;
+    use dynmpi_comm::{run_threads, SimTransport};
+    use dynmpi_sim::{Cluster, NodeSpec};
+
+    type Buffers = Vec<Arc<Vec<u8>>>;
+
+    /// Two refreshes of two arrays over a 3-rank ring; returns this rank's
+    /// current own payloads and its mirror's.
+    fn refresh_twice<T: Transport>(t: &T) -> (Buffers, Buffers) {
+        let me = t.rank();
+        let g = Group::world(me, 3);
+        let d = Distribution::block_from_counts(&[2, 3, 4]);
+        let mut a = DenseMatrix::<f64>::new(9, 2);
+        let mut b = DenseMatrix::<f64>::new(9, 3);
+        a.fill_rows(&d.rows_of(me), |i, j| (10 * i + j) as f64);
+        b.fill_rows(&d.rows_of(me), |i, j| -((10 * i + j) as f64));
+        let mut ckpt = BuddyCheckpoint::new();
+        let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut a, &mut b];
+        for cycle in [2, 4] {
+            ckpt.refresh(t, me, &g, &d, &mut arrays, cycle, None);
+        }
+        let own = ckpt.cur.as_ref().expect("refreshed").own.payloads.clone();
+        let mirror = ckpt
+            .mirror
+            .as_ref()
+            .expect("mirrored")
+            .snap
+            .payloads
+            .clone();
+        (own, mirror)
+    }
+
+    /// Rank `r`'s own payloads are the successor's mirror: `same` says
+    /// whether as one buffer or as equal copies.
+    fn assert_mirrored(out: &[(Buffers, Buffers)], same: bool) {
+        for (r, (own, _)) in out.iter().enumerate() {
+            let mirror = &out[(r + 1) % out.len()].1;
+            assert_eq!(own.len(), 2);
+            assert_eq!(own, mirror, "rank {r}'s bytes");
+            for (o, m) in own.iter().zip(mirror) {
+                assert_eq!(Arc::ptr_eq(o, m), same, "rank {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn sim_refresh_shares_one_buffer_with_the_buddy() {
+        let cluster = Cluster::homogeneous(3, NodeSpec::with_speed(1e6));
+        let out = cluster.run_spmd(|ctx| refresh_twice(&SimTransport::new(ctx)));
+        assert_mirrored(&out.results, true);
+    }
+
+    #[test]
+    fn thread_refresh_mirrors_equal_bytes_through_a_copy() {
+        assert_mirrored(&run_threads(3, refresh_twice), false);
+    }
 
     #[test]
     fn ring_mirrors_predecessor_and_restores() {

@@ -154,7 +154,12 @@ impl Distribution {
 
     /// Per-node row counts.
     pub fn counts(&self) -> Vec<usize> {
-        (0..self.nnodes()).map(|k| self.rows_of(k).len()).collect()
+        match self {
+            Distribution::Block { starts } => starts.windows(2).map(|w| w[1] - w[0]).collect(),
+            Distribution::Cyclic { nnodes, nrows } => (0..*nnodes)
+                .map(|k| nrows.saturating_sub(k).div_ceil(*nnodes))
+                .collect(),
+        }
     }
 
     /// The row transfers needed to move from `self` to `new`: a list of
@@ -277,6 +282,8 @@ mod tests {
         assert_eq!(d.owner(8), 2);
         assert_eq!(d.rows_of(1).iter().collect::<Vec<_>>(), vec![1, 4, 7]);
         assert_eq!(d.counts(), vec![4, 3, 3]);
+        // More nodes than rows: the last ones own nothing.
+        assert_eq!(Distribution::cyclic(2, 4).counts(), vec![1, 1, 0, 0]);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! All decisions are pure functions of broadcast data, so every rank
 //! reaches the identical conclusion without further coordination.
 
-use dynmpi_comm::{from_bytes, from_bytes_into, to_bytes, CommOps, Group, HostMeters};
+use dynmpi_comm::{from_bytes, from_bytes_into, to_bytes, CommOps, Group, HostMeters, PeerTimeout};
 use dynmpi_obs::{self as obs, Json};
 
 use crate::array::{ArrayMeta, RedistArray};
@@ -33,6 +33,7 @@ use crate::timing::RowTimer;
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Status messages from the active root to removed ranks.
 const TAG_STATUS: u64 = (1 << 33) + 0x20_0000;
@@ -626,7 +627,8 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             // monitor reads dead from here (this rank is partitioned; a dead
             // root is out of scope, DESIGN.md §14) it withdraws rather than
             // block forever: the survivors confirm it dead by that silence.
-            let Some(bytes) = self.recv_unless_dead(root, down) else {
+            let recv = |timeout| self.t.recv_shared(root, down, timeout);
+            let Some(bytes) = self.unless_dead(root, recv) else {
                 self.self_evict();
                 return false;
             };
@@ -665,13 +667,15 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         snap.online.extend(newcomers.map(|n| self.t.node_online(n)));
         snap.alive.clear();
         snap.alive.extend(world.map(|n| !fd || ps(n) >= 1));
-        // Copies for all peers but the last, which takes the payload.
-        let bytes = snap.encode(fd);
+        // One encoded snapshot for every peer: the last send takes the
+        // root's reference, so a transport that copies a shared buffer
+        // copies it for all peers but that one.
+        let bytes = Arc::new(snap.encode(fd));
         if let Some((&last, rest)) = self.active.members()[1..].split_last() {
             for &peer in rest {
-                self.t.send_bytes(peer, down, bytes.clone());
+                self.t.send_shared(peer, down, Arc::clone(&bytes));
             }
-            self.t.send_bytes(last, down, bytes);
+            self.t.send_shared(last, down, bytes);
         }
         true
     }
@@ -1145,15 +1149,26 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
     /// until the evidence the detector treats as death — the peer's
     /// monitor reading dead — and only then gives up with `None`.
     fn recv_unless_dead(&self, src: usize, tag: u64) -> Option<Vec<u8>> {
+        self.unless_dead(src, |timeout| match timeout {
+            Some(secs) => self.t.recv_bytes_timeout(src, tag, secs),
+            None => Ok(self.t.recv_bytes(src, tag)),
+        })
+    }
+
+    /// [`Self::recv_unless_dead`] over any receive from `src`: `recv`
+    /// takes the timeout in seconds, or `None` for a plain blocking
+    /// receive (without failure detection).
+    fn unless_dead<P>(
+        &self,
+        src: usize,
+        recv: impl Fn(Option<f64>) -> Result<P, PeerTimeout>,
+    ) -> Option<P> {
         if !self.cfg.failure_detection {
-            return Some(self.t.recv_bytes(src, tag));
+            return recv(None).ok();
         }
         loop {
-            match self
-                .t
-                .recv_bytes_timeout(src, tag, self.cfg.peer_timeout_seconds)
-            {
-                Ok(bytes) => return Some(bytes),
+            match recv(Some(self.cfg.peer_timeout_seconds)) {
+                Ok(payload) => return Some(payload),
                 Err(_) if self.t.dmpi_ps(src) == 0 => return None,
                 Err(_) => {}
             }

@@ -6,12 +6,15 @@
 //! on the receiving side when the rows are already there (a ghost refresh).
 //! `comm.bytes_copied` charges exactly those two copies. A control cycle
 //! allocates its payloads and nothing else: the snapshot is encoded
-//! straight into its wire bytes and decoded into buffers the runtime keeps.
+//! straight into its wire bytes, which every peer shares, and decoded into
+//! buffers the runtime keeps. A checkpoint refresh allocates each array's
+//! packed payload and the `Arc` it shares with the buddy, and no copy.
 
 use dynmpi::{
-    AccessMode, CommPattern, DenseMatrix, Drsd, DynMpi, DynMpiConfig, RedistArray, RowSet,
+    AccessMode, BuddyCheckpoint, CommPattern, DenseMatrix, Distribution, Drsd, DynMpi,
+    DynMpiConfig, RedistArray, RowSet,
 };
-use dynmpi_comm::{SimTransport, BYTES_COPIED};
+use dynmpi_comm::{Group, SimTransport, Transport, BYTES_COPIED};
 use dynmpi_obs::Recorder;
 use dynmpi_sim::{Cluster, NodeSpec};
 use dynmpi_testkit::{allocations, CountingAlloc};
@@ -124,9 +127,63 @@ fn a_control_cycle_allocates_only_its_payloads() {
             ..DynMpiConfig::default()
         };
         // Three samples up; the snapshot, encoded straight into its
-        // payload, and copies for two of the three peers down (the last
-        // takes the payload). Decoding, at the root and at the peers,
+        // payload, and the `Arc` all three peers share it through down
+        // (no copy per peer). Decoding, at the root and at the peers,
         // refills buffers the runtime keeps.
-        assert_eq!(per_cycle(&cfg) - compute, 3 + 1 + 2, "{cfg:?}");
+        assert_eq!(per_cycle(&cfg) - compute, 3 + 1 + 1, "{cfg:?}");
+    }
+}
+
+/// Allocations of a whole 4-rank run in which every rank keeps `arrays`
+/// dense arrays of 16 rows each and refreshes a buddy checkpoint of them
+/// `refreshes` times.
+fn refresh_allocations(arrays: usize, refreshes: u64) -> u64 {
+    let cluster = Cluster::homogeneous(4, NodeSpec::with_speed(1e6));
+    allocations(|| {
+        cluster.run_spmd(|ctx| {
+            let t = SimTransport::new(ctx);
+            let me = t.rank();
+            let group = Group::world(me, 4);
+            let dist = Distribution::block_even(64, 4);
+            let mut ms: Vec<DenseMatrix<f64>> = (0..arrays)
+                .map(|a| {
+                    let mut m = DenseMatrix::new(64, ROW_LEN);
+                    m.fill_rows(&dist.rows_of(me), |i, j| (a + i * j) as f64);
+                    m
+                })
+                .collect();
+            let mut views: Vec<&mut dyn RedistArray> =
+                ms.iter_mut().map(|m| m as &mut dyn RedistArray).collect();
+            let mut ckpt = BuddyCheckpoint::new();
+            for cycle in 0..refreshes {
+                ckpt.refresh(&t, me, &group, &dist, &mut views, cycle, None);
+            }
+        });
+    })
+}
+
+/// Allocations of one steady-state refresh over all four ranks: the
+/// growth from 20 to 28 refreshes, the same in each of those 8. (Between
+/// 8 and 12, one rank's block history doubles its capacity once.)
+fn per_refresh(arrays: usize) -> u64 {
+    refresh_allocations(arrays, 1);
+    let grown = refresh_allocations(arrays, 28) - refresh_allocations(arrays, 20);
+    assert_eq!(grown % 8, 0, "{grown} allocations over 8 refreshes");
+    grown / 8
+}
+
+#[test]
+fn a_checkpoint_refresh_allocates_its_payloads_and_no_copy() {
+    for arrays in 1..=3 {
+        // Per rank and array: the packed payload and the `Arc` that the
+        // kept generation, the message and the buddy's mirror share (a
+        // copy for the message would make it three). Per rank, whatever
+        // the array count: the own and the mirrored row sets, the two
+        // payload vectors, and the generation's membership and counts.
+        assert_eq!(
+            per_refresh(arrays),
+            4 * (2 * arrays as u64 + 6),
+            "{arrays} arrays"
+        );
     }
 }

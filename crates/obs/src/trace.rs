@@ -8,9 +8,12 @@
 //! scope flushes into its [`Recorder`]. Ranks that take
 //! turns on one thread set their scope aside while another runs
 //! ([`detach_scope`]). With no scope installed every call is a no-op, so
-//! instrumented code costs almost nothing outside traced runs.
+//! instrumented code costs almost nothing outside traced runs: while no
+//! scope exists anywhere in the process, a call reads one process-wide
+//! count and returns without touching the thread-local.
 
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::json::Json;
@@ -684,6 +687,19 @@ thread_local! {
     static SCOPE: RefCell<Option<Box<RankScope>>> = const { RefCell::new(None) };
 }
 
+/// Scopes installed and not yet dropped, on any thread, detached ones
+/// included. Zero means no thread has a scope, so every entry point can
+/// return before it looks the thread-local up. A non-zero count says
+/// nothing about the calling thread; the thread-local decides then. Relaxed
+/// suffices: a thread always sees its own install, so a thread with a
+/// scope never reads zero.
+static SCOPES: AtomicUsize = AtomicUsize::new(0);
+
+/// Could the calling thread have a scope? `false` only when none exists.
+fn any_scope() -> bool {
+    SCOPES.load(Ordering::Relaxed) != 0
+}
+
 /// RAII handle returned by [`Recorder::install`]. Dropping it — including
 /// during a panic unwind — flushes the rank's buffered events and metrics
 /// snapshot into the recorder and clears the thread-local scope.
@@ -710,6 +726,7 @@ impl Drop for ScopeGuard {
                 scope
                     .recorder
                     .absorb(scope.rank as usize, scope.events, scope.registry.snapshot());
+                SCOPES.fetch_sub(1, Ordering::Relaxed);
             }
         });
     }
@@ -735,6 +752,7 @@ pub(crate) fn install_scope(recorder: Recorder, rank: usize) -> ScopeGuard {
         }));
         assert!(prev.is_none(), "tracing scope already installed on thread");
     });
+    SCOPES.fetch_add(1, Ordering::Relaxed);
     ScopeGuard { _priv: () }
 }
 
@@ -750,6 +768,9 @@ pub struct DetachedScope(Option<Box<RankScope>>);
 /// returned guard drops: meanwhile the thread emits nothing and may
 /// install another scope, which must be gone again by then.
 pub fn detach_scope() -> DetachedScope {
+    if !any_scope() {
+        return DetachedScope(None);
+    }
     DetachedScope(SCOPE.with(|s| s.borrow_mut().take()))
 }
 
@@ -769,10 +790,13 @@ impl Drop for DetachedScope {
 
 /// Is a tracing scope installed on this thread?
 pub fn enabled() -> bool {
-    SCOPE.with(|s| s.borrow().is_some())
+    any_scope() && SCOPE.with(|s| s.borrow().is_some())
 }
 
 fn with_scope<T>(f: impl FnOnce(&mut RankScope) -> T) -> Option<T> {
+    if !any_scope() {
+        return None;
+    }
     SCOPE.with(|s| s.borrow_mut().as_deref_mut().map(f))
 }
 

@@ -316,6 +316,7 @@ impl Cluster {
             net_messages: st.net.message_count(),
             net_bytes: st.net.byte_count(),
             engine_events: st.events_pushed,
+            stale_events: st.events_stale,
             turn_bypasses: st.bypasses,
             hand_offs: st.hand_offs,
         };

@@ -25,10 +25,11 @@
 
 use std::cell::{OnceCell, RefMut};
 use std::rc::Rc;
+use std::sync::Arc;
 
 use dynmpi_obs as obs;
 
-use crate::engine::{EngineState, Envelope, OutMsg, RecvWait, Shared, Status};
+use crate::engine::{EngineState, Envelope, OutMsg, Payload, RecvWait, Shared, Status};
 use crate::monitor;
 use crate::time::{SimDur, SimTime};
 
@@ -374,6 +375,18 @@ impl SimCtx {
     /// scheduler slice); delivery time follows the network model. The send
     /// is buffered: it does not wait for the receiver.
     pub fn send(&self, dst: usize, tag: u64, payload: Vec<u8>) {
+        self.send_payload(dst, tag, Payload::Owned(payload));
+    }
+
+    /// Sends like [`Self::send`] a buffer the sender keeps a reference to:
+    /// the message carries the `Arc`, not a copy, and a receive through
+    /// [`Self::recv_shared`] hands the receiver that same buffer. Costs
+    /// and virtual times are those of an owned payload of the same length.
+    pub fn send_shared(&self, dst: usize, tag: u64, payload: Arc<Vec<u8>>) {
+        self.send_payload(dst, tag, Payload::Shared(payload));
+    }
+
+    fn send_payload(&self, dst: usize, tag: u64, payload: Payload) {
         assert!(dst < self.nprocs, "send to invalid rank {dst}");
         let len = payload.len();
         let st = self.shared.state.borrow_mut();
@@ -485,7 +498,22 @@ impl SimCtx {
         tag: u64,
         timeout: SimDur,
     ) -> Result<(usize, Vec<u8>), RecvTimeout> {
-        self.recv_inner(src, tag, Some(timeout))
+        let (src, payload) = self.recv_inner(src, tag, Some(timeout))?;
+        Ok((src, payload.into_vec()))
+    }
+
+    /// Receives like [`Self::recv_timeout`] (or, with no `timeout`, like a
+    /// plain blocking receive) and returns the payload as a shared buffer:
+    /// the sender's own one when it was sent with [`Self::send_shared`], an
+    /// owned payload moved behind a new `Arc` otherwise.
+    pub fn recv_shared(
+        &self,
+        src: Option<usize>,
+        tag: u64,
+        timeout: Option<SimDur>,
+    ) -> Result<(usize, Arc<Vec<u8>>), RecvTimeout> {
+        let (src, payload) = self.recv_inner(src, tag, timeout)?;
+        Ok((src, payload.into_shared()))
     }
 
     /// Non-blocking probe: is a matching message already deliverable?
@@ -500,7 +528,7 @@ impl SimCtx {
 
     fn recv_matching(&self, src: Option<usize>, tag: u64) -> (usize, Vec<u8>) {
         match self.recv_inner(src, tag, None) {
-            Ok(r) => r,
+            Ok((src, payload)) => (src, payload.into_vec()),
             Err(_) => unreachable!("recv without a deadline cannot time out"),
         }
     }
@@ -510,7 +538,7 @@ impl SimCtx {
         src: Option<usize>,
         tag: u64,
         timeout: Option<SimDur>,
-    ) -> Result<(usize, Vec<u8>), RecvTimeout> {
+    ) -> Result<(usize, Payload), RecvTimeout> {
         let wait = RecvWait { src, tag };
         let mut st = self.shared.state.borrow_mut();
         // `+` saturates, and a saturated deadline is no deadline: an
@@ -639,20 +667,23 @@ impl SimCtx {
         // but not before `now`. Every later matching delivery queues its
         // own wake-up (`EngineState::deliver`, same clamp), so the earliest
         // candidate dispatches — a landing queued later can undercut the
-        // hint.
+        // hint. Whichever does, the rank wakes no later than the hint with
+        // a deliverable match, so a deadline at or after the hint can
+        // never fire and is not queued: a match at the deadline wins.
         st.procs[self.pid].status = Status::BlockedRecv(wait);
-        if let Some(arrival) = st.procs[self.pid].mailbox.pending_arrival(wait) {
-            st.push_event(arrival.max(now), self.pid);
+        let hint = (st.procs[self.pid].mailbox.pending_arrival(wait)).map(|a| a.max(now));
+        if let Some(h) = hint {
+            st.push_event(h, self.pid);
         }
-        if let Some(d) = deadline {
+        if let Some(d) = deadline.filter(|&d| hint.is_none_or(|h| h > d)) {
             st.push_event(d, self.pid);
         }
         // A rank blocked on a receive that will never match still has to
-        // die at its node's crash time: queue that wake-up too (the loop
-        // head turns it into the death). Duplicate pushes across blocks
-        // are harmless — stale epochs are pruned.
+        // die at its node's crash time: its fail-stop wake, queued once,
+        // wakes it there whenever it is blocked (the loop head turns the
+        // wake into the death).
         if let Some(c) = st.failstop_at(node) {
-            st.push_event(c, self.pid);
+            st.push_failstop(c, self.pid);
         }
         let mut st = self.yield_turn(st);
         let wake = st.clock;

@@ -23,6 +23,8 @@
 
 use std::cell::{RefCell, RefMut};
 use std::collections::BinaryHeap;
+use std::ops::Deref;
+use std::sync::Arc;
 
 use crate::cpu::CpuSched;
 use crate::fiber;
@@ -50,6 +52,13 @@ pub(crate) enum EventKind {
     /// one per matching delivery); the earliest dispatches, and the
     /// dispatch bumps the epoch so the rest die in place.
     Wake { epoch: u64 },
+    /// The fail-stop instant of `pid`'s node, queued once per rank, the
+    /// first time the rank blocks: it wakes the rank whenever the rank is
+    /// blocked at that instant, however many blocks came before (the loop
+    /// head of the receive then turns the wake into the death). A rank
+    /// that is not blocked when it comes due is past its crash time or
+    /// about to be (see `EngineState::event_live`), so the entry dies.
+    FailStop,
     /// The RX half of a cross-node send that `pid` posted at `time` on its
     /// local clock: the engine lands `EngineState::landings[slot]` when the
     /// entry reaches the queue head — the position at which an eager send
@@ -90,7 +99,47 @@ pub(crate) struct Envelope {
     /// RX-NIC queueing this frame paid (fan-in contention), carried to the
     /// receiver for trace attribution.
     pub rx_queued: SimDur,
-    pub payload: Vec<u8>,
+    pub payload: Payload,
+}
+
+/// A message body: owned by the message, or an immutable buffer its sender
+/// shares ([`crate::SimCtx::send_shared`]), which a shared receive hands
+/// on as it is — sender and receiver then hold one buffer.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Payload {
+    Owned(Vec<u8>),
+    Shared(Arc<Vec<u8>>),
+}
+
+impl Payload {
+    /// The bytes as an owned vector: a shared buffer is copied unless the
+    /// message held its last reference.
+    pub fn into_vec(self) -> Vec<u8> {
+        match self {
+            Payload::Owned(v) => v,
+            Payload::Shared(a) => Arc::unwrap_or_clone(a),
+        }
+    }
+
+    /// The bytes as a shared buffer: an owned one is moved behind a new
+    /// `Arc`, a shared one handed on.
+    pub fn into_shared(self) -> Arc<Vec<u8>> {
+        match self {
+            Payload::Owned(v) => Arc::new(v),
+            Payload::Shared(a) => a,
+        }
+    }
+}
+
+impl Deref for Payload {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Payload::Owned(v) => v,
+            Payload::Shared(a) => a,
+        }
+    }
 }
 
 /// A cross-NIC message whose sender already ran the TX half of the network
@@ -165,6 +214,8 @@ pub(crate) struct ProcState {
     pub bytes_sent: u64,
     pub bytes_recvd: u64,
     pub finish_time: SimTime,
+    /// Whether this rank's [`EventKind::FailStop`] entry has been queued.
+    pub failstop_queued: bool,
 }
 
 impl ProcState {
@@ -182,6 +233,7 @@ impl ProcState {
             bytes_sent: 0,
             bytes_recvd: 0,
             finish_time: SimTime::ZERO,
+            failstop_queued: false,
         }
     }
 }
@@ -233,6 +285,8 @@ pub(crate) struct EngineState {
     /// Queue entries pushed over the run, wake-ups and landings — the cost
     /// metric the fast path exists to shrink.
     pub events_pushed: u64,
+    /// Queue entries popped or pruned dead, never dispatched.
+    pub events_stale: u64,
     /// Clock advances that did not give up the turn: rank-local advances
     /// plus engine catch-ups made in place.
     pub bypasses: u64,
@@ -260,6 +314,7 @@ impl EngineState {
             free_slots: Vec::new(),
             stepped: false,
             events_pushed: 0,
+            events_stale: 0,
             bypasses: 0,
             hand_offs: 0,
             panic_msg: None,
@@ -301,6 +356,13 @@ impl EngineState {
         self.push(time, pid, EventKind::Wake { epoch });
     }
 
+    /// Queues `pid`'s fail-stop wake at `at`, unless it is already queued.
+    pub fn push_failstop(&mut self, at: SimTime, pid: usize) {
+        if !std::mem::replace(&mut self.procs[pid].failstop_queued, true) {
+            self.push(at, pid, EventKind::FailStop);
+        }
+    }
+
     /// Queues the RX half of a cross-node send posted ahead of the engine
     /// clock, keyed `(sent, src, seq)` — the canonical message order.
     pub fn push_landing(&mut self, m: OutMsg) {
@@ -318,16 +380,25 @@ impl EngineState {
         self.push(sent, src, EventKind::Landing { slot });
     }
 
+    /// May `ev` still dispatch? A fail-stop wake stays live while its rank
+    /// is blocked, or runs (only the rank that calls `prune_stale_heads`
+    /// runs) short of the crash instant: it may block before then. A
+    /// scheduled rank's own wake-up is due no earlier than a fail-stop
+    /// entry at the queue head, and a rank at or past its crash instant
+    /// dies at its next operation boundary, before it could block again —
+    /// neither needs the entry any more.
     fn event_live(&self, ev: &Event) -> bool {
+        let p = &self.procs[ev.pid];
         match ev.kind {
             EventKind::Landing { .. } => true,
             EventKind::Wake { epoch } => {
-                epoch == self.procs[ev.pid].epoch
-                    && !matches!(
-                        self.procs[ev.pid].status,
-                        Status::Finished | Status::Crashed
-                    )
+                epoch == p.epoch && !matches!(p.status, Status::Finished | Status::Crashed)
             }
+            EventKind::FailStop => match p.status {
+                Status::BlockedRecv(_) => true,
+                Status::Running => p.local < ev.time,
+                Status::Scheduled | Status::Finished | Status::Crashed => false,
+            },
         }
     }
 
@@ -356,6 +427,7 @@ impl EngineState {
                 return;
             }
             self.queue.pop();
+            self.events_stale += 1;
         }
     }
 
@@ -441,6 +513,7 @@ impl EngineState {
     pub fn dispatch_next(&mut self) -> bool {
         while let Some(ev) = self.queue.pop() {
             if !self.event_live(&ev) {
+                self.events_stale += 1;
                 continue;
             }
             debug_assert!(ev.time >= self.clock, "event in the past");
@@ -453,7 +526,7 @@ impl EngineState {
                     self.free_slots.push(slot);
                     self.land(m);
                 }
-                EventKind::Wake { .. } => {
+                EventKind::Wake { .. } | EventKind::FailStop => {
                     let p = &mut self.procs[ev.pid];
                     debug_assert!(self.clock >= p.local, "woken before its own time");
                     p.epoch += 1; // kill this proc's other queued wake-ups
@@ -635,6 +708,7 @@ mod tests {
         st.live = 0;
         assert!(!st.dispatch_next());
         assert!(st.panic_msg.is_none());
+        assert_eq!(st.events_stale, 1, "proc 1's wake-up died unpopped");
     }
 
     #[test]
@@ -650,6 +724,48 @@ mod tests {
         assert!(st.dispatch_next());
         assert_eq!(st.clock, SimTime::from_millis(9));
         assert!(st.queue.is_empty(), "stale epoch events must be consumed");
+    }
+
+    #[test]
+    fn failstop_wake_is_queued_once_and_kept_while_it_can_matter() {
+        let mut st = state(2);
+        st.queue.clear();
+        let crash = SimTime::from_millis(5);
+        st.push_failstop(crash, 1);
+        st.push_failstop(crash, 1);
+        assert_eq!(st.queue.len(), 1, "queued once per rank");
+        // Running short of the crash instant, the rank may still block
+        // before it: the entry stays.
+        st.procs[1].status = Status::Running;
+        st.procs[1].local = SimTime::from_millis(4);
+        st.prune_stale_heads();
+        assert_eq!(st.queue.len(), 1);
+        // At the crash instant the rank dies at its next operation
+        // boundary, before it could block: the entry goes.
+        st.procs[1].local = crash;
+        st.prune_stale_heads();
+        assert!(st.queue.is_empty());
+        assert_eq!(st.events_stale, 1);
+    }
+
+    #[test]
+    fn failstop_wake_dispatches_only_a_blocked_rank() {
+        let mut st = state(2);
+        st.queue.clear();
+        // Proc 1 is scheduled past its crash instant: its own wake-up is
+        // what runs it, so its fail-stop entry dies unpopped.
+        st.procs[1].status = Status::Scheduled;
+        st.push_failstop(SimTime::from_millis(3), 1);
+        st.push_event(SimTime::from_millis(7), 1);
+        // Proc 0 is blocked on a receive nothing will match.
+        st.procs[0].status = Status::BlockedRecv(RecvWait { src: None, tag: 1 });
+        st.push_failstop(SimTime::from_millis(5), 0);
+        assert!(st.dispatch_next());
+        assert_eq!((st.current, st.clock), (Some(0), SimTime::from_millis(5)));
+        assert_eq!(st.events_stale, 1);
+        st.procs[0].status = Status::Crashed;
+        assert!(st.dispatch_next());
+        assert_eq!((st.current, st.clock), (Some(1), SimTime::from_millis(7)));
     }
 
     #[test]
@@ -681,7 +797,7 @@ mod tests {
             arrival: SimTime::ZERO,
             seq: 1,
             rx_queued: SimDur::ZERO,
-            payload: vec![],
+            payload: Payload::Owned(vec![]),
         });
         let details = st.stuck_recv_details();
         assert_eq!(details.len(), 1);
@@ -703,7 +819,7 @@ mod tests {
             arrival: SimTime::from_millis(arrival_ms),
             seq: 1,
             rx_queued: SimDur::ZERO,
-            payload: vec![],
+            payload: Payload::Owned(vec![]),
         };
         // Before the crash: delivered.
         st.deliver(1, env(0, 4));
@@ -750,7 +866,7 @@ mod tests {
             arrival: SimTime::ZERO,
             seq: 0,
             rx_queued: SimDur::ZERO,
-            payload: vec![],
+            payload: Payload::Owned(vec![]),
         };
         assert!(RecvWait {
             src: Some(3),
@@ -782,7 +898,7 @@ mod tests {
             arrival: SimTime::from_millis(arrival_ms),
             seq,
             rx_queued: SimDur::ZERO,
-            payload: vec![seq as u8],
+            payload: Payload::Owned(vec![seq as u8]),
         };
         p.mailbox.push(mk(2, 5));
         p.mailbox.push(mk(1, 5));
@@ -810,7 +926,7 @@ mod tests {
                 arrival: SimTime::from_millis(7),
                 seq: 1,
                 rx_queued: SimDur::ZERO,
-                payload: vec![],
+                payload: Payload::Owned(vec![]),
             },
         );
         assert!(st.dispatch_next());

@@ -76,6 +76,7 @@ impl Mailbox {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Payload;
     use crate::time::SimDur;
 
     fn env(src: usize, tag: u64, arrival_ms: u64, seq: u64) -> Envelope {
@@ -86,7 +87,7 @@ mod tests {
             arrival: SimTime::from_millis(arrival_ms),
             seq,
             rx_queued: SimDur::ZERO,
-            payload: vec![seq as u8],
+            payload: Payload::Owned(vec![seq as u8]),
         }
     }
 
@@ -195,6 +196,7 @@ mod tests {
 #[cfg(test)]
 mod oracle {
     use super::*;
+    use crate::engine::Payload;
     use crate::time::SimDur;
     use dynmpi_testkit::check_n;
 
@@ -241,7 +243,7 @@ mod oracle {
                         arrival: SimTime::from_millis(rng.range_u64(0, 8)),
                         seq: seqs[src],
                         rx_queued: SimDur::ZERO,
-                        payload: vec![],
+                        payload: Payload::Owned(vec![]),
                     };
                     mb.push(e.clone());
                     oracle.0.push(e);

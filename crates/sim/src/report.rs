@@ -35,6 +35,10 @@ pub struct SimReport {
     /// virtual-time output: it differs between the stepped and fast engine
     /// modes even though every timestamp agrees.
     pub engine_events: u64,
+    /// Queue entries popped or pruned dead, never dispatched: wake-ups
+    /// outrun by an earlier one, and fail-stop wakes of ranks that were
+    /// not blocked when they came due (an execution-cost metric too).
+    pub stale_events: u64,
     /// Clock advances that did not give up the turn: a rank moving its
     /// rank-local clock, or catching the engine clock up in place (also an
     /// execution-cost metric; 0 in stepped mode).
@@ -53,6 +57,7 @@ impl SimReport {
     pub fn virtual_outputs(&self) -> SimReport {
         SimReport {
             engine_events: 0,
+            stale_events: 0,
             turn_bypasses: 0,
             hand_offs: 0,
             ..self.clone()
@@ -121,6 +126,7 @@ mod tests {
             net_messages: 1,
             net_bytes: 8,
             engine_events: 0,
+            stale_events: 0,
             turn_bypasses: 0,
             hand_offs: 0,
         };
@@ -136,6 +142,7 @@ mod tests {
             net_messages: 0,
             net_bytes: 0,
             engine_events: 0,
+            stale_events: 0,
             turn_bypasses: 0,
             hand_offs: 0,
         };
