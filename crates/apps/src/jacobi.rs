@@ -94,12 +94,25 @@ pub fn run<T: HostMeters>(t: &T, p: &JacobiParams, cfg: DynMpiConfig) -> AppResu
                     (a_id, ma, mb)
                 };
                 rt.ghost_exchange(src_id, &mut *src);
+                let rows = rt.my_rows(ph);
+                // Row i is written into the storage of source row i − 2,
+                // which is still warm: it was last read for row i − 1, and
+                // the next step rewrites it. The boundary columns come
+                // along unchanged, as `initial` does not depend on the
+                // row. The last step keeps its source intact: the checksum
+                // and the digest read it.
+                let recycle = step + 1 < p.iters;
                 if p.exercise_kernel {
                     vector::run(
                         #[inline(always)]
                         || {
-                            for i in rt.my_rows(ph).iter() {
-                                sweep_row(src, dst, i, n);
+                            for range in rows.ranges() {
+                                for i in range.clone() {
+                                    if recycle && i >= range.start + 2 {
+                                        dst.swap_row_storage(i, src, i - 2);
+                                    }
+                                    sweep_row(src, dst, i, n);
+                                }
                             }
                         },
                     );
@@ -109,8 +122,11 @@ pub fn run<T: HostMeters>(t: &T, p: &JacobiParams, cfg: DynMpiConfig) -> AppResu
         },
     );
 
-    // Checksum and digest over the final written buffer (globally
-    // consistent).
+    // Checksum and digest over the last step's *source*: the grid after
+    // `iters − 1` sweeps (the initial grid when `iters` is 1), not the
+    // last step's output. This is why the last step keeps its source
+    // intact. Reading the output instead would move every committed
+    // checksum.
     let final_m = if p.iters % 2 == 1 { &grids.1 } else { &grids.0 };
     let (local, state_digest) = if rt.participating() && p.exercise_kernel {
         checksum_and_digest(final_m, &rt.my_rows(ph))
@@ -150,10 +166,13 @@ pub(crate) fn sweep(up: &[f64], mid: &[f64], down: &[f64], d: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynmpi::RowSet;
     use dynmpi_comm::run_threads;
 
-    /// Sequential reference sweep for validation.
-    fn reference(n: usize, iters: usize) -> f64 {
+    /// Sequential reference sweep: the checksum and the digest of the
+    /// grid the distributed run reads back, which is the last step's
+    /// source (the grid after `iters − 1` sweeps), not its output.
+    fn reference(n: usize, iters: usize) -> (f64, u64) {
         let mut a: Vec<Vec<f64>> = (0..n).map(|_| (0..n).map(initial).collect()).collect();
         let mut b = a.clone();
         for step in 0..iters {
@@ -174,14 +193,17 @@ mod tests {
             *dst = next;
         }
         let last = if iters % 2 == 1 { &b } else { &a };
-        last[1..n - 1].iter().map(|r| r.iter().sum::<f64>()).sum()
+        let interior = RowSet::from_range(1..n - 1);
+        let mut m = DenseMatrix::new(n, n);
+        m.fill_rows(&interior, |i, j| last[i][j]);
+        checksum_and_digest(&m, &interior)
     }
 
     #[test]
     fn matches_sequential_reference() {
         let n = 16;
         let iters = 7;
-        let expect = reference(n, iters);
+        let expect = reference(n, iters).0;
         for ranks in [1usize, 2, 3] {
             let outs = run_threads(ranks, |t| {
                 run(t, &JacobiParams::small(n, iters), DynMpiConfig::no_adapt())
@@ -196,11 +218,32 @@ mod tests {
         }
     }
 
+    /// The recycled source rows change no bit: one rank's checksum is
+    /// the reference's bit for bit, and the ranks' digest shares add up to
+    /// its digest. At 1–3 steps the first and the last step meet; on the
+    /// 8-row grid no rank owns the three rows that recycling needs.
+    #[test]
+    fn short_runs_and_tiny_blocks_match_the_reference_bits() {
+        let short = (1..=3).flat_map(|iters| (1..=3).map(move |ranks| (16, iters, ranks)));
+        for (n, iters, ranks) in short.chain([(8, 5, 3)]) {
+            let (checksum, digest) = reference(n, iters);
+            let outs = run_threads(ranks, |t| {
+                run(t, &JacobiParams::small(n, iters), DynMpiConfig::no_adapt())
+            });
+            let shares = outs.iter().map(|r| r.state_digest);
+            let sum = shares.fold(0, u64::wrapping_add);
+            assert_eq!(sum, digest, "n {n}, {iters} steps, {ranks} ranks");
+            if ranks == 1 {
+                assert_eq!(outs[0].checksum.unwrap().to_bits(), checksum.to_bits());
+            }
+        }
+    }
+
     #[test]
     fn rebalance_does_not_change_answer() {
         let n = 16;
         let iters = 12;
-        let expect = reference(n, iters);
+        let expect = reference(n, iters).0;
         let outs = run_threads(3, |t| {
             let cfg = DynMpiConfig {
                 grace_period: 2,

@@ -13,7 +13,7 @@ use dynmpi::{AccessMode, CommPattern, DenseMatrix, Drsd, DynMpi, DynMpiConfig};
 use dynmpi_comm::HostMeters;
 
 use crate::gen;
-use crate::result::AppResult;
+use crate::result::{checksum_and_digest, AppResult};
 use crate::{vector, work};
 
 /// Particle-simulation parameters.
@@ -112,13 +112,9 @@ pub fn run<T: HostMeters>(t: &T, p: &ParticleParams, cfg: DynMpiConfig) -> AppRe
         },
     );
 
-    let local: f64 = rt
-        .my_rows(ph)
-        .iter()
-        .map(|i| cells.row(i).iter().sum::<f64>())
-        .sum();
+    let (local, state_digest) = checksum_and_digest(&cells, &rt.my_rows(ph));
     let checksum = rt.allreduce_sum(&[local])[0];
-    AppResult::new(&rt, ph, Some(checksum), 0)
+    AppResult::new(&rt, ph, Some(checksum), state_digest)
 }
 
 /// One drift step: horizontal drift within rows, vertical drift between
@@ -146,20 +142,24 @@ fn step_cells<T: HostMeters>(
         },
     );
 
-    // Local flux, all upward first, then all downward; then the boundary
-    // rows' outflow goes to the neighbouring blocks, whose flux comes in.
+    // The boundary rows' outflow goes to the neighbouring blocks, whose
+    // flux comes in. Then every row adds the flux from below before the
+    // flux from above, in the order one rank holding every row adds them,
+    // so the grid's bits do not depend on the distribution: all upward
+    // local flux, the block below's, all downward local flux, the block
+    // above's.
+    let (above, below) = rt.neighbor_exchange(ph, &outflow[0], &outflow[hi - lo]);
     for i in lo + 1..=hi {
         add_flux(cells.row_mut(i - 1), &outflow[i - lo]);
+    }
+    if let Some(flux) = below {
+        add_flux(cells.row_mut(hi), &flux);
     }
     for i in lo..hi {
         add_flux(cells.row_mut(i + 1), &outflow[i - lo]);
     }
-    let (above, below) = rt.neighbor_exchange(ph, &outflow[0], &outflow[hi - lo]);
     if let Some(flux) = above {
         add_flux(cells.row_mut(lo), &flux);
-    }
-    if let Some(flux) = below {
-        add_flux(cells.row_mut(hi), &flux);
     }
 }
 

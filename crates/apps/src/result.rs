@@ -29,9 +29,9 @@ pub struct AppResult {
     /// `(global row, row bits)`. The ranks' shares add up (wrapping) to
     /// a value that does not depend on how rows were distributed, so two
     /// runs that end with the same grid bit for bit agree on it, and two
-    /// that do not differ but for a 64-bit hash collision. Jacobi and SOR
-    /// compute it when their kernel ran; it is 0 otherwise, and for CG
-    /// and particle, whose answers depend on summation order
+    /// that do not differ but for a 64-bit hash collision. Jacobi, SOR
+    /// and particle compute it (the first two when their kernel ran); it
+    /// is 0 otherwise, and for CG, whose answer depends on summation order
     /// (EXPERIMENTS.md, "State digest").
     pub state_digest: u64,
 }

@@ -1,12 +1,14 @@
-//! The state digest on the virtual cluster: Jacobi's and SOR's final grid
-//! is the 1-rank dedicated run's bit for bit, at any node count, across a
-//! rebalance and a drop, and under either engine. The checksum, which
+//! The state digest on the virtual cluster: Jacobi's, SOR's and
+//! particle's final grid is the 1-rank dedicated run's bit for bit, at
+//! any node count, across a rebalance and a drop, and under either
+//! engine. The checksum, which
 //! sums the same rows in partition order, can only be held to a
 //! tolerance; the digest is exact.
 
 use dynmpi::{DropPolicy, DynMpiConfig};
 use dynmpi_apps::harness::{run_sim, run_sim_on};
 use dynmpi_apps::jacobi::JacobiParams;
+use dynmpi_apps::particle::ParticleParams;
 use dynmpi_apps::sor::SorParams;
 use dynmpi_apps::{AppSpec, Experiment, SimRunResult};
 use dynmpi_sim::{LoadScript, NodeSpec};
@@ -31,10 +33,11 @@ fn kinds(out: &SimRunResult) -> Vec<&'static str> {
     out.events().iter().map(|e| e.kind()).collect()
 }
 
-fn apps() -> [AppSpec; 2] {
+fn apps() -> [AppSpec; 3] {
     [
         AppSpec::Jacobi(JacobiParams::small(48, 60)),
         AppSpec::Sor(SorParams::small(48, 60)),
+        AppSpec::Particle(ParticleParams::small(48, 16, 60)),
     ]
 }
 

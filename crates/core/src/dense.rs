@@ -98,9 +98,6 @@ impl<P: Pod> DenseMatrix<P> {
             "row {i} has no neighbour on both sides among {} rows",
             self.nrows
         );
-        fn absent(k: usize) -> ! {
-            panic!("row {k} is not stored on this node")
-        }
         let [up, mid, down] = &mut self.rows[i - 1..=i + 1] else {
             unreachable!("a three-row window");
         };
@@ -109,6 +106,22 @@ impl<P: Pod> DenseMatrix<P> {
             mid.as_deref_mut().unwrap_or_else(|| absent(i)),
             down.as_deref().unwrap_or_else(|| absent(i + 1)),
         )
+    }
+
+    /// Trades the storage of row `i` with `other`'s row `j` in O(1): the
+    /// two rows' allocations change places, no element moves and nothing
+    /// is allocated. A sweep uses it to write into a source row it has
+    /// finished reading, still in cache, instead of into a cold
+    /// destination row. Panics if the rows' lengths differ or either row
+    /// is not stored.
+    pub fn swap_row_storage(&mut self, i: usize, other: &mut DenseMatrix<P>, j: usize) {
+        assert_eq!(
+            self.row_len, other.row_len,
+            "rows of different lengths cannot trade storage"
+        );
+        let mine = self.rows[i].as_mut().unwrap_or_else(|| absent(i));
+        let theirs = other.rows[j].as_mut().unwrap_or_else(|| absent(j));
+        std::mem::swap(mine, theirs);
     }
 
     /// Fills `rows` with values from `f(row, col)`, allocating as needed.
@@ -194,6 +207,11 @@ impl<P: Pod> RedistArray for DenseMatrix<P> {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
+}
+
+/// The panic of a row access that finds the row not stored.
+fn absent(k: usize) -> ! {
+    panic!("row {k} is not stored on this node")
 }
 
 /// The contiguous-allocation baseline (Figure 3, left): the node's rows
@@ -343,6 +361,42 @@ mod tests {
         m.unpack_rows(&RowSet::from_range(4..5), &to_bytes(&[9.0f64, 9.0]));
         assert_eq!(m.row(3).as_ptr(), p_before);
         assert_eq!(m.alloc_stats().allocations, stats_before.allocations);
+    }
+
+    #[test]
+    fn swap_row_storage_trades_allocations_without_allocating() {
+        let mut a = DenseMatrix::<f64>::new(6, 3);
+        let mut b = DenseMatrix::<f64>::new(6, 3);
+        a.fill_rows(&RowSet::from_range(1..5), |i, _| i as f64);
+        b.fill_rows(&RowSet::from_range(1..5), |i, _| 10.0 + i as f64);
+        let (pa, pb) = (a.row(4).as_ptr(), b.row(2).as_ptr());
+        let (sa, sb) = (a.alloc_stats(), b.alloc_stats());
+        a.swap_row_storage(4, &mut b, 2);
+        assert_eq!((a.row(4).as_ptr(), b.row(2).as_ptr()), (pb, pa));
+        assert_eq!(a.row(4), &[12.0; 3]);
+        assert_eq!(b.row(2), &[4.0; 3]);
+        assert_eq!((a.alloc_stats(), b.alloc_stats()), (sa, sb));
+    }
+
+    #[test]
+    fn swap_row_storage_rejects_other_lengths_and_absent_rows() {
+        let filled = |row_len| {
+            let mut m = DenseMatrix::<f64>::new(4, row_len);
+            m.fill_rows(&RowSet::from_range(1..3), |_, _| 1.0);
+            m
+        };
+        for (row_len, i, j, want) in [
+            (3, 1, 2, "different lengths"),
+            (2, 0, 2, "row 0 is not stored"),
+            (2, 1, 3, "row 3 is not stored"),
+        ] {
+            let r = std::panic::catch_unwind(|| {
+                filled(2).swap_row_storage(i, &mut filled(row_len), j);
+            });
+            let msg = r.expect_err("the swap must refuse");
+            let msg = msg.downcast_ref::<String>().unwrap();
+            assert!(msg.contains(want), "{msg}");
+        }
     }
 
     #[test]

@@ -134,9 +134,30 @@ fn a_control_cycle_allocates_only_its_payloads() {
     }
 }
 
+/// A long adaptive run allocates at its steady per-cycle rate: cycles
+/// 2 000–4 000 as many times as cycles 4 000–6 000. The node monitors
+/// forget the blocked intervals that no `vmstat` sample can reach any
+/// more. The one state still kept per cycle is each rank's
+/// `local_cycle_times`, which doubles once in each window (at 2 048 and
+/// at 4 096 cycles); a block history kept whole would double alongside.
+#[test]
+fn a_long_run_allocates_at_a_steady_rate() {
+    let cfg = DynMpiConfig::default();
+    let per = per_cycle(&cfg);
+    let [a, b, c] = [2_000, 4_000, 6_000].map(|steps| run_allocations(steps, &cfg));
+    assert_eq!(b - a, c - b, "cycles 2 000..4 000 against 4 000..6 000");
+    assert_eq!(
+        b - a,
+        2_000 * per + 4,
+        "{per} a cycle and a doubling per rank"
+    );
+}
+
 /// Allocations of a whole 4-rank run in which every rank keeps `arrays`
 /// dense arrays of 16 rows each and refreshes a buddy checkpoint of them
-/// `refreshes` times.
+/// `refreshes` times, half a virtual second of compute apart, so that
+/// the run outlasts the second or so of blocked intervals the node
+/// monitors keep.
 fn refresh_allocations(arrays: usize, refreshes: u64) -> u64 {
     let cluster = Cluster::homogeneous(4, NodeSpec::with_speed(1e6));
     allocations(|| {
@@ -156,6 +177,7 @@ fn refresh_allocations(arrays: usize, refreshes: u64) -> u64 {
                 ms.iter_mut().map(|m| m as &mut dyn RedistArray).collect();
             let mut ckpt = BuddyCheckpoint::new();
             for cycle in 0..refreshes {
+                t.compute(5e5);
                 ckpt.refresh(&t, me, &group, &dist, &mut views, cycle, None);
             }
         });
@@ -163,13 +185,23 @@ fn refresh_allocations(arrays: usize, refreshes: u64) -> u64 {
 }
 
 /// Allocations of one steady-state refresh over all four ranks: the
-/// growth from 20 to 28 refreshes, the same in each of those 8. (Between
-/// 8 and 12, one rank's block history doubles its capacity once.)
+/// growth from 8 to 12 refreshes and from 20 to 28, the same in each of
+/// those 12.
 fn per_refresh(arrays: usize) -> u64 {
     refresh_allocations(arrays, 1);
-    let grown = refresh_allocations(arrays, 28) - refresh_allocations(arrays, 20);
-    assert_eq!(grown % 8, 0, "{grown} allocations over 8 refreshes");
-    grown / 8
+    let per = |from: u64, to: u64| {
+        let grown = refresh_allocations(arrays, to) - refresh_allocations(arrays, from);
+        let refreshes = to - from;
+        assert_eq!(
+            grown % refreshes,
+            0,
+            "{grown} allocations over {from}..{to}"
+        );
+        grown / refreshes
+    };
+    let early = per(8, 12);
+    assert_eq!(early, per(20, 28), "refreshes 8..12 against 20..28");
+    early
 }
 
 #[test]

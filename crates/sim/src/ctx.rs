@@ -687,7 +687,13 @@ impl SimCtx {
         }
         let mut st = self.yield_turn(st);
         let wake = st.clock;
-        st.nodes[node].blocks.unblock(wake);
+        // No later `vmstat` sample precedes this one: a reader on the node
+        // samples at its local clock, which is at or past the engine's, and
+        // a remote reader catches the engine up to its own clock first.
+        let horizon = monitor::monitor_sample_time(wake, st.net.params().latency);
+        let blocks = &mut st.nodes[node].blocks;
+        blocks.unblock(wake);
+        blocks.forget_until(horizon);
         st
     }
 

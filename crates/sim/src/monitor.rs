@@ -8,15 +8,27 @@
 //! Dyn-MPI runtime needs. Both are modeled here so the difference can be
 //! measured (ablation bench).
 
+use std::collections::VecDeque;
+
 use crate::time::SimTime;
 use crate::timeline::NcpTimeline;
 
 /// History of intervals during which a node's application was blocked
 /// (waiting for a message), used to evaluate `vmstat` samples lazily.
+///
+/// Only the window its readers can still sample is kept:
+/// [`Self::forget_until`] drops the intervals that end by an instant no
+/// later sample precedes, so a run of any length holds about a second of
+/// history. The dropped intervals' total length is kept for
+/// [`Self::blocked_fraction`].
 #[derive(Clone, Debug, Default)]
 pub struct BlockHistory {
     /// Closed intervals `[start, end)`, non-overlapping, sorted.
-    intervals: Vec<(SimTime, SimTime)>,
+    intervals: VecDeque<(SimTime, SimTime)>,
+    /// Total length of the intervals [`Self::forget_until`] dropped, in ns.
+    forgotten_ns: u64,
+    /// The latest horizon passed to [`Self::forget_until`].
+    horizon: SimTime,
     /// Start of the currently open blocked interval, if the application is
     /// blocked right now.
     open: Option<SimTime>,
@@ -38,12 +50,28 @@ impl BlockHistory {
         let start = self.open.take().expect("unblock without block");
         debug_assert!(t >= start);
         if t > start {
-            self.intervals.push((start, t));
+            self.intervals.push_back((start, t));
+        }
+    }
+
+    /// Drops the intervals that end at or before `horizon`. Afterwards
+    /// [`Self::blocked_at`] is exact only at instants from `horizon` on,
+    /// which is where every later sample falls when `horizon` is the
+    /// earliest sample instant a reader can still take.
+    pub fn forget_until(&mut self, horizon: SimTime) {
+        self.horizon = self.horizon.max(horizon);
+        while let Some(&(s, e)) = self.intervals.front() {
+            if e > horizon {
+                break;
+            }
+            self.forgotten_ns += (e - s).0;
+            self.intervals.pop_front();
         }
     }
 
     /// Was the application blocked at instant `t`?
     pub fn blocked_at(&self, t: SimTime) -> bool {
+        debug_assert!(t >= self.horizon, "{t:?} precedes the kept history");
         if let Some(start) = self.open {
             if t >= start {
                 return true;
@@ -53,12 +81,18 @@ impl BlockHistory {
         i > 0 && t < self.intervals[i - 1].1
     }
 
-    /// Fraction of `[from, to)` spent blocked (diagnostics).
+    /// Fraction of `[from, to)` spent blocked (diagnostics). Forgotten
+    /// intervals count whole, which is exact when `[from, to)` covers
+    /// them, as the run report's `[0, finish)` does.
     pub fn blocked_fraction(&self, from: SimTime, to: SimTime) -> f64 {
         if to <= from {
             return 0.0;
         }
-        let mut blocked = 0u64;
+        debug_assert!(
+            self.forgotten_ns == 0 || (from == SimTime::ZERO && to >= self.horizon),
+            "forgotten intervals cannot be clipped"
+        );
+        let mut blocked = self.forgotten_ns;
         for &(s, e) in &self.intervals {
             let lo = s.max(from);
             let hi = e.min(to);
@@ -164,6 +198,37 @@ mod tests {
         let f = h.blocked_fraction(SimTime::ZERO, ms(1000));
         assert!((f - 0.5).abs() < 1e-9, "{f}");
         assert_eq!(h.blocked_fraction(ms(10), ms(10)), 0.0);
+    }
+
+    /// A history that forgets up to each horizon answers every query from
+    /// that horizon on as the full history does, and ends with the same
+    /// blocked fraction.
+    #[test]
+    fn forgetting_changes_no_later_answer() {
+        dynmpi_testkit::check("forgetting_changes_no_later_answer", |rng| {
+            let (mut full, mut kept) = (BlockHistory::new(), BlockHistory::new());
+            let mut now = SimTime::ZERO;
+            for _ in 0..rng.range_usize(1, 200) {
+                now = SimTime(now.0 + rng.range_u64(0, 2_000_000_000));
+                full.block(now);
+                kept.block(now);
+                now = SimTime(now.0 + rng.range_u64(0, 800_000_000));
+                full.unblock(now);
+                kept.unblock(now);
+                let lag = crate::time::SimDur(rng.range_u64(0, 200_000_000));
+                kept.forget_until(monitor_sample_time(now, lag));
+                for _ in 0..4 {
+                    let t = SimTime(rng.range_u64(kept.horizon.0, now.0 + 3_000_000_000));
+                    assert_eq!(kept.blocked_at(t), full.blocked_at(t), "at {t:?}");
+                }
+            }
+            assert!(kept.intervals.len() <= full.intervals.len());
+            let end = SimTime(now.0 + rng.range_u64(0, 1_000_000_000));
+            assert_eq!(
+                kept.blocked_fraction(SimTime::ZERO, end).to_bits(),
+                full.blocked_fraction(SimTime::ZERO, end).to_bits()
+            );
+        });
     }
 
     #[test]
