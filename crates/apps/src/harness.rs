@@ -1,7 +1,8 @@
 //! Experiment harness: runs any application on a scripted virtual
-//! cluster and collects the measurements the paper's figures report.
+//! cluster, collects the measurements the paper's figures report, and
+//! judges a run against its references ([`judge`]).
 
-use dynmpi::DynMpiConfig;
+use dynmpi::{DynMpiConfig, RuntimeEvent};
 use dynmpi_comm::SimTransport;
 use dynmpi_obs::Recorder;
 use dynmpi_sim::{Cluster, LoadScript, NetParams, NodeSpec, OsParams};
@@ -28,6 +29,16 @@ impl AppSpec {
             AppSpec::Sor(_) => "sor",
             AppSpec::Cg(_) => "cg",
             AppSpec::Particle(_) => "particle",
+        }
+    }
+
+    /// The steps the app runs, one phase cycle each, without a crash.
+    pub fn iters(&self) -> usize {
+        match self {
+            AppSpec::Jacobi(p) => p.iters,
+            AppSpec::Sor(p) => p.iters,
+            AppSpec::Cg(p) => p.iters,
+            AppSpec::Particle(p) => p.iters,
         }
     }
 }
@@ -75,7 +86,7 @@ impl Experiment {
 
     /// The virtual cluster the experiment runs on: its nodes, OS, network
     /// and load script.
-    pub fn cluster(&self) -> Cluster {
+    fn cluster(&self) -> Cluster {
         Cluster::homogeneous(self.nodes, self.node_spec)
             .with_os(self.os)
             .with_net(self.net)
@@ -101,9 +112,9 @@ impl SimRunResult {
     }
 
     /// The ranks' [`AppResult::state_digest`] shares, added (wrapping)
-    /// here on the host, after the run: equal for two runs of Jacobi or
-    /// SOR that end with the same grid bit for bit, whatever the
-    /// distribution, membership history or recovered crash.
+    /// here on the host, after the run: equal for two runs of Jacobi, SOR
+    /// or particle that end with the same grid bit for bit, whatever the
+    /// distribution, membership history or recovered crash. CG reports 0.
     pub fn state_digest(&self) -> u64 {
         self.per_rank
             .iter()
@@ -142,9 +153,9 @@ pub fn run_sim_with(exp: &Experiment, recorder: Option<Recorder>) -> SimRunResul
 }
 
 /// Runs an experiment on `cluster`, which is [`Experiment::cluster`] with
-/// engine options added: tests compare engine modes by passing
+/// engine options added: [`judge`] compares engine modes by passing
 /// `exp.cluster().with_stepped(true)`.
-pub fn run_sim_on(exp: &Experiment, cluster: Cluster) -> SimRunResult {
+fn run_sim_on(exp: &Experiment, cluster: Cluster) -> SimRunResult {
     let app = exp.app.clone();
     let mut cfg = exp.cfg.clone();
     // Scripted arrivals: the extra ranks start outside the computation
@@ -177,6 +188,140 @@ pub fn run_sim_on(exp: &Experiment, cluster: Cluster) -> SimRunResult {
     }
 }
 
+/// What [`judge`] holds a run to.
+#[derive(Clone, Debug)]
+pub struct Reference {
+    /// The experiment without its perturbation: for a crash, the
+    /// crash-free run.
+    pub run: SimRunResult,
+    /// The app's [`SimRunResult::state_digest`] on one dedicated node.
+    pub one_rank_digest: u64,
+}
+
+impl Reference {
+    /// Runs `base`, and its app alone on one dedicated node without
+    /// adaptation.
+    pub fn of(base: &Experiment) -> Self {
+        let one = Experiment::new(base.app.clone(), 1).with_cfg(DynMpiConfig::no_adapt());
+        Reference {
+            run: run_sim(base),
+            one_rank_digest: run_sim(&one).state_digest(),
+        }
+    }
+}
+
+/// The engines [`judge`] runs an experiment on.
+pub enum Engines {
+    /// The fast engine, recording into the recorder if one is given.
+    Fast(Option<Recorder>),
+    /// The fast engine and the stepped test oracle.
+    Both,
+}
+
+/// A run judged against its [`Reference`]. The paper's claim is that
+/// adaptation, and here crash recovery, never changes the answer; the
+/// other facts say how the run got there.
+#[derive(Clone, Debug)]
+pub struct Verdict {
+    /// The judged run (the fast engine's).
+    pub run: SimRunResult,
+    /// The state digest equals the reference run's and the 1-rank run's,
+    /// which is not 0 (the kernel ran; CG reports 0).
+    pub digest_exact: bool,
+    /// The checksum equals the reference run's bit for bit.
+    pub checksum_exact: bool,
+    /// The checksum is within 1e-12 relative of the reference run's: a
+    /// different partition groups the same rows' final sum differently.
+    pub checksum_close: bool,
+    /// The ranks that participate at the end.
+    pub survivors: Vec<usize>,
+    /// The ranks that returned no result: the default [`AppResult`] the
+    /// simulator reports for a fail-stopped node's rank.
+    pub silent: Vec<usize>,
+    /// Rank 0's event kinds, in order.
+    pub kinds: Vec<&'static str>,
+    /// Rank 0's crash recoveries, as `(cycle, rollback_to)`.
+    pub recoveries: Vec<(u64, u64)>,
+    /// The cycles each rank ran.
+    pub cycles: Vec<usize>,
+    /// Every survivor logged rank 0's recoveries and ran the app's
+    /// [`AppSpec::iters`] cycles plus the `cycle − rollback_to` each
+    /// recovery replays.
+    pub replay_accounted: bool,
+    /// With [`Engines::Both`], which of `per_rank`, `makespan`,
+    /// `net_messages` and `net_bytes` the stepped oracle changed.
+    pub engine_diffs: Option<Vec<&'static str>>,
+}
+
+/// Runs `exp` on `engines` and judges the fast run against `reference`.
+pub fn judge(exp: &Experiment, reference: &Reference, engines: Engines) -> Verdict {
+    let (run, stepped) = match engines {
+        Engines::Fast(recorder) => (run_sim_with(exp, recorder), None),
+        Engines::Both => (
+            run_sim(exp),
+            Some(run_sim_on(exp, exp.cluster().with_stepped(true))),
+        ),
+    };
+    let engine_diffs = stepped.map(|s| {
+        let same = [
+            ("per_rank", s.per_rank == run.per_rank),
+            ("makespan", s.makespan == run.makespan),
+            ("net_messages", s.net_messages == run.net_messages),
+            ("net_bytes", s.net_bytes == run.net_bytes),
+        ];
+        same.iter().filter(|f| !f.1).map(|f| f.0).collect()
+    });
+    let recoveries_of = |r: &AppResult| -> Vec<(u64, u64)> {
+        (r.events.iter())
+            .filter_map(|e| match *e {
+                RuntimeEvent::NodeRecovered {
+                    cycle, rollback_to, ..
+                } => Some((cycle, rollback_to)),
+                _ => None,
+            })
+            .collect()
+    };
+    let recoveries = recoveries_of(&run.per_rank[0]);
+    let replayed: u64 = recoveries.iter().map(|(c, back)| c - back).sum();
+    let cycles: Vec<usize> = run.per_rank.iter().map(|r| r.cycle_times.len()).collect();
+    let ranks = 0..run.per_rank.len();
+    let survivors: Vec<usize> = ranks
+        .clone()
+        .filter(|&r| run.per_rank[r].participating)
+        .collect();
+    let digest = run.state_digest();
+    let (checksum, want) = (run.checksum(), reference.run.checksum());
+    Verdict {
+        digest_exact: reference.one_rank_digest != 0
+            && digest == reference.one_rank_digest
+            && digest == reference.run.state_digest(),
+        checksum_exact: checksum.is_some() && checksum == want,
+        checksum_close: checksums_close(checksum, want),
+        silent: ranks
+            .filter(|&r| run.per_rank[r] == AppResult::default())
+            .collect(),
+        kinds: run.events().iter().map(|e| e.kind()).collect(),
+        replay_accounted: survivors.iter().all(|&r| {
+            recoveries_of(&run.per_rank[r]) == recoveries
+                && cycles[r] as u64 == exp.app.iters() as u64 + replayed
+        }),
+        survivors,
+        recoveries,
+        cycles,
+        engine_diffs,
+        run,
+    }
+}
+
+/// Checksums agree up to reduction-regrouping rounding: different
+/// partitions sum the same per-row values in a different association.
+fn checksums_close(a: Option<f64>, b: Option<f64>) -> bool {
+    match (a, b) {
+        (Some(x), Some(y)) => (x - y).abs() <= 1e-12 * y.abs().max(1.0),
+        _ => false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,28 +338,19 @@ mod tests {
 
     #[test]
     fn dedicated_beats_loaded_no_adapt() {
-        let p = JacobiParams::small(64, 30);
         // Slow nodes: compute-dominated, so the competing processes bite.
-        let spec = NodeSpec::with_speed(1e6);
-        let ded = run_sim(
-            &Experiment::new(AppSpec::Jacobi(p.clone()), 2)
-                .with_node_spec(spec)
-                .with_cfg(DynMpiConfig::no_adapt()),
-        );
-        let loaded = run_sim(
-            &Experiment::new(AppSpec::Jacobi(p), 2)
-                .with_node_spec(spec)
-                .with_cfg(DynMpiConfig::no_adapt())
-                .with_script(LoadScript::dedicated().at_time(0, SimTime::ZERO, 2)),
-        );
-        assert!(
-            loaded.makespan > 1.5 * ded.makespan,
-            "loaded {} vs dedicated {}",
-            loaded.makespan,
-            ded.makespan
-        );
+        let ded = Experiment::new(AppSpec::Jacobi(JacobiParams::small(64, 30)), 2)
+            .with_node_spec(NodeSpec::with_speed(1e6))
+            .with_cfg(DynMpiConfig::no_adapt());
+        let loaded = ded
+            .clone()
+            .with_script(LoadScript::dedicated().at_time(0, SimTime::ZERO, 2));
+        let reference = Reference::of(&ded);
+        let v = judge(&loaded, &reference, Engines::Fast(None));
+        let (loaded, ded) = (v.run.makespan, reference.run.makespan);
+        assert!(loaded > 1.5 * ded, "loaded {loaded} vs dedicated {ded}");
         // Same answers regardless of load.
-        assert_eq!(ded.checksum(), loaded.checksum());
+        assert!(v.checksum_exact && v.digest_exact);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   nonuniform iterations (Figures 4, 7),
 //!
 //! plus [`harness`], which runs any of them on a scripted virtual
-//! cluster and collects the measurements the figures need.
+//! cluster, collects the measurements the figures need, and judges a
+//! run's answer against the unperturbed and the 1-rank run.
 
 pub mod cg;
 pub mod gen;

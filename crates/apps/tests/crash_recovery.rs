@@ -2,148 +2,85 @@
 //! crash is detected by the replicated timeout detector, the survivors
 //! restore the dead node's rows from its buddy checkpoint, roll the
 //! application back, and finish with the final grid of a crash-free run.
-//! The verdict is exact: the run's state digest (a wrapping sum of each
-//! final row's FNV-1a, which no partition can move) must equal both the
-//! crash-free run's and the 1-rank dedicated run's. The checksum is also
-//! held, to a ~1-ulp relative tolerance only: the survivors' final
-//! sum-reduction is grouped over a different partition than the
-//! baseline's, which legitimately rounds differently. Within one
-//! partition, crash handling must be *bit*-invisible to the engine mode,
-//! like every other output.
+//! The harness's [`judge`] holds each run to it exactly: the state digest
+//! (a wrapping sum of each final row's FNV-1a, which no partition can
+//! move) must equal the crash-free and the 1-rank dedicated run's, and
+//! every survivor must have run the replayed cycles on top of the app's.
+//! The checksum is held to a ~1-ulp relative tolerance only: the
+//! survivors' final sum-reduction is grouped over a different partition
+//! than the baseline's. Within one partition, crash handling must be
+//! *bit*-invisible to the engine mode, like every other output.
 
-use dynmpi::{DropPolicy, DynMpiConfig, RuntimeEvent, CKPT_BYTES_SENT, CKPT_REFRESHES};
-use dynmpi_apps::harness::{run_sim, run_sim_on, run_sim_with};
+use dynmpi::{DropPolicy, DynMpiConfig, CKPT_BYTES_SENT, CKPT_REFRESHES};
+use dynmpi_apps::harness::{judge, run_sim, run_sim_with, Engines, Reference, Verdict};
 use dynmpi_apps::jacobi::JacobiParams;
 use dynmpi_apps::particle::ParticleParams;
 use dynmpi_apps::sor::SorParams;
-use dynmpi_apps::{AppSpec, Experiment, SimRunResult};
+use dynmpi_apps::{AppSpec, Experiment};
 use dynmpi_obs::Recorder;
 use dynmpi_sim::{LoadScript, NodeSpec, SimTime};
 
-/// Failure-path configuration for the small test scenarios: quick
+/// `app` on 4 slow nodes with the failure path armed: quick
 /// confirmation, periodic refreshes so the rollback stays shallow.
-fn crash_cfg() -> DynMpiConfig {
-    DynMpiConfig {
-        failure_detection: true,
-        peer_timeout_seconds: 0.05,
-        failure_confirm_cycles: 2,
-        checkpoint_interval_cycles: 5,
-        drop_policy: DropPolicy::Never,
-        ..Default::default()
-    }
-}
-
-fn jacobi_exp(p: &JacobiParams, nodes: usize, script: LoadScript) -> Experiment {
-    Experiment::new(AppSpec::Jacobi(p.clone()), nodes)
+fn crash_exp(app: AppSpec) -> Experiment {
+    Experiment::new(app, 4)
         .with_node_spec(NodeSpec::with_speed(1e6))
-        .with_script(script)
-        .with_cfg(crash_cfg())
+        .with_cfg(DynMpiConfig {
+            failure_detection: true,
+            peer_timeout_seconds: 0.05,
+            failure_confirm_cycles: 2,
+            checkpoint_interval_cycles: 5,
+            drop_policy: DropPolicy::Never,
+            ..Default::default()
+        })
 }
 
-/// Checksums agree up to reduction-regrouping rounding (different
-/// partitions sum the same per-row values in a different association).
-fn checksums_close(a: Option<f64>, b: Option<f64>) -> bool {
-    match (a, b) {
-        (Some(x), Some(y)) => (x - y).abs() <= 1e-12 * y.abs().max(1.0),
-        _ => false,
-    }
-}
-
-/// The state digest of `app` run on one dedicated node.
-fn one_rank_digest(app: AppSpec) -> u64 {
-    run_sim(&Experiment::new(app, 1).with_cfg(DynMpiConfig::no_adapt())).state_digest()
-}
-
-/// Asserts that `out` ended with the final grid of the crash-free
-/// `baseline` and of the 1-rank dedicated run (digest `one_rank`): equal
-/// digests, exactly, and checksums within the regrouping tolerance.
-fn assert_same_answer(out: &SimRunResult, baseline: &SimRunResult, one_rank: u64, ctx: &str) {
-    assert!(
-        checksums_close(out.checksum(), baseline.checksum()),
-        "{ctx}: the answer changed: {:?} vs {:?}",
-        out.checksum(),
-        baseline.checksum()
-    );
-    assert_ne!(one_rank, 0, "{ctx}: the kernel ran");
-    assert_eq!(
-        out.state_digest(),
-        baseline.state_digest(),
-        "{ctx}: final grid differs from the crash-free run's"
-    );
-    assert_eq!(
-        out.state_digest(),
-        one_rank,
-        "{ctx}: final grid differs from the 1-rank dedicated run's"
-    );
-}
-
-/// Asserts the crashed run ended correctly relative to its crash-free
-/// baseline: the survivors finished (see [`assert_survived`]), and the
-/// restored computation produced the identical final grid.
-fn assert_recovered(
-    out: &SimRunResult,
-    baseline: &SimRunResult,
-    one_rank: u64,
-    dead: usize,
-    ctx: &str,
-) {
-    assert_survived(out, dead, ctx);
-    assert_same_answer(out, baseline, one_rank, ctx);
-}
-
-/// Asserts the dead rank yields no result, every survivor participates,
-/// and a full suspect → confirm → recover arc was recorded.
-fn assert_survived(out: &SimRunResult, dead: usize, ctx: &str) {
-    assert!(
-        out.per_rank[dead].checksum.is_none() && !out.per_rank[dead].participating,
-        "{ctx}: crashed rank must yield no result"
-    );
-    for (r, res) in out.per_rank.iter().enumerate() {
-        if r != dead {
-            assert!(res.participating, "{ctx}: survivor {r} must finish");
-        }
-    }
-    let kinds: Vec<&str> = out.events().iter().map(|e| e.kind()).collect();
+/// Crashes node `dead` of `exp` at `frac` of the crash-free makespan,
+/// judges the run against `reference` and asserts that it recovered
+/// exactly: the dead rank yields no result, every survivor finishes, a
+/// full suspect → confirm → recover arc was recorded, one recovery lost
+/// cycles and every survivor replayed them, and the final grid is the
+/// crash-free and the 1-rank run's.
+fn crash(exp: &Experiment, reference: &Reference, frac: f64, dead: usize, e: Engines) -> Verdict {
+    let t_crash = SimTime::from_secs_f64(reference.run.makespan * frac);
+    let script = LoadScript::dedicated().node_crash(t_crash, dead);
+    let v = judge(&exp.clone().with_script(script), reference, e);
+    let ctx = format!("node {dead} at {:.0}%", frac * 100.0);
+    assert_eq!(v.silent, [dead], "{ctx}: crashed rank must yield no result");
+    assert_eq!(v.survivors.len(), exp.nodes - 1, "{ctx}: a survivor quit");
     for k in ["node-suspected", "node-confirmed-dead", "node-recovered"] {
-        assert!(kinds.contains(&k), "{ctx}: missing {k} in {kinds:?}");
+        assert!(v.kinds.contains(&k), "{ctx}: missing {k} in {:?}", v.kinds);
     }
+    assert!(
+        matches!(v.recoveries[..], [(cycle, back)] if cycle > back),
+        "{ctx}: one recovery that loses cycles, not {:?}",
+        v.recoveries
+    );
+    assert!(v.replay_accounted, "{ctx}: cycles run {:?}", v.cycles);
+    assert!(v.digest_exact, "{ctx}: the final grid differs");
+    assert!(v.checksum_close, "{ctx}: the answer changed");
+    v
 }
 
 #[test]
 fn jacobi_crash_recovery_matches_crash_free_checksum() {
-    let p = JacobiParams::small(48, 60);
-    let baseline = run_sim(&jacobi_exp(&p, 4, LoadScript::dedicated()));
+    let exp = crash_exp(AppSpec::Jacobi(JacobiParams::small(48, 60)));
+    let reference = Reference::of(&exp);
     // Kill node 2 around 40% through the crash-free makespan: well past
     // the baseline checkpoint, well before the end.
-    let t_crash = SimTime::from_secs_f64(baseline.makespan * 0.4);
-    let script = LoadScript::dedicated().node_crash(t_crash, 2);
-    let out = run_sim(&jacobi_exp(&p, 4, script));
-    let one_rank = one_rank_digest(AppSpec::Jacobi(p));
-    assert_recovered(&out, &baseline, one_rank, 2, "crash@40%");
-    assert!(
-        out.makespan > baseline.makespan,
-        "recovery (rollback + replay) costs time"
-    );
+    let v = crash(&exp, &reference, 0.4, 2, Engines::Fast(None));
+    // Rollback and replay cost time.
+    assert!(v.run.makespan > reference.run.makespan);
 }
 
 #[test]
 fn jacobi_crash_is_engine_invariant() {
-    let p = JacobiParams::small(48, 50);
-    let baseline = run_sim(&jacobi_exp(&p, 4, LoadScript::dedicated()));
-    let t_crash = SimTime::from_secs_f64(baseline.makespan * 0.5);
-    let exp = jacobi_exp(&p, 4, LoadScript::dedicated().node_crash(t_crash, 1));
-
-    let fast = run_sim(&exp);
-    let one_rank = one_rank_digest(AppSpec::Jacobi(p));
-    assert_recovered(&fast, &baseline, one_rank, 1, "fast");
-    let stepped = run_sim_on(&exp, exp.cluster().with_stepped(true));
+    let exp = crash_exp(AppSpec::Jacobi(JacobiParams::small(48, 50)));
+    let v = crash(&exp, &Reference::of(&exp), 0.5, 1, Engines::Both);
     assert_eq!(
-        fast.per_rank, stepped.per_rank,
-        "per-rank results diverged between engines"
-    );
-    assert!(
-        fast.makespan == stepped.makespan,
-        "makespan diverged between engines"
+        v.engine_diffs,
+        Some(vec![]),
+        "outputs diverged between engines"
     );
 }
 
@@ -152,60 +89,22 @@ fn jacobi_crash_is_engine_invariant() {
 /// answer silently drifts while `node-recovered` is still logged.
 #[test]
 fn sor_crash_recovery_matches_crash_free_checksum() {
-    let exp = |script| {
-        Experiment::new(AppSpec::Sor(SorParams::small(48, 60)), 4)
-            .with_node_spec(NodeSpec::with_speed(1e6))
-            .with_script(script)
-            .with_cfg(crash_cfg())
-    };
-    let baseline = run_sim(&exp(LoadScript::dedicated()));
-    let t_crash = SimTime::from_secs_f64(baseline.makespan * 0.4);
-    let out = run_sim(&exp(LoadScript::dedicated().node_crash(t_crash, 2)));
-    let one_rank = one_rank_digest(AppSpec::Sor(SorParams::small(48, 60)));
-    assert_recovered(&out, &baseline, one_rank, 2, "sor crash@40%");
+    let exp = crash_exp(AppSpec::Sor(SorParams::small(48, 60)));
+    crash(&exp, &Reference::of(&exp), 0.4, 2, Engines::Fast(None));
 }
 
 /// Particle recovers through the cycle driver too: its boundary flux
 /// crosses in the runtime's neighbour exchange, which gives a dead
 /// neighbour's payload up instead of hanging. Every row adds its flux in
 /// one order under any partition, so the survivors end with the
-/// crash-free and the 1-rank run's grid to the digest. Each survivor's
-/// cycle count must also show the replay: `iters` plus the cycles from
-/// its `node-recovered` rollback point to the recovery.
+/// crash-free and the 1-rank run's grid to the digest.
 #[test]
 fn particle_crash_recovery_conserves_mass() {
-    let p = ParticleParams::small(48, 32, 60);
-    let exp = |script| {
-        Experiment::new(AppSpec::Particle(p.clone()), 4)
-            .with_node_spec(NodeSpec::with_speed(1e6))
-            .with_script(script)
-            .with_cfg(crash_cfg())
-    };
-    let baseline = run_sim(&exp(LoadScript::dedicated()));
-    let t_crash = SimTime::from_secs_f64(baseline.makespan * 0.4);
-    let out = run_sim(&exp(LoadScript::dedicated().node_crash(t_crash, 2)));
-    let one_rank = one_rank_digest(AppSpec::Particle(p.clone()));
-    assert_recovered(&out, &baseline, one_rank, 2, "particle crash@40%");
-    assert!(out.makespan > baseline.makespan, "recovery costs time");
-    for (r, res) in out.per_rank.iter().enumerate().filter(|&(r, _)| r != 2) {
-        let replayed: Vec<u64> = (res.events.iter())
-            .filter_map(|e| match *e {
-                RuntimeEvent::NodeRecovered {
-                    cycle, rollback_to, ..
-                } => Some(cycle - rollback_to),
-                _ => None,
-            })
-            .collect();
-        assert!(
-            replayed.len() == 1 && replayed[0] > 0,
-            "survivor {r}: one recovery that loses cycles, not {replayed:?}"
-        );
-        assert_eq!(
-            res.cycle_times.len() as u64,
-            p.iters as u64 + replayed[0],
-            "survivor {r} ran iters + the replayed cycles"
-        );
-    }
+    let exp = crash_exp(AppSpec::Particle(ParticleParams::small(48, 32, 60)));
+    let reference = Reference::of(&exp);
+    let v = crash(&exp, &reference, 0.4, 2, Engines::Fast(None));
+    // Recovery costs time.
+    assert!(v.run.makespan > reference.run.makespan);
 }
 
 /// Property sweep: random crash times × nodes (deterministic LCG). For
@@ -213,9 +112,8 @@ fn particle_crash_recovery_conserves_mass() {
 /// final grid bit for bit.
 #[test]
 fn jacobi_random_crash_times_always_recover_exactly() {
-    let p = JacobiParams::small(40, 44);
-    let baseline = run_sim(&jacobi_exp(&p, 4, LoadScript::dedicated()));
-    let one_rank = one_rank_digest(AppSpec::Jacobi(p.clone()));
+    let exp = crash_exp(AppSpec::Jacobi(JacobiParams::small(40, 44)));
+    let reference = Reference::of(&exp);
     let mut state = 0x243F_6A88_85A3_08D3u64; // LCG seed (π digits)
     let mut rand = move || {
         state = state
@@ -223,23 +121,11 @@ fn jacobi_random_crash_times_always_recover_exactly() {
             .wrapping_add(1442695040888963407);
         (state >> 33) as f64 / (1u64 << 31) as f64
     };
-    for sample in 0..5 {
+    for _ in 0..5 {
         // Crash fraction in (0.15, 0.85); never the root (out of scope).
         let frac = 0.15 + 0.7 * rand();
         let dead = 1 + (rand() * 3.0) as usize % 3;
-        let t_crash = SimTime::from_secs_f64(baseline.makespan * frac);
-        let out = run_sim(&jacobi_exp(
-            &p,
-            4,
-            LoadScript::dedicated().node_crash(t_crash, dead),
-        ));
-        assert_recovered(
-            &out,
-            &baseline,
-            one_rank,
-            dead,
-            &format!("sample {sample}: node {dead} at {:.0}%", frac * 100.0),
-        );
+        crash(&exp, &reference, frac, dead, Engines::Fast(None));
     }
 }
 
@@ -249,43 +135,46 @@ fn jacobi_random_crash_times_always_recover_exactly() {
 /// change.
 #[test]
 fn jacobi_overload_is_never_confirmed_dead() {
-    let p = JacobiParams::small(48, 60);
-    let baseline = run_sim(&jacobi_exp(&p, 4, LoadScript::dedicated()));
+    let exp = crash_exp(AppSpec::Jacobi(JacobiParams::small(48, 60)));
     // Node 2 picks up 3 competing processes a few cycles in — a 4×
     // compute stretch, far beyond the control-plane timeout.
     let script = LoadScript::dedicated().at_cycle(2, 8, 3);
-    let out = run_sim(&jacobi_exp(&p, 4, script));
-    let kinds: Vec<&str> = out.events().iter().map(|e| e.kind()).collect();
-    assert!(
-        !kinds.contains(&"node-confirmed-dead") && !kinds.contains(&"node-recovered"),
-        "overload escalated to death: {kinds:?}"
+    let v = judge(
+        &exp.clone().with_script(script),
+        &Reference::of(&exp),
+        Engines::Fast(None),
     );
-    assert!(out.per_rank.iter().all(|r| r.participating));
-    let one_rank = one_rank_digest(AppSpec::Jacobi(p));
-    assert_same_answer(&out, &baseline, one_rank, "overload");
+    assert!(
+        !v.kinds.contains(&"node-confirmed-dead") && !v.kinds.contains(&"node-recovered"),
+        "overload escalated to death: {:?}",
+        v.kinds
+    );
+    assert_eq!(v.survivors, [0, 1, 2, 3]);
+    assert!(
+        v.replay_accounted && v.digest_exact && v.checksum_close,
+        "overload"
+    );
 }
 
 /// A partition is the same silence as a crash from the survivors' side;
 /// the cut-off rank withdraws on its own instead of blocking forever.
 #[test]
 fn jacobi_partition_recovers_like_a_crash() {
-    let p = JacobiParams::small(48, 50);
-    let baseline = run_sim(&jacobi_exp(&p, 4, LoadScript::dedicated()));
-    let t_cut = SimTime::from_secs_f64(baseline.makespan * 0.5);
-    let out = run_sim(&jacobi_exp(
-        &p,
-        4,
-        LoadScript::dedicated().node_partition(t_cut, 2),
-    ));
-    for (r, res) in out.per_rank.iter().enumerate() {
-        if r != 2 {
-            assert!(res.participating, "survivor {r} must finish");
-        }
-    }
-    let kinds: Vec<&str> = out.events().iter().map(|e| e.kind()).collect();
-    assert!(kinds.contains(&"node-confirmed-dead"), "{kinds:?}");
-    let one_rank = one_rank_digest(AppSpec::Jacobi(p));
-    assert_same_answer(&out, &baseline, one_rank, "partition");
+    let exp = crash_exp(AppSpec::Jacobi(JacobiParams::small(48, 50)));
+    let reference = Reference::of(&exp);
+    let t_cut = SimTime::from_secs_f64(reference.run.makespan * 0.5);
+    let script = LoadScript::dedicated().node_partition(t_cut, 2);
+    let v = judge(
+        &exp.clone().with_script(script),
+        &reference,
+        Engines::Fast(None),
+    );
+    assert_eq!(v.survivors, [0, 1, 3], "survivors must finish");
+    assert!(v.kinds.contains(&"node-confirmed-dead"), "{:?}", v.kinds);
+    assert!(
+        v.replay_accounted && v.digest_exact && v.checksum_close,
+        "partition"
+    );
 }
 
 /// What arming the fault path costs a crash-free run, pinned exactly: the

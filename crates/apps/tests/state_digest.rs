@@ -6,32 +6,12 @@
 //! tolerance; the digest is exact.
 
 use dynmpi::{DropPolicy, DynMpiConfig};
-use dynmpi_apps::harness::{run_sim, run_sim_on};
+use dynmpi_apps::harness::{judge, Engines, Reference};
 use dynmpi_apps::jacobi::JacobiParams;
 use dynmpi_apps::particle::ParticleParams;
 use dynmpi_apps::sor::SorParams;
-use dynmpi_apps::{AppSpec, Experiment, SimRunResult};
+use dynmpi_apps::{AppSpec, Experiment};
 use dynmpi_sim::{LoadScript, NodeSpec};
-
-fn exp(app: &AppSpec, nodes: usize, script: LoadScript, cfg: DynMpiConfig) -> Experiment {
-    Experiment::new(app.clone(), nodes)
-        .with_node_spec(NodeSpec::with_speed(1e6))
-        .with_script(script)
-        .with_cfg(cfg)
-}
-
-fn dedicated(app: &AppSpec, nodes: usize) -> SimRunResult {
-    run_sim(&exp(
-        app,
-        nodes,
-        LoadScript::dedicated(),
-        DynMpiConfig::no_adapt(),
-    ))
-}
-
-fn kinds(out: &SimRunResult) -> Vec<&'static str> {
-    out.events().iter().map(|e| e.kind()).collect()
-}
 
 fn apps() -> [AppSpec; 3] {
     [
@@ -46,18 +26,14 @@ fn apps() -> [AppSpec; 3] {
 #[test]
 fn digest_is_the_one_rank_runs_at_every_node_count() {
     for app in apps() {
-        let one = dedicated(&app, 1);
-        assert_ne!(one.state_digest(), 0, "{}", app.name());
+        let one = Experiment::new(app.clone(), 1).with_cfg(DynMpiConfig::no_adapt());
+        let reference = Reference::of(&one);
         let mut checksum_moved = false;
         for nodes in 2..=4 {
-            let out = dedicated(&app, nodes);
-            assert_eq!(
-                out.state_digest(),
-                one.state_digest(),
-                "{} on {nodes} nodes",
-                app.name()
-            );
-            checksum_moved |= out.checksum() != one.checksum();
+            let exp = Experiment::new(app.clone(), nodes).with_cfg(DynMpiConfig::no_adapt());
+            let v = judge(&exp, &reference, Engines::Fast(None));
+            assert!(v.digest_exact, "{} on {nodes} nodes", app.name());
+            checksum_moved |= !v.checksum_exact;
         }
         assert!(
             checksum_moved,
@@ -65,11 +41,14 @@ fn digest_is_the_one_rank_runs_at_every_node_count() {
             app.name()
         );
     }
-    let short = dedicated(&AppSpec::Jacobi(JacobiParams::small(48, 59)), 1);
-    assert_ne!(
-        short.state_digest(),
-        dedicated(&apps()[0], 1).state_digest()
+    let short = Experiment::new(AppSpec::Jacobi(JacobiParams::small(48, 59)), 1);
+    let jacobi = Reference::of(&Experiment::new(apps()[0].clone(), 1));
+    let v = judge(
+        &short.with_cfg(DynMpiConfig::no_adapt()),
+        &jacobi,
+        Engines::Fast(None),
     );
+    assert_ne!(v.run.state_digest(), jacobi.one_rank_digest);
 }
 
 /// An explicit mid-run rebalance on a loaded cluster moves rows; the
@@ -80,50 +59,41 @@ fn digest_survives_a_rebalance() {
         rebalance_at: Some(30),
         ..JacobiParams::small(48, 60)
     };
-    let app = AppSpec::Jacobi(p);
-    let script = LoadScript::dedicated().at_cycle(1, 5, 2);
-    let cfg = DynMpiConfig {
-        grace_period: 2,
-        ..Default::default()
-    };
-    let out = run_sim(&exp(&app, 3, script, cfg));
-    assert!(kinds(&out).contains(&"redistributed"), "{:?}", kinds(&out));
-    assert_eq!(out.state_digest(), dedicated(&app, 1).state_digest());
+    let exp = Experiment::new(AppSpec::Jacobi(p), 3)
+        .with_node_spec(NodeSpec::with_speed(1e6))
+        .with_script(LoadScript::dedicated().at_cycle(1, 5, 2))
+        .with_cfg(DynMpiConfig {
+            grace_period: 2,
+            ..Default::default()
+        });
+    let one = Experiment::new(exp.app.clone(), 1).with_cfg(DynMpiConfig::no_adapt());
+    let v = judge(&exp, &Reference::of(&one), Engines::Fast(None));
+    assert!(v.kinds.contains(&"redistributed"), "{:?}", v.kinds);
+    assert!(v.digest_exact);
 }
 
 /// An adaptive run that redistributes away from a loaded node and then
-/// drops it ends with the dedicated answer, under both engines.
+/// drops it ends with the dedicated answer, and the stepped engine
+/// agrees with the fast one on every output.
 #[test]
 fn digest_survives_a_drop_under_both_engines() {
     for app in apps() {
-        let e = exp(
-            &app,
-            4,
-            LoadScript::dedicated().at_cycle(3, 8, 2),
-            DynMpiConfig {
+        let exp = Experiment::new(app.clone(), 4)
+            .with_node_spec(NodeSpec::with_speed(1e6))
+            .with_script(LoadScript::dedicated().at_cycle(3, 8, 2))
+            .with_cfg(DynMpiConfig {
                 drop_policy: DropPolicy::Always,
                 ..Default::default()
-            },
-        );
-        let fast = run_sim(&e);
+            });
+        let one = Experiment::new(app.clone(), 1).with_cfg(DynMpiConfig::no_adapt());
+        let v = judge(&exp, &Reference::of(&one), Engines::Both);
         assert!(
-            kinds(&fast).contains(&"nodes-dropped"),
+            v.kinds.contains(&"nodes-dropped"),
             "{}: {:?}",
             app.name(),
-            kinds(&fast)
+            v.kinds
         );
-        let stepped = run_sim_on(&e, e.cluster().with_stepped(true));
-        assert_eq!(
-            fast.state_digest(),
-            stepped.state_digest(),
-            "{}",
-            app.name()
-        );
-        assert_eq!(
-            fast.state_digest(),
-            dedicated(&app, 1).state_digest(),
-            "{}",
-            app.name()
-        );
+        assert_eq!(v.engine_diffs, Some(vec![]), "{}", app.name());
+        assert!(v.digest_exact, "{}", app.name());
     }
 }

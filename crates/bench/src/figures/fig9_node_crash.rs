@@ -26,9 +26,9 @@
 //! `--threads` and under both simulator engines.
 
 use dynmpi::{DropPolicy, DynMpiConfig, RuntimeEvent};
-use dynmpi_apps::harness::run_sim_with;
+use dynmpi_apps::harness::{judge, run_sim, Engines, Reference};
 use dynmpi_apps::jacobi::JacobiParams;
-use dynmpi_apps::{AppSpec, Experiment, SimRunResult};
+use dynmpi_apps::{AppSpec, Experiment};
 use dynmpi_sim::{LoadScript, NodeSpec, SimTime};
 
 use super::{Figure, SIM};
@@ -56,24 +56,10 @@ row! {
     /// (crash − oracle) / oracle: the fault path's cost over a perfect
     /// instant failover at the same instant.
     slowdown_pct: f64,
-    /// The crashed run ended with the crash-free run's grid: equal state
-    /// digests, and checksums within the regrouping tolerance.
+    /// The crashed run ended with the crash-free and the 1-rank run's
+    /// grid: equal state digests, and checksums within the regrouping
+    /// tolerance (the harness's [`judge`]).
     checksum_ok: bool,
-}
-
-/// Checksum agreement up to reduction-regrouping rounding: the
-/// survivors' final sum spans a different partition than the baseline's.
-fn checksums_close(a: Option<f64>, b: Option<f64>) -> bool {
-    match (a, b) {
-        (Some(x), Some(y)) => (x - y).abs() <= 1e-12 * y.abs().max(1.0),
-        _ => false,
-    }
-}
-
-/// The recovered run's final grid is the crash-free run's, bit for bit
-/// (the digest), and so is its checksum up to regrouping.
-fn same_answer(out: &SimRunResult, base: &SimRunResult) -> bool {
-    out.state_digest() == base.state_digest() && checksums_close(out.checksum(), base.checksum())
 }
 
 pub fn rows(args: &BenchArgs, inst: &Instrumentation) -> Vec<Row> {
@@ -105,28 +91,30 @@ pub fn rows(args: &BenchArgs, inst: &Instrumentation) -> Vec<Row> {
         }
     }
 
+    let app = AppSpec::Jacobi(JacobiParams {
+        n,
+        iters,
+        exercise_kernel: true,
+        rebalance_at: None,
+    });
+    let one_rank_digest =
+        run_sim(&Experiment::new(app.clone(), 1).with_cfg(DynMpiConfig::no_adapt())).state_digest();
     let rows: Vec<Row> = dynmpi_testkit::sweep(&items, args.threads, |i, item| {
         let (nodes, crash_frac) = *item;
         // Kill a mid-ring node: never the root (out of scope, DESIGN.md
         // §14), and not the last rank, so both ghost neighbors survive.
         let dead = nodes / 2;
-        let run = |nodes: usize, script: LoadScript, rec| {
-            let p = JacobiParams {
-                n,
-                iters,
-                exercise_kernel: true,
-                rebalance_at: None,
-            };
-            run_sim_with(
-                &Experiment::new(AppSpec::Jacobi(p), nodes)
-                    .with_node_spec(node_spec)
-                    .with_cfg(cfg.clone())
-                    .with_script(script),
-                rec,
-            )
+        let exp = |nodes: usize| {
+            Experiment::new(app.clone(), nodes)
+                .with_node_spec(node_spec)
+                .with_cfg(cfg.clone())
         };
 
-        let base = run(nodes, LoadScript::dedicated(), None);
+        let reference = Reference {
+            run: run_sim(&exp(nodes)),
+            one_rank_digest,
+        };
+        let base = &reference.run;
         let t_crash = SimTime::from_secs_f64(base.makespan * crash_frac);
         // The oracle: perfect instant failover — the full cluster up to
         // the crash instant, the survivor set (same capacity, rebalanced
@@ -134,17 +122,18 @@ pub fn rows(args: &BenchArgs, inst: &Instrumentation) -> Vec<Row> {
         // has zero detection wait, zero lost work, zero redistribution
         // cost; the gap to the real crash run is the fault path's whole
         // price.
-        let survivors_only = run(nodes - 1, LoadScript::dedicated(), None);
+        let survivors_only = run_sim(&exp(nodes - 1));
         let oracle_s = crash_frac * base.makespan + (1.0 - crash_frac) * survivors_only.makespan;
-        let out = run(
-            nodes,
-            LoadScript::dedicated().node_crash(t_crash, dead),
-            inst.recorder_for(i == 0),
+        let crashed = exp(nodes).with_script(LoadScript::dedicated().node_crash(t_crash, dead));
+        let v = judge(
+            &crashed,
+            &reference,
+            Engines::Fast(inst.recorder_for(i == 0)),
         );
+        let out = &v.run;
 
         let mut suspect_first = 0u64;
         let mut confirmed_cycle = 0u64;
-        let mut rollback_to = 0u64;
         let mut restored_rows = 0u64;
         for e in out.events() {
             match e {
@@ -155,16 +144,14 @@ pub fn rows(args: &BenchArgs, inst: &Instrumentation) -> Vec<Row> {
                     confirmed_cycle = *cycle;
                 }
                 RuntimeEvent::NodeRecovered {
-                    rollback_to: rb,
-                    restored_rows: rr,
-                    ..
+                    restored_rows: rr, ..
                 } if restored_rows == 0 => {
-                    rollback_to = *rb;
                     restored_rows = *rr as u64;
                 }
                 _ => {}
             }
         }
+        let rollback_to = v.recoveries.first().map_or(0, |&(_, back)| back);
         assert!(
             confirmed_cycle > 0,
             "fig9 nodes={nodes} frac={crash_frac}: crash was never confirmed"
@@ -182,7 +169,7 @@ pub fn rows(args: &BenchArgs, inst: &Instrumentation) -> Vec<Row> {
             oracle_s,
             crash_s: out.makespan,
             slowdown_pct: (out.makespan - oracle_s) / oracle_s * 100.0,
-            checksum_ok: same_answer(&out, &base),
+            checksum_ok: v.digest_exact && v.checksum_close,
         };
         log_info!(
             "fig9 nodes={nodes} crash@{:.0}%: confirmed c{confirmed_cycle} \

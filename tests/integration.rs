@@ -4,7 +4,7 @@
 
 use dynmpi::{BalancerKind, DropPolicy, DynMpiConfig};
 use dynmpi_apps::cg::CgParams;
-use dynmpi_apps::harness::{run_sim, AppSpec, Experiment};
+use dynmpi_apps::harness::{judge, run_sim, AppSpec, Engines, Experiment, Reference};
 use dynmpi_apps::jacobi::JacobiParams;
 use dynmpi_apps::particle::ParticleParams;
 use dynmpi_apps::sor::SorParams;
@@ -50,7 +50,10 @@ fn adaptation_never_changes_answers_across_configs() {
         exercise_kernel: true,
         rebalance_at: None,
     };
-    let script = LoadScript::dedicated().at_cycle(1, 6, 2);
+    let exp = Experiment::new(AppSpec::Jacobi(p), 3)
+        .with_node_spec(slow())
+        .with_script(LoadScript::dedicated().at_cycle(1, 6, 2));
+    let reference = Reference::of(&exp.clone().with_cfg(DynMpiConfig::no_adapt()));
     let mut checksums = Vec::new();
     for cfg in [
         DynMpiConfig::no_adapt(),
@@ -70,13 +73,9 @@ fn adaptation_never_changes_answers_across_configs() {
             ..Default::default()
         },
     ] {
-        let r = run_sim(
-            &Experiment::new(AppSpec::Jacobi(p.clone()), 3)
-                .with_node_spec(slow())
-                .with_cfg(cfg)
-                .with_script(script.clone()),
-        );
-        checksums.push(r.checksum().unwrap());
+        let v = judge(&exp.clone().with_cfg(cfg), &reference, Engines::Fast(None));
+        assert!(v.digest_exact, "not the 1-rank run's grid");
+        checksums.push(v.run.checksum().unwrap());
     }
     for c in &checksums[1..] {
         assert!(
@@ -125,31 +124,27 @@ fn forced_drop_then_completion() {
         exercise_kernel: true,
     };
     let script = LoadScript::dedicated().at_cycle(3, 5, 3);
-    let crawl = NodeSpec::with_speed(2e5);
-    let r = run_sim(
-        &Experiment::new(AppSpec::Sor(p.clone()), 4)
-            .with_node_spec(crawl)
-            .with_cfg(DynMpiConfig {
-                drop_policy: DropPolicy::Always,
-                grace_period: 2,
-                post_redist_period: 3,
-                ..Default::default()
-            })
-            .with_script(script.clone()),
-    );
+    let base = Experiment::new(AppSpec::Sor(p), 4)
+        .with_node_spec(NodeSpec::with_speed(2e5))
+        .with_cfg(DynMpiConfig::no_adapt())
+        .with_script(script);
+    let exp = base.clone().with_cfg(DynMpiConfig {
+        drop_policy: DropPolicy::Always,
+        grace_period: 2,
+        post_redist_period: 3,
+        ..Default::default()
+    });
+    let reference = Reference::of(&base);
+    let v = judge(&exp, &reference, Engines::Fast(None));
+    let r = &v.run;
     assert!(r.events().iter().any(|e| e.kind() == "nodes-dropped"));
     assert!(!r.per_rank[3].participating);
     assert_eq!(r.per_rank[3].final_rows, 0);
     // Survivors own the whole interior and the answer matches no-adapt.
     let total: usize = r.per_rank.iter().map(|x| x.final_rows).sum();
     assert_eq!(total, 62);
-    let base = run_sim(
-        &Experiment::new(AppSpec::Sor(p), 4)
-            .with_node_spec(crawl)
-            .with_cfg(DynMpiConfig::no_adapt())
-            .with_script(script),
-    );
-    let (a, b) = (base.checksum().unwrap(), r.checksum().unwrap());
+    assert!(v.digest_exact, "not the 1-rank run's grid");
+    let (a, b) = (reference.run.checksum().unwrap(), r.checksum().unwrap());
     assert!((a - b).abs() < 1e-9 * a.abs().max(1.0));
 }
 
@@ -191,19 +186,20 @@ fn particle_mass_conserved_across_drop() {
         let init = dynmpi_apps::gen::particle_counts(32, 16, p.base, p.hot, 0..8, p.seed);
         init.iter().flatten().sum::<f64>()
     };
-    let script = LoadScript::dedicated().at_cycle(2, 5, 3);
-    let r = run_sim(
-        &Experiment::new(AppSpec::Particle(p), 4)
-            .with_node_spec(slow())
-            .with_cfg(DynMpiConfig {
-                drop_policy: DropPolicy::Always,
-                grace_period: 2,
-                post_redist_period: 3,
-                ..Default::default()
-            })
-            .with_script(script),
-    );
-    let mass = r.checksum().unwrap();
+    let base = Experiment::new(AppSpec::Particle(p), 4)
+        .with_node_spec(slow())
+        .with_cfg(DynMpiConfig::no_adapt())
+        .with_script(LoadScript::dedicated().at_cycle(2, 5, 3));
+    let exp = base.clone().with_cfg(DynMpiConfig {
+        drop_policy: DropPolicy::Always,
+        grace_period: 2,
+        post_redist_period: 3,
+        ..Default::default()
+    });
+    let v = judge(&exp, &Reference::of(&base), Engines::Fast(None));
+    assert!(v.kinds.contains(&"nodes-dropped"), "{:?}", v.kinds);
+    assert!(v.digest_exact, "not the 1-rank run's grid");
+    let mass = v.run.checksum().unwrap();
     assert!(
         (mass - expect).abs() < 1e-9 * expect,
         "mass {mass} vs {expect} (redistribution must not lose particles)"
