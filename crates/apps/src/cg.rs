@@ -77,16 +77,16 @@ pub fn run<T: HostMeters>(t: &T, p: &CgParams, cfg: DynMpiConfig) -> AppResult {
     // Deterministic global generation; keep owned rows.
     let mine = rt.my_rows(ph);
     for (i, j, v) in gen::spd_coords(n, p.offdiag_per_row, p.seed) {
-        if mine.contains(i) {
+        if mine.contains(&i) {
             let row = a.row_mut(i);
             let cur = row.get(j).copied().unwrap_or(0.0);
             row.set(j, cur + v);
         }
     }
     // x₀ = 0, b = 1 ⇒ r₀ = b, p₀ = r₀.
-    x.fill_rows(&mine, |_, _| 0.0);
-    r.fill_rows(&mine, |_, _| 1.0);
-    pv.fill_rows(&mine, |_, _| 1.0);
+    x.fill_rows(mine.clone(), |_, _| 0.0);
+    r.fill_rows(mine.clone(), |_, _| 1.0);
+    pv.fill_rows(mine, |_, _| 1.0);
 
     let mut final_rr = f64::NAN;
     let mut q: Vec<(usize, f64)> = Vec::new();
@@ -102,11 +102,11 @@ pub fn run<T: HostMeters>(t: &T, p: &CgParams, cfg: DynMpiConfig) -> AppResult {
             q.clear();
             if rt.participating() {
                 // Assemble the full p vector from all active blocks.
-                let my_p: Vec<f64> = mine.iter().map(|i| pv.row(i)[0]).collect();
+                let my_p: Vec<f64> = mine.clone().map(|i| pv.row(i)[0]).collect();
                 let full_p = rt.allgather(&my_p);
                 debug_assert_eq!(full_p.len(), n);
                 // q = A·p on my rows; accumulate r·r and p·q.
-                for i in mine.iter() {
+                for i in mine.clone() {
                     let mut qi = 0.0;
                     for (c, v) in a.row(i).iter() {
                         qi += v * full_p[c as usize];
@@ -135,7 +135,7 @@ pub fn run<T: HostMeters>(t: &T, p: &CgParams, cfg: DynMpiConfig) -> AppResult {
             let rr_new = rt.allreduce_sum(&[rr_new_local])[0];
             let beta = if rr.abs() > 0.0 { rr_new / rr } else { 0.0 };
             if rt.participating() {
-                for i in mine.iter() {
+                for i in mine {
                     let v = r.row(i)[0] + beta * pv.row(i)[0];
                     pv.row_mut(i)[0] = v;
                 }

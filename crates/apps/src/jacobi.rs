@@ -73,8 +73,8 @@ pub fn run<T: HostMeters>(t: &T, p: &JacobiParams, cfg: DynMpiConfig) -> AppResu
     let mut ma = DenseMatrix::<f64>::new(n, n);
     let mut mb = DenseMatrix::<f64>::new(n, n);
     rt.setup(&mut [&mut ma, &mut mb]);
-    ma.fill_rows(&rt.local_rows(a_id), |_, j| initial(j));
-    mb.fill_rows(&rt.local_rows(b_id), |_, j| initial(j));
+    ma.fill_rows(rt.local_rows(a_id).iter(), |_, j| initial(j));
+    mb.fill_rows(rt.local_rows(b_id).iter(), |_, j| initial(j));
 
     let row_work = (n - 2) as f64 * work::JACOBI_POINT;
     let mut grids = (ma, mb);
@@ -106,13 +106,11 @@ pub fn run<T: HostMeters>(t: &T, p: &JacobiParams, cfg: DynMpiConfig) -> AppResu
                     vector::run(
                         #[inline(always)]
                         || {
-                            for range in rows.ranges() {
-                                for i in range.clone() {
-                                    if recycle && i >= range.start + 2 {
-                                        dst.swap_row_storage(i, src, i - 2);
-                                    }
-                                    sweep_row(src, dst, i, n);
+                            for i in rows.clone() {
+                                if recycle && i >= rows.start + 2 {
+                                    dst.swap_row_storage(i, src, i - 2);
                                 }
+                                sweep_row(src, dst, i, n);
                             }
                         },
                     );
@@ -129,7 +127,7 @@ pub fn run<T: HostMeters>(t: &T, p: &JacobiParams, cfg: DynMpiConfig) -> AppResu
     // checksum.
     let final_m = if p.iters % 2 == 1 { &grids.1 } else { &grids.0 };
     let (local, state_digest) = if rt.participating() && p.exercise_kernel {
-        checksum_and_digest(final_m, &rt.my_rows(ph))
+        checksum_and_digest(final_m, rt.my_rows(ph))
     } else {
         (0.0, 0)
     };
@@ -166,7 +164,6 @@ pub(crate) fn sweep(up: &[f64], mid: &[f64], down: &[f64], d: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynmpi::RowSet;
     use dynmpi_comm::run_threads;
 
     /// Sequential reference sweep: the checksum and the digest of the
@@ -193,10 +190,9 @@ mod tests {
             *dst = next;
         }
         let last = if iters % 2 == 1 { &b } else { &a };
-        let interior = RowSet::from_range(1..n - 1);
         let mut m = DenseMatrix::new(n, n);
-        m.fill_rows(&interior, |i, j| last[i][j]);
-        checksum_and_digest(&m, &interior)
+        m.fill_rows(1..n - 1, |i, j| last[i][j]);
+        checksum_and_digest(&m, 1..n - 1)
     }
 
     #[test]

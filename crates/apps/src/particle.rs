@@ -98,7 +98,7 @@ pub fn run<T: HostMeters>(t: &T, p: &ParticleParams, cfg: DynMpiConfig) -> AppRe
     rt.setup(&mut [&mut cells]);
     let hot_rows = p.hot_rows.clone().unwrap_or(0..nr / 8);
     let init = gen::particle_counts(nr, nc, p.base, p.hot, hot_rows, p.seed);
-    cells.fill_rows(&rt.my_rows(ph), |i, j| init[i][j]);
+    cells.fill_rows(rt.my_rows(ph), |i, j| init[i][j]);
 
     rt.run_cycles(
         p.iters,
@@ -112,7 +112,7 @@ pub fn run<T: HostMeters>(t: &T, p: &ParticleParams, cfg: DynMpiConfig) -> AppRe
         },
     );
 
-    let (local, state_digest) = checksum_and_digest(&cells, &rt.my_rows(ph));
+    let (local, state_digest) = checksum_and_digest(&cells, rt.my_rows(ph));
     let checksum = rt.allreduce_sum(&[local])[0];
     AppResult::new(&rt, ph, Some(checksum), state_digest)
 }

@@ -1,6 +1,8 @@
 //! Common per-rank result type for the benchmark applications.
 
-use dynmpi::{DenseMatrix, DynMpi, PhaseId, RowSet, RuntimeEvent};
+use std::ops::Range;
+
+use dynmpi::{DenseMatrix, DynMpi, PhaseId, RuntimeEvent};
 use dynmpi_comm::HostMeters;
 
 /// What one rank reports after running an application.
@@ -55,11 +57,6 @@ impl AppResult {
             state_digest,
         }
     }
-
-    /// Sum of this rank's cycle times.
-    pub fn total_time(&self) -> f64 {
-        self.cycle_times.iter().sum()
-    }
 }
 
 /// Row `i`'s term of [`AppResult::state_digest`]: FNV-1a over 64-bit
@@ -74,10 +71,9 @@ fn row_digest(i: usize, row: &[f64]) -> u64 {
 
 /// This rank's checksum term (the sum of each row's sum over `rows`) and
 /// its [`AppResult::state_digest`] share, in one pass over the rows.
-pub(crate) fn checksum_and_digest(m: &DenseMatrix<f64>, rows: &RowSet) -> (f64, u64) {
+pub(crate) fn checksum_and_digest(m: &DenseMatrix<f64>, rows: Range<usize>) -> (f64, u64) {
     let mut digest = 0u64;
     let sum = rows
-        .iter()
         .map(|i| {
             let row = m.row(i);
             digest = digest.wrapping_add(row_digest(i, row));
@@ -85,23 +81,4 @@ pub(crate) fn checksum_and_digest(m: &DenseMatrix<f64>, rows: &RowSet) -> (f64, 
         })
         .sum();
     (sum, digest)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn total_time_sums() {
-        let r = AppResult {
-            checksum: Some(1.0),
-            cycle_times: vec![0.5, 0.25],
-            events: vec![],
-            redist_seconds: 0.0,
-            participating: true,
-            final_rows: 10,
-            state_digest: 0,
-        };
-        assert!((r.total_time() - 0.75).abs() < 1e-12);
-    }
 }

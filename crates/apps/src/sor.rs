@@ -88,7 +88,7 @@ pub fn run<T: HostMeters>(t: &T, p: &SorParams, cfg: DynMpiConfig) -> AppResult 
 
     let mut g = DenseMatrix::<f64>::new(n, n);
     rt.setup(&mut [&mut g]);
-    g.fill_rows(&rt.local_rows(g_id), |i, j| initial(i, j, n));
+    g.fill_rows(rt.local_rows(g_id).iter(), |i, j| initial(i, j, n));
 
     // Each half-sweep touches half the points of a row.
     let row_work = (n - 2) as f64 * 0.5 * work::SOR_POINT;
@@ -101,7 +101,7 @@ pub fn run<T: HostMeters>(t: &T, p: &SorParams, cfg: DynMpiConfig) -> AppResult 
                 for (phase, color) in [(ph_red, 0usize), (ph_black, 1usize)] {
                     rt.ghost_exchange(g_id, g);
                     if p.exercise_kernel {
-                        for i in rt.my_rows(phase).iter() {
+                        for i in rt.my_rows(phase) {
                             half_sweep_row(g, i, n, color, p.omega);
                         }
                     }
@@ -112,7 +112,7 @@ pub fn run<T: HostMeters>(t: &T, p: &SorParams, cfg: DynMpiConfig) -> AppResult 
     );
 
     let (local, state_digest) = if rt.participating() && p.exercise_kernel {
-        checksum_and_digest(&g, &rt.my_rows(ph_red))
+        checksum_and_digest(&g, rt.my_rows(ph_red))
     } else {
         (0.0, 0)
     };

@@ -55,7 +55,7 @@ pub fn rows(args: &BenchArgs, _: &Instrumentation) -> Vec<Row> {
     for moved in [n / 64, n / 16, n / 4] {
         // --- dense, projected -------------------------------------------
         let mut m = DenseMatrix::<f64>::new(n, row_len);
-        m.fill_rows(&RowSet::from_range(0..n / 2), |i, j| (i + j) as f64);
+        m.fill_rows(0..n / 2, |i, j| (i + j) as f64);
         let t0 = Instant::now();
         // Shift the held range down by `moved` rows: drop the head, take
         // on a new tail (the data for which arrives by message; here we

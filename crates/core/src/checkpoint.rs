@@ -194,7 +194,7 @@ impl BuddyCheckpoint {
         obs::count(CKPT_REFRESHES, 1);
 
         let epoch = self.epoch() + 1;
-        let rows = dist.rows_of(rel);
+        let rows = RowSet::from_range(dist.rows_of(rel));
         let payloads = (arrays.iter_mut())
             .map(|arr| Arc::new(arr.pack_rows(&rows, false)))
             .collect();
@@ -224,7 +224,7 @@ impl BuddyCheckpoint {
                 .map(|ai| t.recv_shared(pred, ckpt_tag(epoch, ai), recv_timeout))
                 .collect();
             if let Ok(payloads) = mirror {
-                let rows = dist.rows_of(pred_rel);
+                let rows = RowSet::from_range(dist.rows_of(pred_rel));
                 self.mirror = Some(Mirror {
                     of: pred,
                     app_cycle,
@@ -309,8 +309,8 @@ mod tests {
         let d = Distribution::block_from_counts(&[2, 3, 4]);
         let mut a = DenseMatrix::<f64>::new(9, 2);
         let mut b = DenseMatrix::<f64>::new(9, 3);
-        a.fill_rows(&d.rows_of(me), |i, j| (10 * i + j) as f64);
-        b.fill_rows(&d.rows_of(me), |i, j| -((10 * i + j) as f64));
+        a.fill_rows(d.rows_of(me), |i, j| (10 * i + j) as f64);
+        b.fill_rows(d.rows_of(me), |i, j| -((10 * i + j) as f64));
         let mut ckpt = BuddyCheckpoint::new();
         let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut a, &mut b];
         for cycle in [2, 4] {
@@ -360,7 +360,7 @@ mod tests {
             let g = Group::world(me, 3);
             let d = Distribution::block_from_counts(&[3, 3, 3]);
             let mut m = DenseMatrix::<f64>::new(nrows, 1);
-            m.fill_rows(&d.rows_of(me), |i, _| (10 * i) as f64);
+            m.fill_rows(d.rows_of(me), |i, _| (10 * i) as f64);
 
             let mut ckpt = BuddyCheckpoint::new();
             {
@@ -375,14 +375,14 @@ mod tests {
             assert_eq!(ckpt.mirror_rows(), 3);
 
             // Corrupt my rows, then roll back from the snapshot.
-            m.fill_rows(&d.rows_of(me), |_, _| -1.0);
+            m.fill_rows(d.rows_of(me), |_, _| -1.0);
             {
                 let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
                 let (members, gd) = ckpt.restore_generation(4, &mut arrays);
                 assert_eq!(members, vec![0, 1, 2]);
                 assert_eq!(gd.counts(), vec![3, 3, 3]);
             }
-            for i in d.rows_of(me).iter() {
+            for i in d.rows_of(me) {
                 assert_eq!(m.row(i)[0], (10 * i) as f64);
             }
 
@@ -391,8 +391,7 @@ mod tests {
                 let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
                 assert_eq!(ckpt.materialize_mirror(&mut arrays), 3);
             }
-            let pred_rows = d.rows_of(pred);
-            for i in pred_rows.iter() {
+            for i in d.rows_of(pred) {
                 assert_eq!(m.row(i)[0], (10 * i) as f64, "mirrored row {i}");
             }
             m.present_rows().len()
@@ -407,14 +406,14 @@ mod tests {
             let g = Group::world(0, 1);
             let d = Distribution::block_even(4, 1);
             let mut m = DenseMatrix::<f64>::new(4, 1);
-            m.fill_rows(&d.rows_of(0), |i, _| i as f64);
+            m.fill_rows(d.rows_of(0), |i, _| i as f64);
             let mut ckpt = BuddyCheckpoint::new();
             {
                 let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
                 ckpt.refresh(t, 0, &g, &d, &mut arrays, 1, None);
             }
             assert_eq!(ckpt.holds_mirror_of(), None);
-            m.fill_rows(&d.rows_of(0), |_, _| 9.0);
+            m.fill_rows(d.rows_of(0), |_, _| 9.0);
             {
                 let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
                 ckpt.restore_generation(1, &mut arrays);
@@ -434,7 +433,7 @@ mod tests {
             let g = Group::world(me, 3);
             let d = Distribution::block_from_counts(&[2, 2, 2]);
             let mut m = DenseMatrix::<f64>::new(6, 1);
-            m.fill_rows(&d.rows_of(me), |i, _| i as f64);
+            m.fill_rows(d.rows_of(me), |i, _| i as f64);
             let mut ckpt = BuddyCheckpoint::new();
             {
                 let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
@@ -445,7 +444,7 @@ mod tests {
             // a zero-second timeout it is guaranteed to hit because rank 1
             // never sends an epoch-2 payload (the epoch-salted tag makes
             // the old payload unmatchable).
-            m.fill_rows(&d.rows_of(me), |i, _| 100.0 + i as f64);
+            m.fill_rows(d.rows_of(me), |i, _| 100.0 + i as f64);
             if me != 1 {
                 let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
                 let timeout = if me == 2 { Some(0.05) } else { None };
@@ -457,17 +456,17 @@ mod tests {
                 assert_eq!(ckpt.holds_mirror_of(), Some(1));
                 assert_eq!(ckpt.mirror_app_cycle(), Some(3));
                 // Rolling back to the stamp restores generation-1 data.
-                m.fill_rows(&d.rows_of(me), |_, _| -1.0);
+                m.fill_rows(d.rows_of(me), |_, _| -1.0);
                 let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
                 let (members, gd) = ckpt.restore_generation(3, &mut arrays);
                 assert_eq!(members, vec![0, 1, 2]);
                 assert_eq!(gd.counts(), vec![2, 2, 2]);
-                for i in d.rows_of(2).iter() {
+                for i in d.rows_of(2) {
                     assert_eq!(m.row(i)[0], i as f64);
                 }
                 let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
                 assert_eq!(ckpt.materialize_mirror(&mut arrays), 2);
-                for i in d.rows_of(1).iter() {
+                for i in d.rows_of(1) {
                     assert_eq!(m.row(i)[0], i as f64, "mirrored row {i}");
                 }
             }

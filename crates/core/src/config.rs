@@ -55,10 +55,6 @@ pub struct DynMpiConfig {
     /// the residual wait is small (default 0.05); refined by the
     /// micro-benchmark calibration of §4.3.
     pub wait_factor: f64,
-    /// Safety margin: drop nodes only if the predicted unloaded
-    /// configuration is at least this much faster (1.0 = any
-    /// improvement).
-    pub drop_margin: f64,
     /// Stop reacting to load changes after this many redistributions
     /// (the Figure 5 "Redist Once" arm). `None` = unlimited.
     pub max_redistributions: Option<u32>,
@@ -73,14 +69,8 @@ pub struct DynMpiConfig {
     pub node_speeds: Vec<f64>,
     /// Admit an arriving node only if the predicted cycle time with it is
     /// at least this much faster than the measured one (1.0 = any
-    /// improvement) — the expansion counterpart of `drop_margin`.
+    /// improvement).
     pub expand_margin: f64,
-    /// Cycles over which an admission must amortize its redistribution
-    /// cost: admit only when `(measured − predicted) × horizon ≥ cost`.
-    pub expand_horizon_cycles: u32,
-    /// Estimated redistribution cost in seconds per row moved, for the
-    /// admission amortization test. 0.0 = treat redistribution as free.
-    pub redist_seconds_per_row: f64,
     /// Evaluate pending arrivals every this many cycles (a deterministic
     /// retry gate, so a rejected newcomer is reconsidered as conditions
     /// change without re-measuring every cycle).
@@ -114,13 +104,10 @@ impl Default for DynMpiConfig {
             allow_rejoin: false,
             rejoin_after_cycles: 3,
             wait_factor: 0.05,
-            drop_margin: 1.0,
             max_redistributions: None,
             seed_world: None,
             node_speeds: Vec::new(),
             expand_margin: 1.0,
-            expand_horizon_cycles: 50,
-            redist_seconds_per_row: 0.0,
             arrival_retry_cycles: 8,
             failure_detection: false,
             peer_timeout_seconds: 0.5,
@@ -150,7 +137,6 @@ impl DynMpiConfig {
             "post-redistribution period must be ≥ 1"
         );
         assert!(self.wait_factor >= 0.0);
-        assert!(self.drop_margin > 0.0);
         if let Some(seed) = self.seed_world {
             assert!(seed >= 1, "seed world must have at least one rank");
         }
@@ -159,11 +145,6 @@ impl DynMpiConfig {
             "node speeds must be positive"
         );
         assert!(self.expand_margin > 0.0);
-        assert!(
-            self.expand_horizon_cycles >= 1,
-            "expansion horizon must be ≥ 1 cycle"
-        );
-        assert!(self.redist_seconds_per_row >= 0.0);
         assert!(
             self.arrival_retry_cycles >= 1,
             "arrival retry gate must be ≥ 1 cycle"

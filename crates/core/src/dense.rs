@@ -125,11 +125,13 @@ impl<P: Pod> DenseMatrix<P> {
     }
 
     /// Fills `rows` with values from `f(row, col)`, allocating as needed.
-    pub fn fill_rows(&mut self, rows: &RowSet, mut f: impl FnMut(usize, usize) -> P) {
-        self.alloc_rows(rows);
-        for i in rows.iter() {
-            let row = self.rows[i].as_deref_mut().unwrap();
-            for (j, v) in row.iter_mut().enumerate() {
+    pub fn fill_rows(
+        &mut self,
+        rows: impl IntoIterator<Item = usize>,
+        mut f: impl FnMut(usize, usize) -> P,
+    ) {
+        for i in rows {
+            for (j, v) in self.row_mut(i).iter_mut().enumerate() {
                 *v = f(i, j);
             }
         }
@@ -326,7 +328,7 @@ mod tests {
     fn pack_unpack_round_trip() {
         let mut a = DenseMatrix::<f64>::new(8, 3);
         let rows = RowSet::from_ranges([1..3, 5..6]);
-        a.fill_rows(&rows, |i, j| (i * 10 + j) as f64);
+        a.fill_rows(rows.iter(), |i, j| (i * 10 + j) as f64);
         let bytes = a.pack_rows(&rows, false);
         assert_eq!(bytes.len(), 3 * 3 * 8);
 
@@ -341,7 +343,7 @@ mod tests {
     fn pack_take_releases_rows() {
         let mut a = DenseMatrix::<f64>::new(4, 2);
         let rows = RowSet::from_range(0..2);
-        a.fill_rows(&rows, |i, _| i as f64);
+        a.fill_rows(rows.iter(), |i, _| i as f64);
         let _ = a.pack_rows(&rows, true);
         assert!(!a.has_row(0));
         assert!(!a.has_row(1));
@@ -353,7 +355,7 @@ mod tests {
         // The projection scheme's whole point: rows that do not move are
         // not copied or reallocated.
         let mut m = DenseMatrix::<f64>::new(6, 2);
-        m.fill_rows(&RowSet::from_range(0..6), |i, _| i as f64);
+        m.fill_rows(0..6, |i, _| i as f64);
         let p_before = m.row(3).as_ptr();
         let stats_before = m.alloc_stats();
         // Drop some rows, unpack others; row 3 is untouched.
@@ -367,8 +369,8 @@ mod tests {
     fn swap_row_storage_trades_allocations_without_allocating() {
         let mut a = DenseMatrix::<f64>::new(6, 3);
         let mut b = DenseMatrix::<f64>::new(6, 3);
-        a.fill_rows(&RowSet::from_range(1..5), |i, _| i as f64);
-        b.fill_rows(&RowSet::from_range(1..5), |i, _| 10.0 + i as f64);
+        a.fill_rows(1..5, |i, _| i as f64);
+        b.fill_rows(1..5, |i, _| 10.0 + i as f64);
         let (pa, pb) = (a.row(4).as_ptr(), b.row(2).as_ptr());
         let (sa, sb) = (a.alloc_stats(), b.alloc_stats());
         a.swap_row_storage(4, &mut b, 2);
@@ -382,7 +384,7 @@ mod tests {
     fn swap_row_storage_rejects_other_lengths_and_absent_rows() {
         let filled = |row_len| {
             let mut m = DenseMatrix::<f64>::new(4, row_len);
-            m.fill_rows(&RowSet::from_range(1..3), |_, _| 1.0);
+            m.fill_rows(1..3, |_, _| 1.0);
             m
         };
         for (row_len, i, j, want) in [
@@ -402,7 +404,7 @@ mod tests {
     #[test]
     fn stencil_mut_lends_neighbours_and_a_writable_middle() {
         let mut m = DenseMatrix::<f64>::new(5, 2);
-        m.fill_rows(&RowSet::from_range(1..4), |i, j| (i * 10 + j) as f64);
+        m.fill_rows(1..4, |i, j| (i * 10 + j) as f64);
         let (up, mid, down) = m.stencil_mut(2);
         assert_eq!(up, &[10.0, 11.0]);
         assert_eq!(down, &[30.0, 31.0]);
@@ -417,7 +419,7 @@ mod tests {
     #[should_panic(expected = "row 3 is not stored")]
     fn stencil_mut_names_an_absent_neighbour() {
         let mut m = DenseMatrix::<f64>::new(5, 2);
-        m.fill_rows(&RowSet::from_range(1..3), |_, _| 1.0);
+        m.fill_rows(1..3, |_, _| 1.0);
         let _ = m.stencil_mut(2);
     }
 
@@ -426,7 +428,7 @@ mod tests {
         for i in [0, 4] {
             let r = std::panic::catch_unwind(|| {
                 let mut m = DenseMatrix::<f64>::new(5, 2);
-                m.fill_rows(&RowSet::from_range(0..5), |_, _| 1.0);
+                m.fill_rows(0..5, |_, _| 1.0);
                 let _ = m.stencil_mut(i);
             });
             let msg = r.expect_err("an edge row has a neighbour missing");
@@ -441,7 +443,7 @@ mod tests {
         // is written or allocated.
         for short in [1, 3] {
             let mut m = DenseMatrix::<f64>::new(4, 2);
-            m.fill_rows(&RowSet::from_range(0..1), |_, _| 5.0);
+            m.fill_rows(0..1, |_, _| 5.0);
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 m.unpack_rows(&RowSet::from_range(0..2), &to_bytes(&vec![1.0f64; short]));
             }));
@@ -480,7 +482,7 @@ mod tests {
         assert_eq!(c.alloc_stats().bytes_copied, 49 * 16 * 8);
 
         let mut d = DenseMatrix::<f64>::new(100, 16);
-        d.fill_rows(&RowSet::from_range(0..50), |_, _| 0.0);
+        d.fill_rows(0..50, |_, _| 0.0);
         let copied_before = d.alloc_stats().bytes_copied;
         d.drop_rows(&RowSet::from_range(0..1));
         assert_eq!(d.alloc_stats().bytes_copied, copied_before);

@@ -1,23 +1,18 @@
 //! Data distributions over the first (distributed) array dimension.
 //!
 //! Dyn-MPI's model (§2.1): a *variable block* distribution assigns each
-//! node a contiguous (possibly unequal) run of rows; a *cyclic*
-//! distribution assigns rows modulo the node count. Distributions are
+//! node a contiguous (possibly unequal) run of rows. Distributions are
 //! expressed over the **active** node set (relative ranks), since removed
 //! nodes own nothing.
 
 use std::ops::Range;
 
-use crate::rowset::RowSet;
-
-/// An assignment of `nrows` rows to `n` (active) nodes.
+/// An assignment of `nrows` rows to `n` (active) nodes in contiguous
+/// blocks: node `k` owns `starts[k]..starts[k+1]`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Distribution {
-    /// Contiguous blocks: node `k` owns `starts[k]..starts[k+1]`.
+pub struct Distribution {
     /// Invariant: `starts[0] == 0`, non-decreasing, `starts[n] == nrows`.
-    Block { starts: Vec<usize> },
-    /// Row `r` belongs to node `r % nnodes`.
-    Cyclic { nnodes: usize, nrows: usize },
+    starts: Vec<usize>,
 }
 
 impl Distribution {
@@ -37,7 +32,7 @@ impl Distribution {
             acc += c;
             starts.push(acc);
         }
-        Distribution::Block { starts }
+        Distribution { starts }
     }
 
     /// Blocks proportional to `weights` via the largest-remainder method,
@@ -81,99 +76,61 @@ impl Distribution {
         Distribution::block_from_counts(&counts)
     }
 
-    /// A cyclic distribution.
-    pub fn cyclic(nrows: usize, nnodes: usize) -> Distribution {
-        assert!(nnodes > 0, "no nodes");
-        Distribution::Cyclic { nnodes, nrows }
-    }
-
     /// Number of active nodes.
     pub fn nnodes(&self) -> usize {
-        match self {
-            Distribution::Block { starts } => starts.len() - 1,
-            Distribution::Cyclic { nnodes, .. } => *nnodes,
-        }
+        self.starts.len() - 1
     }
 
     /// Total rows distributed.
     pub fn nrows(&self) -> usize {
-        match self {
-            Distribution::Block { starts } => *starts.last().unwrap(),
-            Distribution::Cyclic { nrows, .. } => *nrows,
-        }
+        *self.starts.last().unwrap()
     }
 
     /// Owner (relative rank) of `row`.
     pub fn owner(&self, row: usize) -> usize {
         assert!(row < self.nrows(), "row {row} out of {}", self.nrows());
-        match self {
-            Distribution::Block { starts } => {
-                // starts is sorted; find k with starts[k] <= row < starts[k+1].
-                starts.partition_point(|&s| s <= row) - 1
-            }
-            Distribution::Cyclic { nnodes, .. } => row % nnodes,
-        }
+        // starts is sorted; find k with starts[k] <= row < starts[k+1].
+        self.starts.partition_point(|&s| s <= row) - 1
     }
 
     /// Rows owned by relative rank `node`.
-    pub fn rows_of(&self, node: usize) -> RowSet {
-        assert!(node < self.nnodes());
-        match self {
-            Distribution::Block { starts } => RowSet::from_range(starts[node]..starts[node + 1]),
-            Distribution::Cyclic { nnodes, nrows } => RowSet::strided(node, *nrows, *nnodes),
-        }
+    pub fn rows_of(&self, node: usize) -> Range<usize> {
+        self.starts[node]..self.starts[node + 1]
     }
 
     /// Rows owned by relative rank `node` within `rows`: `rows_of(node)`
-    /// intersected with the range, built directly as the one result set.
-    pub(crate) fn rows_of_in(&self, node: usize, rows: Range<usize>) -> RowSet {
-        assert!(node < self.nnodes());
-        match self {
-            Distribution::Block { starts } => {
-                RowSet::from_range(starts[node].max(rows.start)..starts[node + 1].min(rows.end))
-            }
-            Distribution::Cyclic { nnodes, nrows } => {
-                // The first row at or after `rows.start` congruent to `node`.
-                let first = node + rows.start.saturating_sub(node).div_ceil(*nnodes) * nnodes;
-                RowSet::strided(first, rows.end.min(*nrows), *nnodes)
-            }
-        }
+    /// clipped to the range (empty ranges start at the clip's start).
+    pub(crate) fn rows_of_in(&self, node: usize, rows: Range<usize>) -> Range<usize> {
+        let lo = self.starts[node].max(rows.start);
+        lo..self.starts[node + 1].min(rows.end).max(lo)
     }
 
-    /// The contiguous row range `[lo, hi]` (inclusive) of `node`, for
-    /// block distributions; `None` when empty or cyclic.
-    pub fn block_range(&self, node: usize) -> Option<(usize, usize)> {
-        match self {
-            Distribution::Block { starts } => {
-                let (lo, hi) = (starts[node], starts[node + 1]);
-                (lo < hi).then(|| (lo, hi - 1))
-            }
-            Distribution::Cyclic { .. } => None,
-        }
+    /// Relative ranks whose blocks can intersect the inclusive row
+    /// interval `[lo, hi]`: a binary search on the block boundaries.
+    pub(crate) fn overlapping(&self, lo: usize, hi: usize) -> Range<usize> {
+        let starts = &self.starts;
+        let a = starts.partition_point(|&s| s <= lo).saturating_sub(1);
+        let b = starts.partition_point(|&s| s <= hi).min(starts.len() - 1);
+        a..b.max(a)
     }
 
     /// Per-node row counts.
     pub fn counts(&self) -> Vec<usize> {
-        match self {
-            Distribution::Block { starts } => starts.windows(2).map(|w| w[1] - w[0]).collect(),
-            Distribution::Cyclic { nnodes, nrows } => (0..*nnodes)
-                .map(|k| nrows.saturating_sub(k).div_ceil(*nnodes))
-                .collect(),
-        }
+        self.starts.windows(2).map(|w| w[1] - w[0]).collect()
     }
 
     /// The row transfers needed to move from `self` to `new`: a list of
     /// `(src_rel_old_dist, dst_rel_new_dist, rows)` with non-empty row
-    /// sets. Relative ranks refer to each distribution's own node set, so
-    /// callers must map them to world ranks appropriately.
-    pub fn transfers_to(&self, new: &Distribution) -> Vec<(usize, usize, RowSet)> {
+    /// ranges. Relative ranks refer to each distribution's own node set,
+    /// so callers must map them to world ranks appropriately.
+    pub fn transfers_to(&self, new: &Distribution) -> Vec<(usize, usize, Range<usize>)> {
         assert_eq!(self.nrows(), new.nrows(), "row-space mismatch");
         let mut out = Vec::new();
         for src in 0..self.nnodes() {
             let have = self.rows_of(src);
             for dst in 0..new.nnodes() {
                 let want = new.rows_of(dst);
-                let mv = have.intersect(&want);
+                let mv = have.start.max(want.start)..have.end.min(want.end);
                 if !mv.is_empty() {
                     out.push((src, dst, mv));
                 }
@@ -184,8 +141,6 @@ impl Distribution {
 }
 
 #[cfg(test)]
-// Single-range arrays are exactly what `ranges()` assertions compare against.
-#[allow(clippy::single_range_in_vec_init)]
 mod tests {
     use super::*;
 
@@ -194,29 +149,21 @@ mod tests {
         let dists = [
             Distribution::block_even(17, 4),
             Distribution::block_from_counts(&[0, 9, 0, 8]),
-            Distribution::Cyclic {
-                nnodes: 1,
-                nrows: 17,
-            },
-            Distribution::Cyclic {
-                nnodes: 3,
-                nrows: 17,
-            },
-            Distribution::Cyclic {
-                nnodes: 5,
-                nrows: 17,
-            },
+            Distribution::block_from_counts(&[17]),
         ];
         for d in &dists {
             for node in 0..d.nnodes() {
                 for lo in 0..=18 {
                     for hi in 0..=18 {
-                        let want = d.rows_of(node).intersect(&RowSet::from_range(lo..hi));
+                        let got = d.rows_of_in(node, lo..hi);
+                        let want: Vec<usize> =
+                            d.rows_of(node).filter(|r| (lo..hi).contains(r)).collect();
                         assert_eq!(
-                            d.rows_of_in(node, lo..hi),
+                            got.clone().collect::<Vec<_>>(),
                             want,
                             "{d:?} node {node} {lo}..{hi}"
                         );
+                        assert!(got.start <= got.end, "{got:?} is inverted");
                     }
                 }
             }
@@ -227,12 +174,12 @@ mod tests {
     fn even_blocks() {
         let d = Distribution::block_even(10, 3);
         assert_eq!(d.counts(), vec![4, 3, 3]);
-        assert_eq!(d.rows_of(0).ranges(), &[0..4]);
-        assert_eq!(d.rows_of(2).ranges(), &[7..10]);
+        assert_eq!(d.rows_of(0), 0..4);
+        assert_eq!(d.rows_of(1), 4..7);
+        assert_eq!(d.rows_of(2), 7..10);
         assert_eq!(d.owner(0), 0);
         assert_eq!(d.owner(4), 1);
         assert_eq!(d.owner(9), 2);
-        assert_eq!(d.block_range(1), Some((4, 6)));
     }
 
     #[test]
@@ -260,9 +207,8 @@ mod tests {
     fn zero_weight_gets_zero_rows() {
         let d = Distribution::block_from_weights(10, &[1.0, 0.0, 1.0], 0);
         assert_eq!(d.counts(), vec![5, 0, 5]);
-        // The empty node has an empty row set and no block range.
+        // The empty node owns an empty range.
         assert!(d.rows_of(1).is_empty());
-        assert_eq!(d.block_range(1), None);
     }
 
     #[test]
@@ -275,31 +221,12 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_ownership() {
-        let d = Distribution::cyclic(10, 3);
-        assert_eq!(d.owner(0), 0);
-        assert_eq!(d.owner(4), 1);
-        assert_eq!(d.owner(8), 2);
-        assert_eq!(d.rows_of(1).iter().collect::<Vec<_>>(), vec![1, 4, 7]);
-        assert_eq!(d.counts(), vec![4, 3, 3]);
-        // More nodes than rows: the last ones own nothing.
-        assert_eq!(Distribution::cyclic(2, 4).counts(), vec![1, 1, 0, 0]);
-    }
-
-    #[test]
     fn transfers_between_blocks() {
         let old = Distribution::block_from_counts(&[6, 2]);
         let new = Distribution::block_from_counts(&[3, 5]);
         let t = old.transfers_to(&new);
         // Node 0 keeps 0..3, sends 3..6 to node 1; node 1 keeps 6..8.
-        assert_eq!(
-            t,
-            vec![
-                (0, 0, RowSet::from_range(0..3)),
-                (0, 1, RowSet::from_range(3..6)),
-                (1, 1, RowSet::from_range(6..8)),
-            ]
-        );
+        assert_eq!(t, vec![(0, 0, 0..3), (0, 1, 3..6), (1, 1, 6..8)]);
     }
 
     #[test]
@@ -315,23 +242,11 @@ mod tests {
             .sum();
         assert!(moved >= 3, "the dropped node's rows must move");
         // Every row lands exactly once.
-        let mut all = RowSet::new();
-        let mut total = 0;
+        let mut seen = vec![0; 9];
         for (_, _, rs) in &t {
-            total += rs.len();
-            all = all.union(rs);
+            rs.clone().for_each(|r| seen[r] += 1);
         }
-        assert_eq!(total, 9);
-        assert_eq!(all.ranges(), &[0..9]);
-    }
-
-    #[test]
-    fn block_cyclic_conversion_transfers() {
-        let old = Distribution::block_even(6, 2);
-        let new = Distribution::cyclic(6, 2);
-        let t = old.transfers_to(&new);
-        let total: usize = t.iter().map(|(_, _, rs)| rs.len()).sum();
-        assert_eq!(total, 6);
+        assert_eq!(seen, vec![1; 9]);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! (Deferred) Regular Section Descriptors.
 //!
-//! RSDs describe an array reference as `start : end : step` (§2.2, after
-//! Havlak & Kennedy). *Deferred* RSDs leave the bounds as expressions over
-//! the partitioned loop's bounds, evaluated at run time once the loop
-//! bounds for a node are known — which is what lets Dyn-MPI know, for any
-//! distribution, exactly which rows each node touches and therefore what
-//! must move on redistribution (§4.4).
+//! RSDs describe an array reference as `start : end` (§2.2, after Havlak
+//! & Kennedy; every section here has unit stride). *Deferred* RSDs leave
+//! the bounds as expressions over the partitioned loop's bounds,
+//! evaluated at run time once the loop bounds for a node are known —
+//! which is what lets Dyn-MPI know, for any distribution, exactly which
+//! rows each node touches and therefore what must move on redistribution
+//! (§4.4).
 
-use crate::rowset::RowSet;
+use std::ops::Range;
 
 /// A bound expression deferred until loop bounds are known.
 ///
@@ -15,8 +16,6 @@ use crate::rowset::RowSet;
 /// (inclusive, in global row indices).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Bound {
-    /// A fixed global index.
-    Const(i64),
     /// `loop start + offset` (e.g. `B[start_iter - 1]` ⇒ `Start(-1)`).
     Start(i64),
     /// `loop end + offset` (e.g. `B[end_iter + 1]` ⇒ `End(1)`).
@@ -26,7 +25,6 @@ pub enum Bound {
 impl Bound {
     fn eval(self, lo: i64, hi: i64) -> i64 {
         match self {
-            Bound::Const(c) => c,
             Bound::Start(off) => lo + off,
             Bound::End(off) => hi + off,
         }
@@ -47,18 +45,13 @@ pub enum AccessMode {
 pub struct Drsd {
     pub start: Bound,
     pub end: Bound,
-    pub step: u32,
 }
 
 impl Drsd {
     /// The identity section: exactly the rows the loop iterates
     /// (`A[i]` in the loop body).
     pub fn iter_space() -> Drsd {
-        Drsd {
-            start: Bound::Start(0),
-            end: Bound::End(0),
-            step: 1,
-        }
+        Drsd::with_halo(0)
     }
 
     /// The loop rows widened by a halo on each side (`B[i-1] … B[i+1]` ⇒
@@ -67,24 +60,7 @@ impl Drsd {
         Drsd {
             start: Bound::Start(-h),
             end: Bound::End(h),
-            step: 1,
         }
-    }
-
-    /// An explicit section with constant bounds (whole-array references,
-    /// e.g. the gathered vector in CG's mat-vec).
-    pub fn fixed(start: i64, end: i64) -> Drsd {
-        Drsd {
-            start: Bound::Const(start),
-            end: Bound::Const(end),
-            step: 1,
-        }
-    }
-
-    /// A strided section.
-    pub fn strided(start: Bound, end: Bound, step: u32) -> Drsd {
-        assert!(step > 0, "DRSD step must be positive");
-        Drsd { start, end, step }
     }
 
     /// Conservative bounding interval of [`Drsd::eval`] over *any* loop
@@ -93,7 +69,7 @@ impl Drsd {
     /// whose owned rows start at `first` and end at `last`. O(1) bound
     /// arithmetic — the redistribution scheduler uses it to skip schedule
     /// pairs whose row sets cannot intersect without materializing any
-    /// [`RowSet`].
+    /// [`crate::RowSet`].
     ///
     /// Conservativeness: for a sub-range `[rlo, rhi] ⊆ [first, last]`,
     /// every start bound is minimized at `(first, first)` and every end
@@ -117,19 +93,18 @@ impl Drsd {
 
     /// Evaluates the descriptor for a node whose partitioned loop covers
     /// global rows `[lo, hi]` inclusive, clamped to `0..nrows`.
-    /// An empty loop range (`hi < lo`) yields the empty set.
-    pub fn eval(&self, lo: usize, hi: usize, nrows: usize) -> RowSet {
+    /// An empty loop range (`hi < lo`) yields an empty range.
+    pub fn eval(&self, lo: usize, hi: usize, nrows: usize) -> Range<usize> {
         if hi < lo {
-            return RowSet::new();
+            return 0..0;
         }
         let s = self.start.eval(lo as i64, hi as i64);
         let e = self.end.eval(lo as i64, hi as i64);
         if e < s {
-            return RowSet::new();
+            return 0..0;
         }
         let s = s.max(0) as usize;
-        let e = e.max(0) as usize;
-        RowSet::strided(s, (e + 1).min(nrows), self.step as usize).clamp(nrows)
+        s..(e.max(0) as usize + 1).min(nrows).max(s)
     }
 }
 
@@ -143,41 +118,22 @@ pub struct ArrayAccess {
 }
 
 #[cfg(test)]
-// Single-range arrays are exactly what `ranges()` assertions compare against.
-#[allow(clippy::single_range_in_vec_init)]
 mod tests {
     use super::*;
 
     #[test]
     fn iter_space_matches_loop() {
         let d = Drsd::iter_space();
-        assert_eq!(d.eval(3, 7, 100).ranges(), &[3..8]);
+        assert_eq!(d.eval(3, 7, 100), 3..8);
     }
 
     #[test]
     fn halo_extends_and_clamps() {
         let d = Drsd::with_halo(1);
-        assert_eq!(d.eval(3, 7, 100).ranges(), &[2..9]);
+        assert_eq!(d.eval(3, 7, 100), 3 - 1..9);
         // Clamped at both array edges.
-        assert_eq!(d.eval(0, 7, 100).ranges(), &[0..9]);
-        assert_eq!(d.eval(90, 99, 100).ranges(), &[89..100]);
-    }
-
-    #[test]
-    fn fixed_section_ignores_loop() {
-        let d = Drsd::fixed(0, 9);
-        assert_eq!(d.eval(42, 57, 100).ranges(), &[0..10]);
-        // Clamped to the array.
-        assert_eq!(d.eval(0, 0, 5).ranges(), &[0..5]);
-    }
-
-    #[test]
-    fn strided_section() {
-        let d = Drsd::strided(Bound::Start(0), Bound::End(0), 2);
-        assert_eq!(
-            d.eval(0, 8, 100).iter().collect::<Vec<_>>(),
-            vec![0, 2, 4, 6, 8]
-        );
+        assert_eq!(d.eval(0, 7, 100), 0..9);
+        assert_eq!(d.eval(90, 99, 100), 89..100);
     }
 
     #[test]
@@ -188,33 +144,30 @@ mod tests {
 
     #[test]
     fn inverted_bounds_are_empty() {
-        let d = Drsd {
-            start: Bound::Const(10),
-            end: Bound::Const(5),
-            step: 1,
-        };
-        assert!(d.eval(0, 99, 100).is_empty());
+        // A negative halo narrows the section; past the loop's middle it
+        // leaves nothing.
+        let d = Drsd::with_halo(-3);
+        assert!(d.eval(10, 14, 100).is_empty());
+        assert_eq!(d.eval(10, 16, 100), 13..14);
     }
 
     #[test]
     fn negative_start_clamps_to_zero() {
         let d = Drsd::with_halo(3);
-        assert_eq!(d.eval(0, 2, 100).ranges(), &[0..6]);
+        assert_eq!(d.eval(0, 2, 100), 0..6);
     }
 
     #[test]
     fn envelope_contains_eval_for_every_subrange() {
         dynmpi_testkit::check("drsd-envelope-superset", |rng| {
             let nrows = rng.range_usize(1, 60);
-            let bound = |rng: &mut dynmpi_testkit::Rng| match rng.range_u32(0, 3) {
-                0 => Bound::Const(rng.range_i64(-5, nrows as i64 + 5)),
-                1 => Bound::Start(rng.range_i64(-6, 7)),
+            let bound = |rng: &mut dynmpi_testkit::Rng| match rng.range_u32(0, 2) {
+                0 => Bound::Start(rng.range_i64(-6, 7)),
                 _ => Bound::End(rng.range_i64(-6, 7)),
             };
             let d = Drsd {
                 start: bound(rng),
                 end: bound(rng),
-                step: rng.range_u32(1, 4),
             };
             let first = rng.range_usize(0, nrows);
             let last = rng.range_usize(first, nrows);
@@ -224,10 +177,10 @@ mod tests {
                 let rlo = rng.range_usize(first, last + 1);
                 let rhi = rng.range_usize(rlo, last + 1);
                 let rows = d.eval(rlo, rhi, nrows);
-                if let Some(row) = rows.first() {
+                if !rows.is_empty() {
                     let (lo, hi) = env.expect("non-empty eval needs an envelope");
                     assert!(
-                        row >= lo && rows.last().unwrap() < hi,
+                        rows.start >= lo && rows.end <= hi,
                         "{d:?} {rows:?} vs {env:?}"
                     );
                 }

@@ -48,7 +48,7 @@ pub enum RuntimeEvent {
         cycle: u64,
         predicted_unloaded: f64,
         measured_max: f64,
-        /// `drop_margin` the rule was evaluated with.
+        /// Margin the rule was evaluated with (always 1.0).
         margin: f64,
         /// Loaded members (world ranks) that a drop would remove.
         loaded: Vec<usize>,
@@ -69,10 +69,11 @@ pub enum RuntimeEvent {
         node: usize,
         predicted_with: f64,
         measured_max: f64,
+        /// The redistribution's modeled cost: always 0 (free).
         redist_cost: f64,
         /// `expand_margin` the rule was evaluated with.
         margin: f64,
-        /// Cycles the redistribution cost must amortize over.
+        /// Cycles the redistribution cost must amortize over (always 50).
         horizon_cycles: u32,
         admitted: bool,
     },

@@ -42,7 +42,7 @@
 //!     rt.add_access(ph, a, AccessMode::ReadWrite, Drsd::with_halo(1));
 //!     let mut m = DenseMatrix::<f64>::new(n, n);
 //!     rt.setup(&mut [&mut m]);
-//!     m.fill_rows(&rt.local_rows(a), |_, _| 0.0);
+//!     m.fill_rows(rt.local_rows(a).iter(), |_, _| 0.0);
 //!     rt.run_cycles(100, &mut m, |m| [m], |rt, m, _step| {
 //!         if rt.participating() {
 //!             rt.ghost_exchange(a, m);

@@ -21,6 +21,12 @@ const QUANTUM_SECONDS: f64 = 0.010;
 /// Successive balancing keeps every participating node at this fraction of
 /// its relative-power share: idling a node is removal's job (§4.4).
 const BALANCE_FLOOR: f64 = 0.8;
+/// The drop rule's margin: remove loaded members when the unloaded ones
+/// are predicted faster than the slowest member at all.
+const DROP_MARGIN: f64 = 1.0;
+/// Cycles an admission's redistribution cost amortizes over, as
+/// `ExpandEvaluated` reports it.
+const EXPAND_HORIZON_CYCLES: u32 = 50;
 /// Control pipeline depth: decisions at cycle `k` use the data of cycle
 /// `k − CTRL_LAG`, so no rank blocks on another's in-flight control message.
 pub const CTRL_LAG: u64 = 2;
@@ -451,7 +457,7 @@ impl Kernel<'_> {
 
     /// The node-removal rule (§4.4), closing the post-redistribution
     /// window: drop the loaded members when the unloaded-only configuration
-    /// is predicted faster than the slowest member by `drop_margin`. No
+    /// is predicted faster than the slowest member by `DROP_MARGIN`. No
     /// evaluation when the members are all loaded or all unloaded.
     pub fn drop_rule(&mut self, loads: &[u32]) -> (Option<RuntimeEvent>, Option<Layout>) {
         let window = self.close_window();
@@ -470,18 +476,17 @@ impl Kernel<'_> {
         let dropped = match cfg.drop_policy {
             DropPolicy::Never | DropPolicy::Logical => false,
             DropPolicy::Always => true,
-            DropPolicy::Auto => predicted_unloaded * cfg.drop_margin < measured_max,
+            DropPolicy::Auto => predicted_unloaded * DROP_MARGIN < measured_max,
         };
         let survivors = dropped.then(|| {
             let dist = self.balance_over(&unloaded, loads, 0);
             (unloaded, dist)
         });
-        let margin = cfg.drop_margin;
         let event = RuntimeEvent::DropEvaluated {
             cycle,
             predicted_unloaded,
             measured_max,
-            margin,
+            margin: DROP_MARGIN,
             loaded,
             dropped,
         };
@@ -490,8 +495,9 @@ impl Kernel<'_> {
 
     /// The expansion rule, closing an arrival window: admit `node` only when
     /// the predicted cycle time with it beats the slowest member by
-    /// `expand_margin` AND the saving amortizes the redistribution cost (its
-    /// rows × `redist_seconds_per_row`) over `expand_horizon_cycles`.
+    /// `expand_margin`. Redistribution is modeled as free, so the event
+    /// reports a zero cost, which any saving amortizes over
+    /// `EXPAND_HORIZON_CYCLES`.
     pub fn expand_rule(&mut self, node: usize, loads: &[u32]) -> (RuntimeEvent, Option<Layout>) {
         let window = self.close_window();
         let measured_max = window.iter().cloned().fold(0.0, f64::max);
@@ -499,22 +505,16 @@ impl Kernel<'_> {
         let w = self.weights();
         let predicted_with = self.predict(&members, members.len(), &window, loads, &w);
         let dist = self.balance_over(&members, loads, 0);
-        let rel = members.binary_search(&node).expect("candidate in members");
-        let (cfg, cycle) = (self.cfg, self.cycle);
-        let redist_cost = dist.rows_of(rel).len() as f64 * cfg.redist_seconds_per_row;
-        let benefit = measured_max - predicted_with;
-        let horizon_cycles = cfg.expand_horizon_cycles;
-        let admitted = predicted_with * cfg.expand_margin < measured_max
-            && (redist_cost <= 0.0 || benefit * f64::from(horizon_cycles) >= redist_cost);
-        let margin = cfg.expand_margin;
+        let margin = self.cfg.expand_margin;
+        let admitted = predicted_with * margin < measured_max;
         let event = RuntimeEvent::ExpandEvaluated {
-            cycle,
+            cycle: self.cycle,
             node,
             predicted_with,
             measured_max,
-            redist_cost,
+            redist_cost: 0.0,
             margin,
-            horizon_cycles,
+            horizon_cycles: EXPAND_HORIZON_CYCLES,
             admitted,
         };
         (event, admitted.then_some((members, dist)))
@@ -581,7 +581,7 @@ impl Kernel<'_> {
     /// scaled by `ncp + 1` over its configured speed.
     fn modeled_compute(&self, dist: &Distribution, loads: &[u32], weights: &[f64]) -> Vec<f64> {
         let time = |(rel, &m): (usize, &usize)| {
-            let mine: f64 = dist.rows_of(rel).iter().map(|r| weights[r]).sum();
+            let mine: f64 = dist.rows_of(rel).map(|r| weights[r]).sum();
             mine * f64::from(loads[m] + 1) / self.cfg.speed_of(m)
         };
         self.active.members().iter().enumerate().map(time).collect()

@@ -23,6 +23,7 @@
 //! the line), instead of the former every-rank × every-rank × every-array
 //! sweep.
 
+use std::ops::Range;
 use std::rc::Rc;
 
 use dynmpi_comm::{CommOps, Group, Transport};
@@ -68,28 +69,27 @@ pub fn ghost_needs(
     nrows: usize,
 ) -> RowSet {
     obs::count(GHOST_NEEDS_EVALS, 1);
-    let owned = dist.rows_of(rel);
     let mut need = RowSet::new();
+    let Some((first, last)) = bounds(&dist.rows_of(rel)) else {
+        return need;
+    };
     for acc in accesses {
         if acc.array != array || acc.mode == AccessMode::Write {
             continue;
         }
-        for r in owned.ranges() {
-            need = need.union(&acc.drsd.eval(r.start, r.end - 1, nrows));
-        }
+        need.insert_range(acc.drsd.eval(first, last, nrows));
     }
-    need.diff(&owned)
+    need.diff(&RowSet::from_range(first..last + 1))
 }
 
-/// First and last (inclusive) row owned by `rel`, without materializing a
-/// [`RowSet`]. `None` when the node owns nothing.
-fn owned_bounds(dist: &Distribution, rel: usize) -> Option<(usize, usize)> {
-    match dist {
-        Distribution::Block { .. } => dist.block_range(rel),
-        Distribution::Cyclic { nnodes, nrows } => {
-            (rel < *nrows).then(|| (rel, rel + (*nrows - 1 - rel) / *nnodes * *nnodes))
-        }
-    }
+/// First and last (inclusive) row of `rows`; `None` when it is empty.
+fn bounds(rows: &Range<usize>) -> Option<(usize, usize)> {
+    (!rows.is_empty()).then(|| (rows.start, rows.end - 1))
+}
+
+/// The rows two ranges share, as a set.
+fn overlap(a: &Range<usize>, b: Range<usize>) -> RowSet {
+    RowSet::from_range(a.start.max(b.start)..a.end.min(b.end))
 }
 
 /// Conservative half-open envelope of every row `rel` may *read* on
@@ -103,7 +103,7 @@ fn read_envelope(
     accesses: &[ArrayAccess],
     nrows: usize,
 ) -> Option<(usize, usize)> {
-    let (first, last) = owned_bounds(dist, rel)?;
+    let (first, last) = bounds(&dist.rows_of(rel))?;
     let mut env: Option<(usize, usize)> = None;
     for acc in accesses {
         if acc.array != array || acc.mode == AccessMode::Write {
@@ -117,20 +117,6 @@ fn read_envelope(
         }
     }
     env
-}
-
-/// Relative ranks of `dist` whose owned rows can intersect the inclusive
-/// row interval `[lo, hi]`. Binary search on block boundaries; the full
-/// node range for cyclic distributions (every node straddles the space).
-fn overlapping_nodes(dist: &Distribution, lo: usize, hi: usize) -> std::ops::Range<usize> {
-    match dist {
-        Distribution::Block { starts } => {
-            let a = starts.partition_point(|&s| s <= lo).saturating_sub(1);
-            let b = starts.partition_point(|&s| s <= hi).min(starts.len() - 1);
-            a..b.max(a)
-        }
-        Distribution::Cyclic { nnodes, .. } => 0..*nnodes,
-    }
 }
 
 /// This rank's complete transfer schedule for one redistribution: which
@@ -176,37 +162,31 @@ impl TransferSchedule {
         let nrows = old_dist.nrows();
         assert_eq!(nrows, new_dist.nrows(), "row-space mismatch");
 
-        let my_old = old_group
-            .rel_of(me)
-            .map(|r| old_dist.rows_of(r))
-            .unwrap_or_default();
-        let my_new = new_group
-            .rel_of(me)
-            .map(|r| new_dist.rows_of(r))
-            .unwrap_or_default();
+        let my_old = old_group.rel_of(me).map_or(0..0, |r| old_dist.rows_of(r));
+        let my_new = new_group.rel_of(me).map_or(0..0, |r| new_dist.rows_of(r));
 
         let mut sched = TransferSchedule::default();
 
         // ---- Phase A partners: block-overlap pruning ------------------
-        if let (Some(first), Some(last)) = (my_old.first(), my_old.last()) {
-            for dst_rel in overlapping_nodes(new_dist, first, last) {
+        if let Some((first, last)) = bounds(&my_old) {
+            for dst_rel in new_dist.overlapping(first, last) {
                 let dst = new_group.world_rank(dst_rel);
                 if dst == me {
                     continue;
                 }
-                let mv = my_old.intersect(&new_dist.rows_of(dst_rel));
+                let mv = overlap(&my_old, new_dist.rows_of(dst_rel));
                 if !mv.is_empty() {
                     sched.move_sends.push((dst, mv));
                 }
             }
         }
-        if let (Some(first), Some(last)) = (my_new.first(), my_new.last()) {
-            for src_rel in overlapping_nodes(old_dist, first, last) {
+        if let Some((first, last)) = bounds(&my_new) {
+            for src_rel in old_dist.overlapping(first, last) {
                 let src = old_group.world_rank(src_rel);
                 if src == me {
                     continue;
                 }
-                let mv = my_new.intersect(&old_dist.rows_of(src_rel));
+                let mv = overlap(&my_new, old_dist.rows_of(src_rel));
                 if !mv.is_empty() {
                     sched.move_recvs.push((src, mv));
                 }
@@ -214,7 +194,8 @@ impl TransferSchedule {
         }
 
         // ---- Phase B partners: envelope pruning -----------------------
-        let my_bounds = owned_bounds_of(&my_new);
+        let my_bounds = bounds(&my_new);
+        let my_new = RowSet::from_range(my_new);
         let me_new_rel = new_group.rel_of(me);
         for ai in 0..narrays {
             // Sends: evaluate a reader's needs only when its envelope can
@@ -249,12 +230,13 @@ impl TransferSchedule {
             if let Some(my_rel) = me_new_rel {
                 let need = ghost_needs(new_dist, my_rel, ai, accesses, nrows);
                 if let (Some(first), Some(last)) = (need.first(), need.last()) {
-                    for src_rel in overlapping_nodes(new_dist, first, last) {
+                    for src_rel in new_dist.overlapping(first, last) {
                         let src = new_group.world_rank(src_rel);
                         if src == me {
                             continue;
                         }
-                        let from_src = need.intersect(&new_dist.rows_of(src_rel));
+                        let from_src =
+                            need.intersect(&RowSet::from_range(new_dist.rows_of(src_rel)));
                         if !from_src.is_empty() {
                             recvs.push((src, from_src));
                         }
@@ -269,10 +251,6 @@ impl TransferSchedule {
         }
         sched
     }
-}
-
-fn owned_bounds_of(rows: &RowSet) -> Option<(usize, usize)> {
-    Some((rows.first()?, rows.last()?))
 }
 
 /// Caches the last [`TransferSchedule`] against its defining state, so
@@ -392,21 +370,6 @@ pub fn execute_cached<T: Transport>(
         StandIn { dead, holder, legs }
     });
     transfer(t, me, &sched, proxy.as_ref(), old_group, new_group, arrays)
-}
-
-/// Executes a redistribution from a prebuilt schedule. The schedule must
-/// have been built for this `me` and the same group/distribution pair on
-/// every participant (SPMD discipline: matching sends and receives are
-/// derived from the same shared state).
-pub fn execute_with<T: Transport>(
-    t: &T,
-    me: usize,
-    sched: &TransferSchedule,
-    old_group: &Group,
-    new_group: &Group,
-    arrays: &mut [&mut dyn RedistArray],
-) -> RedistOutcome {
-    transfer(t, me, sched, None, old_group, new_group, arrays)
 }
 
 /// The recovery leg of [`execute_cached`]: `holder` stands in for `dead`,
@@ -554,6 +517,10 @@ mod tests {
     use crate::sparse::SparseMatrix;
     use dynmpi_comm::run_threads;
 
+    fn owned(d: &Distribution, rel: usize) -> RowSet {
+        RowSet::from_range(d.rows_of(rel))
+    }
+
     fn read_halo(array: usize) -> ArrayAccess {
         ArrayAccess {
             array,
@@ -632,8 +599,8 @@ mod tests {
                 let sched = TransferSchedule::build(me, &g, &old, &g, &new, &acc, 1);
 
                 // Oracle: the unpruned loops of the original implementation.
-                let my_old = old.rows_of(me);
-                let my_new = new.rows_of(me);
+                let my_old = owned(&old, me);
+                let my_new = owned(&new, me);
                 let mut move_sends = Vec::new();
                 let mut move_recvs = Vec::new();
                 let mut ghost_sends = Vec::new();
@@ -641,11 +608,11 @@ mod tests {
                     if other == me {
                         continue;
                     }
-                    let snd = my_old.intersect(&new.rows_of(other));
+                    let snd = my_old.intersect(&owned(&new, other));
                     if !snd.is_empty() {
                         move_sends.push((other, snd));
                     }
-                    let rcv = my_new.intersect(&old.rows_of(other));
+                    let rcv = my_new.intersect(&owned(&old, other));
                     if !rcv.is_empty() {
                         move_recvs.push((other, rcv));
                     }
@@ -660,7 +627,7 @@ mod tests {
                     if other == me {
                         continue;
                     }
-                    let from_src = need.intersect(&new.rows_of(other));
+                    let from_src = need.intersect(&owned(&new, other));
                     if !from_src.is_empty() {
                         ghost_recvs.push((other, from_src));
                     }
@@ -711,9 +678,9 @@ mod tests {
             let acc = [read_halo(0)];
 
             let mut m = DenseMatrix::<f64>::new(nrows, 2);
-            let mine = old.rows_of(me);
+            let mine = owned(&old, me);
             let ghosts = ghost_needs(&old, me, 0, &acc, nrows);
-            m.fill_rows(&mine.union(&ghosts), |i, j| (i * 10 + j) as f64);
+            m.fill_rows(mine.union(&ghosts).iter(), |i, j| (i * 10 + j) as f64);
 
             let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
             let oc = execute_cached(
@@ -731,7 +698,7 @@ mod tests {
             assert!(oc.seconds >= 0.0);
 
             // Every owned + ghost row must be present with correct values.
-            let mine_new = new.rows_of(me);
+            let mine_new = owned(&new, me);
             let ghosts_new = ghost_needs(&new, me, 0, &acc, nrows);
             for i in mine_new.union(&ghosts_new).iter() {
                 assert_eq!(m.row(i), &[(i * 10) as f64, (i * 10 + 1) as f64], "row {i}");
@@ -756,9 +723,9 @@ mod tests {
             let acc = [read_halo(0)];
 
             let mut m = DenseMatrix::<f64>::new(nrows, 1);
-            let mine = old.rows_of(me);
+            let mine = owned(&old, me);
             let ghosts = ghost_needs(&old, me, 0, &acc, nrows);
-            m.fill_rows(&mine.union(&ghosts), |i, _| i as f64);
+            m.fill_rows(mine.union(&ghosts).iter(), |i, _| i as f64);
 
             let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
             execute_cached(
@@ -781,7 +748,7 @@ mod tests {
                 );
                 0
             } else {
-                let mine_new = new.rows_of(me);
+                let mine_new = owned(&new, me);
                 for i in mine_new.iter() {
                     assert_eq!(m.row(i)[0], i as f64);
                 }
@@ -805,9 +772,9 @@ mod tests {
 
             let mut m = DenseMatrix::<f64>::new(nrows, 1);
             if me != 2 {
-                let mine = old.rows_of(me);
+                let mine = owned(&old, me);
                 let ghosts = ghost_needs(&old, me, 0, &acc, nrows);
-                m.fill_rows(&mine.union(&ghosts), |i, _| (100 + i) as f64);
+                m.fill_rows(mine.union(&ghosts).iter(), |i, _| (100 + i) as f64);
             }
 
             let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
@@ -824,7 +791,7 @@ mod tests {
                 None,
             );
 
-            let mine_new = new.rows_of(me);
+            let mine_new = owned(&new, me);
             for i in mine_new.iter() {
                 assert_eq!(m.row(i)[0], (100 + i) as f64, "rank {me} row {i}");
             }
@@ -843,9 +810,9 @@ mod tests {
 
             let mut d = DenseMatrix::<f64>::new(nrows, 3);
             let mut s = SparseMatrix::<f64>::new(nrows, 100);
-            let mine = old.rows_of(me);
+            let mine = owned(&old, me);
             let ghosts = ghost_needs(&old, me, 0, &acc, nrows);
-            d.fill_rows(&mine.union(&ghosts), |i, j| (i + j) as f64);
+            d.fill_rows(mine.union(&ghosts).iter(), |i, j| (i + j) as f64);
             for i in mine.iter() {
                 s.set(i, (i * 7 % 100) as u32, i as f64);
                 if i % 2 == 0 {
@@ -867,7 +834,7 @@ mod tests {
                 None,
             );
 
-            for i in new.rows_of(me).iter() {
+            for i in new.rows_of(me) {
                 assert_eq!(d.row(i)[0], i as f64);
                 assert_eq!(s.row(i).get((i * 7 % 100) as u32), Some(&(i as f64)));
                 assert_eq!(s.row(i).get(99).is_some(), i % 2 == 0);
@@ -882,7 +849,7 @@ mod tests {
             let g = Group::world(me, 2);
             let d = Distribution::block_from_counts(&[4, 4]);
             let mut m = DenseMatrix::<f64>::new(8, 1);
-            m.fill_rows(&d.rows_of(me), |i, _| i as f64);
+            m.fill_rows(d.rows_of(me), |i, _| i as f64);
             let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
             let oc = execute_cached(
                 t,
@@ -917,9 +884,9 @@ mod tests {
             let acc = [read_halo(0)];
 
             let mut m = DenseMatrix::<f64>::new(nrows, 1);
-            let mine = d.rows_of(me);
+            let mine = owned(&d, me);
             let ghosts = ghost_needs(&d, me, 0, &acc, nrows);
-            m.fill_rows(&mine.union(&ghosts), |i, _| i as f64);
+            m.fill_rows(mine.union(&ghosts).iter(), |i, _| i as f64);
 
             let mut cache = ScheduleCache::new();
             let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
@@ -971,11 +938,11 @@ mod tests {
             let mut m = DenseMatrix::<f64>::new(nrows, 1);
             // Post-rollback state: own snapshot rows, stale ghosts; the
             // holder additionally carries the dead node's mirror.
-            m.fill_rows(&old.rows_of(me), |i, _| i as f64);
+            m.fill_rows(old.rows_of(me), |i, _| i as f64);
             let ghosts = ghost_needs(&old, me, 0, &acc, nrows);
-            m.fill_rows(&ghosts, |_, _| f64::NAN); // stale, must be refreshed
+            m.fill_rows(ghosts.iter(), |_, _| f64::NAN); // stale, must be refreshed
             if me == holder {
-                m.fill_rows(&old.rows_of(dead), |i, _| i as f64);
+                m.fill_rows(old.rows_of(dead), |i, _| i as f64);
             }
 
             let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
@@ -993,7 +960,7 @@ mod tests {
             );
             assert!(oc.seconds >= 0.0);
 
-            let mine_new = new.rows_of(me);
+            let mine_new = owned(&new, me);
             let ghosts_new = ghost_needs(&new, me, 0, &acc, nrows);
             for i in mine_new.union(&ghosts_new).iter() {
                 assert_eq!(m.row(i)[0], i as f64, "rank {me} row {i}");
@@ -1028,11 +995,11 @@ mod tests {
             let acc = [read_halo(0)];
 
             let mut m = DenseMatrix::<f64>::new(nrows, 1);
-            m.fill_rows(&old.rows_of(if me == 2 { 2 } else { 0 }), |i, _| {
+            m.fill_rows(old.rows_of(if me == 2 { 2 } else { 0 }), |i, _| {
                 (10 * i) as f64
             });
             if me == holder {
-                m.fill_rows(&old.rows_of(dead), |i, _| (10 * i) as f64);
+                m.fill_rows(old.rows_of(dead), |i, _| (10 * i) as f64);
             }
 
             let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
@@ -1050,7 +1017,7 @@ mod tests {
             );
 
             let rel = if me == 2 { 1 } else { 0 };
-            let mine_new = new.rows_of(rel);
+            let mine_new = owned(&new, rel);
             let ghosts_new = ghost_needs(&new, rel, 0, &acc, nrows);
             for i in mine_new.union(&ghosts_new).iter() {
                 assert_eq!(m.row(i)[0], (10 * i) as f64, "rank {me} row {i}");
@@ -1089,9 +1056,9 @@ mod tests {
 
             let mut m = DenseMatrix::<f64>::new(nrows, 1);
             let my_old_rel = if me == 2 { 2 } else { 0 };
-            m.fill_rows(&old.rows_of(my_old_rel), |i, _| (i * i) as f64);
+            m.fill_rows(old.rows_of(my_old_rel), |i, _| (i * i) as f64);
             if me == holder {
-                m.fill_rows(&old.rows_of(dead), |i, _| (i * i) as f64);
+                m.fill_rows(old.rows_of(dead), |i, _| (i * i) as f64);
             }
 
             let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];

@@ -1,8 +1,8 @@
 //! Sets of global row indices, kept as sorted disjoint half-open ranges.
 //!
-//! Row sets are the currency of redistribution: ownership maps, DRSD
-//! evaluations, and transfer schedules are all computed with set algebra
-//! over row indices.
+//! A node owns one contiguous block ([`crate::dist::Distribution::rows_of`]
+//! is a range); row sets hold what need not be contiguous: a transfer
+//! schedule's legs, ghost needs and keep sets, and the rows an array holds.
 
 use std::fmt;
 use std::ops::Range;
@@ -34,20 +34,6 @@ impl RowSet {
             s.insert_range(r);
         }
         s
-    }
-
-    /// A strided set: `start, start+step, …` up to but excluding `end`.
-    /// Built in one pass — the elements are already sorted and (for
-    /// `step > 1`) non-adjacent, so each becomes its own range directly
-    /// instead of going through `insert_range`'s splice.
-    pub fn strided(start: usize, end: usize, step: usize) -> Self {
-        assert!(step > 0, "stride must be positive");
-        if step == 1 {
-            return RowSet::from_range(start..end.max(start));
-        }
-        RowSet {
-            ranges: (start..end).step_by(step).map(|i| i..i + 1).collect(),
-        }
     }
 
     /// Inserts a range, merging as needed.
@@ -258,15 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn strided_cyclic_pattern() {
-        // Cyclic distribution of 10 rows over 3 nodes: node 1 gets 1,4,7.
-        let s = RowSet::strided(1, 10, 3);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![1, 4, 7]);
-        // Stride 1 collapses to a single range.
-        assert_eq!(RowSet::strided(2, 6, 1).ranges(), &[2..6]);
-    }
-
-    #[test]
     fn clamp() {
         let s = RowSet::from_ranges([0..4, 6..12]);
         assert_eq!(s.clamp(8).ranges(), &[0..4, 6..8]);
@@ -279,7 +256,7 @@ mod tests {
         assert_eq!(s.ranges(), &[1..4, 5..6, 9..10]);
     }
 
-    /// One-pass constructors must agree with a `BTreeSet` oracle on
+    /// The one-pass constructor must agree with a `BTreeSet` oracle on
     /// random inputs: same members, and ranges that are sorted, disjoint,
     /// non-adjacent, and non-empty (the representation invariant).
     #[test]
@@ -298,15 +275,6 @@ mod tests {
             let oracle: BTreeSet<usize> = rows.into_iter().collect();
             assert_eq!(s.iter().collect::<BTreeSet<_>>(), oracle);
             assert_eq!(s.len(), oracle.len());
-            assert!(invariant_holds(&s), "{s:?}");
-
-            // strided against the same oracle.
-            let start = rng.range_usize(0, 20);
-            let end = rng.range_usize(0, 40);
-            let step = rng.range_usize(1, 5);
-            let s = RowSet::strided(start, end, step);
-            let oracle: BTreeSet<usize> = (start..end.max(start)).step_by(step).collect();
-            assert_eq!(s.iter().collect::<BTreeSet<_>>(), oracle);
             assert!(invariant_holds(&s), "{s:?}");
         });
     }

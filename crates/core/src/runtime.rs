@@ -32,6 +32,7 @@ use crate::rowset::RowSet;
 use crate::timing::RowTimer;
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -316,15 +317,15 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
     /// it owns nothing there (or is removed).
     pub fn my_range(&self, phase: PhaseId) -> Option<(usize, usize)> {
         let rows = self.my_rows(phase);
-        Some((rows.first()?, rows.last()?))
+        (!rows.is_empty()).then(|| (rows.start, rows.end - 1))
     }
 
-    /// The exact rows of `phase` this rank owns (supports cyclic
-    /// distributions too).
-    pub fn my_rows(&self, phase: PhaseId) -> RowSet {
+    /// The rows of `phase` this rank owns: its block clipped to the
+    /// phase's loop bounds, empty when it owns none there (or is removed).
+    pub fn my_rows(&self, phase: PhaseId) -> Range<usize> {
         let spec = self.phases[phase];
         let Some(rel) = self.rel_rank() else {
-            return RowSet::new();
+            return 0..0;
         };
         self.dist.rows_of_in(rel, spec.lo..spec.hi)
     }
@@ -448,7 +449,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         }
         let mut total = 0.0f64;
         if let (true, Some(timer)) = (grace, self.timer.as_mut()) {
-            for i in rows.iter() {
+            for i in rows.clone() {
                 let w0 = self.t.wtime();
                 let p0 = self.t.proc_cpu_seconds();
                 let w = work(i);
@@ -457,7 +458,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
                 timer.record(i, self.t.wtime() - w0, self.t.proc_cpu_seconds() - p0);
             }
         } else {
-            total = rows.iter().map(&work).sum();
+            total = rows.clone().map(&work).sum();
             self.t.compute(total);
         }
         if traced {
@@ -973,12 +974,8 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
 
     /// Starts timing this rank's currently owned rows.
     fn start_row_timer(&mut self) {
-        assert!(
-            matches!(self.dist, Distribution::Block { .. }),
-            "adaptive rebalancing requires a block distribution"
-        );
         let mine = self.dist.rows_of(self.active.rel_unchecked());
-        let (lo, count) = (mine.first().unwrap_or(0), mine.len());
+        let (lo, count) = (mine.start, mine.len());
         self.timer = Some(RowTimer::new(lo, count, self.t.proc_tick_seconds()));
     }
 
@@ -1533,7 +1530,7 @@ mod tests {
             let mut m = DenseMatrix::<f64>::new(9, 1);
             rt.setup(&mut [&mut m]);
             // Write a rank-specific value into owned rows, then exchange.
-            for i in rt.my_rows(ph).iter() {
+            for i in rt.my_rows(ph) {
                 m.row_mut(i)[0] = (100 + i) as f64;
             }
             rt.ghost_exchange(a, &mut m);

@@ -8,7 +8,8 @@
 //! allocates its payloads and nothing else: the snapshot is encoded
 //! straight into its wire bytes, which every peer shares, and decoded into
 //! buffers the runtime keeps. A checkpoint refresh allocates each array's
-//! packed payload and the `Arc` it shares with the buddy, and no copy.
+//! packed payload and the `Arc` it shares with the buddy, and no copy. A
+//! rank's owned rows are a range, built without allocating.
 
 use dynmpi::{
     AccessMode, BuddyCheckpoint, CommPattern, DenseMatrix, Distribution, Drsd, DynMpi,
@@ -31,7 +32,7 @@ fn rows() -> RowSet {
 
 fn filled() -> DenseMatrix<f64> {
     let mut m = DenseMatrix::new(16, ROW_LEN);
-    m.fill_rows(&RowSet::from_range(0..16), |i, j| (i * ROW_LEN + j) as f64);
+    m.fill_rows(0..16, |i, j| (i * ROW_LEN + j) as f64);
     m
 }
 
@@ -108,6 +109,33 @@ fn run_allocations(steps: usize, cfg: &DynMpiConfig) -> u64 {
     })
 }
 
+/// A rank's owned rows are its block clipped to the phase's loop bounds,
+/// a range: asking for them, or for their bounds, allocates nothing.
+#[test]
+fn owned_rows_allocate_nothing() {
+    let cluster = Cluster::homogeneous(4, NodeSpec::with_speed(1e6));
+    cluster.run_spmd(|ctx| {
+        let t = SimTransport::new(ctx);
+        let n = 64;
+        let mut rt = DynMpi::init(&t, n, DynMpiConfig::default());
+        let a = rt.register_dense("A", n);
+        let ph = rt.init_phase(1, n - 1, CommPattern::NearestNeighbor);
+        rt.add_access(ph, a, AccessMode::ReadWrite, Drsd::with_halo(1));
+        let mut m = DenseMatrix::<f64>::new(n, 4);
+        rt.setup(&mut [&mut m]);
+        let (mut rows, mut range) = (0, None);
+        let allocated = allocations(|| {
+            rows = rt.my_rows(ph).len();
+            range = rt.my_range(ph);
+        });
+        assert_eq!(allocated, 0, "rank {}", ctx.rank());
+        // Blocks of 16 rows; the phase leaves out rows 0 and 63.
+        let lo = (16 * ctx.rank()).max(1);
+        let hi = (16 * ctx.rank() + 15).min(n - 2);
+        assert_eq!((rows, range), (hi + 1 - lo, Some((lo, hi))));
+    });
+}
+
 /// Allocations per cycle once a run has warmed up: the growth from 80 to
 /// 120 cycles, which must be the same in every one of those 40. A first
 /// run fills the thread's pool of rank stacks.
@@ -169,7 +197,7 @@ fn refresh_allocations(arrays: usize, refreshes: u64) -> u64 {
             let mut ms: Vec<DenseMatrix<f64>> = (0..arrays)
                 .map(|a| {
                     let mut m = DenseMatrix::new(64, ROW_LEN);
-                    m.fill_rows(&dist.rows_of(me), |i, j| (a + i * j) as f64);
+                    m.fill_rows(dist.rows_of(me), |i, j| (a + i * j) as f64);
                     m
                 })
                 .collect();

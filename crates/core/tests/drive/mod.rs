@@ -133,7 +133,7 @@ fn app<S>(t: &SimTransport<'_>, sc: &Scenario, probe: &impl Probe<S>) -> RankOut
     rt.add_access(ph, a, AccessMode::ReadWrite, Drsd::with_halo(1));
     let mut m = DenseMatrix::<f64>::new(n, COLS);
     rt.setup(&mut [&mut m]);
-    m.fill_rows(&rt.local_rows(a), fill_pattern);
+    m.fill_rows(rt.local_rows(a).iter(), fill_pattern);
     let row_work = STEP_WORK * sc.nodes as f64 / n as f64;
     rt.run_cycles(
         sc.steps as usize,
@@ -157,13 +157,13 @@ fn app<S>(t: &SimTransport<'_>, sc: &Scenario, probe: &impl Probe<S>) -> RankOut
                 assert!(above.is_none_or(|p| p == [lo - 1.0, s]), "step {step}");
                 assert!(below.is_none_or(|p| p == [hi + 1.0, s]), "step {step}");
             }
-            for i in rt.my_rows(ph).iter() {
+            for i in rt.my_rows(ph) {
                 m.row_mut(i)[0] += 1.0;
             }
             rt.charge_rows(ph, |_| row_work);
             if sc.reduce {
                 // Every world rank calls it, removed or not (CG-style).
-                let part: f64 = rt.my_rows(ph).iter().map(|i| i as f64).sum();
+                let part: f64 = rt.my_rows(ph).map(|i| i as f64).sum();
                 let expect = (n * (n - 1) / 2) as f64;
                 assert_eq!(rt.allreduce_sum(&[part]), [expect], "step {step}");
             }
@@ -173,7 +173,7 @@ fn app<S>(t: &SimTransport<'_>, sc: &Scenario, probe: &impl Probe<S>) -> RankOut
         RuntimeEvent::NodeRecovered { rollback_to, .. } => Some(*rollback_to),
         _ => None,
     });
-    for i in rt.my_rows(ph).iter() {
+    for i in rt.my_rows(ph) {
         let expect = fill_pattern(i, 0) + sc.steps as f64;
         assert_eq!(m.row(i)[0], expect, "row {i} lost or repeated steps");
         for j in 1..COLS {

@@ -63,25 +63,6 @@ impl SimReport {
             ..self.clone()
         }
     }
-
-    /// Aggregate CPU time across ranks.
-    pub fn total_cpu(&self) -> SimDur {
-        let ns = self.procs.iter().map(|p| p.cpu_time.0).sum();
-        SimDur(ns)
-    }
-
-    /// Mean CPU utilization across ranks: CPU time / makespan.
-    pub fn mean_utilization(&self) -> f64 {
-        if self.finish_time == SimTime::ZERO || self.procs.is_empty() {
-            return 0.0;
-        }
-        let wall = self.finish_time.as_secs_f64();
-        self.procs
-            .iter()
-            .map(|p| p.cpu_time.as_secs_f64() / wall)
-            .sum::<f64>()
-            / self.procs.len() as f64
-    }
 }
 
 /// Results of a full simulated run: one value per rank plus the report.
@@ -89,63 +70,4 @@ impl SimReport {
 pub struct SimOutcome<R> {
     pub results: Vec<R>,
     pub report: SimReport,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn aggregates() {
-        let r = SimReport {
-            finish_time: SimTime::from_secs(2),
-            procs: vec![
-                ProcReport {
-                    node: 0,
-                    cpu_time: SimDur::from_secs(2),
-                    finish_time: SimTime::from_secs(2),
-                    msgs_sent: 1,
-                    msgs_recvd: 1,
-                    bytes_sent: 8,
-                    bytes_recvd: 8,
-                    blocked_fraction: 0.0,
-                    crashed: false,
-                },
-                ProcReport {
-                    node: 1,
-                    cpu_time: SimDur::from_secs(1),
-                    finish_time: SimTime::from_secs(1),
-                    msgs_sent: 0,
-                    msgs_recvd: 0,
-                    bytes_sent: 0,
-                    bytes_recvd: 0,
-                    blocked_fraction: 0.5,
-                    crashed: false,
-                },
-            ],
-            net_messages: 1,
-            net_bytes: 8,
-            engine_events: 0,
-            stale_events: 0,
-            turn_bypasses: 0,
-            hand_offs: 0,
-        };
-        assert_eq!(r.total_cpu(), SimDur::from_secs(3));
-        assert!((r.mean_utilization() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_report_utilization_is_zero() {
-        let r = SimReport {
-            finish_time: SimTime::ZERO,
-            procs: vec![],
-            net_messages: 0,
-            net_bytes: 0,
-            engine_events: 0,
-            stale_events: 0,
-            turn_bypasses: 0,
-            hand_offs: 0,
-        };
-        assert_eq!(r.mean_utilization(), 0.0);
-    }
 }

@@ -49,8 +49,8 @@ fn run(rebalance: bool) -> Vec<RankOut> {
         rt.setup(&mut [&mut grids.0, &mut grids.1]);
         // Hot left wall, cold elsewhere.
         let hot_wall = |_, j| if j == 0 { 100.0 } else { 0.0 };
-        grids.0.fill_rows(&rt.local_rows(a), hot_wall);
-        grids.1.fill_rows(&rt.local_rows(b), hot_wall);
+        grids.0.fill_rows(rt.local_rows(a).iter(), hot_wall);
+        grids.1.fill_rows(rt.local_rows(b).iter(), hot_wall);
 
         let before = rt.distribution().counts();
         // The runtime owns the loop: it runs the body once per cycle and
@@ -71,7 +71,7 @@ fn run(rebalance: bool) -> Vec<RankOut> {
                         (b, gb, ga)
                     };
                     rt.ghost_exchange(src_id, &mut *src);
-                    for i in rt.my_rows(ph).iter() {
+                    for i in rt.my_rows(ph) {
                         let (up, mid, down) = (src.row(i - 1), src.row(i), src.row(i + 1));
                         let row = dst.row_mut(i);
                         for j in 1..N - 1 {
@@ -86,7 +86,8 @@ fn run(rebalance: bool) -> Vec<RankOut> {
 
         // The buffer the last step wrote.
         let last = [&grids.0, &grids.1][STEPS % 2];
-        let rows = (rt.my_rows(ph).iter())
+        let rows = rt
+            .my_rows(ph)
             .map(|i| (i, last.row(i).iter().map(|v| v.to_bits()).collect()))
             .collect();
         RankOut {

@@ -81,7 +81,7 @@ fn block_weights_partition_rows() {
         // Every row has exactly one owner, consistent with rows_of.
         for row in 0..nrows {
             let o = d.owner(row);
-            assert!(d.rows_of(o).contains(row));
+            assert!(d.rows_of(o).contains(&row));
         }
     });
 }
@@ -99,7 +99,7 @@ fn transfers_conserve_rows() {
         let mut total = 0usize;
         for (_, _, rs) in &t {
             total += rs.len();
-            all = all.union(rs);
+            all.insert_range(rs.clone());
         }
         assert_eq!(total, nrows, "every row lands exactly once");
         assert_eq!(all, RowSet::from_range(0..nrows));
@@ -189,9 +189,9 @@ fn drsd_eval_stays_in_bounds() {
         let hi = lo + span;
         let d = Drsd::with_halo(halo);
         let s = d.eval(lo, hi, nrows);
-        if let (Some(first), Some(last)) = (s.first(), s.last()) {
-            assert!(last < nrows);
-            assert!(first <= last);
+        assert!(s.start <= s.end);
+        if !s.is_empty() {
+            assert!(s.end <= nrows);
         }
     });
 }
@@ -205,7 +205,7 @@ fn drsd_halo_superset_of_iter_space() {
         let hi = lo + span;
         let base = Drsd::iter_space().eval(lo, hi, nrows);
         let widened = Drsd::with_halo(2).eval(lo, hi, nrows);
-        assert_eq!(base.diff(&widened).len(), 0);
+        assert!(base.is_empty() || (widened.start <= base.start && base.end <= widened.end));
     });
 }
 
@@ -218,7 +218,7 @@ fn dense_pack_unpack_round_trip() {
         let rows = gen_rowset(rng).clamp(200);
         let row_len = rng.range_usize(1, 16);
         let mut a = DenseMatrix::<f64>::new(200, row_len);
-        a.fill_rows(&rows, |i, j| (i * 31 + j) as f64);
+        a.fill_rows(rows.iter(), |i, j| (i * 31 + j) as f64);
         let bytes = a.pack_rows(&rows, false);
         let mut b = DenseMatrix::<f64>::new(200, row_len);
         b.unpack_rows(&rows, &bytes);
