@@ -73,8 +73,8 @@ pub fn run<T: HostMeters>(t: &T, p: &JacobiParams, cfg: DynMpiConfig) -> AppResu
     let mut ma = DenseMatrix::<f64>::new(n, n);
     let mut mb = DenseMatrix::<f64>::new(n, n);
     rt.setup(&mut [&mut ma, &mut mb]);
-    ma.fill_rows(rt.local_rows(a_id).iter(), |_, j| initial(j));
-    mb.fill_rows(rt.local_rows(b_id).iter(), |_, j| initial(j));
+    ma.fill_rows(rt.local_rows(a_id), |_, j| initial(j));
+    mb.fill_rows(rt.local_rows(b_id), |_, j| initial(j));
 
     let row_work = (n - 2) as f64 * work::JACOBI_POINT;
     let mut grids = (ma, mb);

@@ -88,7 +88,7 @@ pub fn run<T: HostMeters>(t: &T, p: &SorParams, cfg: DynMpiConfig) -> AppResult 
 
     let mut g = DenseMatrix::<f64>::new(n, n);
     rt.setup(&mut [&mut g]);
-    g.fill_rows(rt.local_rows(g_id).iter(), |i, j| initial(i, j, n));
+    g.fill_rows(rt.local_rows(g_id), |i, j| initial(i, j, n));
 
     // Each half-sweep touches half the points of a row.
     let row_work = (n - 2) as f64 * 0.5 * work::SOR_POINT;

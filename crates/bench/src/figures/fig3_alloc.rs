@@ -13,7 +13,7 @@
 
 use std::time::Instant;
 
-use dynmpi::{ContiguousMatrix, DenseMatrix, RedistArray, RowSet, SparseMatrix};
+use dynmpi::{ContiguousMatrix, DenseMatrix, RedistArray, SparseMatrix};
 
 use super::{Figure, PLAIN};
 use crate::{print_table, BenchArgs, Instrumentation};
@@ -60,8 +60,8 @@ pub fn rows(args: &BenchArgs, _: &Instrumentation) -> Vec<Row> {
         // Shift the held range down by `moved` rows: drop the head, take
         // on a new tail (the data for which arrives by message; here we
         // materialize it locally).
-        m.drop_rows(&RowSet::from_range(0..moved));
-        m.alloc_rows(&RowSet::from_range(n / 2..n / 2 + moved));
+        m.drop_rows(0..moved);
+        m.alloc_rows(n / 2..n / 2 + moved);
         let dt = t0.elapsed().as_secs_f64() * 1e6;
         let bytes = (moved * row_len * 8) as u64;
         rows.push(row("dense", moved, "projected", dt, bytes, 0));
@@ -98,11 +98,10 @@ pub fn rows(args: &BenchArgs, _: &Instrumentation) -> Vec<Row> {
                 );
             }
         }
-        let mv = RowSet::from_range(0..moved);
         let t0 = Instant::now();
-        let bytes = sm.pack_rows(&mv, true);
+        let bytes = sm.pack_rows(0..moved, true);
         let mut recv = SparseMatrix::<f64>::new(n, n);
-        recv.unpack_rows(&mv, &bytes);
+        recv.unpack_rows(0..moved, &bytes);
         let dt = t0.elapsed().as_secs_f64() * 1e6;
         let len = bytes.len() as u64;
         rows.push(row("sparse", moved, "projected(pack+unpack)", dt, len, len));

@@ -5,8 +5,7 @@
 //! effect any redistribution with one code path for dense and sparse data.
 
 use std::any::Any;
-
-use crate::rowset::RowSet;
+use std::ops::Range;
 
 /// Counters describing the memory work a redistribution caused — the
 /// quantities compared in the paper's Figure 3 discussion.
@@ -37,23 +36,25 @@ pub trait RedistArray: Any {
     /// Ensures storage exists for `rows` (no-op for rows already
     /// present). Dense rows allocate zero-filled; sparse rows allocate
     /// empty.
-    fn alloc_rows(&mut self, rows: &RowSet);
+    fn alloc_rows(&mut self, rows: Range<usize>);
 
     /// Serializes `rows` (which must all be present) into a message
     /// payload. When `take` is set, the rows' storage is released — they
     /// are leaving this node.
-    fn pack_rows(&mut self, rows: &RowSet, take: bool) -> Vec<u8>;
+    fn pack_rows(&mut self, rows: Range<usize>, take: bool) -> Vec<u8>;
 
     /// Materializes `rows` from a payload produced by `pack_rows` on the
     /// sending node.
-    fn unpack_rows(&mut self, rows: &RowSet, bytes: &[u8]);
+    fn unpack_rows(&mut self, rows: Range<usize>, bytes: &[u8]);
 
     /// Releases storage for `rows` (no longer owned, not needed as
     /// ghosts).
-    fn drop_rows(&mut self, rows: &RowSet);
+    fn drop_rows(&mut self, rows: Range<usize>);
 
-    /// Which rows currently have storage (owned + ghosts).
-    fn present_rows(&self) -> RowSet;
+    /// Releases storage for every row outside `keep` (the new block and
+    /// its ghosts). What lies outside need not be one range: stale ghosts
+    /// and a materialized mirror can sit on both sides of it.
+    fn retain_rows(&mut self, keep: Range<usize>);
 
     /// Memory-operation counters accumulated so far.
     fn alloc_stats(&self) -> AllocStats;

@@ -10,8 +10,8 @@
 //! Refreshes are collective and piggyback on the points where the row
 //! distribution is already settled: setup, every redistribution, and an
 //! optional cycle interval ([`crate::DynMpiConfig::checkpoint_interval_cycles`]).
-//! The invariant after every refresh: **snapshot row sets equal the
-//! current distribution's row sets**, so a recovery can rebuild exactly
+//! The invariant after every refresh: **snapshot rows equal the
+//! current distribution's blocks**, so a recovery can rebuild exactly
 //! the pre-crash ownership from checkpoints alone.
 //!
 //! On a confirmed death, every survivor rolls its own rows back from its
@@ -27,6 +27,7 @@
 //! mirror is that same buffer, where a real MPI would move the bytes by
 //! DMA.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use dynmpi_comm::{Group, Transport};
@@ -34,7 +35,6 @@ use dynmpi_obs as obs;
 
 use crate::array::RedistArray;
 use crate::dist::Distribution;
-use crate::rowset::RowSet;
 
 /// Checkpoint traffic tag space (above the move/ghost/runtime tags).
 /// Refresh payload tags are salted with the refresh epoch so a payload
@@ -64,7 +64,7 @@ pub const CKPT_REFRESH_TIMEOUTS: &str = "ckpt.refresh_timeouts";
 /// One node's snapshot: its rows, and every array's payload packed from
 /// them.
 struct Snapshot {
-    rows: RowSet,
+    rows: Range<usize>,
     payloads: Vec<Arc<Vec<u8>>>,
 }
 
@@ -78,8 +78,8 @@ impl Snapshot {
             "{what} covers a different array count"
         );
         for (arr, payload) in arrays.iter_mut().zip(&self.payloads) {
-            arr.alloc_rows(&self.rows);
-            arr.unpack_rows(&self.rows, payload);
+            arr.alloc_rows(self.rows.clone());
+            arr.unpack_rows(self.rows.clone(), payload);
         }
     }
 }
@@ -169,7 +169,7 @@ impl BuddyCheckpoint {
     ///
     /// `recv_timeout` (seconds) guards the mirror receive so a
     /// predecessor that died mid-refresh cannot hang the collective: on
-    /// a timeout the previous mirror is kept (its row sets may be stale
+    /// a timeout the previous mirror is kept (its rows may be stale
     /// if a redistribution happened since — the narrow window DESIGN.md
     /// §14 documents). `None` = plain blocking receive.
     #[allow(clippy::too_many_arguments)]
@@ -194,9 +194,9 @@ impl BuddyCheckpoint {
         obs::count(CKPT_REFRESHES, 1);
 
         let epoch = self.epoch() + 1;
-        let rows = RowSet::from_range(dist.rows_of(rel));
+        let rows = dist.rows_of(rel);
         let payloads = (arrays.iter_mut())
-            .map(|arr| Arc::new(arr.pack_rows(&rows, false)))
+            .map(|arr| Arc::new(arr.pack_rows(rows.clone(), false)))
             .collect();
         let own = Snapshot { rows, payloads };
         self.prev = self.cur.take();
@@ -224,7 +224,7 @@ impl BuddyCheckpoint {
                 .map(|ai| t.recv_shared(pred, ckpt_tag(epoch, ai), recv_timeout))
                 .collect();
             if let Ok(payloads) = mirror {
-                let rows = RowSet::from_range(dist.rows_of(pred_rel));
+                let rows = dist.rows_of(pred_rel);
                 self.mirror = Some(Mirror {
                     of: pred,
                     app_cycle,
@@ -394,7 +394,7 @@ mod tests {
             for i in d.rows_of(pred) {
                 assert_eq!(m.row(i)[0], (10 * i) as f64, "mirrored row {i}");
             }
-            m.present_rows().len()
+            (0..m.nrows()).filter(|&i| m.has_row(i)).count()
         });
         // Everyone ended with own + predecessor rows present.
         assert_eq!(out, vec![6, 6, 6]);

@@ -13,11 +13,11 @@
 //! changes.
 
 use std::any::Any;
+use std::ops::Range;
 
 use dynmpi_comm::{concat_to_bytes, scatter_from_bytes, Pod};
 
 use crate::array::{AllocStats, RedistArray};
-use crate::rowset::RowSet;
 
 /// A dense matrix in 2-D projection layout. Rows may be absent (not
 /// stored on this node); present rows are either owned or ghost copies —
@@ -61,8 +61,8 @@ impl<P: Pod> DenseMatrix<P> {
     }
 
     /// Allocates storage for `rows` (no-op for rows already present).
-    pub fn alloc_rows(&mut self, rows: &RowSet) {
-        for i in rows.iter() {
+    pub fn alloc_rows(&mut self, rows: Range<usize>) {
+        for i in rows {
             if self.rows[i].is_none() {
                 self.rows[i] = Some(vec![self.fill; self.row_len].into_boxed_slice());
                 self.stats.bytes_allocated += (self.row_len * std::mem::size_of::<P>()) as u64;
@@ -143,14 +143,14 @@ impl<P: Pod> RedistArray for DenseMatrix<P> {
         self.nrows
     }
 
-    fn alloc_rows(&mut self, rows: &RowSet) {
+    fn alloc_rows(&mut self, rows: Range<usize>) {
         DenseMatrix::alloc_rows(self, rows);
     }
 
     /// One payload of exactly `rows` × `row_len` elements, each row copied
     /// straight into it.
-    fn pack_rows(&mut self, rows: &RowSet, take: bool) -> Vec<u8> {
-        let present = rows.iter().map(|i| {
+    fn pack_rows(&mut self, rows: Range<usize>, take: bool) -> Vec<u8> {
+        let present = rows.clone().map(|i| {
             self.rows[i]
                 .as_deref()
                 .unwrap_or_else(|| panic!("packing absent row {i}"))
@@ -164,7 +164,7 @@ impl<P: Pod> RedistArray for DenseMatrix<P> {
 
     /// Copies the payload straight into the rows, allocating the absent
     /// ones; the length is checked before anything is written.
-    fn unpack_rows(&mut self, rows: &RowSet, bytes: &[u8]) {
+    fn unpack_rows(&mut self, rows: Range<usize>, bytes: &[u8]) {
         let n = rows.len();
         assert_eq!(
             bytes.len(),
@@ -172,30 +172,21 @@ impl<P: Pod> RedistArray for DenseMatrix<P> {
             "payload does not match {n} rows × {}",
             self.row_len
         );
-        self.alloc_rows(rows);
-        // `rows` ascends, so each row's slot lies past the previous one's.
-        let mut slots = self.rows.iter_mut();
-        let mut next = 0;
-        let dsts = rows.iter().map(|i| {
-            let slot = slots.nth(i - next).expect("row index within the matrix");
-            next = i + 1;
-            slot.as_deref_mut().expect("allocated above")
-        });
+        self.alloc_rows(rows.clone());
+        let dsts = self.rows[rows]
+            .iter_mut()
+            .map(|slot| slot.as_deref_mut().expect("allocated above"));
         scatter_from_bytes(bytes, dsts);
     }
 
-    fn drop_rows(&mut self, rows: &RowSet) {
-        for i in rows.iter() {
-            self.rows[i] = None;
-        }
+    fn drop_rows(&mut self, rows: Range<usize>) {
+        self.rows[rows].fill_with(|| None);
     }
 
-    fn present_rows(&self) -> RowSet {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.as_ref().map(|_| i))
-            .collect()
+    fn retain_rows(&mut self, keep: Range<usize>) {
+        let (below, rest) = self.rows.split_at_mut(keep.start);
+        below.fill_with(|| None);
+        rest[keep.len()..].fill_with(|| None);
     }
 
     fn alloc_stats(&self) -> AllocStats {
@@ -310,7 +301,7 @@ mod tests {
     fn alloc_and_access() {
         let mut m = DenseMatrix::<f64>::new(10, 4);
         assert!(!m.has_row(3));
-        m.alloc_rows(&RowSet::from_range(2..5));
+        m.alloc_rows(2..5);
         assert!(m.has_row(3));
         m.row_mut(3)[1] = 7.5;
         assert_eq!(m.row(3), &[0.0, 7.5, 0.0, 0.0]);
@@ -327,14 +318,14 @@ mod tests {
     #[test]
     fn pack_unpack_round_trip() {
         let mut a = DenseMatrix::<f64>::new(8, 3);
-        let rows = RowSet::from_ranges([1..3, 5..6]);
-        a.fill_rows(rows.iter(), |i, j| (i * 10 + j) as f64);
-        let bytes = a.pack_rows(&rows, false);
+        let rows = 2..5;
+        a.fill_rows(rows.clone(), |i, j| (i * 10 + j) as f64);
+        let bytes = a.pack_rows(rows.clone(), false);
         assert_eq!(bytes.len(), 3 * 3 * 8);
 
         let mut b = DenseMatrix::<f64>::new(8, 3);
-        b.unpack_rows(&rows, &bytes);
-        for i in rows.iter() {
+        b.unpack_rows(rows.clone(), &bytes);
+        for i in rows {
             assert_eq!(b.row(i), a.row(i));
         }
     }
@@ -342,12 +333,9 @@ mod tests {
     #[test]
     fn pack_take_releases_rows() {
         let mut a = DenseMatrix::<f64>::new(4, 2);
-        let rows = RowSet::from_range(0..2);
-        a.fill_rows(rows.iter(), |i, _| i as f64);
-        let _ = a.pack_rows(&rows, true);
-        assert!(!a.has_row(0));
-        assert!(!a.has_row(1));
-        assert!(a.present_rows().is_empty());
+        a.fill_rows(0..2, |i, _| i as f64);
+        let _ = a.pack_rows(0..2, true);
+        assert!((0..4).all(|i| !a.has_row(i)));
     }
 
     #[test]
@@ -359,10 +347,23 @@ mod tests {
         let p_before = m.row(3).as_ptr();
         let stats_before = m.alloc_stats();
         // Drop some rows, unpack others; row 3 is untouched.
-        m.drop_rows(&RowSet::from_range(0..2));
-        m.unpack_rows(&RowSet::from_range(4..5), &to_bytes(&[9.0f64, 9.0]));
+        m.drop_rows(0..2);
+        m.unpack_rows(4..5, &to_bytes(&[9.0f64, 9.0]));
         assert_eq!(m.row(3).as_ptr(), p_before);
         assert_eq!(m.alloc_stats().allocations, stats_before.allocations);
+    }
+
+    #[test]
+    fn retain_rows_drops_both_sides_and_leaves_the_rest_in_place() {
+        let mut m = DenseMatrix::<f64>::new(8, 2);
+        m.fill_rows(0..8, |i, _| i as f64);
+        let p = m.row(4).as_ptr();
+        m.retain_rows(3..6);
+        let present: Vec<usize> = (0..8).filter(|&i| m.has_row(i)).collect();
+        assert_eq!(present, [3, 4, 5]);
+        assert_eq!(m.row(4).as_ptr(), p);
+        m.retain_rows(2..2);
+        assert!((0..8).all(|i| !m.has_row(i)));
     }
 
     #[test]
@@ -445,7 +446,7 @@ mod tests {
             let mut m = DenseMatrix::<f64>::new(4, 2);
             m.fill_rows(0..1, |_, _| 5.0);
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                m.unpack_rows(&RowSet::from_range(0..2), &to_bytes(&vec![1.0f64; short]));
+                m.unpack_rows(0..2, &to_bytes(&vec![1.0f64; short]));
             }));
             let msg = r.expect_err("a short payload");
             let msg = msg.downcast_ref::<String>().unwrap();
@@ -484,7 +485,7 @@ mod tests {
         let mut d = DenseMatrix::<f64>::new(100, 16);
         d.fill_rows(0..50, |_, _| 0.0);
         let copied_before = d.alloc_stats().bytes_copied;
-        d.drop_rows(&RowSet::from_range(0..1));
+        d.drop_rows(0..1);
         assert_eq!(d.alloc_stats().bytes_copied, copied_before);
     }
 }

@@ -68,8 +68,7 @@ impl Drsd {
     /// guaranteed to contain every row the section can touch for a node
     /// whose owned rows start at `first` and end at `last`. O(1) bound
     /// arithmetic — the redistribution scheduler uses it to skip schedule
-    /// pairs whose row sets cannot intersect without materializing any
-    /// [`crate::RowSet`].
+    /// pairs whose rows cannot intersect without evaluating any section.
     ///
     /// Conservativeness: for a sub-range `[rlo, rhi] ⊆ [first, last]`,
     /// every start bound is minimized at `(first, first)` and every end

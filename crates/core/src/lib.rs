@@ -42,7 +42,7 @@
 //!     rt.add_access(ph, a, AccessMode::ReadWrite, Drsd::with_halo(1));
 //!     let mut m = DenseMatrix::<f64>::new(n, n);
 //!     rt.setup(&mut [&mut m]);
-//!     m.fill_rows(rt.local_rows(a).iter(), |_, _| 0.0);
+//!     m.fill_rows(rt.local_rows(a), |_, _| 0.0);
 //!     rt.run_cycles(100, &mut m, |m| [m], |rt, m, _step| {
 //!         if rt.participating() {
 //!             rt.ghost_exchange(a, m);
@@ -65,7 +65,6 @@ pub mod events;
 pub mod microbench;
 mod policy;
 pub mod redist;
-pub mod rowset;
 pub mod runtime;
 pub mod sparse;
 pub mod timing;
@@ -92,7 +91,6 @@ pub use dist::Distribution;
 pub use drsd::{AccessMode, ArrayAccess, Bound, Drsd};
 pub use events::RuntimeEvent;
 pub use redist::{ghost_needs, RedistOutcome};
-pub use rowset::RowSet;
 pub use runtime::{ArrayId, CommPattern, DynMpi, PhaseId, PhaseSpec};
 pub use sparse::{SparseMatrix, SparseRow};
 pub use timing::{RowTimer, TimingMode};

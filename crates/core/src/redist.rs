@@ -9,7 +9,7 @@
 //!
 //! All participants compute the identical transfer schedule from shared
 //! state, so messages need no headers: a `(src, dst, array)` triple fully
-//! determines the row set.
+//! determines the rows, one range.
 //!
 //! # Schedules
 //!
@@ -18,8 +18,8 @@
 //! whose distribution didn't change. Construction prunes partner pairs
 //! with O(1) bound arithmetic — [`crate::drsd::Drsd::envelope`] for ghost
 //! legs, block-boundary binary search for ownership moves — so the
-//! expensive [`ghost_needs`] evaluation runs **only** for pairs whose row
-//! sets can actually intersect (the [`GHOST_NEEDS_EVALS`] counter holds
+//! expensive [`ghost_needs`] evaluation runs **only** for pairs whose rows
+//! can actually intersect (the [`GHOST_NEEDS_EVALS`] counter holds
 //! the line), instead of the former every-rank × every-rank × every-array
 //! sweep.
 
@@ -32,7 +32,6 @@ use dynmpi_obs::{self as obs, Json};
 use crate::array::RedistArray;
 use crate::dist::Distribution;
 use crate::drsd::{AccessMode, ArrayAccess};
-use crate::rowset::RowSet;
 
 /// Runtime-internal tag space (above the collective tags).
 const TAG_MOVE: u64 = 1 << 33;
@@ -57,29 +56,39 @@ pub struct RedistOutcome {
     pub bytes_sent: u64,
 }
 
-/// Computes the ghost rows every member of `group` needs for `array`,
-/// given the distribution and the phase access list: the union of all
-/// read sections evaluated over the member's owned ranges, minus what it
-/// owns.
+/// The ghost rows member `rel` of `dist` needs for `array`, as the ranges
+/// `[below, above]` its block: the hull of the block and every read
+/// section evaluated over it, minus the block. Every read section meets
+/// the block it is evaluated over ([`crate::DynMpi::add_access`] checks
+/// that), so the hull holds no row outside the block and the sections,
+/// and `below.start..above.end` is the member's block plus its ghosts.
 pub fn ghost_needs(
     dist: &Distribution,
     rel: usize,
     array: usize,
     accesses: &[ArrayAccess],
     nrows: usize,
-) -> RowSet {
+) -> [Range<usize>; 2] {
     obs::count(GHOST_NEEDS_EVALS, 1);
-    let mut need = RowSet::new();
-    let Some((first, last)) = bounds(&dist.rows_of(rel)) else {
-        return need;
+    let block = dist.rows_of(rel);
+    let Some((first, last)) = bounds(&block) else {
+        return [block.clone(), block];
     };
-    for acc in accesses {
-        if acc.array != array || acc.mode == AccessMode::Write {
-            continue;
+    let (mut lo, mut hi) = (block.start, block.end);
+    for acc in reads(accesses, array) {
+        let rows = acc.drsd.eval(first, last, nrows);
+        if !rows.is_empty() {
+            lo = lo.min(rows.start);
+            hi = hi.max(rows.end);
         }
-        need.insert_range(acc.drsd.eval(first, last, nrows));
     }
-    need.diff(&RowSet::from_range(first..last + 1))
+    [lo..block.start, block.end..hi]
+}
+
+/// The accesses that read `array`.
+fn reads(accesses: &[ArrayAccess], array: usize) -> impl Iterator<Item = &ArrayAccess> {
+    let read = move |acc: &&ArrayAccess| acc.array == array && acc.mode != AccessMode::Write;
+    accesses.iter().filter(read)
 }
 
 /// First and last (inclusive) row of `rows`; `None` when it is empty.
@@ -87,9 +96,9 @@ fn bounds(rows: &Range<usize>) -> Option<(usize, usize)> {
     (!rows.is_empty()).then(|| (rows.start, rows.end - 1))
 }
 
-/// The rows two ranges share, as a set.
-fn overlap(a: &Range<usize>, b: Range<usize>) -> RowSet {
-    RowSet::from_range(a.start.max(b.start)..a.end.min(b.end))
+/// The rows two ranges share (an empty range when they share none).
+fn overlap(a: &Range<usize>, b: &Range<usize>) -> Range<usize> {
+    a.start.max(b.start)..a.end.min(b.end)
 }
 
 /// Conservative half-open envelope of every row `rel` may *read* on
@@ -105,10 +114,7 @@ fn read_envelope(
 ) -> Option<(usize, usize)> {
     let (first, last) = bounds(&dist.rows_of(rel))?;
     let mut env: Option<(usize, usize)> = None;
-    for acc in accesses {
-        if acc.array != array || acc.mode == AccessMode::Write {
-            continue;
-        }
+    for acc in reads(accesses, array) {
         if let Some((lo, hi)) = acc.drsd.envelope(first, last, nrows) {
             env = Some(match env {
                 Some((elo, ehi)) => (elo.min(lo), ehi.max(hi)),
@@ -127,17 +133,17 @@ fn read_envelope(
 pub struct TransferSchedule {
     /// Phase A sends `(dst world rank, rows)`: rows I had that `dst` now
     /// owns. Identical for every array; ascending `dst` order.
-    pub move_sends: Vec<(usize, RowSet)>,
+    pub move_sends: Vec<(usize, Range<usize>)>,
     /// Phase A receives `(src world rank, rows)`: rows I now own that
     /// `src` had. Ascending `src` order.
-    pub move_recvs: Vec<(usize, RowSet)>,
+    pub move_recvs: Vec<(usize, Range<usize>)>,
     /// Phase B sends per array: ghost rows each reader needs from me.
-    pub ghost_sends: Vec<Vec<(usize, RowSet)>>,
+    pub ghost_sends: Vec<Vec<(usize, Range<usize>)>>,
     /// Phase B receives per array: my ghost needs, split by owner.
-    pub ghost_recvs: Vec<Vec<(usize, RowSet)>>,
-    /// Per-array keep sets (new owned rows ∪ my ghost needs); storage
-    /// outside them is released in Phase C.
-    pub keep: Vec<RowSet>,
+    pub ghost_recvs: Vec<Vec<(usize, Range<usize>)>>,
+    /// Per-array keep ranges (new owned rows and my ghost needs, empty
+    /// when I own nothing); storage outside them is released in Phase C.
+    pub keep: Vec<Range<usize>>,
 }
 
 impl TransferSchedule {
@@ -148,7 +154,7 @@ impl TransferSchedule {
     /// ownership moves consider only nodes whose blocks overlap mine, and
     /// ghost legs only nodes whose read envelope can reach my rows — a
     /// non-intersecting `(src, dst)` pair costs two comparisons, not a
-    /// `RowSet` materialization.
+    /// section evaluation.
     pub fn build(
         me: usize,
         old_group: &Group,
@@ -174,7 +180,7 @@ impl TransferSchedule {
                 if dst == me {
                     continue;
                 }
-                let mv = overlap(&my_old, new_dist.rows_of(dst_rel));
+                let mv = overlap(&my_old, &new_dist.rows_of(dst_rel));
                 if !mv.is_empty() {
                     sched.move_sends.push((dst, mv));
                 }
@@ -186,7 +192,7 @@ impl TransferSchedule {
                 if src == me {
                     continue;
                 }
-                let mv = overlap(&my_new, old_dist.rows_of(src_rel));
+                let mv = overlap(&my_new, &old_dist.rows_of(src_rel));
                 if !mv.is_empty() {
                     sched.move_recvs.push((src, mv));
                 }
@@ -194,14 +200,12 @@ impl TransferSchedule {
         }
 
         // ---- Phase B partners: envelope pruning -----------------------
-        let my_bounds = bounds(&my_new);
-        let my_new = RowSet::from_range(my_new);
         let me_new_rel = new_group.rel_of(me);
         for ai in 0..narrays {
             // Sends: evaluate a reader's needs only when its envelope can
             // reach my rows.
             let mut sends = Vec::new();
-            if let Some((my_first, my_last)) = my_bounds {
+            if let Some((my_first, my_last)) = bounds(&my_new) {
                 for dst_rel in 0..new_group.size() {
                     let dst = new_group.world_rank(dst_rel);
                     if dst == me {
@@ -214,8 +218,10 @@ impl TransferSchedule {
                     if hi <= my_first || lo > my_last {
                         continue;
                     }
-                    let need = ghost_needs(new_dist, dst_rel, ai, accesses, nrows);
-                    let from_me = need.intersect(&my_new);
+                    // My block lies on one side of the reader's, so it
+                    // meets the reader's hull only in that side's need.
+                    let [below, above] = ghost_needs(new_dist, dst_rel, ai, accesses, nrows);
+                    let from_me = overlap(&my_new, &(below.start..above.end));
                     if !from_me.is_empty() {
                         sends.push((dst, from_me));
                     }
@@ -224,27 +230,23 @@ impl TransferSchedule {
             sched.ghost_sends.push(sends);
 
             // Receives: my own needs, split by owner; owner candidates
-            // come from the need's bounding interval.
+            // come from the blocks my keep range overlaps.
+            let keep = me_new_rel.map_or(0..0, |my_rel| {
+                let [below, above] = ghost_needs(new_dist, my_rel, ai, accesses, nrows);
+                below.start..above.end
+            });
             let mut recvs = Vec::new();
-            let mut keep = my_new.clone();
-            if let Some(my_rel) = me_new_rel {
-                let need = ghost_needs(new_dist, my_rel, ai, accesses, nrows);
-                if let (Some(first), Some(last)) = (need.first(), need.last()) {
-                    for src_rel in new_dist.overlapping(first, last) {
-                        let src = new_group.world_rank(src_rel);
-                        if src == me {
-                            continue;
-                        }
-                        let from_src =
-                            need.intersect(&RowSet::from_range(new_dist.rows_of(src_rel)));
-                        if !from_src.is_empty() {
-                            recvs.push((src, from_src));
-                        }
+            if let Some((first, last)) = bounds(&keep) {
+                for src_rel in new_dist.overlapping(first, last) {
+                    let src = new_group.world_rank(src_rel);
+                    if src == me {
+                        continue;
+                    }
+                    let from_src = overlap(&keep, &new_dist.rows_of(src_rel));
+                    if !from_src.is_empty() {
+                        recvs.push((src, from_src));
                     }
                 }
-                keep = keep.union(&need);
-            } else {
-                keep = RowSet::new();
             }
             sched.ghost_recvs.push(recvs);
             sched.keep.push(keep);
@@ -378,7 +380,7 @@ pub fn execute_cached<T: Transport>(
 struct StandIn {
     dead: usize,
     holder: usize,
-    legs: Vec<(usize, RowSet)>,
+    legs: Vec<(usize, Range<usize>)>,
 }
 
 /// The one transfer executor: Phases A–C of a schedule, the stand-in leg
@@ -426,7 +428,7 @@ fn transfer<T: Transport>(
             obs::span_begin("redist", "pack", t.now_ns());
         }
         for (dst, mv) in sched.move_sends.iter().chain(proxy_sends) {
-            let payload = arr.pack_rows(mv, true);
+            let payload = arr.pack_rows(mv.clone(), true);
             rows_moved += mv.len();
             bytes_sent += payload.len() as u64;
             t.send_bytes(*dst, tag, payload);
@@ -440,7 +442,7 @@ fn transfer<T: Transport>(
         for (src, mv) in own.map(|(src, mv)| (*src, mv)).chain(dead_leg) {
             let payload = t.recv_bytes(src, tag);
             rows_moved += mv.len();
-            arr.unpack_rows(mv, &payload);
+            arr.unpack_rows(mv.clone(), &payload);
         }
         if phases {
             obs::span_end(t.now_ns());
@@ -456,13 +458,13 @@ fn transfer<T: Transport>(
     for (ai, arr) in arrays.iter_mut().enumerate() {
         let tag = TAG_GHOST + ai as u64;
         for (dst, from_me) in &sched.ghost_sends[ai] {
-            let payload = arr.pack_rows(from_me, false);
+            let payload = arr.pack_rows(from_me.clone(), false);
             bytes_sent += payload.len() as u64;
             t.send_bytes(*dst, tag, payload);
         }
         for (src, from_src) in &sched.ghost_recvs[ai] {
             let payload = t.recv_bytes(*src, tag);
-            arr.unpack_rows(from_src, &payload);
+            arr.unpack_rows(from_src.clone(), &payload);
         }
     }
 
@@ -471,9 +473,8 @@ fn transfer<T: Transport>(
         obs::span_end(t.now_ns());
         obs::span_begin("redist", "release", t.now_ns());
     }
-    for (ai, arr) in arrays.iter_mut().enumerate() {
-        let stale = arr.present_rows().diff(&sched.keep[ai]);
-        arr.drop_rows(&stale);
+    for (arr, keep) in arrays.iter_mut().zip(&sched.keep) {
+        arr.retain_rows(keep.clone());
     }
     if phases {
         obs::span_end(t.now_ns());
@@ -513,12 +514,58 @@ fn transfer<T: Transport>(
 mod tests {
     use super::*;
     use crate::dense::DenseMatrix;
+    use crate::drsd::Bound;
     use crate::drsd::Drsd;
     use crate::sparse::SparseMatrix;
     use dynmpi_comm::run_threads;
+    use std::collections::BTreeSet;
 
-    fn owned(d: &Distribution, rel: usize) -> RowSet {
-        RowSet::from_range(d.rows_of(rel))
+    type Rows = BTreeSet<usize>;
+
+    fn owned(d: &Distribution, rel: usize) -> Rows {
+        d.rows_of(rel).collect()
+    }
+
+    /// Brute force, row by row: the rows outside `rel`'s block that a read
+    /// of array 0 evaluated over the block touches.
+    fn needs(d: &Distribution, rel: usize, acc: &[ArrayAccess], nrows: usize) -> Rows {
+        let block = d.rows_of(rel);
+        let Some((first, last)) = bounds(&block) else {
+            return Rows::new();
+        };
+        let read = |row: &usize| {
+            acc.iter().any(|a| {
+                a.array == 0
+                    && a.mode != AccessMode::Write
+                    && a.drsd.eval(first, last, nrows).contains(row)
+            })
+        };
+        (0..nrows)
+            .filter(|r| !block.contains(r) && read(r))
+            .collect()
+    }
+
+    /// The rows `rel` owns or reads: what it must hold after a
+    /// redistribution.
+    fn local(d: &Distribution, rel: usize, acc: &[ArrayAccess], nrows: usize) -> Rows {
+        &owned(d, rel) | &needs(d, rel, acc, nrows)
+    }
+
+    /// The rows that have storage, read row by row.
+    fn present(m: &DenseMatrix<f64>) -> Rows {
+        (0..m.nrows()).filter(|&i| m.has_row(i)).collect()
+    }
+
+    /// A schedule's legs with each range as a set of rows.
+    fn as_sets(legs: &[(usize, Range<usize>)]) -> Vec<(usize, Rows)> {
+        legs.iter()
+            .map(|(k, r)| (*k, r.clone().collect()))
+            .collect()
+    }
+
+    /// The rows of `ghost_needs`, both sides.
+    fn need_rows(needs: [Range<usize>; 2]) -> Vec<usize> {
+        needs.into_iter().flatten().collect()
     }
 
     fn read_halo(array: usize) -> ArrayAccess {
@@ -534,19 +581,10 @@ mod tests {
         let d = Distribution::block_from_counts(&[4, 4, 4]);
         let acc = [read_halo(0)];
         // Middle node needs one row on each side.
-        assert_eq!(
-            ghost_needs(&d, 1, 0, &acc, 12).iter().collect::<Vec<_>>(),
-            vec![3, 8]
-        );
+        assert_eq!(ghost_needs(&d, 1, 0, &acc, 12), [3..4, 8..9]);
         // Edge nodes clamp.
-        assert_eq!(
-            ghost_needs(&d, 0, 0, &acc, 12).iter().collect::<Vec<_>>(),
-            vec![4]
-        );
-        assert_eq!(
-            ghost_needs(&d, 2, 0, &acc, 12).iter().collect::<Vec<_>>(),
-            vec![7]
-        );
+        assert_eq!(need_rows(ghost_needs(&d, 0, 0, &acc, 12)), [4]);
+        assert_eq!(need_rows(ghost_needs(&d, 2, 0, &acc, 12)), [7]);
     }
 
     #[test]
@@ -560,25 +598,26 @@ mod tests {
             },
             read_halo(1),
         ];
-        assert!(ghost_needs(&d, 0, 0, &acc, 8).is_empty());
-        assert!(!ghost_needs(&d, 0, 1, &acc, 8).is_empty());
+        assert!(need_rows(ghost_needs(&d, 0, 0, &acc, 8)).is_empty());
+        assert_eq!(need_rows(ghost_needs(&d, 0, 1, &acc, 8)), [4]);
     }
 
     #[test]
     fn ghost_needs_empty_owner() {
         let d = Distribution::block_from_counts(&[8, 0]);
         let acc = [read_halo(0)];
-        assert!(ghost_needs(&d, 1, 0, &acc, 8).is_empty());
+        assert!(need_rows(ghost_needs(&d, 1, 0, &acc, 8)).is_empty());
     }
 
     /// The schedule must match a brute-force reconstruction of the
-    /// original all-pairs computation, for random block layouts.
+    /// original all-pairs computation, row by row, for random block
+    /// layouts and random read sections that meet the block they are
+    /// evaluated over (every `Bound` variant).
     #[test]
     fn schedule_matches_bruteforce_all_pairs() {
         dynmpi_testkit::check("redist-schedule-oracle", |rng| {
             let n = rng.range_usize(1, 7);
             let nrows = rng.range_usize(n, 64);
-            let halo = rng.range_i64(0, 4);
             let counts = |rng: &mut dynmpi_testkit::Rng| {
                 let mut c = vec![0usize; n];
                 for _ in 0..nrows {
@@ -588,11 +627,23 @@ mod tests {
             };
             let old = Distribution::block_from_counts(&counts(rng));
             let new = Distribution::block_from_counts(&counts(rng));
-            let acc = [ArrayAccess {
-                array: 0,
-                mode: AccessMode::Read,
-                drsd: Drsd::with_halo(halo),
-            }];
+            let bound = |rng: &mut dynmpi_testkit::Rng, off: i64| match rng.range_u32(0, 2) {
+                0 => Bound::Start(off),
+                _ => Bound::End(off),
+            };
+            let acc = rng.vec_in(1, 3, |rng| {
+                let start = -rng.range_i64(0, 4);
+                let start = bound(rng, start);
+                let end = rng.range_i64(0, 4);
+                ArrayAccess {
+                    array: 0,
+                    mode: AccessMode::Read,
+                    drsd: Drsd {
+                        start,
+                        end: bound(rng, end),
+                    },
+                }
+            });
             let g = Group::new((0..n).collect(), 0);
 
             for me in 0..n {
@@ -604,39 +655,38 @@ mod tests {
                 let mut move_sends = Vec::new();
                 let mut move_recvs = Vec::new();
                 let mut ghost_sends = Vec::new();
-                for other in 0..n {
-                    if other == me {
-                        continue;
-                    }
-                    let snd = my_old.intersect(&owned(&new, other));
-                    if !snd.is_empty() {
-                        move_sends.push((other, snd));
-                    }
-                    let rcv = my_new.intersect(&owned(&old, other));
-                    if !rcv.is_empty() {
-                        move_recvs.push((other, rcv));
-                    }
-                    let from_me = ghost_needs(&new, other, 0, &acc, nrows).intersect(&my_new);
-                    if !from_me.is_empty() {
-                        ghost_sends.push((other, from_me));
-                    }
-                }
-                let need = ghost_needs(&new, me, 0, &acc, nrows);
                 let mut ghost_recvs = Vec::new();
+                let need = needs(&new, me, &acc, nrows);
                 for other in 0..n {
                     if other == me {
                         continue;
                     }
-                    let from_src = need.intersect(&owned(&new, other));
-                    if !from_src.is_empty() {
-                        ghost_recvs.push((other, from_src));
+                    let legs = [
+                        (&mut move_sends, &my_old & &owned(&new, other)),
+                        (&mut move_recvs, &my_new & &owned(&old, other)),
+                        (&mut ghost_sends, &needs(&new, other, &acc, nrows) & &my_new),
+                        (&mut ghost_recvs, &need & &owned(&new, other)),
+                    ];
+                    for (list, rows) in legs {
+                        if !rows.is_empty() {
+                            list.push((other, rows));
+                        }
                     }
                 }
-                assert_eq!(sched.move_sends, move_sends, "sends of {me}");
-                assert_eq!(sched.move_recvs, move_recvs, "recvs of {me}");
-                assert_eq!(sched.ghost_sends, vec![ghost_sends], "ghost sends of {me}");
-                assert_eq!(sched.ghost_recvs, vec![ghost_recvs], "ghost recvs of {me}");
-                assert_eq!(sched.keep, vec![my_new.union(&need)], "keep of {me}");
+                assert_eq!(as_sets(&sched.move_sends), move_sends, "sends of {me}");
+                assert_eq!(as_sets(&sched.move_recvs), move_recvs, "recvs of {me}");
+                assert_eq!(
+                    as_sets(&sched.ghost_sends[0]),
+                    ghost_sends,
+                    "ghost sends of {me}"
+                );
+                assert_eq!(
+                    as_sets(&sched.ghost_recvs[0]),
+                    ghost_recvs,
+                    "ghost recvs of {me}"
+                );
+                let keep: Rows = sched.keep[0].clone().collect();
+                assert_eq!(keep, &my_new | &need, "keep of {me}");
             }
         });
     }
@@ -678,9 +728,7 @@ mod tests {
             let acc = [read_halo(0)];
 
             let mut m = DenseMatrix::<f64>::new(nrows, 2);
-            let mine = owned(&old, me);
-            let ghosts = ghost_needs(&old, me, 0, &acc, nrows);
-            m.fill_rows(mine.union(&ghosts).iter(), |i, j| (i * 10 + j) as f64);
+            m.fill_rows(local(&old, me, &acc, nrows), |i, j| (i * 10 + j) as f64);
 
             let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
             let oc = execute_cached(
@@ -698,14 +746,13 @@ mod tests {
             assert!(oc.seconds >= 0.0);
 
             // Every owned + ghost row must be present with correct values.
-            let mine_new = owned(&new, me);
-            let ghosts_new = ghost_needs(&new, me, 0, &acc, nrows);
-            for i in mine_new.union(&ghosts_new).iter() {
+            let local_new = local(&new, me, &acc, nrows);
+            for &i in &local_new {
                 assert_eq!(m.row(i), &[(i * 10) as f64, (i * 10 + 1) as f64], "row {i}");
             }
             // Stale rows must be gone.
-            assert_eq!(m.present_rows(), mine_new.union(&ghosts_new));
-            m.present_rows().len()
+            assert_eq!(present(&m), local_new);
+            local_new.len()
         });
         assert!(out.iter().sum::<usize>() >= 12);
     }
@@ -723,9 +770,7 @@ mod tests {
             let acc = [read_halo(0)];
 
             let mut m = DenseMatrix::<f64>::new(nrows, 1);
-            let mine = owned(&old, me);
-            let ghosts = ghost_needs(&old, me, 0, &acc, nrows);
-            m.fill_rows(mine.union(&ghosts).iter(), |i, _| i as f64);
+            m.fill_rows(local(&old, me, &acc, nrows), |i, _| i as f64);
 
             let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
             execute_cached(
@@ -742,14 +787,11 @@ mod tests {
             );
 
             if me == 2 {
-                assert!(
-                    m.present_rows().is_empty(),
-                    "dropped node must hold nothing"
-                );
+                assert!(present(&m).is_empty(), "dropped node must hold nothing");
                 0
             } else {
-                let mine_new = owned(&new, me);
-                for i in mine_new.iter() {
+                let mine_new = new.rows_of(me);
+                for i in mine_new.clone() {
                     assert_eq!(m.row(i)[0], i as f64);
                 }
                 mine_new.len()
@@ -772,9 +814,7 @@ mod tests {
 
             let mut m = DenseMatrix::<f64>::new(nrows, 1);
             if me != 2 {
-                let mine = owned(&old, me);
-                let ghosts = ghost_needs(&old, me, 0, &acc, nrows);
-                m.fill_rows(mine.union(&ghosts).iter(), |i, _| (100 + i) as f64);
+                m.fill_rows(local(&old, me, &acc, nrows), |i, _| (100 + i) as f64);
             }
 
             let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
@@ -791,8 +831,7 @@ mod tests {
                 None,
             );
 
-            let mine_new = owned(&new, me);
-            for i in mine_new.iter() {
+            for i in new.rows_of(me) {
                 assert_eq!(m.row(i)[0], (100 + i) as f64, "rank {me} row {i}");
             }
         });
@@ -810,10 +849,8 @@ mod tests {
 
             let mut d = DenseMatrix::<f64>::new(nrows, 3);
             let mut s = SparseMatrix::<f64>::new(nrows, 100);
-            let mine = owned(&old, me);
-            let ghosts = ghost_needs(&old, me, 0, &acc, nrows);
-            d.fill_rows(mine.union(&ghosts).iter(), |i, j| (i + j) as f64);
-            for i in mine.iter() {
+            d.fill_rows(local(&old, me, &acc, nrows), |i, j| (i + j) as f64);
+            for i in old.rows_of(me) {
                 s.set(i, (i * 7 % 100) as u32, i as f64);
                 if i % 2 == 0 {
                     s.set(i, 99, -1.0);
@@ -884,9 +921,7 @@ mod tests {
             let acc = [read_halo(0)];
 
             let mut m = DenseMatrix::<f64>::new(nrows, 1);
-            let mine = owned(&d, me);
-            let ghosts = ghost_needs(&d, me, 0, &acc, nrows);
-            m.fill_rows(mine.union(&ghosts).iter(), |i, _| i as f64);
+            m.fill_rows(local(&d, me, &acc, nrows), |i, _| i as f64);
 
             let mut cache = ScheduleCache::new();
             let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
@@ -939,8 +974,8 @@ mod tests {
             // Post-rollback state: own snapshot rows, stale ghosts; the
             // holder additionally carries the dead node's mirror.
             m.fill_rows(old.rows_of(me), |i, _| i as f64);
-            let ghosts = ghost_needs(&old, me, 0, &acc, nrows);
-            m.fill_rows(ghosts.iter(), |_, _| f64::NAN); // stale, must be refreshed
+            let ghosts = needs(&old, me, &acc, nrows);
+            m.fill_rows(ghosts, |_, _| f64::NAN); // stale, must be refreshed
             if me == holder {
                 m.fill_rows(old.rows_of(dead), |i, _| i as f64);
             }
@@ -960,14 +995,13 @@ mod tests {
             );
             assert!(oc.seconds >= 0.0);
 
-            let mine_new = owned(&new, me);
-            let ghosts_new = ghost_needs(&new, me, 0, &acc, nrows);
-            for i in mine_new.union(&ghosts_new).iter() {
+            let local_new = local(&new, me, &acc, nrows);
+            for &i in &local_new {
                 assert_eq!(m.row(i)[0], i as f64, "rank {me} row {i}");
             }
             // Mirror surplus and stale rows must be gone.
-            assert_eq!(m.present_rows(), mine_new.union(&ghosts_new));
-            mine_new.len()
+            assert_eq!(present(&m), local_new);
+            new.rows_of(me).len()
         });
         assert_eq!(out[0] + out[1], 9);
     }
@@ -1017,12 +1051,11 @@ mod tests {
             );
 
             let rel = if me == 2 { 1 } else { 0 };
-            let mine_new = owned(&new, rel);
-            let ghosts_new = ghost_needs(&new, rel, 0, &acc, nrows);
-            for i in mine_new.union(&ghosts_new).iter() {
+            let local_new = local(&new, rel, &acc, nrows);
+            for &i in &local_new {
                 assert_eq!(m.row(i)[0], (10 * i) as f64, "rank {me} row {i}");
             }
-            assert_eq!(m.present_rows(), mine_new.union(&ghosts_new));
+            assert_eq!(present(&m), local_new);
             if me == holder {
                 // Rows 4,5 arrived via the mirror, not the network: the
                 // only ownership transfers the holder makes are its own
@@ -1080,7 +1113,7 @@ mod tests {
                     assert_eq!(m.row(i)[0], (i * i) as f64, "row {i}");
                 }
             } else {
-                assert!(m.present_rows().is_empty());
+                assert!(present(&m).is_empty());
             }
         });
     }

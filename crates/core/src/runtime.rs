@@ -24,11 +24,10 @@ use crate::array::{ArrayMeta, RedistArray};
 use crate::checkpoint::{BuddyCheckpoint, TAG_CKPT_META};
 use crate::config::DynMpiConfig;
 use crate::dist::Distribution;
-use crate::drsd::{AccessMode, ArrayAccess, Drsd};
+use crate::drsd::{AccessMode, ArrayAccess, Bound, Drsd};
 use crate::events::RuntimeEvent;
 use crate::policy::{self, Kernel, Mode, Sample, Snapshot, State, Step, CTRL_LAG};
 use crate::redist::{self, ScheduleCache, TransferSchedule};
-use crate::rowset::RowSet;
 use crate::timing::RowTimer;
 
 use std::cell::RefCell;
@@ -248,10 +247,20 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         self.phases.len() - 1
     }
 
-    /// `DMPI_add_array_access`: attaches a DRSD to a phase.
+    /// `DMPI_add_array_access`: attaches a DRSD to a phase. A read
+    /// section must meet every non-empty block it is evaluated over (its
+    /// start offset ≤ 0, its end offset ≥ 0), so that a block and its
+    /// ghosts are one range.
     pub fn add_access(&mut self, _phase: PhaseId, array: ArrayId, mode: AccessMode, drsd: Drsd) {
         assert!(!self.setup_done, "register accesses before setup");
         assert!(array < self.arrays.len(), "unknown array id {array}");
+        let (Bound::Start(lo) | Bound::End(lo)) = drsd.start;
+        let (Bound::Start(hi) | Bound::End(hi)) = drsd.end;
+        assert!(
+            mode == AccessMode::Write || (lo <= 0 && hi >= 0),
+            "read section {drsd:?} does not meet every block: \
+             its start offset must be ≤ 0 and its end offset ≥ 0"
+        );
         self.accesses.push(ArrayAccess { array, mode, drsd });
         // Schedules embed the access list; anything cached is now stale.
         self.sched_cache.borrow_mut().invalidate();
@@ -264,8 +273,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         assert!(!self.setup_done, "setup called twice");
         self.validate_arrays(arrays);
         for (ai, arr) in arrays.iter_mut().enumerate() {
-            let rows = self.local_rows(ai);
-            arr.alloc_rows(&rows);
+            arr.alloc_rows(self.local_rows(ai));
         }
         self.setup_done = true;
     }
@@ -330,11 +338,12 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         self.dist.rows_of_in(rel, spec.lo..spec.hi)
     }
 
-    /// Rows of `array` present on this rank: owned plus DRSD ghosts. Use
-    /// after `setup` (or a redistribution) to know what to initialize.
-    pub fn local_rows(&self, array: ArrayId) -> RowSet {
+    /// Rows of `array` present on this rank: its block plus the DRSD
+    /// ghosts on either side. Use after `setup` (or a redistribution) to
+    /// know what to initialize.
+    pub fn local_rows(&self, array: ArrayId) -> Range<usize> {
         if self.rel_rank().is_none() {
-            return RowSet::new();
+            return 0..0;
         }
         self.steady_schedule().keep[array].clone()
     }
@@ -1081,7 +1090,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         let sched = self.steady_schedule();
         let tag = TAG_GEX + array as u64;
         for (dst, from_me) in &sched.ghost_sends[array] {
-            let payload = arr.pack_rows(from_me, false);
+            let payload = arr.pack_rows(from_me.clone(), false);
             self.t.send_bytes(*dst, tag, payload);
         }
         for (src, from_src) in &sched.ghost_recvs[array] {
@@ -1093,7 +1102,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
                 self.trace_point("ghost-timeout", || vec![("src", Json::UInt(*src as u64))]);
                 continue;
             };
-            arr.unpack_rows(from_src, &p);
+            arr.unpack_rows(from_src.clone(), &p);
         }
     }
 
@@ -1535,9 +1544,25 @@ mod tests {
             }
             rt.ghost_exchange(a, &mut m);
             // Ghost rows now carry their owners' values.
-            for i in rt.local_rows(a).iter() {
+            for i in rt.local_rows(a) {
                 assert_eq!(m.row(i)[0], (100 + i) as f64, "row {i}");
             }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "does not meet every block")]
+    fn a_read_section_off_the_block_is_rejected() {
+        cluster(1).run_spmd(|ctx| {
+            let t = SimTransport::new(ctx);
+            let mut rt = DynMpi::init(&t, 8, DynMpiConfig::default());
+            let a = rt.register_dense("A", 8);
+            let ph = rt.init_phase(0, 8, CommPattern::NearestNeighbor);
+            let past_the_end = Drsd {
+                start: Bound::End(2),
+                end: Bound::End(3),
+            };
+            rt.add_access(ph, a, AccessMode::Read, past_the_end);
         });
     }
 

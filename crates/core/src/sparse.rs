@@ -8,11 +8,11 @@
 //! [`RedistArray`] path as dense rows, and stays untouched when it stays.
 
 use std::any::Any;
+use std::ops::Range;
 
 use dynmpi_comm::{from_bytes, to_bytes_into, Pod};
 
 use crate::array::{AllocStats, RedistArray};
-use crate::rowset::RowSet;
 
 /// One sparse row: `(col, value)` pairs sorted by column, columns unique.
 pub struct SparseRow<P> {
@@ -174,22 +174,22 @@ impl<P: Pod> SparseMatrix<P> {
 }
 
 // Wire format per row: [nnz: u64][cols: u32 × nnz][vals: P × nnz],
-// concatenated in row-set order.
+// concatenated in row order.
 impl<P: Pod> RedistArray for SparseMatrix<P> {
     fn nrows(&self) -> usize {
         self.nrows
     }
 
-    fn alloc_rows(&mut self, rows: &RowSet) {
-        for i in rows.iter() {
+    fn alloc_rows(&mut self, rows: Range<usize>) {
+        for i in rows {
             let _ = self.row_mut(i);
         }
     }
 
-    fn pack_rows(&mut self, rows: &RowSet, take: bool) -> Vec<u8> {
+    fn pack_rows(&mut self, rows: Range<usize>, take: bool) -> Vec<u8> {
         let mut out = Vec::new();
         let mut image = Vec::new();
-        for i in rows.iter() {
+        for i in rows {
             let row = self.rows[i]
                 .as_ref()
                 .unwrap_or_else(|| panic!("packing absent sparse row {i}"));
@@ -209,9 +209,9 @@ impl<P: Pod> RedistArray for SparseMatrix<P> {
 
     // `bytes` came off the wire: lengths in checked arithmetic, and the row
     // invariant verified before the decoded vectors become a row.
-    fn unpack_rows(&mut self, rows: &RowSet, bytes: &[u8]) {
+    fn unpack_rows(&mut self, rows: Range<usize>, bytes: &[u8]) {
         let mut rest = bytes;
-        for i in rows.iter() {
+        for i in rows {
             let mut take = |len: Option<usize>| {
                 let len = len
                     .filter(|&len| len <= rest.len())
@@ -240,18 +240,14 @@ impl<P: Pod> RedistArray for SparseMatrix<P> {
         assert!(rest.is_empty(), "sparse payload has trailing bytes");
     }
 
-    fn drop_rows(&mut self, rows: &RowSet) {
-        for i in rows.iter() {
-            self.rows[i] = None;
-        }
+    fn drop_rows(&mut self, rows: Range<usize>) {
+        self.rows[rows].fill_with(|| None);
     }
 
-    fn present_rows(&self) -> RowSet {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.as_ref().map(|_| i))
-            .collect()
+    fn retain_rows(&mut self, keep: Range<usize>) {
+        let (below, rest) = self.rows.split_at_mut(keep.start);
+        below.fill_with(|| None);
+        rest[keep.len()..].fill_with(|| None);
     }
 
     fn alloc_stats(&self) -> AllocStats {
@@ -339,24 +335,25 @@ mod tests {
         a.set(1, 3, 1.3);
         a.set(1, 50, 1.5);
         a.set(2, 0, 2.0);
+        a.set(3, 99, 3.0);
         a.row_mut(4); // present but empty row
-        let rows = RowSet::from_ranges([1..3, 4..5]);
-        let bytes = a.pack_rows(&rows, false);
+        let bytes = a.pack_rows(1..5, false);
 
         let mut b = SparseMatrix::<f64>::new(6, 100);
-        b.unpack_rows(&rows, &bytes);
+        b.unpack_rows(1..5, &bytes);
         assert_eq!(b.row(1).get(3), Some(&1.3));
         assert_eq!(b.row(1).get(50), Some(&1.5));
         assert_eq!(b.row(2).get(0), Some(&2.0));
+        assert_eq!(b.row(3).get(99), Some(&3.0));
         assert_eq!(b.row(4).nnz(), 0);
-        assert_eq!(b.nnz(), 3);
+        assert_eq!(b.nnz(), 4);
     }
 
     #[test]
     fn pack_take_removes_rows() {
         let mut a = SparseMatrix::<f64>::new(3, 10);
         a.set(0, 1, 1.0);
-        let _ = a.pack_rows(&RowSet::from_range(0..1), true);
+        let _ = a.pack_rows(0..1, true);
         assert!(!a.has_row(0));
     }
 
@@ -374,7 +371,7 @@ mod tests {
     fn unpack_corrupt_payload_panics() {
         let mut a = SparseMatrix::<f64>::new(2, 4);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            a.unpack_rows(&RowSet::from_range(0..1), &[1, 2, 3]);
+            a.unpack_rows(0..1, &[1, 2, 3]);
         }));
         assert!(r.is_err());
     }
@@ -385,7 +382,7 @@ mod tests {
         bytes.extend(to_bytes(cols));
         bytes.extend(to_bytes(vals));
         let mut a = SparseMatrix::<f64>::new(2, 4);
-        a.unpack_rows(&RowSet::from_range(0..1), &bytes);
+        a.unpack_rows(0..1, &bytes);
         a
     }
 

@@ -133,7 +133,7 @@ fn app<S>(t: &SimTransport<'_>, sc: &Scenario, probe: &impl Probe<S>) -> RankOut
     rt.add_access(ph, a, AccessMode::ReadWrite, Drsd::with_halo(1));
     let mut m = DenseMatrix::<f64>::new(n, COLS);
     rt.setup(&mut [&mut m]);
-    m.fill_rows(rt.local_rows(a).iter(), fill_pattern);
+    m.fill_rows(rt.local_rows(a), fill_pattern);
     let row_work = STEP_WORK * sc.nodes as f64 / n as f64;
     rt.run_cycles(
         sc.steps as usize,

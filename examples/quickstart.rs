@@ -49,8 +49,8 @@ fn run(rebalance: bool) -> Vec<RankOut> {
         rt.setup(&mut [&mut grids.0, &mut grids.1]);
         // Hot left wall, cold elsewhere.
         let hot_wall = |_, j| if j == 0 { 100.0 } else { 0.0 };
-        grids.0.fill_rows(rt.local_rows(a).iter(), hot_wall);
-        grids.1.fill_rows(rt.local_rows(b).iter(), hot_wall);
+        grids.0.fill_rows(rt.local_rows(a), hot_wall);
+        grids.1.fill_rows(rt.local_rows(b), hot_wall);
 
         let before = rt.distribution().counts();
         // The runtime owns the loop: it runs the body once per cycle and

@@ -4,67 +4,10 @@
 
 use dynmpi::{
     partition_rows, relative_power, successive_balance, successive_balance_with_floor, CommModel,
-    Distribution, Drsd, NodeLoad, RowSet,
+    Distribution, Drsd, NodeLoad,
 };
-use dynmpi_testkit::{check, check_n, Rng};
-
-fn gen_rowset(rng: &mut Rng) -> RowSet {
-    let pairs = rng.vec_in(0, 12, |r| (r.range_usize(0, 200), r.range_usize(1, 20)));
-    RowSet::from_ranges(pairs.into_iter().map(|(s, l)| s..s + l))
-}
-
-// ---------------- RowSet algebra ----------------------------------
-
-#[test]
-fn rowset_union_contains_both() {
-    check("rowset_union_contains_both", |rng| {
-        let a = gen_rowset(rng);
-        let b = gen_rowset(rng);
-        let u = a.union(&b);
-        for r in a.iter().chain(b.iter()) {
-            assert!(u.contains(r));
-        }
-        assert_eq!(
-            u.len(),
-            a.iter()
-                .chain(b.iter())
-                .collect::<std::collections::BTreeSet<_>>()
-                .len()
-        );
-    });
-}
-
-#[test]
-fn rowset_diff_intersect_partition() {
-    check("rowset_diff_intersect_partition", |rng| {
-        let a = gen_rowset(rng);
-        let b = gen_rowset(rng);
-        // a = (a \ b) ⊎ (a ∩ b), disjointly.
-        let d = a.diff(&b);
-        let i = a.intersect(&b);
-        assert_eq!(d.len() + i.len(), a.len());
-        assert!(d.intersect(&i).is_empty());
-        assert_eq!(d.union(&i), a.clone());
-        // Nothing in the difference is in b.
-        for r in d.iter() {
-            assert!(!b.contains(r));
-        }
-    });
-}
-
-#[test]
-fn rowset_ranges_sorted_disjoint() {
-    check("rowset_ranges_sorted_disjoint", |rng| {
-        let a = gen_rowset(rng);
-        let rs = a.ranges();
-        for w in rs.windows(2) {
-            assert!(
-                w[0].end < w[1].start,
-                "ranges must be disjoint, non-adjacent"
-            );
-        }
-    });
-}
+use dynmpi_testkit::{check, check_n};
+use std::collections::BTreeSet;
 
 // ---------------- distributions -----------------------------------
 
@@ -95,14 +38,14 @@ fn transfers_conserve_rows() {
         let old = Distribution::block_from_weights(nrows, &w1, 0);
         let new = Distribution::block_from_weights(nrows, &w2, 0);
         let t = old.transfers_to(&new);
-        let mut all = RowSet::new();
+        let mut all = BTreeSet::new();
         let mut total = 0usize;
         for (_, _, rs) in &t {
             total += rs.len();
-            all.insert_range(rs.clone());
+            all.extend(rs.clone());
         }
         assert_eq!(total, nrows, "every row lands exactly once");
-        assert_eq!(all, RowSet::from_range(0..nrows));
+        assert!(all.into_iter().eq(0..nrows));
     });
 }
 
@@ -215,14 +158,18 @@ fn drsd_halo_superset_of_iter_space() {
 fn dense_pack_unpack_round_trip() {
     check("dense_pack_unpack_round_trip", |rng| {
         use dynmpi::{DenseMatrix, RedistArray};
-        let rows = gen_rowset(rng).clamp(200);
+        let start = rng.range_usize(0, 200);
+        let rows = start..rng.range_usize(start, 201);
         let row_len = rng.range_usize(1, 16);
         let mut a = DenseMatrix::<f64>::new(200, row_len);
-        a.fill_rows(rows.iter(), |i, j| (i * 31 + j) as f64);
-        let bytes = a.pack_rows(&rows, false);
+        a.fill_rows(rows.clone(), |i, j| (i * 31 + j) as f64);
+        let bytes = a.pack_rows(rows.clone(), false);
         let mut b = DenseMatrix::<f64>::new(200, row_len);
-        b.unpack_rows(&rows, &bytes);
-        for i in rows.iter() {
+        b.unpack_rows(rows.clone(), &bytes);
+        for i in 0..200 {
+            assert_eq!(b.has_row(i), rows.contains(&i), "row {i}");
+        }
+        for i in rows {
             assert_eq!(a.row(i), b.row(i));
         }
     });
@@ -239,14 +186,17 @@ fn sparse_pack_unpack_round_trip() {
                 r.range_f64(-10.0, 10.0),
             )
         });
+        let start = rng.range_usize(0, 40);
+        let rows = start..rng.range_usize(start, 41);
         let mut a = SparseMatrix::<f64>::new(40, 60);
-        for &(i, c, v) in &entries {
+        a.alloc_rows(rows.clone());
+        for &(i, c, v) in entries.iter().filter(|e| rows.contains(&e.0)) {
             a.set(i, c, v);
         }
-        let rows = a.present_rows();
-        let bytes = a.pack_rows(&rows, false);
+        let bytes = a.pack_rows(rows.clone(), false);
         let mut b = SparseMatrix::<f64>::new(40, 60);
-        b.unpack_rows(&rows, &bytes);
+        b.unpack_rows(rows.clone(), &bytes);
+        assert!((0..40).all(|i| b.has_row(i) == rows.contains(&i)));
         assert_eq!(a.nnz(), b.nnz());
         for (i, c, v) in a.iter() {
             assert_eq!(b.row(i).get(c), Some(v));
@@ -254,9 +204,9 @@ fn sparse_pack_unpack_round_trip() {
     });
 }
 
-/// The literal bytes on the wire for rows {1, 2, 4} of a fixed matrix, row
-/// 2 present but empty: `[nnz: u64][cols: u32 × nnz][vals: f64 × nnz]` per
-/// row, little-endian. Recorded before the row storage changed; a receiver
+/// The literal bytes on the wire for rows 1..3, then 4..5, of a fixed
+/// matrix, row 2 present but empty, the two payloads concatenated:
+/// `[nnz: u64][cols: u32 × nnz][vals: f64 × nnz]` per row, little-endian. Recorded before the row storage changed; a receiver
 /// built from any other commit must still decode them.
 #[test]
 fn sparse_wire_bytes_are_pinned() {
@@ -266,8 +216,8 @@ fn sparse_wire_bytes_are_pinned() {
     a.set(1, 3, 1.5);
     a.row_mut(2);
     a.set(4, 0, 0.25);
-    let rows = RowSet::from_ranges([1..3, 4..5]);
-    let bytes = a.pack_rows(&rows, false);
+    let pack = |m: &mut SparseMatrix<f64>, take| [m.pack_rows(1..3, take), m.pack_rows(4..5, take)];
+    let bytes = pack(&mut a, false).concat();
     #[rustfmt::skip]
     let expect: [u8; 60] = [
         2, 0, 0, 0, 0, 0, 0, 0,                             // row 1: nnz
@@ -289,9 +239,11 @@ fn sparse_wire_bytes_are_pinned() {
     );
 
     let mut b = SparseMatrix::<f64>::new(6, 100);
-    b.unpack_rows(&rows, &expect);
-    assert_eq!(b.pack_rows(&rows, true), expect);
-    assert!(b.present_rows().is_empty());
+    let (rows_1_2, row_4) = expect.split_at(40);
+    b.unpack_rows(1..3, rows_1_2);
+    b.unpack_rows(4..5, row_4);
+    assert_eq!(pack(&mut b, true).concat(), expect);
+    assert!((0..6).all(|i| !b.has_row(i)));
     assert_eq!(
         b.alloc_stats(),
         AllocStats {
