@@ -69,8 +69,8 @@ struct Snapshot {
 }
 
 impl Snapshot {
-    /// Overwrites `rows` of every array with its payload, allocating the
-    /// rows that are absent.
+    /// Overwrites `rows` of every array with its payload; `unpack_rows`
+    /// allocates the rows that are absent.
     fn unpack_into(&self, arrays: &mut [&mut dyn RedistArray], what: &str) {
         assert_eq!(
             self.payloads.len(),
@@ -78,7 +78,6 @@ impl Snapshot {
             "{what} covers a different array count"
         );
         for (arr, payload) in arrays.iter_mut().zip(&self.payloads) {
-            arr.alloc_rows(self.rows.clone());
             arr.unpack_rows(self.rows.clone(), payload);
         }
     }
@@ -296,6 +295,7 @@ impl BuddyCheckpoint {
 mod tests {
     use super::*;
     use crate::dense::DenseMatrix;
+    use crate::sparse::SparseMatrix;
     use dynmpi_comm::{run_threads, SimTransport};
     use dynmpi_sim::{Cluster, NodeSpec};
 
@@ -398,6 +398,35 @@ mod tests {
         });
         // Everyone ended with own + predecessor rows present.
         assert_eq!(out, vec![6, 6, 6]);
+    }
+
+    /// A sparse mirror restore counts one allocation per row it creates:
+    /// the decoded row, and no empty row allocated ahead of it.
+    #[test]
+    fn sparse_mirror_restore_allocates_once_per_row() {
+        let out = run_threads(3, |t| {
+            let me = t.rank();
+            let g = Group::world(me, 3);
+            let d = Distribution::block_from_counts(&[3, 3, 3]);
+            let mut m = SparseMatrix::<f64>::new(9, 4);
+            for i in d.rows_of(me) {
+                m.set(i, (i % 4) as u32, i as f64);
+            }
+            let mut ckpt = BuddyCheckpoint::new();
+            let (restored, made) = {
+                let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
+                ckpt.refresh(t, me, &g, &d, &mut arrays, 1, None);
+                let before = arrays[0].alloc_stats().allocations;
+                let restored = ckpt.materialize_mirror(&mut arrays);
+                (restored, arrays[0].alloc_stats().allocations - before)
+            };
+            for i in d.rows_of((me + 2) % 3) {
+                let row: Vec<_> = m.row(i).iter().collect();
+                assert_eq!(row, vec![((i % 4) as u32, &(i as f64))], "mirrored row {i}");
+            }
+            (restored, made)
+        });
+        assert_eq!(out, vec![(3, 3); 3]);
     }
 
     #[test]

@@ -45,6 +45,7 @@
 //! and `fast_path_equivalence.rs`, and by the `dynmpi` crate's
 //! `tests/drive` for runtime scenarios).
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashSet};
 use std::ops::RangeInclusive;
 
@@ -576,8 +577,9 @@ pub fn analyze(events: &[TraceEvent]) -> ProfileReport {
     analyze_iter(events)
 }
 
-/// [`analyze`] over an iterator, as [`Recorder::profile`](crate::Recorder::profile) walks.
-pub fn analyze_iter<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> ProfileReport {
+/// [`analyze`] over an iterator, as [`Recorder::profile`](crate::Recorder::profile)
+/// walks: by reference or by value.
+pub fn analyze_iter(events: impl IntoIterator<Item = impl Borrow<TraceEvent>>) -> ProfileReport {
     // Dense by rank while folding; a rank without events has no lane.
     let mut dense: Vec<Option<Lane>> = Vec::new();
     let mut sends = SendIndex::default();
@@ -585,6 +587,7 @@ pub fn analyze_iter<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> Pro
     let mut log = DecisionLog::default();
 
     for ev in events {
+        let ev = ev.borrow();
         let rank = ev.rank();
         if rank >= MAX_RANKS {
             continue;

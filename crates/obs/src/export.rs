@@ -9,7 +9,7 @@
 use std::fmt::{self, Write};
 
 use crate::json::{push_uint, write_escaped, Json, JsonError};
-use crate::trace::{intern, intern_cat, Args, Kind, TraceEvent, MAX_RANKS, MAX_TS_NS};
+use crate::trace::{intern, intern_cat, Args, TraceEvent, View, KINDS, MAX_RANKS, MAX_TS_NS};
 
 /// Below this many nanoseconds, 10^12 µs < 2^43 µs, an `f64` count of
 /// microseconds has an ulp of at most 2^-10 < 0.001.
@@ -54,48 +54,51 @@ fn push_cat_name(buf: &mut String, ev: &TraceEvent) {
 /// `,"args":{…}}` — the attributes, closing the event object. A typed
 /// kind writes each integer after its key's constant head, exactly as
 /// the `Json::UInt` attributes of a generic event would be written.
-fn push_args(buf: &mut String, ev: &TraceEvent, kind: Option<&Kind>) {
+fn push_args(buf: &mut String, ev: View<'_>) {
     buf.push_str(",\"args\":{");
-    match (kind, ev.args()) {
-        (Some(kind), _) => {
-            for (head, v) in kind.key_heads.iter().zip(ev.values()) {
+    match ev {
+        View::Typed(t) => {
+            for (head, v) in KINDS[t.index].key_heads.iter().zip(t.values) {
                 buf.push_str(head);
                 push_uint(buf, v);
             }
         }
-        (None, Args::Json(pairs)) => push_fmt(buf, |out| {
-            for (i, (k, v)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.write_char(',')?;
+        View::Other(ev) => match ev.args() {
+            Args::Json(pairs) => push_fmt(buf, |out| {
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.write_char(',')?;
+                    }
+                    write_escaped(out, k)?;
+                    out.write_char(':')?;
+                    v.write_to(out)?;
                 }
-                write_escaped(out, k)?;
-                out.write_char(':')?;
-                v.write_to(out)?;
+                Ok(())
+            }),
+            // A collective named off the list: its keys are plain
+            // identifiers.
+            Args::Ints { keys, values } => {
+                for (i, (k, &v)) in keys.iter().zip(&values).enumerate() {
+                    buf.push_str(if i > 0 { ",\"" } else { "\"" });
+                    buf.push_str(k);
+                    buf.push_str("\":");
+                    push_uint(buf, v);
+                }
             }
-            Ok(())
-        }),
-        // A collective named off the list: its keys are plain identifiers.
-        (None, Args::Ints { keys, values }) => {
-            for (i, (k, &v)) in keys.iter().zip(&values).enumerate() {
-                buf.push_str(if i > 0 { ",\"" } else { "\"" });
-                buf.push_str(k);
-                buf.push_str("\":");
-                push_uint(buf, v);
-            }
-        }
+        },
     }
     buf.push_str("}}");
 }
 
 /// One event's Chrome object, preceded by a comma unless it is the first.
-fn push_chrome(buf: &mut String, first: bool, ev: &TraceEvent) {
+fn push_chrome(buf: &mut String, first: bool, ev: View<'_>) {
     if !first {
         buf.push(',');
     }
-    let (kind, dur_ns) = (ev.kind(), ev.dur_ns());
-    match kind {
-        Some(kind) => buf.push_str(kind.chrome_head),
-        None => {
+    let dur_ns = ev.dur_ns();
+    match ev {
+        View::Typed(t) => buf.push_str(KINDS[t.index].chrome_head),
+        View::Other(ev) => {
             buf.push_str(match dur_ns {
                 Some(_) => "{\"ph\":\"X\",",
                 None => "{\"ph\":\"i\",",
@@ -104,7 +107,7 @@ fn push_chrome(buf: &mut String, first: bool, ev: &TraceEvent) {
             buf.push_str(",\"pid\":0,\"tid\":");
         }
     }
-    push_uint(buf, ev.rank() as u64);
+    push_uint(buf, ev.rank());
     buf.push_str(",\"ts\":");
     push_us(buf, ev.ts_ns());
     match dur_ns {
@@ -114,15 +117,15 @@ fn push_chrome(buf: &mut String, first: bool, ev: &TraceEvent) {
         }
         None => buf.push_str(",\"s\":\"t\""),
     }
-    push_args(buf, ev, kind);
+    push_args(buf, ev);
 }
 
 /// One event's JSONL line.
-fn push_jsonl(buf: &mut String, _first: bool, ev: &TraceEvent) {
-    let (kind, dur_ns) = (ev.kind(), ev.dur_ns());
-    match kind {
-        Some(kind) => buf.push_str(kind.jsonl_head),
-        None => {
+fn push_jsonl(buf: &mut String, _first: bool, ev: View<'_>) {
+    let dur_ns = ev.dur_ns();
+    match ev {
+        View::Typed(t) => buf.push_str(KINDS[t.index].jsonl_head),
+        View::Other(ev) => {
             buf.push_str(match dur_ns {
                 Some(_) => "{\"kind\":\"span\",",
                 None => "{\"kind\":\"instant\",",
@@ -131,21 +134,21 @@ fn push_jsonl(buf: &mut String, _first: bool, ev: &TraceEvent) {
             buf.push_str(",\"rank\":");
         }
     }
-    push_uint(buf, ev.rank() as u64);
+    push_uint(buf, ev.rank());
     buf.push_str(",\"ts_ns\":");
     push_uint(buf, ev.ts_ns());
     if let Some(d) = dur_ns {
         buf.push_str(",\"dur_ns\":");
         push_uint(buf, d);
     }
-    push_args(buf, ev, kind);
+    push_args(buf, ev);
     buf.push('\n');
 }
 
 /// A document: its opening text, one rendering per event, its closing text.
 pub(crate) struct Doc {
     open: &'static str,
-    push: fn(&mut String, bool, &TraceEvent),
+    push: fn(&mut String, bool, View<'_>),
     close: &'static str,
 }
 
@@ -169,10 +172,7 @@ const BYTES_PER_EVENT: usize = 192;
 const CHUNK: usize = 4_096;
 
 impl Doc {
-    pub(crate) fn to_string<'a>(
-        &self,
-        events: impl ExactSizeIterator<Item = &'a TraceEvent>,
-    ) -> String {
+    pub(crate) fn to_string<'a>(&self, events: impl ExactSizeIterator<Item = View<'a>>) -> String {
         let mut buf = String::with_capacity(
             self.open.len() + events.len() * BYTES_PER_EVENT + self.close.len(),
         );
@@ -188,7 +188,7 @@ impl Doc {
     pub(crate) fn write<'a, E>(
         &self,
         mut out: impl FnMut(&str) -> Result<(), E>,
-        events: impl ExactSizeIterator<Item = &'a TraceEvent>,
+        events: impl ExactSizeIterator<Item = View<'a>>,
     ) -> Result<(), E> {
         out(self.open)?;
         let mut buf = String::with_capacity(CHUNK.min(events.len()) * BYTES_PER_EVENT);
@@ -207,23 +207,23 @@ impl Doc {
 /// Write events as a Chrome `trace_event` document:
 /// `{"displayTimeUnit":"ns","traceEvents":[...]}`.
 pub fn write_chrome_trace<W: Write>(out: &mut W, events: &[TraceEvent]) -> fmt::Result {
-    CHROME.write(|text| out.write_str(text), events.iter())
+    CHROME.write(|text| out.write_str(text), events.iter().map(View::of))
 }
 
 /// Write events as JSONL: one event object per line, same fields as the
 /// Chrome export but with exact nanosecond `ts_ns`/`dur_ns` timestamps.
 pub fn write_jsonl<W: Write>(out: &mut W, events: &[TraceEvent]) -> fmt::Result {
-    JSONL.write(|text| out.write_str(text), events.iter())
+    JSONL.write(|text| out.write_str(text), events.iter().map(View::of))
 }
 
 /// [`write_chrome_trace`] into a `String`.
 pub fn chrome_trace(events: &[TraceEvent]) -> String {
-    CHROME.to_string(events.iter())
+    CHROME.to_string(events.iter().map(View::of))
 }
 
 /// [`write_jsonl`] into a `String`.
 pub fn jsonl(events: &[TraceEvent]) -> String {
-    JSONL.to_string(events.iter())
+    JSONL.to_string(events.iter().map(View::of))
 }
 
 /// A span decoded from an exported Chrome trace (round-trip direction).

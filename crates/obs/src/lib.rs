@@ -35,10 +35,9 @@ pub mod export;
 pub mod health;
 pub mod json;
 pub mod metrics;
+mod run;
 pub mod trace;
 
-use std::cmp::Reverse;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fmt;
 use std::io::{self, Write as _};
 use std::ops::Deref;
@@ -64,8 +63,11 @@ pub use trace::{
     begin_cycle, comm_recv, comm_send, count, counter_handle, detach_scope, enabled, instant,
     observe, sched_span, span_begin, span_end, span_end_args, span_end_blocked,
     span_end_charge_rows, span_end_collective, span_end_cycle, Args, DetachedScope, EventSink, Msg,
-    SchedState, ScopeGuard, BLOCK_EVENTS,
+    SchedState, ScopeGuard, CHUNK_BYTES,
 };
+
+use run::{Run, Walk};
+use trace::View;
 
 #[derive(Default)]
 struct RecorderInner {
@@ -142,10 +144,10 @@ impl Recorder {
         self.locked().sinks.clone().into()
     }
 
-    pub(crate) fn absorb(&self, rank: usize, blocks: Vec<Vec<TraceEvent>>, snapshot: Snapshot) {
+    pub(crate) fn absorb(&self, rank: usize, run: Option<Run>, snapshot: Snapshot) {
         let mut inner = self.locked();
-        if !blocks.is_empty() {
-            let runs = [&inner.recording.runs[..], &[Arc::new(blocks)]].concat();
+        if let Some(run) = run {
+            let runs = [&inner.recording.runs[..], &[Arc::new(run)]].concat();
             inner.recording = Arc::new(Recording {
                 runs,
                 ..Recording::default()
@@ -167,7 +169,7 @@ impl Recorder {
     /// precedes it). It is a *stable* sort by `(ts_ns, rank)` over append
     /// order: events with equal keys belong to one rank, and a rank's
     /// events are appended in the order it emitted them (a re-installed
-    /// rank's later buffer lands behind its earlier one), so stability is
+    /// rank's later run lands behind its earlier one), so stability is
     /// the emission-seq tie-break. The order is total and deterministic:
     /// two runs of the same program produce the same sequence regardless of
     /// thread flush interleaving. Exporters ([`chrome_trace`](export::chrome_trace),
@@ -205,7 +207,7 @@ impl Recorder {
 
     /// Run the [`analysis`] pass over everything recorded so far.
     pub fn profile(&self) -> analysis::ProfileReport {
-        analysis::analyze_iter(self.events().0.walk())
+        analysis::analyze_iter(self.events().0.walk().map(View::event))
     }
 
     /// Stream the Chrome trace to `path`.
@@ -238,101 +240,30 @@ impl Recorder {
 /// The recorder's flushed runs: they are its only storage.
 #[derive(Default)]
 struct Recording {
-    /// Each flushed rank scope's blocks of events in emission order, in
-    /// flush order.
-    runs: Vec<Arc<Vec<Vec<TraceEvent>>>>,
-    /// The canonical order as references, `run << 32 | index in run`:
-    /// built by the first walk, 8 B an event.
-    order: OnceLock<Vec<u64>>,
+    /// Each flushed rank scope's events, sorted, in flush order.
+    runs: Vec<Arc<Run>>,
     /// The canonical slice, built the first time a view of this recording
     /// is dereferenced.
     merged: OnceLock<Vec<TraceEvent>>,
 }
 
-/// The event at emission index `i` of a run: every block but the last is
-/// full.
-fn event(run: &[Vec<TraceEvent>], i: u32) -> &TraceEvent {
-    let i = i as usize;
-    &run[i / BLOCK_EVENTS][i % BLOCK_EVENTS]
-}
-
 impl Recording {
     fn len(&self) -> usize {
-        let lens = self.runs.iter().flat_map(|run| run.iter().map(Vec::len));
-        lens.sum()
+        self.runs.iter().map(|run| run.len()).sum()
     }
 
-    /// Every event by reference, in the canonical order.
-    fn walk(&self) -> impl ExactSizeIterator<Item = &TraceEvent> {
-        let order = self.order.get_or_init(|| self.merge());
-        (order.iter()).map(|&at| event(&self.runs[(at >> 32) as usize], at as u32))
-    }
-
-    /// Sorts each run's `(ts_ns, index)` keys, then takes the least of
-    /// the runs' heads, ordered by `(ts_ns, rank, run)`, next: a tie
-    /// between runs goes to the one appended first, and within a run the
-    /// index keeps the emission order.
-    fn merge(&self) -> Vec<u64> {
-        let runs: Vec<(u128, Vec<(u64, u32)>)> = (self.runs.iter())
-            .map(|run| {
-                let len = run.iter().map(Vec::len).sum();
-                assert!(len <= 1 << 32, "a run holds at most 2^32 events");
-                let mut keys = Vec::with_capacity(len);
-                keys.extend(run.iter().flatten().map(TraceEvent::ts_ns).zip(0..));
-                sort_nearly_sorted(&mut keys);
-                (run[0][0].rank() as u128, keys)
-            })
-            .collect();
-        // A head is `ts_ns << 64 | rank << 32 | run` (ranks are below 2^20,
-        // runs below 2^32; a run is one rank's), so one integer compare
-        // orders two, and its position in the run's keys.
-        let head = |r: usize, at: usize| {
-            let (rank, keys) = &runs[r];
-            let &(ts, _) = keys.get(at)?;
-            Some(Reverse((u128::from(ts) << 64 | rank << 32 | r as u128, at)))
-        };
-        let mut heads = BinaryHeap::with_capacity(runs.len());
-        heads.extend((0..runs.len()).filter_map(|r| head(r, 0)));
-        let mut order = Vec::with_capacity(self.len());
-        while let Some(mut least) = heads.peek_mut() {
-            let Reverse((key, at)) = *least;
-            let r = key as u32 as usize;
-            order.push((r as u64) << 32 | u64::from(runs[r].1[at].1));
-            match head(r, at + 1) {
-                Some(next) => *least = next,
-                None => drop(PeekMut::pop(least)),
-            }
-        }
-        order
-    }
-}
-
-/// Sorts keys that are nearly in order: by insertion while that stays
-/// cheap (a rank's descents are its outer spans, emitted when they close
-/// after what they contain), else by `sort_unstable`. The keys are
-/// unique, so both give the one order.
-fn sort_nearly_sorted(keys: &mut [(u64, u32)]) {
-    let mut budget = 32 * keys.len() + 1_024;
-    for i in 1..keys.len() {
-        let key = keys[i];
-        let mut at = i;
-        while at > 0 && keys[at - 1] > key {
-            keys[at] = keys[at - 1];
-            at -= 1;
-        }
-        keys[at] = key;
-        match budget.checked_sub(i - at) {
-            Some(left) => budget = left,
-            None => return keys.sort_unstable(),
-        }
+    /// Every event in the canonical order: typed ones decoded into their
+    /// parts, generic ones borrowed.
+    fn walk(&self) -> Walk<'_> {
+        Walk::new(&self.runs)
     }
 }
 
 /// The events a [`Recorder`] had when [`Recorder::events`] was called, in
-/// the canonical order. The view holds the recorder's own blocks: its
-/// [`len`](Events::len) is a count, and the canonical slice it
-/// dereferences to is built (cloned) the first time any view of the same
-/// flushes is dereferenced, then shared.
+/// the canonical order. The view holds the recorder's own encoded runs:
+/// its [`len`](Events::len) is a count, and the canonical slice it
+/// dereferences to is decoded the first time any view of the same flushes
+/// is dereferenced, then shared.
 #[derive(Clone)]
 pub struct Events(Arc<Recording>);
 
@@ -353,19 +284,22 @@ impl Deref for Events {
     fn deref(&self) -> &[TraceEvent] {
         self.0
             .merged
-            .get_or_init(|| self.0.walk().cloned().collect())
+            .get_or_init(|| self.0.walk().map(|ev| ev.event().into_owned()).collect())
     }
 }
 
 impl fmt::Debug for Events {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.0.walk()).finish()
+        f.debug_list()
+            .entries(self.0.walk().map(View::event))
+            .finish()
     }
 }
 
 impl PartialEq for Events {
     fn eq(&self, other: &Events) -> bool {
-        self.len() == other.len() && self.0.walk().eq(other.0.walk())
+        self.len() == other.len()
+            && (self.0.walk().map(View::event)).eq(other.0.walk().map(View::event))
     }
 }
 
@@ -373,7 +307,7 @@ impl PartialEq for Events {
 fn write_file<'a>(
     path: &Path,
     doc: export::Doc,
-    events: impl ExactSizeIterator<Item = &'a TraceEvent>,
+    events: impl ExactSizeIterator<Item = View<'a>>,
 ) -> io::Result<()> {
     let mut file = std::fs::File::create(path)?;
     doc.write(|text| file.write_all(text.as_bytes()), events)

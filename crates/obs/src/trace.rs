@@ -12,12 +12,14 @@
 //! scope exists anywhere in the process, a call reads one process-wide
 //! count and returns without touching the thread-local.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::json::Json;
 use crate::metrics::{Counter, Histogram, Registry};
+use crate::run::RunBuffer;
 use crate::Recorder;
 
 /// A streaming consumer of trace events, notified *at emission time* on the
@@ -61,12 +63,6 @@ impl SchedState {
     pub fn name(self) -> &'static str {
         KINDS[self as usize].name
     }
-
-    fn from_name(name: &str) -> Option<SchedState> {
-        [SchedState::Run, SchedState::Wait, SchedState::RunWait]
-            .into_iter()
-            .find(|s| s.name() == name)
-    }
 }
 
 /// The message a `comm/send` or `comm/recv` instant names. `peer` is the
@@ -98,6 +94,8 @@ pub const COLLECTIVES: &[&str] = &[
 pub(crate) struct Kind {
     pub cat: &'static str,
     pub name: &'static str,
+    /// A span (it has a duration), not an instant.
+    pub span: bool,
     /// The attribute keys, in export order.
     pub keys: &'static [&'static str],
     /// `{"ph":…,"cat":…,"name":…,"pid":0,"tid":` — the Chrome object up
@@ -112,15 +110,16 @@ pub(crate) struct Kind {
 
 macro_rules! kind {
     (span $cat:literal $name:literal [$($key:literal),*]) => {
-        kind!(@ "X" "span" $cat $name [$($key),*])
+        kind!(@ "X" "span" true $cat $name [$($key),*])
     };
     (instant $cat:literal $name:literal [$($key:literal),*]) => {
-        kind!(@ "i" "instant" $cat $name [$($key),*])
+        kind!(@ "i" "instant" false $cat $name [$($key),*])
     };
-    (@ $ph:literal $kind:literal $cat:literal $name:literal [$($key:literal),*]) => {
+    (@ $ph:literal $kind:literal $span:literal $cat:literal $name:literal [$($key:literal),*]) => {
         Kind {
             cat: $cat,
             name: $name,
+            span: $span,
             keys: &[$($key),*],
             chrome_head: concat!(
                 "{\"ph\":\"", $ph, "\",\"cat\":\"", $cat, "\",\"name\":\"", $name,
@@ -289,6 +288,78 @@ impl Args<'_> {
     }
 }
 
+/// A typed event as a recording's stream holds it: its kind's position
+/// in [`KINDS`] and its integers, which is what both exporters render.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Typed {
+    pub index: usize,
+    pub rank: u32,
+    pub ts_ns: u64,
+    /// `Some` exactly for a span.
+    pub dur_ns: Option<u64>,
+    /// The kind's integers in its keys' order, zero-padded.
+    pub values: [u64; 7],
+}
+
+/// An event as a walk of a recording yields it: a typed one decoded into
+/// its parts, any other one borrowed whole.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum View<'a> {
+    Typed(Typed),
+    Other(&'a TraceEvent),
+}
+
+impl<'a> View<'a> {
+    /// `ev` split into its parts where it is a typed kind.
+    pub fn of(ev: &'a TraceEvent) -> View<'a> {
+        match ev.kind_index() {
+            Some(index) => View::Typed(Typed {
+                index,
+                rank: ev.rank() as u32,
+                ts_ns: ev.ts_ns(),
+                dur_ns: ev.dur_ns(),
+                values: ev.values(),
+            }),
+            None => View::Other(ev),
+        }
+    }
+
+    /// The event itself: built from a typed one's parts, else borrowed.
+    pub fn event(self) -> Cow<'a, TraceEvent> {
+        match self {
+            View::Typed(t) => Cow::Owned(TraceEvent::of_kind(
+                t.index,
+                t.rank,
+                t.ts_ns,
+                t.dur_ns.unwrap_or(0),
+                t.values,
+            )),
+            View::Other(ev) => Cow::Borrowed(ev),
+        }
+    }
+
+    pub fn rank(&self) -> u64 {
+        match self {
+            View::Typed(t) => t.rank.into(),
+            View::Other(ev) => ev.rank() as u64,
+        }
+    }
+
+    pub fn ts_ns(&self) -> u64 {
+        match self {
+            View::Typed(t) => t.ts_ns,
+            View::Other(ev) => ev.ts_ns(),
+        }
+    }
+
+    pub fn dur_ns(&self) -> Option<u64> {
+        match self {
+            View::Typed(t) => t.dur_ns,
+            View::Other(ev) => ev.dur_ns(),
+        }
+    }
+}
+
 impl TraceEvent {
     /// A closed span of `cat`/`name`: the typed variant when `args` match
     /// a typed kind's keys and are all unsigned integers, else
@@ -346,43 +417,65 @@ impl TraceEvent {
         dur_ns: Option<u64>,
         args: &[(K, Json)],
     ) -> Option<TraceEvent> {
-        let mut v = [0u64; 7];
-        if args.len() > v.len() {
+        let index = (KINDS.iter())
+            .position(|k| k.cat == cat && k.name == name && k.span == dur_ns.is_some())?;
+        let keys = KINDS[index].keys;
+        if keys.len() != args.len() {
             return None;
         }
-        for (slot, (_, value)) in v.iter_mut().zip(args) {
-            let Json::UInt(x) = value else {
-                return None;
-            };
-            *slot = *x;
+        let mut values = [0u64; 7];
+        for ((slot, key), (given, value)) in values.iter_mut().zip(keys).zip(args) {
+            match value {
+                Json::UInt(x) if *key == given.as_ref() => *slot = *x,
+                _ => return None,
+            }
         }
+        Some(TraceEvent::of_kind(
+            index,
+            rank,
+            ts_ns,
+            dur_ns.unwrap_or(0),
+            values,
+        ))
+    }
+
+    /// The event of typed kind `KINDS[index]`: `values` are the kind's
+    /// integers in its keys' order, and `dur_ns` is ignored for an
+    /// instant.
+    pub(crate) fn of_kind(
+        index: usize,
+        rank: u32,
+        ts_ns: u64,
+        dur_ns: u64,
+        v: [u64; 7],
+    ) -> TraceEvent {
         let msg = Msg {
             peer: v[0],
             tag: v[1],
             seq: v[2],
             bytes: v[3],
         };
-        let ev = match (dur_ns, cat, name) {
-            (Some(dur_ns), "sched", "blocked") => TraceEvent::Blocked {
-                rank,
-                ts_ns,
-                dur_ns,
-            },
-            (Some(dur_ns), "sched", _) => TraceEvent::Sched {
-                state: SchedState::from_name(name)?,
+        match index {
+            0..=2 => TraceEvent::Sched {
+                state: [SchedState::Run, SchedState::Wait, SchedState::RunWait][index],
                 rank,
                 ts_ns,
                 dur_ns,
                 cpu_ns: v[0],
                 slices: v[1],
             },
-            (None, "comm", "send") => TraceEvent::Send {
+            3 => TraceEvent::Blocked {
+                rank,
+                ts_ns,
+                dur_ns,
+            },
+            4 => TraceEvent::Send {
                 rank,
                 ts_ns,
                 msg,
                 queued_ns: v[4],
             },
-            (None, "comm", "recv") => TraceEvent::Recv {
+            5 => TraceEvent::Recv {
                 rank,
                 ts_ns,
                 msg,
@@ -390,27 +483,19 @@ impl TraceEvent {
                 late_ns: v[5],
                 net_ns: v[6],
             },
-            (Some(dur_ns), "comm", _) => TraceEvent::Collective {
-                name: COLLECTIVES.iter().find(|c| **c == name)?,
-                rank,
-                ts_ns,
-                dur_ns,
-                ranks: v[0],
-                bytes: v[1],
-            },
-            (None, "runtime", "begin_cycle") => TraceEvent::BeginCycle {
+            6 => TraceEvent::BeginCycle {
                 rank,
                 ts_ns,
                 cycle: v[0],
             },
-            (Some(dur_ns), "runtime", "end_cycle") => TraceEvent::EndCycle {
+            7 => TraceEvent::EndCycle {
                 rank,
                 ts_ns,
                 dur_ns,
                 cycle: v[0],
             },
-            (Some(dur_ns), "runtime", "charge_rows" | "grace_measure") => TraceEvent::ChargeRows {
-                grace: name == "grace_measure",
+            8 | 9 => TraceEvent::ChargeRows {
+                grace: index == 9,
                 rank,
                 ts_ns,
                 dur_ns,
@@ -418,17 +503,15 @@ impl TraceEvent {
                 cpu_ns: v[1],
                 work_uflop: v[2],
             },
-            _ => return None,
-        };
-        let Args::Ints { keys, .. } = ev.args() else {
-            unreachable!("a typed kind has integer args");
-        };
-        let same_keys = keys.len() == args.len()
-            && keys
-                .iter()
-                .zip(args)
-                .all(|(k, (given, _))| *k == given.as_ref());
-        same_keys.then_some(ev)
+            _ => TraceEvent::Collective {
+                name: KINDS[index].name,
+                rank,
+                ts_ns,
+                dur_ns,
+                ranks: v[0],
+                bytes: v[1],
+            },
+        }
     }
 
     pub fn ts_ns(&self) -> u64 {
@@ -497,6 +580,13 @@ impl TraceEvent {
     /// The typed kind's schema and templates, `None` for a generic event
     /// (and for a hand-built collective named off [`COLLECTIVES`]).
     pub(crate) fn kind(&self) -> Option<&'static Kind> {
+        Some(&KINDS[self.kind_index()?])
+    }
+
+    /// The typed kind's position in [`KINDS`], `None` where [`kind`] is.
+    ///
+    /// [`kind`]: TraceEvent::kind
+    pub(crate) fn kind_index(&self) -> Option<usize> {
         let index = match *self {
             TraceEvent::Sched { state, .. } => state as usize,
             TraceEvent::Blocked { .. } => 3,
@@ -510,21 +600,26 @@ impl TraceEvent {
             }
             TraceEvent::Complete { .. } | TraceEvent::Instant { .. } => return None,
         };
-        Some(&KINDS[index])
+        Some(index)
     }
 
-    /// A typed kind's integers, in its keys' order (zero-padded); zeros
-    /// for a generic event.
-    pub(crate) fn values(&self) -> [u64; 7] {
-        let v = |head: &[u64]| {
-            let mut values = [0; 7];
-            values[..head.len()].copy_from_slice(head);
-            values
-        };
-        match *self {
-            TraceEvent::Sched { cpu_ns, slices, .. } => v(&[cpu_ns, slices]),
+    /// `f` of a typed event's kind (its position in [`KINDS`]) and
+    /// fields, in the order a recording stores them: a span's duration,
+    /// then the kind's integers in its keys' order. `None` where
+    /// [`kind`](TraceEvent::kind) is.
+    #[inline]
+    pub(crate) fn with_fields<R>(&self, f: impl FnOnce(usize, &[u64]) -> R) -> Option<R> {
+        Some(match *self {
+            TraceEvent::Sched {
+                state,
+                dur_ns,
+                cpu_ns,
+                slices,
+                ..
+            } => f(state as usize, &[dur_ns, cpu_ns, slices]),
+            TraceEvent::Blocked { dur_ns, .. } => f(3, &[dur_ns]),
             TraceEvent::Send { msg, queued_ns, .. } => {
-                v(&[msg.peer, msg.tag, msg.seq, msg.bytes, queued_ns])
+                f(4, &[msg.peer, msg.tag, msg.seq, msg.bytes, queued_ns])
             }
             TraceEvent::Recv {
                 msg,
@@ -532,29 +627,50 @@ impl TraceEvent {
                 late_ns,
                 net_ns,
                 ..
-            } => [
-                msg.peer,
-                msg.tag,
-                msg.seq,
-                msg.bytes,
-                rx_queued_ns,
-                late_ns,
-                net_ns,
-            ],
-            TraceEvent::BeginCycle { cycle, .. } | TraceEvent::EndCycle { cycle, .. } => {
-                v(&[cycle])
-            }
+            } => f(
+                5,
+                &[
+                    msg.peer,
+                    msg.tag,
+                    msg.seq,
+                    msg.bytes,
+                    rx_queued_ns,
+                    late_ns,
+                    net_ns,
+                ],
+            ),
+            TraceEvent::BeginCycle { cycle, .. } => f(6, &[cycle]),
+            TraceEvent::EndCycle { dur_ns, cycle, .. } => f(7, &[dur_ns, cycle]),
             TraceEvent::ChargeRows {
+                grace,
+                dur_ns,
                 rows,
                 cpu_ns,
                 work_uflop,
                 ..
-            } => v(&[rows, cpu_ns, work_uflop]),
-            TraceEvent::Collective { ranks, bytes, .. } => v(&[ranks, bytes]),
-            TraceEvent::Blocked { .. }
-            | TraceEvent::Complete { .. }
-            | TraceEvent::Instant { .. } => [0; 7],
+            } => f(8 + usize::from(grace), &[dur_ns, rows, cpu_ns, work_uflop]),
+            TraceEvent::Collective {
+                dur_ns,
+                ranks,
+                bytes,
+                ..
+            } => f(self.kind_index()?, &[dur_ns, ranks, bytes]),
+            TraceEvent::Complete { .. } | TraceEvent::Instant { .. } => return None,
+        })
+    }
+
+    /// A typed kind's integers, in its keys' order (zero-padded), and a
+    /// collective's named off [`COLLECTIVES`]; zeros for a generic event.
+    pub(crate) fn values(&self) -> [u64; 7] {
+        let mut values = [0; 7];
+        let mut copy = |ints: &[u64]| values[..ints.len()].copy_from_slice(ints);
+        match *self {
+            TraceEvent::Collective { ranks, bytes, .. } => copy(&[ranks, bytes]),
+            _ => {
+                self.with_fields(|index, fields| copy(&fields[usize::from(KINDS[index].span)..]));
+            }
         }
+        values
     }
 
     /// A typed event's category and keys: its kind's, where a collective
@@ -599,9 +715,10 @@ pub const MAX_RANKS: usize = 1 << 20;
 /// the range in which the Chrome export's `f64` microseconds stay exact.
 pub const MAX_TS_NS: u64 = 1 << 53;
 
-/// Events per block of a rank scope's buffer (72 KiB): a rank allocates
-/// once per this many, and only its last block has room to spare.
-pub const BLOCK_EVENTS: usize = 1_024;
+/// Bytes per chunk of a rank scope's buffer: a rank allocates once per
+/// chunk it fills with encoded events (≈ 1 300 of the instrumented
+/// layers' events), and an event that would overrun one opens the next.
+pub const CHUNK_BYTES: usize = 16 * 1_024;
 
 /// The span categories the instrumentation layers emit; [`intern_cat`]
 /// resolves these without taking the [`intern`] lock.
@@ -652,11 +769,9 @@ struct RankScope {
     /// finds its handle by pointer and skips the registry's lock.
     counters: Vec<(&'static str, Counter)>,
     hists: Vec<(&'static str, &'static [u64], Histogram)>,
-    /// Emitted events in blocks of [`BLOCK_EVENTS`], never reallocated;
-    /// all but the last are full. The flush hands them to the recorder as
-    /// they are: they are the recording's storage, which the exports read
-    /// in place.
-    events: Vec<Vec<TraceEvent>>,
+    /// Emitted events, encoded into chunks of [`CHUNK_BYTES`]; the flush
+    /// sorts them into the run the recorder keeps.
+    events: RunBuffer,
     stack: Vec<OpenSpan>,
     /// Streaming sinks captured from the recorder at install time. Empty
     /// for un-subscribed recorders, in which case emission cost is
@@ -670,14 +785,7 @@ impl RankScope {
         for sink in self.sinks.iter() {
             sink.on_event(&ev);
         }
-        match self.events.last_mut() {
-            Some(block) if block.len() < BLOCK_EVENTS => block.push(ev),
-            _ => {
-                let mut block = Vec::with_capacity(BLOCK_EVENTS);
-                block.push(ev);
-                self.events.push(block);
-            }
-        }
+        self.events.push(ev);
     }
 }
 
@@ -723,9 +831,8 @@ impl Drop for ScopeGuard {
                 for sink in scope.sinks.iter() {
                     sink.on_rank_flush(scope.rank as usize);
                 }
-                scope
-                    .recorder
-                    .absorb(scope.rank as usize, scope.events, scope.registry.snapshot());
+                let run = scope.events.finish(scope.rank);
+                (scope.recorder).absorb(scope.rank as usize, run, scope.registry.snapshot());
                 SCOPES.fetch_sub(1, Ordering::Relaxed);
             }
         });
@@ -746,7 +853,7 @@ pub(crate) fn install_scope(recorder: Recorder, rank: usize) -> ScopeGuard {
             registry: Registry::new(),
             counters: Vec::new(),
             hists: Vec::new(),
-            events: Vec::new(),
+            events: RunBuffer::default(),
             stack: Vec::new(),
             sinks,
         }));

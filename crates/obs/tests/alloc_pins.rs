@@ -3,9 +3,10 @@
 //! The hot kinds (scheduler spans, sends, receives, cycle bounds, row
 //! charges, collectives) are typed events with their integers inline, so
 //! emitting one allocates nothing; a generic event owns one heap block,
-//! its boxed `args`, and a generic span without attributes owns none. A
-//! rank's buffer allocates one block per [`BLOCK_EVENTS`] events. The
-//! counts below are exact on a thread whose span stack and list of blocks
+//! its boxed `args` (a generic span without attributes owns none), and
+//! takes a slot in its rank's side table. A rank's buffer allocates one
+//! chunk of [`CHUNK_BYTES`] for the encoded events that fill it. The
+//! counts below are exact on a thread whose span stack and list of chunks
 //! have grown: a change that turns a key or a name back into a `String`,
 //! or boxes something per event, fails here and not on a noisy wall-clock
 //! bar.
@@ -15,9 +16,9 @@ use dynmpi_obs::{
     begin_cycle, comm_recv, comm_send, count, counter_handle, enabled, instant, sched_span,
     span_begin, span_end, span_end_args, span_end_blocked, span_end_charge_rows,
     span_end_collective, span_end_cycle, EventSink, HealthMonitor, Json, Msg, Recorder, SchedState,
-    TraceEvent, BLOCK_EVENTS, DEFAULT_WINDOW_NS,
+    TraceEvent, CHUNK_BYTES, DEFAULT_WINDOW_NS,
 };
-use dynmpi_testkit::{allocations, CountingAlloc};
+use dynmpi_testkit::{allocations, heap_bytes, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -46,21 +47,43 @@ fn decision_instant(i: u64) {
 
 const EVENTS: u64 = 10_000;
 
-/// Fills 65 blocks exactly, so the next event opens a block and the list
-/// of blocks (its capacity doubled to 128) has room for the 40 blocks
-/// that `EVENTS` calls of up to 4 events fill; and grows the span stack.
+/// Fills 65 chunks exactly with blocked spans of 4 bytes each (a zero
+/// delta, the length, the kind and a zero duration), so the next event
+/// opens a chunk and the list of chunks (its capacity doubled to 128) has
+/// room for the chunks that `EVENTS` calls fill; and grows the span stack.
 fn grow_buffers() {
-    for i in 0..65 * BLOCK_EVENTS as u64 - 1 {
-        comm_send(i, msg(i), 0);
+    for _ in 0..65 * CHUNK_BYTES / 4 {
+        span_begin("sched", "blocked", 0);
+        span_end_blocked(0);
     }
-    span_begin("sched", "blocked", 0);
-    span_end_blocked(1);
 }
 
-/// The blocks that `EVENTS` calls of `per_call` events each open after
-/// [`grow_buffers`]: one allocation each.
-fn blocks(per_call: u64) -> u64 {
-    (EVENTS * per_call).div_ceil(BLOCK_EVENTS as u64)
+/// Bytes of `v` as a LEB128 varint.
+fn varint(v: u64) -> u64 {
+    (64 - u64::from((v | 1).leading_zeros())).div_ceil(7)
+}
+
+/// The chunks that events of the encoded `sizes` open after
+/// [`grow_buffers`]: one allocation each. An event goes into the last
+/// chunk if it fits, else into a new one.
+fn chunks(sizes: impl IntoIterator<Item = u64>) -> u64 {
+    let (mut opened, mut fill) = (0, CHUNK_BYTES as u64);
+    for size in sizes {
+        if fill + size > CHUNK_BYTES as u64 {
+            opened += 1;
+            fill = 0;
+        }
+        fill += size;
+    }
+    opened
+}
+
+/// The allocations of a rank's side table while it takes `n` generic
+/// events: it grows to 4, then doubles whenever it is full.
+fn side_table(n: u64) -> u64 {
+    (0..n)
+        .filter(|&k| k == 0 || (k >= 4 && k.is_power_of_two()))
+        .count() as u64
 }
 
 /// One scope, buffers grown, then the allocations of `EVENTS` runs of `f`.
@@ -71,10 +94,15 @@ fn per_event(f: impl Fn(u64)) -> u64 {
     allocations(|| (0..EVENTS).for_each(f))
 }
 
+// Event `i` of each pin below is at `ts_ns` `i` (`10 * i`) or a few
+// nanoseconds later and at or after every event before it, so every
+// timestamp delta takes one byte, as do the length byte, the kind and
+// each small integer.
+
 #[test]
 fn a_sched_span_allocates_nothing() {
     let n = per_event(|i| sched_span(SchedState::RunWait, i, i + 10, 5, 2));
-    assert_eq!(n, blocks(1));
+    assert_eq!(n, chunks((0..EVENTS).map(|_| 6)));
 }
 
 #[test]
@@ -83,17 +111,24 @@ fn a_blocked_span_allocates_nothing() {
         span_begin("sched", "blocked", i);
         span_end_blocked(i + 1);
     });
-    assert_eq!(n, blocks(1));
+    assert_eq!(n, chunks((0..EVENTS).map(|_| 4)));
+}
+
+/// A send of [`msg`]`(i)`: its `seq` is `i`, its 2 048 `bytes` two bytes.
+fn send_bytes(i: u64) -> u64 {
+    7 + varint(i) + 1
 }
 
 #[test]
 fn a_send_allocates_nothing() {
-    assert_eq!(per_event(|i| comm_send(i, msg(i), 3)), blocks(1));
+    let n = per_event(|i| comm_send(i, msg(i), 3));
+    assert_eq!(n, chunks((0..EVENTS).map(send_bytes)));
 }
 
 #[test]
 fn a_recv_allocates_nothing() {
-    assert_eq!(per_event(|i| comm_recv(i, msg(i), 1, 2, 3)), blocks(1));
+    let n = per_event(|i| comm_recv(i, msg(i), 1, 2, 3));
+    assert_eq!(n, chunks((0..EVENTS).map(|i| send_bytes(i) + 2)));
 }
 
 #[test]
@@ -103,18 +138,19 @@ fn cycle_bounds_allocate_nothing() {
         span_begin("runtime", "end_cycle", i);
         span_end_cycle(i + 5, i + 1);
     });
-    assert_eq!(n, blocks(2));
+    let sizes = (0..EVENTS).flat_map(|i| [3 + varint(i + 1), 4 + varint(i + 1)]);
+    assert_eq!(n, chunks(sizes));
 }
 
 #[test]
 fn a_charge_rows_span_allocates_nothing() {
     let n = per_event(|i| {
-        span_begin("runtime", "charge_rows", i);
-        span_end_charge_rows(i + 5, 64, 5, 1_000);
-        span_begin("runtime", "grace_measure", i + 5);
-        span_end_charge_rows(i + 9, 64, 4, 1_000);
+        span_begin("runtime", "charge_rows", 10 * i);
+        span_end_charge_rows(10 * i + 5, 64, 5, 1_000);
+        span_begin("runtime", "grace_measure", 10 * i + 5);
+        span_end_charge_rows(10 * i + 9, 64, 4, 1_000);
     });
-    assert_eq!(n, blocks(2));
+    assert_eq!(n, chunks((0..2 * EVENTS).map(|_| 8)));
 }
 
 #[test]
@@ -123,16 +159,18 @@ fn a_collective_span_allocates_nothing() {
         span_begin("comm", "allreduce", i);
         span_end_collective(i + 5, 8, 16);
     });
-    assert_eq!(n, blocks(1));
+    assert_eq!(n, chunks((0..EVENTS).map(|_| 6)));
 }
 
 #[test]
 fn a_span_pair_allocates_nothing() {
+    // A generic event: the stream holds its index in the side table.
     let n = per_event(|i| {
         span_begin("redist", "pack", i);
         span_end(i + 1);
     });
-    assert_eq!(n, blocks(1));
+    let stream = chunks((0..EVENTS).map(|i| 3 + varint(i)));
+    assert_eq!(n, stream + side_table(EVENTS));
 }
 
 #[test]
@@ -153,13 +191,15 @@ fn a_send_shaped_instant_allocates_once() {
             ],
         )
     });
-    assert_eq!(n, EVENTS + blocks(1));
+    assert_eq!(n, EVENTS + chunks((0..EVENTS).map(send_bytes)));
 }
 
 #[test]
 fn a_generic_instant_allocates_once() {
     // Its `args` vector, boxed in place: the literal's capacity is exact.
-    assert_eq!(per_event(decision_instant), EVENTS + blocks(1));
+    let n = per_event(decision_instant);
+    let stream = chunks((0..EVENTS).map(|i| 3 + varint(i)));
+    assert_eq!(n, EVENTS + stream + side_table(EVENTS));
 }
 
 #[test]
@@ -297,7 +337,7 @@ fn the_exports_allocate_once_for_their_output() {
 }
 
 // ---------------------------------------------------------------------------
-// The recording: rank blocks read in place
+// The recording: rank runs, encoded, merged by cursor
 // ---------------------------------------------------------------------------
 
 /// `flushes` scopes over 8 ranks (a rank re-installed after 8), each
@@ -322,17 +362,77 @@ fn counting_a_recording_allocates_nothing() {
 }
 
 #[test]
-fn a_recordings_exports_allocate_their_document_once_it_is_walked() {
+fn a_recordings_exports_allocate_their_document_and_one_heap() {
     for (flushes, per_flush) in [(1, 500), (12, 3_000), (40, 2_000)] {
         let rec = recorded(flushes, per_flush);
         let mut text = String::new();
-        // The first walk merges: one sorted index vector per run, the
-        // vector holding them, the heap of the runs' heads and the order.
-        let merge = flushes + 3;
-        assert_eq!(allocations(|| text = rec.chrome_trace()), merge + 1);
-        for export in [Recorder::chrome_trace, Recorder::jsonl] {
-            assert_eq!(allocations(|| text = export(&rec)), 1);
+        // Every walk merges the runs afresh: its heap of the runs' next
+        // events, and the document.
+        for export in [
+            Recorder::chrome_trace,
+            Recorder::jsonl,
+            Recorder::chrome_trace,
+        ] {
+            assert_eq!(allocations(|| text = export(&rec)), 2);
             assert!(text.len() > 100 * (flushes * per_flush) as usize);
         }
     }
+}
+
+/// Emits `ev`, a typed event, through the emitter the instrumented layers
+/// use for its kind.
+fn emit(ev: &TraceEvent) {
+    let (ts, end) = (ev.ts_ns(), ev.ts_ns() + ev.dur_ns().unwrap_or(0));
+    match *ev {
+        TraceEvent::Sched {
+            state,
+            cpu_ns,
+            slices,
+            ..
+        } => sched_span(state, ts, end, cpu_ns, slices),
+        TraceEvent::Blocked { .. } => {
+            span_begin("sched", "blocked", ts);
+            span_end_blocked(end);
+        }
+        TraceEvent::Send { msg, queued_ns, .. } => comm_send(ts, msg, queued_ns),
+        TraceEvent::Recv {
+            msg,
+            rx_queued_ns,
+            late_ns,
+            net_ns,
+            ..
+        } => comm_recv(ts, msg, rx_queued_ns, late_ns, net_ns),
+        TraceEvent::BeginCycle { cycle, .. } => begin_cycle(ts, cycle),
+        TraceEvent::EndCycle { cycle, .. } => {
+            span_begin("runtime", "end_cycle", ts);
+            span_end_cycle(end, cycle);
+        }
+        TraceEvent::ChargeRows {
+            grace: false,
+            rows,
+            cpu_ns,
+            work_uflop,
+            ..
+        } => {
+            span_begin("runtime", "charge_rows", ts);
+            span_end_charge_rows(end, rows, cpu_ns, work_uflop);
+        }
+        _ => unreachable!("adapt8_mix emits no other kind"),
+    }
+}
+
+#[test]
+fn a_recording_keeps_at_most_16_bytes_an_event() {
+    let events = adapt8_mix(1_000);
+    let (rec, bytes) = heap_bytes(|| {
+        let rec = Recorder::new();
+        for rank in 0..RANKS as usize {
+            let _guard = rec.install(rank);
+            events.iter().filter(|ev| ev.rank() == rank).for_each(emit);
+        }
+        rec
+    });
+    let per_event = bytes as f64 / events.len() as f64;
+    assert!(per_event <= 16.0, "{per_event:.2} B an event");
+    assert_eq!(&*rec.events(), &events[..]);
 }

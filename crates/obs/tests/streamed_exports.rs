@@ -1,4 +1,4 @@
-//! The recorder's exports walk its rank blocks through the merge, without
+//! The recorder's exports walk its rank runs through the merge, without
 //! building the canonical slice. Each must equal the slice exporter over a
 //! reference order built here: every event a sink saw, in append order,
 //! stably sorted by `(ts_ns, rank)`.
@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex};
 use dynmpi_obs::export::{chrome_trace, jsonl, write_chrome_trace, write_jsonl};
 use dynmpi_obs::{
     analyze, begin_cycle, comm_recv, comm_send, instant, sched_span, span_begin, span_end,
-    span_end_args, EventSink, Json, Msg, Recorder, SchedState, TraceEvent, BLOCK_EVENTS,
+    span_end_args, EventSink, Json, Msg, Recorder, SchedState, TraceEvent,
 };
 use dynmpi_testkit::{check_n, Rng};
 
@@ -131,21 +131,22 @@ fn streamed_exports_equal_the_slice_exports_of_the_stable_sort() {
 
 #[test]
 fn streamed_exports_cross_the_writers_chunks() {
-    // Far more than one 4 096-event chunk, over several blocks per rank.
+    // Far more than one 4 096-event chunk, over several buffer chunks per
+    // rank.
     let mut rng = Rng::new(7);
     let (rec, appended) = record(&mut rng, 3, 9, 6_000);
     assert!(rec.events().len() > 3 * 4_096, "{}", rec.events().len());
     assert_exports_match(&rec, &appended.reference(), "crossing_chunks");
 }
 
-/// A rank with more than 64 blocks: the merge key no longer has a 6-bit
-/// block field to overflow.
+/// A rank of 71 680 events, whose run fills dozens of buffer chunks and
+/// whose tail sorts before its head.
 #[test]
-fn a_rank_of_more_than_64_blocks_exports_in_order() {
+fn a_rank_of_many_chunks_exports_in_order() {
     let rec = Recorder::new();
     let appended = Arc::new(Appended::default());
     rec.subscribe(appended.clone());
-    let per_rank = 70 * BLOCK_EVENTS as u64;
+    let per_rank = 70 * 1_024;
     for rank in [1, 0] {
         let _guard = rec.install(rank);
         // Outer spans close last: the run's tail sorts before its head.
@@ -172,5 +173,5 @@ fn a_rank_of_more_than_64_blocks_exports_in_order() {
     assert_eq!(events.len() as u64, 2 * (per_rank / 2 + per_rank / 2));
     let keys: Vec<_> = events.iter().map(|ev| (ev.ts_ns(), ev.rank())).collect();
     assert!(keys.windows(2).all(|w| w[0] <= w[1]), "out of order");
-    assert_exports_match(&rec, &appended.reference(), "over_64_blocks");
+    assert_exports_match(&rec, &appended.reference(), "many_chunks");
 }

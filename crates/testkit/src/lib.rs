@@ -13,8 +13,9 @@
 //!   order, so figure harnesses parallelize without reordering output.
 //! * [`with_watchdog`] — runs a closure under a wall-clock limit, so a test
 //!   of a wake-up path fails instead of hanging `cargo test`.
-//! * [`CountingAlloc`] / [`allocations`] — the system allocator counting
-//!   each thread's allocations, for tests that pin what a path allocates.
+//! * [`CountingAlloc`] / [`allocations`] / [`heap_bytes`] — the system
+//!   allocator counting each thread's allocations and heap bytes, for
+//!   tests that pin what a path allocates or keeps.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -273,14 +274,18 @@ pub fn with_watchdog<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send 
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated less the bytes it freed.
+    static HEAP_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-/// The system allocator, counting each thread's allocations (a `realloc`
-/// arrives here as the `alloc` of its default implementation). A test
-/// binary that pins allocation counts installs it with
+/// The system allocator, counting each thread's allocations and the bytes
+/// it holds (a `realloc` arrives here as the `alloc` and `dealloc` of its
+/// default implementation). A test binary that pins allocation counts
+/// installs it with
 /// `#[global_allocator] static GLOBAL: CountingAlloc = CountingAlloc;` and
-/// reads it through [`allocations`]. The counts are exact: they do not
-/// depend on timing, only on what the code under test does.
+/// reads it through [`allocations`] and [`heap_bytes`]. The counts are
+/// exact: they do not depend on timing, only on what the code under test
+/// does.
 pub struct CountingAlloc;
 
 // SAFETY: every request is forwarded unchanged to `System`; the counter is
@@ -289,11 +294,13 @@ pub struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        HEAP_BYTES.with(|b| b.set(b.get() + layout.size() as i64));
         // SAFETY: the caller's contract for `alloc` is `System::alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        HEAP_BYTES.with(|b| b.set(b.get() - layout.size() as i64));
         // SAFETY: `ptr` came from `System.alloc` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -305,6 +312,16 @@ pub fn allocations(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.with(Cell::get);
     f();
     ALLOCATIONS.with(Cell::get) - before
+}
+
+/// What `f` returns, and the heap bytes this thread allocated and did not
+/// free while running it: what the result keeps, when `f` frees on its
+/// own thread whatever else it allocates. Always 0 unless the test binary
+/// installed [`CountingAlloc`].
+pub fn heap_bytes<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    let before = HEAP_BYTES.with(Cell::get);
+    let out = f();
+    (out, HEAP_BYTES.with(Cell::get) - before)
 }
 
 #[cfg(test)]
