@@ -34,7 +34,7 @@ use crate::network::Network;
 use crate::time::{SimDur, SimTime};
 use crate::timeline::NcpTimeline;
 
-/// One entry of the engine's queue, dispatched in `(time, pid, seq)` order.
+/// One entry of the engine's queue, dispatched in [`Event::key`] order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Event {
     pub time: SimTime,
@@ -43,7 +43,29 @@ pub(crate) struct Event {
     pub kind: EventKind,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+impl Event {
+    /// Asserts that the fields fit [`Event::key`]: a pid below 2^24 (the
+    /// engine's first pushes check every rank's) and a seq below 2^40.
+    pub fn new(time: SimTime, pid: usize, seq: u64, kind: EventKind) -> Self {
+        assert!(pid < 1 << 24, "pid {pid} exceeds the event key's 24 bits");
+        assert!(seq < 1 << 40, "seq {seq} exceeds the event key's 40 bits");
+        Event {
+            time,
+            pid,
+            seq,
+            kind,
+        }
+    }
+
+    /// `time << 64 | pid << 40 | seq`, the order `(time, pid, seq)`: at equal
+    /// times the lowest rank runs first whatever the push order, so a landing
+    /// queued by a rank running ahead dispatches where an eager send would.
+    pub fn key(&self) -> u128 {
+        (self.time.0 as u128) << 64 | (self.pid as u128) << 40 | self.seq as u128
+    }
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum EventKind {
     /// A scheduled wake-up for process `pid`. `epoch` stamps the process's
     /// wake generation at push time: the event is live only while the
@@ -68,13 +90,8 @@ pub(crate) enum EventKind {
 
 impl Ord for Event {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // The queue is a `BinaryHeap`, a max-heap; invert so the earliest
-        // event pops first. `pid` before `seq`: at equal times the lowest
-        // rank runs first regardless of push order, so a landing queued
-        // from a rank running ahead dispatches where the eager send of the
-        // stepped engine would have run it.
-        (other.time, other.pid, other.seq, other.kind)
-            .cmp(&(self.time, self.pid, self.seq, self.kind))
+        // The queue is a max-heap: invert so the least key pops first.
+        other.key().cmp(&self.key())
     }
 }
 
@@ -224,7 +241,7 @@ impl ProcState {
             node,
             status: Status::Scheduled,
             cpu_time: SimDur::ZERO,
-            mailbox: Mailbox::new(),
+            mailbox: Mailbox::default(),
             epoch: 0,
             local: SimTime::ZERO,
             send_seq: 0,
@@ -343,12 +360,7 @@ impl EngineState {
     fn push(&mut self, time: SimTime, pid: usize, kind: EventKind) {
         let seq = self.next_seq();
         self.events_pushed += 1;
-        self.queue.push(Event {
-            time,
-            pid,
-            seq,
-            kind,
-        });
+        self.queue.push(Event::new(time, pid, seq, kind));
     }
 
     pub fn push_event(&mut self, time: SimTime, pid: usize) {
@@ -686,6 +698,36 @@ mod tests {
         assert_eq!(heap.pop(), Some(a));
         assert_eq!(heap.pop(), Some(b));
         assert_eq!(heap.pop(), Some(c));
+    }
+
+    #[test]
+    fn event_key_holds_every_field_at_the_top_of_its_range() {
+        let wake = EventKind::Wake { epoch: 0 };
+        let (pid, seq) = ((1 << 24) - 1, (1 << 40) - 1);
+        let top = Event::new(SimTime::MAX, pid, seq, wake);
+        assert_eq!(top.key(), u128::MAX, "no field spills into another");
+        // Each field still orders below the one above it: a full seq under
+        // a lower pid, a full pid under an earlier time.
+        let lower_pid = Event::new(SimTime::MAX, pid - 1, seq, wake);
+        let lower_seq = Event::new(SimTime::MAX, pid, seq - 1, wake);
+        let earlier = Event::new(SimTime(u64::MAX - 1), pid, seq, wake);
+        assert!(lower_pid.key() < Event::new(SimTime::MAX, pid, 0, wake).key());
+        assert!(lower_seq.key() < top.key());
+        assert!(earlier.key() < Event::new(SimTime::MAX, 0, 0, wake).key());
+        // The max-heap pops the least key first.
+        assert!(top < lower_seq && lower_seq < lower_pid && lower_pid < earlier);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the event key's 24 bits")]
+    fn event_key_rejects_a_pid_past_its_bits() {
+        Event::new(SimTime::ZERO, 1 << 24, 0, EventKind::FailStop);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the event key's 40 bits")]
+    fn event_key_rejects_a_seq_past_its_bits() {
+        Event::new(SimTime::ZERO, 0, 1 << 40, EventKind::FailStop);
     }
 
     #[test]

@@ -1,70 +1,68 @@
-//! Flat per-process mailbox.
+//! Per-process mailbox: one lane of undelivered envelopes per sender.
 //!
-//! Every undelivered envelope of a rank sits in one `Vec`. A receive takes
-//! the matching envelope with the least `(arrival, src, seq)` — the
-//! engine's canonical message order — and removes it with `swap_remove`.
-//! Seqs are per sender, so that key is unique per envelope: the match, and
-//! with it every virtual time, does not depend on the order of the vector,
-//! which therefore need not keep one.
-//!
-//! A scan is linear in the depth, and the workloads keep it shallow: at
-//! most 80 pending envelopes (the root of `sor_drop32`'s 32-rank control
-//! gathers), 28 on `adapt8`, 26 on `crash8`. Against a per-`(tag, src)`
-//! queue index with a per-tag set of fronts, the scan saves the three to
-//! four heap allocations the index made and freed per message. The index
-//! still wins on a deep one-shot fan-in, which scans drain in quadratic
-//! time: 64 senders all pending at once take 1.1× as long with the scan,
-//! 1024 senders 1.9×.
+//! A directed receive scans only its sender's lane, an any-source receive
+//! every lane; both take the match with the least `(arrival, src, seq)`,
+//! the engine's canonical message order, and `swap_remove` it. Seqs are per
+//! sender, so the key is unique and the match, with every virtual time,
+//! does not depend on how envelopes are laid out. Lanes grow to the highest
+//! sender heard from and keep their capacity: a warmed-up box allocates
+//! nothing per message. Depths and the one-shot fan-in, which `recv_any`
+//! still drains in quadratic time, are in DESIGN.md §2.
 
 use crate::engine::{Envelope, RecvWait};
 use crate::time::SimTime;
 
 #[derive(Debug, Default)]
 pub(crate) struct Mailbox {
-    /// Undelivered envelopes, in no particular order. Capacity is kept, so
-    /// a rank whose depth has peaked files and takes messages without
-    /// allocating.
-    pending: Vec<Envelope>,
+    /// Undelivered envelopes by sender rank, each lane in no order.
+    lanes: Vec<Vec<Envelope>>,
 }
 
 impl Mailbox {
-    pub fn new() -> Self {
-        Mailbox::default()
-    }
-
     /// Undelivered envelopes (the "mailbox depth" of the deadlock
     /// diagnosis; also used by the oracle tests).
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.lanes.iter().map(Vec::len).sum()
     }
 
-    /// Files an envelope.
+    /// Files an envelope in its sender's lane.
     pub fn push(&mut self, env: Envelope) {
-        self.pending.push(env);
+        if env.src >= self.lanes.len() {
+            self.lanes.resize_with(env.src + 1, Vec::new);
+        }
+        self.lanes[env.src].push(env);
     }
 
-    /// Index of the earliest `(arrival, src, seq)` envelope matching
-    /// `wait`, if any.
-    fn best(&self, wait: RecvWait) -> Option<usize> {
-        self.pending
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| wait.matches(e))
-            .min_by_key(|(_, e)| (e.arrival, e.src, e.seq))
-            .map(|(i, _)| i)
+    /// `(lane, index)` of the earliest `(arrival, src, seq)` envelope
+    /// matching `wait`, if any: a directed wait looks in one lane only.
+    fn best(&self, wait: RecvWait) -> Option<(usize, usize)> {
+        let lanes = match wait.src {
+            Some(s) => s..(s + 1).min(self.lanes.len()),
+            None => 0..self.lanes.len(),
+        };
+        let mut best = None;
+        for s in lanes {
+            for (i, e) in self.lanes[s].iter().enumerate() {
+                let key = (e.arrival, e.src, e.seq);
+                if wait.matches(e) && best.is_none_or(|(k, _, _)| key < k) {
+                    best = Some((key, s, i));
+                }
+            }
+        }
+        best.map(|(_, s, i)| (s, i))
     }
 
     /// Removes and returns the earliest matching envelope if its arrival is
     /// at or before `now`.
     pub fn pop_ready(&mut self, wait: RecvWait, now: SimTime) -> Option<Envelope> {
-        let i = self.best(wait)?;
-        (self.pending[i].arrival <= now).then(|| self.pending.swap_remove(i))
+        let (s, i) = self.best(wait)?;
+        (self.lanes[s][i].arrival <= now).then(|| self.lanes[s].swap_remove(i))
     }
 
     /// Earliest arrival (possibly in the future) of any matching envelope
     /// already in flight.
     pub fn pending_arrival(&self, wait: RecvWait) -> Option<SimTime> {
-        self.best(wait).map(|i| self.pending[i].arrival)
+        self.best(wait).map(|(s, i)| self.lanes[s][i].arrival)
     }
 
     /// Is a matching envelope deliverable at `now`?
@@ -93,7 +91,7 @@ mod tests {
 
     #[test]
     fn fifo_by_arrival_then_seq() {
-        let mut mb = Mailbox::new();
+        let mut mb = Mailbox::default();
         mb.push(env(1, 0, 5, 2));
         mb.push(env(1, 0, 5, 1));
         mb.push(env(1, 0, 1, 3));
@@ -111,7 +109,7 @@ mod tests {
 
     #[test]
     fn pending_reports_future_arrivals() {
-        let mut mb = Mailbox::new();
+        let mut mb = Mailbox::default();
         mb.push(env(1, 0, 8, 1));
         let wait = RecvWait {
             src: Some(1),
@@ -125,7 +123,7 @@ mod tests {
 
     #[test]
     fn any_source_takes_global_earliest() {
-        let mut mb = Mailbox::new();
+        let mut mb = Mailbox::default();
         mb.push(env(4, 7, 9, 1));
         mb.push(env(2, 7, 3, 2));
         mb.push(env(9, 8, 1, 3)); // other tag: never matches
@@ -144,7 +142,7 @@ mod tests {
         // Seqs are per-sender, so distinct sources can collide on
         // (arrival, seq); the lower source wins — the canonical
         // (arrival, src, seq) order.
-        let mut mb = Mailbox::new();
+        let mut mb = Mailbox::default();
         mb.push(env(5, 3, 4, 1));
         mb.push(env(2, 3, 4, 9));
         let wait = RecvWait { src: None, tag: 3 };
@@ -157,7 +155,7 @@ mod tests {
 
     #[test]
     fn tags_demultiplex() {
-        let mut mb = Mailbox::new();
+        let mut mb = Mailbox::default();
         mb.push(env(1, 10, 1, 1));
         mb.push(env(1, 20, 1, 2));
         let now = SimTime::from_millis(5);
@@ -176,7 +174,7 @@ mod tests {
     #[test]
     fn out_of_order_push_keeps_queue_sorted() {
         // The box keeps push order; delivery follows the key regardless.
-        let mut mb = Mailbox::new();
+        let mut mb = Mailbox::default();
         mb.push(env(1, 0, 10, 5));
         mb.push(env(1, 0, 2, 6)); // earlier arrival pushed later
         let wait = RecvWait {
@@ -189,10 +187,12 @@ mod tests {
     }
 }
 
-/// Randomized agreement with an oracle of a different shape: the flat box
-/// scans for a minimum and takes it out of an unordered vector; the oracle
-/// sorts every pending envelope by `(arrival, src, seq)` and takes the first
-/// match, so neither can hide a wrong key or a lost envelope from the other.
+/// Randomized agreement with an oracle of a different shape: the box files
+/// envelopes in per-sender lanes, scans one lane or all of them for a
+/// minimum and takes it out of an unordered vector; the oracle keeps every
+/// pending envelope in one vector, sorts it by `(arrival, src, seq)` and
+/// takes the first match, so neither can hide a wrong key, a wrong lane or
+/// a lost envelope from the other.
 #[cfg(test)]
 mod oracle {
     use super::*;
@@ -222,17 +222,21 @@ mod oracle {
     }
 
     #[test]
-    fn flat_box_matches_sorted_oracle() {
+    fn lanes_match_sorted_oracle() {
         check_n("mailbox_vs_oracle", 300, |rng| {
-            let mut mb = Mailbox::new();
+            let mut mb = Mailbox::default();
             let mut oracle = SortedBox(Vec::new());
-            let nsrc = rng.range_usize(1, 6);
+            // Up to 40 senders: a 32-rank gather root's depth and more.
+            let nsrc = rng.range_usize(1, 41);
             let ntag = rng.range_u64(1, 4);
             // Per-sender program-order sequence numbers, like the engine's.
             let mut seqs = vec![0u64; nsrc];
-            for _ in 0..rng.range_u64(0, 60) {
+            // A quarter or half of the steps file a message, so some boxes
+            // drain and others grow deep.
+            let pushes = rng.range_u64(1, 3);
+            for _ in 0..rng.range_u64(0, 160) {
                 let op = rng.range_u64(0, 4);
-                if op == 0 || mb.len() == 0 {
+                if op < pushes || mb.len() == 0 {
                     let src = rng.range_usize(0, nsrc);
                     seqs[src] += 1;
                     let e = Envelope {
@@ -248,12 +252,18 @@ mod oracle {
                     mb.push(e.clone());
                     oracle.0.push(e);
                 } else {
+                    // Any source, any sender, or a sender with mail pending.
+                    let src = match rng.range_u64(0, 3) {
+                        0 => None,
+                        1 => Some(rng.range_usize(0, nsrc)),
+                        _ => Some(oracle.0[rng.range_usize(0, oracle.0.len())].src),
+                    };
                     let wait = RecvWait {
-                        src: rng.chance(0.5).then(|| rng.range_usize(0, nsrc)),
+                        src,
                         tag: rng.range_u64(0, ntag),
                     };
                     let now = SimTime::from_millis(rng.range_u64(0, 10));
-                    if op == 1 {
+                    if op == 3 {
                         assert_eq!(mb.pending_arrival(wait), oracle.pending_arrival(wait));
                     } else {
                         let a = mb.pop_ready(wait, now);

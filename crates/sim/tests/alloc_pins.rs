@@ -93,6 +93,31 @@ fn fan_in(ctx: &SimCtx, rounds: usize) {
     }
 }
 
+/// A control gather's root: every other rank sends rank 0 one directed
+/// frame per round, which rank 0 takes sender by sender with `recv` and
+/// releases with an empty token, as in `fan_in`. Each frame lands in its
+/// sender's lane of the root's mailbox, and the lanes keep their capacity.
+fn gather_root(ctx: &SimCtx, rounds: usize) {
+    let n = ctx.nprocs();
+    for i in 0..rounds {
+        let start = SimTime::from_millis(20 * (i as u64 + 1));
+        ctx.sleep(start - ctx.now());
+        if ctx.rank() == 0 {
+            ctx.sleep(SimDur::from_millis(5));
+            for s in 1..n {
+                let _ = ctx.recv(s, 5);
+            }
+            for s in 1..n {
+                ctx.send(s, 6, Vec::new());
+            }
+        } else {
+            ctx.send(0, 5, vec![i as u8; PAYLOAD]);
+            ctx.sleep(SimDur::from_millis(15));
+            let _ = ctx.recv(0, 6);
+        }
+    }
+}
+
 #[test]
 fn a_directed_ping_pong_allocates_only_its_payloads() {
     let payloads = 2 * ROUNDS as u64;
@@ -103,4 +128,10 @@ fn a_directed_ping_pong_allocates_only_its_payloads() {
 fn an_any_source_fan_in_allocates_only_its_payloads() {
     let payloads = 7 * ROUNDS as u64;
     assert_eq!(extra_allocations(8, fan_in), payloads);
+}
+
+#[test]
+fn a_directed_gather_root_allocates_only_its_payloads() {
+    let payloads = 31 * ROUNDS as u64;
+    assert_eq!(extra_allocations(32, gather_root), payloads);
 }
