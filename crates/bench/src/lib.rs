@@ -24,9 +24,9 @@
 //! inputs (same shapes, minutes → seconds). Pass `--trace-out PATH` on
 //! the figure binaries to capture a Chrome/Perfetto trace of the run
 //! (virtual timestamps; `PATH.metrics.json` gets the metrics snapshots),
-//! and `--health-out PATH`/`--watch`/`--prom-out PATH` for the online
-//! health monitor's snapshot JSONL, live dashboard, and
-//! Prometheus-format metrics (DESIGN.md §11), and `--explain-out PATH`
+//! and `--health-out PATH`/`--watch`/`--prom-out PATH` for the health
+//! monitor's snapshot JSONL, its dashboard (printed once the run ends),
+//! and Prometheus-format metrics (DESIGN.md §11), and `--explain-out PATH`
 //! for the decision-audit report — decision cards with counterfactuals
 //! and crash flight records (DESIGN.md §15).
 //! Pass `--threads N` to size the configuration-sweep worker pool
@@ -44,7 +44,6 @@ pub mod figures;
 
 use std::io::Write;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use dynmpi_obs::{ExplainReport, HealthMonitor, Json, ProfileReport, Recorder};
@@ -138,9 +137,9 @@ macro_rules! log_trace {
 /// `--trace-out PATH` (Chrome trace of the instrumented runs), an optional
 /// `--profile-out PATH` (critical-path & wait-state attribution report of
 /// the instrumented run, JSON; the text rendering prints to stdout), an
-/// optional `--health-out PATH` (online health monitor snapshots, JSONL),
-/// `--watch` (live health dashboard on stderr while the instrumented run
-/// executes), `--health-window MS` (monitor window width), an optional
+/// optional `--health-out PATH` (health monitor snapshots, JSONL),
+/// `--watch` (the health dashboard's final frame on stderr after the
+/// instrumented run), `--health-window MS` (monitor window width), an optional
 /// `--prom-out PATH` (metrics registry in Prometheus text exposition
 /// format), an optional `--explain-out PATH` (decision cards and crash
 /// flight records, JSONL; the text rendering prints to stdout —
@@ -287,8 +286,7 @@ impl BenchArgs {
     }
 
     /// Builds the [`Instrumentation`] bundle these flags ask for: the
-    /// shared recorder, the streaming health monitor subscribed to it, and
-    /// (with `--watch`) the live dashboard thread.
+    /// shared recorder and the health monitor subscribed to it.
     pub fn instrumentation(&self) -> Instrumentation {
         Instrumentation::new(self)
     }
@@ -301,20 +299,17 @@ impl BenchArgs {
 }
 
 /// Everything the instrumentation flags set up for one bench run: the
-/// shared [`Recorder`], the one streaming [`HealthMonitor`] subscribed to
-/// it (for `--health-out`/`--watch`/`--explain-out`: the explain report is
-/// assembled from the same monitor), and the live dashboard thread.
-/// Create it **before** the sweep with [`BenchArgs::instrumentation`],
-/// hand the recorder to exactly one sweep item via
-/// [`recorder_for`](Instrumentation::recorder_for), and call
-/// [`finish`](Instrumentation::finish) after the sweep to stop the watch
-/// thread and write every requested output.
+/// shared [`Recorder`] and the one [`HealthMonitor`] subscribed to it
+/// (for `--health-out`/`--watch`/`--explain-out`: the explain report is
+/// assembled from the same monitor). Create it with
+/// [`BenchArgs::instrumentation`], hand the recorder to exactly one sweep
+/// item via [`recorder_for`](Instrumentation::recorder_for), and call
+/// [`finish`](Instrumentation::finish) after the sweep to write every
+/// requested output.
 pub struct Instrumentation {
     recorder: Option<Recorder>,
     monitor: Option<Arc<HealthMonitor>>,
     checksum_intact: OnceLock<bool>,
-    watch_stop: Option<Arc<AtomicBool>>,
-    watch_thread: Option<std::thread::JoinHandle<()>>,
     trace_out: Option<String>,
     profile_out: Option<String>,
     health_out: Option<String>,
@@ -368,49 +363,15 @@ impl Instrumentation {
         let monitor = match (&recorder, wants_monitor) {
             (Some(rec), true) => {
                 let mon = Arc::new(HealthMonitor::new(window_ns));
-                // Subscribe before any rank scope is installed: scopes
-                // capture the sink list at install time.
                 rec.subscribe(mon.clone());
                 Some(mon)
             }
             _ => None,
         };
-        let (watch_stop, watch_thread) = if args.watch {
-            let stop = Arc::new(AtomicBool::new(false));
-            let mon = monitor.clone().expect("watch implies monitor");
-            let stop2 = stop.clone();
-            let handle = std::thread::spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    let frame = mon.report().render_dashboard();
-                    let (hi, lo) = mon.progress();
-                    // In-place redraw: home the cursor, print the frame
-                    // erasing each line's tail, clear whatever an earlier
-                    // (taller) frame left below, reset attributes.
-                    // Deliberately no alternate screen and no cursor
-                    // hiding — if the process dies mid-frame (panic
-                    // elsewhere, Ctrl-C), the TTY is already in a sane
-                    // state and the last frame stays readable above the
-                    // shell prompt.
-                    eprintln!(
-                        "\x1b[H{}streamed: fastest rank {:.3}s, slowest {:.3}s\x1b[K\x1b[0J\x1b[0m",
-                        frame.replace('\n', "\x1b[K\n"),
-                        hi as f64 / 1e9,
-                        lo as f64 / 1e9
-                    );
-                    let _ = std::io::stderr().flush();
-                    std::thread::sleep(std::time::Duration::from_millis(250));
-                }
-            });
-            (Some(stop), Some(handle))
-        } else {
-            (None, None)
-        };
         Instrumentation {
             recorder,
             monitor,
             checksum_intact: OnceLock::new(),
-            watch_stop,
-            watch_thread,
             trace_out: args.trace_out.clone(),
             profile_out: args.profile_out.clone(),
             health_out: args.health_out.clone(),
@@ -434,15 +395,10 @@ impl Instrumentation {
         let _ = self.checksum_intact.set(intact);
     }
 
-    /// Stops the watch thread and writes every requested output: trace,
-    /// profile, health JSONL, explain JSONL, and Prometheus metrics text.
-    pub fn finish(mut self) {
-        if let Some(stop) = self.watch_stop.take() {
-            stop.store(true, Ordering::Relaxed);
-        }
-        if let Some(handle) = self.watch_thread.take() {
-            let _ = handle.join();
-        }
+    /// Writes every requested output: trace, profile, health JSONL,
+    /// explain JSONL, Prometheus metrics text, and the `--watch`
+    /// dashboard.
+    pub fn finish(self) {
         let Some(rec) = &self.recorder else { return };
         if let Some(path) = &self.trace_out {
             write_trace(rec, path);
@@ -457,7 +413,6 @@ impl Instrumentation {
         if let Some(mon) = &self.monitor {
             let health = mon.report();
             if self.watch {
-                // Leave the final state on screen after in-place redraws.
                 eprint!("{}", health.render_dashboard());
             }
             if let Some(path) = &self.health_out {
@@ -477,26 +432,6 @@ impl Instrumentation {
             let text = dynmpi_obs::prometheus_text(&rec.merged_metrics());
             std::fs::write(path, text).expect("write prometheus file");
             log_info!("wrote {path}");
-        }
-    }
-}
-
-impl Drop for Instrumentation {
-    fn drop(&mut self) {
-        // `finish` drains these on the normal path; reaching here with a
-        // live watch thread means the run is unwinding (a panic skipped
-        // `finish`). Stop the redraw loop, leave a final readable frame,
-        // and reset terminal attributes so the panic message that follows
-        // lands on a sane TTY.
-        if let Some(stop) = self.watch_stop.take() {
-            stop.store(true, Ordering::Relaxed);
-        }
-        if let Some(handle) = self.watch_thread.take() {
-            let _ = handle.join();
-            if let Some(mon) = &self.monitor {
-                eprint!("\x1b[0m{}", mon.report().render_dashboard());
-            }
-            let _ = std::io::stderr().flush();
         }
     }
 }

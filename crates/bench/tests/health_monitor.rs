@@ -1,4 +1,4 @@
-//! Integration tests for the online health monitor (ISSUE 6 tentpole):
+//! Integration tests for the health monitor:
 //! attaching the monitor must not perturb the simulation in any way, its
 //! output must be deterministic, and on the paper's competing-process
 //! scenario it must flag the loaded node as a straggler *before* the
@@ -61,7 +61,7 @@ fn monitor_presence_does_not_perturb_run() {
     assert_eq!(fingerprint(&plain), fingerprint(&traced));
     assert_eq!(fingerprint(&plain), fingerprint(&monitored));
     // The recorder sees the identical event stream with and without the
-    // streaming subscriber attached.
+    // subscriber attached.
     assert_eq!(rec_only.events(), rec_mon.events());
     // And the monitor actually saw the run.
     let report = monitor.report();
@@ -70,8 +70,9 @@ fn monitor_presence_does_not_perturb_run() {
 }
 
 /// Feeding the recorder's (already deterministic) event stream to a fresh
-/// monitor post-hoc reproduces the streaming report byte for byte — the
-/// streaming fold is a pure function of the event set.
+/// monitor post-hoc reproduces the subscribed monitor's report byte for
+/// byte, which folded the runs in flush order: the fold is a pure
+/// function of the event set.
 #[test]
 fn streaming_equals_posthoc_replay() {
     let exp = loaded_experiment();

@@ -1,14 +1,14 @@
-//! Online health monitoring: streaming per-node statistics, declarative
-//! alert rules, and live classification (DESIGN.md §11).
+//! Health monitoring: per-node statistics in virtual-time windows,
+//! declarative alert rules, and node classification (DESIGN.md §11).
 //!
 //! A [`HealthMonitor`] subscribes to a [`Recorder`](crate::Recorder) as an
-//! [`EventSink`] and folds trace events into fixed-width **virtual-time
-//! windows** *as they are emitted* — no post-run parse. Everything it keeps
-//! per `(window, node)` is a commutative fold (u64 sums assigned by event
-//! timestamp, booleans OR-ed, min-timestamps), so the final report is a
-//! pure function of the event *set*: byte-identical output regardless of
-//! cross-thread arrival order, sweep thread count, or fast vs. stepped
-//! engine mode.
+//! [`EventSink`]: each rank run the recorder flushes is folded into
+//! fixed-width **virtual-time windows**, an event at a time — no parse of
+//! an exported trace. Everything it keeps per `(window, node)` is a
+//! commutative fold (u64 sums assigned by event timestamp, booleans
+//! OR-ed, min-timestamps), so the final report is a pure function of the
+//! event *set*: byte-identical output regardless of the order runs flush
+//! in, sweep thread count, or fast vs. stepped engine mode.
 //!
 //! Mode-invariance discipline: window statistics are derived only from
 //! events whose shape is identical between the fast-forward and stepped
@@ -18,10 +18,10 @@
 //! locally computed `late_ns`/`net_ns` wait split), and `runtime` decision
 //! instants. Non-blocked `sched` spans differ in *aggregation* between the
 //! two modes (one fast-forwarded span covers many stepped slices), so they
-//! contribute only interval-coverage (an OR) and watermarks (a max), both
-//! invariant under aggregation. Spans that straddle window boundaries are
-//! split exactly: wall overlap per window, and integer attributes by
-//! cumulative rounding so per-window shares always sum to the attribute.
+//! contribute only interval coverage (an OR), which is invariant under
+//! aggregation. Spans that straddle window boundaries are split exactly:
+//! wall overlap per window, and integer attributes by cumulative rounding
+//! so per-window shares always sum to the attribute.
 //!
 //! The alert engine evaluates declarative [`AlertRule`]s — metric,
 //! comparison, threshold, sustained-for-N-windows — per node per window,
@@ -222,11 +222,6 @@ struct MonitorInner {
     /// The runtime's decisions, one record each: the load vectors, the
     /// balancer's predictions and the removal timeline come from here.
     log: DecisionLog,
-    /// Per-rank high watermark: max event end seen (live progress only —
-    /// report *content* never depends on it).
-    watermark: Vec<u64>,
-    /// Ranks whose scope flushed (finished).
-    flushed: BTreeSet<usize>,
 }
 
 impl MonitorInner {
@@ -236,12 +231,7 @@ impl MonitorInner {
         if rank >= MAX_RANKS {
             return false;
         }
-        if rank >= self.nodes {
-            self.nodes = rank + 1;
-        }
-        if rank >= self.watermark.len() {
-            self.watermark.resize(rank + 1, 0);
-        }
+        self.nodes = self.nodes.max(rank + 1);
         true
     }
 
@@ -258,10 +248,10 @@ impl MonitorInner {
     }
 }
 
-/// The streaming health monitor. Create one, [`subscribe`](crate::Recorder::subscribe)
-/// it to the run's recorder, then pull [`report`](HealthMonitor::report)s —
-/// live (the `--watch` dashboard re-renders it while ranks still run) or
-/// once at the end for the `--health-out` JSONL.
+/// The health monitor. Create one, [`subscribe`](crate::Recorder::subscribe)
+/// it to the run's recorder, and take its [`report`](HealthMonitor::report)
+/// after the run: the `--health-out` JSONL, the `--watch` dashboard and
+/// the explain report all read that one report.
 pub struct HealthMonitor {
     window_ns: u64,
     rules: Vec<AlertRule>,
@@ -344,26 +334,9 @@ impl HealthMonitor {
         }
     }
 
-    /// Current virtual-time progress: (max event end seen, min unflushed
-    /// rank's watermark). Live-view aids only; never part of report content.
-    pub fn progress(&self) -> (u64, u64) {
-        let m = self.locked();
-        let hi = m.watermark.iter().copied().max().unwrap_or(0);
-        let lo = m
-            .watermark
-            .iter()
-            .enumerate()
-            .filter(|(r, _)| !m.flushed.contains(r))
-            .map(|(_, &t)| t)
-            .min()
-            .unwrap_or(hi);
-        (hi, lo)
-    }
-
-    /// Compute the full health report from everything streamed so far.
-    /// A pure function of the accumulated (commutative) state: calling it
-    /// mid-run gives the live view, calling it after the run gives the
-    /// deterministic final report.
+    /// Compute the full health report from every run folded so far: a
+    /// pure function of the accumulated (commutative) state, so the report
+    /// after the run is deterministic.
     pub fn report(&self) -> HealthReport {
         let m = self.locked();
         let w = self.window_ns;
@@ -584,20 +557,12 @@ impl EventSink for HealthMonitor {
         }
         m.log.fold(ev);
         let (ts, dur) = (ev.ts_ns(), ev.dur_ns().unwrap_or(0));
-        m.watermark[rank] = m.watermark[rank].max(ts + dur);
         self.fold_windows(&mut m, rank, ev, ts, dur);
         if let TraceEvent::Send { msg, .. } = *ev {
             let peer = usize::try_from(msg.peer).ok();
             if let Some(peer) = peer.filter(|p| m.note_rank(*p)) {
                 m.window_mut(ts / self.window_ns, peer).sends_to += 1;
             }
-        }
-    }
-
-    fn on_rank_flush(&self, rank: usize) {
-        let mut m = self.locked();
-        if m.note_rank(rank) {
-            m.flushed.insert(rank);
         }
     }
 }

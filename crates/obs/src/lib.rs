@@ -11,15 +11,16 @@
 //!   is commutative and associative.
 //! * **Exporters** ([`export`]): Chrome `trace_event` JSON (open in
 //!   `chrome://tracing` or <https://ui.perfetto.dev>) and a JSONL stream,
-//!   plus a parser for round-trip verification. The tiny [`json`] module
+//!   plus a JSONL parser for offline analysis. The tiny [`json`] module
 //!   backs both and is reused by the bench binaries for row output.
 //!
 //! The [`Recorder`] ties it together: one per traced run, cloned into each
 //! rank's scope, collecting per-rank events and metric snapshots for export.
 //!
 //! Three readers turn the stream into reports: the profiler ([`analysis`],
-//! after the run), the streaming [`HealthMonitor`] ([`health`]) and the
-//! decision audit ([`explain`]), which the monitor's report feeds. The
+//! after the run), the [`HealthMonitor`] ([`health`]), which folds each
+//! flushed run into virtual-time windows, and the decision audit
+//! ([`explain`]), which the monitor's report feeds. The
 //! runtime's replicated decisions are folded once, into one decision log
 //! per stream: the monitor keeps one and explain reads it, and the
 //! profiler folds its own over the recording.
@@ -50,7 +51,7 @@ pub use analysis::{
     analyze, BlameEntry, Buckets, CritSegment, CycleAudit, ProfileReport, RankAttribution, SegKind,
 };
 pub use explain::{ChainLink, DecisionCard, ExplainEngine, ExplainReport, FlightRecord, Outcome};
-pub use export::{parse_chrome_trace, parse_jsonl, ParsedEvent};
+pub use export::parse_jsonl;
 pub use health::{
     default_rules, Alert, AlertRule, HealthMonitor, HealthReport, HealthState, NodeHealth,
     RuleMetric, RuleOp, DEFAULT_WINDOW_NS,
@@ -75,7 +76,7 @@ struct RecorderInner {
     recording: Arc<Recording>,
     /// One metrics snapshot per rank (last flush wins per rank).
     snapshots: Vec<(usize, Snapshot)>,
-    /// Streaming subscribers; cloned into each rank scope at install.
+    /// Subscribers; each flushed run is folded into those present then.
     sinks: Vec<Arc<dyn EventSink>>,
 }
 
@@ -130,31 +131,39 @@ impl Recorder {
         trace::install_scope(self.clone(), rank)
     }
 
-    /// Register a streaming [`EventSink`]: it is called at emission time,
-    /// on the emitting rank's thread, for every span close and instant.
-    /// Subscribe **before** installing rank scopes — scopes capture the
-    /// sink list when installed, so later subscriptions only affect ranks
-    /// installed afterwards.
+    /// Register an [`EventSink`]: every run that flushes from now on, of
+    /// any rank, is folded into it, one event at a time in the run's
+    /// order.
     pub fn subscribe(&self, sink: Arc<dyn EventSink>) {
         self.locked().sinks.push(sink);
     }
 
-    /// Snapshot of the current sink list (captured per rank at install).
-    pub(crate) fn sinks(&self) -> Arc<[Arc<dyn EventSink>]> {
-        self.locked().sinks.clone().into()
-    }
-
+    /// Stores `rank`'s flushed run and metrics, then folds the run into
+    /// the sinks subscribed now, outside the lock.
     pub(crate) fn absorb(&self, rank: usize, run: Option<Run>, snapshot: Snapshot) {
-        let mut inner = self.locked();
-        if let Some(run) = run {
-            let runs = [&inner.recording.runs[..], &[Arc::new(run)]].concat();
-            inner.recording = Arc::new(Recording {
-                runs,
-                ..Recording::default()
-            });
+        let run = run.map(Arc::new);
+        let sinks = {
+            let mut inner = self.locked();
+            if let Some(run) = &run {
+                let runs = [&inner.recording.runs[..], &[Arc::clone(run)]].concat();
+                inner.recording = Arc::new(Recording {
+                    runs,
+                    ..Recording::default()
+                });
+            }
+            inner.snapshots.retain(|(r, _)| *r != rank);
+            inner.snapshots.push((rank, snapshot));
+            inner.sinks.clone()
+        };
+        let Some(run) = run.filter(|_| !sinks.is_empty()) else {
+            return;
+        };
+        for ev in Walk::new(std::slice::from_ref(&run)) {
+            let ev = ev.event();
+            for sink in &sinks {
+                sink.on_event(&ev);
+            }
         }
-        inner.snapshots.retain(|(r, _)| *r != rank);
-        inner.snapshots.push((rank, snapshot));
     }
 
     /// All flushed events, in the canonical trace order: a view of what

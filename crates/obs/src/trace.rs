@@ -15,34 +15,26 @@
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use crate::json::Json;
 use crate::metrics::{Counter, Histogram, Registry};
 use crate::run::RunBuffer;
 use crate::Recorder;
 
-/// A streaming consumer of trace events, notified *at emission time* on the
-/// emitting rank's thread — before anything reaches the [`Recorder`]'s
-/// buffers. This is the hook the online health monitor
-/// ([`health`](crate::health)) hangs off: it sees every span close and
-/// instant as the simulated run produces them, rather than parsing the
-/// trace after the run ends.
+/// A consumer of trace events, subscribed with [`Recorder::subscribe`].
+/// Emission only encodes; when a rank scope flushes, the recorder folds
+/// the flushed run into every sink subscribed at that moment, one event
+/// at a time in the run's order, outside its lock. A sink sees every run
+/// that flushes after it subscribes, whenever the rank was installed.
 ///
-/// Implementations must be `Send + Sync`: ranks run on separate threads and
-/// call into the same sink concurrently. A sink that wants deterministic
-/// *output* must therefore fold events with commutative operations keyed by
-/// virtual timestamp (the monitor's sliding windows do exactly this), since
-/// cross-rank arrival order at the sink is scheduling-dependent.
-///
-/// Subscribe with [`Recorder::subscribe`] **before** installing rank
-/// scopes; scopes capture the sink list at install time.
+/// Implementations must be `Send + Sync`: ranks on separate threads
+/// flush into the same sink concurrently, and the runs of different ranks
+/// arrive in flush order. A sink that wants deterministic *output* must
+/// therefore fold events with commutative operations keyed by virtual
+/// timestamp (the health monitor's windows do exactly this).
 pub trait EventSink: Send + Sync {
-    /// An event was emitted: a span closed or an instant fired.
+    /// One event of a flushed run: a closed span or an instant.
     fn on_event(&self, ev: &TraceEvent);
-
-    /// `rank`'s tracing scope flushed (its thread finished or unwound).
-    fn on_rank_flush(&self, _rank: usize) {}
 }
 
 /// The attributes of a generic event: boxed, so the rare kinds that carry
@@ -702,7 +694,7 @@ impl TraceEvent {
 
 /// Ranks (and the `peer` / `node` attributes naming one) are below this
 /// bound in every event a consumer accepts: [`parse_jsonl`](crate::parse_jsonl)
-/// rejects a larger `rank`, and the streaming sinks, which size per-node
+/// rejects a larger `rank`, and the sinks, which size per-node
 /// tables by the largest index seen, ignore a larger attribute.
 pub const MAX_RANKS: usize = 1 << 20;
 
@@ -773,20 +765,6 @@ struct RankScope {
     /// sorts them into the run the recorder keeps.
     events: RunBuffer,
     stack: Vec<OpenSpan>,
-    /// Streaming sinks captured from the recorder at install time. Empty
-    /// for un-subscribed recorders, in which case emission cost is
-    /// unchanged from before sinks existed.
-    sinks: Arc<[Arc<dyn EventSink>]>,
-}
-
-impl RankScope {
-    /// Buffer `ev` for the recorder and stream it to every sink.
-    fn emit(&mut self, ev: TraceEvent) {
-        for sink in self.sinks.iter() {
-            sink.on_event(&ev);
-        }
-        self.events.push(ev);
-    }
 }
 
 thread_local! {
@@ -826,10 +804,7 @@ impl Drop for ScopeGuard {
                 while let Some(open) = scope.stack.pop() {
                     let args = vec![("truncated", Json::Bool(true))];
                     let ev = TraceEvent::span(open.cat, open.name, scope.rank, open.ts_ns, 0, args);
-                    scope.emit(ev);
-                }
-                for sink in scope.sinks.iter() {
-                    sink.on_rank_flush(scope.rank as usize);
+                    scope.events.push(ev);
                 }
                 let run = scope.events.finish(scope.rank);
                 (scope.recorder).absorb(scope.rank as usize, run, scope.registry.snapshot());
@@ -845,7 +820,6 @@ pub(crate) fn install_scope(recorder: Recorder, rank: usize) -> ScopeGuard {
         "rank {rank} is not below MAX_RANKS = {MAX_RANKS}"
     );
     let rank = rank as u32;
-    let sinks = recorder.sinks();
     SCOPE.with(|s| {
         let prev = s.borrow_mut().replace(Box::new(RankScope {
             recorder,
@@ -855,7 +829,6 @@ pub(crate) fn install_scope(recorder: Recorder, rank: usize) -> ScopeGuard {
             hists: Vec::new(),
             events: RunBuffer::default(),
             stack: Vec::new(),
-            sinks,
         }));
         assert!(prev.is_none(), "tracing scope already installed on thread");
     });
@@ -923,7 +896,7 @@ fn close_span(ts_ns: u64, close: impl FnOnce(OpenSpan, u32, u64) -> TraceEvent) 
         };
         let dur_ns = ts_ns.saturating_sub(open.ts_ns);
         let ev = close(open, scope.rank, dur_ns);
-        scope.emit(ev);
+        scope.events.push(ev);
     });
 }
 
@@ -931,7 +904,7 @@ fn close_span(ts_ns: u64, close: impl FnOnce(OpenSpan, u32, u64) -> TraceEvent) 
 fn emit_instant(make: impl FnOnce(u32) -> TraceEvent) {
     with_scope(|scope| {
         let ev = make(scope.rank);
-        scope.emit(ev);
+        scope.events.push(ev);
     });
 }
 
@@ -963,7 +936,7 @@ pub fn sched_span(state: SchedState, ts_ns: u64, end_ns: u64, cpu_ns: u64, slice
             cpu_ns,
             slices,
         };
-        scope.emit(ev);
+        scope.events.push(ev);
     });
 }
 

@@ -1,15 +1,17 @@
 //! Properties of the one event path: what the exporters write, the order
-//! the recorder hands events out in, and what a malformed dump may do.
+//! the recorder hands events out in, which flushed runs a sink folds, and
+//! what a malformed dump may do.
 
 use std::path::Path;
+use std::sync::{Arc, Mutex};
 
 use dynmpi_obs::export::{chrome_trace, jsonl, EXACT_US_BELOW_NS};
 use dynmpi_obs::trace::{
     intern, intern_cat, EventSink, COLLECTIVES, KNOWN_CATS, MAX_RANKS, MAX_TS_NS,
 };
 use dynmpi_obs::{
-    instant, parse_jsonl, span_begin, span_end_args, ExplainEngine, HealthMonitor, Json, Msg,
-    Recorder, SchedState, TraceEvent, DEFAULT_WINDOW_NS,
+    instant, parse_jsonl, span_begin, span_end, span_end_args, span_end_charge_rows, ExplainEngine,
+    HealthMonitor, Json, Msg, Recorder, SchedState, TraceEvent, DEFAULT_WINDOW_NS,
 };
 use dynmpi_testkit::{check_n, Rng};
 
@@ -468,6 +470,56 @@ fn reinstall_after_a_read_extends_the_stream() {
         assert_eq!(keys(&rec.events()), oracle(&both));
         assert_eq!(keys(&before), oracle(&first), "an earlier read changed");
     });
+}
+
+// ---------------------------------------------------------------------------
+// Sinks: each flushed run, folded into the sinks subscribed then
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_late_subscriber_sees_the_rank() {
+    let rec = Recorder::new();
+    let guard = rec.install(0);
+    let health = Arc::new(HealthMonitor::new(DEFAULT_WINDOW_NS));
+    rec.subscribe(health.clone());
+    span_begin("runtime", "charge_rows", 1_000);
+    span_end_charge_rows(6_000, 8, 4_000, 9_000);
+    drop(guard);
+    let report = health.report();
+    assert_eq!(report.nodes, 1);
+    let node = &report.windows[0].nodes[0];
+    assert_eq!((node.busy_ns, node.cpu_ns), (5_000, 4_000));
+}
+
+/// Every event it was handed: `(rank, ts_ns)`, in the order handed.
+#[derive(Default)]
+struct Seen(Mutex<Vec<(usize, u64)>>);
+
+impl EventSink for Seen {
+    fn on_event(&self, ev: &TraceEvent) {
+        self.0.lock().unwrap().push((ev.rank(), ev.ts_ns()));
+    }
+}
+
+#[test]
+fn a_sink_folds_each_run_that_flushes_after_it_subscribes() {
+    let rec = Recorder::new();
+    let flush = |rank, ts_ns| {
+        let _guard = rec.install(rank);
+        // The span closes last but sorts first in its run.
+        span_begin("app", "outer", ts_ns);
+        instant("app", "tick", ts_ns + 2, vec![]);
+        span_end(ts_ns + 5);
+    };
+    flush(0, 10);
+    let seen = Arc::new(Seen::default());
+    rec.subscribe(seen.clone());
+    flush(1, 30);
+    flush(0, 0);
+    // Not the run flushed before it subscribed; the others once each, in
+    // flush order and each in its run's order.
+    let got = seen.0.lock().unwrap().clone();
+    assert_eq!(got, [(1, 30), (1, 32), (0, 0), (0, 2)]);
 }
 
 // ---------------------------------------------------------------------------

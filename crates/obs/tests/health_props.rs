@@ -1,4 +1,4 @@
-//! Property tests for the streaming health monitor (ISSUE 6 satellite):
+//! Property tests for the health monitor:
 //! per-window accumulations are u64-exact partitions of the event stream's
 //! totals, and the full report — alerts included — is a pure function of
 //! the event *set*, independent of delivery order.
